@@ -79,13 +79,13 @@ from .laws import (
     run_suite,
     shrink,
 )
-from .rings import Coefficient, CoefficientRing
+from .rings import CoefficientRing
 from .script import check_script, eval_script, format_script, parse_script
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ArityMismatch", "BackendMismatch", "BadConfig", "Coefficient",
+    "ArityMismatch", "BackendMismatch", "BadConfig",
     "CoefficientRing", "DegreeMismatch", "EndoBackend", "FreeBackend",
     "FreeElement", "GAMMA_KINDS", "GradedElement", "IndexOutOfDomain",
     "IndexOutOfScope", "InvalidDegree", "KNOWN_MUTATIONS",

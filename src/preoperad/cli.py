@@ -14,6 +14,7 @@ problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -26,17 +27,19 @@ from .errors import PreOperadError
 from .free import Signature
 from .rings import CoefficientRing
 
-_CONFIG_KEYS = ("backend", "prime", "dim", "trials", "seed",
-                "degree_min", "degree_max", "mutations")
+# the library's trial defaults, except that the CLI works in dimension 2
+_DEFAULTS = laws.TrialConfig(dim=2)
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(laws.TrialConfig))
 
 
 def _add_backend_flags(p: argparse.ArgumentParser):
     p.add_argument("--backend", choices=("endo", "free"), default=None,
-                   help="element representation (default endo)")
+                   help=f"element representation (default {_DEFAULTS.backend})")
     p.add_argument("--prime", type=int, default=None,
-                   help="coefficient field modulus (default 97)")
+                   help=f"coefficient field modulus (default {_DEFAULTS.prime})")
     p.add_argument("--dim", type=int, default=None,
-                   help="dimension of the underlying module (default 2)")
+                   help="dimension of the underlying module "
+                        f"(default {_DEFAULTS.dim})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,11 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--law", default="all",
                           help="law id, or 'all' (default)")
     p_verify.add_argument("--trials", type=int, default=None,
-                          help="trials per law (default 200)")
+                          help=f"trials per law (default {_DEFAULTS.trials})")
     p_verify.add_argument("--seed", type=int, default=None,
-                          help="master seed (default 0)")
+                          help=f"master seed (default {_DEFAULTS.seed})")
     p_verify.add_argument("--max-degree", type=int, default=None,
-                          help="largest degree drawn per input (default 4)")
+                          help="largest degree drawn per input "
+                               f"(default {_DEFAULTS.degree_max})")
     p_verify.add_argument("--mutate", action="append", default=None,
                           choices=sorted(KNOWN_MUTATIONS), metavar="NAME",
                           help="enable a canary mutation (repeatable)")
@@ -90,17 +94,15 @@ def _load_config(path: str | None) -> dict:
 
 
 def _trial_config(args) -> laws.TrialConfig:
-    settings = {"backend": "endo", "prime": 97, "dim": 2, "trials": 200,
-                "seed": 0, "degree_min": 1, "degree_max": 4, "mutations": ()}
-    settings.update(_load_config(args.config))
+    settings = _load_config(args.config)
     overrides = {"backend": args.backend, "prime": args.prime,
                  "dim": args.dim, "trials": args.trials, "seed": args.seed,
                  "degree_max": args.max_degree, "mutations": args.mutate}
     for key, value in overrides.items():
         if value is not None:
             settings[key] = value
-    settings["mutations"] = tuple(settings["mutations"])
-    return laws.TrialConfig(**settings)
+    cfg = dataclasses.replace(_DEFAULTS, **settings)
+    return dataclasses.replace(cfg, mutations=tuple(cfg.mutations))
 
 
 def _cmd_laws(args) -> int:
@@ -140,10 +142,10 @@ def _cmd_eval(args) -> int:
         with open(args.script, "r", encoding="utf-8") as fh:
             text = fh.read()
     parsed = script_mod.parse_script(text)
-    ring = CoefficientRing.prime_field(args.prime or 97)
-    backend_kind = args.backend or "endo"
+    ring = CoefficientRing.prime_field(args.prime or _DEFAULTS.prime)
+    backend_kind = args.backend or _DEFAULTS.backend
     if backend_kind == "endo":
-        backend = EndoBackend(ring, args.dim or 2)
+        backend = EndoBackend(ring, args.dim or _DEFAULTS.dim)
     else:
         gens = tuple((d.name, d.degree) for d in parsed.decls)
         if "mu" not in {d.name for d in parsed.decls}:

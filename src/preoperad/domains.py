@@ -22,7 +22,7 @@ class LatticeDomain:
     points: tuple[tuple[int, ...], ...]
 
     def __contains__(self, point) -> bool:
-        return tuple(point) in set(self.points)
+        return tuple(point) in self.points
 
     def __iter__(self):
         return iter(self.points)

@@ -31,18 +31,12 @@ from .errors import (
     ShapeMismatch,
     UnsupportedRing,
 )
-from .rings import Coefficient, CoefficientRing
+from .rings import CoefficientRing
 
 
 def ksign(exponent: int) -> int:
     """(-1)^exponent for possibly negative exponents."""
     return -1 if exponent % 2 else 1
-
-
-def _dtype_for(ring: CoefficientRing):
-    # int64 is safe: entries < p <= 2^17 and contractions sum at most
-    # d <= 2^17 products, far below 2^63.
-    return np.int64 if ring.is_field else object
 
 
 @dataclass(frozen=True)
@@ -81,6 +75,14 @@ class MultilinearMap:
 
 def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
     if ring.is_field:
+        # F_p tables are int64. A contraction sums d products below p^2, and
+        # linear_combine adds one such product to a reduced accumulator
+        # before reducing again; d * p^2 < 2^63 keeps both exact.
+        dim = arr.shape[0]
+        if dim * ring.modulus ** 2 >= 2**63:
+            raise UnsupportedRing(
+                f"{ring.label()} tables of dimension {dim} overflow int64 "
+                f"(need dim * p^2 < 2^63)")
         arr = np.asarray(arr, dtype=np.int64) % ring.modulus
     else:
         arr = np.asarray(arr, dtype=object)
@@ -156,7 +158,7 @@ def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> Multilinear
 def linear_combine(coeffs, maps) -> MultilinearMap:
     """Sum of c_k * m_k; all maps must share ring, dim and degree."""
     maps = list(maps)
-    coeffs = [c.value if isinstance(c, Coefficient) else int(c) for c in coeffs]
+    coeffs = [int(c) for c in coeffs]
     if not maps:
         raise DegreeMismatch("linear_combine needs at least one map")
     if len(coeffs) != len(maps):

@@ -1,9 +1,13 @@
 """Symbolic backend: signed sums of generator-labelled planar trees.
 
-A basis tree is either the leaf sentinel (the unit, degree 1) or a node
-(name, children) whose children are trees; its degree is its leaf count.
+A basis tree is the tuple of its own s-expression tokens: "(name" opens a
+node, LEAF ("_") is a leaf and ")" closes a node, so "(h _ (f _ _) _)" is
+("(h", "_", "(f", "_", "_", ")", "_", ")") and the unit is (LEAF,). Every
+node has as many children as its generator's degree; a tree's degree is its
+leaf count. Since arities are fixed and "(" sorts before "_", plain tuple
+order on trees is the string order of their s-expressions.
 Elements are finite sums coeff * tree with coefficients in a ring, kept
-canonical (zero terms dropped, coefficients reduced).
+canonical (zero terms dropped, coefficients reduced, terms sorted).
 
 Composition grafts the right operand onto the i-th leaf of the left one and
 multiplies by the global sign (-1)^(i * |y|), the same twist the dense
@@ -13,7 +17,7 @@ table substitution is a morphism between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BackendMismatch,
@@ -27,47 +31,29 @@ from .errors import (
 )
 from . import endo
 from .endo import MultilinearMap, ksign
-from .rings import Coefficient, CoefficientRing
+from .rings import CoefficientRing
 
 LEAF = "_"
 
 
 def tree_degree(tree) -> int:
     """Leaf count."""
-    if tree == LEAF:
-        return 1
-    _, children = tree
-    return sum(tree_degree(c) for c in children)
+    return tree.count(LEAF)
 
 
 def graft(tree, i: int, sub):
     """Replace the i-th leaf (left to right, 0-based) of tree by sub."""
-    if tree == LEAF:
-        if i != 0:
-            raise IndexOutOfScope(f"leaf index {i} on a bare leaf")
-        return sub
-    name, children = tree
-    out = []
-    offset = i
-    done = False
-    for c in children:
-        width = tree_degree(c)
-        if not done and 0 <= offset < width:
-            out.append(graft(c, offset, sub))
-            done = True
-        else:
-            out.append(c)
-        offset -= width
-    if not done:
-        raise IndexOutOfScope(f"leaf index {i} outside tree of degree {tree_degree(tree)}")
-    return (name, tuple(out))
+    degree = tree_degree(tree)
+    if not 0 <= i < degree:
+        raise IndexOutOfScope(f"leaf index {i} outside tree of degree {degree}")
+    pos = -1
+    for _ in range(i + 1):
+        pos = tree.index(LEAF, pos + 1)
+    return tree[:pos] + sub + tree[pos + 1:]
 
 
 def tree_to_sexpr(tree) -> str:
-    if tree == LEAF:
-        return LEAF
-    name, children = tree
-    return "(" + " ".join([name] + [tree_to_sexpr(c) for c in children]) + ")"
+    return " ".join(tree).replace(" )", ")")
 
 
 @dataclass(frozen=True)
@@ -81,8 +67,9 @@ class Signature:
         for name, deg in self.generators:
             if name in seen:
                 raise UnknownGenerator(f"duplicate generator {name!r}")
-            if name == LEAF:
-                raise UnknownGenerator("the leaf sentinel cannot name a generator")
+            # a name must stay one token of a tree's s-expression
+            if name in ("", LEAF) or any(ch in "()" or ch.isspace() for ch in name):
+                raise UnknownGenerator(f"{name!r} cannot name a generator")
             if deg < 1:
                 raise InvalidDegree(f"generator {name!r} needs degree >= 1, got {deg}")
             seen.add(name)
@@ -98,7 +85,7 @@ class Signature:
 
 
 def generator_tree(sig: Signature, name: str):
-    return (name, (LEAF,) * sig.degree_of(name))
+    return ("(" + name,) + (LEAF,) * sig.degree_of(name) + (")",)
 
 
 @dataclass(frozen=True)
@@ -113,9 +100,6 @@ class FreeElement:
     @property
     def shifted_degree(self) -> int:
         return self.degree - 1
-
-    def term_dict(self) -> dict:
-        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -136,13 +120,7 @@ def _canonical_terms(ring: CoefficientRing, raw: dict) -> tuple:
         c = ring.reduce(c)
         if c:
             cleaned[tree] = c
-    return tuple(sorted(cleaned.items(), key=lambda kv: tree_to_sexpr(kv[0])))
-
-
-def canonicalize(x: FreeElement) -> FreeElement:
-    """Re-normalize; idempotent on anything this module produces."""
-    return FreeElement(x.ring, x.signature, x.degree,
-                       _canonical_terms(x.ring, dict(x.terms)))
+    return tuple(sorted(cleaned.items()))
 
 
 def _element(ring, sig, degree, raw_terms) -> FreeElement:
@@ -159,7 +137,7 @@ def generator_element(sig: Signature, ring: CoefficientRing, name: str) -> FreeE
 
 
 def unit_element(sig: Signature, ring: CoefficientRing) -> FreeElement:
-    return _element(ring, sig, 1, {LEAF: 1})
+    return _element(ring, sig, 1, {(LEAF,): 1})
 
 
 def zero_element(sig: Signature, ring: CoefficientRing, degree: int) -> FreeElement:
@@ -195,7 +173,7 @@ def free_partial_compose(x: FreeElement, y: FreeElement, i: int) -> FreeElement:
 
 def free_linear_combine(coeffs, elems) -> FreeElement:
     elems = list(elems)
-    coeffs = [c.value if isinstance(c, Coefficient) else int(c) for c in coeffs]
+    coeffs = [int(c) for c in coeffs]
     if not elems:
         raise DegreeMismatch("free_linear_combine needs at least one element")
     if len(coeffs) != len(elems):
@@ -221,31 +199,28 @@ def element_to_payload(x: FreeElement) -> dict:
 
 
 def _tree_from_sexpr(text: str, sig: Signature):
-    """Parse the output of tree_to_sexpr back into a tree."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
+    """Parse the output of tree_to_sexpr back into a tree.
 
-    def parse():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        if tok == LEAF:
-            return LEAF
-        if tok != "(":
+    Anything but one complete tree whose nodes have their generators'
+    arities raises ShapeMismatch (UnknownGenerator for a name outside sig).
+    """
+    tree = tuple(text.replace("(", " (").replace(")", " ) ").split())
+    open_nodes = []  # children each open node still expects
+    for pos, tok in enumerate(tree):
+        if pos and not open_nodes:
+            raise ShapeMismatch(f"trailing tokens in tree {text!r}")
+        if tok == ")":
+            if not open_nodes or open_nodes.pop():
+                raise ShapeMismatch(f"unbalanced tree {text!r}")
+            continue
+        if open_nodes:
+            open_nodes[-1] -= 1
+        if tok.startswith("("):
+            open_nodes.append(sig.degree_of(tok[1:]))
+        elif tok != LEAF:
             raise ShapeMismatch(f"bad tree token {tok!r}")
-        name = tokens[pos]
-        pos += 1
-        children = []
-        while tokens[pos] != ")":
-            children.append(parse())
-        pos += 1
-        if not sig.has(name):
-            raise UnknownGenerator(f"no generator named {name!r}")
-        return (name, tuple(children))
-
-    tree = parse()
-    if pos != len(tokens):
-        raise ShapeMismatch("trailing tree tokens")
+    if not tree or open_nodes:
+        raise ShapeMismatch(f"unbalanced tree {text!r}")
     return tree
 
 
@@ -259,25 +234,31 @@ def element_from_payload(payload: dict) -> FreeElement:
 
 
 def _eval_tree(tree, assignment: dict, ring: CoefficientRing, dim: int) -> MultilinearMap:
-    if tree == LEAF:
+    if tree == (LEAF,):
         return endo.unit_map(ring, dim)
-    name, children = tree
-    if name not in assignment:
-        raise MissingAssignment(f"no table assigned to generator {name!r}")
-    base = assignment[name]
-    if base.ring != ring or base.dim != dim:
-        raise BackendMismatch("assigned table over a different ring or dimension")
-    # Substitute children right to left so earlier slot positions stay put.
-    acc = base
-    for s in reversed(range(len(children))):
-        child = children[s]
-        if child == LEAF:
-            continue
-        sub = _eval_tree(child, assignment, ring, dim)
-        raw = endo._insert(acc, sub, s)
-        acc = MultilinearMap(ring, dim, acc.degree + sub.degree - 1,
-                             endo._canonical_table(ring, raw))
-    return acc
+    stack = []  # [table so far, next input slot] per open node
+    for tok in tree:
+        if tok == LEAF:
+            stack[-1][1] += 1
+        elif tok == ")":
+            sub, _ = stack.pop()
+            if not stack:
+                return sub
+            # earlier children are already substituted, so slot counts
+            # the inputs they left behind
+            acc, slot = stack[-1]
+            raw = endo._insert(acc, sub, slot)
+            stack[-1] = [MultilinearMap(ring, dim, acc.degree + sub.degree - 1,
+                                        endo._canonical_table(ring, raw)),
+                         slot + sub.degree]
+        else:
+            name = tok[1:]
+            if name not in assignment:
+                raise MissingAssignment(f"no table assigned to generator {name!r}")
+            base = assignment[name]
+            if base.ring != ring or base.dim != dim:
+                raise BackendMismatch("assigned table over a different ring or dimension")
+            stack.append([base, 0])
 
 
 def evaluate_hom(x: FreeElement, assignment: dict, ring: CoefficientRing,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -800,28 +800,19 @@ def laws_for_backend(backend: str):
 # ---------------------------------------------------------------------------
 # engine
 
-def _serialize_element(el: GradedElement) -> dict:
-    return el.serialize()
-
-
-def _witness(law: Law, cfg: TrialConfig, trial: int, attempt: int,
-             sample: TrialSample, detail: FailDetail) -> dict:
-    elements = {name: _serialize_element(el)
-                for name, el in sorted(sample.elements.items())}
+def _witness(head: dict, sample: TrialSample, detail: FailDetail) -> dict:
+    """A failure witness: head's fields (law, seed, run settings), with the
+    failing sample and check written over any it already holds."""
     return {
-        "law_id": law.law_id,
-        "seed": [cfg.seed, trial, attempt],
-        "backend": law.fixed_backend or cfg.backend,
-        "prime": cfg.prime,
-        "dim": cfg.dim,
-        "mutations": sorted(cfg.mutations),
+        **head,
         "degrees": dict(sorted(sample.degrees.items())),
-        "elements": elements,
+        "elements": {name: el.serialize()
+                     for name, el in sorted(sample.elements.items())},
         "extra": sample.extra,
         "identity": detail.identity,
         "domain_point": list(detail.point) if detail.point is not None else None,
-        "lhs": _serialize_element(detail.lhs) if detail.lhs is not None else None,
-        "rhs": _serialize_element(detail.rhs) if detail.rhs is not None else None,
+        "lhs": detail.lhs.serialize() if detail.lhs is not None else None,
+        "rhs": detail.rhs.serialize() if detail.rhs is not None else None,
     }
 
 
@@ -854,7 +845,12 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
             continue
         detail = law.checker(sample)
         if detail is not None:
-            failures.append(_witness(law, cfg, trial, attempt_used, sample, detail))
+            head = {"law_id": law.law_id,
+                    "seed": [cfg.seed, trial, attempt_used],
+                    "backend": law.fixed_backend or cfg.backend,
+                    "prime": cfg.prime, "dim": cfg.dim,
+                    "mutations": sorted(cfg.mutations)}
+            failures.append(_witness(head, sample, detail))
     millis = int(round((time.perf_counter() - start) * 1000))
     non_vacuous = cfg.trials - vacuous
     return Report(
@@ -918,21 +914,6 @@ def replay(witness: dict) -> FailDetail | None:
     return law.checker(sample)
 
 
-def _witness_from_sample(witness: dict, sample: TrialSample,
-                         detail: FailDetail) -> dict:
-    out = dict(witness)
-    out["degrees"] = {name: el.degree
-                     for name, el in sorted(sample.elements.items())
-                     if name != "mu"}
-    out["elements"] = {name: _serialize_element(el)
-                       for name, el in sorted(sample.elements.items())}
-    out["identity"] = detail.identity
-    out["domain_point"] = list(detail.point) if detail.point is not None else None
-    out["lhs"] = _serialize_element(detail.lhs) if detail.lhs is not None else None
-    out["rhs"] = _serialize_element(detail.rhs) if detail.rhs is not None else None
-    return out
-
-
 def _lowered(el: GradedElement, steps: int = 1) -> GradedElement | None:
     payload = el.payload
     if not isinstance(payload, endo.MultilinearMap) or payload.degree - steps < 1:
@@ -957,12 +938,8 @@ def _zeroed(el: GradedElement, flat_index: int) -> GradedElement | None:
                                            payload.degree, flat))
     if flat_index >= len(payload.terms):
         return None
-    terms = dict(payload.terms)
-    del terms[payload.terms[flat_index][0]]
-    reduced = free.FreeElement(payload.ring, payload.signature, payload.degree,
-                               tuple(sorted(terms.items(),
-                                            key=lambda kv: free.tree_to_sexpr(kv[0]))))
-    return GradedElement(el.backend, reduced)
+    terms = payload.terms[:flat_index] + payload.terms[flat_index + 1:]
+    return GradedElement(el.backend, replace(payload, terms=terms))
 
 
 def _still_fails(law: Law, sample: TrialSample) -> FailDetail | None:
@@ -975,10 +952,13 @@ def _still_fails(law: Law, sample: TrialSample) -> FailDetail | None:
 def _replace_element(sample: TrialSample, name: str,
                      el: GradedElement) -> TrialSample:
     elements = {**sample.elements, name: el}
+    degrees = dict(sample.degrees)
     ctx = sample.ctx
     if name == "mu":
         ctx = PreOperadContext(ctx.backend, el)
-    return TrialSample(ctx, elements, dict(sample.degrees), dict(sample.extra))
+    else:
+        degrees[name] = el.degree
+    return TrialSample(ctx, elements, degrees, dict(sample.extra))
 
 
 def shrink(witness: dict) -> dict:
@@ -993,7 +973,7 @@ def shrink(witness: dict) -> dict:
     detail = _still_fails(law, current_sample)
     if detail is None:
         return dict(witness)
-    current = _witness_from_sample(witness, current_sample, detail)
+    current = _witness(witness, current_sample, detail)
     improved = True
     while improved:
         improved = False
@@ -1011,7 +991,7 @@ def shrink(witness: dict) -> dict:
                 got = _still_fails(law, cand)
                 if got is not None:
                     current_sample = cand
-                    current = _witness_from_sample(current, cand, got)
+                    current = _witness(current, cand, got)
                     improved = True
                     break
             if improved:
@@ -1031,7 +1011,7 @@ def shrink(witness: dict) -> dict:
                 got = _still_fails(law, cand)
                 if got is not None:
                     current_sample = cand
-                    current = _witness_from_sample(current, cand, got)
+                    current = _witness(current, cand, got)
                     improved = True
                     break
             if improved:

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DivisionByZero,
-    InverseUnavailable,
-    RingMismatch,
-    UnsupportedRing,
-)
+from .errors import DivisionByZero, InverseUnavailable, UnsupportedRing
 
 
 def _is_prime(n: int) -> bool:
@@ -107,51 +102,3 @@ class CoefficientRing:
         if payload.get("kind") == "prime_field":
             return cls.prime_field(int(payload["p"]))
         raise UnsupportedRing(f"unknown ring payload {payload!r}")
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """A single canonical scalar tagged with its ring."""
-
-    ring: CoefficientRing
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.ring.reduce(self.value))
-
-    def _check(self, other: "Coefficient"):
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring.label()} vs {other.ring.label()}")
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        self._check(other)
-        return Coefficient(self.ring, self.value + other.value)
-
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
-        self._check(other)
-        return Coefficient(self.ring, self.value - other.value)
-
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        self._check(other)
-        return Coefficient(self.ring, self.value * other.value)
-
-    def __neg__(self) -> "Coefficient":
-        return Coefficient(self.ring, -self.value)
-
-    def inverse(self) -> "Coefficient":
-        return Coefficient(self.ring, self.ring.inv(self.value))
-
-
-def ring_ops(a: Coefficient, b: Coefficient | None, op: str) -> Coefficient:
-    """Apply a named ring operation; b is ignored for the unary ops."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown ring op {op!r}")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -14,6 +15,8 @@ cup(f, g)
 """
 
 FREE_SCRIPT = "let h: deg 2;\nlet f: deg 1;\ncomp(h, f, 0)\n"
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -67,6 +70,45 @@ def test_verify_canary_fails(capsys, tmp_path):
     failures = suite["laws"][0]["failures"]
     assert failures
     assert failures[0]["mutations"] == ["b-relation-sign-drop"]
+
+
+
+def _without_millis(suite):
+    for rep in suite["laws"]:
+        rep.pop("millis")
+    return suite
+
+
+def test_free_canary_report_matches_golden(capsys, tmp_path):
+    # recorded with nested-tuple trees; the flat token encoding must not
+    # change terms, their order or the witnesses
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, [
+        "verify", "--law", "L06-cup-product", "--backend", "free",
+        "--mutate", "cup-sign-flip", "--trials", "2", "--seed", "7",
+        "--report", str(report_path)])
+    assert code == 1
+    golden = json.loads((GOLDEN / "l06_free_cup_sign_flip_seed7.json").read_text())
+    assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
+
+
+@pytest.mark.parametrize("prime, dim", [("2147483647", "3"), ("4294967311", "2")])
+def test_verify_refuses_primes_that_overflow_int64(capsys, prime, dim):
+    code, out, err = run(capsys, [
+        "verify", "--law", "L03-relation-nested", "--prime", prime,
+        "--dim", dim, "--trials", "3"])
+    assert code == 2
+    assert "error:" in err and "int64" in err
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("prime", ["97", "65537"])
+def test_verify_moderate_primes_unaffected(capsys, prime):
+    code, out, _ = run(capsys, [
+        "verify", "--law", "L03-relation-nested", "--prime", prime,
+        "--dim", "3", "--trials", "5"])
+    assert code == 0
+    assert "PASS L03-relation-nested" in out
 
 
 def test_verify_unknown_law_is_usage_error(capsys):

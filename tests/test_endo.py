@@ -216,6 +216,41 @@ def test_no_overflow_at_large_prime():
     assert np.array_equal(np.asarray(fast.table), slow)
 
 
+
+@pytest.mark.parametrize("p, dim", [(2147483647, 3), (4294967311, 2)])
+def test_tables_that_could_overflow_int64_are_refused(p, dim):
+    # dim * p^2 >= 2^63: a contraction could wrap around silently
+    ring = CoefficientRing.prime_field(p)
+    with pytest.raises(UnsupportedRing):
+        zero_map(ring, dim, 1)
+    with pytest.raises(UnsupportedRing):
+        unit_map(ring, dim)
+    with pytest.raises(UnsupportedRing):
+        make_map(ring, dim, 0, [1] * dim)
+    with pytest.raises(UnsupportedRing):
+        random_map(ring, dim, 1, np.random.default_rng(0))
+
+
+def test_exact_at_the_int64_bound():
+    # p = 2^31 - 1 with dim 2 is the largest Mersenne case the bound admits
+    p = 2147483647
+    big = CoefficientRing.prime_field(p)
+    rng = np.random.default_rng(3)
+    f = random_map(big, 2, 2, rng)
+    g = random_map(big, 2, 3, rng)
+    h = random_map(big, 2, 4, rng)
+    as_z = [make_map(ZZ, 2, m.degree, np.asarray(m.table).reshape(-1))
+            for m in (f, g, h)]
+    fast = partial_compose(f, g, 1)
+    slow = np.asarray(partial_compose(as_z[0], as_z[1], 1).table) % p
+    assert np.array_equal(np.asarray(fast.table), slow)
+    coeffs = [p - 1, p - 2]
+    fast = linear_combine(coeffs, [fast, h])
+    slow = np.asarray(linear_combine(
+        coeffs, [partial_compose(as_z[0], as_z[1], 1), as_z[2]]).table) % p
+    assert np.array_equal(np.asarray(fast.table), slow)
+
+
 def test_payload_round_trip():
     rng = np.random.default_rng(2)
     for ring in (F97, ZZ):

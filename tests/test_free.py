@@ -7,13 +7,14 @@ from preoperad.errors import (
     IndexOutOfScope,
     InvalidDegree,
     MissingAssignment,
+    ShapeMismatch,
     UnknownGenerator,
 )
 from preoperad.free import (
     LEAF,
     FreeElement,
     Signature,
-    canonicalize,
+    _tree_from_sexpr,
     element_from_payload,
     element_to_payload,
     evaluate_hom,
@@ -36,22 +37,26 @@ def gen(name):
     return generator_element(SIG, F97, name)
 
 
+def tree(sexpr, sig=SIG):
+    """A basis tree stated as its s-expression."""
+    return _tree_from_sexpr(sexpr, sig)
+
+
 def test_tree_degree_counts_leaves():
-    assert tree_degree(LEAF) == 1
-    assert tree_degree(("f", (LEAF, LEAF))) == 2
-    assert tree_degree(("h", (LEAF, ("f", (LEAF, LEAF)), LEAF))) == 4
+    assert tree_degree(tree(LEAF)) == 1
+    assert tree_degree(tree("(f _ _)")) == 2
+    assert tree_degree(tree("(h _ (f _ _) _)")) == 4
 
 
 def test_graft_replaces_one_leaf():
-    tree = ("f", (LEAF, LEAF))
-    sub = ("g", (LEAF,))
-    assert graft(tree, 0, sub) == ("f", (("g", (LEAF,)), LEAF))
-    assert graft(tree, 1, sub) == ("f", (LEAF, ("g", (LEAF,))))
+    sub = tree("(g _)")
+    assert graft(tree("(f _ _)"), 0, sub) == tree("(f (g _) _)")
+    assert graft(tree("(f _ _)"), 1, sub) == tree("(f _ (g _))")
 
 
 def test_sexpr_format():
-    tree = ("h", (LEAF, ("f", (LEAF, LEAF)), LEAF))
-    assert tree_to_sexpr(tree) == "(h _ (f _ _) _)"
+    assert tree("(h _ (f _ _) _)") == ("(h", "_", "(f", "_", "_", ")", "_", ")")
+    assert tree_to_sexpr(tree("(h _ (f _ _) _)")) == "(h _ (f _ _) _)"
 
 
 def test_signature_validation():
@@ -73,7 +78,7 @@ def test_generator_and_unit_elements():
     assert len(h.terms) == 1
     u = unit_element(SIG, F97)
     assert u.degree == 1
-    assert u.terms[0][0] == LEAF
+    assert u.terms[0][0] == tree(LEAF)
     z = zero_element(SIG, F97, 4)
     assert z.terms == () and z.degree == 4
 
@@ -83,7 +88,7 @@ def test_compose_single_graft_with_twist():
     f, g = gen("f"), gen("g")
     out = free_partial_compose(f, g, 1)
     assert out.degree == 2
-    assert out.terms == ((("f", (LEAF, ("g", (LEAF,)))), 1),)
+    assert out.terms == ((tree("(f _ (g _))"), 1),)
     # mu-style degree-2 inner: sign (-1)^(i * 1)
     h = gen("h")
     signed = free_partial_compose(h, f, 1)
@@ -103,8 +108,12 @@ def test_canonicalize_idempotent():
     f, g = gen("f"), gen("g")
     x = free_linear_combine([3, 5], [free_partial_compose(f, g, 0),
                                      free_partial_compose(f, g, 1)])
-    assert canonicalize(x) == x
-    assert canonicalize(canonicalize(x)) == canonicalize(x)
+    # re-normalizing a canonical sum, by summation or by a payload round
+    # trip, leaves its terms untouched
+    once = free_linear_combine([1], [x])
+    assert once.terms == x.terms
+    assert free_linear_combine([1], [once]).terms == once.terms
+    assert element_from_payload(element_to_payload(x)).terms == x.terms
 
 
 def test_terms_sorted_deterministically():
@@ -215,3 +224,42 @@ def test_evaluate_hom_checks_assignment():
         evaluate_hom(gen("h"), wrong, F97, 2)
     with pytest.raises(MissingAssignment):
         evaluate_hom(gen("h"), {}, F97, 2)
+
+
+def test_terms_follow_sexpr_order_for_prefix_and_mixed_case_names():
+    # "a" is a prefix of "ab", and "B" sorts before "_" and lowercase
+    sig = Signature((("a", 2), ("ab", 2), ("B", 2)))
+    a, ab, big_b = (generator_element(sig, F97, n) for n in ("a", "ab", "B"))
+    parts = [free_partial_compose(x, y, i)
+             for x in (a, ab) for y in (a, ab, big_b) for i in range(2)]
+    total = free_linear_combine(list(range(1, len(parts) + 1)), parts)
+    keys = [tree_to_sexpr(t) for t, _ in total.terms]
+    assert keys == sorted(keys)
+    assert element_to_payload(total)["terms"] == [
+        ["(a (B _ _) _)", 5], ["(a (a _ _) _)", 1], ["(a (ab _ _) _)", 3],
+        ["(a _ (B _ _))", 91], ["(a _ (a _ _))", 95], ["(a _ (ab _ _))", 93],
+        ["(ab (B _ _) _)", 11], ["(ab (a _ _) _)", 7], ["(ab (ab _ _) _)", 9],
+        ["(ab _ (B _ _))", 85], ["(ab _ (a _ _))", 89], ["(ab _ (ab _ _))", 87]]
+    assert element_from_payload(element_to_payload(total)) == total
+
+
+@pytest.mark.parametrize("text", ["", "(f _", "(f _ _", "(f _ _))", "(f _ _) _",
+                                  "_ _", ")", "(f _)", "(f _ _ _)", "(f x _)"])
+def test_malformed_tree_text_is_rejected(text):
+    payload = element_to_payload(gen("f"))
+    payload["terms"] = [[text, 1]]
+    with pytest.raises(ShapeMismatch):
+        element_from_payload(payload)
+
+
+def test_unknown_generator_in_tree_text():
+    payload = element_to_payload(gen("f"))
+    payload["terms"] = [["(zz _ _)", 1]]
+    with pytest.raises(UnknownGenerator):
+        element_from_payload(payload)
+
+
+@pytest.mark.parametrize("name", ["", "f g", "f(", "g)", "\tf"])
+def test_signature_rejects_names_outside_one_sexpr_token(name):
+    with pytest.raises(UnknownGenerator):
+        Signature(((name, 2),))

@@ -3,7 +3,7 @@ import pytest
 
 from preoperad import laws
 from preoperad.calculus import KNOWN_MUTATIONS
-from preoperad.errors import BadConfig, UnknownLaw
+from preoperad.errors import BadConfig, ShapeMismatch, UnknownLaw
 from preoperad.laws import REPORT_SCHEMA, SUITE_SCHEMA, TrialConfig
 
 QUICK = TrialConfig(backend="endo", prime=97, dim=1, trials=10, seed=0)
@@ -196,6 +196,17 @@ def test_shrink_leaves_passing_witness_alone():
     healed = dict(witness)
     healed["mutations"] = []
     assert laws.shrink(healed) == healed
+
+
+
+@pytest.mark.parametrize("text", ["", "(f _"])
+def test_replay_of_hand_edited_free_witness_is_a_clean_error(text):
+    cfg = TrialConfig(backend="free", trials=2, seed=7,
+                      mutations=("cup-sign-flip",))
+    witness = laws.run_law("L06-cup-product", cfg).failures[0]
+    witness["elements"]["f"]["terms"][0][0] = text
+    with pytest.raises(ShapeMismatch):
+        laws.replay(witness)
 
 
 def test_forced_degree_quota_on_even_trials():

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from preoperad.errors import (
     DivisionByZero,
     InverseUnavailable,
-    RingMismatch,
     UnsupportedRing,
 )
-from preoperad.rings import Coefficient, CoefficientRing, ring_ops
+from preoperad.rings import CoefficientRing
 
 F7 = CoefficientRing.prime_field(7)
 F97 = CoefficientRing.prime_field(97)
@@ -57,36 +56,6 @@ def test_inverse_of_zero_rejected():
         F97.inv(0)
     with pytest.raises(DivisionByZero):
         F97.inv(97)
-
-
-def test_coefficient_wrapper_ops():
-    a = Coefficient(F7, 3)
-    b = Coefficient(F7, 5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (-a).value == 4
-    assert a.inverse().value == 5
-
-
-def test_coefficient_ring_mismatch():
-    a = Coefficient(F7, 3)
-    b = Coefficient(F97, 3)
-    with pytest.raises(RingMismatch):
-        a + b
-    with pytest.raises(RingMismatch):
-        a * b
-
-
-def test_ring_ops_dispatch():
-    a = Coefficient(F7, 3)
-    b = Coefficient(F7, 5)
-    assert ring_ops(a, b, "add").value == 1
-    assert ring_ops(a, b, "mul").value == 1
-    assert ring_ops(a, None, "neg").value == 4
-    assert ring_ops(a, None, "inv").value == 5
-    with pytest.raises(ValueError):
-        ring_ops(a, b, "pow")
 
 
 def test_labels():
