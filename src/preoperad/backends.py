@@ -2,8 +2,10 @@
 
 A GradedElement is a backend-tagged payload; the calculus layer only ever
 talks to this interface, so every derived operation runs unchanged over
-tables on R^d and over tree sums. Backends also carry the opt-in mutation
-switches used by the law suite's canary checks.
+tables on R^d and over tree sums. Signed sums of compositions go through
+one streamed primitive, signed_sum, fed by generators such as chains.
+Backends also carry the opt-in mutation switches used by the law suite's
+canary checks.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ class EndoBackend:
 
     def combine_payload(self, coeffs, payloads):
         return endo.linear_combine(coeffs, payloads)
+
+    def sum_payloads(self, degree, terms):
+        return endo.signed_sum(self.ring, self.dim, degree, terms)
 
     def random(self, degree: int, rng) -> "GradedElement":
         return GradedElement(self, endo.random_map(self.ring, self.dim, degree, rng))
@@ -72,6 +77,9 @@ class FreeBackend:
 
     def combine_payload(self, coeffs, payloads):
         return free.free_linear_combine(coeffs, payloads)
+
+    def sum_payloads(self, degree, terms):
+        return free.free_signed_sum(self.ring, self.signature, degree, terms)
 
     def generator(self, name: str) -> "GradedElement":
         return GradedElement(self, free.generator_element(self.signature, self.ring, name))
@@ -139,3 +147,36 @@ class GradedElement:
 
     def serialize(self) -> dict:
         return self.backend.serialize(self.payload)
+
+
+def signed_sum(backend, degree: int, terms) -> GradedElement:
+    """Sum of c * x over (c, x) pairs drawn one at a time from terms.
+
+    The backend accumulates the payloads in one pass and reduces once, so
+    no term outlives its addition; an empty sum is the zero of degree.
+    """
+    def payloads():
+        for c, x in terms:
+            if x.backend is not backend and x.backend != backend:
+                raise BackendMismatch("elements from different backends")
+            yield c, x.payload
+
+    return GradedElement(backend, backend.sum_payloads(degree, payloads()))
+
+
+def chains(base: GradedElement, operands, points):
+    """Yield base comp_i operands[0] comp_j operands[1] ... for each point
+    (i, j, ...), reusing the compositions of the prefix it shares with the
+    previous point: over a lexicographic region, base comp_i operands[0] is
+    built once per i, the next composition once per (i, j), and so on."""
+    prefixes = [base]
+    last = ()
+    for point in points:
+        keep = 0
+        while keep < len(last) and last[keep] == point[keep]:
+            keep += 1
+        del prefixes[keep + 1:]
+        for t in range(keep, len(point)):
+            prefixes.append(prefixes[-1].compose(operands[t], point[t]))
+        last = point
+        yield prefixes[-1]

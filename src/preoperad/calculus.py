@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backends import GradedElement
+from .backends import GradedElement, chains, signed_sum
 from .domains import ground_tetrahedron, scope_regions
 from .endo import ksign
 from .errors import BackendMismatch, DegreeMismatch, InvalidDegree
@@ -64,10 +64,8 @@ def bullet(f: GradedElement, g: GradedElement) -> GradedElement:
     """Total composition: g inserted into every slot of f, signs included."""
     if f.degree < 1:
         raise InvalidDegree("bullet needs a left operand of degree >= 1")
-    acc = f.compose(g, 0)
-    for i in range(1, f.degree):
-        acc = acc + f.compose(g, i)
-    return acc
+    return signed_sum(f.backend, f.degree + g.degree - 1,
+                      ((1, f.compose(g, i)) for i in range(f.degree)))
 
 
 def bracket(f: GradedElement, g: GradedElement) -> GradedElement:
@@ -102,11 +100,8 @@ def tribraces(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedEle
     for x in (h, f, g):
         if x.degree < 1:
             raise InvalidDegree("tribraces need degrees >= 1")
-    out_degree = h.degree + f.degree + g.degree - 2
-    acc = h.backend.zero(out_degree)
-    for i, j in _right_region(h, f):
-        acc = acc + h.compose(f, i).compose(g, j)
-    return acc
+    return signed_sum(h.backend, h.degree + f.degree + g.degree - 2,
+                      ((1, x) for x in chains(h, (f, g), _right_region(h, f))))
 
 
 def tetrabraces(h: GradedElement, f: GradedElement, g: GradedElement,
@@ -115,11 +110,9 @@ def tetrabraces(h: GradedElement, f: GradedElement, g: GradedElement,
     for x in (h, f, g, b):
         if x.degree < 1:
             raise InvalidDegree("tetrabraces need degrees >= 1")
-    out_degree = h.degree + f.degree + g.degree + b.degree - 3
-    acc = h.backend.zero(out_degree)
-    for i, j, k in ground_tetrahedron(h.degree, f.degree, g.degree):
-        acc = acc + h.compose(f, i).compose(g, j).compose(b, k)
-    return acc
+    points = ground_tetrahedron(h.degree, f.degree, g.degree)
+    return signed_sum(h.backend, h.degree + f.degree + g.degree + b.degree - 3,
+                      ((1, x) for x in chains(h, (f, g, b), points)))
 
 
 def dev_bullet(ctx: PreOperadContext, f: GradedElement,

@@ -33,6 +33,8 @@ from .errors import (
 )
 from .rings import CoefficientRing
 
+_INT64 = 2**63
+
 
 def ksign(exponent: int) -> int:
     """(-1)^exponent for possibly negative exponents."""
@@ -73,16 +75,21 @@ class MultilinearMap:
         return not np.any(self.table)
 
 
+def check_int64(ring: CoefficientRing, dim: int):
+    """Refuse F_p tables of dimension dim that int64 cannot hold exactly.
+
+    A contraction sums dim products below p^2, so dim * p^2 < 2^63 keeps it
+    exact; signed_sum reduces early to stay inside the same range.
+    """
+    if ring.is_field and dim * ring.modulus ** 2 >= _INT64:
+        raise UnsupportedRing(
+            f"{ring.label()} tables of dimension {dim} overflow int64 "
+            f"(need dim * p^2 < 2^63)")
+
+
 def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
     if ring.is_field:
-        # F_p tables are int64. A contraction sums d products below p^2, and
-        # linear_combine adds one such product to a reduced accumulator
-        # before reducing again; d * p^2 < 2^63 keeps both exact.
-        dim = arr.shape[0]
-        if dim * ring.modulus ** 2 >= 2**63:
-            raise UnsupportedRing(
-                f"{ring.label()} tables of dimension {dim} overflow int64 "
-                f"(need dim * p^2 < 2^63)")
+        check_int64(ring, arr.shape[0])
         arr = np.asarray(arr, dtype=np.int64) % ring.modulus
     else:
         arr = np.asarray(arr, dtype=object)
@@ -120,25 +127,22 @@ def unit_map(ring: CoefficientRing, dim: int) -> MultilinearMap:
 
 
 def _check_pair(f: MultilinearMap, g: MultilinearMap):
-    if f.ring != g.ring:
+    if f.ring is not g.ring and f.ring != g.ring:
         raise RingMismatch(f"{f.ring.label()} vs {g.ring.label()}")
     if f.dim != g.dim:
         raise BackendMismatch(f"dim {f.dim} vs {g.dim}")
 
 
-def _insert(f: MultilinearMap, g: MultilinearMap, i: int) -> np.ndarray:
-    """Unsigned substitution of g into input slot i of f; returns a raw table."""
-    m, n = f.degree, g.degree
-    raw = np.tensordot(f.table, g.table, axes=(i + 1, 0))
-    # tensordot leaves [out, f-slots except i, g-slots]; put the g block at i.
-    raw = np.moveaxis(raw, list(range(m, m + n)), list(range(i + 1, i + 1 + n)))
-    if f.ring.is_field:
-        raw = raw % f.ring.modulus
-    return raw
+def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
+               sign: int = 1) -> MultilinearMap:
+    """g plugged into input slot i of f, times sign; unsigned by default.
 
-
-def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
-    """f comp_i g with the Koszul twist (-1)^(i * |g|)."""
+    With f's table viewed as (d^(i+1), d, d^(|f|-i)) and g's as (d, d^n),
+    the broadcast product G^T @ F has shape (d^(i+1), d^n, d^(|f|-i)):
+    output, inputs before slot i, g's inputs, inputs after slot i, which is
+    already the result's axis order. The sign goes into g's table, and the
+    product is reduced once.
+    """
     _check_pair(f, g)
     if f.degree < 1:
         raise InvalidDegree("left operand of a composition needs degree >= 1")
@@ -146,35 +150,81 @@ def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> Multilinear
         raise IndexOutOfScope(
             f"slot {i} outside 0..{f.shifted_degree} for degree {f.degree}"
         )
-    raw = _insert(f, g, i)
-    if ksign(i * g.shifted_degree) < 0:
-        raw = -raw
-        if f.ring.is_field:
-            raw = raw % f.ring.modulus
-    table = _canonical_table(f.ring, raw)
-    return MultilinearMap(f.ring, f.dim, f.degree + g.degree - 1, table)
+    ring, d, m, n = f.ring, f.dim, f.degree, g.degree
+    check_int64(ring, d)
+    g_t = g.table.reshape(d, d ** n).T
+    if sign < 0:
+        g_t = -g_t
+    raw = g_t @ f.table.reshape(d ** (i + 1), d, d ** (m - 1 - i))
+    if ring.is_field:
+        np.remainder(raw, ring.modulus, out=raw)
+    raw.setflags(write=False)
+    return MultilinearMap(ring, d, m + n - 1, raw.reshape((d,) * (m + n)))
+
+
+def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
+    """f comp_i g with the Koszul twist (-1)^(i * |g|)."""
+    return substitute(f, g, i, ksign(i * g.shifted_degree))
+
+
+def signed_sum(ring: CoefficientRing, dim: int, degree: int,
+               terms) -> MultilinearMap:
+    """Sum of c * m over (c, m) pairs taken one at a time from terms.
+
+    The first nonzero term is copied into one writable buffer and later
+    terms are added into it in place; no term is kept and no input table is
+    written. Over F_p coefficients are taken in (-p/2, p/2], the buffer is
+    reduced once at the end, and earlier whenever the bound on its entries
+    would reach 2^63.
+    """
+    p = ring.modulus
+    acc = None
+    bound = 0  # bound on the magnitude of acc's entries (F_p only)
+    for c, m in terms:
+        if m.ring is not ring and m.ring != ring:
+            raise RingMismatch(f"{m.ring.label()} vs {ring.label()}")
+        if m.dim != dim:
+            raise BackendMismatch(f"dim {m.dim} vs {dim}")
+        if m.degree != degree:
+            raise DegreeMismatch(f"degree {m.degree} vs {degree}")
+        c = int(c)
+        if p is not None:
+            c %= p
+            if c > p // 2:
+                c -= p
+            step = abs(c) * (p - 1)
+            if acc is not None and bound + step >= _INT64:
+                np.remainder(acc, p, out=acc)
+                bound = p - 1
+            bound += step
+        if not c:
+            continue
+        if acc is None:
+            acc = m.table.copy() if c == 1 else m.table * c
+        elif c == 1:
+            acc += m.table
+        elif c == -1:
+            acc -= m.table
+        else:
+            acc += m.table * c
+    if acc is None:
+        return zero_map(ring, dim, degree)
+    if p is not None:
+        np.remainder(acc, p, out=acc)
+    acc.setflags(write=False)
+    return MultilinearMap(ring, dim, degree, acc)
 
 
 def linear_combine(coeffs, maps) -> MultilinearMap:
     """Sum of c_k * m_k; all maps must share ring, dim and degree."""
     maps = list(maps)
-    coeffs = [int(c) for c in coeffs]
+    coeffs = list(coeffs)
     if not maps:
         raise DegreeMismatch("linear_combine needs at least one map")
     if len(coeffs) != len(maps):
         raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(maps)} maps")
     first = maps[0]
-    for m in maps[1:]:
-        _check_pair(first, m)
-        if m.degree != first.degree:
-            raise DegreeMismatch(f"degree {m.degree} vs {first.degree}")
-    acc = np.zeros_like(np.asarray(first.table))
-    for c, m in zip(coeffs, maps):
-        acc = acc + first.ring.reduce(c) * m.table
-        if first.ring.is_field:
-            acc = acc % first.ring.modulus
-    return MultilinearMap(first.ring, first.dim, first.degree,
-                          _canonical_table(first.ring, acc))
+    return signed_sum(first.ring, first.dim, first.degree, zip(coeffs, maps))
 
 
 def random_map(ring: CoefficientRing, dim: int, degree: int, rng) -> MultilinearMap:

@@ -147,9 +147,9 @@ def zero_element(sig: Signature, ring: CoefficientRing, degree: int) -> FreeElem
 
 
 def _check_pair(x: FreeElement, y: FreeElement):
-    if x.ring != y.ring:
+    if x.ring is not y.ring and x.ring != y.ring:
         raise RingMismatch(f"{x.ring.label()} vs {y.ring.label()}")
-    if x.signature != y.signature:
+    if x.signature is not y.signature and x.signature != y.signature:
         raise BackendMismatch("elements over different signatures")
 
 
@@ -171,22 +171,34 @@ def free_partial_compose(x: FreeElement, y: FreeElement, i: int) -> FreeElement:
     return _element(x.ring, x.signature, x.degree + y.degree - 1, raw)
 
 
+def free_signed_sum(ring: CoefficientRing, sig: Signature, degree: int,
+                    terms) -> FreeElement:
+    """Sum of c * x over (c, x) pairs taken one at a time from terms, all
+    gathered into one raw dict and made canonical once."""
+    raw: dict = {}
+    for c, x in terms:
+        if x.ring is not ring and x.ring != ring:
+            raise RingMismatch(f"{x.ring.label()} vs {ring.label()}")
+        if x.signature is not sig and x.signature != sig:
+            raise BackendMismatch("elements over different signatures")
+        if x.degree != degree:
+            raise DegreeMismatch(f"degree {x.degree} vs {degree}")
+        c = int(c)
+        for tree, a in x.terms:
+            raw[tree] = raw.get(tree, 0) + c * a
+    return FreeElement(ring, sig, degree, _canonical_terms(ring, raw))
+
+
 def free_linear_combine(coeffs, elems) -> FreeElement:
     elems = list(elems)
-    coeffs = [int(c) for c in coeffs]
+    coeffs = list(coeffs)
     if not elems:
         raise DegreeMismatch("free_linear_combine needs at least one element")
     if len(coeffs) != len(elems):
         raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(elems)} elements")
     first = elems[0]
-    raw: dict = {}
-    for c, e in zip(coeffs, elems):
-        _check_pair(first, e)
-        if e.degree != first.degree:
-            raise DegreeMismatch(f"degree {e.degree} vs {first.degree}")
-        for tree, a in e.terms:
-            raw[tree] = raw.get(tree, 0) + c * a
-    return _element(first.ring, first.signature, first.degree, raw)
+    return free_signed_sum(first.ring, first.signature, first.degree,
+                           zip(coeffs, elems))
 
 
 def element_to_payload(x: FreeElement) -> dict:
@@ -247,10 +259,7 @@ def _eval_tree(tree, assignment: dict, ring: CoefficientRing, dim: int) -> Multi
             # earlier children are already substituted, so slot counts
             # the inputs they left behind
             acc, slot = stack[-1]
-            raw = endo._insert(acc, sub, slot)
-            stack[-1] = [MultilinearMap(ring, dim, acc.degree + sub.degree - 1,
-                                        endo._canonical_table(ring, raw)),
-                         slot + sub.degree]
+            stack[-1] = [endo.substitute(acc, sub, slot), slot + sub.degree]
         else:
             name = tok[1:]
             if name not in assignment:
@@ -275,8 +284,8 @@ def evaluate_hom(x: FreeElement, assignment: dict, ring: CoefficientRing,
                 f"generator {name!r} has degree {deg}, "
                 f"table has degree {assignment[name].degree}"
             )
-    acc = endo.zero_map(ring, dim, x.degree)
-    for tree, c in x.terms:
-        val = _eval_tree(tree, assignment, ring, dim)
-        acc = endo.linear_combine([1, c], [acc, val])
-    return acc
+    if not x.terms:
+        return endo.zero_map(ring, dim, x.degree)
+    return endo.linear_combine(
+        [c for _, c in x.terms],
+        [_eval_tree(tree, assignment, ring, dim) for tree, _ in x.terms])

@@ -15,9 +15,9 @@ forms (also checked by law).
 
 from __future__ import annotations
 
-from .backends import GradedElement
+from .backends import GradedElement, signed_sum
 from .calculus import PreOperadContext, cup
-from .domains import LatticeDomain
+from .domains import LatticeDomain, ground_tetrahedron
 from .endo import ksign
 from .errors import IndexOutOfDomain, InvalidDegree
 
@@ -70,26 +70,26 @@ def aux_gamma(ctx: PreOperadContext, kind: str, h: GradedElement,
                       g.shifted_degree, b.shifted_degree)
     df, dg = f.degree, g.degree
     tail = ksign(sf + sg + sb)
-    out_degree = h.degree + df + dg + b.degree - 2
-    acc = h.backend.zero(out_degree)
 
-    if kind == "gamma":
-        acc = acc - ksign(sh + sf + sg + sb) * _chain(cup(ctx, ctx.unit, h),
-                                                      f, i, g, j, b, k)
-        for s in range(0, i):
-            acc = acc - tail * _mu_chain(ctx, h, s, f, i, g, j, b, k)
-    elif kind == "gamma1":
-        for s in range(i - 1, j - df + 1):
-            acc = acc - tail * _mu_chain(ctx, h, s, f, i - 1, g, j, b, k)
-    elif kind == "gamma2":
-        for s in range(j - df, k - df - sg + 1):
-            acc = acc - tail * _mu_chain(ctx, h, s, f, i - 1, g, j - 1, b, k)
-    else:
-        for s in range(k - df - sg, sh + 1):
-            acc = acc - tail * _mu_chain(ctx, h, s, f, i - 1, g, j - 1, b, k - 1)
-        acc = acc - tail * _chain(cup(ctx, h, ctx.unit), f, i - 1, g, j - 1,
-                                  b, k - 1)
-    return acc
+    def terms():
+        if kind == "gamma":
+            yield -ksign(sh + sf + sg + sb), _chain(cup(ctx, ctx.unit, h),
+                                                    f, i, g, j, b, k)
+            for s in range(0, i):
+                yield -tail, _mu_chain(ctx, h, s, f, i, g, j, b, k)
+        elif kind == "gamma1":
+            for s in range(i - 1, j - df + 1):
+                yield -tail, _mu_chain(ctx, h, s, f, i - 1, g, j, b, k)
+        elif kind == "gamma2":
+            for s in range(j - df, k - df - sg + 1):
+                yield -tail, _mu_chain(ctx, h, s, f, i - 1, g, j - 1, b, k)
+        else:
+            for s in range(k - df - sg, sh + 1):
+                yield -tail, _mu_chain(ctx, h, s, f, i - 1, g, j - 1, b, k - 1)
+            yield -tail, _chain(cup(ctx, h, ctx.unit), f, i - 1, g, j - 1,
+                               b, k - 1)
+
+    return signed_sum(h.backend, h.degree + df + dg + b.degree - 2, terms())
 
 
 def aux_gamma_shifted(ctx: PreOperadContext, kind: str, h: GradedElement,
@@ -99,7 +99,6 @@ def aux_gamma_shifted(ctx: PreOperadContext, kind: str, h: GradedElement,
     and the value sits at lattice point (i + 1, j + 1, k + 1)."""
     if kind not in GAMMA_KINDS:
         raise IndexOutOfDomain(f"unknown auxiliary family {kind!r}")
-    from .domains import ground_tetrahedron
     if (i, j, k) not in ground_tetrahedron(h.degree, f.degree, g.degree):
         raise IndexOutOfDomain(f"({i}, {j}, {k}) outside the ground tetrahedron")
     sh, sf, sg, sb = (h.shifted_degree, f.shifted_degree,
@@ -107,30 +106,30 @@ def aux_gamma_shifted(ctx: PreOperadContext, kind: str, h: GradedElement,
     df, dg = f.degree, g.degree
     tail = ksign(sf + sg + sb)
     unit = ctx.unit
-    out_degree = h.degree + df + dg + b.degree - 2
-    acc = h.backend.zero(out_degree)
 
-    if kind == "gamma":
-        acc = acc - ksign(sh + sf + sg + sb) * cup(ctx, unit,
-                                                   _chain(h, f, i, g, j, b, k))
-        for s in range(0, i):
-            acc = acc - tail * _mu_chain(ctx, h, s, f, i + 1, g, j + 1, b, k + 1)
-        acc = acc + tail * _chain(h, cup(ctx, unit, f), i, g, j + 1, b, k + 1)
-    elif kind == "gamma1":
-        acc = acc + ksign(sg + sb) * _chain(h, cup(ctx, f, unit), i, g, j + 1,
-                                            b, k + 1)
-        for s in range(i + 1, j - df + 1):
-            acc = acc - tail * _mu_chain(ctx, h, s, f, i, g, j + 1, b, k + 1)
-        acc = acc + ksign(sg + sb) * _chain(h, f, i, cup(ctx, unit, g), j,
-                                            b, k + 1)
-    elif kind == "gamma2":
-        acc = acc + ksign(sb) * _chain(h, f, i, cup(ctx, g, unit), j, b, k + 1)
-        for s in range(j - sf + 1, k - sf - dg + 1):
-            acc = acc - tail * _mu_chain(ctx, h, s, f, i, g, j, b, k + 1)
-        acc = acc + ksign(sb) * _chain(h, f, i, g, j, cup(ctx, unit, b), k)
-    else:
-        acc = acc + _chain(h, f, i, g, j, cup(ctx, b, unit), k)
-        for s in range(k - sf - sg + 1, sh + 1):
-            acc = acc - tail * _mu_chain(ctx, h, s, f, i, g, j, b, k)
-        acc = acc - cup(ctx, _chain(h, f, i, g, j, b, k), unit)
-    return acc
+    def terms():
+        if kind == "gamma":
+            yield -ksign(sh + sf + sg + sb), cup(ctx, unit,
+                                                 _chain(h, f, i, g, j, b, k))
+            for s in range(0, i):
+                yield -tail, _mu_chain(ctx, h, s, f, i + 1, g, j + 1, b, k + 1)
+            yield tail, _chain(h, cup(ctx, unit, f), i, g, j + 1, b, k + 1)
+        elif kind == "gamma1":
+            yield ksign(sg + sb), _chain(h, cup(ctx, f, unit), i, g, j + 1,
+                                         b, k + 1)
+            for s in range(i + 1, j - df + 1):
+                yield -tail, _mu_chain(ctx, h, s, f, i, g, j + 1, b, k + 1)
+            yield ksign(sg + sb), _chain(h, f, i, cup(ctx, unit, g), j,
+                                         b, k + 1)
+        elif kind == "gamma2":
+            yield ksign(sb), _chain(h, f, i, cup(ctx, g, unit), j, b, k + 1)
+            for s in range(j - sf + 1, k - sf - dg + 1):
+                yield -tail, _mu_chain(ctx, h, s, f, i, g, j, b, k + 1)
+            yield ksign(sb), _chain(h, f, i, g, j, cup(ctx, unit, b), k)
+        else:
+            yield 1, _chain(h, f, i, g, j, cup(ctx, b, unit), k)
+            for s in range(k - sf - sg + 1, sh + 1):
+                yield -tail, _mu_chain(ctx, h, s, f, i, g, j, b, k)
+            yield -1, cup(ctx, _chain(h, f, i, g, j, b, k), unit)
+
+    return signed_sum(h.backend, h.degree + df + dg + b.degree - 2, terms())

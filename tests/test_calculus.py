@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from preoperad.backends import EndoBackend, GradedElement
+from preoperad.backends import EndoBackend, FreeBackend, GradedElement
 from preoperad.calculus import (
     PreOperadContext,
     associator,
@@ -15,6 +15,9 @@ from preoperad.calculus import (
     tetrabraces,
     tribraces,
 )
+from preoperad.domains import ground_tetrahedron, scope_regions
+from preoperad.free import Signature
+from preoperad.gamma import aux_gamma
 from preoperad.endo import ksign, make_map
 from preoperad.errors import BackendMismatch, DegreeMismatch, InvalidDegree
 from preoperad.rings import CoefficientRing
@@ -111,6 +114,56 @@ def test_tetrabraces_empty_region_is_zero():
     f = ctx.backend.random(1, rng)
     out = tetrabraces(h, f, f, f)
     assert out.is_zero() and out.degree == 2
+
+
+def _brace_inputs(kind, degrees, mutations, seed):
+    """h, f, g, b of the given degrees on one backend; free inputs are sums
+    of two generators so that terms can merge and cancel."""
+    rng = np.random.default_rng(seed)
+    if kind == "endo":
+        backend = EndoBackend(F97, 2, mutations)
+        return backend, [backend.random(d, rng) for d in degrees]
+    names = "hfgb"
+    sig = Signature(tuple((n + t, d) for n, d in zip(names, degrees)
+                          for t in ("", "2")))
+    backend = FreeBackend(F97, sig, mutations)
+    return backend, [int(rng.integers(1, 97)) * backend.generator(n)
+                     - int(rng.integers(1, 97)) * backend.generator(n + "2")
+                     for n in names]
+
+
+@pytest.mark.parametrize("kind", ["endo", "free"])
+@pytest.mark.parametrize("mutations", [frozenset(),
+                                       frozenset({"g-range-off-by-one"})],
+                         ids=["clean", "g-range-off-by-one"])
+@pytest.mark.parametrize("degrees", [(4, 2, 3, 1), (3, 1, 2, 2), (5, 2, 1, 2)])
+def test_brace_sums_equal_a_naive_per_point_loop(kind, mutations, degrees):
+    backend, (h, f, g, b) = _brace_inputs(kind, degrees, mutations, sum(degrees))
+    right = scope_regions(h.degree, f.degree)[2].points
+    if mutations:
+        right = [(i, j) for i, j in right if j > i + f.degree]
+    want = backend.zero(h.degree + f.degree + g.degree - 2)
+    for i, j in right:
+        want = want + h.compose(f, i).compose(g, j)
+    assert tribraces(h, f, g) == want
+    want = backend.zero(h.degree + f.degree + g.degree + b.degree - 3)
+    for i, j, k in ground_tetrahedron(h.degree, f.degree, g.degree):
+        want = want + h.compose(f, i).compose(g, j).compose(b, k)
+    assert tetrabraces(h, f, g, b) == want
+
+
+def test_fused_sums_leave_every_table_read_only():
+    ctx, rng = random_ctx(seed=21)
+    h, f, g, b = (ctx.backend.random(d, rng) for d in (4, 2, 2, 1))
+    inputs = [x.payload.table.copy() for x in (h, f, g, b, ctx.mu)]
+    outputs = [bullet(h, f), tetrabraces(h, f, g, b),
+               aux_gamma(ctx, "gamma", h, f, g, b, 1, 3, 5),
+               aux_gamma(ctx, "gamma3", h, f, g, b, 1, 4, 6)]
+    for x in outputs + [h, f, g, b, ctx.mu]:
+        assert not x.payload.table.flags.writeable
+    for x, before in zip((h, f, g, b, ctx.mu), inputs):
+        assert np.array_equal(x.payload.table, before)
+    assert not any(x.is_zero() for x in outputs)
 
 
 # structural identities on random elements

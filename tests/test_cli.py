@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -100,6 +101,34 @@ def test_verify_refuses_primes_that_overflow_int64(capsys, prime, dim):
     assert code == 2
     assert "error:" in err and "int64" in err
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("law", ["L01", "L01-scope-partition", "all"])
+def test_verify_refuses_a_61_bit_prime_at_once(capsys, law):
+    # a Mersenne prime far past the int64 bound: primality takes
+    # microseconds and the run is refused before any trial
+    start = time.perf_counter()
+    code, out, err = run(capsys, [
+        "verify", "--law", law, "--prime", str(2**61 - 1), "--trials", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "int64" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("backend", ["endo", "free"])
+def test_verify_over_f2_is_underpowered(capsys, backend):
+    # -1 = 1 in F_2, so a flipped cup sign cannot show; the run must not pass
+    code, out, _ = run(capsys, [
+        "verify", "--law", "L06-cup-product", "--prime", "2", "--dim", "2",
+        "--backend", backend, "--mutate", "cup-sign-flip", "--trials", "20"])
+    assert code == 1
+    assert "underpowered" in out
+    code, out, _ = run(capsys, [
+        "verify", "--law", "L02-relation-left", "--prime", "2",
+        "--backend", backend, "--trials", "5"])
+    assert code == 1
+    assert "underpowered" in out
 
 
 @pytest.mark.parametrize("prime", ["97", "65537"])

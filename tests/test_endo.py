@@ -15,11 +15,14 @@ from preoperad.endo import (
     matrix_algebra_product,
     partial_compose,
     random_map,
+    signed_sum,
+    substitute,
     unit_map,
     zero_map,
 )
 from preoperad.errors import (
     BackendMismatch,
+    InvalidDegree,
     RingMismatch,
     DegreeMismatch,
     IndexOutOfScope,
@@ -249,6 +252,89 @@ def test_exact_at_the_int64_bound():
     slow = np.asarray(linear_combine(
         coeffs, [partial_compose(as_z[0], as_z[1], 1), as_z[2]]).table) % p
     assert np.array_equal(np.asarray(fast.table), slow)
+
+
+def _einsum_compose(f_table, g_table, i, sign):
+    # output letter "o", slot letter "s", the other inputs from "a"
+    m, n = f_table.ndim - 1, g_table.ndim - 1
+    f_in = [chr(ord("a") + t) for t in range(m)]
+    g_in = [chr(ord("a") + m + t) for t in range(n)]
+    f_idx = "o" + "".join(f_in[:i]) + "s" + "".join(f_in[i + 1:])
+    out_idx = "o" + "".join(f_in[:i] + g_in + f_in[i + 1:])
+    raw = np.einsum(f"{f_idx},s{''.join(g_in)}->{out_idx}", f_table, g_table)
+    return sign * raw
+
+
+@pytest.mark.parametrize("ring", [F97, ZZ], ids=["F97", "Z"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_partial_compose_matches_einsum_reference(ring, dim):
+    rng = np.random.default_rng(dim)
+    for m in range(1, 6):
+        for n in range(0, 5):
+            f = make_map(ring, dim, m, rng.integers(-50, 50, dim ** (m + 1)))
+            g = make_map(ring, dim, n, rng.integers(-50, 50, dim ** (n + 1)))
+            for i in range(m):
+                got = partial_compose(f, g, i)
+                want = _einsum_compose(np.asarray(f.table), np.asarray(g.table),
+                                       i, ksign(i * (n - 1)))
+                if ring.is_field:
+                    want = want % ring.modulus
+                assert got.degree == m + n - 1
+                assert got.table.dtype == f.table.dtype
+                assert np.array_equal(got.table, want), (m, n, i)
+                assert substitute(f, g, i) == make_map(
+                    ring, dim, m + n - 1,
+                    (want * ksign(i * (n - 1))).reshape(-1))
+
+
+def test_substitute_checks_its_operands():
+    f = make_map(F97, 2, 2, range(8))
+    with pytest.raises(IndexOutOfScope):
+        substitute(f, f, 2)
+    with pytest.raises(InvalidDegree):
+        substitute(make_map(F97, 2, 0, [1, 2]), f, 0)
+    with pytest.raises(RingMismatch):
+        substitute(f, make_map(F101, 2, 2, range(8)), 0)
+
+
+def test_signed_sum_streams_and_reduces_exactly_at_the_int64_bound():
+    # the largest prime with 2 p^2 < 2^63, so a reduced table plus one
+    # product still fits but a third product may not
+    p = 2147483647
+    assert 2 * p * p < 2**63 <= 2 * 2147483659**2
+    big = CoefficientRing.prime_field(p)
+    rng = np.random.default_rng(5)
+    maps = [random_map(big, 2, 3, rng) for _ in range(60)]
+    as_z = [make_map(ZZ, 2, 3, np.asarray(m.table).reshape(-1)) for m in maps]
+    # p - 1 alone, then coefficients near p / 2 whose products force early
+    # reductions, then a mix
+    for coeffs in ([p - 1] * 60, [(p + 1) // 2] * 60,
+                   [int(c) for c in rng.integers(0, p, 60)]):
+        fast = signed_sum(big, 2, 3, zip(coeffs, iter(maps)))
+        slow = signed_sum(ZZ, 2, 3, zip(coeffs, iter(as_z)))
+        assert np.array_equal(fast.table,
+                              (np.asarray(slow.table) % p).astype(np.int64))
+        assert fast == linear_combine(coeffs, maps)
+        assert not fast.table.flags.writeable
+
+
+def test_signed_sum_of_no_terms_is_zero_and_inputs_stay_unwritten():
+    assert signed_sum(F97, 2, 3, iter(())) == zero_map(F97, 2, 3)
+    f = make_map(F97, 2, 1, [1, 2, 3, 4])
+    before = f.table.copy()
+    total = signed_sum(F97, 2, 1, ((c, f) for c in (1, -1, 5, 0)))
+    assert total == make_map(F97, 2, 1, [5, 10, 15, 20])
+    assert np.array_equal(f.table, before) and not f.table.flags.writeable
+
+
+def test_signed_sum_rejects_mismatched_terms():
+    f = make_map(F97, 2, 1, [1, 2, 3, 4])
+    with pytest.raises(DegreeMismatch):
+        signed_sum(F97, 2, 2, [(1, f)])
+    with pytest.raises(BackendMismatch):
+        signed_sum(F97, 3, 1, [(1, f)])
+    with pytest.raises(RingMismatch):
+        signed_sum(F101, 2, 1, [(1, f)])
 
 
 def test_payload_round_trip():

@@ -51,6 +51,37 @@ def test_valid_primes_accepted(modulus):
     assert ring.modulus == modulus
 
 
+@pytest.mark.parametrize("modulus", [
+    561,  # Carmichael number: passes the Fermat test to every coprime base
+    3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    (2**61 - 1) * (2**31 - 1),
+])
+def test_primality_test_is_not_fooled_by_pseudoprimes(modulus):
+    with pytest.raises(UnsupportedRing):
+        CoefficientRing.prime_field(modulus)
+
+
+@pytest.mark.parametrize("modulus", [2**61 - 1, 2**89 - 1, 18446744073709551557])
+def test_large_primes_accepted_without_trial_division(modulus):
+    # trial division up to sqrt(2^61) would not finish
+    assert CoefficientRing.prime_field(modulus).modulus == modulus
+
+
+def test_primality_matches_a_sieve_below_3000():
+    sieve = [True] * 3000
+    sieve[0] = sieve[1] = False
+    for q in range(2, 55):
+        for multiple in range(q * q, 3000, q):
+            sieve[multiple] = False
+    for n in range(-3, 3000):
+        accepted = True
+        try:
+            CoefficientRing.prime_field(n)
+        except UnsupportedRing:
+            accepted = False
+        assert accepted == (n >= 0 and sieve[n]), n
+
+
 def test_inverse_of_zero_rejected():
     with pytest.raises(DivisionByZero):
         F97.inv(0)
