@@ -62,6 +62,7 @@ from .errors import (
     ScriptSyntaxError,
     ScriptTypeError,
     ShapeMismatch,
+    TableTooLarge,
     UnknownGenerator,
     UnknownLaw,
     UnsupportedRing,
@@ -91,8 +92,9 @@ __all__ = [
     "IndexOutOfScope", "InvalidDegree", "KNOWN_MUTATIONS",
     "MissingAssignment", "MultilinearMap", "PreOperadContext",
     "PreOperadError", "Report", "RingMismatch", "ScriptSyntaxError",
-    "ScriptTypeError", "ShapeMismatch", "Signature", "TrialConfig",
-    "UnknownGenerator", "UnknownLaw", "UnsupportedRing", "associator",
+    "ScriptTypeError", "ShapeMismatch", "Signature", "TableTooLarge",
+    "TrialConfig", "UnknownGenerator", "UnknownLaw", "UnsupportedRing",
+    "associator",
     "aux_gamma", "aux_gamma_shifted", "boundary_faces", "bracket", "bullet",
     "check_script", "componentwise_product", "cup", "delta", "dev_bullet",
     "dev_tetrabraces", "dev_tribraces", "envelope_domains", "eval_script",

@@ -3,7 +3,9 @@
 A GradedElement is a backend-tagged payload; the calculus layer only ever
 talks to this interface, so every derived operation runs unchanged over
 tables on R^d and over tree sums. Signed sums of compositions go through
-one streamed primitive, signed_sum, fed by generators such as chains.
+one streamed primitive, signed_sum; region_sum sums a composite over a
+lattice region, composing each operand into the partial sum of the points
+that share its slot.
 Backends also carry the opt-in mutation switches used by the law suite's
 canary checks.
 """
@@ -116,7 +118,7 @@ class GradedElement:
         return self.payload.degree - 1
 
     def _join(self, other: "GradedElement"):
-        if self.backend != other.backend:
+        if self.backend is not other.backend and self.backend != other.backend:
             raise BackendMismatch("elements from different backends")
 
     def compose(self, other: "GradedElement", i: int) -> "GradedElement":
@@ -164,19 +166,41 @@ def signed_sum(backend, degree: int, terms) -> GradedElement:
     return GradedElement(backend, backend.sum_payloads(degree, payloads()))
 
 
-def chains(base: GradedElement, operands, points):
-    """Yield base comp_i operands[0] comp_j operands[1] ... for each point
-    (i, j, ...), reusing the compositions of the prefix it shares with the
-    previous point: over a lexicographic region, base comp_i operands[0] is
-    built once per i, the next composition once per (i, j), and so on."""
-    prefixes = [base]
-    last = ()
+def region_sum(base: GradedElement, operands, points) -> GradedElement:
+    """Sum of base comp_i operands[0] comp_j operands[1] ... over the points
+    (i, j, ...) of a region.
+
+    Composition is bilinear, so the points that share their last slot k are
+    summed before the last operand goes in, and that inner sum is factored
+    the same way by its own last slot, down to the composites
+    base comp_i operands[0], which are built once per i. operands[t], for
+    t >= 1, is composed once per distinct tail (p_t, ..., p_n) of the
+    points: the last operand once per distinct k rather than once per
+    point. Every sum is streamed. Any point set works; an empty one sums
+    to zero.
+    """
+    head, *tail = operands
+    firsts = {}
+
+    def first(i):
+        if i not in firsts:
+            firsts[i] = base.compose(head, i)
+        return firsts[i]
+
+    degree = base.degree + sum(x.degree - 1 for x in operands)
+    return _factored_sum(base.backend, first, degree, tail, points)
+
+
+def _factored_sum(backend, first, degree, tail, points):
+    # module level: a recursive closure would be a reference cycle that
+    # keeps the first composites alive until the garbage collector runs
+    if not tail:
+        return signed_sum(backend, degree, ((1, first(i)) for (i,) in points))
+    *heads, last = tail
+    by_last = {}
     for point in points:
-        keep = 0
-        while keep < len(last) and last[keep] == point[keep]:
-            keep += 1
-        del prefixes[keep + 1:]
-        for t in range(keep, len(point)):
-            prefixes.append(prefixes[-1].compose(operands[t], point[t]))
-        last = point
-        yield prefixes[-1]
+        by_last.setdefault(point[-1], []).append(point[:-1])
+    inner = degree - last.degree + 1
+    return signed_sum(backend, degree, (
+        (1, _factored_sum(backend, first, inner, heads, group).compose(last, k))
+        for k, group in by_last.items()))

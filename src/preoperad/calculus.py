@@ -16,8 +16,9 @@ tetrabraces over the ground tetrahedron of (h, f, g).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .backends import GradedElement, chains, signed_sum
+from .backends import GradedElement, region_sum, signed_sum
 from .domains import ground_tetrahedron, scope_regions
 from .endo import ksign
 from .errors import BackendMismatch, DegreeMismatch, InvalidDegree
@@ -57,29 +58,38 @@ def cup(ctx: PreOperadContext, f: GradedElement, g: GradedElement) -> GradedElem
     sign = ksign(f.degree)
     if MUTATION_CUP_SIGN in ctx.backend.mutations:
         sign = -sign
-    return sign * ctx.mu.compose(f, 0).compose(g, f.degree)
+    # the sign rides on the small operand, not on the full-size result
+    signed_f = f if sign > 0 else -f
+    return ctx.mu.compose(signed_f, 0).compose(g, f.degree)
+
+
+def _slots(c, f: GradedElement, g: GradedElement):
+    """(c, f comp_i g) for every slot i of f, each composed when drawn."""
+    return ((c, f.compose(g, i)) for i in range(f.degree))
 
 
 def bullet(f: GradedElement, g: GradedElement) -> GradedElement:
     """Total composition: g inserted into every slot of f, signs included."""
     if f.degree < 1:
         raise InvalidDegree("bullet needs a left operand of degree >= 1")
-    return signed_sum(f.backend, f.degree + g.degree - 1,
-                      ((1, f.compose(g, i)) for i in range(f.degree)))
+    return signed_sum(f.backend, f.degree + g.degree - 1, _slots(1, f, g))
 
 
 def bracket(f: GradedElement, g: GradedElement) -> GradedElement:
     if f.degree < 1 or g.degree < 1:
         raise InvalidDegree("bracket needs operands of degree >= 1")
     sign = ksign(f.shifted_degree * g.shifted_degree)
-    return bullet(f, g) - sign * bullet(g, f)
+    return signed_sum(f.backend, f.degree + g.degree - 1,
+                      chain(_slots(1, f, g), _slots(-sign, g, f)))
 
 
 def delta(ctx: PreOperadContext, f: GradedElement) -> GradedElement:
     """Coboundary induced by mu; squares to zero exactly when mu is associative."""
     if f.degree < 1:
         raise InvalidDegree("delta needs degree >= 1")
-    return ksign(f.shifted_degree) * bullet(ctx.mu, f) - bullet(f, ctx.mu)
+    return signed_sum(f.backend, f.degree + 1,
+                      chain(_slots(ksign(f.shifted_degree), ctx.mu, f),
+                            _slots(-1, f, ctx.mu)))
 
 
 def associator(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedElement:
@@ -100,8 +110,7 @@ def tribraces(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedEle
     for x in (h, f, g):
         if x.degree < 1:
             raise InvalidDegree("tribraces need degrees >= 1")
-    return signed_sum(h.backend, h.degree + f.degree + g.degree - 2,
-                      ((1, x) for x in chains(h, (f, g), _right_region(h, f))))
+    return region_sum(h, (f, g), _right_region(h, f))
 
 
 def tetrabraces(h: GradedElement, f: GradedElement, g: GradedElement,
@@ -110,35 +119,46 @@ def tetrabraces(h: GradedElement, f: GradedElement, g: GradedElement,
     for x in (h, f, g, b):
         if x.degree < 1:
             raise InvalidDegree("tetrabraces need degrees >= 1")
-    points = ground_tetrahedron(h.degree, f.degree, g.degree)
-    return signed_sum(h.backend, h.degree + f.degree + g.degree + b.degree - 3,
-                      ((1, x) for x in chains(h, (f, g, b), points)))
+    return region_sum(h, (f, g, b),
+                      ground_tetrahedron(h.degree, f.degree, g.degree).points)
 
 
 def dev_bullet(ctx: PreOperadContext, f: GradedElement,
                g: GradedElement) -> GradedElement:
     """How far delta is from a derivation of the total composition."""
-    return (delta(ctx, bullet(f, g))
-            - bullet(f, delta(ctx, g))
-            - ksign(g.shifted_degree) * bullet(delta(ctx, f), g))
+    def terms():
+        yield 1, delta(ctx, bullet(f, g))
+        yield -1, bullet(f, delta(ctx, g))
+        yield -ksign(g.shifted_degree), bullet(delta(ctx, f), g)
+
+    return signed_sum(f.backend, f.degree + g.degree, terms())
 
 
 def dev_tribraces(ctx: PreOperadContext, h: GradedElement, f: GradedElement,
                   g: GradedElement) -> GradedElement:
     """Deviation of delta from a derivation of the triple brace sum."""
     sg, sf = g.shifted_degree, f.shifted_degree
-    return (delta(ctx, tribraces(h, f, g))
-            - tribraces(h, f, delta(ctx, g))
-            - ksign(sg) * tribraces(h, delta(ctx, f), g)
-            - ksign(sg + sf) * tribraces(delta(ctx, h), f, g))
+
+    def terms():
+        yield 1, delta(ctx, tribraces(h, f, g))
+        yield -1, tribraces(h, f, delta(ctx, g))
+        yield -ksign(sg), tribraces(h, delta(ctx, f), g)
+        yield -ksign(sg + sf), tribraces(delta(ctx, h), f, g)
+
+    return signed_sum(h.backend, h.degree + f.degree + g.degree - 1, terms())
 
 
 def dev_tetrabraces(ctx: PreOperadContext, h: GradedElement, f: GradedElement,
                     g: GradedElement, b: GradedElement) -> GradedElement:
     """Deviation of delta from a derivation of the quadruple brace sum."""
     sb, sg, sf = b.shifted_degree, g.shifted_degree, f.shifted_degree
-    return (delta(ctx, tetrabraces(h, f, g, b))
-            - tetrabraces(h, f, g, delta(ctx, b))
-            - ksign(sb) * tetrabraces(h, f, delta(ctx, g), b)
-            - ksign(sb + sg) * tetrabraces(h, delta(ctx, f), g, b)
-            - ksign(sb + sg + sf) * tetrabraces(delta(ctx, h), f, g, b))
+
+    def terms():
+        yield 1, delta(ctx, tetrabraces(h, f, g, b))
+        yield -1, tetrabraces(h, f, g, delta(ctx, b))
+        yield -ksign(sb), tetrabraces(h, f, delta(ctx, g), b)
+        yield -ksign(sb + sg), tetrabraces(h, delta(ctx, f), g, b)
+        yield -ksign(sb + sg + sf), tetrabraces(delta(ctx, h), f, g, b)
+
+    return signed_sum(h.backend, h.degree + f.degree + g.degree + b.degree - 2,
+                      terms())

@@ -29,11 +29,13 @@ from .errors import (
     InvalidDegree,
     RingMismatch,
     ShapeMismatch,
+    TableTooLarge,
     UnsupportedRing,
 )
 from .rings import CoefficientRing
 
 _INT64 = 2**63
+MAX_ENTRIES = 2**26  # 512 MB of int64: the largest table ever allocated
 
 
 def ksign(exponent: int) -> int:
@@ -87,6 +89,15 @@ def check_int64(ring: CoefficientRing, dim: int):
             f"(need dim * p^2 < 2^63)")
 
 
+def check_entries(dim: int, degree: int):
+    """Refuse a degree-n table over R^dim, before allocating it, when its
+    dim^(n + 1) entries exceed MAX_ENTRIES."""
+    if dim ** (degree + 1) > MAX_ENTRIES:
+        raise TableTooLarge(
+            f"a degree {degree} table over dimension {dim} has "
+            f"{dim}^{degree + 1} entries, more than the cap of 2^26")
+
+
 def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
     if ring.is_field:
         check_int64(ring, arr.shape[0])
@@ -103,6 +114,7 @@ def make_map(ring: CoefficientRing, dim: int, degree: int, entries) -> Multiline
         raise ShapeMismatch(f"dimension must be >= 1, got {dim}")
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
+    check_entries(dim, degree)
     flat = np.asarray(list(entries) if not isinstance(entries, np.ndarray) else entries)
     want = dim ** (degree + 1)
     if flat.size != want:
@@ -116,12 +128,14 @@ def make_map(ring: CoefficientRing, dim: int, degree: int, entries) -> Multiline
 def zero_map(ring: CoefficientRing, dim: int, degree: int) -> MultilinearMap:
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
+    check_entries(dim, degree)
     table = _canonical_table(ring, np.zeros((dim,) * (degree + 1), dtype=np.int64))
     return MultilinearMap(ring, dim, degree, table)
 
 
 def unit_map(ring: CoefficientRing, dim: int) -> MultilinearMap:
     """The degree-1 identity, neutral for composition from both sides."""
+    check_entries(dim, 1)
     table = _canonical_table(ring, np.eye(dim, dtype=np.int64))
     return MultilinearMap(ring, dim, 1, table)
 
@@ -152,6 +166,7 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
         )
     ring, d, m, n = f.ring, f.dim, f.degree, g.degree
     check_int64(ring, d)
+    check_entries(d, m + n - 1)
     g_t = g.table.reshape(d, d ** n).T
     if sign < 0:
         g_t = -g_t
@@ -233,6 +248,7 @@ def random_map(ring: CoefficientRing, dim: int, degree: int, rng) -> Multilinear
         raise UnsupportedRing("random tables need a finite field")
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
+    check_entries(dim, degree)
     table = rng.integers(0, ring.modulus, size=(dim,) * (degree + 1), dtype=np.int64)
     return MultilinearMap(ring, dim, degree, _canonical_table(ring, table))
 
@@ -271,6 +287,7 @@ def map_from_payload(payload: dict) -> MultilinearMap:
 
 def componentwise_product(ring: CoefficientRing, dim: int) -> MultilinearMap:
     """The associative product (x * y)_a = x_a y_a on R^d."""
+    check_entries(dim, 2)
     table = np.zeros((dim, dim, dim), dtype=np.int64)
     for a in range(dim):
         table[a, a, a] = 1

@@ -25,6 +25,10 @@ class ShapeMismatch(PreOperadError):
     """Coefficient table has the wrong number of entries for its degree."""
 
 
+class TableTooLarge(PreOperadError):
+    """Coefficient table with more entries than the dense backend allows."""
+
+
 class DegreeMismatch(PreOperadError):
     """Elements of different degrees where equal degrees are required."""
 

@@ -99,6 +99,8 @@ class TrialConfig:
             raise BadConfig(str(exc)) from exc
         if self.backend == "endo":
             endo.check_int64(ring, self.dim)
+        # L27 builds dense tables on either backend
+        endo.check_entries(self.dim, self.degree_budget)
 
     def describe(self) -> dict:
         return {
@@ -481,13 +483,14 @@ def _check_lemma_first(s: TrialSample):
     ctx = s.ctx
     h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
     sg, sb = g.shifted_degree, b.shifted_degree
+    db, dg, df = (delta(ctx, x) for x in (b, g, f))
     for (i, j, k) in ground_tetrahedron(h.degree, f.degree, g.degree).points:
-        core = h.compose(f, i).compose(g, j).compose(b, k)
-        lhs = (delta(ctx, core)
-               - h.compose(f, i).compose(g, j).compose(delta(ctx, b), k)
-               - ksign(sb) * h.compose(f, i).compose(delta(ctx, g), j)
-                              .compose(b, k + 1)
-               - ksign(sb + sg) * h.compose(delta(ctx, f), i).compose(g, j + 1)
+        hf = h.compose(f, i)
+        hfg = hf.compose(g, j)
+        lhs = (delta(ctx, hfg.compose(b, k))
+               - hfg.compose(db, k)
+               - ksign(sb) * hf.compose(dg, j).compose(b, k + 1)
+               - ksign(sb + sg) * h.compose(df, i).compose(g, j + 1)
                                    .compose(b, k + 1))
         rhs = ctx.backend.zero(lhs.degree)
         for kind in GAMMA_KINDS:
@@ -502,9 +505,9 @@ def _check_lemma_second(s: TrialSample):
     ctx = s.ctx
     h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
     sf, sg, sb = f.shifted_degree, g.shifted_degree, b.shifted_degree
+    dh = delta(ctx, h)
     for (i, j, k) in _lemma_second_range(h.degree, f.degree, g.degree):
-        lhs = ksign(sf + sg + sb) * (delta(ctx, h).compose(f, i)
-                                     .compose(g, j).compose(b, k))
+        lhs = ksign(sf + sg + sb) * dh.compose(f, i).compose(g, j).compose(b, k)
         rhs = (aux_gamma(ctx, "gamma", h, f, g, b, i, j, k)
                + aux_gamma(ctx, "gamma1", h, f, g, b, i + 1, j, k)
                + aux_gamma(ctx, "gamma2", h, f, g, b, i + 1, j + 1, k)

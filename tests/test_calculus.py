@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from preoperad.backends import EndoBackend, FreeBackend, GradedElement
+from preoperad.backends import EndoBackend, FreeBackend, GradedElement, region_sum
 from preoperad.calculus import (
     PreOperadContext,
     associator,
@@ -117,13 +117,14 @@ def test_tetrabraces_empty_region_is_zero():
 
 
 def _brace_inputs(kind, degrees, mutations, seed):
-    """h, f, g, b of the given degrees on one backend; free inputs are sums
-    of two generators so that terms can merge and cancel."""
+    """h, f, g, b (and mu, for a fifth degree) of the given degrees on one
+    backend; free inputs are sums of two generators so that terms can merge
+    and cancel."""
     rng = np.random.default_rng(seed)
     if kind == "endo":
         backend = EndoBackend(F97, 2, mutations)
         return backend, [backend.random(d, rng) for d in degrees]
-    names = "hfgb"
+    names = "hfgbm"[:len(degrees)]
     sig = Signature(tuple((n + t, d) for n, d in zip(names, degrees)
                           for t in ("", "2")))
     backend = FreeBackend(F97, sig, mutations)
@@ -150,6 +151,83 @@ def test_brace_sums_equal_a_naive_per_point_loop(kind, mutations, degrees):
     for i, j, k in ground_tetrahedron(h.degree, f.degree, g.degree):
         want = want + h.compose(f, i).compose(g, j).compose(b, k)
     assert tetrabraces(h, f, g, b) == want
+
+
+def test_region_sum_counts_repeated_points():
+    ctx, rng = random_ctx(seed=22)
+    h, f, g = (ctx.backend.random(d, rng) for d in (3, 2, 2))
+    assert (region_sum(h, (f,), [(0,), (2,), (0,)])
+            == 2 * h.compose(f, 0) + h.compose(f, 2))
+    assert (region_sum(h, (f, g), [(0, 2), (1, 2), (0, 2), (0, 3)])
+            == 2 * h.compose(f, 0).compose(g, 2) + h.compose(f, 1).compose(g, 2)
+            + h.compose(f, 0).compose(g, 3))
+    assert region_sum(h, (f, g), []) == ctx.backend.zero(5)
+
+
+def test_brace_sums_compose_their_last_operand_once_per_slot(monkeypatch):
+    ctx, rng = random_ctx(seed=23)
+    h, f, g, b = (ctx.backend.random(d, rng) for d in (5, 2, 2, 2))
+    want_tetra = tetrabraces(h, f, g, b)
+    want_tri = tribraces(h, f, g)
+    slots = []
+    compose = GradedElement.compose
+
+    def counted(self, other, i):
+        slots.append((other, i))
+        return compose(self, other, i)
+
+    monkeypatch.setattr(GradedElement, "compose", counted)
+    points = ground_tetrahedron(5, 2, 2).points
+    ks = sorted({k for _, _, k in points})
+    assert len(points) > len(ks)
+    assert tetrabraces(h, f, g, b) == want_tetra
+    assert sorted(i for x, i in slots if x is b) == ks
+    assert sorted(i for x, i in slots if x is g) == sorted(
+        j for j, _ in {(j, k) for _, j, k in points})
+    assert sorted(i for x, i in slots if x is f) == sorted({i for i, _, _ in points})
+    slots.clear()
+    right = scope_regions(5, 2)[2].points
+    js = sorted({j for _, j in right})
+    assert len(right) > len(js)
+    assert tribraces(h, f, g) == want_tri
+    assert sorted(i for x, i in slots if x is g) == js
+    assert sorted(i for x, i in slots if x is f) == sorted({i for i, _ in right})
+
+
+@pytest.mark.parametrize("kind", ["endo", "free"])
+@pytest.mark.parametrize("mutations", [frozenset(), frozenset({"cup-sign-flip"})],
+                         ids=["clean", "cup-sign-flip"])
+@pytest.mark.parametrize("degrees", [(4, 2, 1, 2), (3, 1, 2, 2)])
+def test_streamed_derived_operations_equal_their_operator_expansions(
+        kind, mutations, degrees):
+    _, (h, f, g, b, mu) = _brace_inputs(kind, degrees + (2,), mutations,
+                                        7 + sum(degrees))
+    ctx = PreOperadContext(mu.backend, mu)
+    sh, sf, sg, sb = (x.shifted_degree for x in (h, f, g, b))
+
+    def d(x):
+        return ksign(x.shifted_degree) * bullet(mu, x) - bullet(x, mu)
+
+    cup_sign = -ksign(f.degree) if mutations else ksign(f.degree)
+    assert delta(ctx, h) == d(h)
+    assert delta(ctx, b) == d(b)
+    assert bracket(h, f) == bullet(h, f) - ksign(sh * sf) * bullet(f, h)
+    assert bracket(g, b) == bullet(g, b) - ksign(sg * sb) * bullet(b, g)
+    assert cup(ctx, f, g) == cup_sign * mu.compose(f, 0).compose(g, f.degree)
+    assert dev_bullet(ctx, f, g) == (d(bullet(f, g))
+                                     - bullet(f, d(g))
+                                     - ksign(sg) * bullet(d(f), g))
+    assert dev_tribraces(ctx, h, f, g) == (
+        d(tribraces(h, f, g))
+        - tribraces(h, f, d(g))
+        - ksign(sg) * tribraces(h, d(f), g)
+        - ksign(sg + sf) * tribraces(d(h), f, g))
+    assert dev_tetrabraces(ctx, h, f, g, b) == (
+        d(tetrabraces(h, f, g, b))
+        - tetrabraces(h, f, g, d(b))
+        - ksign(sb) * tetrabraces(h, f, d(g), b)
+        - ksign(sb + sg) * tetrabraces(h, d(f), g, b)
+        - ksign(sb + sg + sf) * tetrabraces(d(h), f, g, b))
 
 
 def test_fused_sums_leave_every_table_read_only():

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +22,24 @@ cup(f, g)
 FREE_SCRIPT = "let h: deg 2;\nlet f: deg 1;\ncomp(h, f, 0)\n"
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+ADDRESS_SPACE_CAP = 4 << 30
+
+
+def run_capped(argv):
+    """The CLI in a child process whose address space is capped at 4 GB, so
+    a table that slipped past the size checks fails there instead of being
+    allocated."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", "preoperad.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=cap, timeout=120)
 
 
 def run(capsys, argv):
@@ -138,6 +160,24 @@ def test_verify_moderate_primes_unaffected(capsys, prime):
         "--dim", "3", "--trials", "5"])
     assert code == 0
     assert "PASS L03-relation-nested" in out
+
+
+def test_verify_refuses_a_dimension_whose_tables_exceed_the_cap():
+    proc = run_capped(["verify", "--law", "L05-unit-laws", "--dim", "9000",
+                       "--trials", "1"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "2^26" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_refuses_a_declared_table_above_the_cap(tmp_path):
+    path = tmp_path / "big.pre"
+    path.write_text("let f: deg 62;\nf\n")
+    proc = run_capped(["eval", "--script", str(path), "--seed", "1",
+                       "--dim", "2"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "2^63 entries" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_unknown_law_is_usage_error(capsys):

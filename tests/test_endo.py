@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preoperad.endo import (
+    MAX_ENTRIES,
     MultilinearMap,
+    check_entries,
     componentwise_product,
     evaluate,
     ksign,
@@ -27,6 +29,7 @@ from preoperad.errors import (
     DegreeMismatch,
     IndexOutOfScope,
     ShapeMismatch,
+    TableTooLarge,
     UnsupportedRing,
 )
 from preoperad.rings import CoefficientRing
@@ -295,6 +298,32 @@ def test_substitute_checks_its_operands():
         substitute(make_map(F97, 2, 0, [1, 2]), f, 0)
     with pytest.raises(RingMismatch):
         substitute(f, make_map(F101, 2, 2, range(8)), 0)
+
+
+def test_tables_above_the_entry_cap_are_refused_before_allocation():
+    assert MAX_ENTRIES == 2**26
+    check_entries(2, 25)  # exactly 2^26 entries: allowed
+    check_entries(8, 7)
+    for dim, degree in [(2, 26), (3, 16), (9000, 2), (2, 62)]:
+        with pytest.raises(TableTooLarge):
+            check_entries(dim, degree)
+    rng = np.random.default_rng(0)
+    with pytest.raises(TableTooLarge):
+        zero_map(F97, 2, 26)
+    with pytest.raises(TableTooLarge):
+        random_map(F97, 2, 62, rng)
+    with pytest.raises(TableTooLarge):
+        make_map(F97, 2, 26, [])
+    with pytest.raises(TableTooLarge):
+        unit_map(F97, 9000)
+    with pytest.raises(TableTooLarge):
+        componentwise_product(F97, 9000)
+    f = random_map(F97, 2, 13, rng)
+    g = random_map(F97, 2, 14, rng)  # f comp_0 g would have 2^27 entries
+    with pytest.raises(TableTooLarge):
+        substitute(f, g, 0)
+    with pytest.raises(TableTooLarge):
+        partial_compose(f, g, 0)
 
 
 def test_signed_sum_streams_and_reduces_exactly_at_the_int64_bound():

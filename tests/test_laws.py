@@ -3,7 +3,7 @@ import pytest
 
 from preoperad import laws
 from preoperad.calculus import KNOWN_MUTATIONS
-from preoperad.errors import BadConfig, ShapeMismatch, UnknownLaw
+from preoperad.errors import BadConfig, ShapeMismatch, TableTooLarge, UnknownLaw
 from preoperad.laws import REPORT_SCHEMA, SUITE_SCHEMA, TrialConfig
 
 QUICK = TrialConfig(backend="endo", prime=97, dim=1, trials=10, seed=0)
@@ -62,6 +62,17 @@ def test_bad_configs_rejected(kwargs):
     base.update(kwargs)
     with pytest.raises(BadConfig):
         laws.run_law("L05-unit-laws", TrialConfig(**base))
+
+
+@pytest.mark.parametrize("backend", ["endo", "free"])
+def test_dimensions_past_the_entry_cap_are_refused(backend):
+    # the degree budget is unchanged; dim 6 keeps 6^10 entries under 2^26
+    assert TrialConfig(dim=2).degree_budget == 12
+    assert TrialConfig(dim=3).degree_budget == 9
+    TrialConfig(backend=backend, dim=6).validate()
+    for dim in (7, 9000):
+        with pytest.raises(TableTooLarge):
+            TrialConfig(backend=backend, dim=dim).validate()
 
 
 def test_backend_restriction_is_bad_config():
