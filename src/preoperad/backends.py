@@ -53,10 +53,6 @@ class EndoBackend:
     def deserialize(self, data) -> "GradedElement":
         return GradedElement(self, endo.map_from_payload(data))
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "ring": self.ring.to_payload(), "dim": self.dim,
-                "mutations": sorted(self.mutations)}
-
 
 @dataclass(frozen=True)
 class FreeBackend:
@@ -95,11 +91,6 @@ class FreeBackend:
 
     def deserialize(self, data) -> "GradedElement":
         return GradedElement(self, free.element_from_payload(data))
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "ring": self.ring.to_payload(),
-                "signature": [[n, d] for n, d in self.signature.generators],
-                "mutations": sorted(self.mutations)}
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,6 @@ class PreOperadContext:
         return self.backend.unit()
 
 
-def compose(f: GradedElement, g: GradedElement, i: int) -> GradedElement:
-    return f.compose(g, i)
-
-
 def cup(ctx: PreOperadContext, f: GradedElement, g: GradedElement) -> GradedElement:
     """Product of degree deg(f) + deg(g) induced by mu."""
     sign = ksign(f.degree)

@@ -102,6 +102,8 @@ def _trial_config(args) -> laws.TrialConfig:
         if value is not None:
             settings[key] = value
     cfg = dataclasses.replace(_DEFAULTS, **settings)
+    # before tuple(): a config file may hold a bare string of mutations
+    cfg.validate()
     return dataclasses.replace(cfg, mutations=tuple(cfg.mutations))
 
 

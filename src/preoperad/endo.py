@@ -101,6 +101,8 @@ def check_entries(dim: int, degree: int):
 def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
     if ring.is_field:
         check_int64(ring, arr.shape[0])
+        if arr.dtype == object:
+            arr = arr % ring.modulus  # exact on Python ints of any size
         arr = np.asarray(arr, dtype=np.int64) % ring.modulus
     else:
         arr = np.asarray(arr, dtype=object)
@@ -115,7 +117,15 @@ def make_map(ring: CoefficientRing, dim: int, degree: int, entries) -> Multiline
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
     check_entries(dim, degree)
-    flat = np.asarray(list(entries) if not isinstance(entries, np.ndarray) else entries)
+    if isinstance(entries, np.ndarray):
+        flat = entries
+    else:
+        entries = list(entries)
+        flat = np.asarray(entries)
+        if flat.dtype.kind in "uf":
+            # numpy holds ints past int64 as uint64 or float64, which the
+            # int64 cast would wrap or round; Python ints stay exact
+            flat = np.array(entries, dtype=object)
     want = dim ** (degree + 1)
     if flat.size != want:
         raise ShapeMismatch(

@@ -21,13 +21,15 @@ family.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import endo, free
-from .backends import EndoBackend, FreeBackend, GradedElement
+from .backends import EndoBackend, FreeBackend, GradedElement, signed_sum
 from .calculus import (
     KNOWN_MUTATIONS,
     MUTATION_LEFT_RELATION_SIGN,
@@ -82,14 +84,17 @@ class TrialConfig:
     def validate(self):
         if self.backend not in ("endo", "free"):
             raise BadConfig(f"unknown backend {self.backend!r}")
-        if self.dim < 1:
-            raise BadConfig(f"dimension must be >= 1, got {self.dim}")
-        if self.trials < 1:
-            raise BadConfig(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise BadConfig(f"seed must be >= 0, got {self.seed}")
+        for name in ("prime", "dim", "trials", "seed", "degree_min", "degree_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadConfig(f"{name} must be an integer, got {value!r}")
+        for name, least in (("dim", 1), ("trials", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise BadConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.degree_min < 1 or self.degree_max < self.degree_min:
             raise BadConfig("need 1 <= degree_min <= degree_max")
+        if not isinstance(self.mutations, (list, tuple)):
+            raise BadConfig(f"mutations must be a list of names, got {self.mutations!r}")
         for m in self.mutations:
             if m not in KNOWN_MUTATIONS:
                 raise BadConfig(f"unknown mutation {m!r}")
@@ -127,13 +132,28 @@ class FailDetail:
     rhs: GradedElement | None
 
 
+def _first_failure(claims, sample: TrialSample) -> FailDetail | None:
+    """The first claim (identity, point, lhs, rhs) drawn from claims(sample)
+    whose sides differ, or None; nothing after it is built. rhs None claims
+    that lhs is zero. A side that is not an element (a point set, a degree)
+    is compared but not kept in the witness."""
+    for identity, point, lhs, rhs in claims(sample):
+        holds = lhs.is_zero() if rhs is None else lhs == rhs
+        if not holds:
+            lhs, rhs = (x if isinstance(x, GradedElement) else None for x in (lhs, rhs))
+            return FailDetail(identity, point, lhs, rhs)
+    return None
+
+
 @dataclass(frozen=True)
 class Law:
+    """A named identity: checker(sample) is the first of claims(sample) that fails."""
+
     law_id: str
     description: str
     anchor: str
     slots: tuple
-    checker: object
+    claims: object
     backends: tuple = ("endo", "free")
     force_first: int | None = None
     vacuous_when: object = None
@@ -141,6 +161,10 @@ class Law:
     fixture_mu: bool = False
     fixed_backend: str | None = None
     extra_sampler: object = None
+    checker: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "checker", partial(_first_failure, self.claims))
 
 
 @dataclass
@@ -269,94 +293,65 @@ def _build_sample(law: Law, cfg: TrialConfig, rng, force_first) -> TrialSample:
 
 
 # ---------------------------------------------------------------------------
-# checkers
-
-def _mismatch(identity, point, lhs, rhs):
-    if lhs != rhs:
-        return FailDetail(identity, point, lhs, rhs)
-    return None
-
+# checkers: each yields its claims (identity, point, lhs, rhs), see _first_failure
 
 def _check_scope_partition(s: TrialSample):
     dh, df, dg = s.degrees["h"], s.degrees["f"], s.degrees["g"]
     left, nested, right = scope_regions(dh, df)
     ls, ns, rs = set(left.points), set(nested.points), set(right.points)
-    if ls & ns or ls & rs or ns & rs:
-        return FailDetail("scope regions overlap", None, None, None)
-    if ls | ns | rs != set(full_scope(dh, df)):
-        return FailDetail("scope regions miss the full scope", None, None, None)
+    yield "scope regions overlap", None, ls & ns | ls & rs | ns & rs, set()
+    yield ("scope regions miss the full scope", None,
+           ls | ns | rs, set(full_scope(dh, df)))
+    # (i, j) -> (j, i + |g|) is injective, so equal sets make it a bijection
     mirror = {(j, i + dg - 1) for (i, j) in ls}
     right_g = set(scope_regions(dh, dg)[2].points)
-    if len(mirror) != len(ls) or not mirror <= right_g or len(ls) != len(right_g):
-        return FailDetail("left and right regions fail to mirror", None, None, None)
-    return None
+    yield "left and right regions fail to mirror", None, mirror, right_g
 
 
-def _check_relation_left(s: TrialSample):
-    h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
+def _relation(region, identity, rhs):
+    """(h comp_i f) comp_j g against rhs(h, f, g, i, j) over one scope region."""
+    def check(s: TrialSample):
+        h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
+        for (i, j) in scope_regions(h.degree, f.degree)[region].points:
+            yield identity, (i, j), h.compose(f, i).compose(g, j), rhs(h, f, g, i, j)
+    return check
+
+
+def _left_rhs(h, f, g, i, j):
     sign = ksign(f.shifted_degree * g.shifted_degree)
-    if MUTATION_LEFT_RELATION_SIGN in s.ctx.backend.mutations:
+    if MUTATION_LEFT_RELATION_SIGN in h.backend.mutations:
         sign = 1
-    for (i, j) in scope_regions(h.degree, f.degree)[0].points:
-        lhs = h.compose(f, i).compose(g, j)
-        rhs = sign * h.compose(g, j).compose(f, i + g.shifted_degree)
-        got = _mismatch("exchange with the second factor left", (i, j), lhs, rhs)
-        if got:
-            return got
-    return None
+    return sign * h.compose(g, j).compose(f, i + g.shifted_degree)
 
 
-def _check_relation_nested(s: TrialSample):
-    h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
-    for (i, j) in scope_regions(h.degree, f.degree)[1].points:
-        lhs = h.compose(f, i).compose(g, j)
-        rhs = h.compose(f.compose(g, j - i), i)
-        got = _mismatch("sequential nesting", (i, j), lhs, rhs)
-        if got:
-            return got
-    return None
+def _nested_rhs(h, f, g, i, j):
+    return h.compose(f.compose(g, j - i), i)
 
 
-def _check_relation_right(s: TrialSample):
-    h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
+def _right_rhs(h, f, g, i, j):
     sign = ksign(f.shifted_degree * g.shifted_degree)
-    for (i, j) in scope_regions(h.degree, f.degree)[2].points:
-        lhs = h.compose(f, i).compose(g, j)
-        rhs = sign * h.compose(g, j - f.shifted_degree).compose(f, i)
-        got = _mismatch("exchange with the second factor right", (i, j), lhs, rhs)
-        if got:
-            return got
-    return None
+    return sign * h.compose(g, j - f.shifted_degree).compose(f, i)
 
 
 def _check_units(s: TrialSample):
     f = s.elements["f"]
     unit = s.ctx.unit
-    got = _mismatch("unit absorbed from the left", None, unit.compose(f, 0), f)
-    if got:
-        return got
+    yield "unit absorbed from the left", None, unit.compose(f, 0), f
     for i in range(f.degree):
-        got = _mismatch("unit absorbed from the right", (i,), f.compose(unit, i), f)
-        if got:
-            return got
-    return _mismatch("total composition with the unit", None,
-                     bullet(f, unit), f.degree * f)
+        yield "unit absorbed from the right", (i,), f.compose(unit, i), f
+    yield "total composition with the unit", None, bullet(f, unit), f.degree * f
 
 
 def _check_cup_props(s: TrialSample):
     ctx = s.ctx
     f, g = s.elements["f"], s.elements["g"]
     mu, unit = ctx.mu, ctx.unit
-    got = _mismatch("cup against the first product slot", None,
-                    mu.compose(f, 0), ksign(f.degree) * cup(ctx, f, unit))
-    if got:
-        return got
-    got = _mismatch("cup against the second product slot", None,
-                    mu.compose(f, 1), -1 * cup(ctx, unit, f))
-    if got:
-        return got
+    yield ("cup against the first product slot", None,
+           mu.compose(f, 0), ksign(f.degree) * cup(ctx, f, unit))
+    yield ("cup against the second product slot", None,
+           mu.compose(f, 1), -1 * cup(ctx, unit, f))
     rhs = -1 * ksign(f.shifted_degree * g.degree) * mu.compose(g, 1).compose(f, 0)
-    return _mismatch("cup as a double composition", None, cup(ctx, f, g), rhs)
+    yield "cup as a double composition", None, cup(ctx, f, g), rhs
 
 
 def _check_cup_compose(s: TrialSample):
@@ -368,10 +363,7 @@ def _check_cup_compose(s: TrialSample):
             rhs = ksign(g.degree * h.shifted_degree) * cup(ctx, f.compose(h, j), g)
         else:
             rhs = cup(ctx, f, g.compose(h, j - f.degree))
-        got = _mismatch("composing into a cup product", (j,), lhs, rhs)
-        if got:
-            return got
-    return None
+        yield "composing into a cup product", (j,), lhs, rhs
 
 
 def _check_main_theorem(s: TrialSample):
@@ -383,7 +375,7 @@ def _check_main_theorem(s: TrialSample):
            - tribraces(h, f, cup(ctx, g, b))
            - ksign(sg) * tribraces(h, cup(ctx, f, g), b)
            + ksign(sh * f.degree + sg) * cup(ctx, f, tribraces(h, g, b)))
-    return _mismatch("quadruple brace deviation closed form", None, lhs, rhs)
+    yield "quadruple brace deviation closed form", None, lhs, rhs
 
 
 def _check_right_derivation(s: TrialSample):
@@ -392,8 +384,7 @@ def _check_right_derivation(s: TrialSample):
     lhs = bullet(cup(ctx, f, g), h)
     rhs = (cup(ctx, f, bullet(g, h))
            + ksign(h.shifted_degree * g.degree) * cup(ctx, bullet(f, h), g))
-    return _mismatch("total composition is a two-sided cup derivation", None,
-                     lhs, rhs)
+    yield "total composition is a two-sided cup derivation", None, lhs, rhs
 
 
 def _check_delta_expansion(s: TrialSample):
@@ -402,7 +393,7 @@ def _check_delta_expansion(s: TrialSample):
     lhs = -1 * delta(ctx, f)
     rhs = (cup(ctx, f, ctx.unit) + bullet(f, ctx.mu)
            + ksign(f.shifted_degree) * cup(ctx, ctx.unit, f))
-    return _mismatch("coboundary as cup and total composition", None, lhs, rhs)
+    yield "coboundary as cup and total composition", None, lhs, rhs
 
 
 def _check_bullet_deviation(s: TrialSample):
@@ -410,20 +401,15 @@ def _check_bullet_deviation(s: TrialSample):
     f, g = s.elements["f"], s.elements["g"]
     lhs = ksign(g.shifted_degree) * dev_bullet(ctx, f, g)
     rhs = cup(ctx, f, g) - ksign(f.degree * g.degree) * cup(ctx, g, f)
-    return _mismatch("total composition deviation measures commutativity",
-                     None, lhs, rhs)
+    yield ("total composition deviation measures commutativity", None,
+           lhs, rhs)
 
 
 def _check_delta_squared(s: TrialSample):
     ctx = s.ctx
     f = s.elements["f"]
-    square = bullet(ctx.mu, ctx.mu)
-    if not square.is_zero():
-        return FailDetail("fixture product is associative", None, square, None)
-    dd = delta(ctx, delta(ctx, f))
-    if not dd.is_zero():
-        return FailDetail("coboundary squares to zero", None, dd, None)
-    return None
+    yield "fixture product is associative", None, bullet(ctx.mu, ctx.mu), None
+    yield "coboundary squares to zero", None, delta(ctx, delta(ctx, f)), None
 
 
 def _check_getzler(s: TrialSample):
@@ -431,14 +417,14 @@ def _check_getzler(s: TrialSample):
     lhs = associator(h, f, g)
     rhs = (tribraces(h, f, g)
            + ksign(f.shifted_degree * g.shifted_degree) * tribraces(h, g, f))
-    return _mismatch("associator splits into brace sums", None, lhs, rhs)
+    yield "associator splits into brace sums", None, lhs, rhs
 
 
 def _check_gerstenhaber(s: TrialSample):
     h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
     lhs = associator(h, f, g)
     rhs = ksign(f.shifted_degree * g.shifted_degree) * associator(h, g, f)
-    return _mismatch("associator symmetry in the last two slots", None, lhs, rhs)
+    yield "associator symmetry in the last two slots", None, lhs, rhs
 
 
 def _check_tri_deviation(s: TrialSample):
@@ -448,7 +434,7 @@ def _check_tri_deviation(s: TrialSample):
     rhs = (cup(ctx, bullet(h, f), g)
            + ksign(h.shifted_degree * f.degree) * cup(ctx, f, bullet(h, g))
            - bullet(h, cup(ctx, f, g)))
-    return _mismatch("triple brace deviation closed form", None, lhs, rhs)
+    yield "triple brace deviation closed form", None, lhs, rhs
 
 
 def _check_tri_deviation_bracket(s: TrialSample):
@@ -458,7 +444,7 @@ def _check_tri_deviation_bracket(s: TrialSample):
     rhs = (cup(ctx, bracket(h, f), g)
            + ksign(h.shifted_degree * f.degree) * cup(ctx, f, bracket(h, g))
            - bracket(h, cup(ctx, f, g)))
-    return _mismatch("triple brace deviation via brackets", None, lhs, rhs)
+    yield "triple brace deviation via brackets", None, lhs, rhs
 
 
 def _check_bracket(s: TrialSample):
@@ -466,17 +452,9 @@ def _check_bracket(s: TrialSample):
     f, g = s.elements["f"], s.elements["g"]
     anti = (bracket(f, g)
             + ksign(f.shifted_degree * g.shifted_degree) * bracket(g, f))
-    if not anti.is_zero():
-        return FailDetail("bracket antisymmetry", None, anti, None)
-    return _mismatch("bracket with the product gives the coboundary", None,
-                     bracket(f, ctx.mu), -1 * delta(ctx, f))
-
-
-def _lemma_second_range(dh, df, dg):
-    return [(i, j, k)
-            for i in range(0, dh - 1)
-            for j in range(i + df, dh + df - 1)
-            for k in range(j + dg, dh + df + dg - 1)]
+    yield "bracket antisymmetry", None, anti, None
+    yield ("bracket with the product gives the coboundary", None,
+           bracket(f, ctx.mu), -1 * delta(ctx, f))
 
 
 def _check_lemma_first(s: TrialSample):
@@ -487,18 +465,15 @@ def _check_lemma_first(s: TrialSample):
     for (i, j, k) in ground_tetrahedron(h.degree, f.degree, g.degree).points:
         hf = h.compose(f, i)
         hfg = hf.compose(g, j)
-        lhs = (delta(ctx, hfg.compose(b, k))
-               - hfg.compose(db, k)
-               - ksign(sb) * hf.compose(dg, j).compose(b, k + 1)
-               - ksign(sb + sg) * h.compose(df, i).compose(g, j + 1)
-                                   .compose(b, k + 1))
-        rhs = ctx.backend.zero(lhs.degree)
-        for kind in GAMMA_KINDS:
-            rhs = rhs + aux_gamma(ctx, kind, h, f, g, b, i + 1, j + 1, k + 1)
-        got = _mismatch("pointwise coboundary telescoping", (i, j, k), lhs, rhs)
-        if got:
-            return got
-    return None
+        lhs = signed_sum(ctx.backend, hfg.degree + b.degree, (
+            (1, delta(ctx, hfg.compose(b, k))),
+            (-1, hfg.compose(db, k)),
+            (-ksign(sb), hf.compose(dg, j).compose(b, k + 1)),
+            (-ksign(sb + sg), h.compose(df, i).compose(g, j + 1).compose(b, k + 1))))
+        rhs = signed_sum(ctx.backend, lhs.degree, (
+            (1, aux_gamma(ctx, kind, h, f, g, b, i + 1, j + 1, k + 1))
+            for kind in GAMMA_KINDS))
+        yield "pointwise coboundary telescoping", (i, j, k), lhs, rhs
 
 
 def _check_lemma_second(s: TrialSample):
@@ -506,41 +481,38 @@ def _check_lemma_second(s: TrialSample):
     h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
     sf, sg, sb = f.shifted_degree, g.shifted_degree, b.shifted_degree
     dh = delta(ctx, h)
-    for (i, j, k) in _lemma_second_range(h.degree, f.degree, g.degree):
+    for (i, j, k) in ground_tetrahedron(dh.degree, f.degree, g.degree).points:
         lhs = ksign(sf + sg + sb) * dh.compose(f, i).compose(g, j).compose(b, k)
-        rhs = (aux_gamma(ctx, "gamma", h, f, g, b, i, j, k)
-               + aux_gamma(ctx, "gamma1", h, f, g, b, i + 1, j, k)
-               + aux_gamma(ctx, "gamma2", h, f, g, b, i + 1, j + 1, k)
-               + aux_gamma(ctx, "gamma3", h, f, g, b, i + 1, j + 1, k + 1))
-        got = _mismatch("coboundary of the outer slot telescopes", (i, j, k),
-                        lhs, rhs)
-        if got:
-            return got
-    return None
+        # the four families at staggered points
+        points = ((i, j, k), (i + 1, j, k), (i + 1, j + 1, k), (i + 1, j + 1, k + 1))
+        rhs = signed_sum(ctx.backend, lhs.degree, (
+            (1, aux_gamma(ctx, kind, h, f, g, b, *point))
+            for kind, point in zip(GAMMA_KINDS, points)))
+        yield "coboundary of the outer slot telescopes", (i, j, k), lhs, rhs
+
+
+def _face_rhs(ctx, kind, h, f, g, b, i, j, k):
+    """The cup-product closed form of one auxiliary family on its face."""
+    sh, sg, sb = h.shifted_degree, g.shifted_degree, b.shifted_degree
+    db, df = b.degree, f.degree
+    if kind == "gamma":
+        return ksign(sg + db + sh * df) * cup(
+            ctx, f, h.compose(g, j - df).compose(b, k - df))
+    if kind == "gamma1":
+        return ksign(sb + sg) * h.compose(cup(ctx, f, g), i - 1).compose(b, k)
+    if kind == "gamma2":
+        return ksign(sb) * h.compose(f, i - 1).compose(cup(ctx, g, b), j - 1)
+    return ksign(db) * cup(ctx, h.compose(f, i - 1).compose(g, j - 1), b)
 
 
 def _face_checker(kind):
     def check(s: TrialSample):
         ctx = s.ctx
         h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
-        sh, sg, sb = h.shifted_degree, g.shifted_degree, b.shifted_degree
-        db, df = b.degree, f.degree
         for (i, j, k) in boundary_faces(h.degree, f.degree, g.degree)[kind]:
-            lhs = aux_gamma(ctx, kind, h, f, g, b, i, j, k)
-            if kind == "gamma":
-                rhs = ksign(sg + db + sh * df) * cup(
-                    ctx, f, h.compose(g, j - df).compose(b, k - df))
-            elif kind == "gamma1":
-                rhs = ksign(sb + sg) * h.compose(cup(ctx, f, g), i - 1).compose(b, k)
-            elif kind == "gamma2":
-                rhs = ksign(sb) * h.compose(f, i - 1).compose(cup(ctx, g, b), j - 1)
-            else:
-                rhs = ksign(db) * cup(ctx, h.compose(f, i - 1).compose(g, j - 1), b)
-            got = _mismatch(f"{kind} face collapses to a cup product",
-                            (i, j, k), lhs, rhs)
-            if got:
-                return got
-        return None
+            yield (f"{kind} face collapses to a cup product", (i, j, k),
+                   aux_gamma(ctx, kind, h, f, g, b, i, j, k),
+                   _face_rhs(ctx, kind, h, f, g, b, i, j, k))
     return check
 
 
@@ -549,13 +521,9 @@ def _check_recap_vs_shifted(s: TrialSample):
     h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
     for (i, j, k) in ground_tetrahedron(h.degree, f.degree, g.degree).points:
         for kind in GAMMA_KINDS:
-            lhs = aux_gamma_shifted(ctx, kind, h, f, g, b, i, j, k)
-            rhs = aux_gamma(ctx, kind, h, f, g, b, i + 1, j + 1, k + 1)
-            got = _mismatch(f"total {kind} matches its raw shifted form",
-                            (i, j, k), lhs, rhs)
-            if got:
-                return got
-    return None
+            yield (f"total {kind} matches its raw shifted form", (i, j, k),
+                   aux_gamma_shifted(ctx, kind, h, f, g, b, i, j, k),
+                   aux_gamma(ctx, kind, h, f, g, b, i + 1, j + 1, k + 1))
 
 
 def _check_envelope_partition(s: TrialSample):
@@ -563,24 +531,18 @@ def _check_envelope_partition(s: TrialSample):
     interior, env, trunc, bound = envelope_domains(dh, df, dg, db)
     faces = boundary_faces(dh, df, dg)
     face_sets = [set(faces[k]) for k in GAMMA_KINDS]
-    union = set()
-    for fs in face_sets:
-        if union & fs:
-            return FailDetail("boundary faces overlap", None, None, None)
-        union |= fs
-    if set(bound.points) != union:
-        return FailDetail("boundary differs from the face union", None, None, None)
-    if set(trunc.points) != set(interior.points) | set(bound.points):
-        return FailDetail("truncated envelope fails to split", None, None, None)
-    if set(interior.points) & set(bound.points):
-        return FailDetail("interior meets the boundary", None, None, None)
-    if set(env.points) - set(trunc.points) != set(removed_edges(dh, df, dg)):
-        return FailDetail("removed edges differ from the wall count", None,
-                          None, None)
-    if set(shifted_tetrahedron(dh, df, dg).points) != set(interior.points):
-        return FailDetail("interior differs from the shifted tetrahedron",
-                          None, None, None)
-    return None
+    union = set().union(*face_sets)
+    inner, bset = set(interior.points), set(bound.points)
+    # disjoint exactly when no point is counted twice
+    yield "boundary faces overlap", None, sum(map(len, face_sets)), len(union)
+    yield "boundary differs from the face union", None, bset, union
+    yield ("truncated envelope fails to split", None,
+           set(trunc.points), inner | bset)
+    yield "interior meets the boundary", None, inner & bset, set()
+    yield ("removed edges differ from the wall count", None,
+           set(env.points) - set(trunc.points), set(removed_edges(dh, df, dg)))
+    yield ("interior differs from the shifted tetrahedron", None,
+           set(shifted_tetrahedron(dh, df, dg).points), inner)
 
 
 def _check_degree_bookkeeping(s: TrialSample):
@@ -600,10 +562,7 @@ def _check_degree_bookkeeping(s: TrialSample):
          dh + df + dg + db - 2),
     )
     for name, got, want in attempts:
-        if got != want:
-            return FailDetail(f"{name} lands in the wrong degree", None,
-                              None, None)
-    return None
+        yield f"{name} lands in the wrong degree", None, got, want
 
 
 def _word_sampler(rng, degrees, cfg):
@@ -626,16 +585,14 @@ def _check_cross_backend(s: TrialSample):
     concrete = s.elements["a"]
     for name, slot in s.extra["word"]:
         if not 0 <= slot < symbolic.degree:
-            return None
+            return
         symbolic = symbolic.compose(fb.generator(name), slot)
         concrete = concrete.compose(s.elements[name], slot)
     assignment = {name: s.elements[name].payload for name, _ in gens}
     image = free.evaluate_hom(symbolic.payload, assignment, ring, dim)
-    if image != concrete.payload:
-        return FailDetail("table substitution commutes with the word",
-                          tuple(tuple(w) for w in s.extra["word"]),
-                          GradedElement(s.ctx.backend, image), concrete)
-    return None
+    yield ("table substitution commutes with the word",
+           tuple(tuple(w) for w in s.extra["word"]),
+           GradedElement(s.ctx.backend, image), concrete)
 
 
 def _vac_h_below(n):
@@ -652,17 +609,22 @@ _LAWS = [
         "Exchanging two compositions when the second factor lands strictly "
         "left of the first costs the product of shifted degrees.",
         "composition exchange relation, left case",
-        ("h", "f", "g"), _check_relation_left, vacuous_when=_vac_h_below(2)),
+        ("h", "f", "g"),
+        _relation(0, "exchange with the second factor left", _left_rhs),
+        vacuous_when=_vac_h_below(2)),
     Law("L03-relation-nested",
         "A composition landing inside the inner factor is the same as "
         "composing the inner factors first.",
         "composition nesting relation",
-        ("h", "f", "g"), _check_relation_nested),
+        ("h", "f", "g"),
+        _relation(1, "sequential nesting", _nested_rhs)),
     Law("L04-relation-right",
         "Exchanging two compositions when the second factor lands strictly "
         "right of the first costs the product of shifted degrees.",
         "composition exchange relation, right case",
-        ("h", "f", "g"), _check_relation_right, vacuous_when=_vac_h_below(2)),
+        ("h", "f", "g"),
+        _relation(2, "exchange with the second factor right", _right_rhs),
+        vacuous_when=_vac_h_below(2)),
     Law("L05-unit-laws",
         "The unit is absorbed from either side and totals to deg(f) copies.",
         "unit absorption",
@@ -840,23 +802,18 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     vacuous = 0
     for trial in range(cfg.trials):
         force = law.force_first if (law.force_first and trial % 2 == 0) else None
-        sample = None
-        attempt_used = 0
         for attempt in range(_RETRIES):
             rng = _trial_rng(law_id, cfg.seed, trial, attempt)
-            candidate = _build_sample(law, cfg, rng, force)
-            if law.vacuous_when and law.vacuous_when(candidate.degrees):
-                continue
-            sample = candidate
-            attempt_used = attempt
-            break
-        if sample is None:
+            sample = _build_sample(law, cfg, rng, force)
+            if not (law.vacuous_when and law.vacuous_when(sample.degrees)):
+                break
+        else:
             vacuous += 1
             continue
         detail = law.checker(sample)
         if detail is not None:
             head = {"law_id": law.law_id,
-                    "seed": [cfg.seed, trial, attempt_used],
+                    "seed": [cfg.seed, trial, attempt],
                     "backend": law.fixed_backend or cfg.backend,
                     "prime": cfg.prime, "dim": cfg.dim,
                     "mutations": sorted(cfg.mutations)}
@@ -971,59 +928,50 @@ def _replace_element(sample: TrialSample, name: str,
     return TrialSample(ctx, elements, degrees, dict(sample.extra))
 
 
+def _candidates(sample: TrialSample):
+    """Smaller samples, in the order shrink tries them: each input but mu
+    lowered by one degree or else by two, then each entry (or term) of each
+    element zeroed."""
+    names = sorted(sample.elements)
+    for name in names:
+        if name == "mu":
+            continue
+        # lowering by two preserves shifted-degree parity, so a sign
+        # sensitive failure can still step down past a parity barrier
+        for steps in (1, 2):
+            el = _lowered(sample.elements[name], steps)
+            if el is not None:
+                yield _replace_element(sample, name, el)
+    for name in names:
+        el = sample.elements[name]
+        size = (np.asarray(el.payload.table).size
+                if isinstance(el.payload, endo.MultilinearMap)
+                else len(el.payload.terms))
+        for idx in range(min(size, _SHRINK_ZERO_CAP)):
+            zeroed = _zeroed(el, idx)
+            if zeroed is not None:
+                yield _replace_element(sample, name, zeroed)
+
+
 def shrink(witness: dict) -> dict:
-    """Greedy witness reduction: lower degrees, then zero out entries.
+    """Greedy witness reduction: take the first smaller sample that still
+    fails, and start over from it until none does.
 
     The result still fails and running shrink on it again is a no-op.
     """
     law = get_law(witness["law_id"])
     if law.element_free:
         return dict(witness)
-    current_sample = _rebuild_sample(witness)
-    detail = _still_fails(law, current_sample)
+    sample = _rebuild_sample(witness)
+    detail = _still_fails(law, sample)
     if detail is None:
         return dict(witness)
-    current = _witness(witness, current_sample, detail)
-    improved = True
-    while improved:
-        improved = False
-        names = sorted(current_sample.elements)
-        for name in names:
-            if name == "mu":
-                continue
-            # lowering by two preserves shifted-degree parity, so a sign
-            # sensitive failure can still step down past a parity barrier
-            for steps in (1, 2):
-                cand_el = _lowered(current_sample.elements[name], steps)
-                if cand_el is None:
-                    continue
-                cand = _replace_element(current_sample, name, cand_el)
-                got = _still_fails(law, cand)
-                if got is not None:
-                    current_sample = cand
-                    current = _witness(current, cand, got)
-                    improved = True
-                    break
-            if improved:
+    current = _witness(witness, sample, detail)
+    while True:
+        for cand in _candidates(sample):
+            detail = _still_fails(law, cand)
+            if detail is not None:
+                sample, current = cand, _witness(current, cand, detail)
                 break
-        if improved:
-            continue
-        for name in names:
-            el = current_sample.elements[name]
-            size = (np.asarray(el.payload.table).size
-                    if isinstance(el.payload, endo.MultilinearMap)
-                    else len(el.payload.terms))
-            for idx in range(min(size, _SHRINK_ZERO_CAP)):
-                cand_el = _zeroed(el, idx)
-                if cand_el is None:
-                    continue
-                cand = _replace_element(current_sample, name, cand_el)
-                got = _still_fails(law, cand)
-                if got is not None:
-                    current_sample = cand
-                    current = _witness(current, cand, got)
-                    improved = True
-                    break
-            if improved:
-                break
-    return current
+        else:
+            return current

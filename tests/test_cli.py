@@ -236,6 +236,27 @@ def test_verify_config_unknown_key_is_error(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("settings", [
+    {"dim": "2"},
+    {"trials": 1.5},
+    {"seed": True},
+    {"prime": None},
+    {"mutations": "cup-sign-flip"},
+    {"mutations": None},
+])
+def test_verify_config_value_of_the_wrong_type_is_error(capsys, tmp_path,
+                                                       settings):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(settings))
+    code, out, err = run(capsys, [
+        "verify", "--law", "L05-unit-laws", "--config", str(config_path)])
+    assert code == 2
+    assert not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert next(iter(settings)) in lines[0]
+
+
 def test_verify_missing_config_file(capsys, tmp_path):
     code, _, err = run(capsys, [
         "verify", "--config", str(tmp_path / "absent.json")])
@@ -267,6 +288,21 @@ def test_eval_endo_script(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data == {"backend": "endo", "degree": 2, "payload": [91]}
+
+
+@pytest.mark.parametrize("entry,reduced", [
+    ("100000000000000000000000000000", 57),
+    ("-9223372036854775809", 17),
+    ("9223372036854775808", 79),
+])
+def test_eval_literal_outside_int64_is_reduced_exactly(capsys, tmp_path,
+                                                       entry, reduced):
+    path = tmp_path / "big.txt"
+    path.write_text(f"let mu: deg 2 = [1, 0, 0, 0, 0, 0, 0, 1];\n"
+                    f"let f: deg 1 = [{entry}, 1, 2, 3];\nf\n")
+    code, out, err = run(capsys, ["eval", "--script", str(path), "--dim", "2"])
+    assert code == 0, err
+    assert json.loads(out)["payload"] == [reduced, 1, 2, 3]
 
 
 def test_eval_free_script(capsys, tmp_path):

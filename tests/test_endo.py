@@ -374,6 +374,20 @@ def test_payload_round_trip():
         assert map_from_payload(map_to_payload(f)) == f
 
 
+@pytest.mark.parametrize("entry", [10**29, -2**63 - 1, 2**63, 2**64])
+def test_entries_outside_int64_reduce_exactly(entry):
+    # numpy would store these as object, uint64 or float64; each must be
+    # reduced as the exact integer, in a table and through a payload
+    want = [entry % 97, 96, 2, 3]
+    f = make_map(F97, 2, 1, [entry, -1, 2, 3])
+    assert f.table.reshape(-1).tolist() == want
+    payload = map_to_payload(make_map(F97, 2, 1, [1, 1, 2, 3]))
+    payload["entries"] = [entry, -1, 2, 3]
+    assert map_from_payload(payload) == f
+    exact = make_map(ZZ, 2, 1, [entry, -1, 2, 3])
+    assert exact.table.reshape(-1).tolist() == [entry, -1, 2, 3]
+
+
 def test_tables_are_read_only():
     f = random_map(F97, 2, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):

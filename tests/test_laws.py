@@ -2,9 +2,19 @@ import jsonschema
 import pytest
 
 from preoperad import laws
+from preoperad.backends import EndoBackend, GradedElement
 from preoperad.calculus import KNOWN_MUTATIONS
+from preoperad.endo import make_map
 from preoperad.errors import BadConfig, ShapeMismatch, TableTooLarge, UnknownLaw
 from preoperad.laws import REPORT_SCHEMA, SUITE_SCHEMA, TrialConfig
+from preoperad.rings import CoefficientRing
+
+_F97_LINE = EndoBackend(CoefficientRing.prime_field(97), 1)
+ONE, TWO = (GradedElement(_F97_LINE, make_map(_F97_LINE.ring, 1, 1, [c]))
+            for c in (1, 2))
+ZERO = _F97_LINE.zero(1)
+# stands for a claim that must never be drawn
+UNREACHED = object()
 
 QUICK = TrialConfig(backend="endo", prime=97, dim=1, trials=10, seed=0)
 
@@ -245,3 +255,41 @@ def test_suite_rejects_backend_mismatched_subset():
     with pytest.raises(BadConfig):
         laws.run_suite(TrialConfig(backend="free", trials=2),
                        ["L12-delta-squared"])
+
+
+@pytest.mark.parametrize("claims,want", [
+    # the first failing claim wins and nothing after it is drawn
+    ([("holds", None, ONE, ONE), ("fails", (0,), ONE, TWO),
+      ("fails later", (1,), TWO, ONE), UNREACHED],
+     ("fails", [0], ONE, TWO)),
+    # rhs None claims that lhs is zero; the witness keeps rhs null
+    ([("zero", None, ZERO, None), ("not zero", (2, 3), TWO, None), UNREACHED],
+     ("not zero", [2, 3], TWO, None)),
+    # sides that are not elements are compared, then stored as null
+    ([("same sets", None, {(0, 1)}, {(0, 1)}), ("degrees", None, 3, 4),
+      UNREACHED],
+     ("degrees", None, None, None)),
+    ([("point sets", None, {(0, 1)}, {(1, 0)}), UNREACHED],
+     ("point sets", None, None, None)),
+    ([("holds", None, ONE, ONE), ("zero", None, ZERO, None)], None),
+])
+def test_first_failing_claim_is_the_witness(claims, want):
+    def stream(sample):
+        for claim in claims:
+            if claim is UNREACHED:
+                raise AssertionError("a claim after the failure was drawn")
+            yield claim
+
+    law = laws.Law("L00-hand-made", "hand-made claims", "claim loop",
+                   ("f",), stream)
+    sample = laws.TrialSample(None, {}, {"f": 1}, {})
+    detail = law.checker(sample)
+    if want is None:
+        assert detail is None
+        return
+    witness = laws._witness({"law_id": law.law_id}, sample, detail)
+    identity, point, lhs, rhs = want
+    assert witness["identity"] == identity
+    assert witness["domain_point"] == point
+    assert witness["lhs"] == (lhs.serialize() if lhs is not None else None)
+    assert witness["rhs"] == (rhs.serialize() if rhs is not None else None)
