@@ -138,6 +138,20 @@ class GradedElement:
     def is_zero(self) -> bool:
         return self.payload.is_zero()
 
+    def differs(self, other: "GradedElement | None" = None):
+        """Whether each row differs from other (from zero when other is
+        None): a bool array over the rows of a stacked table, one bool
+        otherwise."""
+        if other is None:
+            return self.payload.differs()
+        if self.backend is not other.backend and self.backend != other.backend:
+            return True
+        return self.payload.differs(other.payload)
+
+    def row(self, r: int) -> "GradedElement":
+        """Row r of a stacked element; a single element is every row."""
+        return GradedElement(self.backend, self.payload.row(r))
+
     def serialize(self) -> dict:
         return self.backend.serialize(self.payload)
 

@@ -16,6 +16,7 @@ tetrabraces over the ground tetrahedron of (h, f, g).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .backends import GradedElement, region_sum, signed_sum
@@ -44,7 +45,7 @@ class PreOperadContext:
         if self.mu.degree != 2:
             raise DegreeMismatch(f"mu needs degree 2, got {self.mu.degree}")
 
-    @property
+    @cached_property
     def unit(self) -> GradedElement:
         return self.backend.unit()
 

@@ -3,8 +3,12 @@
 A degree-n element is a map (R^d)^n -> R^d stored as a coefficient table of
 shape (d,) * (n + 1), axis 0 the output index, axis 1 + t the t-th input
 (row-major flat layout, output index slowest). Degree 0 elements are plain
-vectors. Throughout, |f| denotes the shifted degree deg(f) - 1; it drives
-every sign below.
+vectors. A stacked map carries one more, leading, axis: row r of a table of
+shape (B, d, ..., d) is the r-th of B maps of the same degree, so that the
+trials of a law that share their degrees run through the calculus as one
+batch. Composition and signed sums work row by row, and a single map serves
+every row of a stacked one. Throughout, |f| denotes the shifted degree
+deg(f) - 1; it drives every sign below.
 
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
@@ -17,6 +21,7 @@ absorbed with sign +1 from either side.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +61,17 @@ class MultilinearMap:
     def shifted_degree(self) -> int:
         return self.degree - 1
 
+    @property
+    def batch(self) -> int | None:
+        """The number of rows of a stacked map, None for a single map."""
+        return self.table.shape[0] if self.table.ndim > self.degree + 1 else None
+
+    def row(self, r: int) -> MultilinearMap:
+        """Row r of a stacked map as a single map; a single map is every row."""
+        if self.batch is None:
+            return self
+        return MultilinearMap(self.ring, self.dim, self.degree, self.table[r])
+
     def entry(self, out_index: int, *in_indices: int) -> int:
         return int(self.table[(out_index, *in_indices)])
 
@@ -76,6 +92,21 @@ class MultilinearMap:
     def is_zero(self) -> bool:
         return not np.any(self.table)
 
+    def differs(self, other: MultilinearMap | None = None):
+        """Whether each row differs from other (from zero when other is None):
+        a bool array over the rows when either map is stacked, one bool
+        otherwise. Maps of another ring, dimension or degree differ."""
+        if other is None:
+            diff = self.table != 0
+        elif (self.degree != other.degree or self.dim != other.dim
+              or (self.ring is not other.ring and self.ring != other.ring)):
+            return True
+        else:
+            diff = self.table != other.table
+        if diff.ndim > self.degree + 1:  # stacked
+            return diff.reshape(len(diff), -1).any(axis=1)
+        return bool(diff.any())
+
 
 def check_int64(ring: CoefficientRing, dim: int):
     """Refuse F_p tables of dimension dim that int64 cannot hold exactly.
@@ -89,13 +120,15 @@ def check_int64(ring: CoefficientRing, dim: int):
             f"(need dim * p^2 < 2^63)")
 
 
-def check_entries(dim: int, degree: int):
-    """Refuse a degree-n table over R^dim, before allocating it, when its
-    dim^(n + 1) entries exceed MAX_ENTRIES."""
-    if dim ** (degree + 1) > MAX_ENTRIES:
+def check_entries(dim: int, degree: int, rows: int = 1):
+    """Refuse rows stacked degree-n tables over R^dim, before allocating
+    them, when their rows * dim^(n + 1) entries exceed MAX_ENTRIES."""
+    if rows * dim ** (degree + 1) > MAX_ENTRIES:
+        what = (f"{rows} stacked degree {degree} tables over dimension {dim} "
+                f"have {rows} * " if rows > 1 else
+                f"a degree {degree} table over dimension {dim} has ")
         raise TableTooLarge(
-            f"a degree {degree} table over dimension {dim} has "
-            f"{dim}^{degree + 1} entries, more than the cap of 2^26")
+            f"{what}{dim}^{degree + 1} entries, more than the cap of 2^26")
 
 
 def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
@@ -110,22 +143,33 @@ def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _integer_entries(entries) -> np.ndarray:
+    """entries as a flat integer array; object dtype (exact Python ints)
+    when some lie outside int64. An entry that is not an integer, such as a
+    float, a string or a bool, is refused rather than rounded or parsed."""
+    if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
+        return entries
+    values = list(np.ravel(entries) if isinstance(entries, np.ndarray) else entries)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ShapeMismatch(f"table entries must be integers, got {v!r}")
+    flat = np.asarray(values)
+    if flat.dtype.kind != "i":
+        # numpy holds ints past int64 as uint64, float64 or object, which
+        # the int64 cast would wrap or round; Python ints stay exact
+        flat = np.array([int(v) for v in values], dtype=object)
+    return flat
+
+
 def make_map(ring: CoefficientRing, dim: int, degree: int, entries) -> MultilinearMap:
-    """Build a map from flat entries, length dim^(degree + 1), row-major."""
+    """Build a map from flat integer entries, length dim^(degree + 1),
+    row-major."""
     if dim < 1:
         raise ShapeMismatch(f"dimension must be >= 1, got {dim}")
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
     check_entries(dim, degree)
-    if isinstance(entries, np.ndarray):
-        flat = entries
-    else:
-        entries = list(entries)
-        flat = np.asarray(entries)
-        if flat.dtype.kind in "uf":
-            # numpy holds ints past int64 as uint64 or float64, which the
-            # int64 cast would wrap or round; Python ints stay exact
-            flat = np.array(entries, dtype=object)
+    flat = _integer_entries(entries)
     want = dim ** (degree + 1)
     if flat.size != want:
         raise ShapeMismatch(
@@ -150,6 +194,25 @@ def unit_map(ring: CoefficientRing, dim: int) -> MultilinearMap:
     return MultilinearMap(ring, dim, 1, table)
 
 
+def stack_rows(maps) -> MultilinearMap:
+    """Single maps of one ring, dimension and degree as the rows of one
+    stacked map, in order. One map given for every row stays single: it
+    serves every row."""
+    first, *rest = maps
+    if all(m is first for m in rest):
+        return first
+    for m in maps:
+        _check_pair(first, m)
+        if m.degree != first.degree:
+            raise DegreeMismatch(f"degree {m.degree} vs {first.degree}")
+        if m.batch is not None:
+            raise ShapeMismatch("only single maps can be stacked")
+    check_entries(first.dim, first.degree, len(maps))
+    table = np.stack([m.table for m in maps])
+    table.setflags(write=False)
+    return MultilinearMap(first.ring, first.dim, first.degree, table)
+
+
 def _check_pair(f: MultilinearMap, g: MultilinearMap):
     if f.ring is not g.ring and f.ring != g.ring:
         raise RingMismatch(f"{f.ring.label()} vs {g.ring.label()}")
@@ -164,7 +227,8 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
     With f's table viewed as (d^(i+1), d, d^(|f|-i)) and g's as (d, d^n),
     the broadcast product G^T @ F has shape (d^(i+1), d^n, d^(|f|-i)):
     output, inputs before slot i, g's inputs, inputs after slot i, which is
-    already the result's axis order. The sign goes into g's table, and the
+    already the result's axis order. Stacked operands keep their row axis
+    in front and pair row with row. The sign goes into g's table, and the
     product is reduced once.
     """
     _check_pair(f, g)
@@ -175,16 +239,25 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
             f"slot {i} outside 0..{f.shifted_degree} for degree {f.degree}"
         )
     ring, d, m, n = f.ring, f.dim, f.degree, g.degree
+    ft, gt = f.table, g.table
     check_int64(ring, d)
-    check_entries(d, m + n - 1)
-    g_t = g.table.reshape(d, d ** n).T
+    # a single map, or a stack of one, serves every row of the other
+    check_entries(d, m + n - 1, max(f.batch or 1, g.batch or 1))
+    g_t = gt.reshape(gt.shape[:-n - 1] + (d, d ** n)).swapaxes(-1, -2)
+    if g_t.ndim == 3:
+        g_t = g_t[:, None]  # one G^T per row, broadcast over f's outputs
     if sign < 0:
         g_t = -g_t
-    raw = g_t @ f.table.reshape(d ** (i + 1), d, d ** (m - 1 - i))
+    try:
+        raw = g_t @ ft.reshape(ft.shape[:-m - 1] + (d ** (i + 1), d, d ** (m - 1 - i)))
+    except ValueError:
+        raise ShapeMismatch(f"stacked maps of {ft.shape[0]} and {gt.shape[0]} "
+                            f"rows") from None
     if ring.is_field:
         np.remainder(raw, ring.modulus, out=raw)
     raw.setflags(write=False)
-    return MultilinearMap(ring, d, m + n - 1, raw.reshape((d,) * (m + n)))
+    return MultilinearMap(ring, d, m + n - 1,
+                          raw.reshape(raw.shape[:-3] + (d,) * (m + n)))
 
 
 def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
@@ -198,9 +271,10 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
 
     The first nonzero term is copied into one writable buffer and later
     terms are added into it in place; no term is kept and no input table is
-    written. Over F_p coefficients are taken in (-p/2, p/2], the buffer is
-    reduced once at the end, and earlier whenever the bound on its entries
-    would reach 2^63.
+    written. The buffer takes rows when a stacked term arrives, and a single
+    term adds to every row. Over F_p coefficients are taken in (-p/2, p/2],
+    the buffer is reduced once at the end, and earlier whenever the bound on
+    its entries would reach 2^63.
     """
     p = ring.modulus
     acc = None
@@ -226,7 +300,16 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
             continue
         if acc is None:
             acc = m.table.copy() if c == 1 else m.table * c
-        elif c == 1:
+            continue
+        if m.table.shape != acc.shape:
+            try:
+                shape = np.broadcast_shapes(acc.shape, m.table.shape)
+            except ValueError:
+                raise ShapeMismatch(f"stacked maps of shapes {acc.shape} "
+                                    f"and {m.table.shape}") from None
+            if shape != acc.shape:
+                acc = np.broadcast_to(acc, shape).copy()
+        if c == 1:
             acc += m.table
         elif c == -1:
             acc -= m.table
@@ -266,6 +349,8 @@ def random_map(ring: CoefficientRing, dim: int, degree: int, rng) -> Multilinear
 def evaluate(f: MultilinearMap, inputs) -> MultilinearMap:
     """Apply f to degree-0 vectors; the result is a degree-0 vector."""
     inputs = list(inputs)
+    if f.batch is not None or any(v.batch is not None for v in inputs):
+        raise ShapeMismatch("evaluate a stacked map row by row")
     if len(inputs) != f.degree:
         raise ArityMismatch(f"degree {f.degree} map applied to {len(inputs)} inputs")
     acc = np.asarray(f.table)
@@ -281,6 +366,9 @@ def evaluate(f: MultilinearMap, inputs) -> MultilinearMap:
 
 
 def map_to_payload(f: MultilinearMap) -> dict:
+    """A single map as JSON data; serialize a stacked map row by row."""
+    if f.batch is not None:
+        raise ShapeMismatch("a stacked map has no payload; serialize its rows")
     return {
         "ring": f.ring.to_payload(),
         "dim": f.dim,

@@ -104,6 +104,13 @@ class FreeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def differs(self, other: FreeElement | None = None) -> bool:
+        return bool(self.terms) if other is None else self != other
+
+    def row(self, r: int) -> FreeElement:
+        """Tree sums are never stacked, so an element is each of its rows."""
+        return self
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeElement):
             return NotImplemented

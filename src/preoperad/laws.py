@@ -5,6 +5,12 @@ elements from per-trial RNG streams, runs the law's checker, and collects
 serialized failure witnesses. Identical (law, config) pairs produce identical
 reports apart from the timing field. A witness can be replayed and shrunk.
 
+Batches: the dense trials of a law that drew the same degrees (and the same
+extra data) are stacked into one sample whose tables carry a leading row
+axis, and the checker runs once on it; every row gets its own verdict, and
+each failure is written from its own trial's sample. A symbolic trial, a
+replay and a shrink step are batches of one.
+
 Vacuity: a trial whose index domains are empty on both sides of the identity
 proves nothing; such draws are retried a few times and then counted in the
 report. A law with fewer than half of its trials non-vacuous is flagged
@@ -118,10 +124,13 @@ class TrialConfig:
 
 @dataclass
 class TrialSample:
+    """Inputs of one trial, or of rows trials stacked row by row."""
+
     ctx: PreOperadContext | None
     elements: dict
     degrees: dict
     extra: dict
+    rows: int = 1
 
 
 @dataclass
@@ -132,22 +141,34 @@ class FailDetail:
     rhs: GradedElement | None
 
 
-def _first_failure(claims, sample: TrialSample) -> FailDetail | None:
-    """The first claim (identity, point, lhs, rhs) drawn from claims(sample)
-    whose sides differ, or None; nothing after it is built. rhs None claims
-    that lhs is zero. A side that is not an element (a point set, a degree)
-    is compared but not kept in the witness."""
+def _first_failure(claims, sample: TrialSample) -> list:
+    """For each row of sample, the first claim (identity, point, lhs, rhs)
+    drawn from claims(sample) whose sides differ in that row, or None.
+    Claims are drawn until every row has failed or none is left. rhs None
+    claims that lhs is zero. A side that is not an element (a point set, a
+    degree) is the same in every row; it is compared but not kept in the
+    witness. Element sides are kept as the failing row."""
+    details = [None] * sample.rows
+    waiting = sample.rows
     for identity, point, lhs, rhs in claims(sample):
-        holds = lhs.is_zero() if rhs is None else lhs == rhs
-        if not holds:
-            lhs, rhs = (x if isinstance(x, GradedElement) else None for x in (lhs, rhs))
-            return FailDetail(identity, point, lhs, rhs)
-    return None
+        bad = lhs.differs(rhs) if isinstance(lhs, GradedElement) else lhs != rhs
+        if not np.any(bad):
+            continue
+        for r in np.flatnonzero(np.broadcast_to(bad, sample.rows)):
+            if details[r] is None:
+                details[r] = FailDetail(identity, point, *(
+                    x.row(r) if isinstance(x, GradedElement) else None
+                    for x in (lhs, rhs)))
+                waiting -= 1
+        if not waiting:
+            break
+    return details
 
 
 @dataclass(frozen=True)
 class Law:
-    """A named identity: checker(sample) is the first of claims(sample) that fails."""
+    """A named identity: checker(sample) lists, per row of sample, the first
+    of claims(sample) that fails there, or None."""
 
     law_id: str
     description: str
@@ -265,31 +286,36 @@ def _fixture_mu(ring: CoefficientRing, dim: int) -> endo.MultilinearMap:
     return endo.componentwise_product(ring, dim)
 
 
-def _build_sample(law: Law, cfg: TrialConfig, rng, force_first) -> TrialSample:
-    degrees = _sample_degrees(rng, law.slots, cfg, force_first)
-    if law.element_free:
-        extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
-        return TrialSample(None, {}, degrees, extra)
+def _sampler(law: Law, cfg: TrialConfig):
+    """draw(rng, force_first), which draws one trial's TrialSample. The
+    ring, the dense backend and a fixture product are built once, here, and
+    shared by every sample drawn."""
     ring = CoefficientRing.prime_field(cfg.prime)
     muts = frozenset(cfg.mutations)
-    backend_kind = law.fixed_backend or cfg.backend
-    if backend_kind == "endo":
-        be = EndoBackend(ring, cfg.dim, muts)
-        elements = {name: be.random(degrees[name], rng) for name in law.slots}
-        if law.fixture_mu:
-            mu = GradedElement(be, _fixture_mu(ring, cfg.dim))
+    dense = EndoBackend(ring, cfg.dim, muts)
+    fixture = GradedElement(dense, _fixture_mu(ring, cfg.dim)) if law.fixture_mu else None
+
+    def draw(rng, force_first) -> TrialSample:
+        degrees = _sample_degrees(rng, law.slots, cfg, force_first)
+        if law.element_free:
+            extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
+            return TrialSample(None, {}, degrees, extra)
+        if (law.fixed_backend or cfg.backend) == "endo":
+            be = dense
+            elements = {name: be.random(degrees[name], rng) for name in law.slots}
+            mu = fixture if fixture is not None else be.random(2, rng)
         else:
-            mu = be.random(2, rng)
-    else:
-        gens = tuple((name, degrees[name]) for name in law.slots) + (("mu", 2),)
-        be = FreeBackend(ring, free.Signature(gens), muts)
-        elements = {name: ring.sample_nonzero(rng) * be.generator(name)
-                    for name in law.slots}
-        mu = be.generator("mu")
-    elements["mu"] = mu
-    ctx = PreOperadContext(be, mu)
-    extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
-    return TrialSample(ctx, elements, degrees, extra)
+            gens = tuple((name, degrees[name]) for name in law.slots) + (("mu", 2),)
+            be = FreeBackend(ring, free.Signature(gens), muts)
+            elements = {name: ring.sample_nonzero(rng) * be.generator(name)
+                        for name in law.slots}
+            mu = be.generator("mu")
+        elements["mu"] = mu
+        ctx = PreOperadContext(be, mu)
+        extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
+        return TrialSample(ctx, elements, degrees, extra)
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +610,6 @@ def _check_cross_backend(s: TrialSample):
     symbolic = fb.generator("a")
     concrete = s.elements["a"]
     for name, slot in s.extra["word"]:
-        if not 0 <= slot < symbolic.degree:
-            return
         symbolic = symbolic.compose(fb.generator(name), slot)
         concrete = concrete.compose(s.elements[name], slot)
     assignment = {name: s.elements[name].payload for name, _ in gens}
@@ -783,8 +807,37 @@ def _witness(head: dict, sample: TrialSample, detail: FailDetail) -> dict:
     }
 
 
+def _batch_key(trial: int, sample: TrialSample):
+    """Samples with equal keys run as one batch: dense and element-free
+    samples by their degrees and extra data; a symbolic sample alone."""
+    if sample.ctx is not None and sample.ctx.backend.kind == "free":
+        return trial
+    return repr((sample.degrees, sample.extra))
+
+
+def _stack(samples) -> TrialSample:
+    """One sample whose rows are samples, in order; they share degrees and
+    extra data. A lone sample is its own batch of one."""
+    first = samples[0]
+    if len(samples) == 1:
+        return first
+    if first.ctx is None:
+        return replace(first, rows=len(samples))
+    backend = first.ctx.backend
+    elements = {name: GradedElement(backend, endo.stack_rows(
+                    [s.elements[name].payload for s in samples]))
+                for name in first.elements}
+    return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
+                       first.degrees, first.extra, len(samples))
+
+
 def run_law(law_id: str, cfg: TrialConfig) -> Report:
     """Run one law over cfg.trials seeded trials.
+
+    Every trial is drawn first, in order; the non-vacuous ones are then
+    checked in batches of equal batch key, each small enough that its rows
+    of the largest table the degree budget allows stay under the entry
+    cap. Failures are reported in trial order.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
     can tell a sign from its flip (the cup-sign-flip canary passes).
@@ -798,26 +851,36 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
                         f"{len(law.slots)} inputs under the degree budget "
                         f"{cfg.degree_budget}")
     start = time.perf_counter()
-    failures = []
+    draw = _sampler(law, cfg)
+    batches = {}
     vacuous = 0
     for trial in range(cfg.trials):
         force = law.force_first if (law.force_first and trial % 2 == 0) else None
         for attempt in range(_RETRIES):
             rng = _trial_rng(law_id, cfg.seed, trial, attempt)
-            sample = _build_sample(law, cfg, rng, force)
+            sample = draw(rng, force)
             if not (law.vacuous_when and law.vacuous_when(sample.degrees)):
                 break
         else:
             vacuous += 1
             continue
-        detail = law.checker(sample)
-        if detail is not None:
-            head = {"law_id": law.law_id,
-                    "seed": [cfg.seed, trial, attempt],
-                    "backend": law.fixed_backend or cfg.backend,
-                    "prime": cfg.prime, "dim": cfg.dim,
-                    "mutations": sorted(cfg.mutations)}
-            failures.append(_witness(head, sample, detail))
+        batches.setdefault(_batch_key(trial, sample), []).append(
+            (trial, attempt, sample))
+    most = max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
+    failed = {}  # trial -> witness
+    for group in batches.values():
+        for lo in range(0, len(group), most):
+            batch = group[lo:lo + most]
+            details = law.checker(_stack([sample for _, _, sample in batch]))
+            for (trial, attempt, sample), detail in zip(batch, details):
+                if detail is not None:
+                    head = {"law_id": law.law_id,
+                            "seed": [cfg.seed, trial, attempt],
+                            "backend": law.fixed_backend or cfg.backend,
+                            "prime": cfg.prime, "dim": cfg.dim,
+                            "mutations": sorted(cfg.mutations)}
+                    failed[trial] = _witness(head, sample, detail)
+    failures = [failed[trial] for trial in sorted(failed)]
     millis = int(round((time.perf_counter() - start) * 1000))
     non_vacuous = cfg.trials - vacuous
     return Report(
@@ -878,7 +941,7 @@ def replay(witness: dict) -> FailDetail | None:
     """Re-run the failed check on the stored elements."""
     law = get_law(witness["law_id"])
     sample = _rebuild_sample(witness)
-    return law.checker(sample)
+    return law.checker(sample)[0]
 
 
 def _lowered(el: GradedElement, steps: int = 1) -> GradedElement | None:
@@ -911,7 +974,7 @@ def _zeroed(el: GradedElement, flat_index: int) -> GradedElement | None:
 
 def _still_fails(law: Law, sample: TrialSample) -> FailDetail | None:
     try:
-        return law.checker(sample)
+        return law.checker(sample)[0]
     except PreOperadError:
         return None
 

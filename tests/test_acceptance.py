@@ -145,7 +145,7 @@ def test_symbolic_words_map_to_tables():
               trials=200, seed=606)
     for trial in range(0, 200, 50):
         rng = laws._trial_rng(law.law_id, cfg.seed, trial, 0)
-        sample = laws._build_sample(law, cfg, rng, None)
+        sample = laws._sampler(law, cfg)(rng, None)
         assert 1 <= len(sample.extra["word"]) <= 3
     assert time.perf_counter() - start < 60.0
 

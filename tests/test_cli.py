@@ -115,6 +115,21 @@ def test_free_canary_report_matches_golden(capsys, tmp_path):
     assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
 
 
+def test_endo_canary_report_matches_golden(capsys, tmp_path):
+    # recorded one trial at a time: 12 witnesses that fall into 9 degree
+    # tuples, so batched trials must keep every witness, its order and its
+    # lhs and rhs tables
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, [
+        "verify", "--law", "L06-cup-product", "--backend", "endo",
+        "--mutate", "cup-sign-flip", "--seed", "7", "--trials", "12",
+        "--dim", "2", "--report", str(report_path)])
+    assert code == 1
+    golden = json.loads((GOLDEN / "l06_endo_cup_sign_flip_seed7.json").read_text())
+    assert len(golden["laws"][0]["failures"]) == 12
+    assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
+
+
 @pytest.mark.parametrize("prime, dim", [("2147483647", "3"), ("4294967311", "2")])
 def test_verify_refuses_primes_that_overflow_int64(capsys, prime, dim):
     code, out, err = run(capsys, [

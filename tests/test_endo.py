@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +24,7 @@ from preoperad.endo import (
     partial_compose,
     random_map,
     signed_sum,
+    stack_rows,
     substitute,
     unit_map,
     zero_map,
@@ -307,6 +314,12 @@ def test_tables_above_the_entry_cap_are_refused_before_allocation():
     for dim, degree in [(2, 26), (3, 16), (9000, 2), (2, 62)]:
         with pytest.raises(TableTooLarge):
             check_entries(dim, degree)
+    # a stacked table counts its rows
+    check_entries(2, 24, 2)
+    check_entries(6, 9, 1)
+    for dim, degree, rows in [(2, 24, 4), (6, 9, 2)]:
+        with pytest.raises(TableTooLarge, match=f"{rows} stacked degree {degree}"):
+            check_entries(dim, degree, rows)
     rng = np.random.default_rng(0)
     with pytest.raises(TableTooLarge):
         zero_map(F97, 2, 26)
@@ -386,6 +399,126 @@ def test_entries_outside_int64_reduce_exactly(entry):
     assert map_from_payload(payload) == f
     exact = make_map(ZZ, 2, 1, [entry, -1, 2, 3])
     assert exact.table.reshape(-1).tolist() == [entry, -1, 2, 3]
+
+
+@pytest.mark.parametrize("entry", [1.5, 7.0, "7", True, np.float64(3),
+                                   np.bool_(True), None])
+def test_non_integer_entries_are_refused(entry):
+    # a float, a string or a bool used to be rounded, parsed or read as 0/1
+    with pytest.raises(ShapeMismatch):
+        make_map(F97, 2, 1, [entry, 2, 3, 4])
+    with pytest.raises(ShapeMismatch):
+        make_map(F97, 2, 1, np.array([entry, 2, 3, 4], dtype=object))
+    payload = map_to_payload(make_map(F97, 2, 1, [1, 2, 3, 4]))
+    payload["entries"][0] = entry
+    with pytest.raises(ShapeMismatch):
+        map_from_payload(payload)
+    with pytest.raises(ShapeMismatch):
+        make_map(F97, 2, 1, np.array([1.5, 2, 3, 4]))
+
+
+def test_integer_entries_of_any_kind_are_accepted():
+    want = make_map(F97, 2, 1, [1, 2, 3, 4])
+    assert make_map(F97, 2, 1, [np.int64(1), np.uint8(2), 3, 4]) == want
+    assert make_map(F97, 2, 1, np.array([1, 2, 3, 4], dtype=np.uint16)) == want
+    assert map_from_payload(map_to_payload(want)) == want
+
+
+def _stacked(ring, dim, degree, rows, rng):
+    singles = [random_map(ring, dim, degree, rng) for _ in range(rows)]
+    return singles, stack_rows(singles)
+
+
+def test_stacked_maps_compose_and_sum_row_by_row():
+    rng = np.random.default_rng(11)
+    for m, n in [(1, 1), (2, 3), (4, 0), (3, 2)]:
+        fs, f = _stacked(F97, 2, m, 3, rng)
+        gs, g = _stacked(F97, 2, n, 3, rng)
+        one = random_map(F97, 2, n, rng)
+        assert f.batch == 3 and f.table.shape == (3,) + (2,) * (m + 1)
+        assert fs[0].batch is None and f.row(1) == fs[1]
+        for i in range(m):
+            got = partial_compose(f, g, i)
+            assert got.batch == 3 and not got.table.flags.writeable
+            for r in range(3):
+                assert got.row(r) == partial_compose(fs[r], gs[r], i)
+            # a single map serves every row, on either side
+            assert partial_compose(f, one, i).row(2) == partial_compose(fs[2], one, i)
+        for j in range(n):
+            assert partial_compose(one, f, j).row(0) == partial_compose(one, fs[0], j)
+        h = random_map(F97, 2, m, rng)
+        total = signed_sum(F97, 2, m, [(2, h), (-1, f), (5, fs[0])])
+        for r in range(3):
+            assert total.row(r) == linear_combine([2, -1, 5], [h, fs[r], fs[0]])
+        assert map_to_payload(total.row(1)) == map_to_payload(
+            linear_combine([2, -1, 5], [h, fs[1], fs[0]]))
+
+
+def test_stacked_maps_compare_row_by_row():
+    rng = np.random.default_rng(12)
+    fs, f = _stacked(F97, 2, 2, 3, rng)
+    g = stack_rows([fs[0], fs[1], zero_map(F97, 2, 2)])
+    assert f.differs(g).tolist() == [False, False, True]
+    assert g.differs().tolist() == [True, True, False]
+    assert f.differs(fs[1]).tolist() == [True, False, True]
+    assert fs[0].differs(fs[0]) is False and fs[0].differs() is True
+    assert f.differs(random_map(F97, 2, 3, rng)) is True
+    exact = stack_rows([make_map(ZZ, 1, 1, [c]) for c in (0, -5, 2**70)])
+    assert exact.differs().tolist() == [False, True, True]
+    # one map given for every row stays single
+    assert stack_rows([fs[0]] * 4) is fs[0]
+    with pytest.raises(ShapeMismatch):
+        map_to_payload(f)
+    vector = random_map(F97, 2, 0, rng)
+    with pytest.raises(ShapeMismatch):
+        evaluate(f, [vector, vector])
+    with pytest.raises(ShapeMismatch):
+        evaluate(fs[0], [vector, stack_rows([vector, random_map(F97, 2, 0, rng)])])
+
+
+def test_stacked_maps_must_agree_on_their_rows():
+    rng = np.random.default_rng(13)
+    _, f = _stacked(F97, 2, 2, 3, rng)
+    _, g = _stacked(F97, 2, 2, 2, rng)
+    with pytest.raises(ShapeMismatch):
+        partial_compose(f, g, 0)
+    with pytest.raises(ShapeMismatch):
+        signed_sum(F97, 2, 2, [(1, f), (1, g)])
+    with pytest.raises(ShapeMismatch):
+        stack_rows([f.row(0), f])
+    with pytest.raises(DegreeMismatch):
+        stack_rows([f.row(0), random_map(F97, 2, 3, rng)])
+    with pytest.raises(RingMismatch):
+        stack_rows([f.row(0), random_map(F101, 2, 2, rng)])
+
+
+def test_a_stacked_composition_above_the_cap_is_refused_before_allocation():
+    # 16 rows of 2^26 entries each would be 8 GB; the child's address space
+    # is capped at 4 GB, so an allocation would fail as MemoryError there
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+        from preoperad.endo import partial_compose, random_map, stack_rows
+        from preoperad.errors import TableTooLarge
+        from preoperad.rings import CoefficientRing
+        ring = CoefficientRing.prime_field(97)
+        rng = np.random.default_rng(0)
+        f = stack_rows([random_map(ring, 2, 13, rng) for _ in range(16)])
+        partial_compose(f.row(0), f.row(1), 0)  # one row alone fits
+        try:
+            partial_compose(f, f, 0)
+        except TableTooLarge as exc:
+            print("refused:", exc)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: 16 stacked degree 25 tables")
 
 
 def test_tables_are_read_only():

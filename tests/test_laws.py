@@ -4,8 +4,14 @@ import pytest
 from preoperad import laws
 from preoperad.backends import EndoBackend, GradedElement
 from preoperad.calculus import KNOWN_MUTATIONS
-from preoperad.endo import make_map
-from preoperad.errors import BadConfig, ShapeMismatch, TableTooLarge, UnknownLaw
+from preoperad.endo import make_map, stack_rows
+from preoperad.errors import (
+    BadConfig,
+    IndexOutOfScope,
+    ShapeMismatch,
+    TableTooLarge,
+    UnknownLaw,
+)
 from preoperad.laws import REPORT_SCHEMA, SUITE_SCHEMA, TrialConfig
 from preoperad.rings import CoefficientRing
 
@@ -13,6 +19,18 @@ _F97_LINE = EndoBackend(CoefficientRing.prime_field(97), 1)
 ONE, TWO = (GradedElement(_F97_LINE, make_map(_F97_LINE.ring, 1, 1, [c]))
             for c in (1, 2))
 ZERO = _F97_LINE.zero(1)
+
+
+def rows(*values):
+    """A 3-row stacked degree-1 element over the F_97 line."""
+    return GradedElement(_F97_LINE, stack_rows(
+        [make_map(_F97_LINE.ring, 1, 1, [c]) for c in values]))
+
+
+def line(c):
+    return GradedElement(_F97_LINE, make_map(_F97_LINE.ring, 1, 1, [c]))
+
+
 # stands for a claim that must never be drawn
 UNREACHED = object()
 
@@ -238,7 +256,7 @@ def test_forced_degree_quota_on_even_trials():
     for trial in range(20):
         rng = laws._trial_rng(law.law_id, 0, trial, 0)
         force = law.force_first if trial % 2 == 0 else None
-        sample = laws._build_sample(law, cfg, rng, force)
+        sample = laws._sampler(law, cfg)(rng, force)
         (forced if trial % 2 == 0 else unforced).append(sample.degrees["h"])
     assert all(d >= 3 for d in forced)
     assert any(d < 3 for d in unforced)
@@ -272,6 +290,21 @@ def test_suite_rejects_backend_mismatched_subset():
     ([("point sets", None, {(0, 1)}, {(1, 0)}), UNREACHED],
      ("point sets", None, None, None)),
     ([("holds", None, ONE, ONE), ("zero", None, ZERO, None)], None),
+    # batches of three list a witness per row: row 1 fails at the first
+    # claim, row 0 at the second, row 2 never; each row keeps its own first
+    # failure, sliced
+    ([("first", (0,), rows(1, 2, 1), rows(1, 1, 1)),
+      ("second", (1,), rows(2, 3, 1), ONE),
+      ("third", None, rows(0, 5, 0), None)],
+     [("second", [1], line(2), ONE), ("first", [0], line(2), ONE), None]),
+    # once every row has failed no further claim is drawn; a single side
+    # serves every row, and a side that is not an element fails them all
+    ([("first", None, rows(2, 1, 1), ONE), ("second", (4,), ONE, rows(1, 3, 4)),
+      UNREACHED],
+     [("first", None, TWO, ONE), ("second", [4], ONE, line(3)),
+      ("second", [4], ONE, line(4))]),
+    ([("holds", None, rows(1, 1, 1), ONE), ("degrees", (2,), 3, 4), UNREACHED],
+     [("degrees", [2], None, None)] * 3),
 ])
 def test_first_failing_claim_is_the_witness(claims, want):
     def stream(sample):
@@ -282,14 +315,85 @@ def test_first_failing_claim_is_the_witness(claims, want):
 
     law = laws.Law("L00-hand-made", "hand-made claims", "claim loop",
                    ("f",), stream)
-    sample = laws.TrialSample(None, {}, {"f": 1}, {})
-    detail = law.checker(sample)
-    if want is None:
-        assert detail is None
-        return
-    witness = laws._witness({"law_id": law.law_id}, sample, detail)
-    identity, point, lhs, rhs = want
-    assert witness["identity"] == identity
-    assert witness["domain_point"] == point
-    assert witness["lhs"] == (lhs.serialize() if lhs is not None else None)
-    assert witness["rhs"] == (rhs.serialize() if rhs is not None else None)
+    wants = want if isinstance(want, list) else [want]
+    sample = laws.TrialSample(None, {}, {"f": 1}, {}, len(wants))
+    details = law.checker(sample)
+    assert len(details) == len(wants)
+    for detail, row_want in zip(details, wants):
+        if row_want is None:
+            assert detail is None
+            continue
+        witness = laws._witness({"law_id": law.law_id}, sample, detail)
+        identity, point, lhs, rhs = row_want
+        assert witness["identity"] == identity
+        assert witness["domain_point"] == point
+        assert witness["lhs"] == (lhs.serialize() if lhs is not None else None)
+        assert witness["rhs"] == (rhs.serialize() if rhs is not None else None)
+
+
+def test_trials_that_share_degrees_run_as_one_batch():
+    # L05 draws one degree in 1..4, so 12 trials fall into at most four
+    # batches at dim 2; at dim 6 a batch of the degree budget's largest
+    # table would pass the entry cap, so every trial runs alone
+    calls = []
+    law = laws.get_law("L05-unit-laws")
+    checker = law.checker
+
+    def counted(sample):
+        calls.append(sample.rows)
+        return checker(sample)
+
+    object.__setattr__(law, "checker", counted)
+    try:
+        laws.run_law(law.law_id, TrialConfig(dim=2, trials=12, seed=3))
+        assert len(calls) <= 4 and sum(calls) == 12
+        calls.clear()
+        laws.run_law(law.law_id, TrialConfig(dim=6, trials=3, seed=3))
+        assert calls == [1, 1, 1]
+    finally:
+        object.__setattr__(law, "checker", checker)
+
+
+def test_batched_failures_are_those_of_single_trials_in_trial_order():
+    cfg = TrialConfig(dim=2, trials=16, seed=5, mutations=("cup-sign-flip",))
+    report = laws.run_law("L06-cup-product", cfg)
+    trials = [w["seed"][1] for w in report.failures]
+    assert len(trials) > 4 and trials == sorted(trials)
+    assert len({tuple(w["degrees"].values()) for w in report.failures}) < len(trials)
+    for witness in report.failures:
+        detail = laws.replay(witness)
+        assert detail.identity == witness["identity"]
+        assert detail.lhs.serialize() == witness["lhs"]
+        assert detail.rhs.serialize() == witness["rhs"]
+
+
+def _edited_word_witness(word):
+    law = laws.get_law("L27-cross-backend")
+    cfg = TrialConfig(dim=2, trials=1, seed=606)
+    sample = laws._sampler(law, cfg)(laws._trial_rng(law.law_id, 606, 0, 0), None)
+    head = {"law_id": law.law_id, "seed": [606, 0, 0], "backend": "endo",
+            "prime": 97, "dim": 2, "mutations": []}
+    witness = laws._witness(head, sample,
+                            laws.FailDetail("hand-edited", None, None, None))
+    witness["extra"] = {"word": word}
+    return witness
+
+
+@pytest.mark.parametrize("slot", [99, -1])
+def test_replay_of_an_out_of_range_word_slot_is_an_error(slot):
+    # the sampler never draws such a slot; an edited witness used to replay
+    # as "no failure" because the check returned early
+    assert laws.replay(_edited_word_witness([["b", 0]])) is None
+    witness = _edited_word_witness([["b", slot]])
+    with pytest.raises(IndexOutOfScope):
+        laws.replay(witness)
+    assert laws.shrink(witness) == witness
+
+
+@pytest.mark.parametrize("entry", [1.5, "7", True])
+def test_replay_of_a_non_integer_table_entry_is_an_error(entry):
+    cfg = TrialConfig(dim=2, trials=2, seed=7, mutations=("cup-sign-flip",))
+    witness = laws.run_law("L06-cup-product", cfg).failures[0]
+    witness["elements"]["f"]["entries"][0] = entry
+    with pytest.raises(ShapeMismatch):
+        laws.replay(witness)
