@@ -44,6 +44,9 @@ class EndoBackend:
     def sum_payloads(self, degree, terms):
         return endo.signed_sum(self.ring, self.dim, degree, terms)
 
+    def stack_payloads(self, payloads):
+        return endo.stack_rows(payloads)
+
     def random(self, degree: int, rng) -> "GradedElement":
         return GradedElement(self, endo.random_map(self.ring, self.dim, degree, rng))
 
@@ -78,6 +81,9 @@ class FreeBackend:
 
     def sum_payloads(self, degree, terms):
         return free.free_signed_sum(self.ring, self.signature, degree, terms)
+
+    def stack_payloads(self, payloads):
+        return free.stack_rows(payloads)
 
     def generator(self, name: str) -> "GradedElement":
         return GradedElement(self, free.generator_element(self.signature, self.ring, name))

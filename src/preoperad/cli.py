@@ -23,7 +23,7 @@ import numpy as np
 from . import laws, script as script_mod
 from .backends import EndoBackend, FreeBackend
 from .calculus import KNOWN_MUTATIONS
-from .errors import PreOperadError
+from .errors import BadConfig, PreOperadError
 from .free import Signature
 from .rings import CoefficientRing
 
@@ -84,7 +84,10 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
+            raise BadConfig(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise PreOperadError("config file must hold a JSON object")
     unknown = set(data) - set(_CONFIG_KEYS)
@@ -138,11 +141,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.script == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.script, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.script == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.script, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PreOperadError(f"script {args.script} is not UTF-8 text: "
+                             f"{exc}") from exc
     parsed = script_mod.parse_script(text)
     ring = CoefficientRing.prime_field(args.prime or _DEFAULTS.prime)
     backend_kind = args.backend or _DEFAULTS.backend

@@ -7,7 +7,11 @@ node has as many children as its generator's degree; a tree's degree is its
 leaf count. Since arities are fixed and "(" sorts before "_", plain tuple
 order on trees is the string order of their s-expressions.
 Elements are finite sums coeff * tree with coefficients in a ring, kept
-canonical (zero terms dropped, coefficients reduced, terms sorted).
+canonical (zero terms dropped, coefficients reduced, terms sorted). A stacked
+element carries one exact coefficient per row on each tree, so that the
+trials of a law that share their degrees run through the calculus as one
+batch: its coefficients add, multiply and reduce row by row, a plain int
+coefficient acts on every row, and a term is kept while any row is nonzero.
 
 Composition grafts the right operand onto the i-th leaf of the left one and
 multiplies by the global sign (-1)^(i * |y|), the same twist the dense
@@ -18,6 +22,9 @@ table substitution is a morphism between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
+
+import numpy as np
 
 from .errors import (
     BackendMismatch,
@@ -88,9 +95,44 @@ def generator_tree(sig: Signature, name: str):
     return ("(" + name,) + (LEAF,) * sig.degree_of(name) + (")",)
 
 
+class _Rows(tuple):
+    """The coefficients of one tree in the rows of a stacked element, as
+    exact ints. Sums and products act row by row, and an int acts on every
+    row; the value is true when any row is nonzero."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if type(other) is not _Rows:
+            return _Rows([a + other for a in self])
+        if len(other) != len(self):
+            raise ShapeMismatch(f"stacked tree sums of {len(self)} and "
+                                f"{len(other)} rows")
+        return _Rows(map(add, self, other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is not _Rows:
+            return _Rows([a * other for a in self])
+        if len(other) != len(self):
+            raise ShapeMismatch(f"stacked tree sums of {len(self)} and "
+                                f"{len(other)} rows")
+        return _Rows(map(mul, self, other))
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p):
+        return _Rows([a % p for a in self])
+
+    def __bool__(self):
+        return any(self)
+
+
 @dataclass(frozen=True)
 class FreeElement:
-    """Canonical signed tree sum of a single degree."""
+    """Canonical signed tree sum of a single degree, or stacked tree sums
+    with one coefficient per row."""
 
     ring: CoefficientRing
     signature: Signature
@@ -104,12 +146,42 @@ class FreeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def differs(self, other: FreeElement | None = None) -> bool:
-        return bool(self.terms) if other is None else self != other
+    @property
+    def batch(self) -> int | None:
+        """The number of rows of a stacked element, None for a single one."""
+        for _, c in self.terms:
+            if type(c) is _Rows:
+                return len(c)
+        return None
 
     def row(self, r: int) -> FreeElement:
-        """Tree sums are never stacked, so an element is each of its rows."""
-        return self
+        """Row r of a stacked element as a single one, without the trees
+        that vanish there; a single element is every row."""
+        if self.batch is None:
+            return self
+        terms = ((t, c[r] if type(c) is _Rows else c) for t, c in self.terms)
+        return FreeElement(self.ring, self.signature, self.degree,
+                           tuple((t, c) for t, c in terms if c))
+
+    def differs(self, other: FreeElement | None = None):
+        """Whether each row differs from other (from zero when other is None):
+        a bool array over the rows when either element is stacked, one bool
+        otherwise. Elements of another ring or degree differ."""
+        diff = self
+        if other is not None:
+            if self.batch is None and other.batch is None:
+                return self != other
+            if (self.degree != other.degree or self.ring != other.ring
+                    or self.signature != other.signature):
+                return True
+            diff = free_signed_sum(self.ring, self.signature, self.degree,
+                                   ((1, self), (-1, other)))
+        if diff.batch is None:
+            return bool(diff.terms)
+        coeffs = [c for _, c in diff.terms]
+        if any(type(c) is not _Rows for c in coeffs):
+            return True  # a kept int coefficient is nonzero in every row
+        return np.array([any(column) for column in zip(*coeffs)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeElement):
@@ -122,12 +194,16 @@ class FreeElement:
 
 
 def _canonical_terms(ring: CoefficientRing, raw: dict) -> tuple:
-    cleaned = {}
+    # c % p, not ring.reduce: that calls int(), and a stacked c is one int per row
+    p = ring.modulus
+    cleaned = []
     for tree, c in raw.items():
-        c = ring.reduce(c)
+        if p is not None:
+            c %= p
         if c:
-            cleaned[tree] = c
-    return tuple(sorted(cleaned.items()))
+            cleaned.append((tree, c))
+    cleaned.sort()
+    return tuple(cleaned)
 
 
 def _element(ring, sig, degree, raw_terms) -> FreeElement:
@@ -151,6 +227,26 @@ def zero_element(sig: Signature, ring: CoefficientRing, degree: int) -> FreeElem
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
     return FreeElement(ring, sig, degree, ())
+
+
+def stack_rows(elements) -> FreeElement:
+    """Single elements of one ring, signature and degree as the rows of one
+    stacked element, in order. Equal elements stay single: one serves every
+    row."""
+    first, *rest = elements
+    if all(x == first for x in rest):
+        return first
+    raw: dict = {}
+    for r, x in enumerate(elements):
+        _check_pair(first, x)
+        if x.degree != first.degree:
+            raise DegreeMismatch(f"degree {x.degree} vs {first.degree}")
+        if x.batch is not None:
+            raise ShapeMismatch("only single tree sums can be stacked")
+        for tree, c in x.terms:
+            raw.setdefault(tree, [0] * len(elements))[r] = c
+    return FreeElement(first.ring, first.signature, first.degree,
+                       tuple(sorted((t, _Rows(cs)) for t, cs in raw.items())))
 
 
 def _check_pair(x: FreeElement, y: FreeElement):
@@ -209,6 +305,8 @@ def free_linear_combine(coeffs, elems) -> FreeElement:
 
 
 def element_to_payload(x: FreeElement) -> dict:
+    if x.batch is not None:
+        raise ShapeMismatch("a stacked tree sum has no payload; serialize its rows")
     return {
         "ring": x.ring.to_payload(),
         "signature": [[n, d] for n, d in x.signature.generators],
@@ -285,6 +383,8 @@ def evaluate_hom(x: FreeElement, assignment: dict, ring: CoefficientRing,
     degree. Substitution itself is unsigned; the composition twist on both
     sides is what makes the map commute with comp_i, unit and sums.
     """
+    if x.batch is not None:
+        raise ShapeMismatch("a stacked tree sum has no table; evaluate its rows")
     for name, deg in x.signature.generators:
         if name in assignment and assignment[name].degree != deg:
             raise DegreeMismatch(

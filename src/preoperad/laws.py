@@ -5,11 +5,11 @@ elements from per-trial RNG streams, runs the law's checker, and collects
 serialized failure witnesses. Identical (law, config) pairs produce identical
 reports apart from the timing field. A witness can be replayed and shrunk.
 
-Batches: the dense trials of a law that drew the same degrees (and the same
-extra data) are stacked into one sample whose tables carry a leading row
-axis, and the checker runs once on it; every row gets its own verdict, and
-each failure is written from its own trial's sample. A symbolic trial, a
-replay and a shrink step are batches of one.
+Batches: the trials of a law that drew the same degrees (and the same extra
+data) are stacked into one sample, whose tables carry a leading row axis and
+whose tree sums carry one coefficient per row, and the checker runs once on
+it; every row gets its own verdict, and each failure is written from its own
+trial's sample. A replay and a shrink step are batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
 proves nothing; such draws are retried a few times and then counted in the
@@ -289,11 +289,13 @@ def _fixture_mu(ring: CoefficientRing, dim: int) -> endo.MultilinearMap:
 def _sampler(law: Law, cfg: TrialConfig):
     """draw(rng, force_first), which draws one trial's TrialSample. The
     ring, the dense backend and a fixture product are built once, here, and
-    shared by every sample drawn."""
+    shared by every sample drawn; a symbolic backend is built once per
+    degree tuple, so that the rows of a batch share it."""
     ring = CoefficientRing.prime_field(cfg.prime)
     muts = frozenset(cfg.mutations)
     dense = EndoBackend(ring, cfg.dim, muts)
     fixture = GradedElement(dense, _fixture_mu(ring, cfg.dim)) if law.fixture_mu else None
+    symbolic = {}  # generators -> FreeBackend
 
     def draw(rng, force_first) -> TrialSample:
         degrees = _sample_degrees(rng, law.slots, cfg, force_first)
@@ -306,7 +308,9 @@ def _sampler(law: Law, cfg: TrialConfig):
             mu = fixture if fixture is not None else be.random(2, rng)
         else:
             gens = tuple((name, degrees[name]) for name in law.slots) + (("mu", 2),)
-            be = FreeBackend(ring, free.Signature(gens), muts)
+            be = symbolic.get(gens)
+            if be is None:
+                be = symbolic[gens] = FreeBackend(ring, free.Signature(gens), muts)
             elements = {name: ring.sample_nonzero(rng) * be.generator(name)
                         for name in law.slots}
             mu = be.generator("mu")
@@ -807,11 +811,9 @@ def _witness(head: dict, sample: TrialSample, detail: FailDetail) -> dict:
     }
 
 
-def _batch_key(trial: int, sample: TrialSample):
-    """Samples with equal keys run as one batch: dense and element-free
-    samples by their degrees and extra data; a symbolic sample alone."""
-    if sample.ctx is not None and sample.ctx.backend.kind == "free":
-        return trial
+def _batch_key(sample: TrialSample):
+    """Samples with equal keys, their degrees and extra data, run as one
+    batch."""
     return repr((sample.degrees, sample.extra))
 
 
@@ -824,7 +826,7 @@ def _stack(samples) -> TrialSample:
     if first.ctx is None:
         return replace(first, rows=len(samples))
     backend = first.ctx.backend
-    elements = {name: GradedElement(backend, endo.stack_rows(
+    elements = {name: GradedElement(backend, backend.stack_payloads(
                     [s.elements[name].payload for s in samples]))
                 for name in first.elements}
     return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
@@ -864,7 +866,7 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
         else:
             vacuous += 1
             continue
-        batches.setdefault(_batch_key(trial, sample), []).append(
+        batches.setdefault(_batch_key(sample), []).append(
             (trial, attempt, sample))
     most = max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
     failed = {}  # trial -> witness

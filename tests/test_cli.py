@@ -115,6 +115,22 @@ def test_free_canary_report_matches_golden(capsys, tmp_path):
     assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
 
 
+def test_free_canary_report_across_batches_matches_golden(capsys, tmp_path):
+    # recorded one symbolic trial at a time: 12 witnesses in 9 degree
+    # tuples, so batched tree sums must keep every witness, its order and
+    # its lhs and rhs terms
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, [
+        "verify", "--law", "L06-cup-product", "--backend", "free",
+        "--mutate", "cup-sign-flip", "--seed", "7", "--trials", "12",
+        "--report", str(report_path)])
+    assert code == 1
+    golden = json.loads(
+        (GOLDEN / "l06_free_cup_sign_flip_seed7_trials12.json").read_text())
+    assert len(golden["laws"][0]["failures"]) == 12
+    assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
+
+
 def test_endo_canary_report_matches_golden(capsys, tmp_path):
     # recorded one trial at a time: 12 witnesses that fall into 9 degree
     # tuples, so batched trials must keep every witness, its order and its
@@ -279,6 +295,21 @@ def test_verify_missing_config_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content", [b"{bad", b'{"dim": "\xff"}', b"[" * 100_000],
+                         ids=["not-json", "not-utf8", "too-deep"])
+def test_verify_malformed_config_file_is_error(capsys, tmp_path, content):
+    # exit 1 with a traceback would read as a failed law
+    config_path = tmp_path / "cfg.json"
+    config_path.write_bytes(content)
+    code, out, err = run(capsys, [
+        "verify", "--law", "L05-unit-laws", "--config", str(config_path)])
+    assert code == 2
+    assert not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "cfg.json" in lines[0]
+
+
 def test_verify_deterministic_reports(capsys, tmp_path):
     paths = []
     for name in ("a.json", "b.json"):
@@ -345,6 +376,17 @@ def test_eval_missing_script_file(capsys, tmp_path):
         "eval", "--script", str(tmp_path / "nope.txt")])
     assert code == 2
     assert "error:" in err
+
+
+def test_eval_script_that_is_not_utf8_is_error(capsys, tmp_path):
+    path = tmp_path / "not_utf8.txt"
+    path.write_bytes(b"let f: deg 1 = [\xff];\nf\n")
+    code, out, err = run(capsys, ["eval", "--script", str(path)])
+    assert code == 2
+    assert not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "UTF-8" in lines[0]
 
 
 def test_eval_syntax_error_reports_position(capsys, tmp_path):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from preoperad.backends import FreeBackend, GradedElement
+from preoperad.calculus import bullet
 from preoperad.endo import ksign, random_map, unit_map
 from preoperad.errors import (
+    BackendMismatch,
     DegreeMismatch,
     IndexOutOfScope,
     InvalidDegree,
@@ -20,8 +23,10 @@ from preoperad.free import (
     evaluate_hom,
     free_linear_combine,
     free_partial_compose,
+    free_signed_sum,
     generator_element,
     graft,
+    stack_rows,
     tree_degree,
     tree_to_sexpr,
     unit_element,
@@ -263,3 +268,110 @@ def test_unknown_generator_in_tree_text():
 def test_signature_rejects_names_outside_one_sexpr_token(name):
     with pytest.raises(UnknownGenerator):
         Signature(((name, 2),))
+
+
+def _words(degree):
+    """A few distinct tree sums of one degree over SIG."""
+    f, g, h, b = gen("f"), gen("g"), gen("h"), gen("b")
+    if degree == 2:
+        return [f, free_partial_compose(f, g, 0), free_partial_compose(f, b, 1),
+                free_partial_compose(g, f, 0)]
+    return [h, free_partial_compose(f, f, 0), free_partial_compose(f, f, 1),
+            free_partial_compose(h, g, 2)]
+
+
+def _stacked(degree, rows, rng):
+    """rows random tree sums of degree, some trees absent from some rows,
+    and the stacked sum of them."""
+    words = _words(degree)
+    singles = [free_linear_combine([int(c) * int(c > 40) for c in
+                                    rng.integers(0, 97, len(words))], words)
+               for _ in range(rows)]
+    return singles, stack_rows(singles)
+
+
+def test_stacked_tree_sums_compose_and_sum_row_by_row():
+    rng = np.random.default_rng(21)
+    backend = FreeBackend(F97, SIG)
+    for m, n in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+        xs, x = _stacked(m, 3, rng)
+        ys, y = _stacked(n, 3, rng)
+        one = _stacked(n, 1, rng)[1]
+        assert x.batch == 3 and xs[0].batch is None and one.batch is None
+        for r in range(3):
+            assert x.row(r) == xs[r] and x.row(r).batch is None
+        for i in range(m):
+            got = free_partial_compose(x, y, i)
+            assert got.batch == 3
+            for r in range(3):
+                assert got.row(r) == free_partial_compose(xs[r], ys[r], i)
+            # a single tree sum serves every row, on either side
+            assert (free_partial_compose(x, one, i).row(2)
+                    == free_partial_compose(xs[2], one, i))
+        for j in range(n):
+            assert (free_partial_compose(one, x, j).row(0)
+                    == free_partial_compose(one, xs[0], j))
+        total = free_signed_sum(F97, SIG, m, [(2, xs[1]), (-1, x), (5, x)])
+        for r in range(3):
+            assert total.row(r) == free_linear_combine([2, 4], [xs[1], xs[r]])
+        stacked = bullet(GradedElement(backend, x), GradedElement(backend, y))
+        for r in range(3):
+            assert stacked.row(r).payload == bullet(
+                GradedElement(backend, xs[r]), GradedElement(backend, ys[r])).payload
+
+
+def test_stacked_tree_sums_stay_exact_over_the_integers():
+    zz = CoefficientRing.integers()
+    big = [2**70, -3, 2**64 + 1]
+    xs = [FreeElement(zz, SIG, 2, ((tree("(f _ _)"), c),)) for c in big]
+    x = stack_rows(xs)
+    square = free_partial_compose(x, x, 1)
+    for r, c in enumerate(big):
+        assert square.row(r).terms == ((tree("(f _ (f _ _))"), -c * c),)
+        assert square.row(r) == free_partial_compose(xs[r], xs[r], 1)
+
+
+def test_stacked_tree_sums_compare_row_by_row():
+    rng = np.random.default_rng(22)
+    xs, x = _stacked(2, 3, rng)
+    zero = zero_element(SIG, F97, 2)
+    y = stack_rows([xs[0], xs[1], zero])
+    assert x.differs(y).tolist() == [False, False, xs[2] != zero]
+    assert y.differs().tolist() == [xs[0] != zero, xs[1] != zero, False]
+    assert x.differs(xs[1]).tolist() == [xs[0] != xs[1], False, xs[2] != xs[1]]
+    assert xs[0].differs(xs[0]) is False and xs[0].differs() is True
+    assert x.differs(_stacked(3, 3, rng)[1]) is True
+    # a row keeps only its own trees
+    g, b = gen("g"), gen("b")
+    assert stack_rows([g, b]).row(1).terms == b.terms
+    # equal tree sums stay single and serve every row
+    f = gen("f")
+    assert stack_rows([f, gen("f"), gen("f")]) is f
+
+
+def test_stacked_tree_sums_have_no_payload():
+    rng = np.random.default_rng(23)
+    xs, x = _stacked(3, 2, rng)
+    with pytest.raises(ShapeMismatch):
+        element_to_payload(x)
+    assignment = {name: random_map(F97, 2, deg, rng) for name, deg in SIG.generators}
+    with pytest.raises(ShapeMismatch):
+        evaluate_hom(x, assignment, F97, 2)
+    assert element_from_payload(element_to_payload(x.row(1))) == xs[1]
+
+
+def test_stacked_tree_sums_must_agree_on_their_rows():
+    rng = np.random.default_rng(24)
+    _, x = _stacked(2, 3, rng)
+    _, y = _stacked(2, 2, rng)
+    with pytest.raises(ShapeMismatch):
+        free_partial_compose(x, y, 0)
+    with pytest.raises(ShapeMismatch):
+        free_signed_sum(F97, SIG, 2, [(1, x), (1, y)])
+    with pytest.raises(ShapeMismatch):
+        stack_rows([x.row(0), x])
+    with pytest.raises(DegreeMismatch):
+        stack_rows([x.row(0), gen("h")])
+    other = Signature((("h", 3), ("f", 2), ("g", 1), ("c", 1)))
+    with pytest.raises(BackendMismatch):
+        stack_rows([gen("g"), generator_element(other, F97, "c")])

@@ -331,7 +331,8 @@ def test_first_failing_claim_is_the_witness(claims, want):
         assert witness["rhs"] == (rhs.serialize() if rhs is not None else None)
 
 
-def test_trials_that_share_degrees_run_as_one_batch():
+@pytest.mark.parametrize("backend", ["endo", "free"])
+def test_trials_that_share_degrees_run_as_one_batch(backend):
     # L05 draws one degree in 1..4, so 12 trials fall into at most four
     # batches at dim 2; at dim 6 a batch of the degree budget's largest
     # table would pass the entry cap, so every trial runs alone
@@ -345,17 +346,21 @@ def test_trials_that_share_degrees_run_as_one_batch():
 
     object.__setattr__(law, "checker", counted)
     try:
-        laws.run_law(law.law_id, TrialConfig(dim=2, trials=12, seed=3))
+        laws.run_law(law.law_id, TrialConfig(backend, dim=2, trials=12, seed=3))
         assert len(calls) <= 4 and sum(calls) == 12
         calls.clear()
-        laws.run_law(law.law_id, TrialConfig(dim=6, trials=3, seed=3))
+        laws.run_law(law.law_id, TrialConfig(backend, dim=6, trials=3, seed=3))
         assert calls == [1, 1, 1]
     finally:
         object.__setattr__(law, "checker", checker)
 
 
-def test_batched_failures_are_those_of_single_trials_in_trial_order():
-    cfg = TrialConfig(dim=2, trials=16, seed=5, mutations=("cup-sign-flip",))
+@pytest.mark.parametrize("backend, prime", [
+    ("endo", 97), ("free", 97), ("free", 2**61 - 1)])
+def test_batched_failures_are_those_of_single_trials_in_trial_order(backend, prime):
+    # past 2^61 a product of two coefficients no longer fits 64 bits
+    cfg = TrialConfig(backend, prime, dim=2, trials=16, seed=5,
+                      mutations=("cup-sign-flip",))
     report = laws.run_law("L06-cup-product", cfg)
     trials = [w["seed"][1] for w in report.failures]
     assert len(trials) > 4 and trials == sorted(trials)
