@@ -173,6 +173,7 @@ def signed_sum(backend, degree: int, terms) -> GradedElement:
             if x.backend is not backend and x.backend != backend:
                 raise BackendMismatch("elements from different backends")
             yield c, x.payload
+            del x  # not kept while the next term is built
 
     return GradedElement(backend, backend.sum_payloads(degree, payloads()))
 

@@ -10,6 +10,14 @@ batch. Composition and signed sums work row by row, and a single map serves
 every row of a stacked one. Throughout, |f| denotes the shifted degree
 deg(f) - 1; it drives every sign below.
 
+Over F_p a table is int64 with entries in [0, p), and every composition and
+signed sum reduces its raw int64 result in place through one helper,
+_reduce. Large tables are reduced as x - p * floor(x / p) in fixed-size
+chunks through one small scratch quotient, since numpy's scalar integer
+floor division runs at memory speed and np.remainder does not; tables of
+at most _REDUCE_GATE entries use np.remainder, whose per-call cost is lower
+there. The gate is a property of the table's size, not a setting.
+
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
 
@@ -41,6 +49,10 @@ from .rings import CoefficientRing
 
 _INT64 = 2**63
 MAX_ENTRIES = 2**26  # 512 MB of int64: the largest table ever allocated
+# tables above this many entries are reduced by chunked floor division;
+# at or below it one np.remainder call costs less
+_REDUCE_GATE = 2**10
+_REDUCE_CHUNK = 2**16
 
 
 def ksign(exponent: int) -> int:
@@ -131,12 +143,38 @@ def check_entries(dim: int, degree: int, rows: int = 1):
             f"{what}{dim}^{degree + 1} entries, more than the cap of 2^26")
 
 
+def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
+    """arr, a writable int64 array, reduced into [0, p) in place.
+
+    Above _REDUCE_GATE entries the flat table is reduced in chunks of
+    _REDUCE_CHUNK through one scratch quotient, as x - p * floor(x / p):
+    numpy's scalar integer floor division rounds toward -inf and runs at
+    memory speed, two to three times faster than np.remainder, and the
+    wrap-around of p * floor(x / p) cancels in the subtraction because the
+    true result fits. Exact for every int64 entry.
+    """
+    if arr.size <= _REDUCE_GATE or not arr.flags.c_contiguous:
+        np.remainder(arr, p, out=arr)
+        return arr
+    flat = arr.reshape(-1)
+    scratch = np.empty(min(flat.size, _REDUCE_CHUNK), dtype=np.int64)
+    for lo in range(0, flat.size, _REDUCE_CHUNK):
+        part = flat[lo:lo + _REDUCE_CHUNK]
+        q = scratch[:part.size]
+        np.floor_divide(part, p, out=q)
+        q *= p
+        part -= q
+    return arr
+
+
 def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
+    """A read-only canonical copy of arr; the caller's array is never
+    written."""
     if ring.is_field:
         check_int64(ring, arr.shape[0])
         if arr.dtype == object:
             arr = arr % ring.modulus  # exact on Python ints of any size
-        arr = np.asarray(arr, dtype=np.int64) % ring.modulus
+        arr = _reduce(np.array(arr, dtype=np.int64, order="C"), ring.modulus)
     else:
         arr = np.asarray(arr, dtype=object)
     arr.setflags(write=False)
@@ -148,7 +186,8 @@ def _integer_entries(entries) -> np.ndarray:
     when some lie outside int64. An entry that is not an integer, such as a
     float, a string or a bool, is refused rather than rounded or parsed."""
     if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
-        return entries
+        # uint64 holds values past int64, which the int64 cast would wrap
+        return entries.astype(object) if entries.dtype == np.uint64 else entries
     values = list(np.ravel(entries) if isinstance(entries, np.ndarray) else entries)
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -254,7 +293,7 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
         raise ShapeMismatch(f"stacked maps of {ft.shape[0]} and {gt.shape[0]} "
                             f"rows") from None
     if ring.is_field:
-        np.remainder(raw, ring.modulus, out=raw)
+        _reduce(raw, ring.modulus)
     raw.setflags(write=False)
     return MultilinearMap(ring, d, m + n - 1,
                           raw.reshape(raw.shape[:-3] + (d,) * (m + n)))
@@ -293,34 +332,40 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
                 c -= p
             step = abs(c) * (p - 1)
             if acc is not None and bound + step >= _INT64:
-                np.remainder(acc, p, out=acc)
+                _reduce(acc, p)
                 bound = p - 1
             bound += step
-        if not c:
-            continue
-        if acc is None:
-            acc = m.table.copy() if c == 1 else m.table * c
-            continue
-        if m.table.shape != acc.shape:
-            try:
-                shape = np.broadcast_shapes(acc.shape, m.table.shape)
-            except ValueError:
-                raise ShapeMismatch(f"stacked maps of shapes {acc.shape} "
-                                    f"and {m.table.shape}") from None
-            if shape != acc.shape:
-                acc = np.broadcast_to(acc, shape).copy()
-        if c == 1:
-            acc += m.table
-        elif c == -1:
-            acc -= m.table
-        else:
-            acc += m.table * c
+        if c:
+            acc = _add_into(acc, c, m.table)
+        del m  # not kept while the next term is built
     if acc is None:
         return zero_map(ring, dim, degree)
     if p is not None:
-        np.remainder(acc, p, out=acc)
+        _reduce(acc, p)
     acc.setflags(write=False)
     return MultilinearMap(ring, dim, degree, acc)
+
+
+def _add_into(acc, c: int, table: np.ndarray) -> np.ndarray:
+    """acc + c * table, added in place into acc; a new buffer for the first
+    term (acc None) and when a stacked table brings rows."""
+    if acc is None:
+        return table.copy() if c == 1 else table * c
+    if table.shape != acc.shape:
+        try:
+            shape = np.broadcast_shapes(acc.shape, table.shape)
+        except ValueError:
+            raise ShapeMismatch(f"stacked maps of shapes {acc.shape} "
+                                f"and {table.shape}") from None
+        if shape != acc.shape:
+            acc = np.broadcast_to(acc, shape).copy()
+    if c == 1:
+        acc += table
+    elif c == -1:
+        acc -= table
+    else:
+        acc += table * c
+    return acc
 
 
 def linear_combine(coeffs, maps) -> MultilinearMap:
@@ -361,7 +406,7 @@ def evaluate(f: MultilinearMap, inputs) -> MultilinearMap:
         _check_pair(f, v)
         acc = np.tensordot(acc, v.table, axes=(t + 1, 0))
         if f.ring.is_field:
-            acc = acc % f.ring.modulus
+            acc = _reduce(acc, f.ring.modulus)
     return MultilinearMap(f.ring, f.dim, 0, _canonical_table(f.ring, acc))
 
 

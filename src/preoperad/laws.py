@@ -837,9 +837,10 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     """Run one law over cfg.trials seeded trials.
 
     Every trial is drawn first, in order; the non-vacuous ones are then
-    checked in batches of equal batch key, each small enough that its rows
-    of the largest table the degree budget allows stay under the entry
-    cap. Failures are reported in trial order.
+    checked in batches of equal batch key. A law that builds tables splits
+    each batch so that its rows of the largest table the degree budget
+    allows stay under the entry cap; a symbolic batch is never split.
+    Failures are reported in trial order.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
     can tell a sign from its flip (the cup-sign-flip canary passes).
@@ -868,7 +869,9 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
             continue
         batches.setdefault(_batch_key(sample), []).append(
             (trial, attempt, sample))
-    most = max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
+    most = max(1, cfg.trials)  # symbolic trials build no table
+    if (law.fixed_backend or cfg.backend) == "endo":
+        most = max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
     failed = {}  # trial -> witness
     for group in batches.values():
         for lo in range(0, len(group), most):

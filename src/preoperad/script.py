@@ -18,6 +18,8 @@ Grammar (indices are 0-based, `#` starts a comment that runs to end of line):
 like any other name). Literals spell out a dense table row-major and only make
 sense on the table backend. Parsing reports line:col plus the expected token;
 checking reports degree clashes and out-of-range composition indices.
+Nesting too deep for the interpreter's stack is a syntax error, whether it
+is found while parsing, checking or evaluating.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import endo
-from .backends import EndoBackend, GradedElement
+from .backends import EndoBackend, GradedElement, signed_sum
 from .calculus import PreOperadContext, bracket, bullet, cup, delta, tetrabraces, tribraces
 from .errors import (
     MissingAssignment,
@@ -274,14 +276,23 @@ class _Parser:
                     args=tuple(args))
 
 
+_TOO_DEEP = "expression nested too deeply"
+
+
 def parse_script(text: str) -> Script:
-    return _Parser(tokenize(text)).parse_script()
+    parser = _Parser(tokenize(text))
+    try:
+        return parser.parse_script()
+    except RecursionError:
+        tok = parser.peek()
+        raise ScriptSyntaxError(_TOO_DEEP, tok.line, tok.col) from None
 
 
 # ---------------------------------------------------------------------------
 # degree checking
 
-def _check_node(node: Node, env: dict) -> int:
+def _check_node(node: Node, env: dict, sums: dict) -> int:
+    """Degree of node; sums maps id(Sum node) to its degree."""
     if isinstance(node, Name):
         if node.name not in env:
             raise ScriptTypeError(f"undeclared name {node.name!r}",
@@ -290,26 +301,26 @@ def _check_node(node: Node, env: dict) -> int:
     if isinstance(node, Unit):
         return 1
     if isinstance(node, Scale):
-        return _check_node(node.item, env)
+        return _check_node(node.item, env, sums)
     if isinstance(node, Sum):
-        degrees = [(_check_node(item, env), sign) for sign, item in node.items]
-        first = degrees[0][0]
-        for deg, _ in degrees[1:]:
+        first, *rest = [_check_node(item, env, sums) for _, item in node.items]
+        for deg in rest:
             if deg != first:
                 raise ScriptTypeError(
                     f"cannot add degree {first} and degree {deg} terms",
                     *node.span)
+        sums[id(node)] = first
         return first
     if isinstance(node, Comp):
-        inner = _check_node(node.inner, env)
-        outer = _check_node(node.outer, env)
+        inner = _check_node(node.inner, env, sums)
+        outer = _check_node(node.outer, env, sums)
         if not 0 <= node.index <= inner - 1:
             raise ScriptTypeError(
                 f"composition index {node.index} outside 0..{inner - 1} "
                 f"for a degree {inner} element", *node.span)
         return inner + outer - 1
     if isinstance(node, Call):
-        degs = [_check_node(a, env) for a in node.args]
+        degs = [_check_node(a, env, sums) for a in node.args]
         if node.head == "cup":
             return degs[0] + degs[1]
         if node.head in ("bul", "bracket"):
@@ -324,6 +335,12 @@ def _check_node(node: Node, env: dict) -> int:
 
 def check_script(script: Script) -> int:
     """Degree of the final expression; raises on clashes or bad indices."""
+    return _check(script)[0]
+
+
+def _check(script: Script) -> tuple:
+    """The final expression's degree and the degree of each Sum node, by
+    id."""
     env = {"mu": 2}
     seen = set()
     for decl in script.decls:
@@ -333,7 +350,11 @@ def check_script(script: Script) -> int:
             raise ScriptTypeError(f"{decl.name!r} declared twice", *decl.span)
         seen.add(decl.name)
         env[decl.name] = decl.degree
-    return _check_node(script.body, env)
+    sums = {}
+    try:
+        return _check_node(script.body, env, sums), sums
+    except RecursionError:
+        raise ScriptSyntaxError(_TOO_DEEP, *script.span) from None
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +439,13 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
     Names resolve in order: explicit binding, table literal from the
     declaration, generator of the same name (free backend), random draw
     when an rng is supplied (endo backend). mu is implicitly declared
-    with degree 2 and resolves the same way.
+    with degree 2 and resolves the same way. A sum is one streamed
+    signed_sum of its terms, a scaled term folded into its coefficient, so
+    only the running total and the term being added are alive at once.
     """
     if isinstance(script, str):
         script = parse_script(script)
-    check_script(script)
+    _, sums = _check(script)
     decls = {d.name: d for d in script.decls}
     env = {}
     for decl in script.decls:
@@ -444,11 +467,9 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
         if isinstance(node, Scale):
             return node.coeff * walk(node.item)
         if isinstance(node, Sum):
-            total = None
-            for sign, item in node.items:
-                el = walk(item) if sign == 1 else -walk(item)
-                total = el if total is None else total + el
-            return total
+            return signed_sum(backend, sums[id(node)], (
+                (sign * item.coeff, walk(item.item)) if isinstance(item, Scale)
+                else (sign, walk(item)) for sign, item in node.items))
         if isinstance(node, Comp):
             return walk(node.inner).compose(walk(node.outer), node.index)
         if isinstance(node, Call):
@@ -466,4 +487,7 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
             return tetrabraces(*args)
         raise ScriptTypeError(f"unknown node {type(node).__name__}")
 
-    return walk(script.body)
+    try:
+        return walk(script.body)
+    except RecursionError:
+        raise ScriptSyntaxError(_TOO_DEEP, *script.span) from None

@@ -397,6 +397,29 @@ def test_eval_syntax_error_reports_position(capsys, tmp_path):
     assert "error:" in err and "1:" in err
 
 
+def test_eval_of_a_script_nested_too_deeply_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text("let f: deg 1;\n" + "(" * 5000 + "f" + ")" * 5000 + "\n")
+    code, out, err = run(capsys, ["eval", "--script", str(path), "--seed", "1"])
+    assert code == 2
+    assert not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: 2:")
+    assert "nested too deeply" in lines[0]
+
+
+def test_eval_of_fifty_nesting_levels(capsys, tmp_path):
+    # each level adds f to the previous one composed with the unit
+    expr = "f"
+    for _ in range(50):
+        expr = f"(comp({expr}, I, 0) + f)"
+    path = tmp_path / "nested.txt"
+    path.write_text("let mu: deg 2 = [1];\nlet f: deg 1 = [1];\n" + expr)
+    code, out, err = run(capsys, ["eval", "--script", str(path), "--dim", "1"])
+    assert code == 0, err
+    assert json.loads(out)["payload"] == [51]
+
+
 def test_eval_undeclared_without_seed(capsys, tmp_path):
     path = tmp_path / "missing.txt"
     path.write_text("let f: deg 1; cup(f, f)")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from preoperad.script import (
     Comp,
     Decl,
     Name,
+    Scale,
     Script,
     Sum,
     check_script,
@@ -242,3 +245,90 @@ def test_comp_maps_to_partial_composition():
     value = eval_script("let f: deg 2; let g: deg 2; comp(f, g, 1)", backend,
                         bindings={"f": f, "g": g, "mu": mu})
     assert value == f.compose(g, 1)
+
+
+NINE_TERMS = [(1, "comp(f, g, 0)"), (-1, "comp(f, g, 1)"), (1, "cup(g, g)"),
+              (-1, "3 * bul(f, g)"), (1, "bracket(f, g)"), (-1, "delta(g)"),
+              (1, "f"), (-1, "2 * comp(mu, g, 1)"), (1, "comp(g, f, 0)")]
+
+
+def _backends():
+    sig = Signature((("f", 2), ("g", 1), ("mu", 2)))
+    return [EndoBackend(F97, 2), FreeBackend(F97, sig)]
+
+
+@pytest.mark.parametrize("backend", _backends(), ids=["endo", "free"])
+def test_a_streamed_sum_equals_its_pairwise_expansion(backend):
+    rng = np.random.default_rng(21)
+    if backend.kind == "endo":
+        bindings = {"f": backend.random(2, rng), "g": backend.random(1, rng),
+                    "mu": backend.random(2, rng)}
+    else:
+        bindings = None
+    decls = "let f: deg 2; let g: deg 1;\n"
+    body = NINE_TERMS[0][1] + "".join(
+        f" {'+' if c > 0 else '-'} {text}" for c, text in NINE_TERMS[1:])
+    value = eval_script(decls + body, backend, bindings=bindings)
+    total = None
+    for c, text in NINE_TERMS:
+        term = eval_script(decls + text, backend, bindings=bindings)
+        total = term if total is None else (total + term if c > 0 else total - term)
+    assert value.degree == 2 and not value.is_zero()
+    assert value == total
+
+
+@pytest.mark.parametrize("backend", _backends(), ids=["endo", "free"])
+def test_a_degree_clash_late_in_a_sum_is_a_type_error(backend):
+    text = "let f: deg 2; let g: deg 1; f - comp(f, g, 0) + f - cup(f, g)"
+    with pytest.raises(ScriptTypeError):
+        eval_script(text, backend, rng=np.random.default_rng(0))
+
+
+def test_a_streamed_sum_holds_one_term_beside_its_buffer():
+    # five full-size terms of 4^9 entries from small inputs: the sum holds
+    # its buffer and the term being built (a composition and its reduction
+    # scratch); adding pairwise would also hold the old total and a negated
+    # copy, about four tables
+    backend = EndoBackend(F97, 4)
+    rng = np.random.default_rng(3)
+    bindings = {"f": backend.random(5, rng), "g": backend.random(4, rng),
+                "mu": backend.random(2, rng)}
+    script = parse_script("let f: deg 5; let g: deg 4;\n"
+                          "comp(f, g, 0) - comp(f, g, 1) + comp(f, g, 2) "
+                          "- comp(f, g, 3) + comp(f, g, 4)")
+    table_bytes = 4**9 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = eval_script(script, backend, bindings=bindings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.degree == 8
+    assert peak - base < 2.5 * table_bytes
+
+
+def _nested_scales(depth):
+    node = Name(name="f")
+    for _ in range(depth):
+        node = Scale(coeff=1, item=node)
+    return node
+
+
+def _nested_sums(depth):
+    node = Name(name="f")
+    for _ in range(depth):
+        node = Sum(items=((1, node), (-1, Name(name="f"))))
+    return node
+
+
+@pytest.mark.parametrize("body", [_nested_scales(5000), _nested_sums(5000),
+                                  _nested_sums(300)],
+                         ids=["check-scales", "check-sums", "eval-sums"])
+def test_nesting_too_deep_is_a_syntax_error(body):
+    # 300 nested sums pass the degree check but not the evaluator, whose
+    # streamed sums take more stack per level
+    script = Script(decls=(Decl(name="f", degree=1, literal=None),), body=body)
+    with pytest.raises(ScriptSyntaxError, match="nested too deeply"):
+        eval_script(script, endo1(), rng=np.random.default_rng(0))
+

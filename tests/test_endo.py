@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preoperad import endo
 from preoperad.endo import (
     MAX_ENTRIES,
     MultilinearMap,
@@ -422,6 +423,51 @@ def test_integer_entries_of_any_kind_are_accepted():
     assert make_map(F97, 2, 1, [np.int64(1), np.uint8(2), 3, 4]) == want
     assert make_map(F97, 2, 1, np.array([1, 2, 3, 4], dtype=np.uint16)) == want
     assert map_from_payload(map_to_payload(want)) == want
+
+
+def test_uint64_entries_past_int64_reduce_exactly():
+    # a cast to int64 would wrap 2^64 - 1 to -1
+    entries = np.array([2**64 - 1, 2**63, 2**63 - 1, 5], dtype=np.uint64)
+    f = make_map(F97, 2, 1, entries)
+    assert [int(v) for v in f.table.flat] == [int(v) % 97 for v in entries]
+
+
+@pytest.mark.parametrize("size", [1, endo._REDUCE_GATE, endo._REDUCE_GATE + 1,
+                                  2**16, 2**16 + 1, 3 * 2**16 + 5])
+@pytest.mark.parametrize("p", [3, 97, 2**31 - 1])
+def test_reduce_matches_python_mod_on_every_int64(size, p):
+    rng = np.random.default_rng(size + p)
+    arr = rng.integers(-2**63, 2**63 - 1, size=size, dtype=np.int64,
+                       endpoint=True)
+    special = [0, p - 1, -(p - 1), p, -p, 5 * p, -7 * p, (2**62 // p) * p,
+               2**63 - 1, -(2**63 - 1), -2**63]
+    if size < len(special):  # each special value in a table of its own
+        arrays = [np.full(size, v, dtype=np.int64) for v in special]
+    else:  # at both ends and at chunk boundaries
+        for k, v in enumerate(special):
+            for at in (k, size - 1 - k, 2**16 - 1 - k, 2**16 + k):
+                if 0 <= at < size:
+                    arr[at] = v
+        arrays = [arr]
+    for arr in arrays:
+        want = [int(v) % p for v in arr.tolist()]
+        got = endo._reduce(arr.copy(), p)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("size", [endo._REDUCE_GATE // 4, 4 * endo._REDUCE_GATE])
+def test_canonical_tables_leave_the_callers_array_unwritten(size):
+    entries = np.arange(-size, 3 * size, 4, dtype=np.int64) * 1_000_003
+    before = entries.copy()
+    dim = 2
+    degree = size.bit_length() - 2  # dim^(degree + 1) == size
+    f = make_map(F97, dim, degree, entries)
+    assert np.array_equal(entries, before) and entries.flags.writeable
+    assert f.table.tolist() == (before % 97).reshape(f.table.shape).tolist()
+    shaped = entries.reshape((dim,) * (degree + 1))
+    table = endo._canonical_table(F97, shaped)
+    assert np.array_equal(entries, before) and shaped.flags.writeable
+    assert table is not shaped and not table.flags.writeable
 
 
 def _stacked(ring, dim, degree, rows, rng):
