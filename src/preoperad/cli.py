@@ -6,9 +6,16 @@
                       [--mutate NAME]... [--config FILE] [--report FILE]
     preoperad eval    --script FILE [--backend B] [--prime P] [--dim D]
                       [--seed S]
+    preoperad replay  WITNESS.json [--shrink]
 
-Exit codes: 0 all checks pass, 1 at least one law failed, 2 usage or input
-problem.
+`replay` re-runs the failed check of one witness object saved from a
+`--report` file's `failures` and prints the witness as JSON; with
+`--shrink`, a witness that still fails is first shrunk (`laws.shrink`).
+
+Exit codes: 0 all checks pass (replay: the witness no longer fails), 1 at
+least one law failed (replay: the witness still fails), 2 usage or input
+problem. eval takes the same settings as verify and refuses the same
+values.
 """
 
 from __future__ import annotations
@@ -77,31 +84,44 @@ def build_parser() -> argparse.ArgumentParser:
                         help="script path, or '-' for stdin")
     p_eval.add_argument("--seed", type=int, default=None,
                         help="draw undeclared names at random (endo only)")
+
+    p_replay = sub.add_parser("replay", help="re-run a failure witness")
+    p_replay.add_argument("witness", metavar="WITNESS.json",
+                          help="one witness object from a report's failures")
+    p_replay.add_argument("--shrink", action="store_true",
+                          help="print the smallest sample that still fails")
     return parser
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object held in the file at path, what names it in errors."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
+            raise BadConfig(f"{what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise BadConfig(f"{what} {path} must hold a JSON object")
+    return data
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
-            raise BadConfig(f"config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise PreOperadError("config file must hold a JSON object")
+    data = _read_json_object(path, "config file")
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise PreOperadError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def _trial_config(args) -> laws.TrialConfig:
-    settings = _load_config(args.config)
-    overrides = {"backend": args.backend, "prime": args.prime,
-                 "dim": args.dim, "trials": args.trials, "seed": args.seed,
-                 "degree_max": args.max_degree, "mutations": args.mutate}
-    for key, value in overrides.items():
+def _trial_config(args, config=None, **flags) -> laws.TrialConfig:
+    """The library defaults, overridden by the config file, then by the
+    flags given; refused unless valid."""
+    settings = _load_config(config)
+    flags.update(backend=args.backend, prime=args.prime, dim=args.dim,
+                 seed=args.seed)
+    for key, value in flags.items():
         if value is not None:
             settings[key] = value
     cfg = dataclasses.replace(_DEFAULTS, **settings)
@@ -120,7 +140,8 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _trial_config(args)
+    cfg = _trial_config(args, args.config, trials=args.trials,
+                        degree_max=args.max_degree, mutations=args.mutate)
     ids = None if args.law == "all" else [args.law]
     suite = laws.run_suite(cfg, ids)
     for rep in suite["laws"]:
@@ -141,6 +162,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    cfg = _trial_config(args)
     try:
         if args.script == "-":
             text = sys.stdin.read()
@@ -151,10 +173,10 @@ def _cmd_eval(args) -> int:
         raise PreOperadError(f"script {args.script} is not UTF-8 text: "
                              f"{exc}") from exc
     parsed = script_mod.parse_script(text)
-    ring = CoefficientRing.prime_field(args.prime or _DEFAULTS.prime)
-    backend_kind = args.backend or _DEFAULTS.backend
+    ring = CoefficientRing.prime_field(cfg.prime)
+    backend_kind = cfg.backend
     if backend_kind == "endo":
-        backend = EndoBackend(ring, args.dim or _DEFAULTS.dim)
+        backend = EndoBackend(ring, cfg.dim)
     else:
         gens = tuple((d.name, d.degree) for d in parsed.decls)
         if "mu" not in {d.name for d in parsed.decls}:
@@ -171,6 +193,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _cmd_replay(args) -> int:
+    witness = _read_json_object(args.witness, "witness file")
+    try:
+        fails = laws.replay(witness) is not None
+        if fails and args.shrink:
+            witness = laws.shrink(witness)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise PreOperadError(f"malformed witness {args.witness}: "
+                             f"{type(exc).__name__}: {exc}") from exc
+    print(json.dumps(witness, indent=2, sort_keys=True))
+    return 1 if fails else 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -179,6 +214,8 @@ def main(argv=None) -> int:
             return _cmd_laws(args)
         if args.command == "verify":
             return _cmd_verify(args)
+        if args.command == "replay":
+            return _cmd_replay(args)
         return _cmd_eval(args)
     except PreOperadError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,16 @@ floor division runs at memory speed and np.remainder does not; tables of
 at most _REDUCE_GATE entries use np.remainder, whose per-call cost is lower
 there. The gate is a property of the table's size, not a setting.
 
+numpy has no BLAS for integers, so a composition over F_p whose result has
+more than _REDUCE_GATE entries multiplies in float64 (as FFLAS-FFPACK does,
+Dumas, Giorgi and Pernet 2008). That is exact while d (p - 1)^2 < 2^53:
+every product and partial sum of the contraction is then an integer below
+2^53 in magnitude. It runs one output block of at most _BLOCK entries at a
+time (cast the block's operands, multiply, cast the product into the int64
+result, reduce it while it is in cache), so it allocates little beyond the
+result. Z, primes past that bound, smaller results and a stacked g keep
+the int64 matmul.
+
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
 
@@ -53,6 +63,10 @@ MAX_ENTRIES = 2**26  # 512 MB of int64: the largest table ever allocated
 # at or below it one np.remainder call costs less
 _REDUCE_GATE = 2**10
 _REDUCE_CHUNK = 2**16
+# float64 holds every integer below 2^53 exactly
+_FLOAT_EXACT = 2**53
+# outputs of one float64 block of a composition
+_BLOCK = 2**16
 
 
 def ksign(exponent: int) -> int:
@@ -143,7 +157,8 @@ def check_entries(dim: int, degree: int, rows: int = 1):
             f"{what}{dim}^{degree + 1} entries, more than the cap of 2^26")
 
 
-def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
+def _reduce(arr: np.ndarray, p: int, scratch: np.ndarray | None = None
+            ) -> np.ndarray:
     """arr, a writable int64 array, reduced into [0, p) in place.
 
     Above _REDUCE_GATE entries the flat table is reduced in chunks of
@@ -151,13 +166,16 @@ def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
     numpy's scalar integer floor division rounds toward -inf and runs at
     memory speed, two to three times faster than np.remainder, and the
     wrap-around of p * floor(x / p) cancels in the subtraction because the
-    true result fits. Exact for every int64 entry.
+    true result fits. Exact for every int64 entry. scratch, when given, is
+    a flat int64 array of at least min(arr.size, _REDUCE_CHUNK) entries
+    that holds the quotient.
     """
     if arr.size <= _REDUCE_GATE or not arr.flags.c_contiguous:
         np.remainder(arr, p, out=arr)
         return arr
     flat = arr.reshape(-1)
-    scratch = np.empty(min(flat.size, _REDUCE_CHUNK), dtype=np.int64)
+    if scratch is None:
+        scratch = np.empty(min(flat.size, _REDUCE_CHUNK), dtype=np.int64)
     for lo in range(0, flat.size, _REDUCE_CHUNK):
         part = flat[lo:lo + _REDUCE_CHUNK]
         q = scratch[:part.size]
@@ -268,7 +286,10 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
     output, inputs before slot i, g's inputs, inputs after slot i, which is
     already the result's axis order. Stacked operands keep their row axis
     in front and pair row with row. The sign goes into g's table, and the
-    product is reduced once.
+    product is reduced once. Over F_p with d (p - 1)^2 < 2^53, a single g
+    and a result above _REDUCE_GATE entries, _float_product computes the
+    same product block by block in float64; otherwise it is one int64
+    matmul.
     """
     _check_pair(f, g)
     if f.degree < 1:
@@ -282,6 +303,15 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
     check_int64(ring, d)
     # a single map, or a stack of one, serves every row of the other
     check_entries(d, m + n - 1, max(f.batch or 1, g.batch or 1))
+    # ft.size // d * d ** n: the result's entries, over all of f's rows
+    if (ring.is_field and g.batch is None
+            and d * (ring.modulus - 1) ** 2 < _FLOAT_EXACT
+            and ft.size // d * d ** n > _REDUCE_GATE):
+        raw = _float_product(ft.reshape(-1, d, d ** (m - 1 - i)),
+                             gt.reshape(d, d ** n), sign, ring.modulus)
+        raw.setflags(write=False)
+        return MultilinearMap(ring, d, m + n - 1,
+                              raw.reshape(ft.shape[:-m - 1] + (d,) * (m + n)))
     g_t = gt.reshape(gt.shape[:-n - 1] + (d, d ** n)).swapaxes(-1, -2)
     if g_t.ndim == 3:
         g_t = g_t[:, None]  # one G^T per row, broadcast over f's outputs
@@ -297,6 +327,45 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
     raw.setflags(write=False)
     return MultilinearMap(ring, d, m + n - 1,
                           raw.reshape(raw.shape[:-3] + (d,) * (m + n)))
+
+
+def _float_product(f3: np.ndarray, g2: np.ndarray, sign: int,
+                   p: int) -> np.ndarray:
+    """The reduced product out[a, x, c] = sum_k sign * g2[k, x] * f3[a, k, c]
+    as a new int64 array of shape (A, X, C), computed in float64 one output
+    block at a time.
+
+    Exact when d * (p - 1)^2 < 2^53: every product and partial sum is then
+    an integer below 2^53 in magnitude. Each block casts its operands, with
+    the sign in g's, multiplies them as one (rows * C, d) @ (d, w) GEMM,
+    writes the product transposed into the int64 result and reduces it
+    there while it is in cache. A block holds whole rows a of the result,
+    or, when one row or g's float64 copy would pass _BLOCK entries, w of
+    g's X columns of one row. So the float64 copies of f's rows and g's
+    columns stay within _BLOCK entries, unless one of f's rows (C * d
+    entries) alone is larger; one GEMM per row instead of per block is
+    several times slower when C is 1.
+    """
+    A, d, C = f3.shape
+    X = g2.shape[1]
+    out = np.empty((A, X, C), dtype=np.int64)
+    w = min(X, max(1, _BLOCK // max(C, d)))
+    rows = min(A, max(1, _BLOCK // (C * max(X, d)))) if w == X else 1
+    # the product of one block, then, viewed as int64, its quotient
+    buf = np.empty(rows * C * w)
+    for x0 in range(0, X, w):
+        gf = g2[:, x0:x0 + w].astype(np.float64)
+        if sign < 0:
+            np.negative(gf, out=gf)
+        for a0 in range(0, A, rows):
+            fb = f3[a0:a0 + rows].swapaxes(1, 2).astype(np.float64, order="C")
+            r, cols = len(fb), gf.shape[1]
+            prod = np.matmul(fb.reshape(-1, d), gf,
+                             out=buf[:r * C * cols].reshape(-1, cols))
+            block = out[a0:a0 + rows, x0:x0 + w]  # C-contiguous
+            block[...] = prod.reshape(r, C, cols).swapaxes(1, 2)
+            _reduce(block, p, buf.view(np.int64))
+    return out
 
 
 def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:

@@ -923,11 +923,16 @@ def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
 
 def _rebuild_sample(witness: dict) -> TrialSample:
     law = get_law(witness["law_id"])
+    muts = frozenset(witness.get("mutations", ()))
+    unknown = sorted(muts - set(KNOWN_MUTATIONS))
+    if unknown:
+        raise BadConfig(f"unknown mutations {unknown}")
     if law.element_free:
         return TrialSample(None, {}, dict(witness["degrees"]),
                            dict(witness.get("extra", {})))
+    if witness["backend"] not in ("endo", "free"):
+        raise BadConfig(f"unknown backend {witness['backend']!r}")
     ring = CoefficientRing.prime_field(witness["prime"])
-    muts = frozenset(witness.get("mutations", ()))
     if witness["backend"] == "endo":
         backend = EndoBackend(ring, witness["dim"], muts)
     else:

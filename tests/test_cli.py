@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from preoperad import cli
+from preoperad import cli, laws
 from preoperad.laws import SUITE_SCHEMA
 
 CUP_SCRIPT = """\
@@ -324,6 +324,111 @@ def test_verify_deterministic_reports(capsys, tmp_path):
         for rep in suite["laws"]:
             rep.pop("millis")
     assert first == second
+
+
+@pytest.mark.parametrize("flags, word", [
+    (["--prime", "0"], "not prime"),
+    (["--prime", "91"], "not prime"),
+    (["--prime", str(2**61 - 1)], "int64"),
+    (["--dim", "0"], "dim"),
+    (["--dim", "9000"], "2^26"),
+    (["--seed", "-1"], "seed"),
+    (["--backend", "free", "--dim", "0"], "dim"),
+])
+def test_eval_refuses_the_settings_verify_refuses(capsys, tmp_path, flags,
+                                                   word):
+    # 0 used to fall back to the default, and a negative seed ended in a
+    # traceback with exit 1
+    path = tmp_path / "f.txt"
+    path.write_text("let f: deg 1;\nf\n")
+    code, out, err = run(capsys, ["eval", "--script", str(path), "--seed", "1",
+                                  *flags])
+    assert code == 2
+    assert not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert word in lines[0]
+    code, out, err = run(capsys, ["verify", "--law", "L05-unit-laws",
+                                  "--trials", "1", *flags])
+    assert code == 2 and word in err
+
+
+def _golden_witnesses(name):
+    return json.loads((GOLDEN / name).read_text())["laws"][0]["failures"]
+
+
+_REPLAY_GOLDENS = ["l06_endo_cup_sign_flip_seed7.json",
+                   "l06_free_cup_sign_flip_seed7_trials12.json"]
+
+
+@pytest.mark.parametrize("golden", _REPLAY_GOLDENS)
+def test_replay_of_a_golden_witness_still_fails(capsys, tmp_path, golden):
+    witnesses = _golden_witnesses(golden)
+    assert len(witnesses) == 12
+    path = tmp_path / "witness.json"
+    for witness in witnesses:
+        path.write_text(json.dumps(witness))
+        code, out, err = run(capsys, ["replay", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == witness
+    # without the mutation that made it fail the check passes
+    path.write_text(json.dumps({**witnesses[0], "mutations": []}))
+    code, out, _ = run(capsys, ["replay", str(path)])
+    assert code == 0
+    assert json.loads(out)["mutations"] == []
+
+
+@pytest.mark.parametrize("golden", _REPLAY_GOLDENS)
+def test_replay_shrink_prints_a_smaller_witness_that_still_fails(
+        capsys, tmp_path, golden):
+    witness = _golden_witnesses(golden)[0]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = run(capsys, ["replay", str(path), "--shrink"])
+    assert (code, err) == (1, "")
+    shrunk = json.loads(out)
+    assert shrunk == laws.shrink(witness)
+    assert sum(shrunk["degrees"].values()) <= sum(witness["degrees"].values())
+    path.write_text(out)
+    code, again, _ = run(capsys, ["replay", str(path), "--shrink"])
+    assert code == 1 and json.loads(again) == shrunk
+
+
+@pytest.mark.parametrize("content, word", [
+    (None, "No such file"),
+    ("{bad", "witness.json"),
+    ("[]", "a JSON object"),
+    ('{"law_id": "L06-cup-product", "degrees": {}}', "malformed witness"),
+    ('{"law_id": "L99-nope"}', "no law"),
+])
+def test_replay_of_a_bad_witness_file_is_a_usage_error(capsys, tmp_path,
+                                                       content, word):
+    path = tmp_path / "witness.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, ["replay", str(path)])
+    assert code == 2
+    assert not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert word in lines[0]
+
+
+@pytest.mark.parametrize("change, word", [
+    ({"prime": "x"}, "malformed witness"),
+    ({"elements": [1]}, "malformed witness"),
+    ({"mutations": ["not-a-hook"]}, "unknown mutations"),
+    ({"backend": "nope"}, "unknown backend"),
+])
+def test_replay_of_a_malformed_golden_witness_is_a_usage_error(
+        capsys, tmp_path, change, word):
+    witness = _golden_witnesses(_REPLAY_GOLDENS[0])[0]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({**witness, **change}))
+    code, out, err = run(capsys, ["replay", str(path), "--shrink"])
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and word in err and err.count("\n") == 1
 
 
 def test_eval_endo_script(capsys, tmp_path):

@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,7 @@ from preoperad.errors import (
     TableTooLarge,
     UnsupportedRing,
 )
-from preoperad.rings import CoefficientRing
+from preoperad.rings import CoefficientRing, _is_prime
 
 F97 = CoefficientRing.prime_field(97)
 F101 = CoefficientRing.prime_field(101)
@@ -296,6 +298,162 @@ def test_partial_compose_matches_einsum_reference(ring, dim):
                 assert substitute(f, g, i) == make_map(
                     ring, dim, m + n - 1,
                     (want * ksign(i * (n - 1))).reshape(-1))
+
+
+def _float_bound_primes(d):
+    """The largest prime p with d (p - 1)^2 < 2^53, and the next prime."""
+    p = math.isqrt((2**53 - 1) // d) + 1
+    while not _is_prime(p):
+        p -= 1
+    q = p + 1
+    while not _is_prime(q):
+        q += 1
+    assert d * (p - 1) ** 2 < 2**53 <= d * (q - 1) ** 2
+    return p, q
+
+
+def _count_float_products(monkeypatch):
+    calls = []
+    product = endo._float_product
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return product(*args)
+
+    monkeypatch.setattr(endo, "_float_product", counted)
+    return calls
+
+
+def _exact_compose(f, g, i, sign):
+    """f comp_i g times sign in Python ints, reduced mod p."""
+    want = _einsum_compose(np.asarray(f.table).astype(object),
+                           np.asarray(g.table).astype(object), i, sign)
+    return want % f.ring.modulus
+
+
+# results above _REDUCE_GATE entries, g of even degree so that the sign
+# (-1)^(i * |g|) alternates over the slots; at d = 53 the largest prime p
+# has d p^2 >= 2^53, so a bound on p in place of p - 1 would refuse it
+_BOUND_SHAPES = {2: (7, 4), 3: (5, 2), 4: (4, 2), 53: (1, 1)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 53])
+def test_float_products_are_exact_at_the_largest_prime_below_the_bound(
+        d, monkeypatch):
+    p, _ = _float_bound_primes(d)
+    ring = CoefficientRing.prime_field(p)
+    calls = _count_float_products(monkeypatch)
+    m, n = _BOUND_SHAPES[d]
+    rng = np.random.default_rng(d)
+    top = [np.full(d ** (k + 1), p - 1, dtype=np.int64) for k in (m, n)]
+    near = [rng.integers(p - 8, p, d ** (k + 1)) for k in (m, n)]
+    for f_entries, g_entries in (top, near):
+        f = make_map(ring, d, m, f_entries)
+        g = make_map(ring, d, n, g_entries)
+        for i in range(m):
+            sign = ksign(i * (n - 1))
+            want = _exact_compose(f, g, i, sign)
+            assert partial_compose(f, g, i).table.tolist() == want.tolist(), i
+            assert substitute(f, g, i, -sign).table.tolist() == (
+                -want % p).tolist(), i
+    assert len(calls) == 4 * m  # every one of them on the float64 path
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_compositions_stay_exact_at_the_smallest_prime_above_the_bound(
+        d, monkeypatch):
+    # entries within 8 of q - 1 put every sum past 2^53, where float64
+    # rounds odd integers away
+    _, q = _float_bound_primes(d)
+    ring = CoefficientRing.prime_field(q)
+    calls = _count_float_products(monkeypatch)
+    m, n = _BOUND_SHAPES[d]
+    rng = np.random.default_rng(d)
+    f = make_map(ring, d, m, rng.integers(q - 8, q, d ** (m + 1)))
+    g = make_map(ring, d, n, rng.integers(q - 8, q, d ** (n + 1)))
+    assert d * (q - 8) ** 2 > 2**53
+    for i in range(m):
+        want = _exact_compose(f, g, i, ksign(i * (n - 1)))
+        assert partial_compose(f, g, i).table.tolist() == want.tolist(), i
+    assert calls == []
+
+
+@pytest.mark.parametrize("d, m, n, i", [
+    (3, 1, 11, 0),   # C == 1, g past one block: g's columns in blocks
+    (4, 2, 8, 1),    # the same over dim 4
+    (3, 8, 4, 0),    # X * C above the block size, a partial last block
+    (4, 8, 2, 0),
+    (3, 9, 2, 8),    # C == 1, rows of f in blocks, a partial last block
+    (3, 9, 2, 6),    # C > 1, the same
+    (4, 3, 3, 0),    # slot 0: no inputs before the slot
+    (3, 7, 0, 2),    # g a vector: one column
+], ids=lambda v: str(v))
+def test_float_products_match_the_einsum_reference_across_block_shapes(
+        d, m, n, i, monkeypatch):
+    calls = _count_float_products(monkeypatch)
+    rng = np.random.default_rng(d * 100 + m * 10 + n)
+    f = random_map(F97, d, m, rng)
+    g = random_map(F97, d, n, rng)
+    want = _einsum_compose(np.asarray(f.table), np.asarray(g.table), i, 1) % 97
+    for sign in (1, -1):
+        got = substitute(f, g, i, sign)
+        assert np.array_equal(got.table, sign * want % 97), sign
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dim, m, rows, on_float_path", [
+    (2, 5, None, False),  # 2^10 entries: exactly _REDUCE_GATE
+    (5, 1, 41, True),     # 41 stacked rows of 5^2 entries: one entry more
+], ids=["at-gate", "one-above"])
+def test_float_products_start_one_entry_above_the_reduce_gate(
+        dim, m, rows, on_float_path, monkeypatch):
+    calls = _count_float_products(monkeypatch)
+    rng = np.random.default_rng(dim)
+    fs = [random_map(F97, dim, m, rng) for _ in range(rows or 1)]
+    f = stack_rows(fs) if rows else fs[0]
+    g = random_map(F97, dim, m, rng)
+    for i in range(m):
+        got = partial_compose(f, g, i)
+        assert got.table.size == endo._REDUCE_GATE + on_float_path
+        for r, single in enumerate(fs):
+            want = _einsum_compose(np.asarray(single.table),
+                                   np.asarray(g.table), i, 1) % 97
+            assert np.array_equal(got.row(r).table, want), (i, r)
+    assert len(calls) == (m if on_float_path else 0)
+
+
+def test_float_products_leave_their_operands_unwritten():
+    rng = np.random.default_rng(5)
+    f_table = rng.integers(0, 97, (4,) * 5)
+    g_table = rng.integers(0, 97, (4,) * 3)
+    f = MultilinearMap(F97, 4, 4, f_table.copy())
+    g = MultilinearMap(F97, 4, 2, g_table.copy())
+    for i in range(4):
+        for sign in (1, -1):
+            got = substitute(f, g, i, sign)
+            assert got.table.size > endo._REDUCE_GATE
+            assert not got.table.flags.writeable
+            assert np.array_equal(f.table, f_table)
+            assert np.array_equal(g.table, g_table)
+
+
+@pytest.mark.parametrize("m, n, i", [(8, 2, 7), (8, 2, 0), (6, 4, 2),
+                                     (2, 8, 1), (9, 1, 4)])
+def test_a_large_composition_allocates_little_beyond_its_result(m, n, i):
+    # whole-table float64 copies of f or g measured 1.56-1.63 result tables
+    rng = np.random.default_rng(m * 10 + n)
+    f = random_map(F97, 4, m, rng)
+    g = random_map(F97, 4, n, rng)
+    table_bytes = 4**10 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = partial_compose(f, g, i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.table.nbytes == table_bytes
+    assert peak - base <= 1.35 * table_bytes
 
 
 def test_substitute_checks_its_operands():
