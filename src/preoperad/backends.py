@@ -2,10 +2,11 @@
 
 A GradedElement is a backend-tagged payload; the calculus layer only ever
 talks to this interface, so every derived operation runs unchanged over
-tables on R^d and over tree sums. Signed sums of compositions go through
-one streamed primitive, signed_sum; region_sum sums a composite over a
-lattice region, composing each operand into the partial sum of the points
-that share its slot.
+tables on R^d and over tree sums. Every sum, element +, - and scalar *
+included, goes through one streamed primitive, signed_sum, into the
+backend's one sum method, combine_payload; region_sum sums a composite
+over a lattice region, composing each operand into the partial sum of the
+points that share its slot.
 Backends also carry the opt-in mutation switches used by the law suite's
 canary checks.
 """
@@ -38,10 +39,7 @@ class EndoBackend:
     def compose_payload(self, f, g, i):
         return endo.partial_compose(f, g, i)
 
-    def combine_payload(self, coeffs, payloads):
-        return endo.linear_combine(coeffs, payloads)
-
-    def sum_payloads(self, degree, terms):
+    def combine_payload(self, degree, terms):
         return endo.signed_sum(self.ring, self.dim, degree, terms)
 
     def stack_payloads(self, payloads):
@@ -76,10 +74,7 @@ class FreeBackend:
     def compose_payload(self, f, g, i):
         return free.free_partial_compose(f, g, i)
 
-    def combine_payload(self, coeffs, payloads):
-        return free.free_linear_combine(coeffs, payloads)
-
-    def sum_payloads(self, degree, terms):
+    def combine_payload(self, degree, terms):
         return free.free_signed_sum(self.ring, self.signature, degree, terms)
 
     def stack_payloads(self, payloads):
@@ -114,32 +109,23 @@ class GradedElement:
     def shifted_degree(self) -> int:
         return self.payload.degree - 1
 
-    def _join(self, other: "GradedElement"):
+    def compose(self, other: "GradedElement", i: int) -> "GradedElement":
         if self.backend is not other.backend and self.backend != other.backend:
             raise BackendMismatch("elements from different backends")
-
-    def compose(self, other: "GradedElement", i: int) -> "GradedElement":
-        self._join(other)
         return GradedElement(self.backend,
                              self.backend.compose_payload(self.payload, other.payload, i))
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._join(other)
-        return GradedElement(self.backend,
-                             self.backend.combine_payload([1, 1], [self.payload, other.payload]))
+        return signed_sum(self.backend, self.degree, ((1, self), (1, other)))
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
-        self._join(other)
-        return GradedElement(self.backend,
-                             self.backend.combine_payload([1, -1], [self.payload, other.payload]))
+        return signed_sum(self.backend, self.degree, ((1, self), (-1, other)))
 
     def __neg__(self) -> "GradedElement":
-        return GradedElement(self.backend,
-                             self.backend.combine_payload([-1], [self.payload]))
+        return signed_sum(self.backend, self.degree, ((-1, self),))
 
     def __rmul__(self, c: int) -> "GradedElement":
-        return GradedElement(self.backend,
-                             self.backend.combine_payload([c], [self.payload]))
+        return signed_sum(self.backend, self.degree, ((c, self),))
 
     def is_zero(self) -> bool:
         return self.payload.is_zero()
@@ -175,7 +161,7 @@ def signed_sum(backend, degree: int, terms) -> GradedElement:
             yield c, x.payload
             del x  # not kept while the next term is built
 
-    return GradedElement(backend, backend.sum_payloads(degree, payloads()))
+    return GradedElement(backend, backend.combine_payload(degree, payloads()))
 
 
 def region_sum(base: GradedElement, operands, points) -> GradedElement:

@@ -74,7 +74,8 @@ def ksign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-@dataclass(frozen=True)
+# eq=False keeps the __eq__ below and leaves elements unhashable
+@dataclass(frozen=True, eq=False)
 class MultilinearMap:
     """A degree-n multilinear map on R^d as a canonical coefficient table."""
 
@@ -110,10 +111,6 @@ class MultilinearMap:
             and self.degree == other.degree
             and np.array_equal(self.table, other.table)
         )
-
-    def __hash__(self):
-        return hash((self.ring, self.dim, self.degree, self.table.tobytes()
-                     if self.table.dtype != object else tuple(self.table.flat)))
 
     def is_zero(self) -> bool:
         return not np.any(self.table)

@@ -9,14 +9,6 @@ class RingMismatch(PreOperadError):
     """Operands live over different coefficient rings."""
 
 
-class DivisionByZero(PreOperadError):
-    """Inverse of zero requested in a field."""
-
-
-class InverseUnavailable(PreOperadError):
-    """Inverse requested in a ring that has none for this element."""
-
-
 class UnsupportedRing(PreOperadError):
     """Operation needs a finite field but got something else."""
 

@@ -129,7 +129,8 @@ class _Rows(tuple):
         return any(self)
 
 
-@dataclass(frozen=True)
+# eq=False keeps the __eq__ below and leaves elements unhashable
+@dataclass(frozen=True, eq=False)
 class FreeElement:
     """Canonical signed tree sum of a single degree, or stacked tree sums
     with one coefficient per row."""
@@ -188,9 +189,6 @@ class FreeElement:
             return NotImplemented
         return (self.ring == other.ring and self.degree == other.degree
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, self.degree, self.terms))
 
 
 def _canonical_terms(ring: CoefficientRing, raw: dict) -> tuple:
@@ -391,8 +389,5 @@ def evaluate_hom(x: FreeElement, assignment: dict, ring: CoefficientRing,
                 f"generator {name!r} has degree {deg}, "
                 f"table has degree {assignment[name].degree}"
             )
-    if not x.terms:
-        return endo.zero_map(ring, dim, x.degree)
-    return endo.linear_combine(
-        [c for _, c in x.terms],
-        [_eval_tree(tree, assignment, ring, dim) for tree, _ in x.terms])
+    return endo.signed_sum(ring, dim, x.degree, (
+        (c, _eval_tree(tree, assignment, ring, dim)) for tree, c in x.terms))

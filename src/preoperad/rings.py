@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, InverseUnavailable, UnsupportedRing
+from .errors import UnsupportedRing
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -68,34 +68,6 @@ class CoefficientRing:
         """Canonical representative of v."""
         v = int(v)
         return v % self.modulus if self.modulus is not None else v
-
-    def add(self, a: int, b: int) -> int:
-        return self.reduce(a + b)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.reduce(a - b)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.reduce(a * b)
-
-    def neg(self, a: int) -> int:
-        return self.reduce(-a)
-
-    def inv(self, a: int) -> int:
-        if self.modulus is None:
-            if a in (1, -1):
-                return a
-            raise InverseUnavailable(f"{a} is not a unit in the integers")
-        a = a % self.modulus
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return pow(a, self.modulus - 2, self.modulus)
-
-    def sample(self, rng) -> int:
-        """Uniform element drawn from a numpy Generator. Fields only."""
-        if self.modulus is None:
-            raise UnsupportedRing("uniform sampling needs a finite field")
-        return int(rng.integers(0, self.modulus))
 
     def sample_nonzero(self, rng) -> int:
         if self.modulus is None:

@@ -37,8 +37,19 @@ from .errors import (
     UnsupportedRing,
 )
 
-_CALL_HEADS = ("comp", "cup", "bul", "bracket", "delta", "tri", "tetra")
-_RESERVED = _CALL_HEADS + ("let", "deg", "I")
+# head -> (arity, result degree from the argument degrees, value from the
+# context and the arguments, calling the calculus by its module-level name);
+# comp takes an index too and has its own node
+_CALLS = {
+    "comp": (2, None, None),
+    "cup": (2, lambda d: d[0] + d[1], lambda ctx, *a: cup(ctx, *a)),
+    "bul": (2, lambda d: d[0] + d[1] - 1, lambda ctx, *a: bullet(*a)),
+    "bracket": (2, lambda d: d[0] + d[1] - 1, lambda ctx, *a: bracket(*a)),
+    "delta": (1, lambda d: d[0] + 1, lambda ctx, *a: delta(ctx, *a)),
+    "tri": (3, lambda d: sum(d) - 2, lambda ctx, *a: tribraces(*a)),
+    "tetra": (4, lambda d: sum(d) - 3, lambda ctx, *a: tetrabraces(*a)),
+}
+_RESERVED = (*_CALLS, "let", "deg", "I")
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r\n]+|\#[^\n]*)
@@ -135,10 +146,6 @@ class Decl(Node):
 class Script(Node):
     decls: tuple = ()
     body: Node = None
-
-
-_ARITY = {"comp": 2, "cup": 2, "bul": 2, "bracket": 2, "delta": 1,
-          "tri": 3, "tetra": 4}
 
 
 class _Parser:
@@ -243,7 +250,7 @@ class _Parser:
             return inner
         if tok.kind != "ident":
             self.fail("a name, a call, or '('")
-        if tok.text in _CALL_HEADS and self.tokens[self.pos + 1].kind == "(":
+        if tok.text in _CALLS and self.tokens[self.pos + 1].kind == "(":
             return self.parse_call()
         self.advance()
         if tok.text == "I":
@@ -259,7 +266,7 @@ class _Parser:
         args = [self.parse_expr()]
         while self.peek().kind == ",":
             self.advance()
-            if head.text == "comp" and len(args) == _ARITY["comp"]:
+            if head.text == "comp" and len(args) == 2:
                 idx_tok = self.expect("int", "a composition index")
                 self.expect(")", "')'")
                 return Comp(span=(head.line, head.col), inner=args[0],
@@ -268,9 +275,10 @@ class _Parser:
         self.expect(")", "')'")
         if head.text == "comp":
             self.fail("a composition index as the third argument")
-        if len(args) != _ARITY[head.text]:
+        arity = _CALLS[head.text][0]
+        if len(args) != arity:
             raise ScriptSyntaxError(
-                f"{head.text} takes {_ARITY[head.text]} arguments, "
+                f"{head.text} takes {arity} arguments, "
                 f"got {len(args)}", head.line, head.col)
         return Call(span=(head.line, head.col), head=head.text,
                     args=tuple(args))
@@ -320,16 +328,7 @@ def _check_node(node: Node, env: dict, sums: dict) -> int:
                 f"for a degree {inner} element", *node.span)
         return inner + outer - 1
     if isinstance(node, Call):
-        degs = [_check_node(a, env, sums) for a in node.args]
-        if node.head == "cup":
-            return degs[0] + degs[1]
-        if node.head in ("bul", "bracket"):
-            return degs[0] + degs[1] - 1
-        if node.head == "delta":
-            return degs[0] + 1
-        if node.head == "tri":
-            return sum(degs) - 2
-        return sum(degs) - 3
+        return _CALLS[node.head][1]([_check_node(a, env, sums) for a in node.args])
     raise ScriptTypeError(f"unknown node {type(node).__name__}")
 
 
@@ -473,18 +472,7 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
         if isinstance(node, Comp):
             return walk(node.inner).compose(walk(node.outer), node.index)
         if isinstance(node, Call):
-            args = [walk(a) for a in node.args]
-            if node.head == "cup":
-                return cup(ctx, *args)
-            if node.head == "bul":
-                return bullet(*args)
-            if node.head == "bracket":
-                return bracket(*args)
-            if node.head == "delta":
-                return delta(ctx, *args)
-            if node.head == "tri":
-                return tribraces(*args)
-            return tetrabraces(*args)
+            return _CALLS[node.head][2](ctx, *[walk(a) for a in node.args])
         raise ScriptTypeError(f"unknown node {type(node).__name__}")
 
     try:

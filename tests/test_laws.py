@@ -1,3 +1,7 @@
+import copy
+import json
+from pathlib import Path
+
 import jsonschema
 import pytest
 
@@ -53,7 +57,6 @@ def test_registry_size_and_ids():
 def test_registry_metadata_nonempty():
     for law in laws.list_laws():
         assert law.description.strip()
-        assert law.anchor.strip()
         assert law.slots
         assert set(law.backends) <= {"endo", "free"}
         assert callable(law.checker)
@@ -230,6 +233,39 @@ def test_shrink_is_idempotent():
     assert again["lhs"] == small["lhs"] and again["rhs"] == small["rhs"]
 
 
+def _golden_witnesses(name):
+    path = Path(__file__).resolve().parent / "golden" / name
+    return [w for rep in json.loads(path.read_text())["laws"]
+            for w in rep["failures"]]
+
+
+@pytest.mark.parametrize("backend", ["endo", "free"])
+def test_shrink_lowers_degrees_on_both_backends(backend):
+    golden = {"endo": "l06_endo_cup_sign_flip_seed7.json",
+              "free": "l06_free_cup_sign_flip_seed7_trials12.json"}[backend]
+    for witness in _golden_witnesses(golden)[:4]:
+        small = laws.shrink(witness)
+        assert small["degrees"] == {"f": 1, "g": 1}
+        assert laws.replay(small) is not None
+        assert laws.shrink(small) == small
+        if backend == "free":
+            assert ["f", 1] in small["elements"]["mu"]["signature"]
+
+
+def test_a_multi_term_free_witness_keeps_its_degrees():
+    witness = copy.deepcopy(
+        _golden_witnesses("l06_free_cup_sign_flip_seed7_trials12.json")[0])
+    assert witness["degrees"] == {"f": 3, "g": 2}
+    # two trees that are not f's generator, both holding g's
+    witness["elements"]["f"]["terms"] = [["(mu (g _ _) _)", 1],
+                                         ["(mu _ (g _ _))", 96]]
+    assert laws.replay(witness) is not None
+    small = laws.shrink(witness)
+    assert small["degrees"] == {"f": 3, "g": 2}
+    assert laws.replay(small) is not None
+    assert laws.shrink(small) == small
+
+
 def test_shrink_leaves_passing_witness_alone():
     witness = laws.run_law("L02-relation-left", SHRINK_CFG).failures[0]
     healed = dict(witness)
@@ -313,8 +349,7 @@ def test_first_failing_claim_is_the_witness(claims, want):
                 raise AssertionError("a claim after the failure was drawn")
             yield claim
 
-    law = laws.Law("L00-hand-made", "hand-made claims", "claim loop",
-                   ("f",), stream)
+    law = laws.Law("L00-hand-made", "hand-made claims", ("f",), stream)
     wants = want if isinstance(want, list) else [want]
     sample = laws.TrialSample(None, {}, {"f": 1}, {}, len(wants))
     details = law.checker(sample)
