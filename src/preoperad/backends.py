@@ -110,10 +110,11 @@ class GradedElement:
         return self.payload.degree - 1
 
     def compose(self, other: "GradedElement", i: int) -> "GradedElement":
-        if self.backend is not other.backend and self.backend != other.backend:
+        backend = self.backend
+        if backend is not other.backend and backend != other.backend:
             raise BackendMismatch("elements from different backends")
-        return GradedElement(self.backend,
-                             self.backend.compose_payload(self.payload, other.payload, i))
+        return _element(backend,
+                        backend.compose_payload(self.payload, other.payload, i))
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         return signed_sum(self.backend, self.degree, ((1, self), (1, other)))
@@ -148,6 +149,17 @@ class GradedElement:
         return self.backend.serialize(self.payload)
 
 
+def _element(backend, payload) -> GradedElement:
+    """An element from a payload the package built itself, without the
+    frozen dataclass __init__, which sets every field through
+    object.__setattr__; the result is the same read-only element."""
+    x = object.__new__(GradedElement)
+    fields = x.__dict__
+    fields["backend"] = backend
+    fields["payload"] = payload
+    return x
+
+
 def signed_sum(backend, degree: int, terms) -> GradedElement:
     """Sum of c * x over (c, x) pairs drawn one at a time from terms.
 
@@ -161,7 +173,7 @@ def signed_sum(backend, degree: int, terms) -> GradedElement:
             yield c, x.payload
             del x  # not kept while the next term is built
 
-    return GradedElement(backend, backend.combine_payload(degree, payloads()))
+    return _element(backend, backend.combine_payload(degree, payloads()))
 
 
 def region_sum(base: GradedElement, operands, points) -> GradedElement:

@@ -11,12 +11,18 @@ every row of a stacked one. Throughout, |f| denotes the shifted degree
 deg(f) - 1; it drives every sign below.
 
 Over F_p a table is int64 with entries in [0, p), and every composition and
-signed sum reduces its raw int64 result in place through one helper,
-_reduce. Large tables are reduced as x - p * floor(x / p) in fixed-size
-chunks through one small scratch quotient, since numpy's scalar integer
-floor division runs at memory speed and np.remainder does not; tables of
-at most _REDUCE_GATE entries use np.remainder, whose per-call cost is lower
+signed sum reduces its raw int64 result in place. Tables of more than
+_REDUCE_GATE entries go through _reduce, as x - p * floor(x / p) in
+fixed-size chunks through one small scratch quotient, since numpy's scalar
+integer floor division runs at memory speed and np.remainder does not;
+smaller ones take one np.remainder call, whose per-call cost is lower
 there. The gate is a property of the table's size, not a setting.
+
+Most compositions and sums of a law suite are of small tables, where numpy's
+kernel is a small part of a call, so the per-call work is kept short: the
+limits of a (ring, dim) pair are worked out once (_limits), the entry cap
+is checked only for a result that could pass it, and results are built by
+_new_map without the frozen dataclass __init__.
 
 numpy has no BLAS for integers, so a composition over F_p whose result has
 more than _REDUCE_GATE entries multiplies in float64 (as FFLAS-FFPACK does,
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,6 +138,20 @@ class MultilinearMap:
         return bool(diff.any())
 
 
+def _new_map(ring: CoefficientRing, dim: int, degree: int,
+             table: np.ndarray) -> MultilinearMap:
+    """A map from parts the package built and checked itself, without the
+    frozen dataclass __init__, which sets every field through
+    object.__setattr__; the result is the same read-only map."""
+    m = object.__new__(MultilinearMap)
+    fields = m.__dict__
+    fields["ring"] = ring
+    fields["dim"] = dim
+    fields["degree"] = degree
+    fields["table"] = table
+    return m
+
+
 def check_int64(ring: CoefficientRing, dim: int):
     """Refuse F_p tables of dimension dim that int64 cannot hold exactly.
 
@@ -141,6 +162,17 @@ def check_int64(ring: CoefficientRing, dim: int):
         raise UnsupportedRing(
             f"{ring.label()} tables of dimension {dim} overflow int64 "
             f"(need dim * p^2 < 2^63)")
+
+
+@lru_cache(maxsize=256)
+def _limits(ring: CoefficientRing, dim: int) -> tuple:
+    """(p, exact) for tables of ring over R^dim, worked out once per (ring,
+    dim): the modulus (None over Z), and whether d (p - 1)^2 < 2^53 makes
+    the float64 product exact. Refuses, through check_int64, what int64
+    cannot hold; a refusal is not cached, so it is raised on every call."""
+    check_int64(ring, dim)
+    p = ring.modulus
+    return p, p is not None and dim * (p - 1) ** 2 < _FLOAT_EXACT
 
 
 def check_entries(dim: int, degree: int, rows: int = 1):
@@ -282,48 +314,56 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
     the broadcast product G^T @ F has shape (d^(i+1), d^n, d^(|f|-i)):
     output, inputs before slot i, g's inputs, inputs after slot i, which is
     already the result's axis order. Stacked operands keep their row axis
-    in front and pair row with row. The sign goes into g's table, and the
-    product is reduced once. Over F_p with d (p - 1)^2 < 2^53, a single g
-    and a result above _REDUCE_GATE entries, _float_product computes the
-    same product block by block in float64; otherwise it is one int64
-    matmul.
+    in front and pair row with row. The product is negated in place for a
+    negative sign and reduced once. Over F_p with d (p - 1)^2 < 2^53, a
+    single g and a result above _REDUCE_GATE entries, _float_product
+    computes the same product block by block in float64; otherwise it is
+    one int64 matmul. The ring and dimension limits are checked once per
+    (ring, dim), and the entry cap only for a result that may pass it.
     """
-    _check_pair(f, g)
-    if f.degree < 1:
+    ring, d = f.ring, f.dim
+    if g.ring is not ring or g.dim != d:
+        _check_pair(f, g)
+    m, n = f.degree, g.degree
+    if m < 1:
         raise InvalidDegree("left operand of a composition needs degree >= 1")
-    if not 0 <= i <= f.shifted_degree:
-        raise IndexOutOfScope(
-            f"slot {i} outside 0..{f.shifted_degree} for degree {f.degree}"
-        )
-    ring, d, m, n = f.ring, f.dim, f.degree, g.degree
+    if not 0 <= i < m:
+        raise IndexOutOfScope(f"slot {i} outside 0..{m - 1} for degree {m}")
+    p, exact_in_float = _limits(ring, d)
     ft, gt = f.table, g.table
-    check_int64(ring, d)
+    f_rows = ft.shape[0] if ft.ndim > m + 1 else None
+    g_rows = gt.shape[0] if gt.ndim > n + 1 else None
     # a single map, or a stack of one, serves every row of the other
-    check_entries(d, m + n - 1, max(f.batch or 1, g.batch or 1))
+    rows = max(f_rows or 1, g_rows or 1)
+    if rows * d ** (m + n) > MAX_ENTRIES:
+        check_entries(d, m + n - 1, rows)
+    front = (f_rows,) if f_rows is not None else ()
     # ft.size // d * d ** n: the result's entries, over all of f's rows
-    if (ring.is_field and g.batch is None
-            and d * (ring.modulus - 1) ** 2 < _FLOAT_EXACT
+    if (exact_in_float and g_rows is None
             and ft.size // d * d ** n > _REDUCE_GATE):
         raw = _float_product(ft.reshape(-1, d, d ** (m - 1 - i)),
-                             gt.reshape(d, d ** n), sign, ring.modulus)
+                             gt.reshape(d, d ** n), sign, p)
         raw.setflags(write=False)
-        return MultilinearMap(ring, d, m + n - 1,
-                              raw.reshape(ft.shape[:-m - 1] + (d,) * (m + n)))
-    g_t = gt.reshape(gt.shape[:-n - 1] + (d, d ** n)).swapaxes(-1, -2)
-    if g_t.ndim == 3:
-        g_t = g_t[:, None]  # one G^T per row, broadcast over f's outputs
-    if sign < 0:
-        g_t = -g_t
+        return _new_map(ring, d, m + n - 1, raw.reshape(front + (d,) * (m + n)))
+    if g_rows is None:
+        g_t = gt.reshape(d, d ** n).T
+    else:  # one G^T per row, broadcast over f's outputs
+        g_t = gt.reshape(g_rows, 1, d, d ** n).swapaxes(-1, -2)
     try:
-        raw = g_t @ ft.reshape(ft.shape[:-m - 1] + (d ** (i + 1), d, d ** (m - 1 - i)))
+        raw = g_t @ ft.reshape(front + (d ** (i + 1), d, d ** (m - 1 - i)))
     except ValueError:
-        raise ShapeMismatch(f"stacked maps of {ft.shape[0]} and {gt.shape[0]} "
+        raise ShapeMismatch(f"stacked maps of {f_rows} and {g_rows} "
                             f"rows") from None
-    if ring.is_field:
-        _reduce(raw, ring.modulus)
+    if sign < 0:
+        np.negative(raw, out=raw)
+    if p is not None:
+        if raw.size <= _REDUCE_GATE:
+            np.remainder(raw, p, out=raw)
+        else:
+            _reduce(raw, p)
     raw.setflags(write=False)
-    return MultilinearMap(ring, d, m + n - 1,
-                          raw.reshape(raw.shape[:-3] + (d,) * (m + n)))
+    return _new_map(ring, d, m + n - 1,
+                    raw.reshape(raw.shape[:-3] + (d,) * (m + n)))
 
 
 def _float_product(f3: np.ndarray, g2: np.ndarray, sign: int,
@@ -367,7 +407,7 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, sign: int,
 
 def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
     """f comp_i g with the Koszul twist (-1)^(i * |g|)."""
-    return substitute(f, g, i, ksign(i * g.shifted_degree))
+    return substitute(f, g, i, -1 if i * (g.degree - 1) % 2 else 1)
 
 
 def signed_sum(ring: CoefficientRing, dim: int, degree: int,
@@ -385,12 +425,8 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
     acc = None
     bound = 0  # bound on the magnitude of acc's entries (F_p only)
     for c, m in terms:
-        if m.ring is not ring and m.ring != ring:
-            raise RingMismatch(f"{m.ring.label()} vs {ring.label()}")
-        if m.dim != dim:
-            raise BackendMismatch(f"dim {m.dim} vs {dim}")
-        if m.degree != degree:
-            raise DegreeMismatch(f"degree {m.degree} vs {degree}")
+        if m.ring is not ring or m.dim != dim or m.degree != degree:
+            _check_term(ring, dim, degree, m)
         c = int(c)
         if p is not None:
             c %= p
@@ -407,9 +443,24 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
     if acc is None:
         return zero_map(ring, dim, degree)
     if p is not None:
-        _reduce(acc, p)
+        if acc.size <= _REDUCE_GATE:
+            np.remainder(acc, p, out=acc)
+        else:
+            _reduce(acc, p)
     acc.setflags(write=False)
-    return MultilinearMap(ring, dim, degree, acc)
+    return _new_map(ring, dim, degree, acc)
+
+
+def _check_term(ring: CoefficientRing, dim: int, degree: int,
+                m: MultilinearMap):
+    """Refuse a term of another ring, dimension or degree than its sum; an
+    equal ring that is another object passes."""
+    if m.ring != ring:
+        raise RingMismatch(f"{m.ring.label()} vs {ring.label()}")
+    if m.dim != dim:
+        raise BackendMismatch(f"dim {m.dim} vs {dim}")
+    if m.degree != degree:
+        raise DegreeMismatch(f"degree {m.degree} vs {degree}")
 
 
 def _add_into(acc, c: int, table: np.ndarray) -> np.ndarray:
@@ -453,8 +504,11 @@ def random_map(ring: CoefficientRing, dim: int, degree: int, rng) -> Multilinear
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
     check_entries(dim, degree)
-    table = rng.integers(0, ring.modulus, size=(dim,) * (degree + 1), dtype=np.int64)
-    return MultilinearMap(ring, dim, degree, _canonical_table(ring, table))
+    p, _ = _limits(ring, dim)
+    # drawn in [0, p) already: canonical as it comes
+    table = rng.integers(0, p, size=(dim,) * (degree + 1), dtype=np.int64)
+    table.setflags(write=False)
+    return _new_map(ring, dim, degree, table)
 
 
 def evaluate(f: MultilinearMap, inputs) -> MultilinearMap:

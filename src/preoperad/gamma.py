@@ -4,7 +4,9 @@ Four families of lattice-indexed elements, built from four inputs h, f, g, b
 and the context product mu. Each family is a short alternating sum of
 compositions (h comp_s mu) comp f comp g comp b plus at most one cup term,
 arranged so that adjacent families share their boundary summand; summing the
-four families telescopes almost everything away.
+four families telescopes almost everything away. Within a family the f, g, b
+chain of every mu-term is the same, so the h comp_s mu are summed over s
+first and the chain is composed once per family, not once per s.
 
 The total definitions used here are the unit-absorbed forms, defined on one
 extended tetrahedron per family (gamma_domain). On the shifted interior they
@@ -15,7 +17,7 @@ forms (also checked by law).
 
 from __future__ import annotations
 
-from .backends import GradedElement, signed_sum
+from .backends import GradedElement, region_sum, signed_sum
 from .calculus import PreOperadContext, cup
 from .domains import LatticeDomain, ground_tetrahedron
 from .endo import ksign
@@ -54,8 +56,19 @@ def _chain(h: GradedElement, f: GradedElement, i: int, g: GradedElement,
     return h.compose(f, i).compose(g, j).compose(b, k)
 
 
-def _mu_chain(ctx, h, s, f, i, g, j, b, k) -> GradedElement:
-    return _chain(h.compose(ctx.mu, s), f, i, g, j, b, k)
+def _mu_terms(c: int, ctx: PreOperadContext, h: GradedElement, s_range,
+              f: GradedElement, i: int, g: GradedElement, j: int,
+              b: GradedElement, k: int):
+    """The term c * sum over s of (h comp_s mu) comp_i f comp_j g comp_k b.
+
+    Composition is linear in its left operand, so the h comp_s mu are
+    summed over s first and the f, g, b chain runs once for the whole
+    range: r + 3 compositions for r values of s, not 4r. An empty range
+    yields no term.
+    """
+    if s_range:
+        hm = region_sum(h, (ctx.mu,), [(s,) for s in s_range])
+        yield c, _chain(hm, f, i, g, j, b, k)
 
 
 def aux_gamma(ctx: PreOperadContext, kind: str, h: GradedElement,
@@ -75,17 +88,16 @@ def aux_gamma(ctx: PreOperadContext, kind: str, h: GradedElement,
         if kind == "gamma":
             yield -ksign(sh + sf + sg + sb), _chain(cup(ctx, ctx.unit, h),
                                                     f, i, g, j, b, k)
-            for s in range(0, i):
-                yield -tail, _mu_chain(ctx, h, s, f, i, g, j, b, k)
+            yield from _mu_terms(-tail, ctx, h, range(0, i), f, i, g, j, b, k)
         elif kind == "gamma1":
-            for s in range(i - 1, j - df + 1):
-                yield -tail, _mu_chain(ctx, h, s, f, i - 1, g, j, b, k)
+            yield from _mu_terms(-tail, ctx, h, range(i - 1, j - df + 1),
+                                 f, i - 1, g, j, b, k)
         elif kind == "gamma2":
-            for s in range(j - df, k - df - sg + 1):
-                yield -tail, _mu_chain(ctx, h, s, f, i - 1, g, j - 1, b, k)
+            yield from _mu_terms(-tail, ctx, h, range(j - df, k - df - sg + 1),
+                                 f, i - 1, g, j - 1, b, k)
         else:
-            for s in range(k - df - sg, sh + 1):
-                yield -tail, _mu_chain(ctx, h, s, f, i - 1, g, j - 1, b, k - 1)
+            yield from _mu_terms(-tail, ctx, h, range(k - df - sg, sh + 1),
+                                 f, i - 1, g, j - 1, b, k - 1)
             yield -tail, _chain(cup(ctx, h, ctx.unit), f, i - 1, g, j - 1,
                                b, k - 1)
 
@@ -111,25 +123,25 @@ def aux_gamma_shifted(ctx: PreOperadContext, kind: str, h: GradedElement,
         if kind == "gamma":
             yield -ksign(sh + sf + sg + sb), cup(ctx, unit,
                                                  _chain(h, f, i, g, j, b, k))
-            for s in range(0, i):
-                yield -tail, _mu_chain(ctx, h, s, f, i + 1, g, j + 1, b, k + 1)
+            yield from _mu_terms(-tail, ctx, h, range(0, i),
+                                 f, i + 1, g, j + 1, b, k + 1)
             yield tail, _chain(h, cup(ctx, unit, f), i, g, j + 1, b, k + 1)
         elif kind == "gamma1":
             yield ksign(sg + sb), _chain(h, cup(ctx, f, unit), i, g, j + 1,
                                          b, k + 1)
-            for s in range(i + 1, j - df + 1):
-                yield -tail, _mu_chain(ctx, h, s, f, i, g, j + 1, b, k + 1)
+            yield from _mu_terms(-tail, ctx, h, range(i + 1, j - df + 1),
+                                 f, i, g, j + 1, b, k + 1)
             yield ksign(sg + sb), _chain(h, f, i, cup(ctx, unit, g), j,
                                          b, k + 1)
         elif kind == "gamma2":
             yield ksign(sb), _chain(h, f, i, cup(ctx, g, unit), j, b, k + 1)
-            for s in range(j - sf + 1, k - sf - dg + 1):
-                yield -tail, _mu_chain(ctx, h, s, f, i, g, j, b, k + 1)
+            yield from _mu_terms(-tail, ctx, h, range(j - sf + 1, k - sf - dg + 1),
+                                 f, i, g, j, b, k + 1)
             yield ksign(sb), _chain(h, f, i, g, j, cup(ctx, unit, b), k)
         else:
             yield 1, _chain(h, f, i, g, j, cup(ctx, b, unit), k)
-            for s in range(k - sf - sg + 1, sh + 1):
-                yield -tail, _mu_chain(ctx, h, s, f, i, g, j, b, k)
+            yield from _mu_terms(-tail, ctx, h, range(k - sf - sg + 1, sh + 1),
+                                 f, i, g, j, b, k)
             yield -1, cup(ctx, _chain(h, f, i, g, j, b, k), unit)
 
     return signed_sum(h.backend, h.degree + df + dg + b.degree - 2, terms())

@@ -30,7 +30,7 @@ import hashlib
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -256,6 +256,7 @@ SUITE_SCHEMA = {
 # ---------------------------------------------------------------------------
 # sampling
 
+@lru_cache(maxsize=64)  # one SHA-256 per law id, not one per trial attempt
 def _law_salt(law_id: str) -> int:
     return int.from_bytes(hashlib.sha256(law_id.encode()).digest()[:8], "big")
 

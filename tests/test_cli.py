@@ -26,6 +26,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ADDRESS_SPACE_CAP = 4 << 30
 
 
+def child_env():
+    """The environment of a child process that imports the package from
+    this checkout, single-threaded."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(path))
+
+
 def run_capped(argv):
     """The CLI in a child process whose address space is capped at 4 GB, so
     a table that slipped past the size checks fails there instead of being
@@ -34,11 +42,8 @@ def run_capped(argv):
         resource.setrlimit(resource.RLIMIT_AS,
                            (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 
-    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, "-m", "preoperad.cli", *argv],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=child_env(),
                           preexec_fn=cap, timeout=120)
 
 
@@ -55,6 +60,19 @@ def test_laws_listing(capsys):
     assert len(lines) >= 18
     assert any(ln.startswith("L08-main-theorem") for ln in lines)
     assert any(ln.startswith("L12-delta-squared") for ln in lines)
+
+
+@pytest.mark.parametrize("argv, code", [(["laws"], 0),
+                                        (["verify", "--prime", "4"], 2)])
+def test_python_dash_m_preoperad_runs_the_cli(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "preoperad", *argv],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert "L08-main-theorem" in proc.stdout
+    else:
+        assert proc.stderr.startswith("error:")
 
 
 def test_laws_listing_backend_filter(capsys):

@@ -189,6 +189,17 @@ def test_random_map_deterministic_and_field_only():
         random_map(ZZ, 2, 2, np.random.default_rng(0))
 
 
+def test_random_map_is_the_generators_draw_read_only():
+    for degree in (0, 1, 3):
+        got = random_map(F97, 3, degree, np.random.default_rng(7))
+        want = np.random.default_rng(7).integers(
+            0, 97, size=(3,) * (degree + 1), dtype=np.int64)
+        assert got.table.dtype == np.int64
+        assert np.array_equal(got.table, want)
+        assert not got.table.flags.writeable
+        assert got == make_map(F97, 3, degree, want.reshape(-1))
+
+
 def vec(ring, entries):
     return make_map(ring, len(entries), 0, entries)
 
@@ -233,9 +244,11 @@ def test_no_overflow_at_large_prime():
 
 
 
-@pytest.mark.parametrize("p, dim", [(2147483647, 3), (4294967311, 2)])
+@pytest.mark.parametrize("p, dim", [(2147483647, 3), (4294967311, 2),
+                                    (9223372036854775837, 1)])
 def test_tables_that_could_overflow_int64_are_refused(p, dim):
-    # dim * p^2 >= 2^63: a contraction could wrap around silently
+    # dim * p^2 >= 2^63: a contraction could wrap around silently; a p past
+    # int64 is refused before numpy is asked to draw below it
     ring = CoefficientRing.prime_field(p)
     with pytest.raises(UnsupportedRing):
         zero_map(ring, dim, 1)
@@ -464,6 +477,59 @@ def test_substitute_checks_its_operands():
         substitute(make_map(F97, 2, 0, [1, 2]), f, 0)
     with pytest.raises(RingMismatch):
         substitute(f, make_map(F101, 2, 2, range(8)), 0)
+
+
+def test_substitute_refuses_what_it_refused_before_its_checks_were_hoisted():
+    rng = np.random.default_rng(17)
+    f = random_map(F97, 2, 3, rng)
+    g = random_map(F97, 2, 2, rng)
+    with pytest.raises(RingMismatch):
+        substitute(f, random_map(F101, 2, 2, rng), 0)
+    with pytest.raises(BackendMismatch):
+        substitute(f, random_map(F97, 3, 2, rng), 0)
+    with pytest.raises(InvalidDegree):
+        substitute(random_map(F97, 2, 0, rng), g, 0)
+    for slot in (-1, f.degree):  # |f| + 1
+        with pytest.raises(IndexOutOfScope, match=f"slot {slot} outside 0..2"):
+            substitute(f, g, slot)
+    with pytest.raises(ShapeMismatch, match="stacked maps of 2 and 3 rows"):
+        substitute(_stacked(F97, 2, 3, 2, rng)[1],
+                   _stacked(F97, 2, 2, 3, rng)[1], 0)
+    # 5 rows of 2^24 entries pass the cap; the small operands do not
+    rows = stack_rows([random_map(F97, 2, 12, rng) for _ in range(5)])
+    with pytest.raises(TableTooLarge, match="5 stacked degree 23 tables"):
+        substitute(rows, random_map(F97, 2, 12, rng), 0)
+    # maps built directly bypass make_map's ring checks; substitute refuses
+    # them on every call, and a good (ring, dim) does not vouch for another
+    # dim of the same ring
+    huge = CoefficientRing.prime_field(2**61 - 1)
+    bad = MultilinearMap(huge, 2, 1, np.eye(2, dtype=np.int64))
+    for _ in range(2):
+        with pytest.raises(UnsupportedRing):
+            substitute(bad, bad, 0)
+    edge = CoefficientRing.prime_field(2147483659)  # p^2 < 2^63 <= 2 p^2
+    one = make_map(edge, 1, 2, [3])
+    assert substitute(one, one, 1).table.reshape(-1).tolist() == [9]
+    bad = MultilinearMap(edge, 2, 1, np.eye(2, dtype=np.int64))
+    with pytest.raises(UnsupportedRing):
+        substitute(bad, bad, 0)
+    # results are read-only, unhashable and equal to the reference
+    for ring in (F97, ZZ):
+        f = make_map(ring, 2, 3, rng.integers(-50, 50, 16))
+        g = make_map(ring, 2, 2, rng.integers(-50, 50, 8))
+        for i in range(3):
+            sign = ksign(i * (g.degree - 1))
+            want = _einsum_compose(np.asarray(f.table), np.asarray(g.table),
+                                   i, sign)
+            want = make_map(ring, 2, 4, want.reshape(-1))
+            got = partial_compose(f, g, i)
+            total = signed_sum(ring, 2, 4,
+                               [(2, got), (-sign, substitute(f, g, i))])
+            for x in (got, total):
+                assert not x.table.flags.writeable
+                with pytest.raises(TypeError):
+                    hash(x)
+            assert got == want and total == want
 
 
 def test_tables_above_the_entry_cap_are_refused_before_allocation():

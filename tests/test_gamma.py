@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from preoperad.backends import EndoBackend
+from preoperad.backends import EndoBackend, FreeBackend, GradedElement
 from preoperad.calculus import PreOperadContext, cup, delta
 from preoperad.domains import boundary_faces, ground_tetrahedron, shifted_tetrahedron
 from preoperad.endo import ksign
+from preoperad.free import Signature
 from preoperad.errors import IndexOutOfDomain, InvalidDegree
 from preoperad.gamma import GAMMA_KINDS, aux_gamma, aux_gamma_shifted, gamma_domain
 from preoperad.rings import CoefficientRing
@@ -143,3 +144,128 @@ def test_aux_degree_bookkeeping():
         dom = gamma_domain(kind, 3, 1, 1, 1)
         i, j, k = dom.points[0]
         assert aux_gamma(ctx, kind, h, f, g, b, i, j, k).degree == want
+
+
+def _inputs(kind, degrees, mutations, seed):
+    """A context and h, f, g, b of the given degrees on one backend; free
+    inputs, mu included, are sums of two generators, so that terms can
+    merge and cancel."""
+    rng = np.random.default_rng(seed)
+    if kind == "endo":
+        backend = EndoBackend(F97, 2, mutations)
+        h, f, g, b, mu = (backend.random(d, rng) for d in degrees + (2,))
+    else:
+        sig = Signature(tuple((n + t, d) for n, d in zip("hfgbm", degrees + (2,))
+                              for t in ("", "2")))
+        backend = FreeBackend(F97, sig, mutations)
+        h, f, g, b, mu = (int(rng.integers(1, 97)) * backend.generator(n)
+                          - int(rng.integers(1, 97)) * backend.generator(n + "2")
+                          for n in "hfgbm")
+    return PreOperadContext(backend, mu), h, f, g, b
+
+
+def _chain(x, f, i, g, j, b, k):
+    return x.compose(f, i).compose(g, j).compose(b, k)
+
+
+def _aux_gamma_per_s(ctx, kind, h, f, g, b, i, j, k):
+    """aux_gamma at (i, j, k) with one full chain
+    (h comp_s mu) comp f comp g comp b per s, and the number of s."""
+    mu, unit = ctx.mu, ctx.unit
+    sh, sf, sg, sb = (x.degree - 1 for x in (h, f, g, b))
+    df = f.degree
+    tail = ksign(sf + sg + sb)
+    total = ctx.backend.zero(h.degree + f.degree + g.degree + b.degree - 2)
+    if kind == "gamma":
+        total = total - ksign(sh + sf + sg + sb) * _chain(
+            cup(ctx, unit, h), f, i, g, j, b, k)
+        s_range, slots = range(0, i), (i, j, k)
+    elif kind == "gamma1":
+        s_range, slots = range(i - 1, j - df + 1), (i - 1, j, k)
+    elif kind == "gamma2":
+        s_range, slots = range(j - df, k - df - sg + 1), (i - 1, j - 1, k)
+    else:
+        total = total - tail * _chain(cup(ctx, h, unit), f, i - 1, g, j - 1,
+                                      b, k - 1)
+        s_range, slots = range(k - df - sg, sh + 1), (i - 1, j - 1, k - 1)
+    fi, gj, bk = slots
+    for s in s_range:
+        total = total - tail * _chain(h.compose(mu, s), f, fi, g, gj, b, bk)
+    return total, len(s_range)
+
+
+def _aux_gamma_shifted_per_s(ctx, kind, h, f, g, b, i, j, k):
+    """aux_gamma_shifted at (i, j, k) with one full chain per s, and the
+    number of s."""
+    mu, unit = ctx.mu, ctx.unit
+    sh, sf, sg, sb = (x.degree - 1 for x in (h, f, g, b))
+    df, dg = f.degree, g.degree
+    tail = ksign(sf + sg + sb)
+    if kind == "gamma":
+        total = (tail * _chain(h, cup(ctx, unit, f), i, g, j + 1, b, k + 1)
+                 - ksign(sh + sf + sg + sb) * cup(ctx, unit,
+                                                  _chain(h, f, i, g, j, b, k)))
+        s_range, slots = range(0, i), (i + 1, j + 1, k + 1)
+    elif kind == "gamma1":
+        total = ksign(sg + sb) * (
+            _chain(h, cup(ctx, f, unit), i, g, j + 1, b, k + 1)
+            + _chain(h, f, i, cup(ctx, unit, g), j, b, k + 1))
+        s_range, slots = range(i + 1, j - df + 1), (i, j + 1, k + 1)
+    elif kind == "gamma2":
+        total = ksign(sb) * (
+            _chain(h, f, i, cup(ctx, g, unit), j, b, k + 1)
+            + _chain(h, f, i, g, j, cup(ctx, unit, b), k))
+        s_range, slots = range(j - sf + 1, k - sf - dg + 1), (i, j, k + 1)
+    else:
+        total = (_chain(h, f, i, g, j, cup(ctx, b, unit), k)
+                 - cup(ctx, _chain(h, f, i, g, j, b, k), unit))
+        s_range, slots = range(k - sf - sg + 1, sh + 1), (i, j, k)
+    fi, gj, bk = slots
+    for s in s_range:
+        total = total - tail * _chain(h.compose(mu, s), f, fi, g, gj, b, bk)
+    return total, len(s_range)
+
+
+@pytest.mark.parametrize("kind", ["endo", "free"])
+@pytest.mark.parametrize("mutations", [frozenset(), frozenset({"cup-sign-flip"})],
+                         ids=["clean", "cup-sign-flip"])
+@pytest.mark.parametrize("degrees", [(3, 1, 1, 1), (4, 2, 1, 2)])
+def test_families_equal_their_per_s_expansion(kind, mutations, degrees):
+    ctx, h, f, g, b = _inputs(kind, degrees, mutations, 3 + sum(degrees))
+    counts = set()
+    for family in GAMMA_KINDS:
+        for (i, j, k) in gamma_domain(family, *degrees):
+            want, r = _aux_gamma_per_s(ctx, family, h, f, g, b, i, j, k)
+            assert aux_gamma(ctx, family, h, f, g, b, i, j, k) == want
+            counts.add(r)
+        for (i, j, k) in ground_tetrahedron(*degrees[:3]):
+            want, r = _aux_gamma_shifted_per_s(ctx, family, h, f, g, b, i, j, k)
+            assert aux_gamma_shifted(ctx, family, h, f, g, b, i, j, k) == want
+            counts.add(r)
+    # empty s-ranges, single ones and longer ones all occur
+    assert {0, 1, 2} <= counts
+
+
+def test_a_family_with_r_values_of_s_composes_r_plus_3_times(monkeypatch):
+    ctx, h, f, g, b = _inputs("endo", (5, 1, 1, 1), frozenset(), 29)
+    calls = []
+    compose = GradedElement.compose
+
+    def counted(self, other, i):
+        calls.append(i)
+        return compose(self, other, i)
+
+    monkeypatch.setattr(GradedElement, "compose", counted)
+    # gamma and gamma3 also hold one cup term: 2 compositions, then 3
+    fixed = {"gamma": 5, "gamma1": 0, "gamma2": 0, "gamma3": 5}
+    seen = set()
+    for family in GAMMA_KINDS:
+        for (i, j, k) in gamma_domain(family, 5, 1, 1, 1):
+            calls.clear()
+            _, r = _aux_gamma_per_s(ctx, family, h, f, g, b, i, j, k)
+            assert len(calls) == fixed[family] + 4 * r
+            calls.clear()
+            aux_gamma(ctx, family, h, f, g, b, i, j, k)
+            assert len(calls) == fixed[family] + (r + 3 if r else 0)
+            seen.add(r)
+    assert max(seen) >= 3
