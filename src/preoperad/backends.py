@@ -2,11 +2,14 @@
 
 A GradedElement is a backend-tagged payload; the calculus layer only ever
 talks to this interface, so every derived operation runs unchanged over
-tables on R^d and over tree sums. Every sum, element +, - and scalar *
-included, goes through one streamed primitive, signed_sum, into the
-backend's one sum method, combine_payload; region_sum sums a composite
-over a lattice region, composing each operand into the partial sum of the
-points that share its slot.
+tables on R^d and over tree sums. Every sum of elements, element +, -
+and scalar * included, goes through one streamed primitive, signed_sum,
+into the backend's combine_payload. Every sum of compositions, c * (f
+comp_i g) over some (c, f, g, i), goes through compose_sum into the
+backend's compose_sum_payload, which adds the composites unreduced and
+reduces once; compose_payload serves single compositions. region_sum sums
+a composite over a lattice region, composing each operand into the
+partial sum of the points that share its slot.
 Backends also carry the opt-in mutation switches used by the law suite's
 canary checks.
 """
@@ -42,6 +45,9 @@ class EndoBackend:
     def combine_payload(self, degree, terms):
         return endo.signed_sum(self.ring, self.dim, degree, terms)
 
+    def compose_sum_payload(self, degree, terms):
+        return endo.compose_sum(self.ring, self.dim, degree, terms)
+
     def stack_payloads(self, payloads):
         return endo.stack_rows(payloads)
 
@@ -76,6 +82,9 @@ class FreeBackend:
 
     def combine_payload(self, degree, terms):
         return free.free_signed_sum(self.ring, self.signature, degree, terms)
+
+    def compose_sum_payload(self, degree, terms):
+        return free.free_compose_sum(self.ring, self.signature, degree, terms)
 
     def stack_payloads(self, payloads):
         return free.stack_rows(payloads)
@@ -176,6 +185,25 @@ def signed_sum(backend, degree: int, terms) -> GradedElement:
     return _element(backend, backend.combine_payload(degree, payloads()))
 
 
+def compose_sum(backend, degree: int, terms) -> GradedElement:
+    """Sum of c * (f comp_i g) over (c, f, g, i) drawn one at a time from
+    terms.
+
+    The backend adds every composite into one accumulator, unreduced, and
+    makes it canonical once, so no composite becomes an element of its own;
+    an empty sum is the zero of degree.
+    """
+    def payloads():
+        for c, f, g, i in terms:
+            if ((f.backend is not g.backend and f.backend != g.backend)
+                    or (f.backend is not backend and f.backend != backend)):
+                raise BackendMismatch("elements from different backends")
+            yield c, f.payload, g.payload, i
+            del f, g  # not kept while the next term is built
+
+    return _element(backend, backend.compose_sum_payload(degree, payloads()))
+
+
 def region_sum(base: GradedElement, operands, points) -> GradedElement:
     """Sum of base comp_i operands[0] comp_j operands[1] ... over the points
     (i, j, ...) of a region.
@@ -183,13 +211,18 @@ def region_sum(base: GradedElement, operands, points) -> GradedElement:
     Composition is bilinear, so the points that share their last slot k are
     summed before the last operand goes in, and that inner sum is factored
     the same way by its own last slot, down to the composites
-    base comp_i operands[0], which are built once per i. operands[t], for
-    t >= 1, is composed once per distinct tail (p_t, ..., p_n) of the
-    points: the last operand once per distinct k rather than once per
-    point. Every sum is streamed. Any point set works; an empty one sums
-    to zero.
+    base comp_i operands[0]. operands[t], for t >= 1, is composed once per
+    distinct tail (p_t, ..., p_n) of the points: the last operand once per
+    distinct k rather than once per point. Each level is one compose_sum
+    over its slots. With more than one operand the composites
+    base comp_i operands[0] are built once per i and reused across tails.
+    Any point set works; an empty one sums to zero.
     """
     head, *tail = operands
+    degree = base.degree + sum(x.degree - 1 for x in operands)
+    if not tail:
+        return compose_sum(base.backend, degree,
+                           ((1, base, head, i) for (i,) in points))
     firsts = {}
 
     def first(i):
@@ -197,7 +230,6 @@ def region_sum(base: GradedElement, operands, points) -> GradedElement:
             firsts[i] = base.compose(head, i)
         return firsts[i]
 
-    degree = base.degree + sum(x.degree - 1 for x in operands)
     return _factored_sum(base.backend, first, degree, tail, points)
 
 
@@ -211,6 +243,6 @@ def _factored_sum(backend, first, degree, tail, points):
     for point in points:
         by_last.setdefault(point[-1], []).append(point[:-1])
     inner = degree - last.degree + 1
-    return signed_sum(backend, degree, (
-        (1, _factored_sum(backend, first, inner, heads, group).compose(last, k))
+    return compose_sum(backend, degree, (
+        (1, _factored_sum(backend, first, inner, heads, group), last, k)
         for k, group in by_last.items()))

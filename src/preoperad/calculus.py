@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .backends import GradedElement, region_sum, signed_sum
+from .backends import GradedElement, compose_sum, region_sum, signed_sum
 from .domains import ground_tetrahedron, scope_regions
 from .endo import ksign
 from .errors import BackendMismatch, DegreeMismatch, InvalidDegree
@@ -61,32 +61,32 @@ def cup(ctx: PreOperadContext, f: GradedElement, g: GradedElement) -> GradedElem
 
 
 def _slots(c, f: GradedElement, g: GradedElement):
-    """(c, f comp_i g) for every slot i of f, each composed when drawn."""
-    return ((c, f.compose(g, i)) for i in range(f.degree))
+    """The terms c * (f comp_i g) of a compose_sum, one per slot i of f."""
+    return ((c, f, g, i) for i in range(f.degree))
 
 
 def bullet(f: GradedElement, g: GradedElement) -> GradedElement:
     """Total composition: g inserted into every slot of f, signs included."""
     if f.degree < 1:
         raise InvalidDegree("bullet needs a left operand of degree >= 1")
-    return signed_sum(f.backend, f.degree + g.degree - 1, _slots(1, f, g))
+    return compose_sum(f.backend, f.degree + g.degree - 1, _slots(1, f, g))
 
 
 def bracket(f: GradedElement, g: GradedElement) -> GradedElement:
     if f.degree < 1 or g.degree < 1:
         raise InvalidDegree("bracket needs operands of degree >= 1")
     sign = ksign(f.shifted_degree * g.shifted_degree)
-    return signed_sum(f.backend, f.degree + g.degree - 1,
-                      chain(_slots(1, f, g), _slots(-sign, g, f)))
+    return compose_sum(f.backend, f.degree + g.degree - 1,
+                       chain(_slots(1, f, g), _slots(-sign, g, f)))
 
 
 def delta(ctx: PreOperadContext, f: GradedElement) -> GradedElement:
     """Coboundary induced by mu; squares to zero exactly when mu is associative."""
     if f.degree < 1:
         raise InvalidDegree("delta needs degree >= 1")
-    return signed_sum(f.backend, f.degree + 1,
-                      chain(_slots(ksign(f.shifted_degree), ctx.mu, f),
-                            _slots(-1, f, ctx.mu)))
+    return compose_sum(f.backend, f.degree + 1,
+                       chain(_slots(ksign(f.shifted_degree), ctx.mu, f),
+                             _slots(-1, f, ctx.mu)))
 
 
 def associator(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedElement:

@@ -11,7 +11,12 @@ every row of a stacked one. Throughout, |f| denotes the shifted degree
 deg(f) - 1; it drives every sign below.
 
 Over F_p a table is int64 with entries in [0, p), and every composition and
-signed sum reduces its raw int64 result in place. Tables of more than
+signed sum reduces its raw int64 result in place. A sum of compositions,
+compose_sum, reduces once: each composite is added unreduced into one int64
+buffer (delayed modular reduction, Dumas, Giorgi and Pernet 2008), which is
+reduced at the end and whenever the bound on its entries would reach 2^63,
+so every table handed out is still canonical. A signed sum whose only
+nonzero term has coefficient 1 is that term. Tables of more than
 _REDUCE_GATE entries go through _reduce, as x - p * floor(x / p) in
 fixed-size chunks through one small scratch quotient, since numpy's scalar
 integer floor division runs at memory speed and np.remainder does not;
@@ -20,9 +25,9 @@ there. The gate is a property of the table's size, not a setting.
 
 Most compositions and sums of a law suite are of small tables, where numpy's
 kernel is a small part of a call, so the per-call work is kept short: the
-limits of a (ring, dim) pair are worked out once (_limits), the entry cap
-is checked only for a result that could pass it, and results are built by
-_new_map without the frozen dataclass __init__.
+limits of a (ring, dim) pair are worked out once (_limits), _composable
+checks the entry cap only for a result that could pass it, and results are
+built by _new_map without the frozen dataclass __init__.
 
 numpy has no BLAS for integers, so a composition over F_p whose result has
 more than _REDUCE_GATE entries multiplies in float64 (as FFLAS-FFPACK does,
@@ -30,9 +35,10 @@ Dumas, Giorgi and Pernet 2008). That is exact while d (p - 1)^2 < 2^53:
 every product and partial sum of the contraction is then an integer below
 2^53 in magnitude. It runs one output block of at most _BLOCK entries at a
 time (cast the block's operands, multiply, cast the product into the int64
-result, reduce it while it is in cache), so it allocates little beyond the
-result. Z, primes past that bound, smaller results and a stacked g keep
-the int64 matmul.
+result and reduce it while it is in cache, or, in a sum of compositions,
+add it into the sum's buffer), so it allocates little beyond the result.
+Z, primes past that bound, smaller results and a stacked g keep the int64
+matmul.
 
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
@@ -306,21 +312,11 @@ def _check_pair(f: MultilinearMap, g: MultilinearMap):
         raise BackendMismatch(f"dim {f.dim} vs {g.dim}")
 
 
-def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
-               sign: int = 1) -> MultilinearMap:
-    """g plugged into input slot i of f, times sign; unsigned by default.
-
-    With f's table viewed as (d^(i+1), d, d^(|f|-i)) and g's as (d, d^n),
-    the broadcast product G^T @ F has shape (d^(i+1), d^n, d^(|f|-i)):
-    output, inputs before slot i, g's inputs, inputs after slot i, which is
-    already the result's axis order. Stacked operands keep their row axis
-    in front and pair row with row. The product is negated in place for a
-    negative sign and reduced once. Over F_p with d (p - 1)^2 < 2^53, a
-    single g and a result above _REDUCE_GATE entries, _float_product
-    computes the same product block by block in float64; otherwise it is
-    one int64 matmul. The ring and dimension limits are checked once per
-    (ring, dim), and the entry cap only for a result that may pass it.
-    """
+def _composable(f: MultilinearMap, g: MultilinearMap, i: int) -> tuple:
+    """Refuse g in slot i of f unless they share ring and dimension, deg f
+    >= 1, 0 <= i < deg f, int64 holds the ring's tables, the result stays
+    within the entry cap (tested only when it may pass it) and stacked
+    operands have matching rows; return _limits of the ring and dim."""
     ring, d = f.ring, f.dim
     if g.ring is not ring or g.dim != d:
         _check_pair(f, g)
@@ -329,79 +325,127 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
         raise InvalidDegree("left operand of a composition needs degree >= 1")
     if not 0 <= i < m:
         raise IndexOutOfScope(f"slot {i} outside 0..{m - 1} for degree {m}")
-    p, exact_in_float = _limits(ring, d)
+    limits = _limits(ring, d)
     ft, gt = f.table, g.table
-    f_rows = ft.shape[0] if ft.ndim > m + 1 else None
-    g_rows = gt.shape[0] if gt.ndim > n + 1 else None
     # a single map, or a stack of one, serves every row of the other
-    rows = max(f_rows or 1, g_rows or 1)
+    f_rows = ft.shape[0] if ft.ndim > m + 1 else 1
+    g_rows = gt.shape[0] if gt.ndim > n + 1 else 1
+    rows = max(f_rows, g_rows)
     if rows * d ** (m + n) > MAX_ENTRIES:
         check_entries(d, m + n - 1, rows)
-    front = (f_rows,) if f_rows is not None else ()
-    # ft.size // d * d ** n: the result's entries, over all of f's rows
-    if (exact_in_float and g_rows is None
-            and ft.size // d * d ** n > _REDUCE_GATE):
-        raw = _float_product(ft.reshape(-1, d, d ** (m - 1 - i)),
-                             gt.reshape(d, d ** n), sign, p)
-        raw.setflags(write=False)
-        return _new_map(ring, d, m + n - 1, raw.reshape(front + (d,) * (m + n)))
-    if g_rows is None:
-        g_t = gt.reshape(d, d ** n).T
-    else:  # one G^T per row, broadcast over f's outputs
-        g_t = gt.reshape(g_rows, 1, d, d ** n).swapaxes(-1, -2)
-    try:
-        raw = g_t @ ft.reshape(front + (d ** (i + 1), d, d ** (m - 1 - i)))
-    except ValueError:
-        raise ShapeMismatch(f"stacked maps of {f_rows} and {g_rows} "
-                            f"rows") from None
-    if sign < 0:
-        np.negative(raw, out=raw)
-    if p is not None:
-        if raw.size <= _REDUCE_GATE:
-            np.remainder(raw, p, out=raw)
-        else:
-            _reduce(raw, p)
-    raw.setflags(write=False)
-    return _new_map(ring, d, m + n - 1,
-                    raw.reshape(raw.shape[:-3] + (d,) * (m + n)))
+    if f_rows != g_rows and f_rows > 1 and g_rows > 1:
+        raise ShapeMismatch(f"stacked maps of {f_rows} and {g_rows} rows")
+    return limits
 
 
-def _float_product(f3: np.ndarray, g2: np.ndarray, sign: int,
-                   p: int) -> np.ndarray:
-    """The reduced product out[a, x, c] = sum_k sign * g2[k, x] * f3[a, k, c]
-    as a new int64 array of shape (A, X, C), computed in float64 one output
-    block at a time.
+def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap, i: int,
+             exact_in_float: bool, p: int | None = None) -> np.ndarray:
+    """acc + c * (g plugged into slot i of f), unreduced, as a table of the
+    result's shape; a new table when acc is None, reduced into [0, p) when
+    p is given. f, g and i have passed _composable.
 
-    Exact when d * (p - 1)^2 < 2^53: every product and partial sum is then
-    an integer below 2^53 in magnitude. Each block casts its operands, with
-    the sign in g's, multiplies them as one (rows * C, d) @ (d, w) GEMM,
-    writes the product transposed into the int64 result and reduces it
-    there while it is in cache. A block holds whole rows a of the result,
-    or, when one row or g's float64 copy would pass _BLOCK entries, w of
-    g's X columns of one row. So the float64 copies of f's rows and g's
-    columns stay within _BLOCK entries, unless one of f's rows (C * d
-    entries) alone is larger; one GEMM per row instead of per block is
-    several times slower when C is 1.
+    With f's table viewed as (d^(i+1), d, d^(|f|-i)) and g's as (d, d^n),
+    the broadcast product G^T @ F has shape (d^(i+1), d^n, d^(|f|-i)):
+    output, inputs before slot i, g's inputs, inputs after slot i, which is
+    already the result's axis order. Stacked operands keep their row axis
+    in front and pair row with row. c scales the product in place. With
+    exact_in_float, a single g and a result above _REDUCE_GATE entries,
+    _float_product computes it block by block in float64, adding into acc
+    when acc has the result's shape; otherwise it is one int64 matmul, and
+    a product of another shape than acc adds through _add_into. The caller
+    keeps |c| d (p - 1)^2 within int64, and within 2^53 when exact_in_float.
     """
-    A, d, C = f3.shape
+    d, m, n = f.dim, f.degree, g.degree
+    ft, gt = f.table, g.table
+    front = ft.shape[:1] if ft.ndim > m + 1 else ()
+    if (exact_in_float and gt.ndim == n + 1
+            and ft.size // d * d ** n > _REDUCE_GATE):
+        f3 = ft.reshape(-1, d, d ** (m - 1 - i))
+        g2 = gt.reshape(d, d ** n)
+        shape = front + (d,) * (m + n)
+        if acc is not None and acc.shape == shape and acc.flags.c_contiguous:
+            _float_product(f3, g2, c, None, acc.reshape(len(f3), d ** n, -1))
+            return acc
+        raw = _float_product(f3, g2, c, p).reshape(shape)
+    else:
+        if gt.ndim == n + 1:
+            g_t = gt.reshape(d, d ** n).T
+        else:  # one G^T per row, broadcast over f's outputs
+            g_t = gt.reshape(gt.shape[0], 1, d, d ** n).swapaxes(-1, -2)
+        raw = g_t @ ft.reshape(front + (d ** (i + 1), d, d ** (m - 1 - i)))
+        if c == -1:
+            np.negative(raw, out=raw)
+        elif c != 1:
+            raw *= c
+        if p is not None:
+            if raw.size <= _REDUCE_GATE:
+                np.remainder(raw, p, out=raw)
+            else:
+                _reduce(raw, p)
+        raw = raw.reshape(raw.shape[:-3] + (d,) * (m + n))
+    return raw if acc is None else _add_into(acc, 1, raw)
+
+
+def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
+               sign: int = 1) -> MultilinearMap:
+    """g plugged into input slot i of f, times sign; unsigned by default.
+
+    The operands are checked by _composable, whose ring and dimension
+    limits are worked out once per (ring, dim), and the product is
+    _product's, reduced once (block by block on the float64 path).
+    """
+    p, exact_in_float = _composable(f, g, i)
+    raw = _product(None, sign, f, g, i, exact_in_float, p)
+    raw.setflags(write=False)
+    return _new_map(f.ring, f.dim, f.degree + g.degree - 1, raw)
+
+
+def _float_product(f3: np.ndarray, g2: np.ndarray, c: int, p: int | None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The product out[a, x, b] = sum_k c * g2[k, x] * f3[a, k, b], computed
+    in float64 one output block at a time: a new int64 array of shape
+    (A, X, B), reduced into [0, p) unless p is None, or, when out is given,
+    added into out unreduced.
+
+    Exact when d * |c| (p - 1)^2 < 2^53: every product and partial sum is
+    then an integer below 2^53 in magnitude. Each block casts its operands,
+    with c in g's, multiplies them as one (rows * B, d) @ (d, w) GEMM, and
+    writes the product transposed into the int64 result and reduces it
+    there while it is in cache, or adds it into out in one int64 ufunc
+    pass. A block holds whole rows a of the result, or, when one row or
+    g's float64 copy would pass _BLOCK entries, w of g's X columns of one
+    row. So the float64 copies of f's rows and g's columns stay within
+    _BLOCK entries, unless one of f's rows (B * d entries) alone is larger;
+    one GEMM per row instead of per block is several times slower when B
+    is 1.
+    """
+    A, d, B = f3.shape
     X = g2.shape[1]
-    out = np.empty((A, X, C), dtype=np.int64)
-    w = min(X, max(1, _BLOCK // max(C, d)))
-    rows = min(A, max(1, _BLOCK // (C * max(X, d)))) if w == X else 1
+    add = out is not None
+    if not add:
+        out = np.empty((A, X, B), dtype=np.int64)
+    w = min(X, max(1, _BLOCK // max(B, d)))
+    rows = min(A, max(1, _BLOCK // (B * max(X, d)))) if w == X else 1
     # the product of one block, then, viewed as int64, its quotient
-    buf = np.empty(rows * C * w)
+    buf = np.empty(rows * B * w)
     for x0 in range(0, X, w):
         gf = g2[:, x0:x0 + w].astype(np.float64)
-        if sign < 0:
-            np.negative(gf, out=gf)
+        if c != 1:
+            gf *= c
         for a0 in range(0, A, rows):
             fb = f3[a0:a0 + rows].swapaxes(1, 2).astype(np.float64, order="C")
             r, cols = len(fb), gf.shape[1]
             prod = np.matmul(fb.reshape(-1, d), gf,
-                             out=buf[:r * C * cols].reshape(-1, cols))
+                             out=buf[:r * B * cols].reshape(-1, cols))
             block = out[a0:a0 + rows, x0:x0 + w]  # C-contiguous
-            block[...] = prod.reshape(r, C, cols).swapaxes(1, 2)
-            _reduce(block, p, buf.view(np.int64))
+            prod = prod.reshape(r, B, cols).swapaxes(1, 2)
+            if add:  # cast to int64 on the fly: exact below 2^53
+                np.add(block, prod, out=block, dtype=np.int64,
+                       casting="unsafe")
+                continue
+            block[...] = prod
+            if p is not None:
+                _reduce(block, p, buf.view(np.int64))
     return out
 
 
@@ -410,23 +454,90 @@ def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> Multilinear
     return substitute(f, g, i, -1 if i * (g.degree - 1) % 2 else 1)
 
 
+def compose_sum(ring: CoefficientRing, dim: int, degree: int,
+                terms) -> MultilinearMap:
+    """Sum of c * (f comp_i g) over (c, f, g, i) taken one at a time from
+    terms, reduced once.
+
+    Each term is checked as partial_compose checks it, then against the
+    sum's ring, dimension and degree, as signed_sum checks its terms, also
+    when its coefficient is 0. Its product, with the Koszul sign and c
+    folded in, is added unreduced into one buffer (delayed modular
+    reduction, as FFLAS-FFPACK does, Dumas, Giorgi and Pernet 2008): the
+    first product is the buffer, and a float64 product adds into it block
+    by block. Over F_p coefficients are taken in (-p/2, p/2]; the buffer is
+    reduced at the end, and earlier whenever the bound on its entries would
+    reach 2^63. A coefficient that would take a product past that bound,
+    or past 2^53 when the float64 product is exact, scales the reduced
+    product instead. No term's product is kept, and no input table is
+    written.
+    """
+    p = ring.modulus
+    acc = None
+    bound = 0  # bound on the magnitude of acc's entries (F_p only)
+    for c, f, g, i in terms:
+        _, exact_in_float = _composable(f, g, i)
+        n = f.degree + g.degree - 1
+        if f.ring is not ring or f.dim != dim or n != degree:
+            _check_term(ring, dim, degree, f.ring, f.dim, n)
+        c = -int(c) if i * (g.degree - 1) % 2 else int(c)
+        reduced = False  # the product reduced before c scales it
+        if p is not None:
+            c %= p
+            if c > p // 2:
+                c -= p
+            step = abs(c) * dim * (p - 1) ** 2
+            if step >= (_FLOAT_EXACT if exact_in_float else _INT64 - p):
+                reduced = True
+                step = abs(c) * (p - 1)
+            if acc is not None and bound + step >= _INT64:
+                _reduce(acc, p)
+                bound = p - 1
+            bound += step
+        if reduced:
+            acc = _add_into(acc, c, _product(None, 1, f, g, i,
+                                             exact_in_float, p))
+        elif c:
+            acc = _product(acc, c, f, g, i, exact_in_float)
+        del f, g  # not kept while the next term is built
+    return _finish(ring, dim, degree, acc)
+
+
+def _finish(ring: CoefficientRing, dim: int, degree: int,
+            acc) -> MultilinearMap:
+    """The sum held in acc, reduced in place and read-only; zero when acc
+    is None."""
+    if acc is None:
+        return zero_map(ring, dim, degree)
+    p = ring.modulus
+    if p is not None:
+        if acc.size <= _REDUCE_GATE:
+            np.remainder(acc, p, out=acc)
+        else:
+            _reduce(acc, p)
+    acc.setflags(write=False)
+    return _new_map(ring, dim, degree, acc)
+
+
 def signed_sum(ring: CoefficientRing, dim: int, degree: int,
                terms) -> MultilinearMap:
     """Sum of c * m over (c, m) pairs taken one at a time from terms.
 
     The first nonzero term is copied into one writable buffer and later
     terms are added into it in place; no term is kept and no input table is
-    written. The buffer takes rows when a stacked term arrives, and a single
-    term adds to every row. Over F_p coefficients are taken in (-p/2, p/2],
-    the buffer is reduced once at the end, and earlier whenever the bound on
-    its entries would reach 2^63.
+    written. A sum whose only nonzero term has coefficient 1 is that term,
+    returned as it is. The buffer takes rows when a stacked term arrives,
+    and a single term adds to every row. Over F_p coefficients are taken in
+    (-p/2, p/2], the buffer is reduced once at the end, and earlier
+    whenever the bound on its entries would reach 2^63.
     """
     p = ring.modulus
     acc = None
+    only = None  # the first nonzero term while it has coefficient 1
     bound = 0  # bound on the magnitude of acc's entries (F_p only)
     for c, m in terms:
         if m.ring is not ring or m.dim != dim or m.degree != degree:
-            _check_term(ring, dim, degree, m)
+            _check_term(ring, dim, degree, m.ring, m.dim, m.degree)
         c = int(c)
         if p is not None:
             c %= p
@@ -437,30 +548,26 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
                 _reduce(acc, p)
                 bound = p - 1
             bound += step
-        if c:
+        if c == 1 and acc is None and only is None:
+            only = m
+        elif c:
+            if only is not None:
+                acc, only = only.table.copy(), None
             acc = _add_into(acc, c, m.table)
         del m  # not kept while the next term is built
-    if acc is None:
-        return zero_map(ring, dim, degree)
-    if p is not None:
-        if acc.size <= _REDUCE_GATE:
-            np.remainder(acc, p, out=acc)
-        else:
-            _reduce(acc, p)
-    acc.setflags(write=False)
-    return _new_map(ring, dim, degree, acc)
+    return only if only is not None else _finish(ring, dim, degree, acc)
 
 
 def _check_term(ring: CoefficientRing, dim: int, degree: int,
-                m: MultilinearMap):
+                term_ring: CoefficientRing, term_dim: int, term_degree: int):
     """Refuse a term of another ring, dimension or degree than its sum; an
     equal ring that is another object passes."""
-    if m.ring != ring:
-        raise RingMismatch(f"{m.ring.label()} vs {ring.label()}")
-    if m.dim != dim:
-        raise BackendMismatch(f"dim {m.dim} vs {dim}")
-    if m.degree != degree:
-        raise DegreeMismatch(f"degree {m.degree} vs {degree}")
+    if term_ring != ring:
+        raise RingMismatch(f"{term_ring.label()} vs {ring.label()}")
+    if term_dim != dim:
+        raise BackendMismatch(f"dim {term_dim} vs {dim}")
+    if term_degree != degree:
+        raise DegreeMismatch(f"degree {term_degree} vs {degree}")
 
 
 def _add_into(acc, c: int, table: np.ndarray) -> np.ndarray:

@@ -16,7 +16,9 @@ coefficient acts on every row, and a term is kept while any row is nonzero.
 Composition grafts the right operand onto the i-th leaf of the left one and
 multiplies by the global sign (-1)^(i * |y|), the same twist the dense
 backend carries, so both backends satisfy the identical relation laws and
-table substitution is a morphism between them.
+table substitution is a morphism between them. A sum of compositions
+(free_compose_sum) gathers the grafts of all its terms into one dict and
+sorts once; a single composition is a sum of one term.
 """
 
 from __future__ import annotations
@@ -53,10 +55,16 @@ def graft(tree, i: int, sub):
     degree = tree_degree(tree)
     if not 0 <= i < degree:
         raise IndexOutOfScope(f"leaf index {i} outside tree of degree {degree}")
+    pos = _leaf(tree, i)
+    return tree[:pos] + sub + tree[pos + 1:]
+
+
+def _leaf(tree, i: int) -> int:
+    """The position of the i-th leaf of tree."""
     pos = -1
     for _ in range(i + 1):
         pos = tree.index(LEAF, pos + 1)
-    return tree[:pos] + sub + tree[pos + 1:]
+    return pos
 
 
 def tree_to_sexpr(tree) -> str:
@@ -256,38 +264,79 @@ def _check_pair(x: FreeElement, y: FreeElement):
 
 def free_partial_compose(x: FreeElement, y: FreeElement, i: int) -> FreeElement:
     """x comp_i y: leaf grafting times (-1)^(i * |y|), bilinear in both."""
-    _check_pair(x, y)
-    if x.degree < 1:
-        raise InvalidDegree("left operand of a composition needs degree >= 1")
-    if not 0 <= i <= x.shifted_degree:
-        raise IndexOutOfScope(
-            f"slot {i} outside 0..{x.shifted_degree} for degree {x.degree}"
-        )
-    sign = ksign(i * y.shifted_degree)
+    return free_compose_sum(x.ring, x.signature, x.degree + y.degree - 1,
+                            ((1, x, y, i),))
+
+
+def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
+                     terms) -> FreeElement:
+    """Sum of c * (x comp_i y) over (c, x, y, i) taken one at a time from
+    terms: every graft of every term gathered into one raw dict and made
+    canonical once. Each term is checked as a composition, then against
+    the sum's ring, signature and degree, also when c is 0."""
+    p = ring.modulus
     raw: dict = {}
-    for t, a in x.terms:
-        for u, b in y.terms:
-            z = graft(t, i, u)
-            raw[z] = raw.get(z, 0) + sign * a * b
-    return _element(x.ring, x.signature, x.degree + y.degree - 1, raw)
+    for c, x, y, i in terms:
+        _check_pair(x, y)
+        if x.degree < 1:
+            raise InvalidDegree("left operand of a composition needs degree >= 1")
+        if not 0 <= i <= x.shifted_degree:
+            raise IndexOutOfScope(
+                f"slot {i} outside 0..{x.shifted_degree} for degree {x.degree}"
+            )
+        _check_term(ring, sig, degree, x, x.degree + y.degree - 1)
+        c = int(c) * ksign(i * y.shifted_degree)
+        if p is not None:
+            c %= p
+        if not c:  # no graft to find stacks of other rows
+            rows = (x.batch, y.batch)
+            if None not in rows and rows[0] != rows[1]:
+                raise ShapeMismatch(f"stacked tree sums of {rows[0]} and "
+                                    f"{rows[1]} rows")
+            continue
+        for t, a in x.terms:
+            pos = _leaf(t, i)  # once for every tree of y
+            head, rest, ca = t[:pos], t[pos + 1:], c * a
+            for u, b in y.terms:
+                z = head + u + rest
+                raw[z] = raw.get(z, 0) + ca * b
+    return FreeElement(ring, sig, degree, _canonical_terms(ring, raw))
 
 
 def free_signed_sum(ring: CoefficientRing, sig: Signature, degree: int,
                     terms) -> FreeElement:
     """Sum of c * x over (c, x) pairs taken one at a time from terms, all
-    gathered into one raw dict and made canonical once."""
+    gathered into one raw dict and made canonical once. A sum whose only
+    nonzero term has coefficient 1 is that term, returned as it is."""
+    p = ring.modulus
     raw: dict = {}
+    only = None  # the first nonzero term while it has coefficient 1
     for c, x in terms:
-        if x.ring is not ring and x.ring != ring:
-            raise RingMismatch(f"{x.ring.label()} vs {ring.label()}")
-        if x.signature is not sig and x.signature != sig:
-            raise BackendMismatch("elements over different signatures")
-        if x.degree != degree:
-            raise DegreeMismatch(f"degree {x.degree} vs {degree}")
+        _check_term(ring, sig, degree, x, x.degree)
         c = int(c)
-        for tree, a in x.terms:
-            raw[tree] = raw.get(tree, 0) + c * a
+        if p is not None:
+            c %= p
+        if c == 1 and not raw and only is None:
+            only = x
+        elif c:
+            if only is not None:
+                raw, only = dict(only.terms), None
+            for tree, a in x.terms:
+                raw[tree] = raw.get(tree, 0) + c * a
+    if only is not None:
+        return only
     return FreeElement(ring, sig, degree, _canonical_terms(ring, raw))
+
+
+def _check_term(ring: CoefficientRing, sig: Signature, degree: int,
+                x: FreeElement, x_degree: int):
+    """Refuse a term of another ring, signature or degree than its sum."""
+    if x.ring is not ring and x.ring != ring:
+        raise RingMismatch(f"{x.ring.label()} vs {ring.label()}")
+    if x.signature is not sig and x.signature != sig:
+        raise BackendMismatch("elements over different signatures")
+    if x_degree != degree:
+        raise DegreeMismatch(f"degree {x_degree} vs {degree}")
 
 
 def free_linear_combine(coeffs, elems) -> FreeElement:

@@ -1,11 +1,19 @@
 """Element +, -, unary - and scalar * are streamed signed sums: each is one
 call into its backend's sum method, combine_payload, and equals the list
-helpers linear_combine / free_linear_combine of the same terms."""
+helpers linear_combine / free_linear_combine of the same terms. Sums of
+compositions are one compose_sum, equal to composing term by term and
+summing."""
 
 import numpy as np
 import pytest
 
-from preoperad.backends import EndoBackend, FreeBackend, GradedElement, signed_sum
+from preoperad.backends import (
+    EndoBackend,
+    FreeBackend,
+    GradedElement,
+    compose_sum,
+    signed_sum,
+)
 from preoperad.endo import linear_combine
 from preoperad.errors import BackendMismatch, DegreeMismatch
 from preoperad.free import Signature, free_linear_combine
@@ -94,3 +102,31 @@ def test_every_sum_calls_combine_payload_once(kind, monkeypatch):
         calls.clear()
         build()
         assert calls == [2]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_compose_sums_equal_composing_then_summing(kind, stacked):
+    backend, x, y = _pair(kind, stacked)
+    _, u, _ = _pair(kind, False, seed=32)
+    terms = [(1, x, y, 0), (-3, x, u, 1), (0, u, y, 1), (2, u, x, 0),
+             (1, y, y, 1)]
+    got = compose_sum(backend, 3, terms)
+    want = signed_sum(backend, 3, [(c, f.compose(g, i)) for c, f, g, i in terms])
+    assert got.backend is backend and got.degree == 3
+    assert not np.any(got.differs(want))
+    assert compose_sum(backend, 3, ()).is_zero()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compose_sums_reject_other_backends(kind):
+    backend, x, _ = _pair(kind, False)
+    if kind == "endo":
+        other = EndoBackend(F97, 3).random(2, np.random.default_rng(0))
+    else:
+        other = FreeBackend(F97, Signature((("h", 2),))).generator("h")
+    for c in (1, 0):
+        for f, g in ((x, other), (other, x), (other, other)):
+            with pytest.raises(BackendMismatch,
+                               match="elements from different backends"):
+                compose_sum(backend, 3, [(1, x, x, 0), (c, f, g, 0)])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from preoperad import backends
 from preoperad.backends import EndoBackend, FreeBackend, GradedElement, region_sum
 from preoperad.calculus import (
     PreOperadContext,
@@ -169,14 +172,24 @@ def test_brace_sums_compose_their_last_operand_once_per_slot(monkeypatch):
     h, f, g, b = (ctx.backend.random(d, rng) for d in (5, 2, 2, 2))
     want_tetra = tetrabraces(h, f, g, b)
     want_tri = tribraces(h, f, g)
+    # every composition term, single or inside a compose_sum
     slots = []
     compose = GradedElement.compose
+    fused = backends.compose_sum
 
     def counted(self, other, i):
         slots.append((other, i))
         return compose(self, other, i)
 
+    def counted_sum(backend, degree, terms):
+        def seen():
+            for c, x, other, i in terms:
+                slots.append((other, i))
+                yield c, x, other, i
+        return fused(backend, degree, seen())
+
     monkeypatch.setattr(GradedElement, "compose", counted)
+    monkeypatch.setattr(backends, "compose_sum", counted_sum)
     points = ground_tetrahedron(5, 2, 2).points
     ks = sorted({k for _, _, k in points})
     assert len(points) > len(ks)
@@ -422,3 +435,23 @@ def test_scalar_multiplication_convention():
     assert -f == -1 * f
     with pytest.raises(TypeError):
         f * 2  # scalars go on the left
+
+
+def test_delta_of_a_large_map_holds_little_beyond_its_result():
+    # delta's ten composites of 4^10 entries are added into one buffer, the
+    # float64 products block by block; building each as a table of its own
+    # and adding it peaked at 2.19 result tables
+    backend = EndoBackend(F97, 4)
+    rng = np.random.default_rng(8)
+    f = backend.random(8, rng)
+    ctx = PreOperadContext(backend, backend.random(2, rng))
+    table_bytes = 4**10 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = delta(ctx, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.payload.table.nbytes == table_bytes
+    assert peak - base < 1.4 * table_bytes

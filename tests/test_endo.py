@@ -809,3 +809,177 @@ def test_degree_arithmetic_property(m, n, i, seed):
     out = partial_compose(f, g, i)
     assert out.degree == m + n - 1
     assert out.shifted_degree == f.shifted_degree + g.shifted_degree
+
+
+def _composed_then_summed(ring, dim, degree, terms):
+    """The sum of c * (f comp_i g) as it was built before compose_sum: each
+    composite a map of its own, then one signed_sum."""
+    return signed_sum(ring, dim, degree,
+                      [(c, partial_compose(f, g, i)) for c, f, g, i in terms])
+
+
+def _exact_sum(terms, p):
+    """The sum of c * (f comp_i g) in Python ints, reduced mod p."""
+    return sum(c * _exact_compose(f, g, i, ksign(i * (g.degree - 1)))
+               for c, f, g, i in terms) % p
+
+
+def _slot_terms(f, g, coeffs):
+    """One term c * (f comp_i g) per coefficient, cycling over f's slots."""
+    return [(c, f, g, t % f.degree) for t, c in enumerate(coeffs)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_compose_sums_are_exact_at_the_largest_prime_below_the_float_bound(
+        d, monkeypatch):
+    # coefficients other than +-1 take a product past 2^53 (and those near
+    # +-p/2 past 2^63), so c scales the reduced product; +-1 fold into g's
+    # float64 copy and add into the buffer block by block
+    p, _ = _float_bound_primes(d)
+    ring = CoefficientRing.prime_field(p)
+    m, n = _BOUND_SHAPES[d]
+    rng = np.random.default_rng(d + 40)
+    f = make_map(ring, d, m, rng.integers(p - 8, p, d ** (m + 1)))
+    g = make_map(ring, d, n, rng.integers(p - 8, p, d ** (n + 1)))
+    terms = _slot_terms(f, g, [1, p // 2, -1, -(p // 2), 3, 1, -1001,
+                               p // 2 - 1, -1])
+    calls = _count_float_products(monkeypatch)
+    got = endo.compose_sum(ring, d, m + n - 1, terms)
+    assert len(calls) == len(terms)  # every product on the float64 path
+    assert got.table.tolist() == _exact_sum(terms, p).tolist()
+    assert got == _composed_then_summed(ring, d, m + n - 1, terms)
+    assert not got.table.flags.writeable
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_compose_sums_are_exact_at_the_smallest_prime_above_the_float_bound(
+        d, monkeypatch):
+    _, q = _float_bound_primes(d)
+    ring = CoefficientRing.prime_field(q)
+    m, n = _BOUND_SHAPES[d]
+    rng = np.random.default_rng(d + 50)
+    f = make_map(ring, d, m, rng.integers(q - 8, q, d ** (m + 1)))
+    g = make_map(ring, d, n, rng.integers(q - 8, q, d ** (n + 1)))
+    terms = _slot_terms(f, g, [q // 2, -1, -(q // 2), 1, 1, q // 2 - 1])
+    calls = _count_float_products(monkeypatch)
+    got = endo.compose_sum(ring, d, m + n - 1, terms)
+    assert calls == []
+    assert got.table.tolist() == _exact_sum(terms, q).tolist()
+    assert got == _composed_then_summed(ring, d, m + n - 1, terms)
+
+
+def test_compose_sums_reduce_early_near_the_int64_limit(monkeypatch):
+    # 2 (p - 1)^2 is within 2^34 of 2^63: two unreduced products of
+    # coefficient +-1 would overflow, so the buffer is reduced between them
+    p = 2**31 - 1
+    ring = CoefficientRing.prime_field(p)
+    assert 2 * p**2 < 2**63 <= 4 * (p - 1) ** 2
+    rng = np.random.default_rng(60)
+    f = make_map(ring, 2, 3, rng.integers(p - 8, p, 16))
+    g = make_map(ring, 2, 2, rng.integers(p - 8, p, 8))
+    reductions = []
+    reduce = endo._reduce
+
+    def counted(arr, *args):
+        reductions.append(arr.size)
+        return reduce(arr, *args)
+
+    monkeypatch.setattr(endo, "_reduce", counted)
+    terms = _slot_terms(f, g, [1, 1, -1, 1, -1, -1, 1, p // 2, -(p // 2), 3])
+    got = endo.compose_sum(ring, 2, 4, terms)
+    # 32-entry results end with np.remainder, so each _reduce is early
+    assert len(reductions) >= 6
+    assert got.table.tolist() == _exact_sum(terms, p).tolist()
+    assert got == _composed_then_summed(ring, 2, 4, terms)
+
+
+def test_compose_sums_mix_stacked_and_single_terms():
+    # dim 4, results of 4^6 entries: float64 products that add into the
+    # buffer, and ones of another shape that broadcast it
+    rng = np.random.default_rng(61)
+    fs, f_rows = _stacked(F97, 4, 4, 3, rng)
+    gs, g_rows = _stacked(F97, 4, 2, 3, rng)
+    f = random_map(F97, 4, 4, rng)
+    g = random_map(F97, 4, 2, rng)
+    terms = [(1, f, g, 0), (-2, f, g, 3), (1, f_rows, g, 1), (5, f, g, 2),
+             (1, f_rows, g, 2), (-1, f, g_rows, 0), (1, f_rows, g_rows, 3)]
+    got = endo.compose_sum(F97, 4, 5, terms)
+    assert got.batch == 3
+    assert got == _composed_then_summed(F97, 4, 5, terms)
+    for r in range(3):
+        def row(x):
+            return x.row(r)
+        want = endo.compose_sum(F97, 4, 5, [(c, row(a), row(b), i)
+                                            for c, a, b, i in terms])
+        assert got.row(r) == want
+    # a stacked term first, then single ones
+    assert (endo.compose_sum(F97, 4, 5, terms[2:3] + terms[:2])
+            == _composed_then_summed(F97, 4, 5, terms[2:3] + terms[:2]))
+
+
+@pytest.mark.parametrize("ring", [F97, ZZ], ids=["F97", "ZZ"])
+def test_small_compose_sums_equal_compose_then_signed_sum(ring):
+    rng = np.random.default_rng(62)
+    f = make_map(ring, 2, 3, rng.integers(-50, 50, 16))
+    g = make_map(ring, 2, 2, rng.integers(-50, 50, 8))
+    h = make_map(ring, 2, 1, rng.integers(-50, 50, 4))
+    terms = [(3, f, h, 0), (-1, f, h, 2), (0, f, h, 1), (7, g, g, 1),
+             (2**70, g, g, 0), (1, h, f, 0)]
+    got = endo.compose_sum(ring, 2, 3, terms)
+    assert got == _composed_then_summed(ring, 2, 3, terms)
+    assert endo.compose_sum(ring, 2, 3, []) == zero_map(ring, 2, 3)
+    assert endo.compose_sum(ring, 2, 3, [(0, f, h, 0)]) == zero_map(ring, 2, 3)
+
+
+def _raised(build):
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+def test_compose_sums_raise_what_compose_then_signed_sum_raised():
+    rng = np.random.default_rng(63)
+    f = random_map(F97, 2, 3, rng)
+    g = random_map(F97, 2, 2, rng)
+    huge = CoefficientRing.prime_field(2**61 - 1)
+    unheld = MultilinearMap(huge, 2, 1, np.eye(2, dtype=np.int64))
+    big = random_map(F97, 2, 14, rng)
+    bad_terms = {
+        "slot past the end": (f, g, 3),
+        "negative slot": (f, g, -1),
+        "vector on the left": (random_map(F97, 2, 0, rng), g, 0),
+        "rings differ": (f, random_map(F101, 2, 2, rng), 0),
+        "dims differ": (f, random_map(F97, 3, 2, rng), 0),
+        "rows differ": (_stacked(F97, 2, 3, 2, rng)[1],
+                        _stacked(F97, 2, 2, 3, rng)[1], 0),
+        "past the entry cap": (big, random_map(F97, 2, 13, rng), 0),
+        "past int64": (unheld, unheld, 0),
+        "another ring than the sum": (random_map(F101, 2, 3, rng),
+                                      random_map(F101, 2, 2, rng), 0),
+        "another dim than the sum": (random_map(F97, 3, 3, rng),
+                                     random_map(F97, 3, 2, rng), 0),
+        "another degree than the sum": (f, f, 0),
+    }
+    for what, (a, b, i) in bad_terms.items():
+        for c in (1, 0, 97):
+            for before in ([], [(1, f, g, 1)]):
+                terms = before + [(c, a, b, i)]
+                want = _raised(lambda: _composed_then_summed(F97, 2, 4, terms))
+                got = _raised(lambda: endo.compose_sum(F97, 2, 4, terms))
+                assert got == want, (what, c)
+
+
+def test_one_term_sums_return_their_term():
+    rng = np.random.default_rng(64)
+    f = random_map(F97, 2, 3, rng)
+    zero_terms = [(0, random_map(F97, 2, 3, rng)), (97, f)]
+    assert signed_sum(F97, 2, 3, [(1, f)]) is f
+    assert signed_sum(F97, 2, 3, [(98, f)]) is f
+    assert signed_sum(F97, 2, 3, zero_terms + [(1, f)] + zero_terms) is f
+    assert signed_sum(ZZ, 1, 2, [(1, scalar(ZZ, 2, 5))]).table.tolist() == [[[5]]]
+    two = signed_sum(F97, 2, 3, [(1, f), (1, f)])
+    assert two is not f and two == linear_combine([2], [f])
+    assert signed_sum(F97, 2, 3, [(2, f)]) is not f
+    # validation is unchanged: a zero term of another degree is refused
+    with pytest.raises(DegreeMismatch):
+        signed_sum(F97, 2, 3, [(1, f), (0, random_map(F97, 2, 2, rng))])

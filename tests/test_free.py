@@ -21,6 +21,7 @@ from preoperad.free import (
     element_from_payload,
     element_to_payload,
     evaluate_hom,
+    free_compose_sum,
     free_linear_combine,
     free_partial_compose,
     free_signed_sum,
@@ -35,6 +36,7 @@ from preoperad.free import (
 from preoperad.rings import CoefficientRing
 
 F97 = CoefficientRing.prime_field(97)
+F101 = CoefficientRing.prime_field(101)
 SIG = Signature((("h", 3), ("f", 2), ("g", 1), ("b", 1)))
 
 
@@ -375,3 +377,93 @@ def test_stacked_tree_sums_must_agree_on_their_rows():
     other = Signature((("h", 3), ("f", 2), ("g", 1), ("c", 1)))
     with pytest.raises(BackendMismatch):
         stack_rows([gen("g"), generator_element(other, F97, "c")])
+
+
+def _composed_then_summed(ring, degree, terms):
+    """The sum of c * (x comp_i y) as it was built before free_compose_sum:
+    each composite a tree sum of its own, then one free_signed_sum."""
+    return free_signed_sum(ring, SIG, degree, [
+        (c, free_partial_compose(x, y, i)) for c, x, y, i in terms])
+
+
+@pytest.mark.parametrize("ring", [F97, CoefficientRing.integers()],
+                         ids=["F97", "ZZ"])
+def test_compose_sums_equal_compose_then_signed_sum(ring):
+    rng = np.random.default_rng(25)
+    f, h, b = (generator_element(SIG, ring, n) for n in "fhb")
+    xs, x = _stacked(2, 3, rng)
+    ys, y = _stacked(2, 3, rng)
+    if ring.is_field:
+        f2 = free_linear_combine([3, -1], [f, free_partial_compose(f, b, 1)])
+    else:  # exact coefficients far past int64
+        fb = FreeElement(ring, SIG, 2, ((tree("(f _ (b _))"), 5),))
+        f2 = free_signed_sum(ring, SIG, 2, [(2**70, f), (-1, fb)])
+    terms = [(1, f2, f2, 0), (-2, h, b, 1), (0, f2, f2, 1), (96, f2, f2, 1),
+             (5, h, b, 2), (2**65, f2, f2, 0)]
+    got = free_compose_sum(ring, SIG, 3, terms)
+    assert got == _composed_then_summed(ring, 3, terms)
+    assert not got.is_zero()
+    assert free_compose_sum(ring, SIG, 3, []) == zero_element(SIG, ring, 3)
+    if not ring.is_field:
+        return
+    # stacked operands: one exact coefficient per row (free._Rows)
+    stacked = [(1, x, y, 1), (-1, f2, y, 0), (4, x, f, 0), (1, f2, f2, 1),
+               (2, x, x, 0)]
+    got = free_compose_sum(F97, SIG, 3, stacked)
+    assert got.batch == 3
+    # a tree may keep one coefficient per row where the old order of sums
+    # kept an int for every row, so compare row by row
+    want = _composed_then_summed(F97, 3, stacked)
+    assert not np.any(got.differs(want))
+    for r in range(3):
+        rows = [(c, a.row(r), b_.row(r), i) for c, a, b_, i in stacked]
+        assert got.row(r) == want.row(r)
+        assert got.row(r) == free_compose_sum(F97, SIG, 3, rows)
+
+
+def _raised(build):
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+def test_compose_sums_raise_what_compose_then_signed_sum_raised():
+    rng = np.random.default_rng(26)
+    f, g, h = gen("f"), gen("g"), gen("h")
+    other = Signature((("f", 2), ("z", 1)))
+    bad_terms = {
+        "slot past the end": (f, f, 2),
+        "negative slot": (f, f, -1),
+        "vector on the left": (zero_element(SIG, F97, 0), f, 0),
+        "rings differ": (f, generator_element(SIG, F101, "f"), 0),
+        "signatures differ": (f, generator_element(other, F97, "f"), 0),
+        "rows differ": (_stacked(2, 3, rng)[1], _stacked(2, 2, rng)[1], 0),
+        "another ring than the sum": (generator_element(SIG, F101, "f"),
+                                      generator_element(SIG, F101, "f"), 0),
+        "another signature than the sum": (
+            generator_element(other, F97, "f"),
+            generator_element(other, F97, "f"), 0),
+        "another degree than the sum": (h, f, 0),
+    }
+    for what, (a, b, i) in bad_terms.items():
+        for c in (1, 0, 97):
+            for before in ([], [(1, f, f, 1)]):
+                terms = before + [(c, a, b, i)]
+                want = _raised(lambda: _composed_then_summed(F97, 3, terms))
+                got = _raised(lambda: free_compose_sum(F97, SIG, 3, terms))
+                assert got == want, (what, c)
+
+
+def test_one_term_sums_return_their_term():
+    rng = np.random.default_rng(27)
+    xs, x = _stacked(2, 3, rng)
+    f = xs[0]
+    assert free_signed_sum(F97, SIG, 2, [(1, f)]) is f
+    assert free_signed_sum(F97, SIG, 2, [(98, x)]) is x
+    zero_terms = [(0, xs[1]), (97, x)]
+    assert free_signed_sum(F97, SIG, 2, zero_terms + [(1, f)] + zero_terms) is f
+    two = free_signed_sum(F97, SIG, 2, [(1, f), (1, f)])
+    assert two == free_linear_combine([2], [f])
+    assert free_signed_sum(F97, SIG, 2, [(1, f), (-1, f)]).is_zero()
+    with pytest.raises(DegreeMismatch):
+        free_signed_sum(F97, SIG, 2, [(1, f), (0, gen("h"))])

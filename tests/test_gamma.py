@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from preoperad import backends
 from preoperad.backends import EndoBackend, FreeBackend, GradedElement
 from preoperad.calculus import PreOperadContext, cup, delta
 from preoperad.domains import boundary_faces, ground_tetrahedron, shifted_tetrahedron
@@ -248,14 +249,24 @@ def test_families_equal_their_per_s_expansion(kind, mutations, degrees):
 
 def test_a_family_with_r_values_of_s_composes_r_plus_3_times(monkeypatch):
     ctx, h, f, g, b = _inputs("endo", (5, 1, 1, 1), frozenset(), 29)
+    # every composition term, single or inside a compose_sum
     calls = []
     compose = GradedElement.compose
+    fused = backends.compose_sum
 
     def counted(self, other, i):
         calls.append(i)
         return compose(self, other, i)
 
+    def counted_sum(backend, degree, terms):
+        def seen():
+            for c, x, other, i in terms:
+                calls.append(i)
+                yield c, x, other, i
+        return fused(backend, degree, seen())
+
     monkeypatch.setattr(GradedElement, "compose", counted)
+    monkeypatch.setattr(backends, "compose_sum", counted_sum)
     # gamma and gamma3 also hold one cup term: 2 compositions, then 3
     fixed = {"gamma": 5, "gamma1": 0, "gamma2": 0, "gamma3": 5}
     seen = set()
