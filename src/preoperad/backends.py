@@ -237,6 +237,8 @@ def _factored_sum(backend, first, degree, tail, points):
     # module level: a recursive closure would be a reference cycle that
     # keeps the first composites alive until the garbage collector runs
     if not tail:
+        if len(points) == 1:  # a sum of one composite is that composite
+            return first(points[0][0])
         return signed_sum(backend, degree, ((1, first(i)) for (i,) in points))
     *heads, last = tail
     by_last = {}

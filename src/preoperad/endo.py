@@ -15,8 +15,9 @@ signed sum reduces its raw int64 result in place. A sum of compositions,
 compose_sum, reduces once: each composite is added unreduced into one int64
 buffer (delayed modular reduction, Dumas, Giorgi and Pernet 2008), which is
 reduced at the end and whenever the bound on its entries would reach 2^63,
-so every table handed out is still canonical. A signed sum whose only
-nonzero term has coefficient 1 is that term. Tables of more than
+so every table handed out is still canonical. A single composition is a
+compose_sum of one term. A signed sum whose only nonzero term has
+coefficient 1 and a small read-only table is that term. Tables of more than
 _REDUCE_GATE entries go through _reduce, as x - p * floor(x / p) in
 fixed-size chunks through one small scratch quotient, since numpy's scalar
 integer floor division runs at memory speed and np.remainder does not;
@@ -34,9 +35,8 @@ more than _REDUCE_GATE entries multiplies in float64 (as FFLAS-FFPACK does,
 Dumas, Giorgi and Pernet 2008). That is exact while d (p - 1)^2 < 2^53:
 every product and partial sum of the contraction is then an integer below
 2^53 in magnitude. It runs one output block of at most _BLOCK entries at a
-time (cast the block's operands, multiply, cast the product into the int64
-result and reduce it while it is in cache, or, in a sum of compositions,
-add it into the sum's buffer), so it allocates little beyond the result.
+time (cast the block's operands, multiply, and add or cast the product
+into the sum's int64 buffer), so it allocates little beyond the result.
 Z, primes past that bound, smaller results and a stacked g keep the int64
 matmul.
 
@@ -80,6 +80,10 @@ _REDUCE_CHUNK = 2**16
 _FLOAT_EXACT = 2**53
 # outputs of one float64 block of a composition
 _BLOCK = 2**16
+# a signed sum holds a first term of at most this many entries uncopied
+# until a second one comes; a larger one is copied at once, so a streamed
+# sum of large fresh terms never holds two of them beside its buffer
+_ONLY_TERM = 2**16
 
 
 def ksign(exponent: int) -> int:
@@ -192,8 +196,7 @@ def check_entries(dim: int, degree: int, rows: int = 1):
             f"{what}{dim}^{degree + 1} entries, more than the cap of 2^26")
 
 
-def _reduce(arr: np.ndarray, p: int, scratch: np.ndarray | None = None
-            ) -> np.ndarray:
+def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
     """arr, a writable int64 array, reduced into [0, p) in place.
 
     Above _REDUCE_GATE entries the flat table is reduced in chunks of
@@ -201,16 +204,13 @@ def _reduce(arr: np.ndarray, p: int, scratch: np.ndarray | None = None
     numpy's scalar integer floor division rounds toward -inf and runs at
     memory speed, two to three times faster than np.remainder, and the
     wrap-around of p * floor(x / p) cancels in the subtraction because the
-    true result fits. Exact for every int64 entry. scratch, when given, is
-    a flat int64 array of at least min(arr.size, _REDUCE_CHUNK) entries
-    that holds the quotient.
+    true result fits. Exact for every int64 entry.
     """
     if arr.size <= _REDUCE_GATE or not arr.flags.c_contiguous:
         np.remainder(arr, p, out=arr)
         return arr
     flat = arr.reshape(-1)
-    if scratch is None:
-        scratch = np.empty(min(flat.size, _REDUCE_CHUNK), dtype=np.int64)
+    scratch = np.empty(min(flat.size, _REDUCE_CHUNK), dtype=np.int64)
     for lo in range(0, flat.size, _REDUCE_CHUNK):
         part = flat[lo:lo + _REDUCE_CHUNK]
         q = scratch[:part.size]
@@ -339,10 +339,10 @@ def _composable(f: MultilinearMap, g: MultilinearMap, i: int) -> tuple:
 
 
 def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap, i: int,
-             exact_in_float: bool, p: int | None = None) -> np.ndarray:
+             exact_in_float: bool) -> np.ndarray:
     """acc + c * (g plugged into slot i of f), unreduced, as a table of the
-    result's shape; a new table when acc is None, reduced into [0, p) when
-    p is given. f, g and i have passed _composable.
+    result's shape; a new table when acc is None. f, g and i have passed
+    _composable.
 
     With f's table viewed as (d^(i+1), d, d^(|f|-i)) and g's as (d, d^n),
     the broadcast product G^T @ F has shape (d^(i+1), d^n, d^(|f|-i)):
@@ -364,9 +364,9 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap, i: int,
         g2 = gt.reshape(d, d ** n)
         shape = front + (d,) * (m + n)
         if acc is not None and acc.shape == shape and acc.flags.c_contiguous:
-            _float_product(f3, g2, c, None, acc.reshape(len(f3), d ** n, -1))
+            _float_product(f3, g2, c, acc.reshape(len(f3), d ** n, -1))
             return acc
-        raw = _float_product(f3, g2, c, p).reshape(shape)
+        raw = _float_product(f3, g2, c).reshape(shape)
     else:
         if gt.ndim == n + 1:
             g_t = gt.reshape(d, d ** n).T
@@ -377,47 +377,25 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap, i: int,
             np.negative(raw, out=raw)
         elif c != 1:
             raw *= c
-        if p is not None:
-            if raw.size <= _REDUCE_GATE:
-                np.remainder(raw, p, out=raw)
-            else:
-                _reduce(raw, p)
         raw = raw.reshape(raw.shape[:-3] + (d,) * (m + n))
     return raw if acc is None else _add_into(acc, 1, raw)
 
 
-def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
-               sign: int = 1) -> MultilinearMap:
-    """g plugged into input slot i of f, times sign; unsigned by default.
-
-    The operands are checked by _composable, whose ring and dimension
-    limits are worked out once per (ring, dim), and the product is
-    _product's, reduced once (block by block on the float64 path).
-    """
-    p, exact_in_float = _composable(f, g, i)
-    raw = _product(None, sign, f, g, i, exact_in_float, p)
-    raw.setflags(write=False)
-    return _new_map(f.ring, f.dim, f.degree + g.degree - 1, raw)
-
-
-def _float_product(f3: np.ndarray, g2: np.ndarray, c: int, p: int | None,
+def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The product out[a, x, b] = sum_k c * g2[k, x] * f3[a, k, b], computed
     in float64 one output block at a time: a new int64 array of shape
-    (A, X, B), reduced into [0, p) unless p is None, or, when out is given,
-    added into out unreduced.
+    (A, X, B), or, when out is given, added into out.
 
     Exact when d * |c| (p - 1)^2 < 2^53: every product and partial sum is
     then an integer below 2^53 in magnitude. Each block casts its operands,
     with c in g's, multiplies them as one (rows * B, d) @ (d, w) GEMM, and
-    writes the product transposed into the int64 result and reduces it
-    there while it is in cache, or adds it into out in one int64 ufunc
-    pass. A block holds whole rows a of the result, or, when one row or
-    g's float64 copy would pass _BLOCK entries, w of g's X columns of one
-    row. So the float64 copies of f's rows and g's columns stay within
-    _BLOCK entries, unless one of f's rows (B * d entries) alone is larger;
-    one GEMM per row instead of per block is several times slower when B
-    is 1.
+    casts the product, transposed, into the int64 result in one ufunc pass.
+    A block holds whole rows a of the result, or, when one row or g's
+    float64 copy would pass _BLOCK entries, w of g's X columns of one row.
+    So the float64 copies of f's rows and g's columns stay within _BLOCK
+    entries, unless one of f's rows (B * d entries) alone is larger; one
+    GEMM per row instead of per block is several times slower when B is 1.
     """
     A, d, B = f3.shape
     X = g2.shape[1]
@@ -426,8 +404,7 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int, p: int | None,
         out = np.empty((A, X, B), dtype=np.int64)
     w = min(X, max(1, _BLOCK // max(B, d)))
     rows = min(A, max(1, _BLOCK // (B * max(X, d)))) if w == X else 1
-    # the product of one block, then, viewed as int64, its quotient
-    buf = np.empty(rows * B * w)
+    buf = np.empty(rows * B * w)  # the product of one block
     for x0 in range(0, X, w):
         gf = g2[:, x0:x0 + w].astype(np.float64)
         if c != 1:
@@ -442,35 +419,42 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int, p: int | None,
             if add:  # cast to int64 on the fly: exact below 2^53
                 np.add(block, prod, out=block, dtype=np.int64,
                        casting="unsafe")
-                continue
-            block[...] = prod
-            if p is not None:
-                _reduce(block, p, buf.view(np.int64))
+            else:
+                block[...] = prod
     return out
 
 
+def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
+               sign: int = 1) -> MultilinearMap:
+    """g plugged into input slot i of f, times sign; unsigned by default:
+    a one-term compose_sum whose coefficient cancels the Koszul sign."""
+    c = -sign if i * (g.degree - 1) % 2 else sign
+    return compose_sum(f.ring, f.dim, f.degree + g.degree - 1, ((c, f, g, i),))
+
+
 def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
-    """f comp_i g with the Koszul twist (-1)^(i * |g|)."""
-    return substitute(f, g, i, -1 if i * (g.degree - 1) % 2 else 1)
+    """f comp_i g with the Koszul twist (-1)^(i * |g|): a one-term
+    compose_sum."""
+    return compose_sum(f.ring, f.dim, f.degree + g.degree - 1, ((1, f, g, i),))
 
 
 def compose_sum(ring: CoefficientRing, dim: int, degree: int,
                 terms) -> MultilinearMap:
     """Sum of c * (f comp_i g) over (c, f, g, i) taken one at a time from
-    terms, reduced once.
+    terms, reduced once; a single composition is a sum of one term.
 
-    Each term is checked as partial_compose checks it, then against the
-    sum's ring, dimension and degree, as signed_sum checks its terms, also
-    when its coefficient is 0. Its product, with the Koszul sign and c
-    folded in, is added unreduced into one buffer (delayed modular
-    reduction, as FFLAS-FFPACK does, Dumas, Giorgi and Pernet 2008): the
-    first product is the buffer, and a float64 product adds into it block
-    by block. Over F_p coefficients are taken in (-p/2, p/2]; the buffer is
-    reduced at the end, and earlier whenever the bound on its entries would
-    reach 2^63. A coefficient that would take a product past that bound,
-    or past 2^53 when the float64 product is exact, scales the reduced
-    product instead. No term's product is kept, and no input table is
-    written.
+    Each term is checked by _composable, whose ring and dimension limits
+    are worked out once per (ring, dim), then against the sum's ring,
+    dimension and degree, as signed_sum checks its terms, also when its
+    coefficient is 0. Its product, with the Koszul sign and c folded in, is
+    added unreduced into one buffer (delayed modular reduction, as
+    FFLAS-FFPACK does, Dumas, Giorgi and Pernet 2008): the first product is
+    the buffer, and a float64 product adds into it block by block. Over F_p
+    coefficients are taken in (-p/2, p/2]; the buffer is reduced at the
+    end, and earlier whenever the bound on its entries would reach 2^63. A
+    coefficient that would take a product past that bound, or past 2^53
+    when the float64 product is exact, scales the reduced product instead.
+    No term's product is kept, and no input table is written.
     """
     p = ring.modulus
     acc = None
@@ -495,8 +479,8 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
                 bound = p - 1
             bound += step
         if reduced:
-            acc = _add_into(acc, c, _product(None, 1, f, g, i,
-                                             exact_in_float, p))
+            raw = _reduce(_product(None, 1, f, g, i, exact_in_float), p)
+            acc = _add_into(acc, c, raw)
         elif c:
             acc = _product(acc, c, f, g, i, exact_in_float)
         del f, g  # not kept while the next term is built
@@ -509,12 +493,8 @@ def _finish(ring: CoefficientRing, dim: int, degree: int,
     is None."""
     if acc is None:
         return zero_map(ring, dim, degree)
-    p = ring.modulus
-    if p is not None:
-        if acc.size <= _REDUCE_GATE:
-            np.remainder(acc, p, out=acc)
-        else:
-            _reduce(acc, p)
+    if ring.modulus is not None:
+        _reduce(acc, ring.modulus)
     acc.setflags(write=False)
     return _new_map(ring, dim, degree, acc)
 
@@ -525,15 +505,16 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
 
     The first nonzero term is copied into one writable buffer and later
     terms are added into it in place; no term is kept and no input table is
-    written. A sum whose only nonzero term has coefficient 1 is that term,
-    returned as it is. The buffer takes rows when a stacked term arrives,
-    and a single term adds to every row. Over F_p coefficients are taken in
-    (-p/2, p/2], the buffer is reduced once at the end, and earlier
-    whenever the bound on its entries would reach 2^63.
+    written. A sum whose only nonzero term has coefficient 1, a read-only
+    table (as every table the package builds has) and at most _ONLY_TERM
+    entries is that term, returned as it is. The buffer takes rows when a
+    stacked term arrives, and a single term adds to every row. Over F_p
+    coefficients are taken in (-p/2, p/2], the buffer is reduced once at
+    the end, and earlier whenever the bound on its entries would reach 2^63.
     """
     p = ring.modulus
     acc = None
-    only = None  # the first nonzero term while it has coefficient 1
+    only = None  # the first nonzero term, uncopied while it may be alone
     bound = 0  # bound on the magnitude of acc's entries (F_p only)
     for c, m in terms:
         if m.ring is not ring or m.dim != dim or m.degree != degree:
@@ -548,7 +529,8 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
                 _reduce(acc, p)
                 bound = p - 1
             bound += step
-        if c == 1 and acc is None and only is None:
+        if (c == 1 and acc is None and only is None
+                and m.table.size <= _ONLY_TERM and not m.table.flags.writeable):
             only = m
         elif c:
             if only is not None:

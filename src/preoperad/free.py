@@ -306,25 +306,13 @@ def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
 def free_signed_sum(ring: CoefficientRing, sig: Signature, degree: int,
                     terms) -> FreeElement:
     """Sum of c * x over (c, x) pairs taken one at a time from terms, all
-    gathered into one raw dict and made canonical once. A sum whose only
-    nonzero term has coefficient 1 is that term, returned as it is."""
-    p = ring.modulus
+    gathered into one raw dict and made canonical once."""
     raw: dict = {}
-    only = None  # the first nonzero term while it has coefficient 1
     for c, x in terms:
         _check_term(ring, sig, degree, x, x.degree)
         c = int(c)
-        if p is not None:
-            c %= p
-        if c == 1 and not raw and only is None:
-            only = x
-        elif c:
-            if only is not None:
-                raw, only = dict(only.terms), None
-            for tree, a in x.terms:
-                raw[tree] = raw.get(tree, 0) + c * a
-    if only is not None:
-        return only
+        for tree, a in x.terms:
+            raw[tree] = raw.get(tree, 0) + c * a
     return FreeElement(ring, sig, degree, _canonical_terms(ring, raw))
 
 

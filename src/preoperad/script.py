@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
 
 from . import endo
-from .backends import EndoBackend, GradedElement, compose_sum, signed_sum
+from .backends import EndoBackend, GradedElement, signed_sum
 from .calculus import PreOperadContext, bracket, bullet, cup, delta, tetrabraces, tribraces
 from .errors import (
     MissingAssignment,
@@ -442,8 +441,6 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
     with degree 2 and resolves the same way. A sum is one streamed
     signed_sum of its terms, a scaled term folded into its coefficient, so
     only the running total and the term being added are alive at once.
-    Adjacent comp(...) terms of a sum are one compose_sum term of it, which
-    adds their composites without building each as an element.
     """
     if isinstance(script, str):
         script = parse_script(script)
@@ -469,23 +466,14 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
         if isinstance(node, Scale):
             return node.coeff * walk(node.item)
         if isinstance(node, Sum):
-            return signed_sum(backend, sums[id(node)], terms(node))
+            return signed_sum(backend, sums[id(node)], (
+                (sign * item.coeff, walk(item.item)) if isinstance(item, Scale)
+                else (sign, walk(item)) for sign, item in node.items))
         if isinstance(node, Comp):
             return walk(node.inner).compose(walk(node.outer), node.index)
         if isinstance(node, Call):
             return _CALLS[node.head][2](ctx, *[walk(a) for a in node.args])
         raise ScriptTypeError(f"unknown node {type(node).__name__}")
-
-    def terms(node: Sum):
-        """The (c, element) terms of a sum, left to right."""
-        items = ((sign * item.coeff, item.item) if isinstance(item, Scale)
-                 else (sign, item) for sign, item in node.items)
-        for comps, run in groupby(items, lambda t: isinstance(t[1], Comp)):
-            if comps:
-                yield 1, compose_sum(backend, sums[id(node)], (
-                    (c, walk(x.inner), walk(x.outer), x.index) for c, x in run))
-            else:
-                yield from ((c, walk(x)) for c, x in run)
 
     try:
         return walk(script.body)

@@ -2,7 +2,7 @@
 call into its backend's sum method, combine_payload, and equals the list
 helpers linear_combine / free_linear_combine of the same terms. Sums of
 compositions are one compose_sum, equal to composing term by term and
-summing."""
+summing, and a region sum adds no composite it has no other to add to."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from preoperad.backends import (
     FreeBackend,
     GradedElement,
     compose_sum,
+    region_sum,
     signed_sum,
 )
 from preoperad.endo import linear_combine
@@ -102,6 +103,30 @@ def test_every_sum_calls_combine_payload_once(kind, monkeypatch):
         calls.clear()
         build()
         assert calls == [2]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_region_sum_of_one_point_per_last_slot_sums_no_composite(
+        kind, monkeypatch):
+    # each last slot k holds one point, so its inner sum is the composite
+    # base comp_i x itself: one compose_sum over k and no signed sum
+    backend, x, y = _pair(kind, False)
+    base = 2 * y - x
+    points = [(0, 2), (1, 0), (0, 1)]
+    want = signed_sum(backend, 4, [(1, base.compose(x, i).compose(y, k))
+                                   for i, k in points])
+    cls = type(backend)
+    combine = cls.combine_payload
+    calls = []
+
+    def counted(self, degree, terms):
+        calls.append(degree)
+        return combine(self, degree, terms)
+
+    monkeypatch.setattr(cls, "combine_payload", counted)
+    got = region_sum(base, [x, y], points)
+    assert calls == []
+    assert got.degree == 4 and not got.differs(want)
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from preoperad import script as script_module
 from preoperad.backends import EndoBackend, FreeBackend
 from preoperad.errors import (
     MissingAssignment,
@@ -276,25 +275,6 @@ def test_a_streamed_sum_equals_its_pairwise_expansion(backend):
         total = term if total is None else (total + term if c > 0 else total - term)
     assert value.degree == 2 and not value.is_zero()
     assert value == total
-
-
-@pytest.mark.parametrize("backend", _backends(), ids=["endo", "free"])
-def test_adjacent_comp_terms_of_a_sum_are_one_compose_sum(backend, monkeypatch):
-    fused = script_module.compose_sum
-    runs = []
-
-    def counted(backend, degree, terms):
-        terms = list(terms)
-        runs.append([c for c, *_ in terms])
-        return fused(backend, degree, terms)
-
-    monkeypatch.setattr(script_module, "compose_sum", counted)
-    body = NINE_TERMS[0][1] + "".join(
-        f" {'+' if c > 0 else '-'} {text}" for c, text in NINE_TERMS[1:])
-    eval_script("let f: deg 2; let g: deg 1;\n" + body, backend,
-                rng=np.random.default_rng(21))
-    # comp(f, g, 0) - comp(f, g, 1), then - 2 * comp(mu, g, 1) + comp(g, f, 0)
-    assert runs == [[1, -1], [-2, 1]]
 
 
 @pytest.mark.parametrize("backend", _backends(), ids=["endo", "free"])

@@ -969,17 +969,30 @@ def test_compose_sums_raise_what_compose_then_signed_sum_raised():
                 assert got == want, (what, c)
 
 
-def test_one_term_sums_return_their_term():
+def test_one_term_sums_return_their_term_only_when_it_is_small_and_read_only():
     rng = np.random.default_rng(64)
     f = random_map(F97, 2, 3, rng)
     zero_terms = [(0, random_map(F97, 2, 3, rng)), (97, f)]
     assert signed_sum(F97, 2, 3, [(1, f)]) is f
     assert signed_sum(F97, 2, 3, [(98, f)]) is f
     assert signed_sum(F97, 2, 3, zero_terms + [(1, f)] + zero_terms) is f
-    assert signed_sum(ZZ, 1, 2, [(1, scalar(ZZ, 2, 5))]).table.tolist() == [[[5]]]
     two = signed_sum(F97, 2, 3, [(1, f), (1, f)])
     assert two is not f and two == linear_combine([2], [f])
     assert signed_sum(F97, 2, 3, [(2, f)]) is not f
+    # a map built directly keeps its table as given, unreduced and
+    # writable; a sum of it is a new canonical read-only table
+    raw = MultilinearMap(F97, 2, 1, np.array([[100, 0], [0, 1]]))
+    one = random_map(F97, 2, 1, rng)
+    for terms in ([(1, raw)], [(98, raw)], [(0, one), (1, raw), (97, one)]):
+        got = signed_sum(F97, 2, 1, terms)
+        assert got.table.tolist() == [[3, 0], [0, 1]]
+        assert not got.table.flags.writeable
+    # a table past _ONLY_TERM entries is copied: a streamed sum of large
+    # terms holds its buffer and one term, never two terms
+    big = random_map(F97, 2, 16, rng)
+    assert big.table.size == 2 * endo._ONLY_TERM
+    got = signed_sum(F97, 2, 16, [(1, big)])
+    assert got is not big and got == big and not got.table.flags.writeable
     # validation is unchanged: a zero term of another degree is refused
     with pytest.raises(DegreeMismatch):
         signed_sum(F97, 2, 3, [(1, f), (0, random_map(F97, 2, 2, rng))])

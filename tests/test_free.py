@@ -454,16 +454,12 @@ def test_compose_sums_raise_what_compose_then_signed_sum_raised():
                 assert got == want, (what, c)
 
 
-def test_one_term_sums_return_their_term():
-    rng = np.random.default_rng(27)
-    xs, x = _stacked(2, 3, rng)
-    f = xs[0]
-    assert free_signed_sum(F97, SIG, 2, [(1, f)]) is f
-    assert free_signed_sum(F97, SIG, 2, [(98, x)]) is x
-    zero_terms = [(0, xs[1]), (97, x)]
-    assert free_signed_sum(F97, SIG, 2, zero_terms + [(1, f)] + zero_terms) is f
-    two = free_signed_sum(F97, SIG, 2, [(1, f), (1, f)])
-    assert two == free_linear_combine([2], [f])
-    assert free_signed_sum(F97, SIG, 2, [(1, f), (-1, f)]).is_zero()
+def test_one_term_sums_are_canonical():
+    # an element built directly keeps its terms as given; a sum of it, even
+    # of one term with coefficient 1, sorts and reduces them
+    t, u = tree("(f _ _)"), tree("(f (g _) _)")
+    raw = FreeElement(F97, SIG, 2, ((u, 100), (t, 97), (t, 5)))
+    for terms in ([(1, raw)], [(98, raw)], [(0, gen("f")), (1, raw)]):
+        assert free_signed_sum(F97, SIG, 2, terms).terms == ((u, 3), (t, 5))
     with pytest.raises(DegreeMismatch):
-        free_signed_sum(F97, SIG, 2, [(1, f), (0, gen("h"))])
+        free_signed_sum(F97, SIG, 2, [(1, raw), (0, gen("h"))])
