@@ -120,14 +120,13 @@ class MultilinearMap:
         return int(self.table[(out_index, *in_indices)])
 
     def __eq__(self, other) -> bool:
+        """Equal in every row, as differs sees it: a single map equals a
+        stacked one whose rows all equal it."""
         if not isinstance(other, MultilinearMap):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.dim == other.dim
-            and self.degree == other.degree
-            and np.array_equal(self.table, other.table)
-        )
+        if None not in (self.batch, other.batch) and self.batch != other.batch:
+            return False
+        return not np.any(self.differs(other))
 
     def is_zero(self) -> bool:
         return not np.any(self.table)
@@ -594,8 +593,10 @@ def random_map(ring: CoefficientRing, dim: int, degree: int, rng) -> Multilinear
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
     check_entries(dim, degree)
     p, _ = _limits(ring, dim)
-    # drawn in [0, p) already: canonical as it comes
-    table = rng.integers(0, p, size=(dim,) * (degree + 1), dtype=np.int64)
+    # drawn in [0, p) already: canonical as it comes. A flat draw fills
+    # the table in C order, the same stream as a draw of the table's shape
+    table = rng.integers(0, p, size=dim ** (degree + 1),
+                         dtype=np.int64).reshape((dim,) * (degree + 1))
     table.setflags(write=False)
     return _new_map(ring, dim, degree, table)
 

@@ -193,10 +193,17 @@ class FreeElement:
         return np.array([any(column) for column in zip(*coeffs)])
 
     def __eq__(self, other) -> bool:
+        """Equal in every row, as differs sees it: a stacked coefficient
+        equals an int that every row holds."""
         if not isinstance(other, FreeElement):
             return NotImplemented
-        return (self.ring == other.ring and self.degree == other.degree
-                and self.terms == other.terms)
+        rows = (self.batch, other.batch)
+        if rows == (None, None):
+            return (self.ring == other.ring and self.degree == other.degree
+                    and self.terms == other.terms)
+        if None not in rows and rows[0] != rows[1]:
+            return False
+        return not np.any(self.differs(other))
 
 
 def _canonical_terms(ring: CoefficientRing, raw: dict) -> tuple:

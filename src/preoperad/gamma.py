@@ -4,20 +4,29 @@ Four families of lattice-indexed elements, built from four inputs h, f, g, b
 and the context product mu. Each family is a short alternating sum of
 compositions (h comp_s mu) comp f comp g comp b plus at most one cup term,
 arranged so that adjacent families share their boundary summand; summing the
-four families telescopes almost everything away. Within a family the f, g, b
-chain of every mu-term is the same, so the h comp_s mu are summed over s
-first and the chain is composed once per family, not once per s.
+four families telescopes almost everything away.
 
 The total definitions used here are the unit-absorbed forms, defined on one
 extended tetrahedron per family (gamma_domain). On the shifted interior they
 agree with the raw shifted-index expressions (aux_gamma_shifted, checked by
 law), and on the four boundary faces they collapse to cup-product closed
 forms (also checked by law).
+
+GammaFamilies evaluates the families of one input tuple over a run of
+points; a law check builds one and draws every value it needs from it.
+Composition is linear in its left operand, so in a total form the
+mu-terms h comp_s mu and the cup term share one head, and the family value
+is one f, g, b chain on that head. Each h comp_s mu, each cup of an input
+with the unit and each head is built once per evaluator. A chain prefix
+that consecutive points share (head comp f in a total form; h comp f, then
+comp g, in the shifted forms) is composed once and released after the last
+of them, so a run holds at most one prefix per level. aux_gamma and
+aux_gamma_shifted evaluate one point.
 """
 
 from __future__ import annotations
 
-from .backends import GradedElement, region_sum, signed_sum
+from .backends import GradedElement, signed_sum
 from .calculus import PreOperadContext, cup
 from .domains import LatticeDomain, ground_tetrahedron
 from .endo import ksign
@@ -51,57 +60,227 @@ def gamma_domain(kind: str, deg_h: int, deg_f: int, deg_g: int,
     return LatticeDomain(f"aux-{kind}", (deg_h, deg_f, deg_g, deg_b), tuple(pts))
 
 
-def _chain(h: GradedElement, f: GradedElement, i: int, g: GradedElement,
-           j: int, b: GradedElement, k: int) -> GradedElement:
-    return h.compose(f, i).compose(g, j).compose(b, k)
+def _prefixes(memo: list, x: GradedElement, links, names, later) -> list:
+    """The prefixes x comp_a y, then comp_b z, ... for links ((y, a), (z,
+    b), ...), as a list.
 
-
-def _mu_terms(c: int, ctx: PreOperadContext, h: GradedElement, s_range,
-              f: GradedElement, i: int, g: GradedElement, j: int,
-              b: GradedElement, k: int):
-    """The term c * sum over s of (h comp_s mu) comp_i f comp_j g comp_k b.
-
-    Composition is linear in its left operand, so the h comp_s mu are
-    summed over s first and the f, g, b chain runs once for the whole
-    range: r + 3 compositions for r values of s, not 4r. An empty range
-    yields no term.
+    memo holds (name, prefix) per level from the previous point. A prefix
+    whose name is there is taken from it; a miss releases that level and
+    the deeper ones before composing. Afterwards memo keeps only the
+    leading prefixes whose names the next point shares (later), so every
+    other prefix is released once its last point is done.
     """
-    if s_range:
-        hm = region_sum(h, (ctx.mu,), [(s,) for s in s_range])
-        yield c, _chain(hm, f, i, g, j, b, k)
+    out = []
+    for level, ((y, slot), name) in enumerate(zip(links, names)):
+        if level < len(memo) and memo[level][0] == name:
+            x = memo[level][1]
+        else:
+            del memo[level:]
+            x = x.compose(y, slot)
+            memo.append((name, x))
+        out.append(x)
+    shared = 0
+    while shared < min(len(memo), len(later)) and memo[shared][0] == later[shared]:
+        shared += 1
+    del memo[shared:]
+    return out
+
+
+class GammaFamilies:
+    """The four auxiliary families of one input tuple (h, f, g, b).
+
+    totals(kind, points) yields the unit-absorbed form on gamma_domain(kind)
+    and shifted(points) the raw shifted-index forms on the ground
+    tetrahedron, one point at a time. Points may come in any order; a
+    prefix that consecutive points share is composed once.
+    """
+
+    def __init__(self, ctx: PreOperadContext, h: GradedElement,
+                 f: GradedElement, g: GradedElement, b: GradedElement):
+        self.ctx = ctx
+        self.h, self.f, self.g, self.b = h, f, g, b
+        self.degree = h.degree + f.degree + g.degree + b.degree - 2
+        self._tail = ksign(f.shifted_degree + g.shifted_degree
+                           + b.shifted_degree)
+        self._outer = ksign(h.shifted_degree) * self._tail
+        self._domains = {}  # kind -> (domain, its points as a set)
+        self._ground = None
+        self._built = {}  # h comp_s mu, cups with the unit and heads, by key
+
+    def _check_total(self, kind, point):
+        if kind not in self._domains:
+            dom = gamma_domain(kind, self.h.degree, self.f.degree,
+                               self.g.degree, self.b.degree)
+            self._domains[kind] = dom, frozenset(dom.points)
+        dom, points = self._domains[kind]
+        if point not in points:
+            raise IndexOutOfDomain(f"({point[0]}, {point[1]}, {point[2]}) "
+                                   f"outside {dom.kind} for degrees "
+                                   f"{dom.params}")
+
+    def _check_shifted(self, point):
+        if self._ground is None:
+            self._ground = frozenset(ground_tetrahedron(
+                self.h.degree, self.f.degree, self.g.degree).points)
+        if point not in self._ground:
+            raise IndexOutOfDomain(f"({point[0]}, {point[1]}, {point[2]}) "
+                                   f"outside the ground tetrahedron")
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def _cup(self, x: str, y: str) -> GradedElement:
+        """cup of two named inputs, "unit" among them, built once."""
+        def build():
+            ctx = self.ctx
+            pick = {"unit": ctx.unit, "h": self.h, "f": self.f,
+                    "g": self.g, "b": self.b}
+            return cup(ctx, pick[x], pick[y])
+        return self._once(("cup", x, y), build)
+
+    def _head(self, lo: int, hi: int, side: str | None = None):
+        """-tail * sum of h comp_s mu over lo <= s <= hi, plus the total
+        form's cup term: outer * cup(unit, h) for side "left", -tail *
+        cup(h, unit) for side "right". The key it was built under and the
+        head, or None for an empty sum."""
+        if lo > hi:
+            lo, hi = 0, -1
+            if side is None:
+                return None
+        key = ("head", side, lo, hi)
+
+        def build():
+            h, mu, tail = self.h, self.ctx.mu, self._tail
+            terms = [(-tail, self._once(("hmu", s), lambda s=s: h.compose(mu, s)))
+                     for s in range(lo, hi + 1)]
+            if side == "left":
+                terms.append((-self._outer, self._cup("unit", "h")))
+            elif side == "right":
+                terms.append((-tail, self._cup("h", "unit")))
+            return signed_sum(h.backend, h.degree + 1, terms)
+        return key, self._once(key, build)
+
+    def totals(self, kind: str, points):
+        """The unit-absorbed total form of one family at each of points in
+        turn: head comp f comp g comp b, one chain per point.
+
+        head comp f is kept while the next point shares it (the same head
+        and slot: the same i, in lexicographic order) and released after
+        the last point that does. head comp f comp g is not kept: only
+        points that differ in k alone share it, and holding it across them
+        raised a check's peak memory by a full result table.
+        """
+        df, sg, sh = self.f.degree, self.g.shifted_degree, self.h.shifted_degree
+        plans = []
+        for point in points:
+            point = tuple(point)
+            self._check_total(kind, point)
+            i, j, k = point
+            if kind == "gamma":
+                head, slots = self._head(0, i - 1, "left"), (i, j, k)
+            elif kind == "gamma1":
+                head, slots = self._head(i - 1, j - df), (i - 1, j, k)
+            elif kind == "gamma2":
+                head, slots = self._head(j - df, k - df - sg), (i - 1, j - 1, k)
+            else:
+                head, slots = (self._head(k - df - sg, sh, "right"),
+                               (i - 1, j - 1, k - 1))
+            plans.append((head, slots))
+        names = [((head[0], a),) if head else () for head, (a, _, _) in plans]
+        memo = []
+        for n, (head, (a, c, e)) in enumerate(plans):
+            if head is None:
+                yield self.h.backend.zero(self.degree)
+                continue
+            later = next((name for name in names[n + 1:] if name), ())
+            # one expression: while the caller holds the value, this frame
+            # names neither it nor a prefix that memo has released
+            yield _prefixes(memo, head[1], ((self.f, a),), names[n], later)[
+                0].compose(self.g, c).compose(self.b, e)
+
+    def shifted(self, points, kinds=GAMMA_KINDS):
+        """The raw shifted-index forms at each of points in turn: at each
+        point, one value per family of kinds, in that order. The points
+        range over the ground tetrahedron, and the value at (i, j, k) sits
+        at lattice point (i + 1, j + 1, k + 1).
+
+        h comp_i f and h comp_i f comp_j g are kept while the next point
+        shares them, and h comp_i f comp_j g comp_k b is built once per
+        point; each is released after the last value that uses it.
+        """
+        for kind in kinds:
+            if kind not in GAMMA_KINDS:
+                raise IndexOutOfDomain(f"unknown auxiliary family {kind!r}")
+        points = [tuple(point) for point in points]
+        for point in points:
+            self._check_shifted(point)
+        names = [((i,), (i, j)) for i, j, _ in points]
+        memo = []
+        for n, (i, j, k) in enumerate(points):
+            later = names[n + 1] if n + 1 < len(points) else ()
+            parts = _prefixes(memo, self.h, ((self.f, i), (self.g, j)),
+                              names[n], later)
+            for m, kind in enumerate(kinds):
+                held = [self._shifted_at(kind, i, j, k, parts)]
+                if m == len(kinds) - 1:
+                    parts.clear()  # the point's last value is built
+                # popped: this frame does not name the value the caller holds
+                yield held.pop()
+
+    def _shifted_at(self, kind, i, j, k, parts: list) -> GradedElement:
+        """One raw shifted-index form; parts holds h comp_i f and its
+        comp_j g, and takes their comp_k b once it is built."""
+        ctx, h, f, g, b = self.ctx, self.h, self.f, self.g, self.b
+        sg, sb = g.shifted_degree, b.shifted_degree
+        sf, df, dg = f.shifted_degree, f.degree, g.degree
+        tail = self._tail
+
+        def core():
+            if len(parts) == 2:
+                parts.append(parts[1].compose(b, k))
+            return parts[2]
+
+        def mu_terms(lo, hi, a, c, e):
+            # -tail * sum over lo <= s <= hi of (h comp_s mu) comp_a f
+            # comp_c g comp_e b, as one chain on their summed head
+            head = self._head(lo, hi)
+            if head is not None:
+                yield 1, head[1].compose(f, a).compose(g, c).compose(b, e)
+
+        def terms():
+            if kind == "gamma":
+                yield -self._outer, cup(ctx, ctx.unit, core())
+                yield from mu_terms(0, i - 1, i + 1, j + 1, k + 1)
+                yield tail, (h.compose(self._cup("unit", "f"), i)
+                             .compose(g, j + 1).compose(b, k + 1))
+            elif kind == "gamma1":
+                yield ksign(sg + sb), (h.compose(self._cup("f", "unit"), i)
+                                       .compose(g, j + 1).compose(b, k + 1))
+                yield from mu_terms(i + 1, j - df, i, j + 1, k + 1)
+                yield ksign(sg + sb), (parts[0].compose(self._cup("unit", "g"), j)
+                                       .compose(b, k + 1))
+            elif kind == "gamma2":
+                yield ksign(sb), (parts[0].compose(self._cup("g", "unit"), j)
+                                  .compose(b, k + 1))
+                yield from mu_terms(j - sf + 1, k - sf - dg, i, j, k + 1)
+                yield ksign(sb), parts[1].compose(self._cup("unit", "b"), k)
+            else:
+                # the cup term first, while the sum holds no buffer yet:
+                # the cup composes twice at full size
+                yield -1, cup(ctx, core(), ctx.unit)
+                yield 1, parts[1].compose(self._cup("b", "unit"), k)
+                yield from mu_terms(k - sf - sg + 1, h.shifted_degree, i, j, k)
+
+        return signed_sum(h.backend, self.degree, terms())
 
 
 def aux_gamma(ctx: PreOperadContext, kind: str, h: GradedElement,
               f: GradedElement, g: GradedElement, b: GradedElement,
               i: int, j: int, k: int) -> GradedElement:
     """Unit-absorbed total form of one auxiliary family at (i, j, k)."""
-    dom = gamma_domain(kind, h.degree, f.degree, g.degree, b.degree)
-    if (i, j, k) not in dom:
-        raise IndexOutOfDomain(f"({i}, {j}, {k}) outside {dom.kind} "
-                               f"for degrees {dom.params}")
-    sh, sf, sg, sb = (h.shifted_degree, f.shifted_degree,
-                      g.shifted_degree, b.shifted_degree)
-    df, dg = f.degree, g.degree
-    tail = ksign(sf + sg + sb)
-
-    def terms():
-        if kind == "gamma":
-            yield -ksign(sh + sf + sg + sb), _chain(cup(ctx, ctx.unit, h),
-                                                    f, i, g, j, b, k)
-            yield from _mu_terms(-tail, ctx, h, range(0, i), f, i, g, j, b, k)
-        elif kind == "gamma1":
-            yield from _mu_terms(-tail, ctx, h, range(i - 1, j - df + 1),
-                                 f, i - 1, g, j, b, k)
-        elif kind == "gamma2":
-            yield from _mu_terms(-tail, ctx, h, range(j - df, k - df - sg + 1),
-                                 f, i - 1, g, j - 1, b, k)
-        else:
-            yield from _mu_terms(-tail, ctx, h, range(k - df - sg, sh + 1),
-                                 f, i - 1, g, j - 1, b, k - 1)
-            yield -tail, _chain(cup(ctx, h, ctx.unit), f, i - 1, g, j - 1,
-                               b, k - 1)
-
-    return signed_sum(h.backend, h.degree + df + dg + b.degree - 2, terms())
+    return next(GammaFamilies(ctx, h, f, g, b).totals(kind, [(i, j, k)]))
 
 
 def aux_gamma_shifted(ctx: PreOperadContext, kind: str, h: GradedElement,
@@ -109,39 +288,4 @@ def aux_gamma_shifted(ctx: PreOperadContext, kind: str, h: GradedElement,
                       i: int, j: int, k: int) -> GradedElement:
     """Raw shifted-index form; (i, j, k) ranges over the ground tetrahedron
     and the value sits at lattice point (i + 1, j + 1, k + 1)."""
-    if kind not in GAMMA_KINDS:
-        raise IndexOutOfDomain(f"unknown auxiliary family {kind!r}")
-    if (i, j, k) not in ground_tetrahedron(h.degree, f.degree, g.degree):
-        raise IndexOutOfDomain(f"({i}, {j}, {k}) outside the ground tetrahedron")
-    sh, sf, sg, sb = (h.shifted_degree, f.shifted_degree,
-                      g.shifted_degree, b.shifted_degree)
-    df, dg = f.degree, g.degree
-    tail = ksign(sf + sg + sb)
-    unit = ctx.unit
-
-    def terms():
-        if kind == "gamma":
-            yield -ksign(sh + sf + sg + sb), cup(ctx, unit,
-                                                 _chain(h, f, i, g, j, b, k))
-            yield from _mu_terms(-tail, ctx, h, range(0, i),
-                                 f, i + 1, g, j + 1, b, k + 1)
-            yield tail, _chain(h, cup(ctx, unit, f), i, g, j + 1, b, k + 1)
-        elif kind == "gamma1":
-            yield ksign(sg + sb), _chain(h, cup(ctx, f, unit), i, g, j + 1,
-                                         b, k + 1)
-            yield from _mu_terms(-tail, ctx, h, range(i + 1, j - df + 1),
-                                 f, i, g, j + 1, b, k + 1)
-            yield ksign(sg + sb), _chain(h, f, i, cup(ctx, unit, g), j,
-                                         b, k + 1)
-        elif kind == "gamma2":
-            yield ksign(sb), _chain(h, f, i, cup(ctx, g, unit), j, b, k + 1)
-            yield from _mu_terms(-tail, ctx, h, range(j - sf + 1, k - sf - dg + 1),
-                                 f, i, g, j, b, k + 1)
-            yield ksign(sb), _chain(h, f, i, g, j, cup(ctx, unit, b), k)
-        else:
-            yield 1, _chain(h, f, i, g, j, cup(ctx, b, unit), k)
-            yield from _mu_terms(-tail, ctx, h, range(k - sf - sg + 1, sh + 1),
-                                 f, i, g, j, b, k)
-            yield -1, cup(ctx, _chain(h, f, i, g, j, b, k), unit)
-
-    return signed_sum(h.backend, h.degree + df + dg + b.degree - 2, terms())
+    return next(GammaFamilies(ctx, h, f, g, b).shifted([(i, j, k)], (kind,)))

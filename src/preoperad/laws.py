@@ -31,11 +31,19 @@ import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from . import endo, free
-from .backends import EndoBackend, FreeBackend, GradedElement, signed_sum
+from .backends import (
+    EndoBackend,
+    FreeBackend,
+    GradedElement,
+    compose_sum,
+    signed_sum,
+)
 from .calculus import (
     KNOWN_MUTATIONS,
     MUTATION_LEFT_RELATION_SIGN,
@@ -62,7 +70,7 @@ from .domains import (
 )
 from .endo import ksign
 from .errors import BadConfig, PreOperadError, UnknownLaw
-from .gamma import GAMMA_KINDS, aux_gamma, aux_gamma_shifted
+from .gamma import GAMMA_KINDS, GammaFamilies
 from .rings import CoefficientRing
 
 _RETRIES = 5
@@ -387,8 +395,9 @@ def _check_cup_props(s: TrialSample):
 def _check_cup_compose(s: TrialSample):
     ctx = s.ctx
     f, g, h = s.elements["f"], s.elements["g"], s.elements["h"]
+    fg = cup(ctx, f, g)
     for j in range(f.degree + g.degree - 1):
-        lhs = cup(ctx, f, g).compose(h, j)
+        lhs = fg.compose(h, j)
         if j <= f.degree - 1:
             rhs = ksign(g.degree * h.shifted_degree) * cup(ctx, f.compose(h, j), g)
         else:
@@ -483,23 +492,43 @@ def _check_bracket(s: TrialSample):
            bracket(f, ctx.mu), -1 * delta(ctx, f))
 
 
+def _by_prefix(points):
+    """Lexicographic points (i, j, k) grouped as (i, ((j, (k, ...)), ...)),
+    every group lazy, so that what depends on i or on (i, j) alone is
+    built once per group."""
+    for i, row in groupby(points, itemgetter(0)):
+        yield i, ((j, (k for _, _, k in col))
+                  for j, col in groupby(row, itemgetter(1)))
+
+
 def _check_lemma_first(s: TrialSample):
     ctx = s.ctx
     h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
     sg, sb = g.shifted_degree, b.shifted_degree
     db, dg, df = (delta(ctx, x) for x in (b, g, f))
-    for (i, j, k) in ground_tetrahedron(h.degree, f.degree, g.degree).points:
-        hf = h.compose(f, i)
-        hfg = hf.compose(g, j)
-        lhs = signed_sum(ctx.backend, hfg.degree + b.degree, (
-            (1, delta(ctx, hfg.compose(b, k))),
-            (-1, hfg.compose(db, k)),
-            (-ksign(sb), hf.compose(dg, j).compose(b, k + 1)),
-            (-ksign(sb + sg), h.compose(df, i).compose(g, j + 1).compose(b, k + 1))))
-        rhs = signed_sum(ctx.backend, lhs.degree, (
-            (1, aux_gamma(ctx, kind, h, f, g, b, i + 1, j + 1, k + 1))
-            for kind in GAMMA_KINDS))
-        yield "pointwise coboundary telescoping", (i, j, k), lhs, rhs
+    points = ground_tetrahedron(h.degree, f.degree, g.degree).points
+    families = GammaFamilies(ctx, h, f, g, b)
+    totals = [families.totals(kind, [(i + 1, j + 1, k + 1)
+                                     for (i, j, k) in points])
+              for kind in GAMMA_KINDS]
+    for i, row in _by_prefix(points):
+        hf, h_df = h.compose(f, i), h.compose(df, i)
+        for j, ks in row:
+            hfg = hf.compose(g, j)
+            for k in ks:
+                lhs = signed_sum(ctx.backend, hfg.degree + b.degree, (
+                    (1, delta(ctx, hfg.compose(b, k))),
+                    (-1, hfg.compose(db, k)),
+                    # hf comp dg and h_df comp g both end in comp_{k+1} b:
+                    # summed first, fused, and not kept past this point
+                    (-1, compose_sum(ctx.backend, hfg.degree + 1, (
+                        (ksign(sb), hf, dg, j),
+                        (ksign(sb + sg), h_df, g, j + 1))).compose(b, k + 1))))
+                rhs = signed_sum(ctx.backend, lhs.degree,
+                                 ((1, next(values)) for values in totals))
+                yield "pointwise coboundary telescoping", (i, j, k), lhs, rhs
+            del hfg  # released before the next (i, j)
+        del hf, h_df
 
 
 def _check_lemma_second(s: TrialSample):
@@ -507,14 +536,26 @@ def _check_lemma_second(s: TrialSample):
     h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
     sf, sg, sb = f.shifted_degree, g.shifted_degree, b.shifted_degree
     dh = delta(ctx, h)
-    for (i, j, k) in ground_tetrahedron(dh.degree, f.degree, g.degree).points:
-        lhs = ksign(sf + sg + sb) * dh.compose(f, i).compose(g, j).compose(b, k)
-        # the four families at staggered points
-        points = ((i, j, k), (i + 1, j, k), (i + 1, j + 1, k), (i + 1, j + 1, k + 1))
-        rhs = signed_sum(ctx.backend, lhs.degree, (
-            (1, aux_gamma(ctx, kind, h, f, g, b, *point))
-            for kind, point in zip(GAMMA_KINDS, points)))
-        yield "coboundary of the outer slot telescopes", (i, j, k), lhs, rhs
+    points = ground_tetrahedron(dh.degree, f.degree, g.degree).points
+    # the four families at staggered points
+    families = GammaFamilies(ctx, h, f, g, b)
+    totals = [families.totals(kind, [(i + di, j + dj, k + dk)
+                                     for (i, j, k) in points])
+              for kind, (di, dj, dk) in zip(GAMMA_KINDS, (
+                  (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)))]
+    for i, row in _by_prefix(points):
+        dhf = dh.compose(f, i)
+        for j, ks in row:
+            dhfg = dhf.compose(g, j)
+            for k in ks:
+                lhs = compose_sum(ctx.backend, dhfg.degree + b.degree - 1,
+                                  ((ksign(sf + sg + sb), dhfg, b, k),))
+                rhs = signed_sum(ctx.backend, lhs.degree,
+                                 ((1, next(values)) for values in totals))
+                yield ("coboundary of the outer slot telescopes", (i, j, k),
+                       lhs, rhs)
+            del dhfg  # released before the next (i, j)
+        del dhf
 
 
 def _face_rhs(ctx, kind, h, f, g, b, i, j, k):
@@ -535,9 +576,10 @@ def _face_checker(kind):
     def check(s: TrialSample):
         ctx = s.ctx
         h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
-        for (i, j, k) in boundary_faces(h.degree, f.degree, g.degree)[kind]:
-            yield (f"{kind} face collapses to a cup product", (i, j, k),
-                   aux_gamma(ctx, kind, h, f, g, b, i, j, k),
+        points = boundary_faces(h.degree, f.degree, g.degree)[kind]
+        values = GammaFamilies(ctx, h, f, g, b).totals(kind, points)
+        for (i, j, k), value in zip(points, values):
+            yield (f"{kind} face collapses to a cup product", (i, j, k), value,
                    _face_rhs(ctx, kind, h, f, g, b, i, j, k))
     return check
 
@@ -545,11 +587,16 @@ def _face_checker(kind):
 def _check_recap_vs_shifted(s: TrialSample):
     ctx = s.ctx
     h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
-    for (i, j, k) in ground_tetrahedron(h.degree, f.degree, g.degree).points:
+    points = ground_tetrahedron(h.degree, f.degree, g.degree).points
+    families = GammaFamilies(ctx, h, f, g, b)
+    raw = families.shifted(points)
+    totals = {kind: families.totals(kind, [(i + 1, j + 1, k + 1)
+                                           for (i, j, k) in points])
+              for kind in GAMMA_KINDS}
+    for point in points:
         for kind in GAMMA_KINDS:
-            yield (f"total {kind} matches its raw shifted form", (i, j, k),
-                   aux_gamma_shifted(ctx, kind, h, f, g, b, i, j, k),
-                   aux_gamma(ctx, kind, h, f, g, b, i + 1, j + 1, k + 1))
+            yield (f"total {kind} matches its raw shifted form", point,
+                   next(raw), next(totals[kind]))
 
 
 def _check_envelope_partition(s: TrialSample):

@@ -164,6 +164,27 @@ def test_endo_canary_report_matches_golden(capsys, tmp_path):
     assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
 
 
+_GAMMA_LAWS = ("L18-lemma-first", "L19-lemma-second", "L21-boundary-gamma1",
+               "L24-gamma-recap")
+
+
+@pytest.mark.parametrize("backend", ["endo", "free"])
+@pytest.mark.parametrize("law", _GAMMA_LAWS)
+def test_gamma_law_canary_reports_match_golden(capsys, tmp_path, backend, law):
+    # recorded before the families were evaluated per check: every trial
+    # fails, so each witness pins lhs and rhs exactly
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, [
+        "verify", "--law", law, "--backend", backend,
+        "--mutate", "cup-sign-flip", "--seed", "7", "--trials", "12",
+        "--report", str(report_path)])
+    assert code == 1
+    golden = json.loads((GOLDEN / f"gamma_laws_{backend}_cup_sign_flip_seed7_"
+                                  "trials12.json").read_text())[law]
+    assert len(golden["laws"][0]["failures"]) == 12
+    assert _without_millis(json.loads(report_path.read_text())) == golden
+
+
 @pytest.mark.parametrize("prime, dim", [("2147483647", "3"), ("4294967311", "2")])
 def test_verify_refuses_primes_that_overflow_int64(capsys, prime, dim):
     code, out, err = run(capsys, [

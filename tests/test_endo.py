@@ -200,6 +200,22 @@ def test_random_map_is_the_generators_draw_read_only():
         assert got == make_map(F97, 3, degree, want.reshape(-1))
 
 
+@pytest.mark.parametrize("p", [2, 97, 1_000_003])
+def test_random_map_flat_draw_matches_the_shaped_draw(p):
+    # the table is drawn flat and reshaped: the same entries, in the same
+    # order, as a draw of the table's shape, and the same stream after it
+    ring = CoefficientRing.prime_field(p)
+    for dim in range(1, 5):
+        for degree in range(5):
+            flat, shaped = np.random.default_rng(5), np.random.default_rng(5)
+            got = random_map(ring, dim, degree, flat)
+            want = shaped.integers(0, p, size=(dim,) * (degree + 1),
+                                   dtype=np.int64)
+            assert got.table.shape == want.shape
+            assert np.array_equal(got.table, want)
+            assert flat.integers(0, 2**62) == shaped.integers(0, 2**62)
+
+
 def vec(ring, entries):
     return make_map(ring, len(entries), 0, entries)
 
@@ -744,6 +760,21 @@ def test_stacked_maps_compare_row_by_row():
         evaluate(f, [vector, vector])
     with pytest.raises(ShapeMismatch):
         evaluate(fs[0], [vector, stack_rows([vector, random_map(F97, 2, 0, rng)])])
+
+
+def test_equality_of_stacked_maps_agrees_with_differs():
+    rng = np.random.default_rng(14)
+    fs, st = _stacked(F97, 2, 2, 3, rng)
+    a = random_map(F97, 2, 2, rng)
+    # three rows, each equal to a
+    same = signed_sum(F97, 2, 2, [(1, st), (-1, st), (1, a)])
+    assert same.table.shape == (3, 2, 2, 2)
+    assert same.differs(a).tolist() == [False, False, False]
+    assert same == a and a == same and not same != a
+    assert st != a and st == st and st != same
+    # stacks of other lengths are never equal
+    assert stack_rows(fs[:2]) != st
+    assert stack_rows([a, fs[0]]) != same
 
 
 def test_stacked_maps_must_agree_on_their_rows():

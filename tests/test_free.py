@@ -17,6 +17,7 @@ from preoperad.free import (
     LEAF,
     FreeElement,
     Signature,
+    _Rows,
     _tree_from_sexpr,
     element_from_payload,
     element_to_payload,
@@ -349,6 +350,23 @@ def test_stacked_tree_sums_compare_row_by_row():
     # equal tree sums stay single and serve every row
     f = gen("f")
     assert stack_rows([f, gen("f"), gen("f")]) is f
+
+
+def test_equality_of_stacked_tree_sums_agrees_with_differs():
+    rng = np.random.default_rng(24)
+    xs, x = _stacked(2, 3, rng)
+    a = gen("f")
+    # one tree held with coefficient 1 in every row, as _Rows((1, 1, 1))
+    rows = FreeElement(F97, SIG, 2, ((a.terms[0][0], _Rows((1, 1, 1))),))
+    assert rows.batch == 3 and a.batch is None
+    assert not np.any(rows.differs(a))
+    assert rows == a and a == rows and not rows != a
+    # the same terms summed in another grouping
+    same = free_signed_sum(F97, SIG, 2, [(1, x), (-1, x), (1, a)])
+    assert same == a and same == rows
+    assert x != a and x == x
+    # stacks of other lengths are never equal
+    assert stack_rows(xs[:2]) != x
 
 
 def test_stacked_tree_sums_have_no_payload():

@@ -1,14 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from preoperad import backends
+from preoperad import backends, endo, laws
 from preoperad.backends import EndoBackend, FreeBackend, GradedElement
 from preoperad.calculus import PreOperadContext, cup, delta
 from preoperad.domains import boundary_faces, ground_tetrahedron, shifted_tetrahedron
 from preoperad.endo import ksign
 from preoperad.free import Signature
 from preoperad.errors import IndexOutOfDomain, InvalidDegree
-from preoperad.gamma import GAMMA_KINDS, aux_gamma, aux_gamma_shifted, gamma_domain
+from preoperad.gamma import (
+    GAMMA_KINDS,
+    GammaFamilies,
+    aux_gamma,
+    aux_gamma_shifted,
+    gamma_domain,
+)
 from preoperad.rings import CoefficientRing
 
 F97 = CoefficientRing.prime_field(97)
@@ -267,16 +275,136 @@ def test_a_family_with_r_values_of_s_composes_r_plus_3_times(monkeypatch):
 
     monkeypatch.setattr(GradedElement, "compose", counted)
     monkeypatch.setattr(backends, "compose_sum", counted_sum)
-    # gamma and gamma3 also hold one cup term: 2 compositions, then 3
-    fixed = {"gamma": 5, "gamma1": 0, "gamma2": 0, "gamma3": 5}
+    # gamma and gamma3 also hold one cup term: 2 compositions, then 3 for
+    # its chain in the per-s expansion; aux_gamma folds the cup term into
+    # the head of the mu-terms, so those two families compose one chain,
+    # even for r = 0
+    cups = {"gamma": 2, "gamma1": 0, "gamma2": 0, "gamma3": 2}
     seen = set()
     for family in GAMMA_KINDS:
         for (i, j, k) in gamma_domain(family, 5, 1, 1, 1):
             calls.clear()
             _, r = _aux_gamma_per_s(ctx, family, h, f, g, b, i, j, k)
-            assert len(calls) == fixed[family] + 4 * r
+            assert len(calls) == (cups[family] + 3 if cups[family] else 0) + 4 * r
             calls.clear()
             aux_gamma(ctx, family, h, f, g, b, i, j, k)
-            assert len(calls) == fixed[family] + (r + 3 if r else 0)
+            assert len(calls) == cups[family] + (r + 3 if r or cups[family] else 0)
             seen.add(r)
     assert max(seen) >= 3
+
+
+def _orders(points, seed):
+    """points in lexicographic order, then shuffled with a few repeated."""
+    rng = np.random.default_rng(seed)
+    mixed = list(points) + list(points[:2])
+    return [list(points), [mixed[n] for n in rng.permutation(len(mixed))]]
+
+
+@pytest.mark.parametrize("kind", ["endo", "free"])
+@pytest.mark.parametrize("mutations", [frozenset(), frozenset({"cup-sign-flip"})],
+                         ids=["clean", "cup-sign-flip"])
+@pytest.mark.parametrize("degrees", [(3, 1, 1, 1), (4, 2, 1, 2), (4, 1, 2, 1)])
+def test_evaluator_runs_equal_their_per_s_expansion(kind, mutations, degrees):
+    # one evaluator serves every run, in any order: kept prefixes and heads
+    # must never leak from one point, family or form into another
+    ctx, h, f, g, b = _inputs(kind, degrees, mutations, 5 + sum(degrees))
+    families = GammaFamilies(ctx, h, f, g, b)
+    for family in GAMMA_KINDS:
+        for n, points in enumerate(_orders(gamma_domain(family, *degrees).points,
+                                           sum(degrees))):
+            values = list(families.totals(family, points))
+            assert len(values) == len(points)
+            for (i, j, k), got in zip(points, values):
+                want, _ = _aux_gamma_per_s(ctx, family, h, f, g, b, i, j, k)
+                assert got == want, (family, n, (i, j, k))
+    ground = ground_tetrahedron(*degrees[:3]).points
+    for n, points in enumerate(_orders(ground, 7 * sum(degrees))):
+        values = iter(families.shifted(points))
+        for (i, j, k) in points:
+            for family in GAMMA_KINDS:
+                want, _ = _aux_gamma_shifted_per_s(ctx, family, h, f, g, b,
+                                                   i, j, k)
+                assert next(values) == want, (family, n, (i, j, k))
+        assert next(values, None) is None
+    # a run of one family's shifted forms
+    points = _orders(ground, 11)[1]
+    for family in GAMMA_KINDS:
+        for (i, j, k), got in zip(points, families.shifted(points, (family,))):
+            want, _ = _aux_gamma_shifted_per_s(ctx, family, h, f, g, b, i, j, k)
+            assert got == want
+
+
+def test_evaluator_runs_check_every_point_before_the_first_value():
+    ctx, rng = make_ctx(3)
+    h, f, g, b = sample(ctx, rng, (3, 1, 1, 1))
+    families = GammaFamilies(ctx, h, f, g, b)
+    good = gamma_domain("gamma1", 3, 1, 1, 1).points[0]
+    with pytest.raises(IndexOutOfDomain, match=r"\(9, 9, 9\) outside aux-gamma1"):
+        next(families.totals("gamma1", [good, (9, 9, 9)]))
+    with pytest.raises(IndexOutOfDomain, match="unknown auxiliary family"):
+        next(families.totals("gamma7", [good]))
+    with pytest.raises(IndexOutOfDomain, match="ground tetrahedron"):
+        next(families.shifted([(0, 1, 2), (5, 5, 5)]))
+    with pytest.raises(IndexOutOfDomain, match="unknown auxiliary family"):
+        next(families.shifted([(0, 1, 2)], ("gamma", "gamma7")))
+    assert list(families.totals("gamma", [])) == []
+
+
+def _stacked_sample(degrees, rows, seed):
+    """A law sample of rows stacked endo trials at dim 2 over F_97."""
+    rng = np.random.default_rng(seed)
+    backend = EndoBackend(F97, 2)
+    ctx = PreOperadContext(backend, backend.random(2, rng))
+    elements = {
+        name: GradedElement(backend, endo.stack_rows(
+            [backend.random(d, rng).payload for _ in range(rows)]))
+        for name, d in zip("hfgb", degrees)}
+    return laws.TrialSample(ctx, elements, dict(zip("hfgb", degrees)), {}, rows)
+
+
+@pytest.mark.parametrize("law_id, bound", [("L18-lemma-first", 9.5),
+                                           ("L24-gamma-recap", 9.5)])
+def test_a_gamma_law_check_peaks_below_a_few_result_tables(law_id, bound):
+    # the largest degree tuple the default budget draws (total degree 12 at
+    # dim 2), 16 stacked rows: a family value has 16 * 2^11 entries. Kept
+    # prefixes must be released once their points are done; a check that
+    # evaluated one point at a time peaked at 8.8 (L18) and 8.0 (L24) such
+    # tables here
+    sample = _stacked_sample((4, 4, 3, 1), 16, 41)
+    law = laws.get_law(law_id)
+    law.checker(sample)  # warm the per-(ring, dim) caches
+    value_bytes = 16 * 2**11 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        details = law.checker(sample)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert details == [None] * 16
+    assert peak < bound * value_bytes
+
+
+def test_an_l24_check_composes_each_shared_composite_once(monkeypatch):
+    # every composition, single or a term of a compose_sum, counted where
+    # the backend builds it; evaluating each family one point at a time
+    # made 292 for this check
+    counts = []
+    compose, fused = EndoBackend.compose_payload, EndoBackend.compose_sum_payload
+
+    def counted(self, f, g, i):
+        counts.append(i)
+        return compose(self, f, g, i)
+
+    def counted_sum(self, degree, terms):
+        def seen():
+            for term in terms:
+                counts.append(term[-1])
+                yield term
+        return fused(self, degree, seen())
+
+    monkeypatch.setattr(EndoBackend, "compose_payload", counted)
+    monkeypatch.setattr(EndoBackend, "compose_sum_payload", counted_sum)
+    sample = _stacked_sample((4, 2, 1, 2), 1, 43)
+    assert laws.get_law("L24-gamma-recap").checker(sample) == [None]
+    assert len(counts) == 149
