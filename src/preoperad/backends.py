@@ -213,16 +213,13 @@ def region_sum(base: GradedElement, operands, points) -> GradedElement:
     the same way by its own last slot, down to the composites
     base comp_i operands[0]. operands[t], for t >= 1, is composed once per
     distinct tail (p_t, ..., p_n) of the points: the last operand once per
-    distinct k rather than once per point. Each level is one compose_sum
-    over its slots. With more than one operand the composites
-    base comp_i operands[0] are built once per i and reused across tails.
-    Any point set works; an empty one sums to zero.
+    distinct k rather than once per point. Each level above the first is
+    one compose_sum over its slots. The composites base comp_i operands[0]
+    are built once per i and reused across tails. Any point set works; an
+    empty one sums to zero.
     """
     head, *tail = operands
     degree = base.degree + sum(x.degree - 1 for x in operands)
-    if not tail:
-        return compose_sum(base.backend, degree,
-                           ((1, base, head, i) for (i,) in points))
     firsts = {}
 
     def first(i):

@@ -362,9 +362,8 @@ def _stacked_sample(degrees, rows, seed):
     return laws.TrialSample(ctx, elements, dict(zip("hfgb", degrees)), {}, rows)
 
 
-@pytest.mark.parametrize("law_id, bound", [("L18-lemma-first", 9.5),
-                                           ("L24-gamma-recap", 9.5)])
-def test_a_gamma_law_check_peaks_below_a_few_result_tables(law_id, bound):
+@pytest.mark.parametrize("law_id", ["L18-lemma-first", "L24-gamma-recap"])
+def test_a_gamma_law_check_peaks_below_a_few_result_tables(law_id):
     # the largest degree tuple the default budget draws (total degree 12 at
     # dim 2), 16 stacked rows: a family value has 16 * 2^11 entries. Kept
     # prefixes must be released once their points are done; a check that
@@ -382,7 +381,7 @@ def test_a_gamma_law_check_peaks_below_a_few_result_tables(law_id, bound):
     finally:
         tracemalloc.stop()
     assert details == [None] * 16
-    assert peak < bound * value_bytes
+    assert peak < 9.5 * value_bytes
 
 
 def test_an_l24_check_composes_each_shared_composite_once(monkeypatch):
