@@ -48,9 +48,6 @@ class EndoBackend:
     def compose_sum_payload(self, degree, terms):
         return endo.compose_sum(self.ring, self.dim, degree, terms)
 
-    def stack_payloads(self, payloads):
-        return endo.stack_rows(payloads)
-
     def random(self, degree: int, rng) -> "GradedElement":
         return GradedElement(self, endo.random_map(self.ring, self.dim, degree, rng))
 
@@ -85,9 +82,6 @@ class FreeBackend:
 
     def compose_sum_payload(self, degree, terms):
         return free.free_compose_sum(self.ring, self.signature, degree, terms)
-
-    def stack_payloads(self, payloads):
-        return free.stack_rows(payloads)
 
     def generator(self, name: str) -> "GradedElement":
         return GradedElement(self, free.generator_element(self.signature, self.ring, name))

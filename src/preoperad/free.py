@@ -7,11 +7,10 @@ node has as many children as its generator's degree; a tree's degree is its
 leaf count. Since arities are fixed and "(" sorts before "_", plain tuple
 order on trees is the string order of their s-expressions.
 Elements are finite sums coeff * tree with coefficients in a ring, kept
-canonical (zero terms dropped, coefficients reduced, terms sorted). A stacked
-element carries one exact coefficient per row on each tree, so that the
-trials of a law that share their degrees run through the calculus as one
-batch: its coefficients add, multiply and reduce row by row, a plain int
-coefficient acts on every row, and a term is kept while any row is nonzero.
+canonical (zero terms dropped, coefficients reduced, terms sorted). Scaling
+each generator n by a constant c_n is a morphism of this free pre-operad
+(scaled): the trials of a law that share their degrees differ only in their
+c_n, so they run as one check on the bare generators.
 
 Composition grafts the right operand onto the i-th leaf of the left one and
 multiplies by the global sign (-1)^(i * |y|), the same twist the dense
@@ -23,10 +22,8 @@ sorts once; a single composition is a sum of one term.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from operator import add, mul
-
-import numpy as np
 
 from .errors import (
     BackendMismatch,
@@ -103,45 +100,10 @@ def generator_tree(sig: Signature, name: str):
     return ("(" + name,) + (LEAF,) * sig.degree_of(name) + (")",)
 
 
-class _Rows(tuple):
-    """The coefficients of one tree in the rows of a stacked element, as
-    exact ints. Sums and products act row by row, and an int acts on every
-    row; the value is true when any row is nonzero."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if type(other) is not _Rows:
-            return _Rows([a + other for a in self])
-        if len(other) != len(self):
-            raise ShapeMismatch(f"stacked tree sums of {len(self)} and "
-                                f"{len(other)} rows")
-        return _Rows(map(add, self, other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if type(other) is not _Rows:
-            return _Rows([a * other for a in self])
-        if len(other) != len(self):
-            raise ShapeMismatch(f"stacked tree sums of {len(self)} and "
-                                f"{len(other)} rows")
-        return _Rows(map(mul, self, other))
-
-    __rmul__ = __mul__
-
-    def __mod__(self, p):
-        return _Rows([a % p for a in self])
-
-    def __bool__(self):
-        return any(self)
-
-
 # eq=False keeps the __eq__ below and leaves elements unhashable
 @dataclass(frozen=True, eq=False)
 class FreeElement:
-    """Canonical signed tree sum of a single degree, or stacked tree sums
-    with one coefficient per row."""
+    """Canonical signed tree sum of a single degree."""
 
     ring: CoefficientRing
     signature: Signature
@@ -155,59 +117,21 @@ class FreeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def batch(self) -> int | None:
-        """The number of rows of a stacked element, None for a single one."""
-        for _, c in self.terms:
-            if type(c) is _Rows:
-                return len(c)
-        return None
-
-    def row(self, r: int) -> FreeElement:
-        """Row r of a stacked element as a single one, without the trees
-        that vanish there; a single element is every row."""
-        if self.batch is None:
-            return self
-        terms = ((t, c[r] if type(c) is _Rows else c) for t, c in self.terms)
-        return FreeElement(self.ring, self.signature, self.degree,
-                           tuple((t, c) for t, c in terms if c))
-
-    def differs(self, other: FreeElement | None = None):
-        """Whether each row differs from other (from zero when other is None):
-        a bool array over the rows when either element is stacked, one bool
-        otherwise. Elements of another ring or degree differ."""
-        diff = self
-        if other is not None:
-            if self.batch is None and other.batch is None:
-                return self != other
-            if (self.degree != other.degree or self.ring != other.ring
-                    or self.signature != other.signature):
-                return True
-            diff = free_signed_sum(self.ring, self.signature, self.degree,
-                                   ((1, self), (-1, other)))
-        if diff.batch is None:
-            return bool(diff.terms)
-        coeffs = [c for _, c in diff.terms]
-        if any(type(c) is not _Rows for c in coeffs):
-            return True  # a kept int coefficient is nonzero in every row
-        return np.array([any(column) for column in zip(*coeffs)])
+    def differs(self, other: FreeElement | None = None) -> bool:
+        """Whether self differs from other (from zero when other is None).
+        Elements of another ring or degree differ."""
+        if other is None:
+            return bool(self.terms)
+        return self != other
 
     def __eq__(self, other) -> bool:
-        """Equal in every row, as differs sees it: a stacked coefficient
-        equals an int that every row holds."""
         if not isinstance(other, FreeElement):
             return NotImplemented
-        rows = (self.batch, other.batch)
-        if rows == (None, None):
-            return (self.ring == other.ring and self.degree == other.degree
-                    and self.terms == other.terms)
-        if None not in rows and rows[0] != rows[1]:
-            return False
-        return not np.any(self.differs(other))
+        return (self.ring == other.ring and self.degree == other.degree
+                and self.terms == other.terms)
 
 
 def _canonical_terms(ring: CoefficientRing, raw: dict) -> tuple:
-    # c % p, not ring.reduce: that calls int(), and a stacked c is one int per row
     p = ring.modulus
     cleaned = []
     for tree, c in raw.items():
@@ -240,26 +164,6 @@ def zero_element(sig: Signature, ring: CoefficientRing, degree: int) -> FreeElem
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
     return FreeElement(ring, sig, degree, ())
-
-
-def stack_rows(elements) -> FreeElement:
-    """Single elements of one ring, signature and degree as the rows of one
-    stacked element, in order. Equal elements stay single: one serves every
-    row."""
-    first, *rest = elements
-    if all(x == first for x in rest):
-        return first
-    raw: dict = {}
-    for r, x in enumerate(elements):
-        _check_pair(first, x)
-        if x.degree != first.degree:
-            raise DegreeMismatch(f"degree {x.degree} vs {first.degree}")
-        if x.batch is not None:
-            raise ShapeMismatch("only single tree sums can be stacked")
-        for tree, c in x.terms:
-            raw.setdefault(tree, [0] * len(elements))[r] = c
-    return FreeElement(first.ring, first.signature, first.degree,
-                       tuple(sorted((t, _Rows(cs)) for t, cs in raw.items())))
 
 
 def _check_pair(x: FreeElement, y: FreeElement):
@@ -295,12 +199,6 @@ def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
         c = int(c) * ksign(i * y.shifted_degree)
         if p is not None:
             c %= p
-        if not c:  # no graft to find stacks of other rows
-            rows = (x.batch, y.batch)
-            if None not in rows and rows[0] != rows[1]:
-                raise ShapeMismatch(f"stacked tree sums of {rows[0]} and "
-                                    f"{rows[1]} rows")
-            continue
         for t, a in x.terms:
             pos = _leaf(t, i)  # once for every tree of y
             head, rest, ca = t[:pos], t[pos + 1:], c * a
@@ -346,9 +244,22 @@ def free_linear_combine(coeffs, elems) -> FreeElement:
                            zip(coeffs, elems))
 
 
+def scaled(x: FreeElement, scales) -> FreeElement:
+    """x with each tree's coefficient multiplied by scales[n] for every node
+    "(n" the tree holds: the image of x under the pre-operad morphism that
+    sends each generator n to scales[n] * n. It commutes with composition
+    and sums and fixes the unit, since grafting keeps every node."""
+    raw = {}
+    for tree, c in x.terms:
+        for tok in tree:
+            if tok[0] == "(":
+                c *= scales[tok[1:]]
+        raw[tree] = c
+    return FreeElement(x.ring, x.signature, x.degree,
+                       _canonical_terms(x.ring, raw))
+
+
 def element_to_payload(x: FreeElement) -> dict:
-    if x.batch is not None:
-        raise ShapeMismatch("a stacked tree sum has no payload; serialize its rows")
     return {
         "ring": x.ring.to_payload(),
         "signature": [[n, d] for n, d in x.signature.generators],
@@ -388,7 +299,13 @@ def element_from_payload(payload: dict) -> FreeElement:
     sig = Signature(tuple((str(n), int(d)) for n, d in payload["signature"]))
     raw = {}
     for sexpr, c in payload["terms"]:
-        raw[_tree_from_sexpr(sexpr, sig)] = int(c)
+        tree = _tree_from_sexpr(sexpr, sig)
+        # refused rather than merged, rounded or parsed
+        if tree in raw:
+            raise ShapeMismatch(f"tree {sexpr!r} appears twice in one tree sum")
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+            raise ShapeMismatch(f"coefficients must be integers, got {c!r}")
+        raw[tree] = int(c)
     return _element(ring, sig, int(payload["degree"]), raw)
 
 
@@ -425,8 +342,6 @@ def evaluate_hom(x: FreeElement, assignment: dict, ring: CoefficientRing,
     degree. Substitution itself is unsigned; the composition twist on both
     sides is what makes the map commute with comp_i, unit and sums.
     """
-    if x.batch is not None:
-        raise ShapeMismatch("a stacked tree sum has no table; evaluate its rows")
     for name, deg in x.signature.generators:
         if name in assignment and assignment[name].degree != deg:
             raise DegreeMismatch(

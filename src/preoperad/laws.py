@@ -6,10 +6,12 @@ serialized failure witnesses. Identical (law, config) pairs produce identical
 reports apart from the timing field. A witness can be replayed and shrunk.
 
 Batches: the trials of a law that drew the same degrees (and the same extra
-data) are stacked into one sample, whose tables carry a leading row axis and
-whose tree sums carry one coefficient per row, and the checker runs once on
-it; every row gets its own verdict, and each failure is written from its own
-trial's sample. A replay and a shrink step are batches of one.
+data) run as one check. Tables are stacked into one sample with a leading
+row axis, and every row gets its own verdict. Free trials differ only in the
+nonzero scalar on each generator, so a free batch is one check on the bare
+generators, whose failure every trial shares, scaled by its own scalars.
+Each failure is written from its own trial's sample. A replay and a shrink
+step are batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
 proves nothing; such draws are retried a few times and then counted in the
@@ -92,7 +94,7 @@ class TrialConfig:
 
     @property
     def degree_budget(self) -> int:
-        # total degree cap keeps dense tables below ~10^5 entries
+        # total degree cap of one trial; endo.MAX_ENTRIES bounds its tables
         return 12 if self.dim <= 2 else 9
 
     def validate(self):
@@ -155,7 +157,8 @@ def _first_failure(claims, sample: TrialSample) -> list:
     Claims are drawn until every row has failed or none is left. rhs None
     claims that lhs is zero. A side that is not an element (a point set, a
     degree) is the same in every row; it is compared but not kept in the
-    witness. Element sides are kept as the failing row."""
+    witness. Element sides are kept, as the failing row of a stacked
+    sample."""
     details = [None] * sample.rows
     waiting = sample.rows
     for identity, point, lhs, rhs in claims(sample):
@@ -165,7 +168,8 @@ def _first_failure(claims, sample: TrialSample) -> list:
         for r in np.flatnonzero(np.broadcast_to(bad, sample.rows)):
             if details[r] is None:
                 details[r] = FailDetail(identity, point, *(
-                    x.row(r) if isinstance(x, GradedElement) else None
+                    (x.row(r) if sample.rows > 1 else x)
+                    if isinstance(x, GradedElement) else None
                     for x in (lhs, rhs)))
                 waiting -= 1
         if not waiting:
@@ -836,19 +840,67 @@ def _batch_key(sample: TrialSample):
 
 
 def _stack(samples) -> TrialSample:
-    """One sample whose rows are samples, in order; they share degrees and
-    extra data. A lone sample is its own batch of one."""
+    """One sample whose rows are samples, in order: element-free ones, or
+    endo ones that share degrees and extra data. A lone sample is its own
+    batch of one."""
     first = samples[0]
     if len(samples) == 1:
         return first
     if first.ctx is None:
         return replace(first, rows=len(samples))
     backend = first.ctx.backend
-    elements = {name: GradedElement(backend, backend.stack_payloads(
+    elements = {name: GradedElement(backend, endo.stack_rows(
                     [s.elements[name].payload for s in samples]))
                 for name in first.elements}
     return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
                        first.degrees, first.extra, len(samples))
+
+
+def _check_batch(law: Law, samples) -> list:
+    """law's verdict on each of samples, in order: the first failing claim
+    (a FailDetail) or None. The samples share their degrees and extra data;
+    the checker runs once.
+
+    Element-free and endo samples are stacked row by row. A free trial's
+    inputs are c_x times their bare generators x, with a bare mu, over the
+    FreeBackend its batch shares. Sending each x to c_x * x is a morphism of
+    the free pre-operad: it multiplies each tree's coefficient by the c_x of
+    every node it holds and keeps compositions, sums, the unit and mu, so
+    each side a trial claims is the bare-generator side mapped through it.
+    Each c_x is nonzero mod p, so the morphism is injective: every trial
+    fails at the first claim that fails on the bare generators, with that
+    claim's sides scaled by its own c_x.
+    """
+    first = samples[0]
+    if first.ctx is None or first.ctx.backend.kind == "endo":
+        return law.checker(_stack(samples))
+    backend = first.ctx.backend
+    bare = {name: backend.generator(name) for name in first.elements}
+    detail, = law.checker(TrialSample(PreOperadContext(backend, bare["mu"]),
+                                      bare, first.degrees, first.extra))
+    if detail is None:
+        return [None] * len(samples)
+    details = []
+    for s in samples:
+        scales = {name: el.payload.terms[0][1] for name, el in s.elements.items()}
+        details.append(FailDetail(detail.identity, detail.point, *(
+            x if x is None else GradedElement(backend, free.scaled(x.payload, scales))
+            for x in (detail.lhs, detail.rhs))))
+    return details
+
+
+def _check_runnable(law: Law, cfg: TrialConfig):
+    """Refuse a law that cannot run under cfg: another backend, inputs that
+    do not fit the degree budget, or endo tables, which a law builds on
+    either backend when it is fixed to endo, that int64 cannot hold."""
+    if cfg.backend not in law.backends:
+        raise BadConfig(f"{law.law_id} does not run on the {cfg.backend} backend")
+    if len(law.slots) * cfg.degree_min > cfg.degree_budget:
+        raise BadConfig(f"degree_min {cfg.degree_min} cannot fit "
+                        f"{len(law.slots)} inputs under the degree budget "
+                        f"{cfg.degree_budget}")
+    if (law.fixed_backend or cfg.backend) == "endo":
+        endo.check_int64(CoefficientRing.prime_field(cfg.prime), cfg.dim)
 
 
 def run_law(law_id: str, cfg: TrialConfig) -> Report:
@@ -857,7 +909,7 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     Every trial is drawn first, in order; the non-vacuous ones are then
     checked in batches of equal batch key. A law that builds tables splits
     each batch so that its rows of the largest table the degree budget
-    allows stay under the entry cap; a symbolic batch is never split.
+    allows stay under the entry cap; other batches are never split.
     Failures are reported in trial order.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
@@ -865,12 +917,7 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     """
     law = get_law(law_id)
     cfg.validate()
-    if cfg.backend not in law.backends:
-        raise BadConfig(f"{law.law_id} does not run on the {cfg.backend} backend")
-    if len(law.slots) * cfg.degree_min > cfg.degree_budget:
-        raise BadConfig(f"degree_min {cfg.degree_min} cannot fit "
-                        f"{len(law.slots)} inputs under the degree budget "
-                        f"{cfg.degree_budget}")
+    _check_runnable(law, cfg)
     start = time.perf_counter()
     draw = _sampler(law, cfg)
     batches = {}
@@ -887,14 +934,13 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
             continue
         batches.setdefault(_batch_key(sample), []).append(
             (trial, attempt, sample))
-    most = max(1, cfg.trials)  # symbolic trials build no table
-    if (law.fixed_backend or cfg.backend) == "endo":
-        most = max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
+    most = (max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
+            if (law.fixed_backend or cfg.backend) == "endo" else cfg.trials)
     failed = {}  # trial -> witness
     for group in batches.values():
         for lo in range(0, len(group), most):
             batch = group[lo:lo + most]
-            details = law.checker(_stack([sample for _, _, sample in batch]))
+            details = _check_batch(law, [sample for _, _, sample in batch])
             for (trial, attempt, sample), detail in zip(batch, details):
                 if detail is not None:
                     head = {"law_id": law.law_id,
@@ -918,15 +964,15 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
 
 
 def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
+    """Run the laws law_ids (every law of cfg.backend when None), after
+    refusing the run if any one of them cannot run under cfg."""
     cfg.validate()
     if law_ids is None:
         chosen = laws_for_backend(cfg.backend)
     else:
         chosen = [get_law(i) for i in law_ids]
-        for law in chosen:
-            if cfg.backend not in law.backends:
-                raise BadConfig(f"{law.law_id} does not run on the "
-                                f"{cfg.backend} backend")
+    for law in chosen:
+        _check_runnable(law, cfg)
     reports = [run_law(law.law_id, cfg) for law in chosen]
     ok = all(r.status == "pass" and not r.underpowered for r in reports)
     return {

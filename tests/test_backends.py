@@ -15,7 +15,7 @@ from preoperad.backends import (
     region_sum,
     signed_sum,
 )
-from preoperad.endo import linear_combine
+from preoperad.endo import linear_combine, stack_rows
 from preoperad.errors import BackendMismatch, DegreeMismatch
 from preoperad.free import Signature, free_linear_combine
 from preoperad.rings import CoefficientRing
@@ -26,8 +26,8 @@ KINDS = ["endo", "free"]
 
 def _pair(kind, stacked, seed=31):
     """A backend and two of its degree-2 elements, x and y: single, or each
-    stacked over three rows. Tree sums hold two generators so that their
-    terms can cancel."""
+    a table stacked over three rows. Tree sums hold two generators so that
+    their terms can cancel."""
     rng = np.random.default_rng(seed)
     if kind == "endo":
         backend = EndoBackend(F97, 2)
@@ -42,15 +42,21 @@ def _pair(kind, stacked, seed=31):
                     - int(rng.integers(1, 97)) * backend.generator("g"))
     if not stacked:
         return backend, draw(), draw()
-    return backend, *(GradedElement(backend, backend.stack_payloads(
+    return backend, *(GradedElement(backend, stack_rows(
         [draw().payload for _ in range(3)])) for _ in range(2))
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
-@pytest.mark.parametrize("kind", KINDS)
+# only tables stack; a free batch is one check on bare generators
+PAIRS = pytest.mark.parametrize("kind, stacked", [
+    ("endo", False), ("endo", True), ("free", False)],
+    ids=["endo-single", "endo-stacked", "free-single"])
+
+
+@PAIRS
 def test_operators_equal_the_list_helpers(kind, stacked):
     backend, x, y = _pair(kind, stacked)
-    assert (x.payload.batch is not None) == stacked
+    if kind == "endo":
+        assert (x.payload.batch is not None) == stacked
     combine = linear_combine if kind == "endo" else free_linear_combine
     for got, coeffs, terms in ((x + y, [1, 1], [x, y]),
                                (x - y, [1, -1], [x, y]),
@@ -129,8 +135,7 @@ def test_a_region_sum_of_one_point_per_last_slot_sums_no_composite(
     assert got.degree == 4 and not got.differs(want)
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
-@pytest.mark.parametrize("kind", KINDS)
+@PAIRS
 def test_compose_sums_equal_composing_then_summing(kind, stacked):
     backend, x, y = _pair(kind, stacked)
     _, u, _ = _pair(kind, False, seed=32)

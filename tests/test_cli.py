@@ -208,6 +208,29 @@ def test_verify_refuses_a_61_bit_prime_at_once(capsys, law):
     assert out == ""
 
 
+def test_free_suite_refuses_a_prime_that_l27_cannot_hold_before_any_law(capsys):
+    # L27 builds int64 endo tables on either backend, so the free suite at
+    # this prime is refused before the 25 other free laws are checked
+    called = []
+    checkers = {law: law.checker for law in laws.list_laws()}
+
+    def refused(sample):
+        called.append(sample)
+        raise AssertionError("a law ran")
+
+    for law in checkers:
+        object.__setattr__(law, "checker", refused)
+    try:
+        code, out, err = run(capsys, [
+            "verify", "--law", "all", "--backend", "free",
+            "--prime", str(2**61 - 1), "--trials", "20"])
+    finally:
+        for law, checker in checkers.items():
+            object.__setattr__(law, "checker", checker)
+    assert code == 2 and out == "" and called == []
+    assert err.startswith("error:") and "int64" in err
+
+
 @pytest.mark.parametrize("backend", ["endo", "free"])
 def test_verify_over_f2_is_underpowered(capsys, backend):
     # -1 = 1 in F_2, so a flipped cup sign cannot show; the run must not pass
@@ -451,6 +474,23 @@ def test_replay_of_a_bad_witness_file_is_a_usage_error(capsys, tmp_path,
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert word in lines[0]
+
+
+@pytest.mark.parametrize("coeffs", [[3, 4], [3.7], ["12"], [True]],
+                         ids=["repeated-tree", "float", "string", "bool"])
+def test_replay_of_an_edited_free_witness_is_a_usage_error(capsys, tmp_path,
+                                                          coeffs):
+    # a repeated tree used to keep its last coefficient, and a coefficient
+    # that is not an integer was cast to one: both read another element
+    witness = _golden_witnesses(_REPLAY_GOLDENS[1])[0]
+    tree = witness["elements"]["g"]["terms"][0][0]
+    witness["elements"]["g"]["terms"] = [[tree, c] for c in coeffs]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = run(capsys, ["replay", str(path)])
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("change, word", [

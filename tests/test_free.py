@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from preoperad.backends import FreeBackend, GradedElement
-from preoperad.calculus import bullet
+from preoperad.backends import FreeBackend
+from preoperad.calculus import (
+    PreOperadContext,
+    bullet,
+    cup,
+    delta,
+    dev_tetrabraces,
+    tetrabraces,
+)
 from preoperad.endo import ksign, random_map, unit_map
 from preoperad.errors import (
-    BackendMismatch,
     DegreeMismatch,
     IndexOutOfScope,
     InvalidDegree,
@@ -17,7 +25,6 @@ from preoperad.free import (
     LEAF,
     FreeElement,
     Signature,
-    _Rows,
     _tree_from_sexpr,
     element_from_payload,
     element_to_payload,
@@ -28,12 +35,13 @@ from preoperad.free import (
     free_signed_sum,
     generator_element,
     graft,
-    stack_rows,
+    scaled,
     tree_degree,
     tree_to_sexpr,
     unit_element,
     zero_element,
 )
+from preoperad.gamma import GAMMA_KINDS, GammaFamilies, gamma_domain
 from preoperad.rings import CoefficientRing
 
 F97 = CoefficientRing.prime_field(97)
@@ -273,130 +281,6 @@ def test_signature_rejects_names_outside_one_sexpr_token(name):
         Signature(((name, 2),))
 
 
-def _words(degree):
-    """A few distinct tree sums of one degree over SIG."""
-    f, g, h, b = gen("f"), gen("g"), gen("h"), gen("b")
-    if degree == 2:
-        return [f, free_partial_compose(f, g, 0), free_partial_compose(f, b, 1),
-                free_partial_compose(g, f, 0)]
-    return [h, free_partial_compose(f, f, 0), free_partial_compose(f, f, 1),
-            free_partial_compose(h, g, 2)]
-
-
-def _stacked(degree, rows, rng):
-    """rows random tree sums of degree, some trees absent from some rows,
-    and the stacked sum of them."""
-    words = _words(degree)
-    singles = [free_linear_combine([int(c) * int(c > 40) for c in
-                                    rng.integers(0, 97, len(words))], words)
-               for _ in range(rows)]
-    return singles, stack_rows(singles)
-
-
-def test_stacked_tree_sums_compose_and_sum_row_by_row():
-    rng = np.random.default_rng(21)
-    backend = FreeBackend(F97, SIG)
-    for m, n in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        xs, x = _stacked(m, 3, rng)
-        ys, y = _stacked(n, 3, rng)
-        one = _stacked(n, 1, rng)[1]
-        assert x.batch == 3 and xs[0].batch is None and one.batch is None
-        for r in range(3):
-            assert x.row(r) == xs[r] and x.row(r).batch is None
-        for i in range(m):
-            got = free_partial_compose(x, y, i)
-            assert got.batch == 3
-            for r in range(3):
-                assert got.row(r) == free_partial_compose(xs[r], ys[r], i)
-            # a single tree sum serves every row, on either side
-            assert (free_partial_compose(x, one, i).row(2)
-                    == free_partial_compose(xs[2], one, i))
-        for j in range(n):
-            assert (free_partial_compose(one, x, j).row(0)
-                    == free_partial_compose(one, xs[0], j))
-        total = free_signed_sum(F97, SIG, m, [(2, xs[1]), (-1, x), (5, x)])
-        for r in range(3):
-            assert total.row(r) == free_linear_combine([2, 4], [xs[1], xs[r]])
-        stacked = bullet(GradedElement(backend, x), GradedElement(backend, y))
-        for r in range(3):
-            assert stacked.row(r).payload == bullet(
-                GradedElement(backend, xs[r]), GradedElement(backend, ys[r])).payload
-
-
-def test_stacked_tree_sums_stay_exact_over_the_integers():
-    zz = CoefficientRing.integers()
-    big = [2**70, -3, 2**64 + 1]
-    xs = [FreeElement(zz, SIG, 2, ((tree("(f _ _)"), c),)) for c in big]
-    x = stack_rows(xs)
-    square = free_partial_compose(x, x, 1)
-    for r, c in enumerate(big):
-        assert square.row(r).terms == ((tree("(f _ (f _ _))"), -c * c),)
-        assert square.row(r) == free_partial_compose(xs[r], xs[r], 1)
-
-
-def test_stacked_tree_sums_compare_row_by_row():
-    rng = np.random.default_rng(22)
-    xs, x = _stacked(2, 3, rng)
-    zero = zero_element(SIG, F97, 2)
-    y = stack_rows([xs[0], xs[1], zero])
-    assert x.differs(y).tolist() == [False, False, xs[2] != zero]
-    assert y.differs().tolist() == [xs[0] != zero, xs[1] != zero, False]
-    assert x.differs(xs[1]).tolist() == [xs[0] != xs[1], False, xs[2] != xs[1]]
-    assert xs[0].differs(xs[0]) is False and xs[0].differs() is True
-    assert x.differs(_stacked(3, 3, rng)[1]) is True
-    # a row keeps only its own trees
-    g, b = gen("g"), gen("b")
-    assert stack_rows([g, b]).row(1).terms == b.terms
-    # equal tree sums stay single and serve every row
-    f = gen("f")
-    assert stack_rows([f, gen("f"), gen("f")]) is f
-
-
-def test_equality_of_stacked_tree_sums_agrees_with_differs():
-    rng = np.random.default_rng(24)
-    xs, x = _stacked(2, 3, rng)
-    a = gen("f")
-    # one tree held with coefficient 1 in every row, as _Rows((1, 1, 1))
-    rows = FreeElement(F97, SIG, 2, ((a.terms[0][0], _Rows((1, 1, 1))),))
-    assert rows.batch == 3 and a.batch is None
-    assert not np.any(rows.differs(a))
-    assert rows == a and a == rows and not rows != a
-    # the same terms summed in another grouping
-    same = free_signed_sum(F97, SIG, 2, [(1, x), (-1, x), (1, a)])
-    assert same == a and same == rows
-    assert x != a and x == x
-    # stacks of other lengths are never equal
-    assert stack_rows(xs[:2]) != x
-
-
-def test_stacked_tree_sums_have_no_payload():
-    rng = np.random.default_rng(23)
-    xs, x = _stacked(3, 2, rng)
-    with pytest.raises(ShapeMismatch):
-        element_to_payload(x)
-    assignment = {name: random_map(F97, 2, deg, rng) for name, deg in SIG.generators}
-    with pytest.raises(ShapeMismatch):
-        evaluate_hom(x, assignment, F97, 2)
-    assert element_from_payload(element_to_payload(x.row(1))) == xs[1]
-
-
-def test_stacked_tree_sums_must_agree_on_their_rows():
-    rng = np.random.default_rng(24)
-    _, x = _stacked(2, 3, rng)
-    _, y = _stacked(2, 2, rng)
-    with pytest.raises(ShapeMismatch):
-        free_partial_compose(x, y, 0)
-    with pytest.raises(ShapeMismatch):
-        free_signed_sum(F97, SIG, 2, [(1, x), (1, y)])
-    with pytest.raises(ShapeMismatch):
-        stack_rows([x.row(0), x])
-    with pytest.raises(DegreeMismatch):
-        stack_rows([x.row(0), gen("h")])
-    other = Signature((("h", 3), ("f", 2), ("g", 1), ("c", 1)))
-    with pytest.raises(BackendMismatch):
-        stack_rows([gen("g"), generator_element(other, F97, "c")])
-
-
 def _composed_then_summed(ring, degree, terms):
     """The sum of c * (x comp_i y) as it was built before free_compose_sum:
     each composite a tree sum of its own, then one free_signed_sum."""
@@ -407,10 +291,7 @@ def _composed_then_summed(ring, degree, terms):
 @pytest.mark.parametrize("ring", [F97, CoefficientRing.integers()],
                          ids=["F97", "ZZ"])
 def test_compose_sums_equal_compose_then_signed_sum(ring):
-    rng = np.random.default_rng(25)
     f, h, b = (generator_element(SIG, ring, n) for n in "fhb")
-    xs, x = _stacked(2, 3, rng)
-    ys, y = _stacked(2, 3, rng)
     if ring.is_field:
         f2 = free_linear_combine([3, -1], [f, free_partial_compose(f, b, 1)])
     else:  # exact coefficients far past int64
@@ -422,21 +303,6 @@ def test_compose_sums_equal_compose_then_signed_sum(ring):
     assert got == _composed_then_summed(ring, 3, terms)
     assert not got.is_zero()
     assert free_compose_sum(ring, SIG, 3, []) == zero_element(SIG, ring, 3)
-    if not ring.is_field:
-        return
-    # stacked operands: one exact coefficient per row (free._Rows)
-    stacked = [(1, x, y, 1), (-1, f2, y, 0), (4, x, f, 0), (1, f2, f2, 1),
-               (2, x, x, 0)]
-    got = free_compose_sum(F97, SIG, 3, stacked)
-    assert got.batch == 3
-    # a tree may keep one coefficient per row where the old order of sums
-    # kept an int for every row, so compare row by row
-    want = _composed_then_summed(F97, 3, stacked)
-    assert not np.any(got.differs(want))
-    for r in range(3):
-        rows = [(c, a.row(r), b_.row(r), i) for c, a, b_, i in stacked]
-        assert got.row(r) == want.row(r)
-        assert got.row(r) == free_compose_sum(F97, SIG, 3, rows)
 
 
 def _raised(build):
@@ -446,7 +312,6 @@ def _raised(build):
 
 
 def test_compose_sums_raise_what_compose_then_signed_sum_raised():
-    rng = np.random.default_rng(26)
     f, g, h = gen("f"), gen("g"), gen("h")
     other = Signature((("f", 2), ("z", 1)))
     bad_terms = {
@@ -455,7 +320,6 @@ def test_compose_sums_raise_what_compose_then_signed_sum_raised():
         "vector on the left": (zero_element(SIG, F97, 0), f, 0),
         "rings differ": (f, generator_element(SIG, F101, "f"), 0),
         "signatures differ": (f, generator_element(other, F97, "f"), 0),
-        "rows differ": (_stacked(2, 3, rng)[1], _stacked(2, 2, rng)[1], 0),
         "another ring than the sum": (generator_element(SIG, F101, "f"),
                                       generator_element(SIG, F101, "f"), 0),
         "another signature than the sum": (
@@ -481,3 +345,84 @@ def test_one_term_sums_are_canonical():
         assert free_signed_sum(F97, SIG, 2, terms).terms == ((u, 3), (t, 5))
     with pytest.raises(DegreeMismatch):
         free_signed_sum(F97, SIG, 2, [(1, raw), (0, gen("h"))])
+
+
+RINGS = [F97, CoefficientRing.integers()]
+# nonzero mod 97, so nonzero over Z too
+SCALES = st.integers(-2**70, 2**70).filter(lambda c: c % 97)
+
+
+def _words(sig, ring, degree):
+    """Distinct tree sums of degree 2 or 3 over sig, which holds h of degree
+    3, f and mu of degree 2, and g and b of degree 1."""
+    f, g, h, b, mu = (generator_element(sig, ring, n)
+                      for n in ("f", "g", "h", "b", "mu"))
+    if degree == 2:
+        return [f, mu, free_partial_compose(f, g, 0),
+                free_partial_compose(mu, b, 1)]
+    return [h, free_partial_compose(f, mu, 0), free_partial_compose(mu, f, 1),
+            free_partial_compose(h, g, 2)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["F97", "ZZ"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scaling_generators_commutes_with_compositions_and_sums(ring, data):
+    sig = Signature(SIG.generators + (("mu", 2),))
+    scales = {name: data.draw(SCALES) for name, _ in sig.generators}
+
+    def phi(x):
+        return scaled(x, scales)
+
+    def element(degree):
+        coeffs = data.draw(st.lists(st.integers(-2**66, 2**66),
+                                    min_size=4, max_size=4))
+        return free_linear_combine(coeffs, _words(sig, ring, degree))
+
+    x, y, z = element(3), element(2), element(3)
+    for i in range(x.degree):
+        assert (phi(free_partial_compose(x, y, i))
+                == free_partial_compose(phi(x), phi(y), i))
+    c = data.draw(st.integers(-2**66, 2**66))
+    terms = [(c, x, y, 0), (-3, z, y, 2), (1, y, x, 1)]
+    assert (phi(free_compose_sum(ring, sig, 4, terms))
+            == free_compose_sum(ring, sig, 4, [(a, phi(u), phi(v), i)
+                                               for a, u, v, i in terms]))
+    assert (phi(free_signed_sum(ring, sig, 3, [(c, x), (-2, z)]))
+            == free_signed_sum(ring, sig, 3, [(c, phi(x)), (-2, phi(z))]))
+    unit = unit_element(sig, ring)
+    mu = generator_element(sig, ring, "mu")
+    assert phi(unit) == unit
+    assert scaled(mu, {**scales, "mu": 1}) == mu
+    for name, _ in sig.generators:
+        bare = generator_element(sig, ring, name)
+        assert phi(bare) == free_linear_combine([scales[name]], [bare])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["F97", "ZZ"])
+@settings(max_examples=20, deadline=None)
+@given(degrees=st.tuples(*[st.integers(1, 3)] * 4), data=st.data())
+def test_calculus_on_scaled_generators_is_the_scaled_bare_value(
+        ring, degrees, data):
+    # the inputs of a free trial: c_x times each generator x, and a bare mu
+    names = ("h", "f", "g", "b")
+    sig = Signature(tuple(zip(names, degrees)) + (("mu", 2),))
+    backend = FreeBackend(ring, sig)
+    scales = {name: data.draw(SCALES) for name in names}
+    scales["mu"] = 1
+    ctx = PreOperadContext(backend, backend.generator("mu"))
+    bare = [backend.generator(name) for name in names]
+    drawn = [scales[name] * x for name, x in zip(names, bare)]
+    kind = data.draw(st.sampled_from(GAMMA_KINDS))
+    points = gamma_domain(kind, *degrees).points
+
+    def values(h, f, g, b):
+        yield cup(ctx, f, g)
+        yield bullet(h, f)
+        yield delta(ctx, f)
+        yield tetrabraces(h, f, g, b)
+        yield dev_tetrabraces(ctx, h, f, g, b)
+        yield from GammaFamilies(ctx, h, f, g, b).totals(kind, points[:1])
+
+    for got, want in zip(values(*drawn), values(*bare), strict=True):
+        assert got.payload == scaled(want.payload, scales)

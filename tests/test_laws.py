@@ -370,29 +370,39 @@ def test_first_failing_claim_is_the_witness(claims, want):
 def test_trials_that_share_degrees_run_as_one_batch(backend):
     # L05 draws one degree in 1..4, so 12 trials fall into at most four
     # batches at dim 2; at dim 6 a batch of the degree budget's largest
-    # table would pass the entry cap, so every endo trial runs alone, while
-    # symbolic trials build no table and batch as at dim 2
+    # table would pass the entry cap, so every endo trial runs alone. A
+    # free batch is one check of a one-row sample of bare generators,
+    # whatever the dim
     calls = []
     law = laws.get_law("L05-unit-laws")
     checker = law.checker
 
     def counted(sample):
-        calls.append(sample.rows)
+        calls.append(sample)
         return checker(sample)
 
     object.__setattr__(law, "checker", counted)
     try:
         laws.run_law(law.law_id, TrialConfig(backend, dim=2, trials=12, seed=3))
-        assert len(calls) <= 4 and sum(calls) == 12
+        assert len(calls) <= 4
+        if backend == "endo":
+            assert sum(s.rows for s in calls) == 12
+        else:
+            assert len({s.degrees["f"] for s in calls}) == len(calls)
+            for s in calls:
+                assert s.rows == 1
+                for name, el in s.elements.items():
+                    assert el.payload == el.backend.generator(name).payload
         calls.clear()
         laws.run_law(law.law_id, TrialConfig(backend, dim=2, trials=3, seed=3))
-        at_dim_2 = list(calls)
+        at_dim_2 = [(s.rows, s.degrees) for s in calls]
         calls.clear()
         laws.run_law(law.law_id, TrialConfig(backend, dim=6, trials=3, seed=3))
         if backend == "endo":
-            assert calls == [1, 1, 1]
+            assert [s.rows for s in calls] == [1, 1, 1]
         else:
-            assert calls == at_dim_2 and len(calls) < 3
+            assert [(s.rows, s.degrees) for s in calls] == at_dim_2
+            assert len(calls) < 3
     finally:
         object.__setattr__(law, "checker", checker)
 
