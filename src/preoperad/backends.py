@@ -7,9 +7,11 @@ and scalar * included, goes through one streamed primitive, signed_sum,
 into the backend's combine_payload. Every sum of compositions, c * (f
 comp_i g) over some (c, f, g, i), goes through compose_sum into the
 backend's compose_sum_payload, which adds the composites unreduced and
-reduces once; compose_payload serves single compositions. region_sum sums
-a composite over a lattice region, composing each operand into the
-partial sum of the points that share its slot.
+reduces once; compose_payload serves single compositions. Over a lattice
+region there are two loop shapes: region_sum sums a composite over the
+region, composing each operand into the partial sum of the points that
+share its slot, and prefix_chains walks the region point by point, composing
+a chain prefix once for the consecutive points that share it.
 Backends also carry the opt-in mutation switches used by the law suite's
 canary checks.
 """
@@ -222,6 +224,36 @@ def region_sum(base: GradedElement, operands, points) -> GradedElement:
         return firsts[i]
 
     return _factored_sum(base.backend, first, degree, tail, points)
+
+
+def prefix_chains(base: GradedElement, operands, points):
+    """For each point (p_0, p_1, ...) of points in turn, the list
+    [base comp_p0 operands[0], that comp_p1 operands[1], ...].
+
+    A prefix is composed once for each run of consecutive points that
+    share its slots (p_0, ..., p_t), so over lexicographic points
+    operands[t] is composed once per distinct (p_0, ..., p_t). Before a
+    list is handed out, the walk keeps only the prefixes the next point
+    shares, and it empties the list when it resumes, so at most one prefix
+    per level is alive; a caller that keeps no prefix of its own holds
+    nothing past its point. Any point order works.
+    """
+    points = iter(points)
+    point = next(points, None)
+    kept = []
+    while point is not None:
+        upcoming = next(points, None)
+        chain = kept
+        for y, slot in zip(operands[len(chain):], point[len(chain):]):
+            chain.append((chain[-1] if chain else base).compose(y, slot))
+        shared = 0
+        if upcoming is not None:
+            while shared < len(chain) and point[shared] == upcoming[shared]:
+                shared += 1
+        kept = chain[:shared]
+        yield chain
+        chain.clear()
+        point = upcoming
 
 
 def _factored_sum(backend, first, degree, tail, points):

@@ -51,7 +51,6 @@ absorbed with sign +1 from either side.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +67,7 @@ from .errors import (
     TableTooLarge,
     UnsupportedRing,
 )
-from .rings import CoefficientRing
+from .rings import CoefficientRing, require_integer
 
 _INT64 = 2**63
 MAX_ENTRIES = 2**26  # 512 MB of int64: the largest table ever allocated
@@ -242,8 +241,7 @@ def _integer_entries(entries) -> np.ndarray:
         return entries.astype(object) if entries.dtype == np.uint64 else entries
     values = list(np.ravel(entries) if isinstance(entries, np.ndarray) else entries)
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ShapeMismatch(f"table entries must be integers, got {v!r}")
+        require_integer(v, "a table entry", ShapeMismatch)
     flat = np.asarray(values)
     if flat.dtype.kind != "i":
         # numpy holds ints past int64 as uint64, float64 or object, which
@@ -255,9 +253,9 @@ def _integer_entries(entries) -> np.ndarray:
 def make_map(ring: CoefficientRing, dim: int, degree: int, entries) -> MultilinearMap:
     """Build a map from flat integer entries, length dim^(degree + 1),
     row-major."""
-    if dim < 1:
+    if require_integer(dim, "dim", ShapeMismatch) < 1:
         raise ShapeMismatch(f"dimension must be >= 1, got {dim}")
-    if degree < 0:
+    if require_integer(degree, "degree", InvalidDegree) < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
     check_entries(dim, degree)
     flat = _integer_entries(entries)
@@ -634,8 +632,7 @@ def map_to_payload(f: MultilinearMap) -> dict:
 
 def map_from_payload(payload: dict) -> MultilinearMap:
     ring = CoefficientRing.from_payload(payload["ring"])
-    return make_map(ring, int(payload["dim"]), int(payload["degree"]),
-                    payload["entries"])
+    return make_map(ring, payload["dim"], payload["degree"], payload["entries"])
 
 
 def componentwise_product(ring: CoefficientRing, dim: int) -> MultilinearMap:

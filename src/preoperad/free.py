@@ -22,7 +22,6 @@ sorts once; a single composition is a sum of one term.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
 )
 from . import endo
 from .endo import MultilinearMap, ksign
-from .rings import CoefficientRing
+from .rings import CoefficientRing, require_integer
 
 LEAF = "_"
 
@@ -77,12 +76,15 @@ class Signature:
     def __post_init__(self):
         seen = set()
         for name, deg in self.generators:
+            if not isinstance(name, str):
+                raise UnknownGenerator(f"a generator name must be a string, "
+                                       f"got {name!r}")
             if name in seen:
                 raise UnknownGenerator(f"duplicate generator {name!r}")
             # a name must stay one token of a tree's s-expression
             if name in ("", LEAF) or any(ch in "()" or ch.isspace() for ch in name):
                 raise UnknownGenerator(f"{name!r} cannot name a generator")
-            if deg < 1:
+            if require_integer(deg, f"the degree of {name!r}", InvalidDegree) < 1:
                 raise InvalidDegree(f"generator {name!r} needs degree >= 1, got {deg}")
             seen.add(name)
 
@@ -296,17 +298,16 @@ def _tree_from_sexpr(text: str, sig: Signature):
 
 def element_from_payload(payload: dict) -> FreeElement:
     ring = CoefficientRing.from_payload(payload["ring"])
-    sig = Signature(tuple((str(n), int(d)) for n, d in payload["signature"]))
+    sig = Signature(tuple((n, d) for n, d in payload["signature"]))
     raw = {}
     for sexpr, c in payload["terms"]:
         tree = _tree_from_sexpr(sexpr, sig)
         # refused rather than merged, rounded or parsed
         if tree in raw:
             raise ShapeMismatch(f"tree {sexpr!r} appears twice in one tree sum")
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-            raise ShapeMismatch(f"coefficients must be integers, got {c!r}")
-        raw[tree] = int(c)
-    return _element(ring, sig, int(payload["degree"]), raw)
+        raw[tree] = int(require_integer(c, "a coefficient", ShapeMismatch))
+    return _element(ring, sig,
+                    require_integer(payload["degree"], "degree", ShapeMismatch), raw)
 
 
 def _eval_tree(tree, assignment: dict, ring: CoefficientRing, dim: int) -> MultilinearMap:

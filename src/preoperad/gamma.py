@@ -17,16 +17,19 @@ points; a law check builds one and draws every value it needs from it.
 Composition is linear in its left operand, so in a total form the
 mu-terms h comp_s mu and the cup term share one head, and the family value
 is one f, g, b chain on that head. Each h comp_s mu, each cup of an input
-with the unit and each head is built once per evaluator. A chain prefix
-that consecutive points share (head comp f in a total form; h comp f, then
-comp g, in the shifted forms) is composed once and released after the last
-of them, so a run holds at most one prefix per level. aux_gamma and
-aux_gamma_shifted evaluate one point.
+with the unit and each head is built once per evaluator. The chains run
+through backends.prefix_chains, which composes a prefix once for the
+consecutive points that share it and keeps no other: a total form walks
+head comp f over each run of points with the same head, and the shifted
+forms walk h comp f comp g, on which the point's h comp f comp g comp b is
+built once. aux_gamma and aux_gamma_shifted evaluate one point.
 """
 
 from __future__ import annotations
 
-from .backends import GradedElement, signed_sum
+from itertools import groupby
+
+from .backends import GradedElement, prefix_chains, signed_sum
 from .calculus import PreOperadContext, cup
 from .domains import LatticeDomain, ground_tetrahedron
 from .endo import ksign
@@ -58,32 +61,6 @@ def gamma_domain(kind: str, deg_h: int, deg_f: int, deg_g: int,
             for k in range(k_lo, k_hi + 1):
                 pts.append((i, j, k))
     return LatticeDomain(f"aux-{kind}", (deg_h, deg_f, deg_g, deg_b), tuple(pts))
-
-
-def _prefixes(memo: list, x: GradedElement, links, names, later) -> list:
-    """The prefixes x comp_a y, then comp_b z, ... for links ((y, a), (z,
-    b), ...), as a list.
-
-    memo holds (name, prefix) per level from the previous point. A prefix
-    whose name is there is taken from it; a miss releases that level and
-    the deeper ones before composing. Afterwards memo keeps only the
-    leading prefixes whose names the next point shares (later), so every
-    other prefix is released once its last point is done.
-    """
-    out = []
-    for level, ((y, slot), name) in enumerate(zip(links, names)):
-        if level < len(memo) and memo[level][0] == name:
-            x = memo[level][1]
-        else:
-            del memo[level:]
-            x = x.compose(y, slot)
-            memo.append((name, x))
-        out.append(x)
-    shared = 0
-    while shared < min(len(memo), len(later)) and memo[shared][0] == later[shared]:
-        shared += 1
-    del memo[shared:]
-    return out
 
 
 class GammaFamilies:
@@ -143,13 +120,11 @@ class GammaFamilies:
     def _head(self, lo: int, hi: int, side: str | None = None):
         """-tail * sum of h comp_s mu over lo <= s <= hi, plus the total
         form's cup term: outer * cup(unit, h) for side "left", -tail *
-        cup(h, unit) for side "right". The key it was built under and the
-        head, or None for an empty sum."""
+        cup(h, unit) for side "right"; None for an empty sum."""
         if lo > hi:
             lo, hi = 0, -1
             if side is None:
                 return None
-        key = ("head", side, lo, hi)
 
         def build():
             h, mu, tail = self.h, self.ctx.mu, self._tail
@@ -160,17 +135,17 @@ class GammaFamilies:
             elif side == "right":
                 terms.append((-tail, self._cup("h", "unit")))
             return signed_sum(h.backend, h.degree + 1, terms)
-        return key, self._once(key, build)
+        return self._once(("head", side, lo, hi), build)
 
     def totals(self, kind: str, points):
         """The unit-absorbed total form of one family at each of points in
         turn: head comp f comp g comp b, one chain per point.
 
-        head comp f is kept while the next point shares it (the same head
-        and slot: the same i, in lexicographic order) and released after
-        the last point that does. head comp f comp g is not kept: only
-        points that differ in k alone share it, and holding it across them
-        raised a check's peak memory by a full result table.
+        Each run of consecutive points with the same head is one prefix
+        walk over f, so head comp f is composed once per run of equal
+        slots. head comp f comp g is not kept: only points that differ in
+        k alone share it, and holding it across them raised a check's peak
+        memory by a full result table.
         """
         df, sg, sh = self.f.degree, self.g.shifted_degree, self.h.shifted_degree
         plans = []
@@ -188,17 +163,18 @@ class GammaFamilies:
                 head, slots = (self._head(k - df - sg, sh, "right"),
                                (i - 1, j - 1, k - 1))
             plans.append((head, slots))
-        names = [((head[0], a),) if head else () for head, (a, _, _) in plans]
-        memo = []
-        for n, (head, (a, c, e)) in enumerate(plans):
+        for _, run in groupby(plans, key=lambda plan: id(plan[0])):
+            run = list(run)
+            head = run[0][0]
             if head is None:
-                yield self.h.backend.zero(self.degree)
+                for _ in run:
+                    yield self.h.backend.zero(self.degree)
                 continue
-            later = next((name for name in names[n + 1:] if name), ())
-            # one expression: while the caller holds the value, this frame
-            # names neither it nor a prefix that memo has released
-            yield _prefixes(memo, head[1], ((self.f, a),), names[n], later)[
-                0].compose(self.g, c).compose(self.b, e)
+            walk = prefix_chains(head, (self.f,), [slots[:1] for _, slots in run])
+            for chain, (_, (_, c, e)) in zip(walk, run):
+                # popped: a suspended run names no head comp f that the walk
+                # has not kept for the next point
+                yield chain.pop().compose(self.g, c).compose(self.b, e)
 
     def shifted(self, points, kinds=GAMMA_KINDS):
         """The raw shifted-index forms at each of points in turn: at each
@@ -206,9 +182,10 @@ class GammaFamilies:
         range over the ground tetrahedron, and the value at (i, j, k) sits
         at lattice point (i + 1, j + 1, k + 1).
 
-        h comp_i f and h comp_i f comp_j g are kept while the next point
-        shares them, and h comp_i f comp_j g comp_k b is built once per
-        point; each is released after the last value that uses it.
+        One prefix walk over f and g: h comp_i f and h comp_i f comp_j g
+        are kept while the next point shares them, and h comp_i f comp_j g
+        comp_k b is built once per point into the walk's list, which the
+        walk empties when it moves on.
         """
         for kind in kinds:
             if kind not in GAMMA_KINDS:
@@ -216,18 +193,11 @@ class GammaFamilies:
         points = [tuple(point) for point in points]
         for point in points:
             self._check_shifted(point)
-        names = [((i,), (i, j)) for i, j, _ in points]
-        memo = []
-        for n, (i, j, k) in enumerate(points):
-            later = names[n + 1] if n + 1 < len(points) else ()
-            parts = _prefixes(memo, self.h, ((self.f, i), (self.g, j)),
-                              names[n], later)
-            for m, kind in enumerate(kinds):
-                held = [self._shifted_at(kind, i, j, k, parts)]
-                if m == len(kinds) - 1:
-                    parts.clear()  # the point's last value is built
-                # popped: this frame does not name the value the caller holds
-                yield held.pop()
+        walk = prefix_chains(self.h, (self.f, self.g),
+                             [point[:2] for point in points])
+        for parts, (i, j, k) in zip(walk, points):
+            for kind in kinds:
+                yield self._shifted_at(kind, i, j, k, parts)
 
     def _shifted_at(self, kind, i, j, k, parts: list) -> GradedElement:
         """One raw shifted-index form; parts holds h comp_i f and its
@@ -247,7 +217,7 @@ class GammaFamilies:
             # comp_c g comp_e b, as one chain on their summed head
             head = self._head(lo, hi)
             if head is not None:
-                yield 1, head[1].compose(f, a).compose(g, c).compose(b, e)
+                yield 1, head.compose(f, a).compose(g, c).compose(b, e)
 
         def terms():
             if kind == "gamma":

@@ -29,12 +29,9 @@ family.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -44,6 +41,7 @@ from .backends import (
     FreeBackend,
     GradedElement,
     compose_sum,
+    prefix_chains,
     signed_sum,
 )
 from .calculus import (
@@ -73,7 +71,7 @@ from .domains import (
 from .endo import ksign
 from .errors import BadConfig, PreOperadError, UnknownLaw
 from .gamma import GAMMA_KINDS, GammaFamilies
-from .rings import CoefficientRing
+from .rings import CoefficientRing, require_integer
 
 _RETRIES = 5
 _SHRINK_ZERO_CAP = 2048
@@ -101,9 +99,7 @@ class TrialConfig:
         if self.backend not in ("endo", "free"):
             raise BadConfig(f"unknown backend {self.backend!r}")
         for name in ("prime", "dim", "trials", "seed", "degree_min", "degree_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise BadConfig(f"{name} must be an integer, got {value!r}")
+            require_integer(getattr(self, name), name, BadConfig)
         for name, least in (("dim", 1), ("trials", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise BadConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -354,8 +350,9 @@ def _relation(region, identity, rhs):
     """(h comp_i f) comp_j g against rhs(h, f, g, i, j) over one scope region."""
     def check(s: TrialSample):
         h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
-        for (i, j) in scope_regions(h.degree, f.degree)[region].points:
-            yield identity, (i, j), h.compose(f, i).compose(g, j), rhs(h, f, g, i, j)
+        points = scope_regions(h.degree, f.degree)[region].points
+        for (i, j), (_, hfg) in zip(points, prefix_chains(h, (f, g), points)):
+            yield identity, (i, j), hfg, rhs(h, f, g, i, j)
     return check
 
 
@@ -496,15 +493,6 @@ def _check_bracket(s: TrialSample):
            bracket(f, ctx.mu), -1 * delta(ctx, f))
 
 
-def _by_prefix(points):
-    """Lexicographic points (i, j, k) grouped as (i, ((j, (k, ...)), ...)),
-    every group lazy, so that what depends on i or on (i, j) alone is
-    built once per group."""
-    for i, row in groupby(points, itemgetter(0)):
-        yield i, ((j, (k for _, _, k in col))
-                  for j, col in groupby(row, itemgetter(1)))
-
-
 def _check_lemma_first(s: TrialSample):
     ctx = s.ctx
     h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
@@ -515,24 +503,20 @@ def _check_lemma_first(s: TrialSample):
     totals = [families.totals(kind, [(i + 1, j + 1, k + 1)
                                      for (i, j, k) in points])
               for kind in GAMMA_KINDS]
-    for i, row in _by_prefix(points):
-        hf, h_df = h.compose(f, i), h.compose(df, i)
-        for j, ks in row:
-            hfg = hf.compose(g, j)
-            for k in ks:
-                lhs = signed_sum(ctx.backend, hfg.degree + b.degree, (
-                    (1, delta(ctx, hfg.compose(b, k))),
-                    (-1, hfg.compose(db, k)),
-                    # hf comp dg and h_df comp g both end in comp_{k+1} b:
-                    # summed first, fused, and not kept past this point
-                    (-1, compose_sum(ctx.backend, hfg.degree + 1, (
-                        (ksign(sb), hf, dg, j),
-                        (ksign(sb + sg), h_df, g, j + 1))).compose(b, k + 1))))
-                rhs = signed_sum(ctx.backend, lhs.degree,
-                                 ((1, next(values)) for values in totals))
-                yield "pointwise coboundary telescoping", (i, j, k), lhs, rhs
-            del hfg  # released before the next (i, j)
-        del hf, h_df
+    chains = zip(prefix_chains(h, (f, g), [(i, j) for i, j, _ in points]),
+                 prefix_chains(h, (df,), [(i,) for i, _, _ in points]))
+    for (i, j, k), ((hf, hfg), (h_df,)) in zip(points, chains):
+        lhs = signed_sum(ctx.backend, hfg.degree + b.degree, (
+            (1, delta(ctx, hfg.compose(b, k))),
+            (-1, hfg.compose(db, k)),
+            # hf comp dg and h_df comp g both end in comp_{k+1} b: summed
+            # first, fused, and not kept past this point
+            (-1, compose_sum(ctx.backend, hfg.degree + 1, (
+                (ksign(sb), hf, dg, j),
+                (ksign(sb + sg), h_df, g, j + 1))).compose(b, k + 1))))
+        rhs = signed_sum(ctx.backend, lhs.degree,
+                         ((1, next(values)) for values in totals))
+        yield "pointwise coboundary telescoping", (i, j, k), lhs, rhs
 
 
 def _check_lemma_second(s: TrialSample):
@@ -547,33 +531,37 @@ def _check_lemma_second(s: TrialSample):
                                      for (i, j, k) in points])
               for kind, (di, dj, dk) in zip(GAMMA_KINDS, (
                   (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)))]
-    for i, row in _by_prefix(points):
-        dhf = dh.compose(f, i)
-        for j, ks in row:
-            dhfg = dhf.compose(g, j)
-            for k in ks:
-                lhs = compose_sum(ctx.backend, dhfg.degree + b.degree - 1,
-                                  ((ksign(sf + sg + sb), dhfg, b, k),))
-                rhs = signed_sum(ctx.backend, lhs.degree,
-                                 ((1, next(values)) for values in totals))
-                yield ("coboundary of the outer slot telescopes", (i, j, k),
-                       lhs, rhs)
-            del dhfg  # released before the next (i, j)
-        del dhf
+    chains = prefix_chains(dh, (f, g), [(i, j) for i, j, _ in points])
+    for (i, j, k), (_, dhfg) in zip(points, chains):
+        lhs = compose_sum(ctx.backend, dhfg.degree + b.degree - 1,
+                          ((ksign(sf + sg + sb), dhfg, b, k),))
+        rhs = signed_sum(ctx.backend, lhs.degree,
+                         ((1, next(values)) for values in totals))
+        yield "coboundary of the outer slot telescopes", (i, j, k), lhs, rhs
 
 
-def _face_rhs(ctx, kind, h, f, g, b, i, j, k):
-    """The cup-product closed form of one auxiliary family on its face."""
+def _face_values(ctx, kind, h, f, g, b, points):
+    """The cup-product closed form of one auxiliary family at each point of
+    its face in turn; a cup of two inputs is built once."""
     sh, sg, sb = h.shifted_degree, g.shifted_degree, b.shifted_degree
     db, df = b.degree, f.degree
     if kind == "gamma":
-        return ksign(sg + db + sh * df) * cup(
-            ctx, f, h.compose(g, j - df).compose(b, k - df))
-    if kind == "gamma1":
-        return ksign(sb + sg) * h.compose(cup(ctx, f, g), i - 1).compose(b, k)
-    if kind == "gamma2":
-        return ksign(sb) * h.compose(f, i - 1).compose(cup(ctx, g, b), j - 1)
-    return ksign(db) * cup(ctx, h.compose(f, i - 1).compose(g, j - 1), b)
+        operands, slots = (g, b), [(j - df, k - df) for _, j, k in points]
+        close = lambda x: ksign(sg + db + sh * df) * cup(ctx, f, x)
+    elif kind == "gamma1":
+        operands = cup(ctx, f, g), b
+        slots = [(i - 1, k) for i, _, k in points]
+        close = lambda x: ksign(sb + sg) * x
+    elif kind == "gamma2":
+        operands = f, cup(ctx, g, b)
+        slots = [(i - 1, j - 1) for i, j, _ in points]
+        close = lambda x: ksign(sb) * x
+    else:
+        operands, slots = (f, g), [(i - 1, j - 1) for i, j, _ in points]
+        close = lambda x: ksign(db) * cup(ctx, x, b)
+    for chain in prefix_chains(h, operands, slots):
+        # popped: the last link is not kept while the next value is built
+        yield close(chain.pop())
 
 
 def _face_checker(kind):
@@ -582,9 +570,9 @@ def _face_checker(kind):
         h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
         points = boundary_faces(h.degree, f.degree, g.degree)[kind]
         values = GammaFamilies(ctx, h, f, g, b).totals(kind, points)
-        for (i, j, k), value in zip(points, values):
-            yield (f"{kind} face collapses to a cup product", (i, j, k), value,
-                   _face_rhs(ctx, kind, h, f, g, b, i, j, k))
+        closed = _face_values(ctx, kind, h, f, g, b, points)
+        for point, value, rhs in zip(points, values, closed):
+            yield f"{kind} face collapses to a cup product", point, value, rhs
     return check
 
 
@@ -1001,8 +989,7 @@ def _rebuild_sample(witness: dict) -> TrialSample:
         backend = EndoBackend(ring, witness["dim"], muts)
     else:
         sig = free.Signature(tuple(
-            (str(n), int(d))
-            for n, d in witness["elements"]["mu"]["signature"]))
+            (n, d) for n, d in witness["elements"]["mu"]["signature"]))
         backend = FreeBackend(ring, sig, muts)
     elements = {name: backend.deserialize(data)
                 for name, data in witness["elements"].items()}

@@ -7,6 +7,7 @@ tables of such values; this module owns the scalar rules.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import UnsupportedRing
@@ -40,6 +41,14 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_integer(value, what: str, error: type) -> int:
+    """value itself when it is an integer; anything else, a bool or a float
+    that would round included, is refused with error rather than cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -87,5 +96,6 @@ class CoefficientRing:
         if payload.get("kind") == "integers":
             return cls.integers()
         if payload.get("kind") == "prime_field":
-            return cls.prime_field(int(payload["p"]))
+            return cls.prime_field(
+                require_integer(payload["p"], "a ring's p", UnsupportedRing))
         raise UnsupportedRing(f"unknown ring payload {payload!r}")

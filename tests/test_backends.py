@@ -2,7 +2,12 @@
 call into its backend's sum method, combine_payload, and equals the list
 helpers linear_combine / free_linear_combine of the same terms. Sums of
 compositions are one compose_sum, equal to composing term by term and
-summing, and a region sum adds no composite it has no other to add to."""
+summing, and a region sum adds no composite it has no other to add to. A
+prefix walk hands out each point's chain of compositions, composes a prefix
+once per run of points that share it, and keeps no other prefix alive."""
+
+import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from preoperad.backends import (
     FreeBackend,
     GradedElement,
     compose_sum,
+    prefix_chains,
     region_sum,
     signed_sum,
 )
@@ -160,3 +166,77 @@ def test_compose_sums_reject_other_backends(kind):
             with pytest.raises(BackendMismatch,
                                match="elements from different backends"):
                 compose_sum(backend, 3, [(1, x, x, 0), (c, f, g, 0)])
+
+
+def _walk_inputs(kind):
+    """A degree-2 base and three operands, x, y, x, for chains whose points
+    (i, j, k) range over 2 x 3 x 4 slots."""
+    backend, x, y = _pair(kind, False)
+    return backend, 2 * y - x, (x, y, x)
+
+
+_LEX = list(product(range(2), range(3), range(4)))
+_ORDERS = {
+    "lexicographic": _LEX,
+    "shuffled": [_LEX[n] for n in np.random.default_rng(5).permutation(24)],
+    "repeated": [(1, 2, 3), (1, 2, 3), (1, 0, 3), (0, 0, 0), (1, 0, 3),
+                 (1, 0, 2), (1, 0, 2)],
+}
+
+
+@pytest.mark.parametrize("order", sorted(_ORDERS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_prefix_chains_equal_plain_composition_chains(kind, order):
+    _, base, operands = _walk_inputs(kind)
+    points = _ORDERS[order]
+    got = [list(chain) for chain in prefix_chains(base, operands, points)]
+    assert len(got) == len(points)
+    for point, chain in zip(points, got):
+        want, x = [], base
+        for y, slot in zip(operands, point):
+            x = x.compose(y, slot)
+            want.append(x)
+        assert len(chain) == 3
+        assert not any(a.differs(b) for a, b in zip(chain, want))
+    assert list(prefix_chains(base, operands, [])) == []
+
+
+@pytest.mark.parametrize("order", sorted(_ORDERS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_prefix_chains_compose_a_prefix_once_per_run_of_equal_slots(
+        kind, order, monkeypatch):
+    backend, base, operands = _walk_inputs(kind)
+    points = _ORDERS[order]
+    cls = type(backend)
+    compose = cls.compose_payload
+    levels = []
+
+    def counted(self, f, g, i):
+        levels.append(f.degree - base.degree)  # 0 for base comp x
+        return compose(self, f, g, i)
+
+    monkeypatch.setattr(cls, "compose_payload", counted)
+    for _ in prefix_chains(base, operands, points):
+        pass
+    for level in range(3):
+        runs = sum(1 for n, point in enumerate(points)
+                   if n == 0 or points[n - 1][:level + 1] != point[:level + 1])
+        assert levels.count(level) == runs
+
+
+@pytest.mark.parametrize("order", sorted(_ORDERS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_prefix_chains_keep_no_prefix_the_current_point_does_not_share(
+        kind, order):
+    _, base, operands = _walk_inputs(kind)
+    points = _ORDERS[order]
+    seen = []  # (slots, weak reference) of every prefix handed out so far
+    handed = []  # every list handed out, held as a caller's loop name is
+    for point, chain in zip(points, prefix_chains(base, operands, points)):
+        for slots, ref in seen:
+            if point[:len(slots)] != slots:
+                assert ref() is None
+        seen.extend((point[:level + 1], weakref.ref(x))
+                    for level, x in enumerate(chain))
+        handed.append(chain)
+    assert len(seen) == 3 * len(points)

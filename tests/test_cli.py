@@ -493,6 +493,42 @@ def test_replay_of_an_edited_free_witness_is_a_usage_error(capsys, tmp_path,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _set_signature(witness, name, new_name, degree):
+    for el in witness["elements"].values():
+        el["signature"] = [[new_name, degree] if n == name else [n, d]
+                           for n, d in el["signature"]]
+
+
+# each edit used to be cast to an integer and replayed as another witness
+_NON_INTEGER_EDITS = {
+    "endo-degree": (0, lambda w: w["elements"]["f"].update(degree=3.9)),
+    "endo-bool-degree": (0, lambda w: w["elements"]["f"].update(degree=True)),
+    "endo-dim": (0, lambda w: w["elements"]["f"].update(dim=2.5)),
+    "endo-prime": (0, lambda w: w["elements"]["f"]["ring"].update(p=97.4)),
+    "free-degree": (1, lambda w: (w["elements"]["g"].update(degree=2.9),
+                                  _set_signature(w, "g", "g", 2.9))),
+    "free-element-degree": (1, lambda w: w["elements"]["g"].update(degree=2.9)),
+    "free-signature-degree": (1, lambda w: _set_signature(w, "g", "g", 2.9)),
+    "free-signature-name": (1, lambda w: _set_signature(w, "g", 7, 2)),
+    "free-prime": (1, lambda w: w["elements"]["g"]["ring"].update(p=97.4)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_NON_INTEGER_EDITS))
+def test_replay_of_a_witness_with_a_non_integer_field_is_a_usage_error(
+        capsys, tmp_path, edit):
+    golden, change = _NON_INTEGER_EDITS[edit]
+    witness = _golden_witnesses(_REPLAY_GOLDENS[golden])[0]
+    change(witness)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = run(capsys, ["replay", str(path)])
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be" in err
+
+
 @pytest.mark.parametrize("change, word", [
     ({"prime": "x"}, "malformed witness"),
     ({"elements": [1]}, "malformed witness"),

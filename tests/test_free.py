@@ -82,6 +82,19 @@ def test_signature_validation():
         Signature((("f", 0),))
     with pytest.raises(Exception):
         Signature(((LEAF, 2),))
+    # a degree or name of another type used to be cast by the payload reader
+    with pytest.raises(InvalidDegree):
+        Signature((("f", 2.9),))
+    with pytest.raises(InvalidDegree):
+        Signature((("f", True),))
+    with pytest.raises(UnknownGenerator):
+        Signature(((7, 2),))
+    for entry in (["g", 2.9], [7, 1]):
+        payload = element_to_payload(gen("f"))
+        payload["signature"] = [entry if n == "g" else [n, d]
+                                for n, d in payload["signature"]]
+        with pytest.raises((InvalidDegree, UnknownGenerator)):
+            element_from_payload(payload)
     assert SIG.degree_of("h") == 3
     assert SIG.has("f") and not SIG.has("zz")
     with pytest.raises(UnknownGenerator):

@@ -6,7 +6,12 @@ import pytest
 from preoperad import backends, endo, laws
 from preoperad.backends import EndoBackend, FreeBackend, GradedElement
 from preoperad.calculus import PreOperadContext, cup, delta
-from preoperad.domains import boundary_faces, ground_tetrahedron, shifted_tetrahedron
+from preoperad.domains import (
+    boundary_faces,
+    ground_tetrahedron,
+    scope_regions,
+    shifted_tetrahedron,
+)
 from preoperad.endo import ksign
 from preoperad.free import Signature
 from preoperad.errors import IndexOutOfDomain, InvalidDegree
@@ -407,3 +412,67 @@ def test_an_l24_check_composes_each_shared_composite_once(monkeypatch):
     sample = _stacked_sample((4, 2, 1, 2), 1, 43)
     assert laws.get_law("L24-gamma-recap").checker(sample) == [None]
     assert len(counts) == 149
+
+
+def _record_compositions(monkeypatch):
+    """The (left, right, slot) payloads of every composition the endo
+    backend builds from now on, single or a term of a compose_sum."""
+    made = []
+    compose, fused = EndoBackend.compose_payload, EndoBackend.compose_sum_payload
+
+    def counted(self, f, g, i):
+        made.append((f, g, i))
+        return compose(self, f, g, i)
+
+    def counted_sum(self, degree, terms):
+        def seen():
+            for term in terms:
+                made.append(term[1:])
+                yield term
+        return fused(self, degree, seen())
+
+    monkeypatch.setattr(EndoBackend, "compose_payload", counted)
+    monkeypatch.setattr(EndoBackend, "compose_sum_payload", counted_sum)
+    return made
+
+
+@pytest.mark.parametrize("law_id, region", [
+    ("L02-relation-left", 0), ("L03-relation-nested", 1),
+    ("L04-relation-right", 2)])
+def test_an_exchange_check_composes_h_comp_i_f_once_per_i(
+        monkeypatch, law_id, region):
+    # composing h comp_i f at every point (i, j) made it again for each j
+    s = _stacked_sample((4, 2, 1, 1), 1, 44)
+    h, f = s.elements["h"].payload, s.elements["f"].payload
+    made = _record_compositions(monkeypatch)
+    assert laws.get_law(law_id).checker(s) == [None]
+    slots = [i for left, right, i in made if left is h and right is f]
+    points = scope_regions(4, 2)[region].points
+    assert sorted(slots) == sorted({i for i, _ in points})
+    assert len(slots) < len(points)
+
+
+@pytest.mark.parametrize("law_id", ["L20-boundary-gamma", "L21-boundary-gamma1",
+                                    "L22-boundary-gamma2", "L23-boundary-gamma3"])
+def test_a_face_check_builds_each_cup_of_two_inputs_and_each_h_composite_once(
+        monkeypatch, law_id):
+    # the closed form at every face point rebuilt cup(f, g) or cup(g, b)
+    # and h composed with its first operand; the inputs' degrees (4, 3, 1,
+    # 2), mu's 2 and the cups' 4 and 3 tell h's right operands apart
+    # within each face, and every face shares its first slot across points
+    s = _stacked_sample((4, 3, 1, 2), 1, 45)
+    names = {id(s.elements[n]): n for n in "hfgb"}
+    cups = []
+
+    def counted_cup(ctx, x, y):
+        if id(x) in names and id(y) in names:
+            cups.append((names[id(x)], names[id(y)]))
+        return cup(ctx, x, y)
+
+    monkeypatch.setattr(laws, "cup", counted_cup)
+    made = _record_compositions(monkeypatch)
+    assert laws.get_law(law_id).checker(s) == [None]
+    h = s.elements["h"].payload
+    into_h = [(i, right.degree) for left, right, i in made if left is h]
+    assert into_h and len(into_h) == len(set(into_h))
+    assert len(cups) == len(set(cups)) <= 1
