@@ -456,10 +456,10 @@ def test_an_exchange_check_composes_h_comp_i_f_once_per_i(
                                     "L22-boundary-gamma2", "L23-boundary-gamma3"])
 def test_a_face_check_builds_each_cup_of_two_inputs_and_each_h_composite_once(
         monkeypatch, law_id):
-    # the closed form at every face point rebuilt cup(f, g) or cup(g, b)
-    # and h composed with its first operand; the inputs' degrees (4, 3, 1,
-    # 2), mu's 2 and the cups' 4 and 3 tell h's right operands apart
-    # within each face, and every face shares its first slot across points
+    # built point by point, the closed form rebuilt cup(f, g) or cup(g, b)
+    # and h's first composite at every face point. Every face shares that
+    # first slot across points, and the degrees (4, 3, 1, 2), mu's 2 and
+    # the cups' 4 and 3 tell h's right operands apart within each face
     s = _stacked_sample((4, 3, 1, 2), 1, 45)
     names = {id(s.elements[n]): n for n in "hfgb"}
     cups = []
