@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from preoperad import cli, laws
+from preoperad.calculus import KNOWN_MUTATIONS
 from preoperad.laws import SUITE_SCHEMA
 
 CUP_SCRIPT = """\
@@ -662,3 +663,19 @@ def test_eval_seeded_random_draws_deterministic(capsys, tmp_path):
         "eval", "--script", str(path), "--seed", "4", "--dim", "1"])
     assert code == 0
     assert other != outs[0]
+
+
+@pytest.mark.parametrize("backend", ["endo", "free"])
+@pytest.mark.parametrize("mutation", KNOWN_MUTATIONS)
+def test_degree_bookkeeping_passes_under_every_canary(capsys, tmp_path,
+                                                      backend, mutation):
+    # every known mutation flips a sign or drops points; none moves a degree
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, [
+        "verify", "--law", "L26-degree-bookkeeping", "--backend", backend,
+        "--mutate", mutation, "--seed", "1", "--trials", "40",
+        "--report", str(path)])
+    assert code == 0
+    report, = json.loads(path.read_text())["laws"]
+    assert report["status"] == "pass"
+    assert (report["trials"], report["vacuous"]) == (40, 0)

@@ -1,17 +1,27 @@
 import copy
+import itertools
 import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from preoperad import laws
-from preoperad.backends import EndoBackend, GradedElement
-from preoperad.calculus import KNOWN_MUTATIONS
-from preoperad.endo import make_map, stack_rows
+from preoperad import calculus, free, laws
+from preoperad.backends import (
+    EndoBackend,
+    FreeBackend,
+    GradedElement,
+    compose_sum,
+    signed_sum,
+)
+from preoperad.calculus import KNOWN_MUTATIONS, PreOperadContext
+from preoperad.endo import ksign, make_map, stack_rows
 from preoperad.errors import (
     BadConfig,
+    DegreeMismatch,
     IndexOutOfScope,
+    InvalidDegree,
     ShapeMismatch,
     TableTooLarge,
     UnknownLaw,
@@ -454,3 +464,105 @@ def test_replay_of_a_non_integer_table_entry_is_an_error(entry):
     witness["elements"]["f"]["entries"][0] = entry
     with pytest.raises(ShapeMismatch):
         laws.replay(witness)
+
+
+@pytest.mark.parametrize("law_id", ["L01-scope-partition",
+                                    "L25-envelope-partition",
+                                    "L26-degree-bookkeeping"])
+def test_element_free_batches_are_not_split_by_the_entry_cap(law_id):
+    # at dim 6 a batch of tables holds one trial; an element-free law
+    # builds none, so it checks each distinct degree tuple once
+    calls = []
+    law = laws.get_law(law_id)
+    checker = law.checker
+
+    def counted(sample):
+        calls.append(sample)
+        return checker(sample)
+
+    object.__setattr__(law, "checker", counted)
+    try:
+        report = laws.run_law(law_id, TrialConfig("endo", dim=6, trials=30,
+                                                  seed=1))
+    finally:
+        object.__setattr__(law, "checker", checker)
+    assert report.status == "pass" and report.vacuous == 0
+    tuples = {tuple(s.degrees.items()) for s in calls}
+    assert len(calls) == len(tuples) < 30
+    assert sum(s.rows for s in calls) == 30
+
+
+def _degree(d):
+    """An element of the degree-only backend L26 runs on."""
+    return GradedElement(laws._DEGREES, laws._Degree(d))
+
+
+def test_degree_backend_matches_free_bare_generators_up_to_degree_4():
+    # every (h, f, g, b) with degrees in 1..4 and total at most 12: the
+    # free pre-operad over Z gives each operation's degree in every
+    # pre-operad, and the degree-only backend must give the same
+    ring = CoefficientRing.integers()
+    tuples = [d for d in itertools.product(range(1, 5), repeat=4)
+              if sum(d) <= 12]
+    assert len(tuples) == 221
+    on_degrees = PreOperadContext(laws._DEGREES, _degree(2))
+    for degrees in tuples:
+        gens = tuple(zip(("h", "f", "g", "b"), degrees)) + (("mu", 2),)
+        fb = FreeBackend(ring, free.Signature(gens))
+        on_free = PreOperadContext(fb, fb.generator("mu"))
+        want = laws._bookkeeping(
+            on_free, *(fb.generator(name) for name, _ in gens[:4]))
+        got = laws._bookkeeping(on_degrees, *map(_degree, degrees))
+        assert got == want, degrees
+        assert all(lands == stated for _, lands, stated in got)
+
+
+def test_the_degree_backend_refuses_bad_slots_and_term_degrees():
+    f, g = _degree(2), _degree(3)
+    assert f.compose(g, 1).degree == 4
+    for slot in (-1, 2):
+        with pytest.raises(InvalidDegree):
+            f.compose(g, slot)
+    with pytest.raises(InvalidDegree):
+        compose_sum(laws._DEGREES, 4, [(1, f, g, 0), (1, f, g, 2)])
+    with pytest.raises(DegreeMismatch):
+        compose_sum(laws._DEGREES, 5, [(1, f, g, 0)])
+    with pytest.raises(DegreeMismatch):
+        signed_sum(laws._DEGREES, 2, [(1, f), (-1, g)])
+
+
+def test_a_stated_sum_degree_off_by_one_raises_on_degrees_as_on_endo(monkeypatch):
+    def delta(ctx, f):  # the coboundary, stated one degree too high
+        return compose_sum(f.backend, f.degree + 2, itertools.chain(
+            calculus._slots(ksign(f.shifted_degree), ctx.mu, f),
+            calculus._slots(-1, f, ctx.mu)))
+
+    monkeypatch.setattr(calculus, "delta", delta)
+    with pytest.raises(DegreeMismatch):
+        laws.run_law("L26-degree-bookkeeping",
+                     TrialConfig("endo", dim=2, trials=5, seed=1))
+    be = EndoBackend(CoefficientRing.prime_field(97), 2)
+    rng = np.random.default_rng(0)
+    ctx = PreOperadContext(be, be.random(2, rng))
+    with pytest.raises(DegreeMismatch):
+        calculus.dev_bullet(ctx, be.random(1, rng), be.random(2, rng))
+
+
+def _degree_witness(**fields):
+    return {"law_id": "L26-degree-bookkeeping", "seed": [1, 0, 0],
+            "backend": "endo", "prime": 97, "dim": 2, "mutations": [],
+            "degrees": {"b": 1, "f": 2, "g": 3, "h": 4}, "extra": {},
+            "identity": "cup lands in the wrong degree", "domain_point": None,
+            "lhs": None, "rhs": None, **fields}
+
+
+def test_l26_witnesses_with_or_without_elements_replay_clean():
+    # a witness may hold tables, as L26's did before it was element-free;
+    # replay and shrink read its degrees alone
+    be = EndoBackend(CoefficientRing.prime_field(97), 2)
+    rng = np.random.default_rng(0)
+    tables = {name: be.random(d, rng).serialize() for name, d in
+              {"b": 1, "f": 2, "g": 3, "h": 4, "mu": 2}.items()}
+    for witness in (_degree_witness(elements=tables), _degree_witness()):
+        assert laws.replay(witness) is None
+        assert laws.shrink(witness) == witness
