@@ -1,23 +1,29 @@
 """Registry of verifiable identities plus a deterministic trial engine.
 
 Every law is a named, seeded, replayable check: the engine draws degrees and
-elements from per-trial RNG streams, runs the law's checker, and collects
-serialized failure witnesses. Identical (law, config) pairs produce identical
-reports apart from the timing field. A witness can be replayed and shrunk.
+then only what the check reads from per-trial RNG streams, runs the law's
+checker, and collects serialized failure witnesses. Identical (law, config)
+pairs produce identical reports apart from the timing field. A witness can
+be replayed and shrunk.
 
 Batches: the trials of a law that drew the same degrees (and the same extra
 data) run as one check. Tables are stacked into one sample with a leading
 row axis, and every row gets its own verdict. Free trials differ only in the
-nonzero scalar on each generator, so a free batch is one check on the bare
-generators, whose failure every trial shares, scaled by its own scalars.
-An element-free law draws degrees only; its batch is one check on either
-backend. Each failure is written from its own trial's sample. A replay
-and a shrink step are batches of one.
+nonzero scalar on each generator, so a free trial draws its scalars alone:
+its sample holds them over bare generators, a mu and a context built once
+per degree tuple. A free batch is one check on the bare generators, whose
+failure every trial shares, scaled by its own scalars; the scaled inputs
+are built for a failing trial's witness only. An element-free law draws
+degrees only; its batch is one check on either backend. Each failure is
+written from its own trial's sample. A replay and a shrink step are
+batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
-proves nothing; such draws are retried a few times and then counted in the
-report. A law with fewer than half of its trials non-vacuous is flagged
-underpowered, and so is every law over F_2, where -1 = 1 hides every sign.
+proves nothing. Such an attempt stops after its degrees, with no table or
+scalar drawn, and is retried from the next attempt's stream a few times;
+then the trial is counted vacuous in the report. A law with fewer than half
+of its trials non-vacuous is flagged underpowered, and so is every law over
+F_2, where -1 = 1 hides every sign.
 
 Canary mutations (documented harness hooks, see calculus.KNOWN_MUTATIONS):
 "cup-sign-flip" negates the cup product, "g-range-off-by-one" shifts the
@@ -145,6 +151,9 @@ class TrialSample:
     degrees: dict
     extra: dict
     rows: int = 1
+    # free only: the nonzero scalar c_x of each input x; elements then hold
+    # the bare generators, shared by every trial of the degree tuple
+    scales: dict | None = None
 
 
 @dataclass
@@ -272,13 +281,33 @@ SUITE_SCHEMA = {
 # ---------------------------------------------------------------------------
 # sampling
 
-@lru_cache(maxsize=64)  # one SHA-256 per law id, not one per trial attempt
 def _law_salt(law_id: str) -> int:
     return int.from_bytes(hashlib.sha256(law_id.encode()).digest()[:8], "big")
 
 
+def _words(n: int) -> list:
+    """The little-endian 32-bit words of n >= 0, at least one: the words
+    numpy's SeedSequence makes of an int in its entropy."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
+@lru_cache(maxsize=64)  # one SHA-256 per law id, not one per trial attempt
+def _salt_words(law_id: str) -> tuple:
+    return tuple(_words(_law_salt(law_id)))
+
+
 def _trial_rng(law_id: str, seed: int, trial: int, attempt: int):
-    return np.random.default_rng((_law_salt(law_id), seed, trial, attempt))
+    """The stream of np.random.default_rng((salt, seed, trial, attempt)),
+    seeded with the uint32 words numpy would make of that tuple, which
+    skips its coercion of a tuple of ints."""
+    words = np.array([*_salt_words(law_id), *_words(seed), *_words(trial),
+                      *_words(attempt)], dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def _sample_degrees(rng, slots, cfg: TrialConfig, force_first: int | None) -> dict:
@@ -289,7 +318,7 @@ def _sample_degrees(rng, slots, cfg: TrialConfig, force_first: int | None) -> di
         lo = cfg.degree_min
         hi = min(cfg.degree_max, remaining - after * cfg.degree_min)
         if idx == 0 and force_first is not None:
-            lo = max(lo, force_first)
+            lo = max(lo, min(force_first, cfg.degree_max))
         hi = max(hi, lo)
         degrees[name] = int(rng.integers(lo, hi + 1))
         remaining -= degrees[name]
@@ -303,37 +332,39 @@ def _fixture_mu(ring: CoefficientRing, dim: int) -> endo.MultilinearMap:
 
 
 def _sampler(law: Law, cfg: TrialConfig):
-    """draw(rng, force_first), which draws one trial's TrialSample. The
-    ring, the dense backend and a fixture product are built once, here, and
-    shared by every sample drawn; a symbolic backend is built once per
-    degree tuple, so that the rows of a batch share it."""
+    """draw(rng, force_first), which draws one trial's TrialSample, or None
+    when its degrees are vacuous: then nothing past the degrees is drawn.
+    The ring, the dense backend and a fixture product are built once, here,
+    and shared by every sample drawn. A free sample draws only the scalar of
+    each input; its bare generators, mu and context are built once per
+    degree tuple and shared by every sample of that tuple."""
     ring = CoefficientRing.prime_field(cfg.prime)
     muts = frozenset(cfg.mutations)
     dense = EndoBackend(ring, cfg.dim, muts)
     fixture = GradedElement(dense, _fixture_mu(ring, cfg.dim)) if law.fixture_mu else None
-    symbolic = {}  # generators -> FreeBackend
+    symbolic = {}  # generators -> (context, bare generators)
 
-    def draw(rng, force_first) -> TrialSample:
+    def draw(rng, force_first) -> TrialSample | None:
         degrees = _sample_degrees(rng, law.slots, cfg, force_first)
+        if law.vacuous_when and law.vacuous_when(degrees):
+            return None
+        scales = None
         if law.element_free:
-            extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
-            return TrialSample(None, {}, degrees, extra)
-        if (law.fixed_backend or cfg.backend) == "endo":
-            be = dense
-            elements = {name: be.random(degrees[name], rng) for name in law.slots}
-            mu = fixture if fixture is not None else be.random(2, rng)
+            ctx, elements = None, {}
+        elif (law.fixed_backend or cfg.backend) == "endo":
+            elements = {name: dense.random(degrees[name], rng) for name in law.slots}
+            elements["mu"] = fixture if fixture is not None else dense.random(2, rng)
+            ctx = PreOperadContext(dense, elements["mu"])
         else:
             gens = tuple((name, degrees[name]) for name in law.slots) + (("mu", 2),)
-            be = symbolic.get(gens)
-            if be is None:
-                be = symbolic[gens] = FreeBackend(ring, free.Signature(gens), muts)
-            elements = {name: ring.sample_nonzero(rng) * be.generator(name)
-                        for name in law.slots}
-            mu = be.generator("mu")
-        elements["mu"] = mu
-        ctx = PreOperadContext(be, mu)
+            if gens not in symbolic:
+                be = FreeBackend(ring, free.Signature(gens), muts)
+                bare = {name: be.generator(name) for name, _ in gens}
+                symbolic[gens] = PreOperadContext(be, bare["mu"]), bare
+            ctx, elements = symbolic[gens]
+            scales = {name: ring.sample_nonzero(rng) for name in law.slots}
         extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
-        return TrialSample(ctx, elements, degrees, extra)
+        return TrialSample(ctx, elements, degrees, extra, scales=scales)
 
     return draw
 
@@ -908,32 +939,41 @@ def _check_batch(law: Law, samples) -> list:
     (a FailDetail) or None. The samples share their degrees and extra data;
     the checker runs once.
 
-    Element-free and endo samples are stacked row by row. A free trial's
-    inputs are c_x times their bare generators x, with a bare mu, over the
-    FreeBackend its batch shares. Sending each x to c_x * x is a morphism of
-    the free pre-operad: it multiplies each tree's coefficient by the c_x of
-    every node it holds and keeps compositions, sums, the unit and mu, so
+    Element-free and endo samples are stacked row by row. Free samples share
+    one sample of bare generators x, with a bare mu; each trial's inputs are
+    c_x * x for its own scales c_x. Sending each x to c_x * x is a morphism
+    of the free pre-operad: it multiplies each tree's coefficient by the c_x
+    of every node it holds and keeps compositions, sums, the unit and mu, so
     each side a trial claims is the bare-generator side mapped through it.
     Each c_x is nonzero mod p, so the morphism is injective: every trial
     fails at the first claim that fails on the bare generators, with that
     claim's sides scaled by its own c_x.
     """
     first = samples[0]
-    if first.ctx is None or first.ctx.backend.kind == "endo":
+    if first.scales is None:
         return law.checker(_stack(samples))
-    backend = first.ctx.backend
-    bare = {name: backend.generator(name) for name in first.elements}
-    detail, = law.checker(TrialSample(PreOperadContext(backend, bare["mu"]),
-                                      bare, first.degrees, first.extra))
+    detail, = law.checker(first)
     if detail is None:
         return [None] * len(samples)
+    backend = first.ctx.backend
     details = []
     for s in samples:
-        scales = {name: el.payload.terms[0][1] for name, el in s.elements.items()}
+        scales = {**s.scales, "mu": 1}
         details.append(FailDetail(detail.identity, detail.point, *(
             x if x is None else GradedElement(backend, free.scaled(x.payload, scales))
             for x in (detail.lhs, detail.rhs))))
     return details
+
+
+def _drawn(sample: TrialSample) -> TrialSample:
+    """sample with the inputs its trial drew: on free, each bare generator
+    x times its scale c_x, and mu bare."""
+    if sample.scales is None:
+        return sample
+    elements = dict(sample.elements)
+    for name, c in sample.scales.items():
+        elements[name] = c * elements[name]
+    return replace(sample, elements=elements, scales=None)
 
 
 def _check_runnable(law: Law, cfg: TrialConfig):
@@ -972,9 +1012,8 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     for trial in range(cfg.trials):
         force = law.force_first if (law.force_first and trial % 2 == 0) else None
         for attempt in range(_RETRIES):
-            rng = _trial_rng(law_id, cfg.seed, trial, attempt)
-            sample = draw(rng, force)
-            if not (law.vacuous_when and law.vacuous_when(sample.degrees)):
+            sample = draw(_trial_rng(law_id, cfg.seed, trial, attempt), force)
+            if sample is not None:
                 break
         else:
             vacuous += 1
@@ -996,7 +1035,7 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
                             "backend": law.fixed_backend or cfg.backend,
                             "prime": cfg.prime, "dim": cfg.dim,
                             "mutations": sorted(cfg.mutations)}
-                    failed[trial] = _witness(head, sample, detail)
+                    failed[trial] = _witness(head, _drawn(sample), detail)
     failures = [failed[trial] for trial in sorted(failed)]
     millis = int(round((time.perf_counter() - start) * 1000))
     non_vacuous = cfg.trials - vacuous

@@ -149,6 +149,40 @@ def test_trial_rng_salted_by_law():
     assert list(a.integers(0, 97, 16)) != list(b.integers(0, 97, 16))
 
 
+@pytest.mark.parametrize("law_id", [law.law_id for law in laws.list_laws()])
+def test_trial_rng_is_numpy_seeding_of_the_key_tuple(law_id):
+    # the seeding builds numpy's uint32 entropy words itself; a change in
+    # numpy's coercion of an int tuple must show here
+    salt = laws._law_salt(law_id)
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5):
+        for trial in (0, 199):
+            for attempt in (0, 4):
+                got = laws._trial_rng(law_id, seed, trial, attempt)
+                want = np.random.default_rng((salt, seed, trial, attempt))
+                assert got.bit_generator.state == want.bit_generator.state
+                assert list(got.integers(0, 2**63, 4)) == list(
+                    want.integers(0, 2**63, 4))
+
+
+@pytest.mark.parametrize("degree_max", [1, 2])
+def test_drawn_degrees_stay_in_the_configured_range(degree_max, monkeypatch):
+    # a law's forced first degree is clamped to degree_max, not raised past it
+    drawn = []
+    sample_degrees = laws._sample_degrees
+
+    def recorded(*args):
+        drawn.append(sample_degrees(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(laws, "_sample_degrees", recorded)
+    for law in laws.list_laws():
+        laws.run_law(law.law_id, TrialConfig(dim=1, trials=6, seed=1,
+                                             degree_max=degree_max))
+    assert len(drawn) >= 6 * len(laws.list_laws())
+    assert all(1 <= d <= degree_max for degrees in drawn
+               for d in degrees.values())
+
+
 def test_clean_quick_suite_passes():
     suite = laws.run_suite(QUICK, ["L02-relation-left", "L05-unit-laws",
                                    "L06-cup-product", "L08-main-theorem"])
@@ -566,3 +600,84 @@ def test_l26_witnesses_with_or_without_elements_replay_clean():
     for witness in (_degree_witness(elements=tables), _degree_witness()):
         assert laws.replay(witness) is None
         assert laws.shrink(witness) == witness
+
+
+def test_free_generators_are_built_once_per_degree_tuple(monkeypatch):
+    # a free trial draws its scalars only; the bare generators of its
+    # degree tuple are built once and shared by every trial that drew it
+    built = []
+    generator = FreeBackend.generator
+
+    def counted(self, name):
+        built.append((self.signature.generators, name))
+        return generator(self, name)
+
+    monkeypatch.setattr(FreeBackend, "generator", counted)
+    for law in laws.laws_for_backend("free"):
+        if law.element_free or law.fixed_backend:
+            continue
+        built.clear()
+        report = laws.run_law(law.law_id, TrialConfig("free", trials=30, seed=1))
+        tuples = {sig for sig, _ in built}
+        assert sorted(built) == sorted((sig, name) for sig in tuples
+                                       for name, _ in sig), law.law_id
+        assert len(tuples) < report.trials - report.vacuous, law.law_id
+
+
+def test_a_vacuous_attempt_draws_no_table(monkeypatch):
+    law = laws.get_law("L18-lemma-first")
+    cfg = TrialConfig("endo", dim=2, trials=40, seed=1)
+    tables = {}  # (trial, attempt) -> tables drawn from its stream
+    current = []
+    trial_rng = laws._trial_rng
+    random = EndoBackend.random
+
+    def keyed_rng(law_id, seed, trial, attempt):
+        current[:] = [(trial, attempt)]
+        tables[trial, attempt] = 0
+        return trial_rng(law_id, seed, trial, attempt)
+
+    def counted(self, degree, rng):
+        tables[current[0]] += 1
+        return random(self, degree, rng)
+
+    monkeypatch.setattr(laws, "_trial_rng", keyed_rng)
+    monkeypatch.setattr(EndoBackend, "random", counted)
+    laws.run_law(law.law_id, cfg)
+
+    def vacuous(trial, attempt):
+        force = law.force_first if trial % 2 == 0 else None
+        degrees = laws._sample_degrees(trial_rng(law.law_id, 1, trial, attempt),
+                                       law.slots, cfg, force)
+        return law.vacuous_when(degrees)
+
+    empty = [key for key in tables if vacuous(*key)]
+    assert len(empty) > 5
+    assert all(tables[key] == 0 for key in empty)
+    # a kept attempt draws its four inputs and mu
+    assert all(n == 5 for key, n in tables.items() if key not in empty)
+
+
+def test_free_witness_scalars_come_from_their_own_stream():
+    law = laws.get_law("L06-cup-product")
+    cfg = TrialConfig("free", trials=16, seed=5, mutations=("cup-sign-flip",))
+    ring = CoefficientRing.prime_field(cfg.prime)
+    report = laws.run_law(law.law_id, cfg)
+    batches = {}
+    for witness in report.failures:
+        seed, trial, attempt = witness["seed"]
+        rng = laws._trial_rng(law.law_id, seed, trial, attempt)
+        degrees = laws._sample_degrees(rng, law.slots, cfg, None)
+        scales = {name: ring.sample_nonzero(rng) for name in law.slots}
+        assert witness["degrees"] == degrees
+        for name in law.slots:
+            sexpr = "(" + name + " _" * degrees[name] + ")"
+            assert witness["elements"][name]["terms"] == [[sexpr, scales[name]]]
+        assert witness["elements"]["mu"]["terms"] == [["(mu _ _)", 1]]
+        detail = laws.replay(witness)
+        assert detail.lhs.serialize() == witness["lhs"]
+        assert detail.rhs.serialize() == witness["rhs"]
+        batches.setdefault(tuple(degrees.values()), set()).add(
+            tuple(scales.values()))
+    # some batch holds trials with different scalars
+    assert any(len(scales) > 1 for scales in batches.values())
