@@ -626,7 +626,7 @@ def map_to_payload(f: MultilinearMap) -> dict:
         "ring": f.ring.to_payload(),
         "dim": f.dim,
         "degree": f.degree,
-        "entries": [int(v) for v in np.asarray(f.table).reshape(-1)],
+        "entries": np.asarray(f.table).reshape(-1).tolist(),
     }
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import resource
@@ -184,6 +185,72 @@ def test_gamma_law_canary_reports_match_golden(capsys, tmp_path, backend, law):
                                   "trials12.json").read_text())[law]
     assert len(golden["laws"][0]["failures"]) == 12
     assert _without_millis(json.loads(report_path.read_text())) == golden
+
+
+def _indented(x) -> str:
+    # the reference text that --report files and replay's stdout must match
+    return json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("backend", ["endo", "free"])
+@pytest.mark.parametrize("mutation, law", [
+    ("cup-sign-flip", "L06-cup-product"),
+    ("b-relation-sign-drop", "L02-relation-left"),
+    ("g-range-off-by-one", "L13-getzler"),
+])
+def test_canary_report_text_is_the_json_dumps_text(capsys, tmp_path, backend,
+                                                   mutation, law):
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, [
+        "verify", "--law", law, "--backend", backend,
+        "--mutate", mutation, "--seed", "1", "--trials", "4",
+        "--report", str(report_path)])
+    assert code == 1
+    text = report_path.read_text()
+    assert json.loads(text)["laws"][0]["failures"]
+    assert text == _indented(json.loads(text))
+
+
+def test_passing_suite_report_text_is_the_json_dumps_text(capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, [
+        "verify", "--law", "all", "--backend", "free", "--trials", "2",
+        "--report", str(report_path)])
+    assert code == 0
+    text = report_path.read_text()
+    assert text == _indented(json.loads(text))
+
+
+def test_json_writer_matches_json_dumps_on_edge_cases():
+    # bools and floats are not exact ints, so [1, True, 0] and the float
+    # must leave the one-join path; a tuple is written as a list, and an
+    # int or bool key as json.dumps writes it
+    obj = {"empty": {}, "none": [], "nested": [[], {}, [[]], {"a": {}}],
+           "mixed": [1, True, 0], "null": None, "neg": [-1, -2**70],
+           "big": [2**63, 2**64 + 1], "text": ["caf\u00e9", "\u2202\u0394",
+                                               'q"\\\n\t\x00'],
+           "terms": [["(h _ _)", 3], ["(f _)", -1]], "tuple": (1, "a", (2,)),
+           "float": 1.5, "flags": [False, None, 0.25],
+           "keys": {10: 1, 9: 2, True: 3}, "z": "last"}
+    out = io.StringIO()
+    cli._write_json(obj, out)
+    assert out.getvalue() == _indented(obj)
+    for scalar in (0, -5, 2**80, "x", None, True, 2.0, [], {}):
+        out = io.StringIO()
+        cli._write_json(scalar, out)
+        assert out.getvalue() == _indented(scalar)
+
+
+def test_verify_report_path_that_cannot_be_written_fails_before_any_law(
+        capsys, tmp_path):
+    # a report that cannot be written must cost no run
+    code, out, err = run(capsys, [
+        "verify", "--law", "all", "--trials", "200",
+        "--report", str(tmp_path / "missing" / "r.json")])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 @pytest.mark.parametrize("prime, dim", [("2147483647", "3"), ("4294967311", "2")])
@@ -433,7 +500,7 @@ def test_replay_of_a_golden_witness_still_fails(capsys, tmp_path, golden):
         path.write_text(json.dumps(witness))
         code, out, err = run(capsys, ["replay", str(path)])
         assert (code, err) == (1, "")
-        assert json.loads(out) == witness
+        assert out == _indented(witness)
     # without the mutation that made it fail the check passes
     path.write_text(json.dumps({**witnesses[0], "mutations": []}))
     code, out, _ = run(capsys, ["replay", str(path)])
@@ -451,6 +518,7 @@ def test_replay_shrink_prints_a_smaller_witness_that_still_fails(
     assert (code, err) == (1, "")
     shrunk = json.loads(out)
     assert shrunk == laws.shrink(witness)
+    assert out == _indented(shrunk)
     assert sum(shrunk["degrees"].values()) <= sum(witness["degrees"].values())
     path.write_text(out)
     code, again, _ = run(capsys, ["replay", str(path), "--shrink"])

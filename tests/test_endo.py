@@ -624,8 +624,12 @@ def test_payload_round_trip():
     rng = np.random.default_rng(2)
     for ring in (F97, ZZ):
         f = (random_map(ring, 2, 2, rng) if ring.is_field
-             else make_map(ring, 2, 2, range(-4, 4)))
-        assert map_from_payload(map_to_payload(f)) == f
+             else make_map(ring, 2, 2, [2**63 + 5, *range(-4, 3)]))
+        payload = map_to_payload(f)
+        # exact ints, not numpy scalars: the report writer joins such lists
+        assert {type(v) for v in payload["entries"]} == {int}
+        assert map_from_payload(payload) == f
+    assert payload["entries"][0] == 2**63 + 5
 
 
 @pytest.mark.parametrize("entry", [10**29, -2**63 - 1, 2**63, 2**64])
