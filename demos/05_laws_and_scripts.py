@@ -2,8 +2,8 @@
 
 Every identity in the library is registered as a named law that runs over
 seeded random trials. Canary mutations deliberately break one internal sign
-or range to prove the suite would notice; failing trials produce witnesses
-that replay and shrink. Small expressions can also be written in a tiny
+or range to prove the suite would notice; a failing law keeps the witness of
+its first failing trial, which replays and shrinks. Small expressions can also be written in a tiny
 script language and evaluated on either backend.
 """
 import numpy as np

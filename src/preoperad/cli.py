@@ -8,6 +8,11 @@
                       [--seed S]
     preoperad replay  WITNESS.json [--shrink]
 
+`verify` prints a line per law, ending with `failed=N` when N trials
+failed. `--report` holds, per law, `failed` and `failures`, the witness of
+the first failing trial; it is written once the run is over, so a refused
+run leaves an existing file as it was.
+
 `replay` re-runs the failed check of one witness object saved from a
 `--report` file's `failures` and prints the witness as JSON; with
 `--shrink`, a witness that still fails is first shrunk (`laws.shrink`).
@@ -94,67 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_parts(x, parts: list, nl: str = "\n") -> None:
-    """Append to parts the text of json.dumps(x, indent=2, sort_keys=True)
-    when nl is a newline followed by the indent x is nested at.
-
-    json.dumps never uses its C encoder when indenting; this writer keeps
-    strings (encode_basestring_ascii) and lists of exact ints and strings,
-    the table entries and free terms of witnesses, at C speed."""
-    kind = type(x)
-    if kind is str:
-        parts.append(_encode_str(x))
-    elif kind is int:
-        parts.append(int.__repr__(x))
-    elif x is None:
-        parts.append("null")
-    elif isinstance(x, dict):
-        if not x:
-            parts.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in sorted(x.items()):
-            if not isinstance(key, str):
-                if not (isinstance(key, (int, float)) or key is None):
-                    raise TypeError("keys must be str, int, float, bool or "
-                                    f"None, not {type(key).__name__}")
-                key = json.dumps(key)
-            parts.append(sep + _encode_str(key) + ": ")
-            _json_parts(value, parts, inner)
-            sep = "," + inner
-        parts.append(nl + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            parts.append("[]")
-            return
-        inner = nl + "  "
-        kinds = set(map(type, x))
-        if kinds <= {int, str}:
-            items = (map(int.__repr__, x) if str not in kinds else
-                     [_encode_str(v) if type(v) is str else int.__repr__(v)
-                      for v in x])
-            parts.append("[" + inner + ("," + inner).join(items) + nl + "]")
-            return
-        sep = "[" + inner
-        for value in x:
-            parts.append(sep)
-            _json_parts(value, parts, inner)
-            sep = "," + inner
-        parts.append(nl + "]")
-    else:
-        parts.append(json.dumps(x))
-
-
 def _write_json(x, fh) -> None:
     """Write json.dumps(x, indent=2, sort_keys=True) and a newline to fh."""
-    parts = []
-    _json_parts(x, parts)
-    parts.append("\n")
-    fh.writelines(parts)
+    json.dump(x, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _read_json_object(path: str, what: str) -> dict:
@@ -207,20 +155,25 @@ def _cmd_verify(args) -> int:
     cfg = _trial_config(args, args.config, trials=args.trials,
                         degree_max=args.max_degree, mutations=args.mutate)
     ids = None if args.law == "all" else [args.law]
-    # opened before the run, so a path that cannot be written costs no run
-    with (open(args.report, "w", encoding="utf-8") if args.report
+    # opened before the run, so a path that cannot be written costs no run,
+    # and emptied after it, so a refused run leaves an existing file as it was
+    with (open(args.report, "a", encoding="utf-8") if args.report
           else contextlib.nullcontext()) as report:
         suite = laws.run_suite(cfg, ids)
         for rep in suite["laws"]:
             flags = []
             if rep["vacuous"]:
                 flags.append(f"vacuous={rep['vacuous']}")
+            if rep["failed"]:
+                flags.append(f"failed={rep['failed']}")
             if rep["underpowered"]:
                 flags.append("underpowered")
             tail = (" " + " ".join(flags)) if flags else ""
             print(f"{rep['status'].upper():4s} {rep['law_id']:28s} "
                   f"trials={rep['trials']} millis={rep['millis']}{tail}")
         if report is not None:
+            if report.seekable():  # not a pipe or a terminal
+                report.truncate(0)
             _write_json(suite, report)
     print(f"suite: {suite['status']}")
     return 0 if suite["status"] == "pass" else 1

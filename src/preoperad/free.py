@@ -7,10 +7,11 @@ node has as many children as its generator's degree; a tree's degree is its
 leaf count. Since arities are fixed and "(" sorts before "_", plain tuple
 order on trees is the string order of their s-expressions.
 Elements are finite sums coeff * tree with coefficients in a ring, kept
-canonical (zero terms dropped, coefficients reduced, terms sorted). Scaling
-each generator n by a constant c_n is a morphism of this free pre-operad
-(scaled): the trials of a law that share their degrees differ only in their
-c_n, so they run as one check on the bare generators.
+canonical (zero terms dropped, coefficients reduced, terms sorted). Sending
+each generator n to c_n * n, for constants c_n, is a morphism of this free
+pre-operad, since grafting keeps every node: the trials of a law that share
+their degrees differ only in their c_n, so they run as one check on the
+bare generators.
 
 Composition grafts the right operand onto the i-th leaf of the left one and
 multiplies by the global sign (-1)^(i * |y|), the same twist the dense
@@ -244,21 +245,6 @@ def free_linear_combine(coeffs, elems) -> FreeElement:
     first = elems[0]
     return free_signed_sum(first.ring, first.signature, first.degree,
                            zip(coeffs, elems))
-
-
-def scaled(x: FreeElement, scales) -> FreeElement:
-    """x with each tree's coefficient multiplied by scales[n] for every node
-    "(n" the tree holds: the image of x under the pre-operad morphism that
-    sends each generator n to scales[n] * n. It commutes with composition
-    and sums and fixes the unit, since grafting keeps every node."""
-    raw = {}
-    for tree, c in x.terms:
-        for tok in tree:
-            if tok[0] == "(":
-                c *= scales[tok[1:]]
-        raw[tree] = c
-    return FreeElement(x.ring, x.signature, x.degree,
-                       _canonical_terms(x.ring, raw))
 
 
 def element_to_payload(x: FreeElement) -> dict:

@@ -2,9 +2,9 @@
 
 Every law is a named, seeded, replayable check: the engine draws degrees and
 then only what the check reads from per-trial RNG streams, runs the law's
-checker, and collects serialized failure witnesses. Identical (law, config)
-pairs produce identical reports apart from the timing field. A witness can
-be replayed and shrunk.
+checker, counts the failing trials and keeps one serialized witness, that
+of the first failing trial. Identical (law, config) pairs produce identical
+reports apart from the timing field. A witness can be replayed and shrunk.
 
 Batches: the trials of a law that drew the same degrees (and the same extra
 data) run as one check. Tables are stacked into one sample with a leading
@@ -12,11 +12,10 @@ row axis, and every row gets its own verdict. Free trials differ only in the
 nonzero scalar on each generator, so a free trial draws its scalars alone:
 its sample holds them over bare generators, a mu and a context built once
 per degree tuple. A free batch is one check on the bare generators, whose
-failure every trial shares, scaled by its own scalars; the scaled inputs
-are built for a failing trial's witness only. An element-free law draws
-degrees only; its batch is one check on either backend. Each failure is
-written from its own trial's sample. A replay and a shrink step are
-batches of one.
+verdict every trial shares. An element-free law draws degrees only; its
+batch is one check on either backend. The witness is built by checking the
+first failing trial's drawn inputs again on their own, as a replay does.
+A replay and a shrink step are batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
 proves nothing. Such an attempt stops after its degrees, with no table or
@@ -219,6 +218,7 @@ class Report:
     trials: int
     vacuous: int
     underpowered: bool
+    failed: int
     failures: list
     millis: int
 
@@ -226,7 +226,7 @@ class Report:
         return {
             "law_id": self.law_id, "status": self.status,
             "trials": self.trials, "vacuous": self.vacuous,
-            "underpowered": self.underpowered,
+            "underpowered": self.underpowered, "failed": self.failed,
             "failures": self.failures, "millis": self.millis,
         }
 
@@ -234,16 +234,18 @@ class Report:
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["law_id", "status", "trials", "vacuous", "underpowered",
-                 "failures", "millis"],
+                 "failed", "failures", "millis"],
     "properties": {
         "law_id": {"type": "string"},
         "status": {"enum": ["pass", "fail"]},
         "trials": {"type": "integer", "minimum": 0},
         "vacuous": {"type": "integer", "minimum": 0},
         "underpowered": {"type": "boolean"},
+        "failed": {"type": "integer", "minimum": 0},
         "millis": {"type": "integer", "minimum": 0},
         "failures": {
             "type": "array",
+            "maxItems": 1,
             "items": {
                 "type": "object",
                 "required": ["law_id", "seed", "backend", "degrees",
@@ -946,23 +948,14 @@ def _check_batch(law: Law, samples) -> list:
     of every node it holds and keeps compositions, sums, the unit and mu, so
     each side a trial claims is the bare-generator side mapped through it.
     Each c_x is nonzero mod p, so the morphism is injective: every trial
-    fails at the first claim that fails on the bare generators, with that
-    claim's sides scaled by its own c_x.
+    fails at the first claim that fails on the bare generators, so the
+    bare-generator verdict stands for every trial; only the sides differ,
+    by each trial's scales.
     """
     first = samples[0]
     if first.scales is None:
         return law.checker(_stack(samples))
-    detail, = law.checker(first)
-    if detail is None:
-        return [None] * len(samples)
-    backend = first.ctx.backend
-    details = []
-    for s in samples:
-        scales = {**s.scales, "mu": 1}
-        details.append(FailDetail(detail.identity, detail.point, *(
-            x if x is None else GradedElement(backend, free.scaled(x.payload, scales))
-            for x in (detail.lhs, detail.rhs))))
-    return details
+    return law.checker(first) * len(samples)
 
 
 def _drawn(sample: TrialSample) -> TrialSample:
@@ -997,7 +990,8 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     checked in batches of equal batch key. A law that builds tables splits
     each batch so that its rows of the largest table the degree budget
     allows stay under the entry cap; other batches are never split.
-    Failures are reported in trial order.
+    The report counts the failing trials and holds one witness, built by
+    checking the first failing trial's drawn inputs again on their own.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
     can tell a sign from its flip (the cup-sign-flip canary passes).
@@ -1023,28 +1017,31 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     tables = not law.element_free and (law.fixed_backend or cfg.backend) == "endo"
     most = (max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
             if tables else cfg.trials)
-    failed = {}  # trial -> witness
+    failing = []  # (trial, attempt, sample) of each failing trial
     for group in batches.values():
         for lo in range(0, len(group), most):
             batch = group[lo:lo + most]
             details = _check_batch(law, [sample for _, _, sample in batch])
-            for (trial, attempt, sample), detail in zip(batch, details):
-                if detail is not None:
-                    head = {"law_id": law.law_id,
-                            "seed": [cfg.seed, trial, attempt],
-                            "backend": law.fixed_backend or cfg.backend,
-                            "prime": cfg.prime, "dim": cfg.dim,
-                            "mutations": sorted(cfg.mutations)}
-                    failed[trial] = _witness(head, _drawn(sample), detail)
-    failures = [failed[trial] for trial in sorted(failed)]
+            failing += [drawn for drawn, detail in zip(batch, details)
+                        if detail is not None]
+    failures = []
+    if failing:
+        trial, attempt, sample = min(failing, key=lambda drawn: drawn[0])
+        head = {"law_id": law.law_id, "seed": [cfg.seed, trial, attempt],
+                "backend": law.fixed_backend or cfg.backend,
+                "prime": cfg.prime, "dim": cfg.dim,
+                "mutations": sorted(cfg.mutations)}
+        sample = _drawn(sample)
+        failures.append(_witness(head, sample, law.checker(sample)[0]))
     millis = int(round((time.perf_counter() - start) * 1000))
     non_vacuous = cfg.trials - vacuous
     return Report(
         law_id=law_id,
-        status="fail" if failures else "pass",
+        status="fail" if failing else "pass",
         trials=cfg.trials,
         vacuous=vacuous,
         underpowered=non_vacuous * 2 < cfg.trials or cfg.prime == 2,
+        failed=len(failing),
         failures=failures,
         millis=millis,
     )

@@ -118,8 +118,35 @@ def test_verify_canary_fails(capsys, tmp_path):
 
 def _without_millis(suite):
     for rep in suite["laws"]:
-        rep.pop("millis")
+        rep.pop("millis", None)
     return suite
+
+
+def _sides(witness):
+    return {key: witness[key] for key in ("identity", "domain_point", "lhs", "rhs")}
+
+
+def _replayed_sides(witness):
+    detail = laws.replay(witness)
+    return {"identity": detail.identity,
+            "domain_point": None if detail.point is None else list(detail.point),
+            "lhs": None if detail.lhs is None else detail.lhs.serialize(),
+            "rhs": None if detail.rhs is None else detail.rhs.serialize()}
+
+
+def _assert_matches_golden(report_path, golden):
+    """The report of one law against golden, recorded when every failing
+    trial kept its witness: the same report with the first witness only and
+    the count of them all. Every golden witness must still replay to the
+    sides it recorded, so the golden pins each trial's sides."""
+    rep, = golden["laws"]
+    witnesses = rep["failures"]
+    want = {**golden, "laws": [{**rep, "failed": len(witnesses),
+                                "failures": witnesses[:1]}]}
+    assert (_without_millis(json.loads(report_path.read_text()))
+            == _without_millis(want))
+    for witness in witnesses:
+        assert _replayed_sides(witness) == _sides(witness)
 
 
 def test_free_canary_report_matches_golden(capsys, tmp_path):
@@ -132,13 +159,14 @@ def test_free_canary_report_matches_golden(capsys, tmp_path):
         "--report", str(report_path)])
     assert code == 1
     golden = json.loads((GOLDEN / "l06_free_cup_sign_flip_seed7.json").read_text())
-    assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
+    assert len(golden["laws"][0]["failures"]) == 2
+    _assert_matches_golden(report_path, golden)
 
 
 def test_free_canary_report_across_batches_matches_golden(capsys, tmp_path):
-    # recorded one symbolic trial at a time: 12 witnesses in 9 degree
-    # tuples, so batched tree sums must keep every witness, its order and
-    # its lhs and rhs terms
+    # recorded one symbolic trial at a time: 12 failing trials in 9 degree
+    # tuples, so batched tree sums must keep the count, the first witness
+    # and its lhs and rhs terms
     report_path = tmp_path / "report.json"
     code, _, _ = run(capsys, [
         "verify", "--law", "L06-cup-product", "--backend", "free",
@@ -148,13 +176,13 @@ def test_free_canary_report_across_batches_matches_golden(capsys, tmp_path):
     golden = json.loads(
         (GOLDEN / "l06_free_cup_sign_flip_seed7_trials12.json").read_text())
     assert len(golden["laws"][0]["failures"]) == 12
-    assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
+    _assert_matches_golden(report_path, golden)
 
 
 def test_endo_canary_report_matches_golden(capsys, tmp_path):
-    # recorded one trial at a time: 12 witnesses that fall into 9 degree
-    # tuples, so batched trials must keep every witness, its order and its
-    # lhs and rhs tables
+    # recorded one trial at a time: 12 failing trials that fall into 9
+    # degree tuples, so batched trials must keep the count, the first
+    # witness and its lhs and rhs tables
     report_path = tmp_path / "report.json"
     code, _, _ = run(capsys, [
         "verify", "--law", "L06-cup-product", "--backend", "endo",
@@ -163,7 +191,7 @@ def test_endo_canary_report_matches_golden(capsys, tmp_path):
     assert code == 1
     golden = json.loads((GOLDEN / "l06_endo_cup_sign_flip_seed7.json").read_text())
     assert len(golden["laws"][0]["failures"]) == 12
-    assert _without_millis(json.loads(report_path.read_text())) == _without_millis(golden)
+    _assert_matches_golden(report_path, golden)
 
 
 _GAMMA_LAWS = ("L18-lemma-first", "L19-lemma-second", "L21-boundary-gamma1",
@@ -174,7 +202,7 @@ _GAMMA_LAWS = ("L18-lemma-first", "L19-lemma-second", "L21-boundary-gamma1",
 @pytest.mark.parametrize("law", _GAMMA_LAWS)
 def test_gamma_law_canary_reports_match_golden(capsys, tmp_path, backend, law):
     # recorded before the families were evaluated per check: every trial
-    # fails, so each witness pins lhs and rhs exactly
+    # fails, so each witness, replayed, pins lhs and rhs exactly
     report_path = tmp_path / "report.json"
     code, _, _ = run(capsys, [
         "verify", "--law", law, "--backend", backend,
@@ -184,7 +212,7 @@ def test_gamma_law_canary_reports_match_golden(capsys, tmp_path, backend, law):
     golden = json.loads((GOLDEN / f"gamma_laws_{backend}_cup_sign_flip_seed7_"
                                   "trials12.json").read_text())[law]
     assert len(golden["laws"][0]["failures"]) == 12
-    assert _without_millis(json.loads(report_path.read_text())) == golden
+    _assert_matches_golden(report_path, golden)
 
 
 def _indented(x) -> str:
@@ -221,26 +249,6 @@ def test_passing_suite_report_text_is_the_json_dumps_text(capsys, tmp_path):
     assert text == _indented(json.loads(text))
 
 
-def test_json_writer_matches_json_dumps_on_edge_cases():
-    # bools and floats are not exact ints, so [1, True, 0] and the float
-    # must leave the one-join path; a tuple is written as a list, and an
-    # int or bool key as json.dumps writes it
-    obj = {"empty": {}, "none": [], "nested": [[], {}, [[]], {"a": {}}],
-           "mixed": [1, True, 0], "null": None, "neg": [-1, -2**70],
-           "big": [2**63, 2**64 + 1], "text": ["caf\u00e9", "\u2202\u0394",
-                                               'q"\\\n\t\x00'],
-           "terms": [["(h _ _)", 3], ["(f _)", -1]], "tuple": (1, "a", (2,)),
-           "float": 1.5, "flags": [False, None, 0.25],
-           "keys": {10: 1, 9: 2, True: 3}, "z": "last"}
-    out = io.StringIO()
-    cli._write_json(obj, out)
-    assert out.getvalue() == _indented(obj)
-    for scalar in (0, -5, 2**80, "x", None, True, 2.0, [], {}):
-        out = io.StringIO()
-        cli._write_json(scalar, out)
-        assert out.getvalue() == _indented(scalar)
-
-
 def test_verify_report_path_that_cannot_be_written_fails_before_any_law(
         capsys, tmp_path):
     # a report that cannot be written must cost no run
@@ -251,6 +259,61 @@ def test_verify_report_path_that_cannot_be_written_fails_before_any_law(
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--law", "L99-nope"],
+    ["--law", "L12-delta-squared", "--backend", "free"],
+])
+def test_a_refused_verify_leaves_an_existing_report_as_it_was(capsys, tmp_path,
+                                                              argv):
+    report_path = tmp_path / "r.json"
+    old = b'{"kept": true}\n'
+    report_path.write_bytes(old)
+    code, out, err = run(capsys, ["verify", *argv, "--trials", "2",
+                                  "--report", str(report_path)])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert report_path.read_bytes() == old
+
+
+def test_verify_overwrites_an_existing_longer_report(capsys, tmp_path):
+    report_path = tmp_path / "r.json"
+    report_path.write_text("x" * 100_000)
+    code, _, _ = run(capsys, ["verify", "--law", "L05-unit-laws", "--trials",
+                              "2", "--report", str(report_path)])
+    assert code == 0
+    text = report_path.read_text()
+    assert text == _indented(json.loads(text))
+
+
+def test_verify_writes_a_report_into_a_pipe():
+    # a pipe cannot be emptied; the report is written into it as it is
+    proc = subprocess.run([sys.executable, "-m", "preoperad.cli", "verify",
+                           "--law", "L05-unit-laws", "--trials", "2",
+                           "--report", "/dev/stdout"],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = proc.stdout
+    report = json.loads(out[out.index("{"):out.rindex("}") + 1])
+    assert report["status"] == "pass"
+
+
+def test_verify_lines_show_the_failed_count_of_failing_laws(capsys):
+    code, out, _ = run(capsys, [
+        "verify", "--law", "L06-cup-product", "--backend", "free",
+        "--mutate", "cup-sign-flip", "--seed", "7", "--trials", "12"])
+    assert code == 1
+    line = out.splitlines()[0]
+    assert line.startswith("FAIL L06-cup-product")
+    assert line.split()[-1] == "failed=12"
+    code, out, _ = run(capsys, ["verify", "--law", "L05-unit-laws",
+                                "--trials", "3"])
+    assert code == 0
+    line = out.splitlines()[0]
+    assert "failed=" not in line
+    assert line.split()[-1].startswith("millis=")
 
 
 @pytest.mark.parametrize("prime, dim", [("2147483647", "3"), ("4294967311", "2")])

@@ -25,6 +25,7 @@ from preoperad.free import (
     LEAF,
     FreeElement,
     Signature,
+    _canonical_terms,
     _tree_from_sexpr,
     element_from_payload,
     element_to_payload,
@@ -35,7 +36,6 @@ from preoperad.free import (
     free_signed_sum,
     generator_element,
     graft,
-    scaled,
     tree_degree,
     tree_to_sexpr,
     unit_element,
@@ -363,6 +363,20 @@ def test_one_term_sums_are_canonical():
 RINGS = [F97, CoefficientRing.integers()]
 # nonzero mod 97, so nonzero over Z too
 SCALES = st.integers(-2**70, 2**70).filter(lambda c: c % 97)
+
+
+def scaled(x: FreeElement, scales) -> FreeElement:
+    """x with each tree's coefficient multiplied by scales[n] for every node
+    "(n" the tree holds: the image of x under the pre-operad morphism that
+    sends each generator n to scales[n] * n."""
+    raw = {}
+    for t, c in x.terms:
+        for tok in t:
+            if tok[0] == "(":
+                c *= scales[tok[1:]]
+        raw[t] = c
+    return FreeElement(x.ring, x.signature, x.degree,
+                       _canonical_terms(x.ring, raw))
 
 
 def _words(sig, ring, degree):

@@ -451,21 +451,43 @@ def test_trials_that_share_degrees_run_as_one_batch(backend):
         object.__setattr__(law, "checker", checker)
 
 
+def _single_trial_verdicts(law, cfg):
+    """(trial, attempt, degrees, detail) of each non-vacuous trial of law
+    under cfg, its detail from checking its drawn inputs on their own."""
+    draw = laws._sampler(law, cfg)
+    for trial in range(cfg.trials):
+        force = law.force_first if (law.force_first and trial % 2 == 0) else None
+        for attempt in range(laws._RETRIES):
+            sample = draw(laws._trial_rng(law.law_id, cfg.seed, trial, attempt),
+                          force)
+            if sample is not None:
+                detail, = law.checker(laws._drawn(sample))
+                yield trial, attempt, sample.degrees, detail
+                break
+
+
 @pytest.mark.parametrize("backend, prime", [
     ("endo", 97), ("free", 97), ("free", 2**61 - 1)])
 def test_batched_failures_are_those_of_single_trials_in_trial_order(backend, prime):
     # past 2^61 a product of two coefficients no longer fits 64 bits
     cfg = TrialConfig(backend, prime, dim=2, trials=16, seed=5,
                       mutations=("cup-sign-flip",))
-    report = laws.run_law("L06-cup-product", cfg)
-    trials = [w["seed"][1] for w in report.failures]
-    assert len(trials) > 4 and trials == sorted(trials)
-    assert len({tuple(w["degrees"].values()) for w in report.failures}) < len(trials)
-    for witness in report.failures:
-        detail = laws.replay(witness)
-        assert detail.identity == witness["identity"]
-        assert detail.lhs.serialize() == witness["lhs"]
-        assert detail.rhs.serialize() == witness["rhs"]
+    law = laws.get_law("L06-cup-product")
+    report = laws.run_law(law.law_id, cfg)
+    failing = [v for v in _single_trial_verdicts(law, cfg) if v[3] is not None]
+    assert report.failed == len(failing) > 4
+    # some failing trials share their degrees, so they ran as one batch
+    assert len({tuple(degrees.values()) for *_, degrees, _ in failing}) < len(failing)
+    trial, attempt, _, first = failing[0]
+    witness, = report.failures
+    assert witness["seed"] == [cfg.seed, trial, attempt]
+    assert witness["identity"] == first.identity
+    assert witness["lhs"] == first.lhs.serialize()
+    assert witness["rhs"] == first.rhs.serialize()
+    detail = laws.replay(witness)
+    assert detail.identity == witness["identity"]
+    assert detail.lhs.serialize() == witness["lhs"]
+    assert detail.rhs.serialize() == witness["rhs"]
 
 
 def _edited_word_witness(word):
@@ -658,15 +680,25 @@ def test_a_vacuous_attempt_draws_no_table(monkeypatch):
     assert all(n == 5 for key, n in tables.items() if key not in empty)
 
 
-def test_free_witness_scalars_come_from_their_own_stream():
+def test_free_witness_scalars_come_from_their_own_stream(monkeypatch):
     law = laws.get_law("L06-cup-product")
-    cfg = TrialConfig("free", trials=16, seed=5, mutations=("cup-sign-flip",))
-    ring = CoefficientRing.prime_field(cfg.prime)
-    report = laws.run_law(law.law_id, cfg)
-    batches = {}
-    for witness in report.failures:
-        seed, trial, attempt = witness["seed"]
-        rng = laws._trial_rng(law.law_id, seed, trial, attempt)
+    ring = CoefficientRing.prime_field(97)
+    batches = []
+    check_batch = laws._check_batch
+
+    def recorded(law, samples):
+        batches.append(samples)
+        return check_batch(law, samples)
+
+    monkeypatch.setattr(laws, "_check_batch", recorded)
+    shared = 0
+    for seed in range(1, 7):
+        cfg = TrialConfig("free", trials=16, seed=seed,
+                          mutations=("cup-sign-flip",))
+        batches.clear()
+        witness, = laws.run_law(law.law_id, cfg).failures
+        assert witness["seed"][0] == seed
+        rng = laws._trial_rng(law.law_id, *witness["seed"])
         degrees = laws._sample_degrees(rng, law.slots, cfg, None)
         scales = {name: ring.sample_nonzero(rng) for name in law.slots}
         assert witness["degrees"] == degrees
@@ -677,7 +709,7 @@ def test_free_witness_scalars_come_from_their_own_stream():
         detail = laws.replay(witness)
         assert detail.lhs.serialize() == witness["lhs"]
         assert detail.rhs.serialize() == witness["rhs"]
-        batches.setdefault(tuple(degrees.values()), set()).add(
-            tuple(scales.values()))
-    # some batch holds trials with different scalars
-    assert any(len(scales) > 1 for scales in batches.values())
+        batch, = [b for b in batches if b[0].degrees == degrees]
+        shared += len({tuple(s.scales.values()) for s in batch}) > 1
+    # some witness comes from a batch of trials with different scalars
+    assert shared
