@@ -11,7 +11,7 @@
 `verify` prints a line per law, ending with `failed=N` when N trials
 failed. `--report` holds, per law, `failed` and `failures`, the witness of
 the first failing trial; it is written once the run is over, so a refused
-run leaves an existing file as it was.
+run leaves an existing file as it was, and a new path absent.
 
 `replay` re-runs the failed check of one witness object saved from a
 `--report` file's `failures` and prints the witness as JSON; with
@@ -155,8 +155,11 @@ def _cmd_verify(args) -> int:
     cfg = _trial_config(args, args.config, trials=args.trials,
                         degree_max=args.max_degree, mutations=args.mutate)
     ids = None if args.law == "all" else [args.law]
-    # opened before the run, so a path that cannot be written costs no run,
-    # and emptied after it, so a refused run leaves an existing file as it was
+    # the laws are refused before the report is opened, so a new path stays
+    # absent; it is opened before the run, so a path that cannot be written
+    # costs no run, and emptied after it, so a refused run leaves an
+    # existing file as it was
+    laws._runnable_laws(cfg, ids)
     with (open(args.report, "a", encoding="utf-8") if args.report
           else contextlib.nullcontext()) as report:
         suite = laws.run_suite(cfg, ids)

@@ -585,18 +585,34 @@ def linear_combine(coeffs, maps) -> MultilinearMap:
 
 def random_map(ring: CoefficientRing, dim: int, degree: int, rng) -> MultilinearMap:
     """Uniform table over F_p from a numpy Generator."""
+    return _random_maps(ring, dim, (degree,), rng)[0]
+
+
+def _random_maps(ring: CoefficientRing, dim: int, degrees, rng) -> list:
+    """Uniform tables over F_p of each of degrees, in order, from a single
+    draw of rng: the tables, and the stream past them, of one random_map
+    call per degree in turn. Each table is a read-only, C-contiguous view
+    of the one drawn buffer."""
     if not ring.is_field:
         raise UnsupportedRing("random tables need a finite field")
-    if degree < 0:
-        raise InvalidDegree(f"degree must be >= 0, got {degree}")
-    check_entries(dim, degree)
+    for degree in degrees:
+        if degree < 0:
+            raise InvalidDegree(f"degree must be >= 0, got {degree}")
+        check_entries(dim, degree)
     p, _ = _limits(ring, dim)
     # drawn in [0, p) already: canonical as it comes. A flat draw fills
-    # the table in C order, the same stream as a draw of the table's shape
-    table = rng.integers(0, p, size=dim ** (degree + 1),
-                         dtype=np.int64).reshape((dim,) * (degree + 1))
-    table.setflags(write=False)
-    return _new_map(ring, dim, degree, table)
+    # the tables in C order, one after another: the stream of a draw of
+    # each table's shape in turn
+    sizes = [dim ** (degree + 1) for degree in degrees]
+    flat = rng.integers(0, p, size=sum(sizes), dtype=np.int64)
+    flat.setflags(write=False)
+    maps = []
+    end = 0
+    for degree, size in zip(degrees, sizes):
+        table = flat[end:end + size].reshape((dim,) * (degree + 1))
+        maps.append(_new_map(ring, dim, degree, table))
+        end += size
+    return maps
 
 
 def evaluate(f: MultilinearMap, inputs) -> MultilinearMap:

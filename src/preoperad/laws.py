@@ -6,21 +6,32 @@ checker, counts the failing trials and keeps one serialized witness, that
 of the first failing trial. Identical (law, config) pairs produce identical
 reports apart from the timing field. A witness can be replayed and shrunk.
 
+Streams: each trial attempt has its own PCG64 stream, that of
+np.random.default_rng((salt, seed, trial, attempt)) with the law's salt.
+A law draws in rounds over attempts, and one vectorised pass seeds every
+stream of a round (_round_states); it re-implements numpy's SeedSequence
+and PCG64 seeding exactly, which numpy's stream policy (NEP 19) keeps
+stable, and test_a_round_of_states_is_numpy_seeding_row_by_row pins it
+against numpy. Each attempt then sets the state of one Generator. An endo
+trial draws its tables in one call (endo._random_maps), the same stream
+as one draw per table.
+
 Batches: the trials of a law that drew the same degrees (and the same extra
 data) run as one check. Tables are stacked into one sample with a leading
 row axis, and every row gets its own verdict. Free trials differ only in the
-nonzero scalar on each generator, so a free trial draws its scalars alone:
-its sample holds them over bare generators, a mu and a context built once
-per degree tuple. A free batch is one check on the bare generators, whose
-verdict every trial shares. An element-free law draws degrees only; its
-batch is one check on either backend. The witness is built by checking the
-first failing trial's drawn inputs again on their own, as a replay does.
-A replay and a shrink step are batches of one.
+nonzero scalar on each generator, and no verdict depends on those scalars:
+a free trial draws its degrees only, and its sample holds bare generators,
+a mu and a context built once per degree tuple. A free batch is one check
+on the bare generators, whose verdict every trial shares. An element-free
+law draws degrees only; its batch is one check on either backend. The
+witness is built by checking the first failing trial's drawn inputs again
+on their own, as a replay does; on free, its scalars are drawn then, from
+its own stream. A replay and a shrink step are batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
-proves nothing. Such an attempt stops after its degrees, with no table or
-scalar drawn, and is retried from the next attempt's stream a few times;
-then the trial is counted vacuous in the report. A law with fewer than half
+proves nothing. Such an attempt stops after its degrees, with no table
+drawn, and is retried from the next attempt's stream a few times; then the
+trial is counted vacuous in the report. A law with fewer than half
 of its trials non-vacuous is flagged underpowered, and so is every law over
 F_2, where -1 = 1 hides every sign.
 
@@ -150,9 +161,6 @@ class TrialSample:
     degrees: dict
     extra: dict
     rows: int = 1
-    # free only: the nonzero scalar c_x of each input x; elements then hold
-    # the bare generators, shared by every trial of the degree tuple
-    scales: dict | None = None
 
 
 @dataclass
@@ -303,13 +311,117 @@ def _salt_words(law_id: str) -> tuple:
     return tuple(_words(_law_salt(law_id)))
 
 
+# numpy's SeedSequence: its hash constants (each hash xors in the current
+# constant, multiplies the constant by its multiplier mod 2^32, multiplies
+# by the result and xors in the top 16 bits), its two mixing multipliers,
+# and the multiplier of PCG64's 128-bit LCG; NEP 19 keeps all of them fixed
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+# the pool words each pool word is mixed into, in SeedSequence's order
+_OTHERS = tuple([d for d in range(4) if d != s] for s in range(4))
+
+
+@lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    """(xor, mul): the uint32 constants of count successive hashes from
+    init, the constant each hash xors in and the one it multiplies by."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    values = values ^ xor
+    values *= mul
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_L
+    mixed -= y * _MIX_R
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _pcg64_states(entropy: np.ndarray) -> list:
+    """The state of np.random.PCG64(np.random.SeedSequence(w)), as its
+    bit_generator.state setter takes it, for the uint32 entropy words w of
+    each row of entropy, a (rows, words) array. SeedSequence's hashing of
+    the words into its pool of four and its generate_state(4, np.uint64)
+    run on every row at once, since their hash constants do not depend on
+    the words; PCG64's seeding (pcg_setseq_128_srandom_r) then runs row by
+    row on 128-bit ints."""
+    rows, n = entropy.shape
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, n - 4))
+    pool = np.zeros((rows, 4), dtype=np.uint32)  # 0 past the words
+    pool[:, :n] = entropy[:, :4]
+    pool = _hash(pool, xor[:4], mul[:4])
+    k = 4
+    # each pool word is hashed into every other, then each word past the
+    # pool's four into every pool word
+    for src, dst in enumerate(_OTHERS):
+        pool[:, dst] = _mix(pool[:, dst],
+                            _hash(pool[:, src, None], xor[k:k + 3], mul[k:k + 3]))
+        k += 3
+    for src in range(4, n):
+        pool = _mix(pool, _hash(entropy[:, src, None], xor[k:k + 4], mul[k:k + 4]))
+        k += 4
+    # generate_state: eight words from the pool cycled twice, read as four
+    # little-endian uint64, the PCG64 seed's high and low halves, then the
+    # stream's
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
+    seeded = _hash(np.tile(pool, 2), xor, mul).astype("<u4").view("<u8")
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in seeded.tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK_128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK_128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _round_states(law_id: str, seed: int, trials, attempt: int) -> dict:
+    """trial -> the PCG64 state of _trial_rng(law_id, seed, trial, attempt)
+    for each of trials: one _pcg64_states pass per count of entropy words
+    (a trial past 2^32 has more)."""
+    head = [*_salt_words(law_id), *_words(seed)]
+    tail = _words(attempt)
+    groups = {}
+    for trial in trials:
+        # len(_words(trial)), without building the words
+        groups.setdefault(-(-max(trial.bit_length(), 1) // 32), []).append(trial)
+    states = {}
+    for length, group in groups.items():
+        entropy = np.empty((len(group), len(head) + length + len(tail)),
+                           dtype=np.uint32)
+        entropy[:] = head + [0] * length + tail
+        for w in range(length):
+            entropy[:, len(head) + w] = [t >> 32 * w & 0xFFFFFFFF for t in group]
+        states.update(zip(group, _pcg64_states(entropy)))
+    return states
+
+
+def _generator():
+    """A Generator whose PCG64 state is set before each use."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def _trial_rng(law_id: str, seed: int, trial: int, attempt: int):
-    """The stream of np.random.default_rng((salt, seed, trial, attempt)),
-    seeded with the uint32 words numpy would make of that tuple, which
-    skips its coercion of a tuple of ints."""
-    words = np.array([*_salt_words(law_id), *_words(seed), *_words(trial),
-                      *_words(attempt)], dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    """A fresh Generator on the stream of np.random.default_rng((salt, seed,
+    trial, attempt)), salt the law's: the one-trial round of _round_states.
+    That re-implements numpy's seeding, which NEP 19 keeps stable across
+    numpy versions; test_trial_rng_is_numpy_seeding_of_the_key_tuple and
+    test_a_round_of_states_is_numpy_seeding_row_by_row pin it."""
+    rng = _generator()
+    rng.bit_generator.state = _round_states(law_id, seed, (trial,), attempt)[trial]
+    return rng
 
 
 def _sample_degrees(rng, slots, cfg: TrialConfig, force_first: int | None) -> dict:
@@ -337,25 +449,41 @@ def _sampler(law: Law, cfg: TrialConfig):
     """draw(rng, force_first), which draws one trial's TrialSample, or None
     when its degrees are vacuous: then nothing past the degrees is drawn.
     The ring, the dense backend and a fixture product are built once, here,
-    and shared by every sample drawn. A free sample draws only the scalar of
-    each input; its bare generators, mu and context are built once per
-    degree tuple and shared by every sample of that tuple."""
+    and shared by every sample drawn. An endo sample's tables, its inputs'
+    in slot order and then mu's unless mu is the fixture, come from one
+    draw (endo._random_maps), which leaves rng where one draw per table
+    would (test_one_draw_of_several_tables_is_consecutive_random_map_calls);
+    L27's word is drawn after them. A free sample draws its degrees only:
+    its bare generators, mu and context are built once per degree tuple
+    and shared by every sample of that tuple; its scalars come next in its
+    stream and are drawn by _drawn for the witness only.
+
+    rng is on the trial attempt's stream (_trial_rng, or run_law's round),
+    numpy's seeding of the key tuple, which NEP 19 keeps stable."""
     ring = CoefficientRing.prime_field(cfg.prime)
     muts = frozenset(cfg.mutations)
     dense = EndoBackend(ring, cfg.dim, muts)
     fixture = GradedElement(dense, _fixture_mu(ring, cfg.dim)) if law.fixture_mu else None
+    # the names whose tables an endo trial draws, and their degrees past
+    # the slots'
+    drawn, mu_degree = ((law.slots, []) if fixture is not None
+                        else ((*law.slots, "mu"), [2]))
     symbolic = {}  # generators -> (context, bare generators)
 
     def draw(rng, force_first) -> TrialSample | None:
         degrees = _sample_degrees(rng, law.slots, cfg, force_first)
         if law.vacuous_when and law.vacuous_when(degrees):
             return None
-        scales = None
         if law.element_free:
             ctx, elements = None, {}
         elif (law.fixed_backend or cfg.backend) == "endo":
-            elements = {name: dense.random(degrees[name], rng) for name in law.slots}
-            elements["mu"] = fixture if fixture is not None else dense.random(2, rng)
+            maps = endo._random_maps(
+                ring, cfg.dim, [degrees[name] for name in law.slots] + mu_degree,
+                rng)
+            elements = {name: GradedElement(dense, m)
+                        for name, m in zip(drawn, maps)}
+            if fixture is not None:
+                elements["mu"] = fixture
             ctx = PreOperadContext(dense, elements["mu"])
         else:
             gens = tuple((name, degrees[name]) for name in law.slots) + (("mu", 2),)
@@ -364,9 +492,8 @@ def _sampler(law: Law, cfg: TrialConfig):
                 bare = {name: be.generator(name) for name, _ in gens}
                 symbolic[gens] = PreOperadContext(be, bare["mu"]), bare
             ctx, elements = symbolic[gens]
-            scales = {name: ring.sample_nonzero(rng) for name in law.slots}
         extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
-        return TrialSample(ctx, elements, degrees, extra, scales=scales)
+        return TrialSample(ctx, elements, degrees, extra)
 
     return draw
 
@@ -922,16 +1049,27 @@ def _batch_key(sample: TrialSample):
 def _stack(samples) -> TrialSample:
     """One sample whose rows are samples, in order: element-free ones, or
     endo ones that share degrees and extra data. A lone sample is its own
-    batch of one."""
+    batch of one. Each element's rows are its trials' drawn tables, stacked
+    as endo.stack_rows would but not checked again; an element every trial
+    shares (a fixture mu) stays single and serves every row."""
     first = samples[0]
     if len(samples) == 1:
         return first
     if first.ctx is None:
         return replace(first, rows=len(samples))
     backend = first.ctx.backend
-    elements = {name: GradedElement(backend, endo.stack_rows(
-                    [s.elements[name].payload for s in samples]))
-                for name in first.elements}
+    elements = {}
+    for name, el in first.elements.items():
+        if all(s.elements[name] is el for s in samples):
+            elements[name] = el
+            continue
+        # one C-contiguous copy, as np.stack makes, in less time
+        table = np.concatenate([s.elements[name].payload.table
+                                for s in samples]).reshape(
+                                    (len(samples), *el.payload.table.shape))
+        table.setflags(write=False)
+        elements[name] = GradedElement(backend, endo._new_map(
+            backend.ring, backend.dim, el.degree, table))
     return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
                        first.degrees, first.extra, len(samples))
 
@@ -943,30 +1081,41 @@ def _check_batch(law: Law, samples) -> list:
 
     Element-free and endo samples are stacked row by row. Free samples share
     one sample of bare generators x, with a bare mu; each trial's inputs are
-    c_x * x for its own scales c_x. Sending each x to c_x * x is a morphism
-    of the free pre-operad: it multiplies each tree's coefficient by the c_x
-    of every node it holds and keeps compositions, sums, the unit and mu, so
-    each side a trial claims is the bare-generator side mapped through it.
-    Each c_x is nonzero mod p, so the morphism is injective: every trial
-    fails at the first claim that fails on the bare generators, so the
-    bare-generator verdict stands for every trial; only the sides differ,
-    by each trial's scales.
+    c_x * x for nonzero scalars c_x of its own (see _drawn). Sending each x
+    to c_x * x is a morphism of the free pre-operad: it multiplies each
+    tree's coefficient by the c_x of every node it holds and keeps
+    compositions, sums, the unit and mu, so each side a trial claims is the
+    bare-generator side mapped through it. Each c_x is nonzero mod p, so the
+    morphism is injective: every trial fails at the first claim that fails
+    on the bare generators, so the bare-generator verdict stands for every
+    trial; only the sides differ, by each trial's scalars.
     """
     first = samples[0]
-    if first.scales is None:
-        return law.checker(_stack(samples))
-    return law.checker(first) * len(samples)
+    if first.ctx is not None and first.ctx.backend.kind == "free":
+        return law.checker(first) * len(samples)
+    return law.checker(_stack(samples))
 
 
-def _drawn(sample: TrialSample) -> TrialSample:
-    """sample with the inputs its trial drew: on free, each bare generator
-    x times its scale c_x, and mu bare."""
-    if sample.scales is None:
+def _forced(law: Law, trial: int) -> int | None:
+    """The least first degree trial draws: law's forced one on even trials."""
+    return law.force_first if trial % 2 == 0 else None
+
+
+def _drawn(law: Law, cfg: TrialConfig, trial: int, attempt: int,
+           sample: TrialSample) -> TrialSample:
+    """sample, drawn by trial at attempt, with the inputs its trial stands
+    for. On free these are c_x * x for each bare generator x, and mu bare:
+    the nonzero scalars c_x are drawn from the trial's stream past its
+    degrees, in slot order, only here, since no verdict reads them."""
+    if sample.ctx is None or sample.ctx.backend.kind != "free":
         return sample
+    rng = _trial_rng(law.law_id, cfg.seed, trial, attempt)
+    _sample_degrees(rng, law.slots, cfg, _forced(law, trial))
+    ring = sample.ctx.backend.ring
     elements = dict(sample.elements)
-    for name, c in sample.scales.items():
-        elements[name] = c * elements[name]
-    return replace(sample, elements=elements, scales=None)
+    for name in law.slots:
+        elements[name] = ring.sample_nonzero(rng) * elements[name]
+    return replace(sample, elements=elements)
 
 
 def _check_runnable(law: Law, cfg: TrialConfig):
@@ -986,10 +1135,14 @@ def _check_runnable(law: Law, cfg: TrialConfig):
 def run_law(law_id: str, cfg: TrialConfig) -> Report:
     """Run one law over cfg.trials seeded trials.
 
-    Every trial is drawn first, in order; the non-vacuous ones are then
-    checked in batches of equal batch key. A law that builds tables splits
-    each batch so that its rows of the largest table the degree budget
-    allows stay under the entry cap; other batches are never split.
+    Trials are drawn in rounds: attempt 0 of every trial, then attempt 1
+    of each trial whose attempt 0 was vacuous, and so on. A round seeds
+    the streams of all its trials in one pass (_round_states), and each
+    attempt sets one Generator to its stream. The non-vacuous trials are
+    then checked in batches of equal batch key, in trial order. A law that
+    builds tables splits each batch so that its rows of the largest table
+    the degree budget allows stay under the entry cap; other batches are
+    never split.
     The report counts the failing trials and holds one witness, built by
     checking the first failing trial's drawn inputs again on their own.
 
@@ -1001,17 +1154,26 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     _check_runnable(law, cfg)
     start = time.perf_counter()
     draw = _sampler(law, cfg)
+    rng = _generator()
+    bit_generator = rng.bit_generator
+    drawn = []  # (trial, attempt, sample) of each non-vacuous trial
+    pending = range(cfg.trials)
+    for attempt in range(_RETRIES):
+        states = _round_states(law_id, cfg.seed, pending, attempt)
+        retry = []
+        for trial in pending:
+            bit_generator.state = states[trial]
+            sample = draw(rng, _forced(law, trial))
+            if sample is None:
+                retry.append(trial)
+            else:
+                drawn.append((trial, attempt, sample))
+        pending = retry
+        if not pending:
+            break
+    vacuous = len(pending)
     batches = {}
-    vacuous = 0
-    for trial in range(cfg.trials):
-        force = law.force_first if (law.force_first and trial % 2 == 0) else None
-        for attempt in range(_RETRIES):
-            sample = draw(_trial_rng(law_id, cfg.seed, trial, attempt), force)
-            if sample is not None:
-                break
-        else:
-            vacuous += 1
-            continue
+    for trial, attempt, sample in sorted(drawn, key=lambda d: d[0]):
         batches.setdefault(_batch_key(sample), []).append(
             (trial, attempt, sample))
     tables = not law.element_free and (law.fixed_backend or cfg.backend) == "endo"
@@ -1031,7 +1193,7 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
                 "backend": law.fixed_backend or cfg.backend,
                 "prime": cfg.prime, "dim": cfg.dim,
                 "mutations": sorted(cfg.mutations)}
-        sample = _drawn(sample)
+        sample = _drawn(law, cfg, trial, attempt, sample)
         failures.append(_witness(head, sample, law.checker(sample)[0]))
     millis = int(round((time.perf_counter() - start) * 1000))
     non_vacuous = cfg.trials - vacuous
@@ -1047,9 +1209,9 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     )
 
 
-def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
-    """Run the laws law_ids (every law of cfg.backend when None), after
-    refusing the run if any one of them cannot run under cfg."""
+def _runnable_laws(cfg: TrialConfig, law_ids=None) -> list:
+    """The laws law_ids (every law of cfg.backend when None), after
+    refusing cfg, an unknown id or any law that cannot run under cfg."""
     cfg.validate()
     if law_ids is None:
         chosen = laws_for_backend(cfg.backend)
@@ -1057,7 +1219,13 @@ def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
         chosen = [get_law(i) for i in law_ids]
     for law in chosen:
         _check_runnable(law, cfg)
-    reports = [run_law(law.law_id, cfg) for law in chosen]
+    return chosen
+
+
+def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
+    """Run the laws law_ids (every law of cfg.backend when None), after
+    refusing the run if any one of them cannot run under cfg."""
+    reports = [run_law(law.law_id, cfg) for law in _runnable_laws(cfg, law_ids)]
     ok = all(r.status == "pass" and not r.underpowered for r in reports)
     return {
         "config": cfg.describe(),

@@ -277,6 +277,21 @@ def test_a_refused_verify_leaves_an_existing_report_as_it_was(capsys, tmp_path,
     assert report_path.read_bytes() == old
 
 
+@pytest.mark.parametrize("argv", [
+    ["--law", "L99-nope"],
+    ["--law", "L12-delta-squared", "--backend", "free"],
+    ["--law", "all", "--backend", "free", "--prime", str(2**61 - 1)],
+])
+def test_a_refused_verify_leaves_a_new_report_path_absent(capsys, tmp_path,
+                                                          argv):
+    report_path = tmp_path / "new.json"
+    code, out, err = run(capsys, ["verify", *argv, "--trials", "2",
+                                  "--report", str(report_path)])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert not report_path.exists()
+
+
 def test_verify_overwrites_an_existing_longer_report(capsys, tmp_path):
     report_path = tmp_path / "r.json"
     report_path.write_text("x" * 100_000)

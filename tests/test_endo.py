@@ -216,6 +216,39 @@ def test_random_map_flat_draw_matches_the_shaped_draw(p):
             assert flat.integers(0, 2**62) == shaped.integers(0, 2**62)
 
 
+@pytest.mark.parametrize("p", [2, 97, 1_000_003])
+def test_one_draw_of_several_tables_is_consecutive_random_map_calls(p):
+    # odd total sizes leave half of a 64-bit draw buffered in the generator;
+    # the one draw must leave the stream where the calls leave it, for a
+    # small draw after the tables (as L27's word) and a wide one
+    ring = CoefficientRing.prime_field(p)
+    for seed in range(60):
+        pick = np.random.default_rng(1000 + seed)
+        dim = int(pick.integers(1, 4))
+        degrees = [int(d) for d in pick.integers(0, 5, size=pick.integers(1, 6))]
+        one, calls = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = endo._random_maps(ring, dim, degrees, one)
+        want = [random_map(ring, dim, degree, calls) for degree in degrees]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.degree == w.degree
+            assert g.table.shape == w.table.shape
+            assert np.array_equal(g.table, w.table)
+            assert g.table.flags.c_contiguous and not g.table.flags.writeable
+        assert one.integers(0, 4) == calls.integers(0, 4)
+        assert one.integers(0, 2**62) == calls.integers(0, 2**62)
+
+
+def test_one_draw_of_several_tables_refuses_what_random_map_refuses():
+    rng = np.random.default_rng(0)
+    with pytest.raises(UnsupportedRing):
+        endo._random_maps(ZZ, 2, [1, 2], rng)
+    with pytest.raises(InvalidDegree):
+        endo._random_maps(F97, 2, [1, -1], rng)
+    with pytest.raises(TableTooLarge):
+        endo._random_maps(F97, 2, [1, 26], rng)
+
+
 def vec(ring, entries):
     return make_map(ring, len(entries), 0, entries)
 

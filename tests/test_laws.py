@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from preoperad import calculus, free, laws
+from preoperad import calculus, endo, free, laws
 from preoperad.backends import (
     EndoBackend,
     FreeBackend,
@@ -151,8 +151,9 @@ def test_trial_rng_salted_by_law():
 
 @pytest.mark.parametrize("law_id", [law.law_id for law in laws.list_laws()])
 def test_trial_rng_is_numpy_seeding_of_the_key_tuple(law_id):
-    # the seeding builds numpy's uint32 entropy words itself; a change in
-    # numpy's coercion of an int tuple must show here
+    # the seeding re-implements numpy's coercion of an int tuple, its
+    # SeedSequence and PCG64's seeding; a change in any of them must show
+    # here. Seeds past 2^32 and 2^64 take two and three entropy words
     salt = laws._law_salt(law_id)
     for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5):
         for trial in (0, 199):
@@ -162,6 +163,20 @@ def test_trial_rng_is_numpy_seeding_of_the_key_tuple(law_id):
                 assert got.bit_generator.state == want.bit_generator.state
                 assert list(got.integers(0, 2**63, 4)) == list(
                     want.integers(0, 2**63, 4))
+
+
+@pytest.mark.parametrize("law_id", [law.law_id for law in laws.list_laws()])
+def test_a_round_of_states_is_numpy_seeding_row_by_row(law_id):
+    # one round seeds trials of one, two and three entropy words together
+    salt = laws._law_salt(law_id)
+    trials = [0, 1, 198, 199, 2**32 - 1, 2**32, 2**32 + 7, 2**64 + 5]
+    for seed in (1, 2**33 + 1):
+        for attempt in range(laws._RETRIES):
+            states = laws._round_states(law_id, seed, trials, attempt)
+            assert sorted(states) == sorted(trials)
+            for trial in trials:
+                want = np.random.default_rng((salt, seed, trial, attempt))
+                assert states[trial] == want.bit_generator.state
 
 
 @pytest.mark.parametrize("degree_max", [1, 2])
@@ -461,7 +476,8 @@ def _single_trial_verdicts(law, cfg):
             sample = draw(laws._trial_rng(law.law_id, cfg.seed, trial, attempt),
                           force)
             if sample is not None:
-                detail, = law.checker(laws._drawn(sample))
+                detail, = law.checker(
+                    laws._drawn(law, cfg, trial, attempt, sample))
                 yield trial, attempt, sample.degrees, detail
                 break
 
@@ -650,22 +666,37 @@ def test_a_vacuous_attempt_draws_no_table(monkeypatch):
     law = laws.get_law("L18-lemma-first")
     cfg = TrialConfig("endo", dim=2, trials=40, seed=1)
     tables = {}  # (trial, attempt) -> tables drawn from its stream
+    keys = {}  # a seeded PCG64 state -> its (trial, attempt)
     current = []
-    trial_rng = laws._trial_rng
-    random = EndoBackend.random
+    round_states = laws._round_states
+    sampler = laws._sampler
+    random_maps = endo._random_maps
 
-    def keyed_rng(law_id, seed, trial, attempt):
-        current[:] = [(trial, attempt)]
-        tables[trial, attempt] = 0
-        return trial_rng(law_id, seed, trial, attempt)
+    def keyed_round(law_id, seed, trials, attempt):
+        states = round_states(law_id, seed, trials, attempt)
+        keys.update({state["state"]["state"]: (trial, attempt)
+                     for trial, state in states.items()})
+        return states
 
-    def counted(self, degree, rng):
-        tables[current[0]] += 1
-        return random(self, degree, rng)
+    def keyed_sampler(law, cfg):
+        draw = sampler(law, cfg)
 
-    monkeypatch.setattr(laws, "_trial_rng", keyed_rng)
-    monkeypatch.setattr(EndoBackend, "random", counted)
+        def keyed_draw(rng, force_first):
+            current[:] = [keys[rng.bit_generator.state["state"]["state"]]]
+            tables[current[0]] = 0
+            return draw(rng, force_first)
+        return keyed_draw
+
+    def counted(ring, dim, degrees, rng):
+        tables[current[0]] += len(degrees)
+        return random_maps(ring, dim, degrees, rng)
+
+    monkeypatch.setattr(laws, "_round_states", keyed_round)
+    monkeypatch.setattr(laws, "_sampler", keyed_sampler)
+    monkeypatch.setattr(endo, "_random_maps", counted)
     laws.run_law(law.law_id, cfg)
+    monkeypatch.undo()
+    trial_rng = laws._trial_rng
 
     def vacuous(trial, attempt):
         force = law.force_first if trial % 2 == 0 else None
@@ -710,6 +741,14 @@ def test_free_witness_scalars_come_from_their_own_stream(monkeypatch):
         assert detail.lhs.serialize() == witness["lhs"]
         assert detail.rhs.serialize() == witness["rhs"]
         batch, = [b for b in batches if b[0].degrees == degrees]
-        shared += len({tuple(s.scales.values()) for s in batch}) > 1
+        # the scalars of the batch's trials, from their own streams
+        batch_scales = []
+        for trial in range(cfg.trials):
+            rng = laws._trial_rng(law.law_id, seed, trial, 0)
+            if laws._sample_degrees(rng, law.slots, cfg, None) == degrees:
+                batch_scales.append(tuple(ring.sample_nonzero(rng)
+                                          for _ in law.slots))
+        assert len(batch_scales) == len(batch)
+        shared += len(set(batch_scales)) > 1
     # some witness comes from a batch of trials with different scalars
     assert shared
