@@ -36,7 +36,7 @@ from .errors import (
     UnknownGenerator,
 )
 from . import endo
-from .endo import MultilinearMap, ksign
+from .endo import MultilinearMap
 from .rings import CoefficientRing, require_integer
 
 LEAF = "_"
@@ -136,6 +136,12 @@ class FreeElement:
 
 def _canonical_terms(ring: CoefficientRing, raw: dict) -> tuple:
     p = ring.modulus
+    if len(raw) <= 1:  # most sums hold one tree: no list, no sort
+        for tree, c in raw.items():
+            if p is not None:
+                c %= p
+            return ((tree, c),) if c else ()
+        return ()
     cleaned = []
     for tree, c in raw.items():
         if p is not None:
@@ -146,12 +152,26 @@ def _canonical_terms(ring: CoefficientRing, raw: dict) -> tuple:
     return tuple(cleaned)
 
 
+def _new_element(ring: CoefficientRing, sig: Signature, degree: int,
+                 terms: tuple) -> FreeElement:
+    """An element from parts the package built and checked itself, without
+    the frozen dataclass __init__, which sets every field through
+    object.__setattr__; the result is the same frozen element."""
+    x = object.__new__(FreeElement)
+    fields = x.__dict__
+    fields["ring"] = ring
+    fields["signature"] = sig
+    fields["degree"] = degree
+    fields["terms"] = terms
+    return x
+
+
 def _element(ring, sig, degree, raw_terms) -> FreeElement:
     for tree in raw_terms:
         d = tree_degree(tree)
         if d != degree:
             raise DegreeMismatch(f"term of degree {d} in an element of degree {degree}")
-    return FreeElement(ring, sig, degree, _canonical_terms(ring, raw_terms))
+    return _new_element(ring, sig, degree, _canonical_terms(ring, raw_terms))
 
 
 def generator_element(sig: Signature, ring: CoefficientRing, name: str) -> FreeElement:
@@ -166,7 +186,7 @@ def unit_element(sig: Signature, ring: CoefficientRing) -> FreeElement:
 def zero_element(sig: Signature, ring: CoefficientRing, degree: int) -> FreeElement:
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
-    return FreeElement(ring, sig, degree, ())
+    return _new_element(ring, sig, degree, ())
 
 
 def _check_pair(x: FreeElement, y: FreeElement):
@@ -187,28 +207,36 @@ def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
     """Sum of c * (x comp_i y) over (c, x, y, i) taken one at a time from
     terms: every graft of every term gathered into one raw dict and made
     canonical once. Each term is checked as a composition, then against
-    the sum's ring, signature and degree, also when c is 0."""
+    the sum's ring, signature and degree, also when c is 0; operands that
+    share the sum's ring and signature objects skip the equality checks."""
     p = ring.modulus
     raw: dict = {}
+    get = raw.get
     for c, x, y, i in terms:
-        _check_pair(x, y)
-        if x.degree < 1:
+        same = (x.ring is ring and y.ring is ring
+                and x.signature is sig and y.signature is sig)
+        if not same:
+            _check_pair(x, y)
+        xd, yd = x.degree, y.degree
+        if xd < 1:
             raise InvalidDegree("left operand of a composition needs degree >= 1")
-        if not 0 <= i <= x.shifted_degree:
-            raise IndexOutOfScope(
-                f"slot {i} outside 0..{x.shifted_degree} for degree {x.degree}"
-            )
-        _check_term(ring, sig, degree, x, x.degree + y.degree - 1)
-        c = int(c) * ksign(i * y.shifted_degree)
+        if not 0 <= i <= xd - 1:
+            raise IndexOutOfScope(f"slot {i} outside 0..{xd - 1} for degree {xd}")
+        if not same or xd + yd - 1 != degree:
+            _check_term(ring, sig, degree, x, xd + yd - 1)
+        c = -int(c) if i * (yd - 1) % 2 else int(c)
         if p is not None:
             c %= p
+        y_terms = y.terms
         for t, a in x.terms:
-            pos = _leaf(t, i)  # once for every tree of y
+            pos = t.index(LEAF)  # the i-th leaf, once for every tree of y
+            for _ in range(i):
+                pos = t.index(LEAF, pos + 1)
             head, rest, ca = t[:pos], t[pos + 1:], c * a
-            for u, b in y.terms:
+            for u, b in y_terms:
                 z = head + u + rest
-                raw[z] = raw.get(z, 0) + ca * b
-    return FreeElement(ring, sig, degree, _canonical_terms(ring, raw))
+                raw[z] = get(z, 0) + ca * b
+    return _new_element(ring, sig, degree, _canonical_terms(ring, raw))
 
 
 def free_signed_sum(ring: CoefficientRing, sig: Signature, degree: int,
@@ -216,12 +244,14 @@ def free_signed_sum(ring: CoefficientRing, sig: Signature, degree: int,
     """Sum of c * x over (c, x) pairs taken one at a time from terms, all
     gathered into one raw dict and made canonical once."""
     raw: dict = {}
+    get = raw.get
     for c, x in terms:
-        _check_term(ring, sig, degree, x, x.degree)
+        if x.ring is not ring or x.signature is not sig or x.degree != degree:
+            _check_term(ring, sig, degree, x, x.degree)
         c = int(c)
         for tree, a in x.terms:
-            raw[tree] = raw.get(tree, 0) + c * a
-    return FreeElement(ring, sig, degree, _canonical_terms(ring, raw))
+            raw[tree] = get(tree, 0) + c * a
+    return _new_element(ring, sig, degree, _canonical_terms(ring, raw))
 
 
 def _check_term(ring: CoefficientRing, sig: Signature, degree: int,

@@ -183,9 +183,15 @@ def _first_failure(claims, sample: TrialSample) -> list:
     waiting = sample.rows
     for identity, point, lhs, rhs in claims(sample):
         bad = lhs.differs(rhs) if isinstance(lhs, GradedElement) else lhs != rhs
-        if not np.any(bad):
+        if type(bad) is bool:  # one verdict for every row
+            if not bad:
+                continue
+            failing = range(sample.rows)
+        elif np.any(bad):
+            failing = np.flatnonzero(np.broadcast_to(bad, sample.rows))
+        else:
             continue
-        for r in np.flatnonzero(np.broadcast_to(bad, sample.rows)):
+        for r in failing:
             if details[r] is None:
                 details[r] = FailDetail(identity, point, *(
                     (x.row(r) if sample.rows > 1 else x)

@@ -21,10 +21,11 @@ from preoperad.backends import (
     region_sum,
     signed_sum,
 )
-from preoperad.endo import linear_combine, stack_rows
+from preoperad.endo import linear_combine
 from preoperad.errors import BackendMismatch, DegreeMismatch
 from preoperad.free import Signature, free_linear_combine
 from preoperad.rings import CoefficientRing
+from stacking import stack_rows
 
 F97 = CoefficientRing.prime_field(97)
 KINDS = ["endo", "free"]

@@ -194,6 +194,17 @@ def test_endo_canary_report_matches_golden(capsys, tmp_path):
     _assert_matches_golden(report_path, golden)
 
 
+def test_free_suite_report_matches_golden(capsys, tmp_path):
+    # every free law's status and its trial, vacuous and failure counts
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, [
+        "verify", "--law", "all", "--backend", "free", "--trials", "20",
+        "--seed", "3", "--report", str(report_path)])
+    assert code == 0
+    golden = json.loads((GOLDEN / "suite_free_seed3_trials20.json").read_text())
+    assert _without_millis(json.loads(report_path.read_text())) == golden
+
+
 _GAMMA_LAWS = ("L18-lemma-first", "L19-lemma-second", "L21-boundary-gamma1",
                "L24-gamma-recap")
 

@@ -27,7 +27,6 @@ from preoperad.endo import (
     partial_compose,
     random_map,
     signed_sum,
-    stack_rows,
     substitute,
     unit_map,
     zero_map,
@@ -43,6 +42,7 @@ from preoperad.errors import (
     UnsupportedRing,
 )
 from preoperad.rings import CoefficientRing, _is_prime
+from stacking import stack_rows
 
 F97 = CoefficientRing.prime_field(97)
 F101 = CoefficientRing.prime_field(101)
@@ -837,7 +837,8 @@ def test_a_stacked_composition_above_the_cap_is_refused_before_allocation():
         import resource
         import numpy as np
         resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-        from preoperad.endo import partial_compose, random_map, stack_rows
+        from preoperad.endo import partial_compose, random_map
+        from stacking import stack_rows
         from preoperad.errors import TableTooLarge
         from preoperad.rings import CoefficientRing
         ring = CoefficientRing.prime_field(97)
@@ -849,8 +850,9 @@ def test_a_stacked_composition_above_the_cap_is_refused_before_allocation():
         except TableTooLarge as exc:
             print("refused:", exc)
     """)
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    here = Path(__file__).resolve().parent
+    path = filter(None, [str(here.parent / "src"), str(here),
+                         os.environ.get("PYTHONPATH")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from preoperad.free import (
     FreeElement,
     Signature,
     _canonical_terms,
+    _new_element,
     _tree_from_sexpr,
     element_from_payload,
     element_to_payload,
@@ -35,6 +38,7 @@ from preoperad.free import (
     free_partial_compose,
     free_signed_sum,
     generator_element,
+    generator_tree,
     graft,
     tree_degree,
     tree_to_sexpr,
@@ -363,6 +367,136 @@ def test_one_term_sums_are_canonical():
 RINGS = [F97, CoefficientRing.integers()]
 # nonzero mod 97, so nonzero over Z too
 SCALES = st.integers(-2**70, 2**70).filter(lambda c: c % 97)
+
+
+def test_new_elements_behave_as_dataclass_built_ones():
+    t, u = tree("(f _ _)"), tree("(f (g _) _)")
+    terms = ((t, 5), (u, 3))
+    built = FreeElement(F97, SIG, 2, terms)
+    new = _new_element(F97, SIG, 2, terms)
+    assert type(new) is FreeElement
+    assert dataclasses.asdict(new) == dataclasses.asdict(built)
+    for x in (new, free_partial_compose(gen("f"), gen("g"), 1),
+              free_signed_sum(F97, SIG, 2, [(1, new)]), zero_element(SIG, F97, 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.terms = ()
+        with pytest.raises(TypeError):
+            hash(x)
+    assert new == built and not new.differs(built) and not built.differs(new)
+    other = _new_element(F97, SIG, 2, ((t, 5),))
+    assert other != built and other.differs(built) and built.differs(other)
+    assert new.differs() and not _new_element(F97, SIG, 2, ()).differs()
+
+
+def _fresh(ring):
+    """A ring equal to ring that is another object."""
+    fresh = (CoefficientRing.prime_field(ring.modulus) if ring.is_field
+             else CoefficientRing.integers())
+    assert fresh == ring and fresh is not ring
+    return fresh
+
+
+def _respelled(x, ring):
+    """x over a fresh ring equal to ring and, as a payload round trip
+    builds it, a fresh signature equal to x's."""
+    y = element_from_payload(element_to_payload(x))
+    assert y.signature == x.signature and y.signature is not x.signature
+    return FreeElement(_fresh(ring), y.signature, y.degree, y.terms)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["F97", "ZZ"])
+def test_equal_rings_and_signatures_that_are_other_objects_still_compose(ring):
+    f, g, h, b = (generator_element(SIG, ring, n) for n in "fghb")
+    f2 = free_linear_combine([3, -1], [f, free_partial_compose(f, b, 1)])
+    shared = [(1, f2, f2, 0), (-2, h, g, 1), (0, f2, f2, 1), (5, h, b, 2)]
+    # each operand over its own ring and signature objects, and the sum
+    # over a third pair
+    apart = [(c, _respelled(x, ring), _respelled(y, ring), i)
+             for c, x, y, i in shared]
+    sig = Signature(SIG.generators)
+    want = free_compose_sum(ring, SIG, 3, shared)
+    assert not want.is_zero()
+    assert free_compose_sum(_fresh(ring), sig, 3, apart) == want
+    assert free_compose_sum(ring, SIG, 3, apart) == want
+    for (_, x, y, i), (_, u, v, _) in zip(shared, apart):
+        assert free_partial_compose(u, v, i) == free_partial_compose(x, y, i)
+    sums = [(2, f2), (-1, free_partial_compose(f, g, 0)), (0, f2)]
+    want = free_signed_sum(ring, SIG, 2, sums)
+    assert not want.is_zero()
+    respelled = [(c, _respelled(x, ring)) for c, x in sums]
+    assert free_signed_sum(_fresh(ring), sig, 2, respelled) == want
+    assert free_signed_sum(ring, SIG, 2, respelled) == want
+    assert free_linear_combine(*zip(*respelled)) == want
+
+
+# coefficients that vanish mod 97 or cancel, small ones and ones past int64
+COEFFS = st.one_of(st.integers(-3, 3), st.sampled_from([97, -97, 194, 2**70]),
+                   st.integers(-2**70, 2**70))
+
+
+@st.composite
+def _tree_sums(draw, ring, degree):
+    """A sum of one to three trees of the given degree over SIG: the unit
+    grown by grafting f (one more leaf) or h (two more), then decorated
+    with the degree-1 generators g and b."""
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = (LEAF,)
+        while tree_degree(t) < degree:
+            name = draw(st.sampled_from(
+                "fh" if degree - tree_degree(t) >= 2 else "f"))
+            t = graft(t, draw(st.integers(0, tree_degree(t) - 1)),
+                      generator_tree(SIG, name))
+        for _ in range(draw(st.integers(0, 2))):
+            t = graft(t, draw(st.integers(0, degree - 1)),
+                      generator_tree(SIG, draw(st.sampled_from("gb"))))
+        trees.append(t)
+    coeffs = draw(st.lists(COEFFS, min_size=len(trees), max_size=len(trees)))
+    return free_linear_combine(coeffs, [
+        FreeElement(ring, SIG, degree, ((t, 1),)) for t in trees])
+
+
+def _grafted_then_summed(ring, degree, terms):
+    """The sum of c * (x comp_i y), grafted tree by tree with graft and
+    summed with free_linear_combine."""
+    coeffs, grafts = [], []
+    for c, x, y, i in terms:
+        for t, a in x.terms:
+            for u, b in y.terms:
+                coeffs.append(c * ksign(i * (y.degree - 1)) * a * b)
+                grafts.append(FreeElement(ring, SIG, degree,
+                                          ((graft(t, i, u), 1),)))
+    if not grafts:
+        return zero_element(SIG, ring, degree)
+    return free_linear_combine(coeffs, grafts)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["F97", "ZZ"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compose_sums_equal_grafting_term_by_term(ring, data):
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        x_degree = data.draw(st.integers(1, 3))
+        x = data.draw(_tree_sums(ring, x_degree))
+        y = data.draw(_tree_sums(ring, 4 - x_degree))
+        term = (data.draw(COEFFS), x, y, data.draw(st.integers(0, x_degree - 1)))
+        terms.append(term)
+        if data.draw(st.booleans()):  # the same composite, cancelled
+            terms.append((-term[0], *term[1:]))
+    assert (free_compose_sum(ring, SIG, 3, terms)
+            == _grafted_then_summed(ring, 3, terms))
+    # one tree by one tree gives one raw entry; its coefficient cancels,
+    # and over F97 a multiple of 97 vanishes too
+    c, x, y, i = terms[0]
+    if x.terms and y.terms:
+        x1, y1 = (_new_element(ring, SIG, z.degree, z.terms[:1]) for z in (x, y))
+        one = [(c, x1, y1, i)]
+        assert (free_compose_sum(ring, SIG, 3, one)
+                == _grafted_then_summed(ring, 3, one))
+        for cancelled in ([(c, x1, y1, i), (-c, x1, y1, i)],
+                          [(97 * c, x1, y1, i)] if ring.is_field else []):
+            assert free_compose_sum(ring, SIG, 3, cancelled).is_zero()
 
 
 def scaled(x: FreeElement, scales) -> FreeElement:

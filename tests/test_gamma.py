@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from preoperad import backends, endo, laws
+from preoperad import backends, laws
 from preoperad.backends import EndoBackend, FreeBackend, GradedElement
 from preoperad.calculus import PreOperadContext, cup, delta
 from preoperad.domains import (
@@ -23,6 +23,7 @@ from preoperad.gamma import (
     gamma_domain,
 )
 from preoperad.rings import CoefficientRing
+from stacking import stack_rows
 
 F97 = CoefficientRing.prime_field(97)
 
@@ -361,7 +362,7 @@ def _stacked_sample(degrees, rows, seed):
     backend = EndoBackend(F97, 2)
     ctx = PreOperadContext(backend, backend.random(2, rng))
     elements = {
-        name: GradedElement(backend, endo.stack_rows(
+        name: GradedElement(backend, stack_rows(
             [backend.random(d, rng).payload for _ in range(rows)]))
         for name, d in zip("hfgb", degrees)}
     return laws.TrialSample(ctx, elements, dict(zip("hfgb", degrees)), {}, rows)

@@ -16,7 +16,7 @@ from preoperad.backends import (
     signed_sum,
 )
 from preoperad.calculus import KNOWN_MUTATIONS, PreOperadContext
-from preoperad.endo import ksign, make_map, stack_rows
+from preoperad.endo import ksign, make_map
 from preoperad.errors import (
     BadConfig,
     DegreeMismatch,
@@ -28,6 +28,7 @@ from preoperad.errors import (
 )
 from preoperad.laws import REPORT_SCHEMA, SUITE_SCHEMA, TrialConfig
 from preoperad.rings import CoefficientRing
+from stacking import stack_rows
 
 _F97_LINE = EndoBackend(CoefficientRing.prime_field(97), 1)
 ONE, TWO = (GradedElement(_F97_LINE, make_map(_F97_LINE.ring, 1, 1, [c]))
