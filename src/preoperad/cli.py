@@ -11,7 +11,8 @@
 `verify` prints a line per law, ending with `failed=N` when N trials
 failed. `--report` holds, per law, `failed` and `failures`, the witness of
 the first failing trial; it is written once the run is over, so a refused
-run leaves an existing file as it was, and a new path absent.
+run, or one that raises, leaves an existing file as it was, and a new path
+absent.
 
 `replay` re-runs the failed check of one witness object saved from a
 `--report` file's `failures` and prints the witness as JSON; with
@@ -29,6 +30,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -105,6 +107,26 @@ def _write_json(x, fh) -> None:
     fh.write("\n")
 
 
+@contextlib.contextmanager
+def _report_file(path):
+    """path opened for appending, None when there is no path; a file this
+    call created is removed when the block raises."""
+    if not path:
+        yield None
+        return
+    try:
+        fh, created = open(path, "x", encoding="utf-8"), True
+    except FileExistsError:
+        fh, created = open(path, "a", encoding="utf-8"), False
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
 def _read_json_object(path: str, what: str) -> dict:
     """The JSON object held in the file at path, what names it in errors."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -158,10 +180,9 @@ def _cmd_verify(args) -> int:
     # the laws are refused before the report is opened, so a new path stays
     # absent; it is opened before the run, so a path that cannot be written
     # costs no run, and emptied after it, so a refused run leaves an
-    # existing file as it was
+    # existing file as it was; a run that raises removes a file it created
     laws._runnable_laws(cfg, ids)
-    with (open(args.report, "a", encoding="utf-8") if args.report
-          else contextlib.nullcontext()) as report:
+    with _report_file(args.report) as report:
         suite = laws.run_suite(cfg, ids)
         for rep in suite["laws"]:
             flags = []

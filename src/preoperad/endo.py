@@ -36,9 +36,13 @@ Dumas, Giorgi and Pernet 2008). That is exact while d (p - 1)^2 < 2^53:
 every product and partial sum of the contraction is then an integer below
 2^53 in magnitude. It runs one output block of at most _BLOCK entries at a
 time (cast the block's operands, multiply, and add or cast the product
-into the sum's int64 buffer), so it allocates little beyond the result.
-Z, primes past that bound, smaller results and a stacked g keep the int64
-matmul.
+into the sum's int64 buffer), so every float64 temporary stays within
+_BLOCK entries and it allocates little beyond the result. A block is one
+GEMM over its rows of f, whose product is cast transposed into the result,
+or, when the slot has inputs after it and the block is wide (_ROW_GEMM),
+one GEMM per row of f whose product is already in the result's layout;
+like _REDUCE_GATE, the choice follows from the block's shape. Z, primes
+past that bound, smaller results and a stacked g keep the int64 matmul.
 
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
@@ -79,6 +83,9 @@ _REDUCE_CHUNK = 2**16
 _FLOAT_EXACT = 2**53
 # outputs of one float64 block of a composition
 _BLOCK = 2**16
+# a float64 block with B > 1 result entries after the slot runs one GEMM per
+# row of f, in the result's layout, once B or g's width reaches this
+_ROW_GEMM = 16
 # a signed sum holds a first term of at most this many entries uncopied
 # until a second one comes; a larger one is copied at once, so a streamed
 # sum of large fresh terms never holds two of them beside its buffer
@@ -367,33 +374,51 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
 
     Exact when d * |c| (p - 1)^2 < 2^53: every product and partial sum is
     then an integer below 2^53 in magnitude. Each block casts its operands,
-    with c in g's, multiplies them as one (rows * B, d) @ (d, w) GEMM, and
-    casts the product, transposed, into the int64 result in one ufunc pass.
+    with c in g's, multiplies them and casts the product into the int64
+    result in one ufunc pass. The block's shape picks one of two layouts:
+
+    - transposed: one (rows * B, d) @ (d, w) GEMM over the block's rows of
+      f, its product cast transposed into the result. Taken when B is 1,
+      where the transpose is free, and when B and g's width X are both
+      below _ROW_GEMM, where per-row GEMMs would be too small.
+    - row by row: one (w, d) @ (d, B) GEMM per row a of f, whose product is
+      already in the result's (a, x, b) order. Taken otherwise.
+
     A block holds whole rows a of the result, or, when one row or g's
     float64 copy would pass _BLOCK entries, w of g's X columns of one row.
-    So the float64 copies of f's rows and g's columns stay within _BLOCK
-    entries, unless one of f's rows (B * d entries) alone is larger; one
-    GEMM per row instead of per block is several times slower when B is 1.
+    So every float64 temporary, the copies of f's rows and of g's w columns
+    and the product, stays within _BLOCK entries, unless one of f's rows
+    (B * d entries) alone is larger; one GEMM per row instead of per block
+    is several times slower when B is 1.
     """
     A, d, B = f3.shape
     X = g2.shape[1]
     add = out is not None
     if not add:
         out = np.empty((A, X, B), dtype=np.int64)
+    by_row = B > 1 and max(B, X) >= _ROW_GEMM
     w = min(X, max(1, _BLOCK // max(B, d)))
     rows = min(A, max(1, _BLOCK // (B * max(X, d)))) if w == X else 1
     buf = np.empty(rows * B * w)  # the product of one block
     for x0 in range(0, X, w):
-        gf = g2[:, x0:x0 + w].astype(np.float64)
+        g_cols = g2[:, x0:x0 + w]
+        cols = g_cols.shape[1]
+        # (w, d) row by row, (d, w) otherwise
+        gf = (g_cols.T if by_row else g_cols).astype(np.float64, order="C")
         if c != 1:
             gf *= c
         for a0 in range(0, A, rows):
-            fb = f3[a0:a0 + rows].swapaxes(1, 2).astype(np.float64, order="C")
-            r, cols = len(fb), gf.shape[1]
-            prod = np.matmul(fb.reshape(-1, d), gf,
-                             out=buf[:r * B * cols].reshape(-1, cols))
             block = out[a0:a0 + rows, x0:x0 + w]  # C-contiguous
-            prod = prod.reshape(r, B, cols).swapaxes(1, 2)
+            r = len(block)
+            if by_row:  # (w, d) @ (r, d, B): r GEMMs, in the result's order
+                prod = np.matmul(gf, f3[a0:a0 + rows].astype(np.float64),
+                                 out=buf[:r * cols * B].reshape(r, cols, B))
+            else:
+                fb = f3[a0:a0 + rows].swapaxes(1, 2).astype(np.float64,
+                                                            order="C")
+                prod = np.matmul(fb.reshape(-1, d), gf,
+                                 out=buf[:r * B * cols].reshape(-1, cols))
+                prod = prod.reshape(r, B, cols).swapaxes(1, 2)
             if add:  # cast to int64 on the fly: exact below 2^53
                 np.add(block, prod, out=block, dtype=np.int64,
                        casting="unsafe")

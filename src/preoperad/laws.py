@@ -46,6 +46,7 @@ family.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -772,6 +773,11 @@ def _check_envelope_partition(s: TrialSample):
     face_sets = [set(faces[k]) for k in GAMMA_KINDS]
     union = set().union(*face_sets)
     inner, bset = set(interior.points), set(bound.points)
+    # 0 <= i <= j - |f| <= k - |f| - |g| <= deg h + 1: the weakly increasing
+    # triples of deg h + 2 values; the edge claim below is cut to the
+    # envelope, so it cannot see a point the envelope lost
+    yield ("envelope differs from C(deg h + 4, 3) points", None,
+           len(set(env.points)), math.comb(dh + 4, 3))
     # disjoint exactly when no point is counted twice
     yield "boundary faces overlap", None, sum(map(len, face_sets)), len(union)
     yield "boundary differs from the face union", None, bset, union

@@ -10,8 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from preoperad import cli, laws
+from preoperad import cli, endo, laws
 from preoperad.calculus import KNOWN_MUTATIONS
+from preoperad.errors import IndexOutOfScope
 from preoperad.laws import SUITE_SCHEMA
 
 CUP_SCRIPT = """\
@@ -301,6 +302,36 @@ def test_a_refused_verify_leaves_a_new_report_path_absent(capsys, tmp_path,
     assert code == 2
     assert out == "" and err.startswith("error:")
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize("existing", [None, b'{"kept": true}\n'],
+                         ids=["new", "existing"])
+def test_a_verify_that_raises_mid_run_leaves_the_report_path_as_it_was(
+        capsys, tmp_path, existing):
+    # a checker that raises ends the run with exit 2 after the report was
+    # opened: a file the run created is removed, an existing one is kept
+    law = laws.get_law("L05-unit-laws")
+    checker = law.checker
+
+    def raising(sample):
+        raise IndexOutOfScope("slot 2 outside 0..1 for degree 2")
+
+    report_path = tmp_path / "r.json"
+    if existing is not None:
+        report_path.write_bytes(existing)
+    object.__setattr__(law, "checker", raising)
+    try:
+        code, out, err = run(capsys, [
+            "verify", "--law", "L05-unit-laws", "--trials", "3",
+            "--report", str(report_path)])
+    finally:
+        object.__setattr__(law, "checker", checker)
+    assert code == 2
+    assert out == "" and err.startswith("error: slot 2 outside")
+    if existing is None:
+        assert not report_path.exists()
+    else:
+        assert report_path.read_bytes() == existing
 
 
 def test_verify_overwrites_an_existing_longer_report(capsys, tmp_path):
@@ -702,6 +733,28 @@ def test_replay_of_a_malformed_golden_witness_is_a_usage_error(
     assert code == 2
     assert not out
     assert err.startswith("error:") and word in err and err.count("\n") == 1
+
+
+def test_eval_of_the_quadruple_brace_closed_form_is_zero(capsys, monkeypatch):
+    # degree 9 at dim 3: 3^10 entries, so the compositions run in float64,
+    # in both block layouts
+    layouts = set()
+    product = endo._float_product
+
+    def recorded(f3, g2, c, out=None):
+        C, X = f3.shape[2], g2.shape[1]
+        layouts.add(C > 1 and max(C, X) >= endo._ROW_GEMM)
+        return product(f3, g2, c, out)
+
+    monkeypatch.setattr(endo, "_float_product", recorded)
+    code, out, err = run(capsys, [
+        "eval", "--script", str(GOLDEN / "closed_form_h4_f2_g2_b3.txt"),
+        "--dim", "3", "--seed", "1"])
+    assert (code, err) == (0, "")
+    value = json.loads(out)
+    assert value["degree"] == 9
+    assert value["payload"] == [0] * 3 ** 10
+    assert layouts == {False, True}
 
 
 def test_eval_endo_script(capsys, tmp_path):

@@ -395,8 +395,10 @@ def _exact_compose(f, g, i, sign):
 
 # results above _REDUCE_GATE entries, g of even degree so that the sign
 # (-1)^(i * |g|) alternates over the slots; at d = 53 the largest prime p
-# has d p^2 >= 2^53, so a bound on p in place of p - 1 would refuse it
-_BOUND_SHAPES = {2: (7, 4), 3: (5, 2), 4: (4, 2), 53: (1, 1)}
+# has d p^2 >= 2^53, so a bound on p in place of p - 1 would refuse it.
+# At each dim the early slots have inputs after them and a wide block, so
+# they take the row-by-row float64 layout, and the last slot the other one
+_BOUND_SHAPES = {2: (7, 4), 3: (5, 2), 4: (4, 2), 53: (2, 1)}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 53])
@@ -449,6 +451,11 @@ def test_compositions_stay_exact_at_the_smallest_prime_above_the_bound(
     (3, 9, 2, 6),    # C > 1, the same
     (4, 3, 3, 0),    # slot 0: no inputs before the slot
     (3, 7, 0, 2),    # g a vector: one column
+    # one GEMM per row of f in the result's layout:
+    (3, 4, 8, 0),    # C = 27, g's columns in three blocks, the last partial
+    (4, 4, 2, 2),    # C = 4, X = 16
+    (4, 3, 3, 1),    # C = 4, X = 64
+    (3, 8, 3, 4),    # C = 27, rows of f in three blocks, the last partial
 ], ids=lambda v: str(v))
 def test_float_products_match_the_einsum_reference_across_block_shapes(
         d, m, n, i, monkeypatch):
@@ -936,6 +943,38 @@ def test_compose_sums_are_exact_at_the_smallest_prime_above_the_float_bound(
     assert calls == []
     assert got.table.tolist() == _exact_sum(terms, q).tolist()
     assert got == _composed_then_summed(ring, d, m + n - 1, terms)
+
+
+@pytest.mark.parametrize("p", [97, _float_bound_primes(3)[0]],
+                         ids=["p97", "largest-below-the-float-bound"])
+def test_compose_sums_add_row_by_row_float_products_into_their_buffer(
+        p, monkeypatch):
+    # every term has inputs after its slot and a wide g, so each product is
+    # one GEMM per row of f; all but the first (and, at the largest prime,
+    # those whose coefficient scales the reduced product) add into the sum
+    ring = CoefficientRing.prime_field(p)
+    rng = np.random.default_rng(p % 1000)
+    f, f2 = (make_map(ring, 3, m, rng.integers(p - 8, p, 3 ** (m + 1)))
+             for m in (4, 3))
+    g, g2 = (make_map(ring, 3, n, rng.integers(0, p, 3 ** (n + 1)))
+             for n in (3, 4))
+    terms = [(1, f, g, 0), (-1, f2, g2, 1), (1, f, g, 1), (2, f, g, 2),
+             (-1, f2, g2, 0), (1, f, g, 2), (-(p // 2), f, g, 0),
+             (-1, f, g, 1)]
+    blocks = []
+    product = endo._float_product
+
+    def recorded(f3, g2, c, out=None):
+        blocks.append((f3.shape[2], g2.shape[1], out is not None))
+        return product(f3, g2, c, out)
+
+    monkeypatch.setattr(endo, "_float_product", recorded)
+    got = endo.compose_sum(ring, 3, 6, terms)
+    assert len(blocks) == len(terms)
+    assert all(C > 1 and max(C, X) >= endo._ROW_GEMM for C, X, _ in blocks)
+    adds = sum(add for _, _, add in blocks)
+    assert adds == (len(terms) - 1 if p == 97 else 5)
+    assert got.table.tolist() == _exact_sum(terms, p).tolist()
 
 
 def test_compose_sums_reduce_early_near_the_int64_limit(monkeypatch):

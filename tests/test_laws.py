@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from preoperad import calculus, endo, free, laws
+from preoperad import calculus, domains, endo, free, laws
 from preoperad.backends import (
     EndoBackend,
     FreeBackend,
@@ -127,6 +127,38 @@ def test_degree_floor_exceeding_budget_is_bad_config():
     cfg = TrialConfig(dim=3, degree_min=3, degree_max=3, trials=2)
     with pytest.raises(BadConfig):
         laws.run_law("L25-envelope-partition", cfg)
+
+
+def _envelope_one_short(axis):
+    """domains._envelope_points with the range of axis one short, so the
+    envelope loses its far face along that axis."""
+    def points(deg_h, deg_f, deg_g):
+        sf, sg = deg_f - 1, deg_g - 1
+        short = {a: int(a == axis) for a in "ijk"}
+        return tuple(
+            (i, j, k)
+            for i in range(0, deg_h + 2 - short["i"])
+            for j in range(i + sf, deg_h + 1 + sf + 1 - short["j"])
+            for k in range(j + sg, deg_h + 1 + sf + sg + 1 - short["k"]))
+    return points
+
+
+def test_the_envelope_mutant_helper_is_the_envelope_unmutated():
+    full = _envelope_one_short(None)
+    for degs in itertools.product(range(1, 5), repeat=3):
+        assert full(*degs) == domains._envelope_points(*degs)
+
+
+@pytest.mark.parametrize("axis", ["i", "j", "k"])
+def test_a_one_short_envelope_range_fails_l25(axis, monkeypatch):
+    # the removed-edge claim is cut to the envelope, so only the point
+    # count sees the envelope's lost far face
+    monkeypatch.setattr(domains, "_envelope_points", _envelope_one_short(axis))
+    rep = laws.run_law("L25-envelope-partition", TrialConfig(trials=50, seed=1))
+    assert rep.status == "fail"
+    assert rep.failed == 50
+    assert rep.failures[0]["identity"] == (
+        "envelope differs from C(deg h + 4, 3) points")
 
 
 def test_run_law_deterministic_modulo_millis():
