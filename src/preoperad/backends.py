@@ -2,18 +2,18 @@
 
 A GradedElement is a backend-tagged payload; the calculus layer only ever
 talks to this interface, so every derived operation runs unchanged over
-tables on R^d and over tree sums. Every sum of elements, element +, -
-and scalar * included, goes through one streamed primitive, signed_sum,
-into the backend's combine_payload. Every sum of compositions, c * (f
-comp_i g) over some (c, f, g, i), goes through compose_sum into the
-backend's compose_sum_payload, which adds the composites unreduced and
-reduces once; compose_payload serves single compositions. Over a lattice
-region there are two loop shapes: region_sum sums a composite over the
-region, composing each operand into the partial sum of the points that
-share its slot, and prefix_chains walks the region point by point, composing
-a chain prefix once for the consecutive points that share it.
-Backends also carry the opt-in mutation switches used by the law suite's
-canary checks.
+tables on R^d and over tree sums. Every sum of elements goes into the
+backend's combine_payload: element +, - and scalar * hand it their one or
+two terms as they are, and any other sum streams its terms through
+signed_sum. Every sum of compositions, c * (f comp_i g) over some (c, f,
+g, i), goes through compose_sum into the backend's compose_sum_payload,
+which adds the composites unreduced and reduces once; compose_payload
+serves single compositions. Over a lattice region there are two loop
+shapes: region_sum sums a composite over the region, composing each
+operand into the partial sum of the points that share its slot, and
+prefix_chains walks the region point by point, composing a chain prefix
+once for the consecutive points that share it. Backends also carry the
+opt-in mutation switches used by the law suite's canary checks.
 """
 
 from __future__ import annotations
@@ -122,16 +122,27 @@ class GradedElement:
                         backend.compose_payload(self.payload, other.payload, i))
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
-        return signed_sum(self.backend, self.degree, ((1, self), (1, other)))
+        return self._plus(1, other)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return signed_sum(self.backend, self.degree, ((1, self), (-1, other)))
+        return self._plus(-1, other)
 
     def __neg__(self) -> "GradedElement":
-        return signed_sum(self.backend, self.degree, ((-1, self),))
+        return self.__rmul__(-1)
 
     def __rmul__(self, c: int) -> "GradedElement":
-        return signed_sum(self.backend, self.degree, ((c, self),))
+        backend, payload = self.backend, self.payload
+        return _element(backend, backend.combine_payload(
+            payload.degree, ((c, payload),)))
+
+    def _plus(self, c: int, other: "GradedElement") -> "GradedElement":
+        """self + c * other: a signed sum of two terms, handed to the
+        backend as they are, with no generator between."""
+        backend, payload = self.backend, self.payload
+        if other.backend is not backend and other.backend != backend:
+            raise BackendMismatch("elements from different backends")
+        return _element(backend, backend.combine_payload(
+            payload.degree, ((1, payload), (c, other.payload))))
 
     def is_zero(self) -> bool:
         return self.payload.is_zero()
@@ -171,14 +182,18 @@ def signed_sum(backend, degree: int, terms) -> GradedElement:
     The backend accumulates the payloads in one pass and reduces once, so
     no term outlives its addition; an empty sum is the zero of degree.
     """
-    def payloads():
-        for c, x in terms:
-            if x.backend is not backend and x.backend != backend:
-                raise BackendMismatch("elements from different backends")
-            yield c, x.payload
-            del x  # not kept while the next term is built
+    return _element(backend, backend.combine_payload(
+        degree, _payloads(backend, terms)))
 
-    return _element(backend, backend.combine_payload(degree, payloads()))
+
+def _payloads(backend, terms):
+    """The (c, payload) of each (c, x) of terms, in turn, x checked to be
+    in backend."""
+    for c, x in terms:
+        if x.backend is not backend and x.backend != backend:
+            raise BackendMismatch("elements from different backends")
+        yield c, x.payload
+        del x  # not kept while the next term is built
 
 
 def compose_sum(backend, degree: int, terms) -> GradedElement:
@@ -189,15 +204,19 @@ def compose_sum(backend, degree: int, terms) -> GradedElement:
     makes it canonical once, so no composite becomes an element of its own;
     an empty sum is the zero of degree.
     """
-    def payloads():
-        for c, f, g, i in terms:
-            if ((f.backend is not g.backend and f.backend != g.backend)
-                    or (f.backend is not backend and f.backend != backend)):
-                raise BackendMismatch("elements from different backends")
-            yield c, f.payload, g.payload, i
-            del f, g  # not kept while the next term is built
+    return _element(backend, backend.compose_sum_payload(
+        degree, _composite_payloads(backend, terms)))
 
-    return _element(backend, backend.compose_sum_payload(degree, payloads()))
+
+def _composite_payloads(backend, terms):
+    """The (c, f payload, g payload, i) of each (c, f, g, i) of terms, in
+    turn, f and g checked to be in backend."""
+    for c, f, g, i in terms:
+        if ((f.backend is not backend and f.backend != backend)
+                or (g.backend is not backend and g.backend != backend)):
+            raise BackendMismatch("elements from different backends")
+        yield c, f.payload, g.payload, i
+        del f, g  # not kept while the next term is built
 
 
 def region_sum(base: GradedElement, operands, points) -> GradedElement:

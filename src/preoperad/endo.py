@@ -15,20 +15,26 @@ signed sum reduces its raw int64 result in place. A sum of compositions,
 compose_sum, reduces once: each composite is added unreduced into one int64
 buffer (delayed modular reduction, Dumas, Giorgi and Pernet 2008), which is
 reduced at the end and whenever the bound on its entries would reach 2^63,
-so every table handed out is still canonical. A single composition is a
-compose_sum of one term. A signed sum whose only nonzero term has
-coefficient 1 and a small read-only table is that term. Tables of more than
-_REDUCE_GATE entries go through _reduce, as x - p * floor(x / p) in
+so every table handed out is still canonical. A single composition takes
+the steps of a compose_sum of one term. A signed sum whose only nonzero
+term has coefficient 1 and a small read-only table is that term. Tables of
+more than _REDUCE_GATE entries go through _reduce, as x - p * floor(x / p) in
 fixed-size chunks through one small scratch quotient, since numpy's scalar
 integer floor division runs at memory speed and np.remainder does not;
 smaller ones take one np.remainder call, whose per-call cost is lower
 there. The gate is a property of the table's size, not a setting.
 
 Most compositions and sums of a law suite are of small tables, where numpy's
-kernel is a small part of a call, so the per-call work is kept short: the
-limits of a (ring, dim) pair are worked out once (_limits), _composable
-checks the entry cap only for a result that could pass it, and results are
-built by _new_map without the frozen dataclass __init__.
+kernel is a small part of a call, so the per-call work is kept short. What a
+composition needs besides its operands, the ring's limits and the shapes of
+its product, is worked out once per (p, d, deg f, deg g, slot) and cached
+under those ints (_plan), never under the frozen ring, whose hash is slow.
+partial_compose runs the checks, the product and the finish of a one-term
+compose_sum without its loop; one _product serves both. A product added
+into a sum with coefficient +-1 is added or subtracted as it is, with no
+negated copy. _composable checks the entry cap only for a result that
+could pass it, and results are built by _new_map without the frozen
+dataclass __init__.
 
 numpy has no BLAS for integers, so a composition over F_p whose result has
 more than _REDUCE_GATE entries multiplies in float64 (as FFLAS-FFPACK does,
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,21 +180,48 @@ def check_int64(ring: CoefficientRing, dim: int):
     A contraction sums dim products below p^2, so dim * p^2 < 2^63 keeps it
     exact; signed_sum reduces early to stay inside the same range.
     """
-    if ring.is_field and dim * ring.modulus ** 2 >= _INT64:
-        raise UnsupportedRing(
-            f"{ring.label()} tables of dimension {dim} overflow int64 "
-            f"(need dim * p^2 < 2^63)")
+    _limits(ring.modulus, dim)
 
 
 @lru_cache(maxsize=256)
-def _limits(ring: CoefficientRing, dim: int) -> tuple:
-    """(p, exact) for tables of ring over R^dim, worked out once per (ring,
-    dim): the modulus (None over Z), and whether d (p - 1)^2 < 2^53 makes
-    the float64 product exact. Refuses, through check_int64, what int64
-    cannot hold; a refusal is not cached, so it is raised on every call."""
-    check_int64(ring, dim)
-    p = ring.modulus
-    return p, p is not None and dim * (p - 1) ** 2 < _FLOAT_EXACT
+def _limits(p: int | None, dim: int) -> tuple:
+    """(exact, step, cap) for F_p tables over R^dim, worked out once per
+    (p, dim), two ints: whether step = d (p - 1)^2, the bound on the
+    entries of one unscaled composite, is below 2^53, so that the float64
+    product is exact, and cap, the bound a scaled composite must stay
+    below (2^53 when exact, 2^63 - p otherwise). Over Z (p None) nothing
+    is bounded. Refuses what int64 cannot hold; a refusal is not cached,
+    so it is raised on every call."""
+    if p is None:
+        return False, 0, None
+    if dim * p ** 2 >= _INT64:
+        raise UnsupportedRing(
+            f"F_{p} tables of dimension {dim} overflow int64 "
+            f"(need dim * p^2 < 2^63)")
+    step = dim * (p - 1) ** 2
+    exact = step < _FLOAT_EXACT
+    return exact, step, _FLOAT_EXACT if exact else _INT64 - p
+
+
+class _Plan(NamedTuple):
+    """A composition's _limits and the shapes of its product."""
+
+    exact: bool
+    step: int
+    cap: int | None
+    g_shape: tuple  # g's table as (d, d^n)
+    f_shape: tuple  # f's as (d^(i+1), d, d^(|f|-i))
+    shape: tuple  # the result's, (d,) * (m + n)
+    size: int  # the result's entries
+
+
+@lru_cache(maxsize=1024)
+def _plan(p: int | None, d: int, m: int, n: int, i: int) -> _Plan:
+    """The _Plan of a degree-n table in slot i of a degree-m one over F_p
+    (Z when p is None) and R^d, worked out once per five ints."""
+    return _Plan(*_limits(p, d), (d, d ** n),
+                 (d ** (i + 1), d, d ** (m - 1 - i)), (d,) * (m + n),
+                 d ** (m + n))
 
 
 def check_entries(dim: int, degree: int, rows: int = 1):
@@ -297,11 +331,11 @@ def _check_pair(f: MultilinearMap, g: MultilinearMap):
         raise BackendMismatch(f"dim {f.dim} vs {g.dim}")
 
 
-def _composable(f: MultilinearMap, g: MultilinearMap, i: int) -> tuple:
+def _composable(f: MultilinearMap, g: MultilinearMap, i: int) -> _Plan:
     """Refuse g in slot i of f unless they share ring and dimension, deg f
     >= 1, 0 <= i < deg f, int64 holds the ring's tables, the result stays
     within the entry cap (tested only when it may pass it) and stacked
-    operands have matching rows; return _limits of the ring and dim."""
+    operands have matching rows; return their _plan."""
     ring, d = f.ring, f.dim
     if g.ring is not ring or g.dim != d:
         _check_pair(f, g)
@@ -310,60 +344,75 @@ def _composable(f: MultilinearMap, g: MultilinearMap, i: int) -> tuple:
         raise InvalidDegree("left operand of a composition needs degree >= 1")
     if not 0 <= i < m:
         raise IndexOutOfScope(f"slot {i} outside 0..{m - 1} for degree {m}")
-    limits = _limits(ring, d)
+    plan = _plan(ring.modulus, d, m, n, i)
     ft, gt = f.table, g.table
+    if ft.ndim == m + 1 and gt.ndim == n + 1:  # two single maps
+        if plan.size > MAX_ENTRIES:
+            check_entries(d, m + n - 1)
+        return plan
     # a single map, or a stack of one, serves every row of the other
     f_rows = ft.shape[0] if ft.ndim > m + 1 else 1
     g_rows = gt.shape[0] if gt.ndim > n + 1 else 1
     rows = max(f_rows, g_rows)
-    if rows * d ** (m + n) > MAX_ENTRIES:
+    if rows * plan.size > MAX_ENTRIES:
         check_entries(d, m + n - 1, rows)
     if f_rows != g_rows and f_rows > 1 and g_rows > 1:
         raise ShapeMismatch(f"stacked maps of {f_rows} and {g_rows} rows")
-    return limits
+    return plan
 
 
-def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap, i: int,
-             exact_in_float: bool) -> np.ndarray:
+def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
+             plan: _Plan) -> np.ndarray:
     """acc + c * (g plugged into slot i of f), unreduced, as a table of the
-    result's shape; a new table when acc is None. f, g and i have passed
-    _composable.
+    result's shape; a new table when acc is None. f and g, with slot i,
+    have passed _composable, which gave their plan.
 
     With f's table viewed as (d^(i+1), d, d^(|f|-i)) and g's as (d, d^n),
     the broadcast product G^T @ F has shape (d^(i+1), d^n, d^(|f|-i)):
     output, inputs before slot i, g's inputs, inputs after slot i, which is
     already the result's axis order. Stacked operands keep their row axis
-    in front and pair row with row. c scales the product in place. With
-    exact_in_float, a single g and a result above _REDUCE_GATE entries,
-    _float_product computes it block by block in float64, adding into acc
-    when acc has the result's shape; otherwise it is one int64 matmul, and
-    a product of another shape than acc adds through _add_into. The caller
-    keeps |c| d (p - 1)^2 within int64, and within 2^53 when exact_in_float.
+    in front and pair row with row. With exact_in_float, a single g and a
+    result above _REDUCE_GATE entries, _float_product computes it block by
+    block in float64, c folded into g, adding into acc when acc has the
+    result's shape. Otherwise it is one int64 matmul: a new table is
+    scaled by c in place, and a product added into acc is added or
+    subtracted when c is +-1, through _add_into, which also takes a
+    product of another shape than acc. The caller keeps |c| d (p - 1)^2
+    within int64, and within 2^53 when exact_in_float.
     """
-    d, m, n = f.dim, f.degree, g.degree
+    exact_in_float, _, _, g_shape, f_shape, shape, size = plan
     ft, gt = f.table, g.table
-    front = ft.shape[:1] if ft.ndim > m + 1 else ()
-    if (exact_in_float and gt.ndim == n + 1
-            and ft.size // d * d ** n > _REDUCE_GATE):
-        f3 = ft.reshape(-1, d, d ** (m - 1 - i))
-        g2 = gt.reshape(d, d ** n)
-        shape = front + (d,) * (m + n)
-        if acc is not None and acc.shape == shape and acc.flags.c_contiguous:
-            _float_product(f3, g2, c, acc.reshape(len(f3), d ** n, -1))
-            return acc
-        raw = _float_product(f3, g2, c).reshape(shape)
-    else:
-        if gt.ndim == n + 1:
-            g_t = gt.reshape(d, d ** n).T
-        else:  # one G^T per row, broadcast over f's outputs
-            g_t = gt.reshape(gt.shape[0], 1, d, d ** n).swapaxes(-1, -2)
-        raw = g_t @ ft.reshape(front + (d ** (i + 1), d, d ** (m - 1 - i)))
-        if c == -1:
-            np.negative(raw, out=raw)
-        elif c != 1:
-            raw *= c
-        raw = raw.reshape(raw.shape[:-3] + (d,) * (m + n))
-    return raw if acc is None else _add_into(acc, 1, raw)
+    single_f = ft.ndim == f.degree + 1
+    if gt.ndim == g.degree + 1:
+        g2 = gt.reshape(g_shape)
+        rows = 1 if single_f else len(ft)
+        if exact_in_float and rows * size > _REDUCE_GATE:
+            if not single_f:
+                shape = (rows, *shape)
+            f3 = ft.reshape(-1, *f_shape[1:])
+            if (acc is not None and acc.shape == shape
+                    and acc.flags.c_contiguous):
+                _float_product(f3, g2, c,
+                               acc.reshape(len(f3), g_shape[1], -1))
+                return acc
+            raw = _float_product(f3, g2, c).reshape(shape)
+            return raw if acc is None else _add_into(acc, 1, raw)
+        g_t = g2.T
+    else:  # one G^T per row, broadcast over f's outputs
+        g_t = gt.reshape(len(gt), 1, *g_shape).swapaxes(-1, -2)
+    raw = g_t @ ft.reshape(f_shape if single_f else (len(ft), *f_shape))
+    # a stacked product has the rows of f, of g, or of both in front
+    raw = raw.reshape(shape if raw.ndim == 3 else (len(raw), *shape))
+    if acc is not None:
+        if c != 1 and c != -1:
+            np.multiply(raw, c, out=raw)
+            c = 1
+        return _add_into(acc, c, raw)
+    if c == -1:
+        np.negative(raw, out=raw)
+    elif c != 1:
+        np.multiply(raw, c, out=raw)
+    return raw
 
 
 def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
@@ -437,8 +486,13 @@ def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
 
 def partial_compose(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
     """f comp_i g with the Koszul twist (-1)^(i * |g|): a one-term
-    compose_sum."""
-    return compose_sum(f.ring, f.dim, f.degree + g.degree - 1, ((1, f, g, i),))
+    compose_sum, checked, multiplied and finished by the same steps
+    without its loop. A coefficient of +-1 never takes the product past
+    its bound, so no bookkeeping of one is needed."""
+    plan = _composable(f, g, i)
+    n = g.degree
+    raw = _product(None, -1 if i * (n - 1) % 2 else 1, f, g, plan)
+    return _finish(f.ring, f.dim, f.degree + n - 1, raw)
 
 
 def compose_sum(ring: CoefficientRing, dim: int, degree: int,
@@ -446,35 +500,35 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
     """Sum of c * (f comp_i g) over (c, f, g, i) taken one at a time from
     terms, reduced once; a single composition is a sum of one term.
 
-    Each term is checked by _composable, whose ring and dimension limits
-    are worked out once per (ring, dim), then against the sum's ring,
-    dimension and degree, as signed_sum checks its terms, also when its
-    coefficient is 0. Its product, with the Koszul sign and c folded in, is
-    added unreduced into one buffer (delayed modular reduction, as
-    FFLAS-FFPACK does, Dumas, Giorgi and Pernet 2008): the first product is
-    the buffer, and a float64 product adds into it block by block. Over F_p
-    coefficients are taken in (-p/2, p/2]; the buffer is reduced at the
-    end, and earlier whenever the bound on its entries would reach 2^63. A
-    coefficient that would take a product past that bound, or past 2^53
-    when the float64 product is exact, scales the reduced product instead.
+    Each term is checked by _composable, which gives its _plan, then
+    against the sum's ring, dimension and degree, as signed_sum checks its
+    terms, also when its coefficient is 0. Its product, with the Koszul
+    sign and c folded in, is added unreduced into one buffer (delayed
+    modular reduction, as FFLAS-FFPACK does, Dumas, Giorgi and Pernet
+    2008): the first product is the buffer, and a float64 product adds
+    into it block by block. Over F_p coefficients are taken in (-p/2,
+    p/2]; the buffer is reduced at the end, and earlier whenever the bound
+    on its entries would reach 2^63. A coefficient that would take a
+    product past that bound, or past 2^53 when the float64 product is
+    exact, scales the reduced product instead.
     No term's product is kept, and no input table is written.
     """
     p = ring.modulus
     acc = None
     bound = 0  # bound on the magnitude of acc's entries (F_p only)
     for c, f, g, i in terms:
-        _, exact_in_float = _composable(f, g, i)
-        n = f.degree + g.degree - 1
-        if f.ring is not ring or f.dim != dim or n != degree:
-            _check_term(ring, dim, degree, f.ring, f.dim, n)
-        c = -int(c) if i * (g.degree - 1) % 2 else int(c)
+        plan = _composable(f, g, i)
+        n = g.degree
+        if f.ring is not ring or f.dim != dim or f.degree + n - 1 != degree:
+            _check_term(ring, dim, degree, f.ring, f.dim, f.degree + n - 1)
+        c = -int(c) if i * (n - 1) % 2 else int(c)
         reduced = False  # the product reduced before c scales it
         if p is not None:
             c %= p
             if c > p // 2:
                 c -= p
-            step = abs(c) * dim * (p - 1) ** 2
-            if step >= (_FLOAT_EXACT if exact_in_float else _INT64 - p):
+            step = abs(c) * plan.step
+            if step >= plan.cap:
                 reduced = True
                 step = abs(c) * (p - 1)
             if acc is not None and bound + step >= _INT64:
@@ -482,10 +536,10 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
                 bound = p - 1
             bound += step
         if reduced:
-            raw = _reduce(_product(None, 1, f, g, i, exact_in_float), p)
+            raw = _reduce(_product(None, 1, f, g, plan), p)
             acc = _add_into(acc, c, raw)
         elif c:
-            acc = _product(acc, c, f, g, i, exact_in_float)
+            acc = _product(acc, c, f, g, plan)
         del f, g  # not kept while the next term is built
     return _finish(ring, dim, degree, acc)
 
@@ -559,7 +613,9 @@ def _add_into(acc, c: int, table: np.ndarray) -> np.ndarray:
     """acc + c * table, added in place into acc; a new buffer for the first
     term (acc None) and when a stacked table brings rows."""
     if acc is None:
-        return table.copy() if c == 1 else table * c
+        if c == 1:
+            return table.copy()
+        return np.negative(table) if c == -1 else table * c
     if table.shape != acc.shape:
         try:
             shape = np.broadcast_shapes(acc.shape, table.shape)
@@ -605,7 +661,8 @@ def _random_maps(ring: CoefficientRing, dim: int, degrees, rng) -> list:
         if degree < 0:
             raise InvalidDegree(f"degree must be >= 0, got {degree}")
         check_entries(dim, degree)
-    p, _ = _limits(ring, dim)
+    p = ring.modulus
+    _limits(p, dim)
     # drawn in [0, p) already: canonical as it comes. A flat draw fills
     # the tables in C order, one after another: the stream of a draw of
     # each table's shape in turn

@@ -59,6 +59,7 @@ from .backends import (
     EndoBackend,
     FreeBackend,
     GradedElement,
+    _element,
     compose_sum,
     prefix_chains,
     signed_sum,
@@ -155,13 +156,18 @@ class TrialConfig:
 
 @dataclass
 class TrialSample:
-    """Inputs of one trial, or of rows trials stacked row by row."""
+    """Inputs of one trial, or of rows trials stacked row by row.
+
+    A drawn endo sample holds its inputs as bare tables, with no context
+    and their backend in dense, until it is checked: _with_elements wraps
+    them, once per batch (see _stack)."""
 
     ctx: PreOperadContext | None
     elements: dict
     degrees: dict
     extra: dict
     rows: int = 1
+    dense: EndoBackend | None = None
 
 
 @dataclass
@@ -460,7 +466,9 @@ def _sampler(law: Law, cfg: TrialConfig):
     in slot order and then mu's unless mu is the fixture, come from one
     draw (endo._random_maps), which leaves rng where one draw per table
     would (test_one_draw_of_several_tables_is_consecutive_random_map_calls);
-    L27's word is drawn after them. A free sample draws its degrees only:
+    L27's word is drawn after them. The tables stay bare: they become
+    elements, with a context, once per batch when they are checked
+    (_with_elements). A free sample draws its degrees only:
     its bare generators, mu and context are built once per degree tuple
     and shared by every sample of that tuple; its scalars come next in its
     stream and are drawn by _drawn for the witness only.
@@ -470,11 +478,14 @@ def _sampler(law: Law, cfg: TrialConfig):
     ring = CoefficientRing.prime_field(cfg.prime)
     muts = frozenset(cfg.mutations)
     dense = EndoBackend(ring, cfg.dim, muts)
-    fixture = GradedElement(dense, _fixture_mu(ring, cfg.dim)) if law.fixture_mu else None
+    fixture = _fixture_mu(ring, cfg.dim) if law.fixture_mu else None
     # the names whose tables an endo trial draws, and their degrees past
     # the slots'
     drawn, mu_degree = ((law.slots, []) if fixture is not None
                         else ((*law.slots, "mu"), [2]))
+    # the backend of the bare tables an endo sample holds
+    tables = (dense if not law.element_free
+              and (law.fixed_backend or cfg.backend) == "endo" else None)
     symbolic = {}  # generators -> (context, bare generators)
 
     def draw(rng, force_first) -> TrialSample | None:
@@ -483,15 +494,13 @@ def _sampler(law: Law, cfg: TrialConfig):
             return None
         if law.element_free:
             ctx, elements = None, {}
-        elif (law.fixed_backend or cfg.backend) == "endo":
+        elif tables is not None:
             maps = endo._random_maps(
                 ring, cfg.dim, [degrees[name] for name in law.slots] + mu_degree,
                 rng)
-            elements = {name: GradedElement(dense, m)
-                        for name, m in zip(drawn, maps)}
+            ctx, elements = None, dict(zip(drawn, maps))
             if fixture is not None:
                 elements["mu"] = fixture
-            ctx = PreOperadContext(dense, elements["mu"])
         else:
             gens = tuple((name, degrees[name]) for name in law.slots) + (("mu", 2),)
             if gens not in symbolic:
@@ -500,7 +509,7 @@ def _sampler(law: Law, cfg: TrialConfig):
                 symbolic[gens] = PreOperadContext(be, bare["mu"]), bare
             ctx, elements = symbolic[gens]
         extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
-        return TrialSample(ctx, elements, degrees, extra)
+        return TrialSample(ctx, elements, degrees, extra, dense=tables)
 
     return draw
 
@@ -1039,6 +1048,7 @@ def laws_for_backend(backend: str):
 def _witness(head: dict, sample: TrialSample, detail: FailDetail) -> dict:
     """A failure witness: head's fields (law, seed, run settings), with the
     failing sample and check written over any it already holds."""
+    sample = _with_elements(sample)
     return {
         **head,
         "degrees": dict(sorted(sample.degrees.items())),
@@ -1058,32 +1068,41 @@ def _batch_key(sample: TrialSample):
     return repr((sample.degrees, sample.extra))
 
 
+def _with_elements(sample: TrialSample) -> TrialSample:
+    """sample with its bare tables wrapped as elements of its dense backend,
+    and their context; any other sample as it is."""
+    backend = sample.dense
+    if backend is None:
+        return sample
+    elements = {name: _element(backend, m)
+                for name, m in sample.elements.items()}
+    return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
+                       sample.degrees, sample.extra, sample.rows)
+
+
 def _stack(samples) -> TrialSample:
     """One sample whose rows are samples, in order: element-free ones, or
-    endo ones that share degrees and extra data. A lone sample is its own
-    batch of one. Each element's rows are its trials' drawn tables, stacked
-    as endo.stack_rows would but not checked again; an element every trial
-    shares (a fixture mu) stays single and serves every row."""
+    drawn endo ones that share degrees and extra data, with their tables
+    wrapped as elements and a context once for the batch. A lone sample is
+    its own batch of one. Each element's rows are its trials' drawn
+    tables, in one C-contiguous copy, not checked again; a table every
+    trial shares (a fixture mu) stays single and serves every row."""
     first = samples[0]
     if len(samples) == 1:
-        return first
-    if first.ctx is None:
+        return _with_elements(first)
+    backend = first.dense
+    if backend is None:  # element-free
         return replace(first, rows=len(samples))
-    backend = first.ctx.backend
-    elements = {}
-    for name, el in first.elements.items():
-        if all(s.elements[name] is el for s in samples):
-            elements[name] = el
+    tables = {}
+    for name, m in first.elements.items():
+        if all(s.elements[name] is m for s in samples):
+            tables[name] = m
             continue
-        # one C-contiguous copy, as np.stack makes, in less time
-        table = np.concatenate([s.elements[name].payload.table
-                                for s in samples]).reshape(
-                                    (len(samples), *el.payload.table.shape))
+        table = np.array([s.elements[name].table for s in samples])
         table.setflags(write=False)
-        elements[name] = GradedElement(backend, endo._new_map(
-            backend.ring, backend.dim, el.degree, table))
-    return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
-                       first.degrees, first.extra, len(samples))
+        tables[name] = endo._new_map(backend.ring, backend.dim, m.degree, table)
+    return _with_elements(TrialSample(None, tables, first.degrees, first.extra,
+                                      len(samples), backend))
 
 
 def _check_batch(law: Law, samples) -> list:
@@ -1118,9 +1137,10 @@ def _drawn(law: Law, cfg: TrialConfig, trial: int, attempt: int,
     """sample, drawn by trial at attempt, with the inputs its trial stands
     for. On free these are c_x * x for each bare generator x, and mu bare:
     the nonzero scalars c_x are drawn from the trial's stream past its
-    degrees, in slot order, only here, since no verdict reads them."""
+    degrees, in slot order, only here, since no verdict reads them. On
+    endo they are its drawn tables, wrapped as elements."""
     if sample.ctx is None or sample.ctx.backend.kind != "free":
-        return sample
+        return _with_elements(sample)
     rng = _trial_rng(law.law_id, cfg.seed, trial, attempt)
     _sample_degrees(rng, law.slots, cfg, _forced(law, trial))
     ring = sample.ctx.backend.ring

@@ -206,6 +206,29 @@ def test_free_suite_report_matches_golden(capsys, tmp_path):
     assert _without_millis(json.loads(report_path.read_text())) == golden
 
 
+def test_endo_canary_suite_report_matches_golden(capsys, tmp_path):
+    # every endo law under one canary: the failing laws keep one witness
+    # each, with its input tables and both sides, so the golden pins table
+    # values of cup, delta, bullet, bracket, both brace sums, their
+    # deviations and the gamma families
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, [
+        "verify", "--law", "all", "--backend", "endo",
+        "--mutate", "cup-sign-flip", "--trials", "20", "--seed", "3",
+        "--max-degree", "3", "--report", str(report_path)])
+    assert code == 1
+    golden = json.loads((GOLDEN / "suite_endo_cup_sign_flip_seed3_trials20_"
+                                  "maxdeg3.json").read_text())
+    assert _without_millis(json.loads(report_path.read_text())) == golden
+    failing = [rep for rep in golden["laws"] if rep["status"] == "fail"]
+    assert [rep["law_id"][:3] for rep in failing] == [
+        "L06", "L08", "L10", "L11", "L15", "L16", "L18", "L19", "L21", "L22",
+        "L24"]
+    for rep in failing:
+        witness, = rep["failures"]
+        assert _replayed_sides(witness) == _sides(witness)
+
+
 _GAMMA_LAWS = ("L18-lemma-first", "L19-lemma-second", "L21-boundary-gamma1",
                "L24-gamma-recap")
 

@@ -344,22 +344,42 @@ def _einsum_compose(f_table, g_table, i, sign):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_partial_compose_matches_einsum_reference(ring, dim):
     rng = np.random.default_rng(dim)
+    rows_rng = np.random.default_rng((dim, 3))
+
+    def want_of(f, g, i):
+        want = _einsum_compose(np.asarray(f.table), np.asarray(g.table),
+                               i, ksign(i * (g.degree - 1)))
+        return want % ring.modulus if ring.is_field else want
+
     for m in range(1, 6):
         for n in range(0, 5):
             f = make_map(ring, dim, m, rng.integers(-50, 50, dim ** (m + 1)))
             g = make_map(ring, dim, n, rng.integers(-50, 50, dim ** (n + 1)))
             for i in range(m):
                 got = partial_compose(f, g, i)
-                want = _einsum_compose(np.asarray(f.table), np.asarray(g.table),
-                                       i, ksign(i * (n - 1)))
-                if ring.is_field:
-                    want = want % ring.modulus
+                want = want_of(f, g, i)
                 assert got.degree == m + n - 1
                 assert got.table.dtype == f.table.dtype
                 assert np.array_equal(got.table, want), (m, n, i)
                 assert substitute(f, g, i) == make_map(
                     ring, dim, m + n - 1,
                     (want * ksign(i * (n - 1))).reshape(-1))
+            if dim ** (m + n) > 2**12:
+                continue
+            # stacked f, stacked g and both, 3 rows, row by row; a single
+            # map serves every row
+            fs, gs = ([make_map(ring, dim, k, rows_rng.integers(
+                -50, 50, dim ** (k + 1))) for _ in range(3)] for k in (m, n))
+            for f_rows, g_rows in ((fs, [g] * 3), ([f] * 3, gs), (fs, gs)):
+                stacked_f, stacked_g = stack_rows(f_rows), stack_rows(g_rows)
+                for i in range(m):
+                    got = partial_compose(stacked_f, stacked_g, i)
+                    assert got.batch == 3 and got.degree == m + n - 1
+                    assert got.table.dtype == f.table.dtype
+                    for r in range(3):
+                        assert np.array_equal(
+                            got.table[r], want_of(f_rows[r], g_rows[r], i)), (
+                                m, n, i, r)
 
 
 def _float_bound_primes(d):
@@ -1076,6 +1096,13 @@ def test_compose_sums_raise_what_compose_then_signed_sum_raised():
                 want = _raised(lambda: _composed_then_summed(F97, 2, 4, terms))
                 got = _raised(lambda: endo.compose_sum(F97, 2, 4, terms))
                 assert got == want, (what, c)
+        if what.startswith("another"):
+            continue  # a term of another sum composes on its own
+        # a single composition refuses what its one-term sum refuses
+        alone = _raised(lambda: endo.compose_sum(F97, 2, 4, [(1, a, b, i)]))
+        assert _raised(lambda: partial_compose(a, b, i)) == alone, what
+        for sign in (1, -1):
+            assert _raised(lambda: substitute(a, b, i, sign)) == alone, what
 
 
 def test_one_term_sums_return_their_term_only_when_it_is_small_and_read_only():
