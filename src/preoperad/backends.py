@@ -159,7 +159,8 @@ class GradedElement:
 
     def row(self, r: int) -> "GradedElement":
         """Row r of a stacked element; a single element is every row."""
-        return GradedElement(self.backend, self.payload.row(r))
+        payload = self.payload.row(r)
+        return self if payload is self.payload else _element(self.backend, payload)
 
     def serialize(self) -> dict:
         return self.backend.serialize(self.payload)

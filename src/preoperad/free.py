@@ -120,6 +120,10 @@ class FreeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def row(self, r: int) -> FreeElement:
+        """A tree sum is every row of a batch."""
+        return self
+
     def differs(self, other: FreeElement | None = None) -> bool:
         """Whether self differs from other (from zero when other is None).
         Elements of another ring or degree differ."""

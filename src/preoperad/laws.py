@@ -17,16 +17,17 @@ trial draws its tables in one call (endo._random_maps), the same stream
 as one draw per table.
 
 Batches: the trials of a law that drew the same degrees (and the same extra
-data) run as one check. Tables are stacked into one sample with a leading
-row axis, and every row gets its own verdict. Free trials differ only in the
-nonzero scalar on each generator, and no verdict depends on those scalars:
-a free trial draws its degrees only, and its sample holds bare generators,
-a mu and a context built once per degree tuple. A free batch is one check
-on the bare generators, whose verdict every trial shares. An element-free
-law draws degrees only; its batch is one check on either backend. The
+data) run as one check, law.checker(_stack(batch)). Endo tables are stacked
+into one sample with a leading row axis, and every row gets its own verdict.
+An element-free law draws degrees only. So does a free trial: its sample
+holds the bare generators, a bare mu and a context built once per degree
+tuple. Sending each generator x to c_x * x, c_x nonzero, is an injective
+morphism of the free pre-operad, so the bare generators stand for every
+trial of their degrees. An element-free or free batch is its one shared
+sample with a row per trial; a single tree sum is every row. The
 witness is built by checking the first failing trial's drawn inputs again
-on their own, as a replay does; on free, its scalars are drawn then, from
-its own stream. A replay and a shrink step are batches of one.
+on their own, as a replay does. A replay and a shrink step are batches of
+one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
 proves nothing. Such an attempt stops after its degrees, with no table
@@ -142,7 +143,7 @@ class TrialConfig:
             raise BadConfig(str(exc)) from exc
         if self.backend == "endo":
             endo.check_int64(ring, self.dim)
-        # L27 builds dense tables on either backend
+        # refused on either backend, so that a dim means the same on both
         endo.check_entries(self.dim, self.degree_budget)
 
     def describe(self) -> dict:
@@ -201,8 +202,7 @@ def _first_failure(claims, sample: TrialSample) -> list:
         for r in failing:
             if details[r] is None:
                 details[r] = FailDetail(identity, point, *(
-                    (x.row(r) if sample.rows > 1 else x)
-                    if isinstance(x, GradedElement) else None
+                    x.row(r) if isinstance(x, GradedElement) else None
                     for x in (lhs, rhs)))
                 waiting -= 1
         if not waiting:
@@ -224,7 +224,6 @@ class Law:
     vacuous_when: object = None
     element_free: bool = False
     fixture_mu: bool = False
-    fixed_backend: str | None = None
     extra_sampler: object = None
     checker: object = field(init=False, repr=False, compare=False)
 
@@ -468,10 +467,9 @@ def _sampler(law: Law, cfg: TrialConfig):
     would (test_one_draw_of_several_tables_is_consecutive_random_map_calls);
     L27's word is drawn after them. The tables stay bare: they become
     elements, with a context, once per batch when they are checked
-    (_with_elements). A free sample draws its degrees only:
-    its bare generators, mu and context are built once per degree tuple
-    and shared by every sample of that tuple; its scalars come next in its
-    stream and are drawn by _drawn for the witness only.
+    (_with_elements). A free sample draws its degrees only: its bare
+    generators, mu and context are built once per degree tuple and shared
+    by every sample of that tuple.
 
     rng is on the trial attempt's stream (_trial_rng, or run_law's round),
     numpy's seeding of the key tuple, which NEP 19 keeps stable."""
@@ -484,8 +482,7 @@ def _sampler(law: Law, cfg: TrialConfig):
     drawn, mu_degree = ((law.slots, []) if fixture is not None
                         else ((*law.slots, "mu"), [2]))
     # the backend of the bare tables an endo sample holds
-    tables = (dense if not law.element_free
-              and (law.fixed_backend or cfg.backend) == "endo" else None)
+    tables = dense if not law.element_free and cfg.backend == "endo" else None
     symbolic = {}  # generators -> (context, bare generators)
 
     def draw(rng, force_first) -> TrialSample | None:
@@ -1020,7 +1017,7 @@ _LAWS = [
     Law("L27-cross-backend",
         "Random symbolic composition words map to the same dense table as "
         "the word evaluated directly.",
-        ("a", "b", "c", "d"), _check_cross_backend, fixed_backend="endo",
+        ("a", "b", "c", "d"), _check_cross_backend, backends=("endo",),
         extra_sampler=_word_sampler),
 ]
 
@@ -1081,8 +1078,9 @@ def _with_elements(sample: TrialSample) -> TrialSample:
 
 
 def _stack(samples) -> TrialSample:
-    """One sample whose rows are samples, in order: element-free ones, or
-    drawn endo ones that share degrees and extra data, with their tables
+    """One sample whose rows are samples, in order, which share degrees and
+    extra data. Element-free and free samples share one sample, which is
+    returned with a row per sample. Drawn endo ones have their tables
     wrapped as elements and a context once for the batch. A lone sample is
     its own batch of one. Each element's rows are its trials' drawn
     tables, in one C-contiguous copy, not checked again; a table every
@@ -1091,7 +1089,7 @@ def _stack(samples) -> TrialSample:
     if len(samples) == 1:
         return _with_elements(first)
     backend = first.dense
-    if backend is None:  # element-free
+    if backend is None:  # element-free or free
         return replace(first, rows=len(samples))
     tables = {}
     for name, m in first.elements.items():
@@ -1105,63 +1103,20 @@ def _stack(samples) -> TrialSample:
                                       len(samples), backend))
 
 
-def _check_batch(law: Law, samples) -> list:
-    """law's verdict on each of samples, in order: the first failing claim
-    (a FailDetail) or None. The samples share their degrees and extra data;
-    the checker runs once.
-
-    Element-free and endo samples are stacked row by row. Free samples share
-    one sample of bare generators x, with a bare mu; each trial's inputs are
-    c_x * x for nonzero scalars c_x of its own (see _drawn). Sending each x
-    to c_x * x is a morphism of the free pre-operad: it multiplies each
-    tree's coefficient by the c_x of every node it holds and keeps
-    compositions, sums, the unit and mu, so each side a trial claims is the
-    bare-generator side mapped through it. Each c_x is nonzero mod p, so the
-    morphism is injective: every trial fails at the first claim that fails
-    on the bare generators, so the bare-generator verdict stands for every
-    trial; only the sides differ, by each trial's scalars.
-    """
-    first = samples[0]
-    if first.ctx is not None and first.ctx.backend.kind == "free":
-        return law.checker(first) * len(samples)
-    return law.checker(_stack(samples))
-
-
 def _forced(law: Law, trial: int) -> int | None:
     """The least first degree trial draws: law's forced one on even trials."""
     return law.force_first if trial % 2 == 0 else None
 
 
-def _drawn(law: Law, cfg: TrialConfig, trial: int, attempt: int,
-           sample: TrialSample) -> TrialSample:
-    """sample, drawn by trial at attempt, with the inputs its trial stands
-    for. On free these are c_x * x for each bare generator x, and mu bare:
-    the nonzero scalars c_x are drawn from the trial's stream past its
-    degrees, in slot order, only here, since no verdict reads them. On
-    endo they are its drawn tables, wrapped as elements."""
-    if sample.ctx is None or sample.ctx.backend.kind != "free":
-        return _with_elements(sample)
-    rng = _trial_rng(law.law_id, cfg.seed, trial, attempt)
-    _sample_degrees(rng, law.slots, cfg, _forced(law, trial))
-    ring = sample.ctx.backend.ring
-    elements = dict(sample.elements)
-    for name in law.slots:
-        elements[name] = ring.sample_nonzero(rng) * elements[name]
-    return replace(sample, elements=elements)
-
-
 def _check_runnable(law: Law, cfg: TrialConfig):
-    """Refuse a law that cannot run under cfg: another backend, inputs that
-    do not fit the degree budget, or endo tables, which a law builds on
-    either backend when it is fixed to endo, that int64 cannot hold."""
+    """Refuse a law that cannot run under cfg: another backend, or inputs
+    that do not fit the degree budget."""
     if cfg.backend not in law.backends:
         raise BadConfig(f"{law.law_id} does not run on the {cfg.backend} backend")
     if len(law.slots) * cfg.degree_min > cfg.degree_budget:
         raise BadConfig(f"degree_min {cfg.degree_min} cannot fit "
                         f"{len(law.slots)} inputs under the degree budget "
                         f"{cfg.degree_budget}")
-    if (law.fixed_backend or cfg.backend) == "endo":
-        endo.check_int64(CoefficientRing.prime_field(cfg.prime), cfg.dim)
 
 
 def run_law(law_id: str, cfg: TrialConfig) -> Report:
@@ -1176,7 +1131,8 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     the degree budget allows stay under the entry cap; other batches are
     never split.
     The report counts the failing trials and holds one witness, built by
-    checking the first failing trial's drawn inputs again on their own.
+    checking the first failing trial's drawn inputs again on their own: on
+    free, the bare generators of its degree tuple.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
     can tell a sign from its flip (the cup-sign-flip canary passes).
@@ -1208,24 +1164,23 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     for trial, attempt, sample in sorted(drawn, key=lambda d: d[0]):
         batches.setdefault(_batch_key(sample), []).append(
             (trial, attempt, sample))
-    tables = not law.element_free and (law.fixed_backend or cfg.backend) == "endo"
+    tables = not law.element_free and cfg.backend == "endo"
     most = (max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
             if tables else cfg.trials)
     failing = []  # (trial, attempt, sample) of each failing trial
     for group in batches.values():
         for lo in range(0, len(group), most):
             batch = group[lo:lo + most]
-            details = _check_batch(law, [sample for _, _, sample in batch])
+            details = law.checker(_stack([sample for _, _, sample in batch]))
             failing += [drawn for drawn, detail in zip(batch, details)
                         if detail is not None]
     failures = []
     if failing:
         trial, attempt, sample = min(failing, key=lambda drawn: drawn[0])
         head = {"law_id": law.law_id, "seed": [cfg.seed, trial, attempt],
-                "backend": law.fixed_backend or cfg.backend,
-                "prime": cfg.prime, "dim": cfg.dim,
+                "backend": cfg.backend, "prime": cfg.prime, "dim": cfg.dim,
                 "mutations": sorted(cfg.mutations)}
-        sample = _drawn(law, cfg, trial, attempt, sample)
+        sample = _with_elements(sample)
         failures.append(_witness(head, sample, law.checker(sample)[0]))
     millis = int(round((time.perf_counter() - start) * 1000))
     non_vacuous = cfg.trials - vacuous

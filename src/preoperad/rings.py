@@ -78,11 +78,6 @@ class CoefficientRing:
         v = int(v)
         return v % self.modulus if self.modulus is not None else v
 
-    def sample_nonzero(self, rng) -> int:
-        if self.modulus is None:
-            raise UnsupportedRing("uniform sampling needs a finite field")
-        return int(rng.integers(1, self.modulus))
-
     def label(self) -> str:
         return "Z" if self.modulus is None else f"F_{self.modulus}"
 

@@ -76,6 +76,23 @@ def test_operators_equal_the_list_helpers(kind, stacked):
     assert not np.any(((x + y) - (y + x)).differs())
 
 
+@PAIRS
+def test_a_single_element_is_every_row_and_a_stacked_one_has_its_rows(
+        kind, stacked):
+    # a single table or tree sum is returned as it is, so a failing batch
+    # wraps no new element per row
+    backend, x, y = _pair(kind, stacked)
+    for r in range(3):
+        got = x.row(r)
+        if not stacked:
+            assert got is x
+            continue
+        assert got is not x and got.backend is backend
+        assert got.payload.batch is None
+        assert got.payload == x.payload.row(r)
+        assert not (x - y).row(r).differs(got - y.row(r))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_operators_reject_other_backends_and_degrees(kind):
     backend, x, _ = _pair(kind, False)

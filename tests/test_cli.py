@@ -315,7 +315,7 @@ def test_a_refused_verify_leaves_an_existing_report_as_it_was(capsys, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["--law", "L99-nope"],
     ["--law", "L12-delta-squared", "--backend", "free"],
-    ["--law", "all", "--backend", "free", "--prime", str(2**61 - 1)],
+    ["--law", "all", "--backend", "free", "--dim", "7"],
 ])
 def test_a_refused_verify_leaves_a_new_report_path_absent(capsys, tmp_path,
                                                           argv):
@@ -419,9 +419,20 @@ def test_verify_refuses_a_61_bit_prime_at_once(capsys, law):
     assert out == ""
 
 
-def test_free_suite_refuses_a_prime_that_l27_cannot_hold_before_any_law(capsys):
-    # L27 builds int64 endo tables on either backend, so the free suite at
-    # this prime is refused before the 25 other free laws are checked
+def test_the_free_suite_runs_every_law_at_a_prime_the_endo_suite_refuses(
+        capsys, tmp_path):
+    # tree sums hold Python ints, so the 25 free laws run at 2^61 - 1; int64
+    # endo tables cannot hold it, so the endo suite is refused before any
+    # law is checked
+    report_path = tmp_path / "free.json"
+    code, out, err = run(capsys, [
+        "verify", "--law", "all", "--backend", "free",
+        "--prime", str(2**61 - 1), "--trials", "20",
+        "--report", str(report_path)])
+    assert code == 0 and err == ""
+    report = json.loads(report_path.read_text())
+    assert len(report["laws"]) == 25
+    assert {r["status"] for r in report["laws"]} == {"pass"}
     called = []
     checkers = {law: law.checker for law in laws.list_laws()}
 
@@ -433,13 +444,34 @@ def test_free_suite_refuses_a_prime_that_l27_cannot_hold_before_any_law(capsys):
         object.__setattr__(law, "checker", refused)
     try:
         code, out, err = run(capsys, [
-            "verify", "--law", "all", "--backend", "free",
+            "verify", "--law", "all", "--backend", "endo",
             "--prime", str(2**61 - 1), "--trials", "20"])
     finally:
         for law, checker in checkers.items():
             object.__setattr__(law, "checker", checker)
     assert code == 2 and out == "" and called == []
     assert err.startswith("error:") and "int64" in err
+
+
+def test_a_free_canary_past_int64_fails_with_a_bare_generator_witness(
+        capsys, tmp_path):
+    # a free witness draws no scalar, so a prime past 2^63 reports the
+    # failure and its witness replays failing
+    report_path = tmp_path / "r.json"
+    code, _, err = run(capsys, [
+        "verify", "--law", "L06-cup-product", "--backend", "free",
+        "--prime", str(2**89 - 1), "--mutate", "cup-sign-flip",
+        "--trials", "4", "--report", str(report_path)])
+    assert (code, err) == (1, "")
+    witness, = json.loads(report_path.read_text())["laws"][0]["failures"]
+    assert witness["prime"] == 2**89 - 1
+    for element in witness["elements"].values():
+        assert [c for _, c in element["terms"]] == [1]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = run(capsys, ["replay", str(path)])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == witness
 
 
 @pytest.mark.parametrize("backend", ["endo", "free"])

@@ -116,6 +116,15 @@ def test_generator_and_unit_elements():
     assert z.terms == () and z.degree == 4
 
 
+def test_a_tree_sum_is_every_row_of_a_batch():
+    x = free_linear_combine(
+        [3, -2], [gen("f"), free_partial_compose(gen("g"), gen("f"), 0)])
+    assert len(x.terms) == 2
+    for r in (0, 1, 5):
+        assert x.row(r) is x
+    assert zero_element(SIG, F97, 4).row(2).terms == ()
+
+
 def test_compose_single_graft_with_twist():
     # f comp_1 g carries (-1)^(1 * |g|) with |g| = 0, so no sign
     f, g = gen("f"), gen("g")

@@ -463,8 +463,8 @@ def test_trials_that_share_degrees_run_as_one_batch(backend):
     # L05 draws one degree in 1..4, so 12 trials fall into at most four
     # batches at dim 2; at dim 6 a batch of the degree budget's largest
     # table would pass the entry cap, so every endo trial runs alone. A
-    # free batch is one check of a one-row sample of bare generators,
-    # whatever the dim
+    # free batch is one check of one shared sample of bare generators with
+    # a row per trial, whatever the dim
     calls = []
     law = laws.get_law("L05-unit-laws")
     checker = law.checker
@@ -477,12 +477,11 @@ def test_trials_that_share_degrees_run_as_one_batch(backend):
     try:
         laws.run_law(law.law_id, TrialConfig(backend, dim=2, trials=12, seed=3))
         assert len(calls) <= 4
-        if backend == "endo":
-            assert sum(s.rows for s in calls) == 12
-        else:
+        assert sum(s.rows for s in calls) == 12
+        if backend == "free":
             assert len({s.degrees["f"] for s in calls}) == len(calls)
+            assert max(s.rows for s in calls) > 1
             for s in calls:
-                assert s.rows == 1
                 for name, el in s.elements.items():
                     assert el.payload == el.backend.generator(name).payload
         calls.clear()
@@ -509,8 +508,7 @@ def _single_trial_verdicts(law, cfg):
             sample = draw(laws._trial_rng(law.law_id, cfg.seed, trial, attempt),
                           force)
             if sample is not None:
-                detail, = law.checker(
-                    laws._drawn(law, cfg, trial, attempt, sample))
+                detail, = law.checker(laws._with_elements(sample))
                 yield trial, attempt, sample.degrees, detail
                 break
 
@@ -674,7 +672,7 @@ def test_l26_witnesses_with_or_without_elements_replay_clean():
 
 
 def test_free_generators_are_built_once_per_degree_tuple(monkeypatch):
-    # a free trial draws its scalars only; the bare generators of its
+    # a free trial draws its degrees only; the bare generators of its
     # degree tuple are built once and shared by every trial that drew it
     built = []
     generator = FreeBackend.generator
@@ -685,7 +683,7 @@ def test_free_generators_are_built_once_per_degree_tuple(monkeypatch):
 
     monkeypatch.setattr(FreeBackend, "generator", counted)
     for law in laws.laws_for_backend("free"):
-        if law.element_free or law.fixed_backend:
+        if law.element_free:
             continue
         built.clear()
         report = laws.run_law(law.law_id, TrialConfig("free", trials=30, seed=1))
@@ -744,44 +742,29 @@ def test_a_vacuous_attempt_draws_no_table(monkeypatch):
     assert all(n == 5 for key, n in tables.items() if key not in empty)
 
 
-def test_free_witness_scalars_come_from_their_own_stream(monkeypatch):
-    law = laws.get_law("L06-cup-product")
-    ring = CoefficientRing.prime_field(97)
-    batches = []
-    check_batch = laws._check_batch
-
-    def recorded(law, samples):
-        batches.append(samples)
-        return check_batch(law, samples)
-
-    monkeypatch.setattr(laws, "_check_batch", recorded)
-    shared = 0
+@pytest.mark.parametrize("law_id, mutation", [
+    ("L06-cup-product", "cup-sign-flip"),
+    ("L13-getzler", "g-range-off-by-one"),
+    ("L02-relation-left", "b-relation-sign-drop")])
+def test_a_free_witness_is_the_bare_generators_of_the_first_failing_trial(
+        law_id, mutation):
+    law = laws.get_law(law_id)
+    later = 0  # witnesses whose first failing trial is not trial 0
     for seed in range(1, 7):
-        cfg = TrialConfig("free", trials=16, seed=seed,
-                          mutations=("cup-sign-flip",))
-        batches.clear()
+        cfg = TrialConfig("free", trials=16, seed=seed, mutations=(mutation,))
         witness, = laws.run_law(law.law_id, cfg).failures
-        assert witness["seed"][0] == seed
-        rng = laws._trial_rng(law.law_id, *witness["seed"])
-        degrees = laws._sample_degrees(rng, law.slots, cfg, None)
-        scales = {name: ring.sample_nonzero(rng) for name in law.slots}
+        failing = [v for v in _single_trial_verdicts(law, cfg)
+                   if v[3] is not None]
+        trial, attempt, degrees, _ = failing[0]
+        assert witness["seed"] == [seed, trial, attempt]
         assert witness["degrees"] == degrees
-        for name in law.slots:
-            sexpr = "(" + name + " _" * degrees[name] + ")"
-            assert witness["elements"][name]["terms"] == [[sexpr, scales[name]]]
-        assert witness["elements"]["mu"]["terms"] == [["(mu _ _)", 1]]
+        for name, degree in (*degrees.items(), ("mu", 2)):
+            sexpr = "(" + name + " _" * degree + ")"
+            assert witness["elements"][name]["terms"] == [[sexpr, 1]]
         detail = laws.replay(witness)
+        assert detail.identity == witness["identity"]
         assert detail.lhs.serialize() == witness["lhs"]
         assert detail.rhs.serialize() == witness["rhs"]
-        batch, = [b for b in batches if b[0].degrees == degrees]
-        # the scalars of the batch's trials, from their own streams
-        batch_scales = []
-        for trial in range(cfg.trials):
-            rng = laws._trial_rng(law.law_id, seed, trial, 0)
-            if laws._sample_degrees(rng, law.slots, cfg, None) == degrees:
-                batch_scales.append(tuple(ring.sample_nonzero(rng)
-                                          for _ in law.slots))
-        assert len(batch_scales) == len(batch)
-        shared += len(set(batch_scales)) > 1
-    # some witness comes from a batch of trials with different scalars
-    assert shared
+        later += trial > 0
+    if law_id != "L06-cup-product":  # where every trial fails
+        assert later

@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,27 +71,6 @@ def test_labels():
 def test_payload_round_trip():
     for ring in (F7, F97, ZZ):
         assert CoefficientRing.from_payload(ring.to_payload()) == ring
-
-
-def test_sample_nonzero_avoids_zero():
-    rng = np.random.default_rng(9)
-    draws = [F7.sample_nonzero(rng) for _ in range(1000)]
-    assert all(1 <= v < 7 for v in draws)
-
-
-def test_sample_uniformity_chi_square():
-    # 10^4 nonzero draws over F_97: 96 values, chi-square with 95 dof stays
-    # within 5 sigma
-    rng = np.random.default_rng(1234)
-    n = 10_000
-    counts = np.zeros(97, dtype=np.int64)
-    for _ in range(n):
-        counts[F97.sample_nonzero(rng)] += 1
-    assert counts[0] == 0
-    expected = n / 96
-    chi2 = float(((counts[1:] - expected) ** 2 / expected).sum())
-    dof = 95
-    assert chi2 < dof + 5 * math.sqrt(2 * dof)
 
 
 @given(st.integers(min_value=-10**9, max_value=10**9))
