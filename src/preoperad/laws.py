@@ -24,10 +24,10 @@ holds the bare generators, a bare mu and a context built once per degree
 tuple. Sending each generator x to c_x * x, c_x nonzero, is an injective
 morphism of the free pre-operad, so the bare generators stand for every
 trial of their degrees. An element-free or free batch is its one shared
-sample with a row per trial; a single tree sum is every row. The
-witness is built by checking the first failing trial's drawn inputs again
-on their own, as a replay does. A replay and a shrink step are batches of
-one.
+sample with a row per trial; a single tree sum is every row. Each batch
+is checked once, and the witness is cut from the failing row of the batch
+that holds the first failing trial: its inputs and the sides of its first
+failing claim. A replay and a shrink step are batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
 proves nothing. Such an attempt stops after its degrees, with no table
@@ -160,8 +160,8 @@ class TrialSample:
     """Inputs of one trial, or of rows trials stacked row by row.
 
     A drawn endo sample holds its inputs as bare tables, with no context
-    and their backend in dense, until it is checked: _with_elements wraps
-    them, once per batch (see _stack)."""
+    and their backend in dense, until it is checked: _stack wraps them as
+    elements, once per batch."""
 
     ctx: PreOperadContext | None
     elements: dict
@@ -183,10 +183,10 @@ def _first_failure(claims, sample: TrialSample) -> list:
     """For each row of sample, the first claim (identity, point, lhs, rhs)
     drawn from claims(sample) whose sides differ in that row, or None.
     Claims are drawn until every row has failed or none is left. rhs None
-    claims that lhs is zero. A side that is not an element (a point set, a
-    degree) is the same in every row; it is compared but not kept in the
-    witness. Element sides are kept, as the failing row of a stacked
-    sample."""
+    claims that lhs is zero. A failing claim makes one FailDetail, shared by
+    the rows that fail first there, whose element sides are kept as the
+    check built them (_witness cuts a row). A side that is not an element
+    (a point set, a degree) is compared but not kept in the witness."""
     details = [None] * sample.rows
     waiting = sample.rows
     for identity, point, lhs, rhs in claims(sample):
@@ -199,11 +199,11 @@ def _first_failure(claims, sample: TrialSample) -> list:
             failing = np.flatnonzero(np.broadcast_to(bad, sample.rows))
         else:
             continue
+        detail = FailDetail(identity, point, *(
+            x if isinstance(x, GradedElement) else None for x in (lhs, rhs)))
         for r in failing:
             if details[r] is None:
-                details[r] = FailDetail(identity, point, *(
-                    x.row(r) if isinstance(x, GradedElement) else None
-                    for x in (lhs, rhs)))
+                details[r] = detail
                 waiting -= 1
         if not waiting:
             break
@@ -213,7 +213,7 @@ def _first_failure(claims, sample: TrialSample) -> list:
 @dataclass(frozen=True)
 class Law:
     """A named identity: checker(sample) lists, per row of sample, the first
-    of claims(sample) that fails there, or None."""
+    of claims(sample) that fails there, or None (see _first_failure)."""
 
     law_id: str
     description: str
@@ -467,7 +467,7 @@ def _sampler(law: Law, cfg: TrialConfig):
     would (test_one_draw_of_several_tables_is_consecutive_random_map_calls);
     L27's word is drawn after them. The tables stay bare: they become
     elements, with a context, once per batch when they are checked
-    (_with_elements). A free sample draws its degrees only: its bare
+    (_stack). A free sample draws its degrees only: its bare
     generators, mu and context are built once per degree tuple and shared
     by every sample of that tuple.
 
@@ -1042,20 +1042,22 @@ def laws_for_backend(backend: str):
 # ---------------------------------------------------------------------------
 # engine
 
-def _witness(head: dict, sample: TrialSample, detail: FailDetail) -> dict:
-    """A failure witness: head's fields (law, seed, run settings), with the
-    failing sample and check written over any it already holds."""
-    sample = _with_elements(sample)
+def _witness(head: dict, sample: TrialSample, detail: FailDetail, row=0) -> dict:
+    """A failure witness: head's fields (law, seed, run settings), with row
+    row of the checked sample and of detail's sides written over any it
+    already holds."""
+    lhs, rhs = (x.row(row).serialize() if x is not None else None
+                for x in (detail.lhs, detail.rhs))
     return {
         **head,
         "degrees": dict(sorted(sample.degrees.items())),
-        "elements": {name: el.serialize()
+        "elements": {name: el.row(row).serialize()
                      for name, el in sorted(sample.elements.items())},
         "extra": sample.extra,
         "identity": detail.identity,
         "domain_point": list(detail.point) if detail.point is not None else None,
-        "lhs": detail.lhs.serialize() if detail.lhs is not None else None,
-        "rhs": detail.rhs.serialize() if detail.rhs is not None else None,
+        "lhs": lhs,
+        "rhs": rhs,
     }
 
 
@@ -1065,42 +1067,27 @@ def _batch_key(sample: TrialSample):
     return repr((sample.degrees, sample.extra))
 
 
-def _with_elements(sample: TrialSample) -> TrialSample:
-    """sample with its bare tables wrapped as elements of its dense backend,
-    and their context; any other sample as it is."""
-    backend = sample.dense
-    if backend is None:
-        return sample
-    elements = {name: _element(backend, m)
-                for name, m in sample.elements.items()}
-    return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
-                       sample.degrees, sample.extra, sample.rows)
-
-
 def _stack(samples) -> TrialSample:
-    """One sample whose rows are samples, in order, which share degrees and
-    extra data. Element-free and free samples share one sample, which is
-    returned with a row per sample. Drawn endo ones have their tables
-    wrapped as elements and a context once for the batch. A lone sample is
-    its own batch of one. Each element's rows are its trials' drawn
+    """The checked sample whose rows are samples, drawn ones in order that
+    share degrees and extra data: the one place a drawn sample becomes
+    elements. Element-free and free samples share one sample, returned with
+    a row per sample. Drawn endo ones have their tables wrapped as elements,
+    with a context, once for the batch. Each element's rows are its trials'
     tables, in one C-contiguous copy, not checked again; a table every
-    trial shares (a fixture mu) stays single and serves every row."""
+    sample shares (a fixture mu, any table of a lone sample) stays single."""
     first = samples[0]
-    if len(samples) == 1:
-        return _with_elements(first)
     backend = first.dense
     if backend is None:  # element-free or free
-        return replace(first, rows=len(samples))
-    tables = {}
+        return first if len(samples) == 1 else replace(first, rows=len(samples))
+    elements = {}
     for name, m in first.elements.items():
-        if all(s.elements[name] is m for s in samples):
-            tables[name] = m
-            continue
-        table = np.array([s.elements[name].table for s in samples])
-        table.setflags(write=False)
-        tables[name] = endo._new_map(backend.ring, backend.dim, m.degree, table)
-    return _with_elements(TrialSample(None, tables, first.degrees, first.extra,
-                                      len(samples), backend))
+        if any(s.elements[name] is not m for s in samples):
+            table = np.array([s.elements[name].table for s in samples])
+            table.setflags(write=False)
+            m = endo._new_map(backend.ring, backend.dim, m.degree, table)
+        elements[name] = _element(backend, m)
+    return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
+                       first.degrees, first.extra, len(samples))
 
 
 def _forced(law: Law, trial: int) -> int | None:
@@ -1129,10 +1116,11 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     then checked in batches of equal batch key, in trial order. A law that
     builds tables splits each batch so that its rows of the largest table
     the degree budget allows stay under the entry cap; other batches are
-    never split.
-    The report counts the failing trials and holds one witness, built by
-    checking the first failing trial's drawn inputs again on their own: on
-    free, the bare generators of its degree tuple.
+    never split. Each batch is checked once.
+    The report counts the failing trials and holds one witness, cut from
+    the failing row of the batch that holds the first failing trial: on
+    free, the bare generators of its degree tuple. Only that batch and its
+    failing claim are kept past their check.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
     can tell a sign from its flip (the cup-sign-flip canary passes).
@@ -1167,30 +1155,33 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     tables = not law.element_free and cfg.backend == "endo"
     most = (max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
             if tables else cfg.trials)
-    failing = []  # (trial, attempt, sample) of each failing trial
+    failed, first = 0, None  # first: (trial, attempt, checked, detail, row)
     for group in batches.values():
         for lo in range(0, len(group), most):
             batch = group[lo:lo + most]
-            details = law.checker(_stack([sample for _, _, sample in batch]))
-            failing += [drawn for drawn, detail in zip(batch, details)
-                        if detail is not None]
+            checked = _stack([sample for *_, sample in batch])
+            details = law.checker(checked)
+            rows = [r for r, detail in enumerate(details) if detail is not None]
+            failed += len(rows)
+            # a batch is in trial order: its first failing row is its first failure
+            if rows and (first is None or batch[rows[0]][0] < first[0]):
+                first = (*batch[rows[0]][:2], checked, details[rows[0]], rows[0])
     failures = []
-    if failing:
-        trial, attempt, sample = min(failing, key=lambda drawn: drawn[0])
+    if first is not None:
+        trial, attempt, checked, detail, row = first
         head = {"law_id": law.law_id, "seed": [cfg.seed, trial, attempt],
                 "backend": cfg.backend, "prime": cfg.prime, "dim": cfg.dim,
                 "mutations": sorted(cfg.mutations)}
-        sample = _with_elements(sample)
-        failures.append(_witness(head, sample, law.checker(sample)[0]))
+        failures.append(_witness(head, checked, detail, row))
     millis = int(round((time.perf_counter() - start) * 1000))
     non_vacuous = cfg.trials - vacuous
     return Report(
         law_id=law_id,
-        status="fail" if failing else "pass",
+        status="fail" if failed else "pass",
         trials=cfg.trials,
         vacuous=vacuous,
         underpowered=non_vacuous * 2 < cfg.trials or cfg.prime == 2,
-        failed=len(failing),
+        failed=failed,
         failures=failures,
         millis=millis,
     )
@@ -1225,32 +1216,37 @@ def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
 # replay and shrink
 
 def _rebuild_sample(witness: dict) -> TrialSample:
+    """The checked sample of witness, a batch of one, once its settings pass
+    TrialConfig.validate and its input degrees fit the degree budget of its
+    dim, as a drawn trial's do."""
     law = get_law(witness["law_id"])
-    muts = frozenset(witness.get("mutations", ()))
-    unknown = sorted(muts - set(KNOWN_MUTATIONS))
-    if unknown:
-        raise BadConfig(f"unknown mutations {unknown}")
+    cfg = TrialConfig(witness["backend"], witness["prime"], witness["dim"],
+                      mutations=witness.get("mutations", []))
+    cfg.validate()
     if law.element_free:
-        return TrialSample(None, {}, dict(witness["degrees"]),
-                           dict(witness.get("extra", {})))
-    if witness["backend"] not in ("endo", "free"):
-        raise BadConfig(f"unknown backend {witness['backend']!r}")
-    ring = CoefficientRing.prime_field(witness["prime"])
-    if witness["backend"] == "endo":
-        backend = EndoBackend(ring, witness["dim"], muts)
+        ctx, elements, degrees = None, {}, dict(witness["degrees"])
     else:
-        sig = free.Signature(tuple(
-            (n, d) for n, d in witness["elements"]["mu"]["signature"]))
-        backend = FreeBackend(ring, sig, muts)
-    elements = {name: backend.deserialize(data)
-                for name, data in witness["elements"].items()}
-    ctx = PreOperadContext(backend, elements["mu"])
-    degrees = {name: el.degree for name, el in elements.items() if name != "mu"}
+        ring = CoefficientRing.prime_field(cfg.prime)
+        muts = frozenset(cfg.mutations)
+        if cfg.backend == "endo":
+            backend = EndoBackend(ring, cfg.dim, muts)
+        else:
+            sig = free.Signature(tuple(
+                (n, d) for n, d in witness["elements"]["mu"]["signature"]))
+            backend = FreeBackend(ring, sig, muts)
+        elements = {name: backend.deserialize(data)
+                    for name, data in witness["elements"].items()}
+        ctx = PreOperadContext(backend, elements["mu"])
+        degrees = {name: el.degree for name, el in elements.items() if name != "mu"}
+    total = sum(degrees.values())
+    if total > cfg.degree_budget:
+        raise BadConfig(f"input degrees add up to {total}, past the degree "
+                        f"budget {cfg.degree_budget} of dim {cfg.dim}")
     return TrialSample(ctx, elements, degrees, dict(witness.get("extra", {})))
 
 
 def replay(witness: dict) -> FailDetail | None:
-    """Re-run the failed check on the stored elements."""
+    """Re-run the failed check on the stored elements: row 0 of a batch of one."""
     law = get_law(witness["law_id"])
     sample = _rebuild_sample(witness)
     return law.checker(sample)[0]
@@ -1367,12 +1363,11 @@ def shrink(witness: dict) -> dict:
     detail = _still_fails(law, sample)
     if detail is None:
         return dict(witness)
-    current = _witness(witness, sample, detail)
     while True:
         for cand in _candidates(sample):
-            detail = _still_fails(law, cand)
-            if detail is not None:
-                sample, current = cand, _witness(current, cand, detail)
+            found = _still_fails(law, cand)
+            if found is not None:
+                sample, detail = cand, found
                 break
         else:
-            return current
+            return _witness(witness, sample, detail)

@@ -11,9 +11,12 @@ import jsonschema
 import pytest
 
 from preoperad import cli, endo, laws
+from preoperad.backends import FreeBackend
 from preoperad.calculus import KNOWN_MUTATIONS
 from preoperad.errors import IndexOutOfScope
+from preoperad.free import Signature
 from preoperad.laws import SUITE_SCHEMA
+from preoperad.rings import CoefficientRing
 
 CUP_SCRIPT = """\
 let mu: deg 2 = [1];
@@ -774,9 +777,9 @@ def test_replay_of_a_witness_with_a_non_integer_field_is_a_usage_error(
 
 
 @pytest.mark.parametrize("change, word", [
-    ({"prime": "x"}, "malformed witness"),
+    ({"prime": "x"}, "prime must be an integer"),
     ({"elements": [1]}, "malformed witness"),
-    ({"mutations": ["not-a-hook"]}, "unknown mutations"),
+    ({"mutations": ["not-a-hook"]}, "unknown mutation"),
     ({"backend": "nope"}, "unknown backend"),
 ])
 def test_replay_of_a_malformed_golden_witness_is_a_usage_error(
@@ -788,6 +791,48 @@ def test_replay_of_a_malformed_golden_witness_is_a_usage_error(
     assert code == 2
     assert not out
     assert err.startswith("error:") and word in err and err.count("\n") == 1
+
+
+def _free_l06_witness(**degrees):
+    """A cup-sign-flip L06 witness of bare free generators of degrees."""
+    sig = Signature(tuple(degrees.items()) + (("mu", 2),))
+    be = FreeBackend(CoefficientRing.prime_field(97), sig)
+    return {"law_id": "L06-cup-product", "seed": [1, 0, 0], "backend": "free",
+            "prime": 97, "dim": 2, "mutations": ["cup-sign-flip"],
+            "degrees": degrees, "extra": {}, "identity": "hand-made",
+            "domain_point": None, "lhs": None, "rhs": None,
+            "elements": {n: be.generator(n).serialize() for n, _ in sig.generators}}
+
+
+_REFUSED_WITNESSES = {
+    # scope regions of these degrees used to exhaust memory
+    "l01-degrees": ({
+        "law_id": "L01-scope-partition", "seed": [1, 0, 0], "backend": "endo",
+        "prime": 97, "dim": 2, "mutations": [],
+        "degrees": {"h": 3000, "f": 3000, "g": 2}, "elements": {}, "extra": {},
+        "identity": "hand-made", "domain_point": None, "lhs": None,
+        "rhs": None}, "degree budget"),
+    "free-degrees": (_free_l06_witness(f=11, g=2), "degree budget"),
+    # a string of mutations used to be read as a list of its letters
+    "mutations-string": ({**_golden_witnesses(_REPLAY_GOLDENS[0])[0],
+                          "mutations": "cup-sign-flip"},
+                         "mutations must be a list of names"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_WITNESSES))
+def test_replay_refuses_a_witness_no_run_could_write(tmp_path, case):
+    witness, word = _REFUSED_WITNESSES[case]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    for argv in (["replay", str(path)], ["replay", "--shrink", str(path)]):
+        start = time.perf_counter()
+        proc = run_capped(argv)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2, proc.stderr
+        assert not proc.stdout
+        assert proc.stderr.startswith("error:") and word in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 def test_eval_of_the_quadruple_brace_closed_form_is_zero(capsys, monkeypatch):

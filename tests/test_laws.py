@@ -419,8 +419,8 @@ def test_suite_rejects_backend_mismatched_subset():
      ("point sets", None, None, None)),
     ([("holds", None, ONE, ONE), ("zero", None, ZERO, None)], None),
     # batches of three list a witness per row: row 1 fails at the first
-    # claim, row 0 at the second, row 2 never; each row keeps its own first
-    # failure, sliced
+    # claim, row 0 at the second, row 2 never; each row's witness is its
+    # own first failure, cut from the claim's stacked sides
     ([("first", (0,), rows(1, 2, 1), rows(1, 1, 1)),
       ("second", (1,), rows(2, 3, 1), ONE),
       ("third", None, rows(0, 5, 0), None)],
@@ -446,11 +446,16 @@ def test_first_failing_claim_is_the_witness(claims, want):
     sample = laws.TrialSample(None, {}, {"f": 1}, {}, len(wants))
     details = law.checker(sample)
     assert len(details) == len(wants)
-    for detail, row_want in zip(details, wants):
+    # rows that fail at the same claim share its detail
+    failing = [(d, w[0]) for d, w in zip(details, wants) if w is not None]
+    for detail, identity in failing:
+        for other, other_identity in failing:
+            assert (detail is other) == (identity == other_identity)
+    for row, (detail, row_want) in enumerate(zip(details, wants)):
         if row_want is None:
             assert detail is None
             continue
-        witness = laws._witness({"law_id": law.law_id}, sample, detail)
+        witness = laws._witness({"law_id": law.law_id}, sample, detail, row)
         identity, point, lhs, rhs = row_want
         assert witness["identity"] == identity
         assert witness["domain_point"] == point
@@ -498,6 +503,40 @@ def test_trials_that_share_degrees_run_as_one_batch(backend):
         object.__setattr__(law, "checker", checker)
 
 
+@pytest.mark.parametrize("backend", ["endo", "free"])
+def test_a_failing_run_checks_each_batch_once(backend):
+    # the witness is cut from the checked batch, so no trial is checked a
+    # second time on its own; at dim 2 no batch is split, so the batches
+    # are the batch keys of the non-vacuous trials
+    calls = []
+    law = laws.get_law("L06-cup-product")
+    checker = law.checker
+
+    def counted(sample):
+        calls.append(sample.rows)
+        return checker(sample)
+
+    cfg = TrialConfig(backend, dim=2, trials=16, seed=5,
+                      mutations=("cup-sign-flip",))
+    object.__setattr__(law, "checker", counted)
+    try:
+        report = laws.run_law(law.law_id, cfg)
+    finally:
+        object.__setattr__(law, "checker", checker)
+    assert report.failed > 0
+    draw = laws._sampler(law, cfg)
+    keys = set()
+    for trial in range(cfg.trials):
+        for attempt in range(laws._RETRIES):
+            sample = draw(laws._trial_rng(law.law_id, cfg.seed, trial, attempt),
+                          laws._forced(law, trial))
+            if sample is not None:
+                keys.add(laws._batch_key(sample))
+                break
+    assert len(calls) == len(keys) < cfg.trials - report.vacuous
+    assert sum(calls) == cfg.trials - report.vacuous
+
+
 def _single_trial_verdicts(law, cfg):
     """(trial, attempt, degrees, detail) of each non-vacuous trial of law
     under cfg, its detail from checking its drawn inputs on their own."""
@@ -508,7 +547,7 @@ def _single_trial_verdicts(law, cfg):
             sample = draw(laws._trial_rng(law.law_id, cfg.seed, trial, attempt),
                           force)
             if sample is not None:
-                detail, = law.checker(laws._with_elements(sample))
+                detail, = law.checker(laws._stack([sample]))
                 yield trial, attempt, sample.degrees, detail
                 break
 
@@ -543,7 +582,7 @@ def _edited_word_witness(word):
     sample = laws._sampler(law, cfg)(laws._trial_rng(law.law_id, 606, 0, 0), None)
     head = {"law_id": law.law_id, "seed": [606, 0, 0], "backend": "endo",
             "prime": 97, "dim": 2, "mutations": []}
-    witness = laws._witness(head, sample,
+    witness = laws._witness(head, laws._stack([sample]),
                             laws.FailDetail("hand-edited", None, None, None))
     witness["extra"] = {"word": word}
     return witness
