@@ -8,8 +8,8 @@ Two interchangeable element representations:
   over a generator signature and evaluates them into tables on demand.
 
 On top of either one the package builds the cup product, total composition,
-bracket, coboundary, the triple and quadruple brace sums, their coboundary
-deviations, and the auxiliary boundary families, together with a registry
+bracket, coboundary, the braces h{f_1, ..., f_n} of any arity, their
+coboundary deviations, and the auxiliary boundary families, together with a registry
 of randomized laws that check every identity with exact arithmetic.
 """
 
@@ -18,10 +18,12 @@ from .calculus import (
     KNOWN_MUTATIONS,
     PreOperadContext,
     associator,
+    braces,
     bracket,
     bullet,
     cup,
     delta,
+    dev_braces,
     dev_bullet,
     dev_tetrabraces,
     dev_tribraces,
@@ -95,9 +97,10 @@ __all__ = [
     "ScriptTypeError", "ShapeMismatch", "Signature", "TableTooLarge",
     "TrialConfig", "UnknownGenerator", "UnknownLaw", "UnsupportedRing",
     "associator",
-    "aux_gamma", "aux_gamma_shifted", "boundary_faces", "bracket", "bullet",
-    "check_script", "componentwise_product", "cup", "delta", "dev_bullet",
-    "dev_tetrabraces", "dev_tribraces", "envelope_domains", "eval_script",
+    "aux_gamma", "aux_gamma_shifted", "boundary_faces", "braces", "bracket",
+    "bullet", "check_script", "componentwise_product", "cup", "delta",
+    "dev_braces", "dev_bullet", "dev_tetrabraces", "dev_tribraces",
+    "envelope_domains", "eval_script",
     "evaluate", "evaluate_hom", "format_script", "full_scope", "gamma_domain",
     "get_law", "graft", "ground_tetrahedron", "ksign", "laws_for_backend",
     "list_laws", "make_map", "matrix_algebra_product", "parse_script",

@@ -1,5 +1,5 @@
 """Derived operations over any backend: cup, total composition, bracket,
-coboundary, brace sums and their derivation deviations.
+coboundary, braces of any arity and their derivation deviations.
 
 Sign conventions, with |x| = deg(x) - 1:
 
@@ -8,9 +8,14 @@ Sign conventions, with |x| = deg(x) - 1:
     bracket(f, g)    = bullet(f, g) - (-1)^(|f||g|) bullet(g, f)
     delta(f)         = (-1)^|f| bullet(mu, f) - bullet(f, mu)
 
-so that -delta(f) = bracket(f, mu). Brace sums run over the lattice regions
-from the domains module: tribraces over the scope-right region of (h, f),
-tetrabraces over the ground tetrahedron of (h, f, g).
+so that -delta(f) = bracket(f, mu). The brace h{f_1, ..., f_n} sums
+(h comp_p1 f_1) ... comp_pn f_n over the ground simplex from the domains
+module, at any arity n: h{f} = bullet(h, f), and tribraces and tetrabraces
+are h{f, g} and h{f, g, b}. Its deviation from a derivation is
+
+    dev_braces(h; f_1..f_n) = delta(h{f_1..f_n})
+        - sum over t of (-1)^(|f_(t+1)| + ... + |f_n|) h{.., delta(f_t), ..}
+        - (-1)^(|f_1| + ... + |f_n|) delta(h){f_1..f_n}.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import cached_property
 from itertools import chain
 
 from .backends import GradedElement, compose_sum, region_sum, signed_sum
-from .domains import ground_tetrahedron, scope_regions
+from .domains import ground_simplex
 from .endo import ksign
 from .errors import BackendMismatch, DegreeMismatch, InvalidDegree
 
@@ -94,68 +99,56 @@ def associator(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedEl
     return bullet(bullet(h, f), g) - bullet(h, bullet(f, g))
 
 
-def _right_region(h: GradedElement, f: GradedElement):
-    points = scope_regions(h.degree, f.degree)[2].points
-    if MUTATION_RIGHT_RANGE in h.backend.mutations:
+def braces(h: GradedElement, *fs: GradedElement) -> GradedElement:
+    """The brace h{f_1, ..., f_n}: (h comp_p1 f_1) ... comp_pn f_n summed
+    over the ground simplex; bullet(h, f_1) when n = 1."""
+    if not fs:
+        raise InvalidDegree("braces need at least one input")
+    if min(x.degree for x in (h, *fs)) < 1:
+        raise InvalidDegree("braces need degrees >= 1")
+    if len(fs) == 1:
+        return bullet(h, fs[0])
+    points = ground_simplex(h.degree, [f.degree for f in fs])
+    if len(fs) == 2 and MUTATION_RIGHT_RANGE in h.backend.mutations:
         # canary: shift the row start by one slot
-        points = tuple((i, j) for (i, j) in points if j > i + f.degree)
-    return points
+        points = tuple((i, j) for (i, j) in points if j > i + fs[0].degree)
+    return region_sum(h, fs, points)
+
+
+def dev_braces(ctx: PreOperadContext, h: GradedElement,
+               *fs: GradedElement) -> GradedElement:
+    """How far delta is from a derivation of the brace h{f_1, ..., f_n}."""
+    def terms():
+        yield 1, delta(ctx, braces(h, *fs))
+        sign = -1
+        for t, f in reversed(tuple(enumerate(fs))):
+            yield sign, braces(h, *fs[:t], delta(ctx, f), *fs[t + 1:])
+            sign *= ksign(f.shifted_degree)
+        yield sign, braces(delta(ctx, h), *fs)
+
+    return signed_sum(h.backend, h.degree + sum(f.degree - 1 for f in fs) + 1,
+                      terms())
 
 
 def tribraces(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedElement:
-    """Sum of (h comp_i f) comp_j g over the scope-right region of (h, f)."""
-    for x in (h, f, g):
-        if x.degree < 1:
-            raise InvalidDegree("tribraces need degrees >= 1")
-    return region_sum(h, (f, g), _right_region(h, f))
+    return braces(h, f, g)
 
 
 def tetrabraces(h: GradedElement, f: GradedElement, g: GradedElement,
                 b: GradedElement) -> GradedElement:
-    """Sum of ((h comp_i f) comp_j g) comp_k b over the ground tetrahedron."""
-    for x in (h, f, g, b):
-        if x.degree < 1:
-            raise InvalidDegree("tetrabraces need degrees >= 1")
-    return region_sum(h, (f, g, b),
-                      ground_tetrahedron(h.degree, f.degree, g.degree).points)
+    return braces(h, f, g, b)
 
 
 def dev_bullet(ctx: PreOperadContext, f: GradedElement,
                g: GradedElement) -> GradedElement:
-    """How far delta is from a derivation of the total composition."""
-    def terms():
-        yield 1, delta(ctx, bullet(f, g))
-        yield -1, bullet(f, delta(ctx, g))
-        yield -ksign(g.shifted_degree), bullet(delta(ctx, f), g)
-
-    return signed_sum(f.backend, f.degree + g.degree, terms())
+    return dev_braces(ctx, f, g)
 
 
 def dev_tribraces(ctx: PreOperadContext, h: GradedElement, f: GradedElement,
                   g: GradedElement) -> GradedElement:
-    """Deviation of delta from a derivation of the triple brace sum."""
-    sg, sf = g.shifted_degree, f.shifted_degree
-
-    def terms():
-        yield 1, delta(ctx, tribraces(h, f, g))
-        yield -1, tribraces(h, f, delta(ctx, g))
-        yield -ksign(sg), tribraces(h, delta(ctx, f), g)
-        yield -ksign(sg + sf), tribraces(delta(ctx, h), f, g)
-
-    return signed_sum(h.backend, h.degree + f.degree + g.degree - 1, terms())
+    return dev_braces(ctx, h, f, g)
 
 
 def dev_tetrabraces(ctx: PreOperadContext, h: GradedElement, f: GradedElement,
                     g: GradedElement, b: GradedElement) -> GradedElement:
-    """Deviation of delta from a derivation of the quadruple brace sum."""
-    sb, sg, sf = b.shifted_degree, g.shifted_degree, f.shifted_degree
-
-    def terms():
-        yield 1, delta(ctx, tetrabraces(h, f, g, b))
-        yield -1, tetrabraces(h, f, g, delta(ctx, b))
-        yield -ksign(sb), tetrabraces(h, f, delta(ctx, g), b)
-        yield -ksign(sb + sg), tetrabraces(h, delta(ctx, f), g, b)
-        yield -ksign(sb + sg + sf), tetrabraces(delta(ctx, h), f, g, b)
-
-    return signed_sum(h.backend, h.degree + f.degree + g.degree + b.degree - 2,
-                      terms())
+    return dev_braces(ctx, h, f, g, b)

@@ -1,14 +1,17 @@
-"""Integer lattice domains that index composition double and triple sums.
+"""Integer lattice domains that index composition sums.
 
-Everything here is a finite set of tuples cut out of Z^2 or Z^3 by explicit
-inequalities in the degrees of the participating elements. Shifted degrees
-|x| = deg(x) - 1 appear so often that the formulas below abbreviate
-sh = deg_h - 1, sf = deg_f - 1, sg = deg_g - 1.
+Everything here is a finite set of tuples cut out of Z^n by explicit
+inequalities in the degrees of the participating elements, most of them
+one staircase (_staircase). Shifted degrees |x| = deg(x) - 1 appear so
+often that the formulas below abbreviate sh = deg_h - 1, sf = deg_f - 1,
+sg = deg_g - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .errors import InvalidDegree
 
@@ -29,6 +32,32 @@ class LatticeDomain:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+@lru_cache(maxsize=4096)  # a law suite asks for some 400 staircases, each many times
+def _staircase(first: int, gaps: tuple, tops: tuple) -> tuple:
+    """The points (p_1, ..., p_n), in lexicographic order, with first <= p_1,
+    p_t + gaps[t-1] <= p_(t+1) and p_t <= tops[t-1]; n = len(tops)."""
+    points = [()]
+    for t, top in enumerate(tops):
+        points = [p + (q,) for p in points
+                  for q in range(p[-1] + gaps[t - 1] if t else first, top + 1)]
+    return tuple(points)
+
+
+def ground_simplex(deg_h: int, degrees) -> tuple:
+    """The slots (p_1, ..., p_n) of the brace h{f_1, ..., f_n}, where
+    deg f_t = degrees[t-1]: 0 <= p_1, p_t + deg f_t <= p_(t+1) and
+    p_t <= deg_h + deg f_1 + ... + deg f_(t-1) - n.
+
+    Empty when any degree is < 1; an empty domain is not an error, it just
+    indexes an empty sum.
+    """
+    degrees = tuple(degrees)
+    if min((deg_h, *degrees)) < 1:
+        return ()
+    return _staircase(0, degrees[:-1],
+                      tuple(accumulate(degrees[:-1], initial=deg_h - len(degrees))))
 
 
 def full_scope(deg_h: int, deg_f: int) -> tuple:
@@ -52,8 +81,7 @@ def scope_regions(deg_h: int, deg_f: int):
     left = tuple((i, j) for i in range(1, sh + 1) for j in range(i))
     nested = tuple((i, j) for i in range(sh + 1)
                    for j in range(i, i + sf + 1))
-    right = tuple((i, j) for i in range(sh)
-                  for j in range(i + deg_f, sf + sh + 1))
+    right = _staircase(0, (deg_f,), (sh - 1, sf + sh))
     params = (deg_h, deg_f)
     return (
         LatticeDomain("scope-left", params, left),
@@ -63,39 +91,26 @@ def scope_regions(deg_h: int, deg_f: int):
 
 
 def ground_tetrahedron(deg_h: int, deg_f: int, deg_g: int) -> LatticeDomain:
-    """Points 0 <= i <= j - deg_f <= k - deg_f - deg_g <= deg_h - 3.
-
-    Empty when any degree is < 1 or deg_h < 3; an empty domain is not an
-    error, it just indexes an empty sum.
-    """
-    params = (deg_h, deg_f, deg_g)
-    if deg_h < 1 or deg_f < 1 or deg_g < 1:
-        return LatticeDomain("ground-tetra", params, ())
-    pts = []
-    for i in range(0, deg_h - 2):
-        for j in range(i + deg_f, deg_h + deg_f - 2):
-            for k in range(j + deg_g, deg_h + deg_f + deg_g - 2):
-                pts.append((i, j, k))
-    return LatticeDomain("ground-tetra", params, tuple(pts))
+    """Points 0 <= i <= j - deg_f <= k - deg_f - deg_g <= deg_h - 3: the ground
+    simplex of h{f, g, b}, whose deg b bounds nothing; empty when a degree is < 1."""
+    return LatticeDomain("ground-tetra", (deg_h, deg_f, deg_g),
+                         ground_simplex(deg_h, (deg_f, deg_g, 1)))
 
 
 def shifted_tetrahedron(deg_h: int, deg_f: int, deg_g: int) -> LatticeDomain:
     """The ground tetrahedron moved by (+1, +1, +1):
     1 <= i <= j - deg_f <= k - deg_f - deg_g <= deg_h - 2."""
-    ground = ground_tetrahedron(deg_h, deg_f, deg_g)
-    pts = tuple((i + 1, j + 1, k + 1) for (i, j, k) in ground)
-    return LatticeDomain("shifted-tetra", (deg_h, deg_f, deg_g), pts)
+    params = (deg_h, deg_f, deg_g)
+    if min(params) < 1:
+        return LatticeDomain("shifted-tetra", params, ())
+    return LatticeDomain("shifted-tetra", params, _staircase(
+        1, (deg_f, deg_g), (deg_h - 2, deg_h + deg_f - 2, deg_h + deg_f + deg_g - 2)))
 
 
 def _envelope_points(deg_h: int, deg_f: int, deg_g: int) -> tuple:
     # 0 <= i <= j - |f| <= k - |f| - |g| <= deg_h + 1
     sf, sg = deg_f - 1, deg_g - 1
-    pts = []
-    for i in range(0, deg_h + 2):
-        for j in range(i + sf, deg_h + 1 + sf + 1):
-            for k in range(j + sg, deg_h + 1 + sf + sg + 1):
-                pts.append((i, j, k))
-    return tuple(pts)
+    return _staircase(0, (sf, sg), (deg_h + 1, deg_h + 1 + sf, deg_h + 1 + sf + sg))
 
 
 def _hyperplane_count(point, deg_h, deg_f, deg_g) -> int:
@@ -145,18 +160,12 @@ def boundary_faces(deg_h: int, deg_f: int, deg_g: int) -> dict:
     """
     sh, sf, sg = deg_h - 1, deg_f - 1, deg_g - 1
     kmax = sh + deg_f + deg_g
-    gamma = tuple((0, j, k)
-                  for j in range(deg_f, sh + sf + 1)
-                  for k in range(j + deg_g, sh + sf + deg_g + 1))
-    gamma1 = tuple((i, i + sf, k)
-                   for i in range(1, sh + 1)
-                   for k in range(i + sf + deg_g, sh + sf + deg_g + 1))
-    gamma2 = tuple((i, j, j + sg)
-                   for i in range(1, sh + 1)
-                   for j in range(i + deg_f, sh + deg_f + 1))
-    gamma3 = tuple((i, j, kmax)
-                   for i in range(1, sh + 1)
-                   for j in range(i + deg_f, sh + deg_f + 1))
+    gamma = _staircase(0, (deg_f, deg_g), (0, sh + sf, sh + sf + deg_g))
+    gamma1 = tuple((i, i + sf, k) for i, k in
+                   _staircase(1, (sf + deg_g,), (sh, sh + sf + deg_g)))
+    rows = _staircase(1, (deg_f,), (sh, sh + deg_f))
+    gamma2 = tuple((i, j, j + sg) for i, j in rows)
+    gamma3 = tuple((i, j, kmax) for i, j in rows)
     return {"gamma": gamma, "gamma1": gamma1, "gamma2": gamma2, "gamma3": gamma3}
 
 

@@ -31,7 +31,7 @@ from itertools import groupby
 
 from .backends import GradedElement, prefix_chains, signed_sum
 from .calculus import PreOperadContext, cup
-from .domains import LatticeDomain, ground_tetrahedron
+from .domains import LatticeDomain, _staircase, ground_tetrahedron
 from .endo import ksign
 from .errors import IndexOutOfDomain, InvalidDegree
 
@@ -40,27 +40,23 @@ GAMMA_KINDS = ("gamma", "gamma1", "gamma2", "gamma3")
 
 def gamma_domain(kind: str, deg_h: int, deg_f: int, deg_g: int,
                  deg_b: int) -> LatticeDomain:
-    """The lattice tetrahedron on which one auxiliary family is defined."""
+    """The lattice tetrahedron on which one auxiliary family is defined: the
+    staircase first <= i, i + gaps[0] <= j, j + gaps[1] <= k and
+    (i, j, k) <= tops, with first, gaps and tops by kind below."""
     if kind not in GAMMA_KINDS:
         raise IndexOutOfDomain(f"unknown auxiliary family {kind!r}")
     for d in (deg_h, deg_f, deg_g, deg_b):
         if d < 1:
             raise InvalidDegree("all four degrees must be >= 1")
     sh, sf, sg = deg_h - 1, deg_f - 1, deg_g - 1
-    if kind == "gamma":
-        lo_i, hi_i = 0, sh - 1
-    else:
-        lo_i, hi_i = 1, sh
-    pts = []
-    for i in range(lo_i, hi_i + 1):
-        j_lo = i + (sf if kind == "gamma1" else deg_f)
-        j_hi = sh + sf if kind in ("gamma", "gamma1") else deg_h + sf
-        for j in range(j_lo, j_hi + 1):
-            k_lo = j + (sg if kind == "gamma2" else deg_g)
-            k_hi = deg_h + deg_f + sg if kind == "gamma3" else deg_h + sf + sg
-            for k in range(k_lo, k_hi + 1):
-                pts.append((i, j, k))
-    return LatticeDomain(f"aux-{kind}", (deg_h, deg_f, deg_g, deg_b), tuple(pts))
+    first, gaps, tops = {
+        "gamma": (0, (deg_f, deg_g), (sh - 1, sh + sf, deg_h + sf + sg)),
+        "gamma1": (1, (sf, deg_g), (sh, sh + sf, deg_h + sf + sg)),
+        "gamma2": (1, (deg_f, sg), (sh, deg_h + sf, deg_h + sf + sg)),
+        "gamma3": (1, (deg_f, deg_g), (sh, deg_h + sf, deg_h + deg_f + sg)),
+    }[kind]
+    return LatticeDomain(f"aux-{kind}", (deg_h, deg_f, deg_g, deg_b),
+                         _staircase(first, gaps, tops))
 
 
 class GammaFamilies:

@@ -70,15 +70,12 @@ from .calculus import (
     MUTATION_LEFT_RELATION_SIGN,
     PreOperadContext,
     associator,
+    braces,
     bracket,
     bullet,
     cup,
     delta,
-    dev_bullet,
-    dev_tetrabraces,
-    dev_tribraces,
-    tetrabraces,
-    tribraces,
+    dev_braces,
 )
 from .domains import (
     boundary_faces,
@@ -587,16 +584,32 @@ def _check_cup_compose(s: TrialSample):
         yield "composing into a cup product", (j,), lhs, rhs
 
 
-def _check_main_theorem(s: TrialSample):
-    ctx = s.ctx
-    h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
-    sh, sg, sb = h.shifted_degree, g.shifted_degree, b.shifted_degree
-    lhs = ksign(sb) * dev_tetrabraces(ctx, h, f, g, b)
-    rhs = (cup(ctx, tribraces(h, f, g), b)
-           - tribraces(h, f, cup(ctx, g, b))
-           - ksign(sg) * tribraces(h, cup(ctx, f, g), b)
-           + ksign(sh * f.degree + sg) * cup(ctx, f, tribraces(h, g, b)))
-    yield "quadruple brace deviation closed form", None, lhs, rhs
+def _deviation(names, identity, inner):
+    """L08, L15 and L16, on the inputs names = (h, f_1, ..., f_n):
+    (-1)^|f_n| dev_braces(h; f_1..f_n) = h{f_1..f_(n-1)} cup f_n
+      + (-1)^(|h| deg f_1 + |f_2| + ... + |f_(n-1)|) f_1 cup h{f_2..f_n}
+      - sum over k of (-1)^(|f_(k+1)| + ... + |f_(n-1)|) h{.., f_k cup f_(k+1), ..},
+    the braces on the right being inner ("braces", or "bracket" at n = 2),
+    looked up by module-level name when the check runs."""
+    def check(s: TrialSample):
+        ctx = s.ctx
+        op = bracket if inner == "bracket" else braces
+        h, *fs = (s.elements[name] for name in names)
+        lhs = ksign(fs[-1].shifted_degree) * dev_braces(ctx, h, *fs)
+
+        def terms():
+            yield 1, cup(ctx, op(h, *fs[:-1]), fs[-1])
+            sign = ksign(h.shifted_degree * fs[0].degree
+                         + sum(f.shifted_degree for f in fs[1:-1]))
+            yield sign, cup(ctx, fs[0], op(h, *fs[1:]))
+            sign = -1
+            for k in range(len(fs) - 1, 0, -1):
+                yield sign, op(h, *fs[:k - 1], cup(ctx, fs[k - 1], fs[k]),
+                               *fs[k + 1:])
+                sign *= ksign(fs[k - 1].shifted_degree)
+
+        yield identity, None, lhs, signed_sum(ctx.backend, lhs.degree, terms())
+    return check
 
 
 def _check_right_derivation(s: TrialSample):
@@ -620,7 +633,7 @@ def _check_delta_expansion(s: TrialSample):
 def _check_bullet_deviation(s: TrialSample):
     ctx = s.ctx
     f, g = s.elements["f"], s.elements["g"]
-    lhs = ksign(g.shifted_degree) * dev_bullet(ctx, f, g)
+    lhs = ksign(g.shifted_degree) * dev_braces(ctx, f, g)
     rhs = cup(ctx, f, g) - ksign(f.degree * g.degree) * cup(ctx, g, f)
     yield ("total composition deviation measures commutativity", None,
            lhs, rhs)
@@ -636,8 +649,8 @@ def _check_delta_squared(s: TrialSample):
 def _check_getzler(s: TrialSample):
     h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
     lhs = associator(h, f, g)
-    rhs = (tribraces(h, f, g)
-           + ksign(f.shifted_degree * g.shifted_degree) * tribraces(h, g, f))
+    rhs = (braces(h, f, g)
+           + ksign(f.shifted_degree * g.shifted_degree) * braces(h, g, f))
     yield "associator splits into brace sums", None, lhs, rhs
 
 
@@ -646,22 +659,6 @@ def _check_gerstenhaber(s: TrialSample):
     lhs = associator(h, f, g)
     rhs = ksign(f.shifted_degree * g.shifted_degree) * associator(h, g, f)
     yield "associator symmetry in the last two slots", None, lhs, rhs
-
-
-def _tri_deviation(product: str, identity: str):
-    """L15 and L16: the triple brace deviation as three cup terms whose
-    inner products are total compositions (product "bullet") or brackets
-    ("bracket"), looked up by module-level name when the check runs."""
-    def check(s: TrialSample):
-        ctx = s.ctx
-        op = bullet if product == "bullet" else bracket
-        h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
-        lhs = ksign(g.shifted_degree) * dev_tribraces(ctx, h, f, g)
-        rhs = (cup(ctx, op(h, f), g)
-               + ksign(h.shifted_degree * f.degree) * cup(ctx, f, op(h, g))
-               - op(h, cup(ctx, f, g)))
-        yield identity, None, lhs, rhs
-    return check
 
 
 def _check_bracket(s: TrialSample):
@@ -845,11 +842,11 @@ def _bookkeeping(ctx, h, f, g, b) -> tuple:
         ("bullet", bullet(f, g).degree, df + dg - 1),
         ("bracket", bracket(f, g).degree, df + dg - 1),
         ("delta", delta(ctx, f).degree, df + 1),
-        ("tribraces", tribraces(h, f, g).degree, dh + df + dg - 2),
-        ("tetrabraces", tetrabraces(h, f, g, b).degree, dh + df + dg + db - 3),
-        ("dev_bullet", dev_bullet(ctx, f, g).degree, df + dg),
-        ("dev_tribraces", dev_tribraces(ctx, h, f, g).degree, dh + df + dg - 1),
-        ("dev_tetrabraces", dev_tetrabraces(ctx, h, f, g, b).degree,
+        ("tribraces", braces(h, f, g).degree, dh + df + dg - 2),
+        ("tetrabraces", braces(h, f, g, b).degree, dh + df + dg + db - 3),
+        ("dev_bullet", dev_braces(ctx, f, g).degree, df + dg),
+        ("dev_tribraces", dev_braces(ctx, h, f, g).degree, dh + df + dg - 1),
+        ("dev_tetrabraces", dev_braces(ctx, h, f, g, b).degree,
          dh + df + dg + db - 2),
     )
 
@@ -935,7 +932,9 @@ _LAWS = [
     Law("L08-main-theorem",
         "The coboundary deviation of the quadruple brace sum collapses to "
         "four cup and brace terms.",
-        ("h", "f", "g", "b"), _check_main_theorem, force_first=3,
+        ("h", "f", "g", "b"),
+        _deviation(("h", "f", "g", "b"), "quadruple brace deviation closed form",
+                   "braces"), force_first=3,
         vacuous_when=_vac_h_below(2)),
     Law("L09-right-derivation",
         "Total composition by a fixed element is a derivation of the cup "
@@ -964,12 +963,14 @@ _LAWS = [
         "The coboundary deviation of the triple brace sum collapses to three "
         "cup terms.",
         ("h", "f", "g"),
-        _tri_deviation("bullet", "triple brace deviation closed form")),
+        _deviation(("h", "f", "g"), "triple brace deviation closed form",
+                   "braces")),
     Law("L16-tri-deviation-bracket",
         "The triple brace deviation rewrites with brackets in place of total "
         "compositions.",
         ("h", "f", "g"),
-        _tri_deviation("bracket", "triple brace deviation via brackets")),
+        _deviation(("h", "f", "g"), "triple brace deviation via brackets",
+                   "bracket")),
     Law("L17-bracket-laws",
         "The bracket is graded antisymmetric and bracketing with the product "
         "gives minus the coboundary.",
@@ -1116,7 +1117,8 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     then checked in batches of equal batch key, in trial order. A law that
     builds tables splits each batch so that its rows of the largest table
     the degree budget allows stay under the entry cap; other batches are
-    never split. Each batch is checked once.
+    never split. Each batch is checked once; a PreOperadError raised by
+    the check on these valid inputs fails every row, its text the identity.
     The report counts the failing trials and holds one witness, cut from
     the failing row of the batch that holds the first failing trial: on
     free, the bare generators of its degree tuple. Only that batch and its
@@ -1160,7 +1162,11 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
         for lo in range(0, len(group), most):
             batch = group[lo:lo + most]
             checked = _stack([sample for *_, sample in batch])
-            details = law.checker(checked)
+            try:
+                details = law.checker(checked)
+            except PreOperadError as exc:  # a fault of the check: every row fails
+                details = [FailDetail(f"check raised {type(exc).__name__}: {exc}",
+                                      None, None, None)] * checked.rows
             rows = [r for r, detail in enumerate(details) if detail is not None]
             failed += len(rows)
             # a batch is in trial order: its first failing row is its first failure
@@ -1217,12 +1223,13 @@ def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
 
 def _rebuild_sample(witness: dict) -> TrialSample:
     """The checked sample of witness, a batch of one, once its settings pass
-    TrialConfig.validate and its input degrees fit the degree budget of its
-    dim, as a drawn trial's do."""
+    TrialConfig.validate, its law runs on its backend and its input degrees
+    fit the degree budget of its dim, as a drawn trial's do."""
     law = get_law(witness["law_id"])
     cfg = TrialConfig(witness["backend"], witness["prime"], witness["dim"],
                       mutations=witness.get("mutations", []))
     cfg.validate()
+    _check_runnable(law, cfg)
     if law.element_free:
         ctx, elements, degrees = None, {}, dict(witness["degrees"])
     else:

@@ -8,6 +8,7 @@ from preoperad.backends import EndoBackend, FreeBackend, GradedElement, region_s
 from preoperad.calculus import (
     PreOperadContext,
     associator,
+    braces,
     bracket,
     bullet,
     cup,
@@ -18,7 +19,7 @@ from preoperad.calculus import (
     tetrabraces,
     tribraces,
 )
-from preoperad.domains import ground_tetrahedron, scope_regions
+from preoperad.domains import ground_simplex, ground_tetrahedron, scope_regions
 from preoperad.free import Signature
 from preoperad.gamma import aux_gamma
 from preoperad.endo import ksign, make_map
@@ -120,14 +121,14 @@ def test_tetrabraces_empty_region_is_zero():
 
 
 def _brace_inputs(kind, degrees, mutations, seed):
-    """h, f, g, b (and mu, for a fifth degree) of the given degrees on one
-    backend; free inputs are sums of two generators so that terms can merge
-    and cancel."""
+    """Elements of the given degrees on one backend (h, f, g, b, ..., or
+    mu for a fifth degree); free inputs are sums of two generators so that
+    terms can merge and cancel."""
     rng = np.random.default_rng(seed)
     if kind == "endo":
         backend = EndoBackend(F97, 2, mutations)
         return backend, [backend.random(d, rng) for d in degrees]
-    names = "hfgbm"[:len(degrees)]
+    names = "hfgbmc"[:len(degrees)]
     sig = Signature(tuple((n + t, d) for n, d in zip(names, degrees)
                           for t in ("", "2")))
     backend = FreeBackend(F97, sig, mutations)
@@ -140,20 +141,25 @@ def _brace_inputs(kind, degrees, mutations, seed):
 @pytest.mark.parametrize("mutations", [frozenset(),
                                        frozenset({"g-range-off-by-one"})],
                          ids=["clean", "g-range-off-by-one"])
-@pytest.mark.parametrize("degrees", [(4, 2, 3, 1), (3, 1, 2, 2), (5, 2, 1, 2)])
+@pytest.mark.parametrize("degrees", [
+    (4, 2, 3, 1), (3, 1, 2, 2), (5, 2, 1, 2),  # h{f, g, b}
+    (3, 2), (4, 2, 3), (3, 1, 2),  # arities 1 and 2
+    (5, 1, 2, 1, 2), (3, 1, 1, 1, 1), (6, 2, 1, 1, 2, 1)])  # 4 (one empty), 5
 def test_brace_sums_equal_a_naive_per_point_loop(kind, mutations, degrees):
-    backend, (h, f, g, b) = _brace_inputs(kind, degrees, mutations, sum(degrees))
-    right = scope_regions(h.degree, f.degree)[2].points
-    if mutations:
-        right = [(i, j) for i, j in right if j > i + f.degree]
-    want = backend.zero(h.degree + f.degree + g.degree - 2)
-    for i, j in right:
-        want = want + h.compose(f, i).compose(g, j)
-    assert tribraces(h, f, g) == want
-    want = backend.zero(h.degree + f.degree + g.degree + b.degree - 3)
-    for i, j, k in ground_tetrahedron(h.degree, f.degree, g.degree):
-        want = want + h.compose(f, i).compose(g, j).compose(b, k)
-    assert tetrabraces(h, f, g, b) == want
+    backend, (h, *fs) = _brace_inputs(kind, degrees, mutations, sum(degrees))
+    points = ground_simplex(h.degree, degrees[1:])
+    if mutations and len(fs) == 2:
+        points = [(i, j) for i, j in points if j > i + fs[0].degree]
+    want = backend.zero(h.degree + sum(f.degree - 1 for f in fs))
+    for point in points:
+        term = h
+        for f, p in zip(fs, point):
+            term = term.compose(f, p)
+        want = want + term
+    assert braces(h, *fs) == want
+    named = {1: bullet, 2: tribraces, 3: tetrabraces}.get(len(fs))
+    if named is not None:
+        assert named(h, *fs) == want
 
 
 def test_region_sum_counts_repeated_points():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -333,31 +334,51 @@ def test_a_refused_verify_leaves_a_new_report_path_absent(capsys, tmp_path,
 @pytest.mark.parametrize("existing", [None, b'{"kept": true}\n'],
                          ids=["new", "existing"])
 def test_a_verify_that_raises_mid_run_leaves_the_report_path_as_it_was(
-        capsys, tmp_path, existing):
-    # a checker that raises ends the run with exit 2 after the report was
-    # opened: a file the run created is removed, an existing one is kept
-    law = laws.get_law("L05-unit-laws")
-    checker = law.checker
-
-    def raising(sample):
+        capsys, monkeypatch, tmp_path, existing):
+    # the engine raising outside a check (here while it stacks a batch) ends
+    # the run with exit 2 after the report was opened: a file the run
+    # created is removed, an existing one is kept
+    def raising(samples):
         raise IndexOutOfScope("slot 2 outside 0..1 for degree 2")
 
     report_path = tmp_path / "r.json"
     if existing is not None:
         report_path.write_bytes(existing)
-    object.__setattr__(law, "checker", raising)
-    try:
-        code, out, err = run(capsys, [
-            "verify", "--law", "L05-unit-laws", "--trials", "3",
-            "--report", str(report_path)])
-    finally:
-        object.__setattr__(law, "checker", checker)
+    monkeypatch.setattr(laws, "_stack", raising)
+    code, out, err = run(capsys, [
+        "verify", "--law", "L05-unit-laws", "--trials", "3",
+        "--report", str(report_path)])
     assert code == 2
     assert out == "" and err.startswith("error: slot 2 outside")
     if existing is None:
         assert not report_path.exists()
     else:
         assert report_path.read_bytes() == existing
+
+
+def test_a_check_that_raises_on_valid_input_fails_its_trials(
+        capsys, monkeypatch, tmp_path):
+    # a ground tetrahedron one point past its last asks a family for a value
+    # outside its domain: the check raises, every trial fails, and the
+    # report is written
+    ground_tetrahedron = laws.ground_tetrahedron
+
+    def one_past(*degrees):
+        dom = ground_tetrahedron(*degrees)
+        i, j, k = dom.points[-1]
+        return dataclasses.replace(dom, points=dom.points + ((i, j, k + 1),))
+
+    monkeypatch.setattr(laws, "ground_tetrahedron", one_past)
+    report_path = tmp_path / "r.json"
+    code, out, err = run(capsys, ["verify", "--law", "L18-lemma-first",
+                                  "--trials", "6", "--report", str(report_path)])
+    assert code == 1 and not err
+    law = json.loads(report_path.read_text())["laws"][0]
+    assert law["status"] == "fail"
+    assert law["failed"] == law["trials"] - law["vacuous"] > 0
+    witness = law["failures"][0]
+    assert witness["identity"].startswith("check raised IndexOutOfDomain: ")
+    assert witness["lhs"] is witness["rhs"] is None
 
 
 def test_verify_overwrites_an_existing_longer_report(capsys, tmp_path):
@@ -813,6 +834,12 @@ _REFUSED_WITNESSES = {
         "identity": "hand-made", "domain_point": None, "lhs": None,
         "rhs": None}, "degree budget"),
     "free-degrees": (_free_l06_witness(f=11, g=2), "degree budget"),
+    # laws that do not run on free used to replay into an AttributeError
+    "l27-on-free": ({**_free_l06_witness(f=1, g=2), "law_id": "L27-cross-backend",
+                     "extra": {"word": [["b", 0]]}},
+                    "does not run on the free backend"),
+    "l12-on-free": ({**_free_l06_witness(f=1, g=2), "law_id": "L12-delta-squared"},
+                    "does not run on the free backend"),
     # a string of mutations used to be read as a list of its letters
     "mutations-string": ({**_golden_witnesses(_REPLAY_GOLDENS[0])[0],
                           "mutations": "cup-sign-flip"},

@@ -1,15 +1,21 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from preoperad.domains import (
     LatticeDomain,
+    _envelope_points,
     boundary_faces,
     envelope_domains,
     full_scope,
+    ground_simplex,
     ground_tetrahedron,
     removed_edges,
     scope_regions,
     shifted_tetrahedron,
 )
+from preoperad.gamma import gamma_domain
 
 
 def test_full_scope_size():
@@ -91,3 +97,87 @@ def test_lattice_domain_protocol():
     assert list(iter(dom)) == list(dom.points)
     assert len(dom) == 1
     assert isinstance(dom, LatticeDomain)
+
+
+# each region against a brute-force filter: the points of a bounding box, in
+# lexicographic order, that satisfy the region's stated inequalities
+
+
+def _filtered(tops, keep) -> tuple:
+    """The points of [0, tops[0]] x [0, tops[1]] x ..., in lexicographic
+    order, at which keep, given one coordinate array per axis, holds."""
+    grid = np.indices([max(t + 1, 0) for t in tops]).reshape(len(tops), -1)
+    return tuple(map(tuple, grid[:, keep(*grid)].T.tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ground_simplex_is_its_inequalities(n):
+    for deg_h, *degrees in itertools.product(range(1, 6), repeat=n + 1):
+        # p_t <= deg_h + deg f_1 + ... + deg f_(t-1) - n bounds the box
+        tops = [deg_h + sum(degrees[:t]) - n for t in range(n)]
+
+        def keep(*p):
+            ok = p[0] >= 0
+            for t in range(n - 1):
+                ok = ok & (p[t] + degrees[t] <= p[t + 1])
+            return ok
+        assert ground_simplex(deg_h, degrees) == _filtered(tops, keep), \
+            (deg_h, degrees)
+    assert ground_simplex(3, (1, 0)) == ground_simplex(0, (1, 1)) == ()
+
+
+def _cube_regions(dh, df, dg):
+    """(region points, inequalities) of each staircase region of (dh, df, dg),
+    the inequalities as their docstrings state them."""
+    sh, sf, sg = dh - 1, df - 1, dg - 1
+    faces = boundary_faces(dh, df, dg)
+    return {
+        "ground-tetra": (ground_tetrahedron(dh, df, dg).points,
+                         lambda i, j, k: (0 <= i) & (i <= j - df)
+                         & (j - df <= k - df - dg) & (k - df - dg <= dh - 3)),
+        "shifted-tetra": (shifted_tetrahedron(dh, df, dg).points,
+                          lambda i, j, k: (1 <= i) & (i <= j - df)
+                          & (j - df <= k - df - dg) & (k - df - dg <= dh - 2)),
+        "envelope": (_envelope_points(dh, df, dg),
+                     lambda i, j, k: (0 <= i) & (i <= j - sf)
+                     & (j - sf <= k - sf - sg) & (k - sf - sg <= dh + 1)),
+        "aux-gamma": (gamma_domain("gamma", dh, df, dg, 1).points,
+                      lambda i, j, k: (0 <= i) & (i + df <= j) & (j + dg <= k)
+                      & (i <= sh - 1) & (j <= sh + sf) & (k <= dh + sf + sg)),
+        "aux-gamma1": (gamma_domain("gamma1", dh, df, dg, 1).points,
+                       lambda i, j, k: (1 <= i) & (i + sf <= j) & (j + dg <= k)
+                       & (i <= sh) & (j <= sh + sf) & (k <= dh + sf + sg)),
+        "aux-gamma2": (gamma_domain("gamma2", dh, df, dg, 1).points,
+                       lambda i, j, k: (1 <= i) & (i + df <= j) & (j + sg <= k)
+                       & (i <= sh) & (j <= dh + sf) & (k <= dh + sf + sg)),
+        "aux-gamma3": (gamma_domain("gamma3", dh, df, dg, 1).points,
+                       lambda i, j, k: (1 <= i) & (i + df <= j) & (j + dg <= k)
+                       & (i <= sh) & (j <= dh + sf) & (k <= dh + df + sg)),
+        "face-gamma": (faces["gamma"],
+                       lambda i, j, k: (i == 0) & (df <= j) & (j <= k - dg)
+                       & (k - dg <= sh + sf)),
+        "face-gamma1": (faces["gamma1"],
+                        lambda i, j, k: (j == i + sf) & (1 <= i)
+                        & (i <= k - sf - dg) & (k - sf - dg <= sh)),
+        "face-gamma2": (faces["gamma2"],
+                        lambda i, j, k: (k == j + sg) & (1 <= i)
+                        & (i <= j - df) & (j - df <= sh)),
+        "face-gamma3": (faces["gamma3"],
+                        lambda i, j, k: (k == sh + df + dg) & (1 <= i)
+                        & (i <= j - df) & (j - df <= sh)),
+    }
+
+
+def test_staircase_regions_are_their_inequalities():
+    for degs in itertools.product(range(1, 7), repeat=3):
+        side = sum(degs) + 2  # every region lies in [0, side]^3
+        for name, (points, keep) in _cube_regions(*degs).items():
+            assert tuple(points) == _filtered((side,) * 3, keep), (name, degs)
+
+
+def test_scope_right_is_its_inequalities():
+    for deg_h, deg_f in itertools.product(range(1, 7), repeat=2):
+        sh, sf = deg_h - 1, deg_f - 1
+        right = scope_regions(deg_h, deg_f)[2].points
+        assert right == _filtered((sh, sf + sh), lambda i, j: (
+            (i <= sh - 1) & (i + deg_f <= j))), (deg_h, deg_f)

@@ -680,9 +680,12 @@ def test_a_stated_sum_degree_off_by_one_raises_on_degrees_as_on_endo(monkeypatch
             calculus._slots(-1, f, ctx.mu)))
 
     monkeypatch.setattr(calculus, "delta", delta)
-    with pytest.raises(DegreeMismatch):
-        laws.run_law("L26-degree-bookkeeping",
-                     TrialConfig("endo", dim=2, trials=5, seed=1))
+    # a check that raises fails its trials
+    report = laws.run_law("L26-degree-bookkeeping",
+                          TrialConfig("endo", dim=2, trials=5, seed=1))
+    assert report.status == "fail" and report.failed == 5
+    assert report.failures[0]["identity"].startswith(
+        "check raised DegreeMismatch: ")
     be = EndoBackend(CoefficientRing.prime_field(97), 2)
     rng = np.random.default_rng(0)
     ctx = PreOperadContext(be, be.random(2, rng))
@@ -807,3 +810,42 @@ def test_a_free_witness_is_the_bare_generators_of_the_first_failing_trial(
         later += trial > 0
     if law_id != "L06-cup-product":  # where every trial fails
         assert later
+
+
+def _bare_sample(degrees):
+    """Names and the sample of bare free generators over Z of degrees (h's
+    first), with a bare mu: if a claim holds on them, it holds for all
+    elements of those degrees in every pre-operad."""
+    names = ("h", "f1", "f2", "f3", "f4")[:len(degrees)]
+    sig = free.Signature(tuple(zip(names, degrees)) + (("mu", 2),))
+    be = FreeBackend(CoefficientRing.integers(), sig)
+    elements = {name: be.generator(name) for name, _ in sig.generators}
+    return names, laws.TrialSample(PreOperadContext(be, elements["mu"]),
+                                   elements, dict(zip(names, degrees)), {})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_brace_deviation_closed_form_holds_on_bare_generators(n):
+    # deg h in [1, 4], inputs in [1, 3]: 36, 108 and 324 degree tuples
+    for degrees in itertools.product(range(1, 5), *[range(1, 4)] * n):
+        names, sample = _bare_sample(degrees)
+        check = laws._deviation(names, "closed form", "braces")
+        assert laws._first_failure(check, sample) == [None], degrees
+
+
+@pytest.mark.parametrize("term", range(5))
+def test_each_term_of_the_arity_4_closed_form_is_seen(term, monkeypatch):
+    # flipping the sign of any one of the five terms of the right-hand side
+    # fails every degree tuple with deg h = 3, the first at (3, 1, 1, 1, 1)
+    def flipped(backend, degree, terms):
+        return signed_sum(backend, degree, ((-c if t == term else c, x)
+                                            for t, (c, x) in enumerate(terms)))
+
+    monkeypatch.setattr(laws, "signed_sum", flipped)
+    failing = []
+    for degrees in itertools.product((3,), *[range(1, 4)] * 4):
+        names, sample = _bare_sample(degrees)
+        check = laws._deviation(names, "closed form", "braces")
+        if laws._first_failure(check, sample) != [None]:
+            failing.append(degrees)
+    assert len(failing) == 81 and failing[0] == (3, 1, 1, 1, 1)
