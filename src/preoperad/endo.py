@@ -521,7 +521,10 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
         n = g.degree
         if f.ring is not ring or f.dim != dim or f.degree + n - 1 != degree:
             _check_term(ring, dim, degree, f.ring, f.dim, f.degree + n - 1)
-        c = -int(c) if i * (n - 1) % 2 else int(c)
+        if type(c) is not int:
+            c = int(require_integer(c, "a coefficient", ShapeMismatch))
+        if i * (n - 1) % 2:
+            c = -c
         reduced = False  # the product reduced before c scales it
         if p is not None:
             c %= p
@@ -576,7 +579,8 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
     for c, m in terms:
         if m.ring is not ring or m.dim != dim or m.degree != degree:
             _check_term(ring, dim, degree, m.ring, m.dim, m.degree)
-        c = int(c)
+        if type(c) is not int:
+            c = int(require_integer(c, "a coefficient", ShapeMismatch))
         if p is not None:
             c %= p
             if c > p // 2:

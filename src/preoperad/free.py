@@ -18,7 +18,9 @@ multiplies by the global sign (-1)^(i * |y|), the same twist the dense
 backend carries, so both backends satisfy the identical relation laws and
 table substitution is a morphism between them. A sum of compositions
 (free_compose_sum) gathers the grafts of all its terms into one dict and
-sorts once; a single composition is a sum of one term.
+sorts once. A single composition whose right operand is one tree splices
+that tree into each tree of the left one, with no dict; any other single
+composition is a sum of one term.
 """
 
 from __future__ import annotations
@@ -201,9 +203,39 @@ def _check_pair(x: FreeElement, y: FreeElement):
 
 
 def free_partial_compose(x: FreeElement, y: FreeElement, i: int) -> FreeElement:
-    """x comp_i y: leaf grafting times (-1)^(i * |y|), bilinear in both."""
-    return free_compose_sum(x.ring, x.signature, x.degree + y.degree - 1,
-                            ((1, x, y, i),))
+    """x comp_i y: leaf grafting times (-1)^(i * |y|), bilinear in both.
+
+    When y is one tree over x's own ring and signature objects, x is not
+    zero and deg x >= 1, the tree is spliced into the i-th leaf of each
+    tree of x and the products of coefficients are the result's, sorted.
+    For canonical operands, as the package builds them, no dict and no
+    zero test are needed: splicing one fixed tree at the i-th leaf is
+    injective, so no two trees of x land on the same tree, and two
+    coefficients nonzero mod a prime (or in Z) have a nonzero product.
+    The sort is needed because a splice can reorder trees. Any other
+    composition, and every refusal, is free_compose_sum's of one term."""
+    ring, sig, xd = x.ring, x.signature, x.degree
+    x_terms, y_terms = x.terms, y.terms
+    if (len(y_terms) != 1 or not x_terms or y.ring is not ring
+            or y.signature is not sig or xd < 1):
+        return free_compose_sum(ring, sig, xd + y.degree - 1, ((1, x, y, i),))
+    if not 0 <= i <= xd - 1:
+        raise IndexOutOfScope(f"slot {i} outside 0..{xd - 1} for degree {xd}")
+    (u, b), = y_terms
+    yd = y.degree
+    if i * (yd - 1) % 2:
+        b = -b
+    p = ring.modulus
+    spliced = []
+    for t, a in x_terms:
+        pos = t.index(LEAF)
+        for _ in range(i):
+            pos = t.index(LEAF, pos + 1)
+        spliced.append((t[:pos] + u + t[pos + 1:],
+                        a * b if p is None else a * b % p))
+    if len(spliced) > 1:
+        spliced.sort()
+    return _new_element(ring, sig, xd + yd - 1, tuple(spliced))
 
 
 def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
@@ -228,7 +260,10 @@ def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
             raise IndexOutOfScope(f"slot {i} outside 0..{xd - 1} for degree {xd}")
         if not same or xd + yd - 1 != degree:
             _check_term(ring, sig, degree, x, xd + yd - 1)
-        c = -int(c) if i * (yd - 1) % 2 else int(c)
+        if type(c) is not int:
+            c = int(require_integer(c, "a coefficient", ShapeMismatch))
+        if i * (yd - 1) % 2:
+            c = -c
         if p is not None:
             c %= p
         y_terms = y.terms
@@ -252,7 +287,8 @@ def free_signed_sum(ring: CoefficientRing, sig: Signature, degree: int,
     for c, x in terms:
         if x.ring is not ring or x.signature is not sig or x.degree != degree:
             _check_term(ring, sig, degree, x, x.degree)
-        c = int(c)
+        if type(c) is not int:
+            c = int(require_integer(c, "a coefficient", ShapeMismatch))
         for tree, a in x.terms:
             raw[tree] = get(tree, 0) + c * a
     return _new_element(ring, sig, degree, _canonical_terms(ring, raw))

@@ -821,7 +821,11 @@ class _DegreeBackend:
 
     def compose_sum_payload(self, degree, terms):
         for _, f, g, i in terms:
-            _require_degree(self.compose_payload(f, g, i).degree, degree)
+            fd = f.degree
+            if not 0 <= i < fd:
+                raise InvalidDegree(f"slot {i} outside 0..{fd - 1} "
+                                    f"for degree {fd}")
+            _require_degree(fd + g.degree - 1, degree)
         return _Degree(degree)
 
 

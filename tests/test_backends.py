@@ -7,6 +7,7 @@ prefix walk hands out each point's chain of compositions, composes a prefix
 once per run of points that share it, and keeps no other prefix alive."""
 
 import weakref
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -22,7 +23,7 @@ from preoperad.backends import (
     signed_sum,
 )
 from preoperad.endo import linear_combine
-from preoperad.errors import BackendMismatch, DegreeMismatch
+from preoperad.errors import BackendMismatch, DegreeMismatch, ShapeMismatch
 from preoperad.free import Signature, free_linear_combine
 from preoperad.rings import CoefficientRing
 from stacking import stack_rows
@@ -184,6 +185,26 @@ def test_compose_sums_reject_other_backends(kind):
             with pytest.raises(BackendMismatch,
                                match="elements from different backends"):
                 compose_sum(backend, 3, [(1, x, x, 0), (c, f, g, 0)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_coefficient_that_is_not_an_integer_is_refused(kind):
+    backend, x, y = _pair(kind, False)
+    for build in (lambda: 2.5 * x, lambda: Fraction(1, 2) * x,
+                  lambda: True * x,
+                  lambda: signed_sum(backend, 2, [(1, x), (Fraction(4, 2), y)]),
+                  lambda: compose_sum(backend, 3, [(0.5, x, x, 0)]),
+                  lambda: compose_sum(backend, 3, [(1, x, y, 1), (False, x, x, 0)])):
+        with pytest.raises(ShapeMismatch, match="a coefficient must be an integer"):
+            build()
+    # a numpy integer is the Python int it equals, also past int64 products
+    for c in (3, -2, 96, 2**62 + 1):
+        got = signed_sum(backend, 2, [(np.int64(c), x), (1, y)])
+        assert not got.differs(signed_sum(backend, 2, [(c, x), (1, y)]))
+        for i in (0, 1):
+            got = compose_sum(backend, 3, [(np.int64(c), x, y, i), (1, y, x, i)])
+            assert not got.differs(compose_sum(
+                backend, 3, [(c, x, y, i), (1, y, x, i)]))
 
 
 def _walk_inputs(kind):

@@ -362,6 +362,69 @@ def test_compose_sums_raise_what_compose_then_signed_sum_raised():
                 assert got == want, (what, c)
 
 
+# six trees of degree 3 over SIG and one-tree right operands of degree
+# 1 to 3, so that the Koszul sign takes both values
+SPLICE_LEFT = ["(h _ _ _)", "(f (f _ _) _)", "(f _ (f _ _))", "(b (h _ _ _))",
+               "(h (g _) _ _)", "(f (g (f _ _)) (b _))"]
+SPLICE_RIGHT = ["(g _)", "(f _ _)", "(f (b _) _)", "(h _ _ _)"]
+
+
+@pytest.mark.parametrize("ring, coeffs, right_coeff", [
+    (F97, [1, 96, 5, 50, 2, 33], 95),
+    (CoefficientRing.integers(), [1, -1, 2**70, -3, 7, -2**65], -2**66)],
+    ids=["F97", "ZZ"])
+def test_a_single_tree_right_operand_composes_as_a_sum_of_one_term(
+        ring, coeffs, right_coeff):
+    for k in range(1, 7):
+        x = free_linear_combine(coeffs[:k], [
+            FreeElement(ring, SIG, 3, ((tree(t), 1),)) for t in SPLICE_LEFT[:k]])
+        assert len(x.terms) == k
+        for sexpr in SPLICE_RIGHT:
+            y = free_linear_combine([right_coeff], [FreeElement(
+                ring, SIG, tree_degree(tree(sexpr)), ((tree(sexpr), 1),))])
+            degree = 3 + y.degree - 1
+            for i in range(3):
+                got = free_partial_compose(x, y, i)
+                want = free_compose_sum(ring, SIG, degree, ((1, x, y, i),))
+                assert got.degree == degree
+                assert got.terms == want.terms, (k, sexpr, i)
+
+
+def test_a_splice_can_reorder_trees():
+    sig = Signature((("h", 2), ("z", 1), ("b", 1)))
+    x = free_linear_combine([1, 1], [
+        FreeElement(F97, sig, 2, ((tree(t, sig), 1),))
+        for t in ("(h (z _) _)", "(h _ _)")])
+    assert [tree_to_sexpr(t) for t, _ in x.terms] == ["(h (z _) _)", "(h _ _)"]
+    got = free_partial_compose(x, generator_element(sig, F97, "b"), 0)
+    assert got.terms == ((tree("(h (b _) _)", sig), 1),
+                         (tree("(h (z (b _)) _)", sig), 1))
+
+
+def test_single_compositions_raise_what_a_sum_of_one_term_raises():
+    x = free_linear_combine([2, 3], [gen("f"), free_partial_compose(
+        gen("f"), gen("g"), 1)])
+    other = Signature((("f", 2), ("g", 1), ("z", 1)))
+    bad = {
+        "slot past the end": (x, gen("g"), 2),
+        "negative slot": (x, gen("g"), -1),
+        "y over another ring": (x, generator_element(SIG, F101, "g"), 0),
+        "y over another signature": (x, generator_element(other, F97, "g"), 0),
+    }
+    for what, (a, b, i) in bad.items():
+        want = _raised(lambda: free_compose_sum(
+            F97, SIG, a.degree + b.degree - 1, ((1, a, b, i),)))
+        assert _raised(lambda: free_partial_compose(a, b, i)) == want, what
+    # y over a ring and signature equal to x's, but other objects
+    y = FreeElement(CoefficientRing.prime_field(97), Signature(SIG.generators),
+                    1, gen("g").terms)
+    assert y.ring is not x.ring and y.signature is not x.signature
+    for i in range(2):
+        got = free_partial_compose(x, y, i)
+        assert got == free_compose_sum(F97, SIG, 2, ((1, x, gen("g"), i),))
+        assert not got.is_zero()
+
+
 def test_one_term_sums_are_canonical():
     # an element built directly keeps its terms as given; a sum of it, even
     # of one term with coefficient 1, sorts and reduces them

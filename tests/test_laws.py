@@ -665,10 +665,17 @@ def test_the_degree_backend_refuses_bad_slots_and_term_degrees():
     for slot in (-1, 2):
         with pytest.raises(InvalidDegree):
             f.compose(g, slot)
-    with pytest.raises(InvalidDegree):
-        compose_sum(laws._DEGREES, 4, [(1, f, g, 0), (1, f, g, 2)])
-    with pytest.raises(DegreeMismatch):
+    for slot in (-1, 2):
+        with pytest.raises(InvalidDegree) as info:
+            compose_sum(laws._DEGREES, 4, [(1, f, g, 0), (1, f, g, slot)])
+        assert str(info.value) == f"slot {slot} outside 0..1 for degree 2"
+    with pytest.raises(DegreeMismatch) as info:
         compose_sum(laws._DEGREES, 5, [(1, f, g, 0)])
+    assert str(info.value) == "degree 4 vs 5"
+    # a term's slot is checked before its degree
+    with pytest.raises(InvalidDegree):
+        compose_sum(laws._DEGREES, 5, [(1, f, g, 2)])
+    assert compose_sum(laws._DEGREES, 4, [(1, f, g, 0), (0, g, f, 2)]).degree == 4
     with pytest.raises(DegreeMismatch):
         signed_sum(laws._DEGREES, 2, [(1, f), (-1, g)])
 
