@@ -115,6 +115,18 @@ class FreeElement:
     degree: int
     terms: tuple  # sorted tuple of (tree, coeff), coeff nonzero canonical
 
+    def __post_init__(self):
+        # built from outside, as from a payload: checked and made canonical
+        # (package paths build through _new_element, unchecked)
+        raw = {}
+        for tree, c in self.terms:
+            if tree in raw:  # refused rather than merged
+                raise ShapeMismatch(f"tree {tree_to_sexpr(tree)!r} appears "
+                                    f"twice in one tree sum")
+            raw[tree] = int(require_integer(c, "a coefficient", ShapeMismatch))
+        object.__setattr__(self, "terms", _element(
+            self.ring, self.signature, self.degree, raw).terms)
+
     @property
     def shifted_degree(self) -> int:
         return self.degree - 1
@@ -355,15 +367,9 @@ def _tree_from_sexpr(text: str, sig: Signature):
 def element_from_payload(payload: dict) -> FreeElement:
     ring = CoefficientRing.from_payload(payload["ring"])
     sig = Signature(tuple((n, d) for n, d in payload["signature"]))
-    raw = {}
-    for sexpr, c in payload["terms"]:
-        tree = _tree_from_sexpr(sexpr, sig)
-        # refused rather than merged, rounded or parsed
-        if tree in raw:
-            raise ShapeMismatch(f"tree {sexpr!r} appears twice in one tree sum")
-        raw[tree] = int(require_integer(c, "a coefficient", ShapeMismatch))
-    return _element(ring, sig,
-                    require_integer(payload["degree"], "degree", ShapeMismatch), raw)
+    return FreeElement(
+        ring, sig, require_integer(payload["degree"], "degree", ShapeMismatch),
+        tuple((_tree_from_sexpr(sexpr, sig), c) for sexpr, c in payload["terms"]))
 
 
 def _eval_tree(tree, assignment: dict, ring: CoefficientRing, dim: int) -> MultilinearMap:

@@ -1,20 +1,17 @@
 """Registry of verifiable identities plus a deterministic trial engine.
 
 Every law is a named, seeded, replayable check: the engine draws degrees and
-then only what the check reads from per-trial RNG streams, runs the law's
+then only what the check reads from the law's seeded stream, runs the law's
 checker, counts the failing trials and keeps one serialized witness, that
 of the first failing trial. Identical (law, config) pairs produce identical
 reports apart from the timing field. A witness can be replayed and shrunk.
 
-Streams: each trial attempt has its own PCG64 stream, that of
-np.random.default_rng((salt, seed, trial, attempt)) with the law's salt.
-A law draws in rounds over attempts, and one vectorised pass seeds every
-stream of a round (_round_states); it re-implements numpy's SeedSequence
-and PCG64 seeding exactly, which numpy's stream policy (NEP 19) keeps
-stable, and test_a_round_of_states_is_numpy_seeding_row_by_row pins it
-against numpy. Each attempt then sets the state of one Generator. An endo
-trial draws its tables in one call (endo._random_maps), the same stream
-as one draw per table.
+Stream: a law draws all its trials, in trial order, from one Generator,
+np.random.default_rng((salt, seed)) with the law's salt (_draws). A trial
+runs its vacuous retries inline, so a run of n trials draws exactly the
+first n trials of any longer run with the same settings. An endo trial
+draws its tables in one call (endo._random_maps), the same stream as one
+draw per table.
 
 Batches: the trials of a law that drew the same degrees (and the same extra
 data) run as one check, law.checker(_stack(batch)). Endo tables are stacked
@@ -31,7 +28,7 @@ failing claim. A replay and a shrink step are batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
 proves nothing. Such an attempt stops after its degrees, with no table
-drawn, and is retried from the next attempt's stream a few times; then the
+drawn, and is retried from where the stream stands a few times; then the
 trial is counted vacuous in the report. A law with fewer than half
 of its trials non-vacuous is flagged underpowered, and so is every law over
 F_2, where -1 = 1 hides every sign.
@@ -304,135 +301,6 @@ def _law_salt(law_id: str) -> int:
     return int.from_bytes(hashlib.sha256(law_id.encode()).digest()[:8], "big")
 
 
-def _words(n: int) -> list:
-    """The little-endian 32-bit words of n >= 0, at least one: the words
-    numpy's SeedSequence makes of an int in its entropy."""
-    words = [n & 0xFFFFFFFF]
-    n >>= 32
-    while n:
-        words.append(n & 0xFFFFFFFF)
-        n >>= 32
-    return words
-
-
-@lru_cache(maxsize=64)  # one SHA-256 per law id, not one per trial attempt
-def _salt_words(law_id: str) -> tuple:
-    return tuple(_words(_law_salt(law_id)))
-
-
-# numpy's SeedSequence: its hash constants (each hash xors in the current
-# constant, multiplies the constant by its multiplier mod 2^32, multiplies
-# by the result and xors in the top 16 bits), its two mixing multipliers,
-# and the multiplier of PCG64's 128-bit LCG; NEP 19 keeps all of them fixed
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = (1 << 128) - 1
-# the pool words each pool word is mixed into, in SeedSequence's order
-_OTHERS = tuple([d for d in range(4) if d != s] for s in range(4))
-
-
-@lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, count: int) -> tuple:
-    """(xor, mul): the uint32 constants of count successive hashes from
-    init, the constant each hash xors in and the one it multiplies by."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    consts = np.array(consts, dtype=np.uint32)
-    return consts[:-1], consts[1:]
-
-
-def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    values = values ^ xor
-    values *= mul
-    values ^= values >> 16
-    return values
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = x * _MIX_L
-    mixed -= y * _MIX_R
-    mixed ^= mixed >> 16
-    return mixed
-
-
-def _pcg64_states(entropy: np.ndarray) -> list:
-    """The state of np.random.PCG64(np.random.SeedSequence(w)), as its
-    bit_generator.state setter takes it, for the uint32 entropy words w of
-    each row of entropy, a (rows, words) array. SeedSequence's hashing of
-    the words into its pool of four and its generate_state(4, np.uint64)
-    run on every row at once, since their hash constants do not depend on
-    the words; PCG64's seeding (pcg_setseq_128_srandom_r) then runs row by
-    row on 128-bit ints."""
-    rows, n = entropy.shape
-    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, n - 4))
-    pool = np.zeros((rows, 4), dtype=np.uint32)  # 0 past the words
-    pool[:, :n] = entropy[:, :4]
-    pool = _hash(pool, xor[:4], mul[:4])
-    k = 4
-    # each pool word is hashed into every other, then each word past the
-    # pool's four into every pool word
-    for src, dst in enumerate(_OTHERS):
-        pool[:, dst] = _mix(pool[:, dst],
-                            _hash(pool[:, src, None], xor[k:k + 3], mul[k:k + 3]))
-        k += 3
-    for src in range(4, n):
-        pool = _mix(pool, _hash(entropy[:, src, None], xor[k:k + 4], mul[k:k + 4]))
-        k += 4
-    # generate_state: eight words from the pool cycled twice, read as four
-    # little-endian uint64, the PCG64 seed's high and low halves, then the
-    # stream's
-    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
-    seeded = _hash(np.tile(pool, 2), xor, mul).astype("<u4").view("<u8")
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in seeded.tolist():
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK_128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK_128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
-def _round_states(law_id: str, seed: int, trials, attempt: int) -> dict:
-    """trial -> the PCG64 state of _trial_rng(law_id, seed, trial, attempt)
-    for each of trials: one _pcg64_states pass per count of entropy words
-    (a trial past 2^32 has more)."""
-    head = [*_salt_words(law_id), *_words(seed)]
-    tail = _words(attempt)
-    groups = {}
-    for trial in trials:
-        # len(_words(trial)), without building the words
-        groups.setdefault(-(-max(trial.bit_length(), 1) // 32), []).append(trial)
-    states = {}
-    for length, group in groups.items():
-        entropy = np.empty((len(group), len(head) + length + len(tail)),
-                           dtype=np.uint32)
-        entropy[:] = head + [0] * length + tail
-        for w in range(length):
-            entropy[:, len(head) + w] = [t >> 32 * w & 0xFFFFFFFF for t in group]
-        states.update(zip(group, _pcg64_states(entropy)))
-    return states
-
-
-def _generator():
-    """A Generator whose PCG64 state is set before each use."""
-    return np.random.Generator(np.random.PCG64(0))
-
-
-def _trial_rng(law_id: str, seed: int, trial: int, attempt: int):
-    """A fresh Generator on the stream of np.random.default_rng((salt, seed,
-    trial, attempt)), salt the law's: the one-trial round of _round_states.
-    That re-implements numpy's seeding, which NEP 19 keeps stable across
-    numpy versions; test_trial_rng_is_numpy_seeding_of_the_key_tuple and
-    test_a_round_of_states_is_numpy_seeding_row_by_row pin it."""
-    rng = _generator()
-    rng.bit_generator.state = _round_states(law_id, seed, (trial,), attempt)[trial]
-    return rng
-
-
 def _sample_degrees(rng, slots, cfg: TrialConfig, force_first: int | None) -> dict:
     degrees = {}
     remaining = cfg.degree_budget
@@ -454,24 +322,33 @@ def _fixture_mu(ring: CoefficientRing, dim: int) -> endo.MultilinearMap:
     return endo.componentwise_product(ring, dim)
 
 
+@lru_cache(maxsize=4096)
+def _bare_generators(prime: int, mutations: tuple, gens: tuple) -> tuple:
+    """(context, bare generators by name) of the free pre-operad on gens,
+    (name, degree) pairs, over F_prime with mutations; the context is None
+    unless gens hold a product mu. Built once per key and shared by every
+    law and trial that asks for it."""
+    be = FreeBackend(CoefficientRing.prime_field(prime), free.Signature(gens),
+                     frozenset(mutations))
+    bare = {name: be.generator(name) for name, _ in gens}
+    return (PreOperadContext(be, bare["mu"]) if "mu" in bare else None), bare
+
+
 def _sampler(law: Law, cfg: TrialConfig):
-    """draw(rng, force_first), which draws one trial's TrialSample, or None
-    when its degrees are vacuous: then nothing past the degrees is drawn.
-    The ring, the dense backend and a fixture product are built once, here,
-    and shared by every sample drawn. An endo sample's tables, its inputs'
-    in slot order and then mu's unless mu is the fixture, come from one
-    draw (endo._random_maps), which leaves rng where one draw per table
-    would (test_one_draw_of_several_tables_is_consecutive_random_map_calls);
+    """draw(rng, force_first), which draws one trial's TrialSample from rng,
+    or None when its degrees are vacuous: then nothing past the degrees is
+    drawn. The ring, the dense backend and a fixture product are built
+    once, here, and shared by every sample drawn. An endo sample's tables,
+    its inputs' in slot order and then mu's unless mu is the fixture, come
+    from one draw (endo._random_maps), which leaves rng where one draw per
+    table would (test_one_draw_of_several_tables_is_consecutive_random_map_calls);
     L27's word is drawn after them. The tables stay bare: they become
     elements, with a context, once per batch when they are checked
-    (_stack). A free sample draws its degrees only: its bare
-    generators, mu and context are built once per degree tuple and shared
-    by every sample of that tuple.
-
-    rng is on the trial attempt's stream (_trial_rng, or run_law's round),
-    numpy's seeding of the key tuple, which NEP 19 keeps stable."""
+    (_stack). A free sample draws its degrees only: its bare generators,
+    mu and context are those of its degree tuple (_bare_generators)."""
     ring = CoefficientRing.prime_field(cfg.prime)
     muts = frozenset(cfg.mutations)
+    mutations = tuple(sorted(muts))  # a key of _bare_generators
     dense = EndoBackend(ring, cfg.dim, muts)
     fixture = _fixture_mu(ring, cfg.dim) if law.fixture_mu else None
     # the names whose tables an endo trial draws, and their degrees past
@@ -480,7 +357,6 @@ def _sampler(law: Law, cfg: TrialConfig):
                         else ((*law.slots, "mu"), [2]))
     # the backend of the bare tables an endo sample holds
     tables = dense if not law.element_free and cfg.backend == "endo" else None
-    symbolic = {}  # generators -> (context, bare generators)
 
     def draw(rng, force_first) -> TrialSample | None:
         degrees = _sample_degrees(rng, law.slots, cfg, force_first)
@@ -496,12 +372,8 @@ def _sampler(law: Law, cfg: TrialConfig):
             if fixture is not None:
                 elements["mu"] = fixture
         else:
-            gens = tuple((name, degrees[name]) for name in law.slots) + (("mu", 2),)
-            if gens not in symbolic:
-                be = FreeBackend(ring, free.Signature(gens), muts)
-                bare = {name: be.generator(name) for name, _ in gens}
-                symbolic[gens] = PreOperadContext(be, bare["mu"]), bare
-            ctx, elements = symbolic[gens]
+            ctx, elements = _bare_generators(cfg.prime, mutations, tuple(
+                (name, degrees[name]) for name in law.slots) + (("mu", 2),))
         extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
         return TrialSample(ctx, elements, degrees, extra, dense=tables)
 
@@ -883,11 +755,11 @@ def _check_cross_backend(s: TrialSample):
     ring = s.ctx.backend.ring
     dim = s.ctx.backend.dim
     gens = tuple((name, degrees[name]) for name in ("a", "b", "c", "d"))
-    fb = FreeBackend(ring, free.Signature(gens))
-    symbolic = fb.generator("a")
+    _, bare = _bare_generators(ring.modulus, (), gens)
+    symbolic = bare["a"]
     concrete = s.elements["a"]
     for name, slot in s.extra["word"]:
-        symbolic = symbolic.compose(fb.generator(name), slot)
+        symbolic = symbolic.compose(bare[name], slot)
         concrete = concrete.compose(s.elements[name], slot)
     assignment = {name: s.elements[name].payload for name, _ in gens}
     image = free.evaluate_hom(symbolic.payload, assignment, ring, dim)
@@ -1095,11 +967,6 @@ def _stack(samples) -> TrialSample:
                        first.degrees, first.extra, len(samples))
 
 
-def _forced(law: Law, trial: int) -> int | None:
-    """The least first degree trial draws: law's forced one on even trials."""
-    return law.force_first if trial % 2 == 0 else None
-
-
 def _check_runnable(law: Law, cfg: TrialConfig):
     """Refuse a law that cannot run under cfg: another backend, or inputs
     that do not fit the degree budget."""
@@ -1111,17 +978,31 @@ def _check_runnable(law: Law, cfg: TrialConfig):
                         f"{cfg.degree_budget}")
 
 
+def _draws(law: Law, cfg: TrialConfig):
+    """(trial, attempt, sample) of each non-vacuous trial of law under cfg,
+    in trial order, all drawn from one Generator seeded once from (law salt,
+    seed). A trial tries up to _RETRIES attempts, each from where the
+    stream stands, and is vacuous when none is kept; an even trial draws
+    its first degree at least law.force_first."""
+    draw = _sampler(law, cfg)
+    rng = np.random.default_rng((_law_salt(law.law_id), cfg.seed))
+    for trial in range(cfg.trials):
+        forced = law.force_first if trial % 2 == 0 else None
+        for attempt in range(_RETRIES):
+            sample = draw(rng, forced)
+            if sample is not None:
+                yield trial, attempt, sample
+                break
+
+
 def run_law(law_id: str, cfg: TrialConfig) -> Report:
     """Run one law over cfg.trials seeded trials.
 
-    Trials are drawn in rounds: attempt 0 of every trial, then attempt 1
-    of each trial whose attempt 0 was vacuous, and so on. A round seeds
-    the streams of all its trials in one pass (_round_states), and each
-    attempt sets one Generator to its stream. The non-vacuous trials are
-    then checked in batches of equal batch key, in trial order. A law that
-    builds tables splits each batch so that its rows of the largest table
-    the degree budget allows stay under the entry cap; other batches are
-    never split. Each batch is checked once; a PreOperadError raised by
+    The trials are drawn in trial order from the law's one stream
+    (_draws), and the non-vacuous ones are checked in batches of equal
+    batch key, each in trial order. A law that builds tables splits each
+    batch so that its rows of the largest table the degree budget allows
+    stay under the entry cap; other batches are never split. Each batch is checked once; a PreOperadError raised by
     the check on these valid inputs fails every row, its text the identity.
     The report counts the failing trials and holds one witness, cut from
     the failing row of the batch that holds the first failing trial: on
@@ -1135,29 +1016,10 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     cfg.validate()
     _check_runnable(law, cfg)
     start = time.perf_counter()
-    draw = _sampler(law, cfg)
-    rng = _generator()
-    bit_generator = rng.bit_generator
-    drawn = []  # (trial, attempt, sample) of each non-vacuous trial
-    pending = range(cfg.trials)
-    for attempt in range(_RETRIES):
-        states = _round_states(law_id, cfg.seed, pending, attempt)
-        retry = []
-        for trial in pending:
-            bit_generator.state = states[trial]
-            sample = draw(rng, _forced(law, trial))
-            if sample is None:
-                retry.append(trial)
-            else:
-                drawn.append((trial, attempt, sample))
-        pending = retry
-        if not pending:
-            break
-    vacuous = len(pending)
-    batches = {}
-    for trial, attempt, sample in sorted(drawn, key=lambda d: d[0]):
-        batches.setdefault(_batch_key(sample), []).append(
-            (trial, attempt, sample))
+    batches, vacuous = {}, cfg.trials
+    for drawn in _draws(law, cfg):
+        batches.setdefault(_batch_key(drawn[2]), []).append(drawn)
+        vacuous -= 1
     tables = not law.element_free and cfg.backend == "endo"
     most = (max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
             if tables else cfg.trials)

@@ -81,17 +81,9 @@ def test_quadruple_brace_deviation_theorem():
                               trials=200, seed=303)
             run_clean("L08-main-theorem", backend="endo", prime=prime,
                       dim=dim, trials=200, seed=303)
-            # replay the engine's degree stream to count the forced quota
-            big = 0
-            for trial in range(cfg.trials):
-                force = law.force_first if trial % 2 == 0 else None
-                for attempt in range(laws._RETRIES):
-                    rng = laws._trial_rng(law.law_id, cfg.seed, trial, attempt)
-                    degrees = laws._sample_degrees(rng, law.slots, cfg, force)
-                    if law.vacuous_when(degrees):
-                        continue
-                    big += degrees["h"] >= 3
-                    break
+            # redraw the engine's trials to count the forced quota
+            big = sum(sample.degrees["h"] >= 3
+                      for *_, sample in laws._draws(law, cfg))
             assert big >= 100, (prime, dim, big)
     assert time.perf_counter() - start < 120.0
 
@@ -143,10 +135,9 @@ def test_symbolic_words_map_to_tables():
     cfg = TrialConfig(backend="endo", prime=97, dim=2, trials=200, seed=606)
     run_clean("L27-cross-backend", backend="endo", prime=97, dim=2,
               trials=200, seed=606)
-    for trial in range(0, 200, 50):
-        rng = laws._trial_rng(law.law_id, cfg.seed, trial, 0)
-        sample = laws._sampler(law, cfg)(rng, None)
-        assert 1 <= len(sample.extra["word"]) <= 3
+    # a word composes 0 to 3 generators into a; every length is drawn
+    lengths = {len(sample.extra["word"]) for *_, sample in laws._draws(law, cfg)}
+    assert lengths == {0, 1, 2, 3}
     assert time.perf_counter() - start < 60.0
 
 

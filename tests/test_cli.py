@@ -240,8 +240,9 @@ _GAMMA_LAWS = ("L18-lemma-first", "L19-lemma-second", "L21-boundary-gamma1",
 @pytest.mark.parametrize("backend", ["endo", "free"])
 @pytest.mark.parametrize("law", _GAMMA_LAWS)
 def test_gamma_law_canary_reports_match_golden(capsys, tmp_path, backend, law):
-    # recorded before the families were evaluated per check: every trial
-    # fails, so each witness, replayed, pins lhs and rhs exactly
+    # recorded before the families were evaluated per check: every
+    # non-vacuous trial fails, so each witness, replayed, pins lhs and rhs
+    # exactly
     report_path = tmp_path / "report.json"
     code, _, _ = run(capsys, [
         "verify", "--law", law, "--backend", backend,
@@ -250,7 +251,8 @@ def test_gamma_law_canary_reports_match_golden(capsys, tmp_path, backend, law):
     assert code == 1
     golden = json.loads((GOLDEN / f"gamma_laws_{backend}_cup_sign_flip_seed7_"
                                   "trials12.json").read_text())[law]
-    assert len(golden["laws"][0]["failures"]) == 12
+    rep, = golden["laws"]
+    assert len(rep["failures"]) == 12 - rep["vacuous"] >= 11
     _assert_matches_golden(report_path, golden)
 
 
@@ -270,7 +272,9 @@ def test_canary_report_text_is_the_json_dumps_text(capsys, tmp_path, backend,
     report_path = tmp_path / "report.json"
     code, _, _ = run(capsys, [
         "verify", "--law", law, "--backend", backend,
-        "--mutate", mutation, "--seed", "1", "--trials", "4",
+        # 23 trials are the fewest that catch each canary, on both
+        # backends, at every seed 0-19
+        "--mutate", mutation, "--seed", "1", "--trials", "24",
         "--report", str(report_path)])
     assert code == 1
     text = report_path.read_text()

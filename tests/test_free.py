@@ -426,14 +426,35 @@ def test_single_compositions_raise_what_a_sum_of_one_term_raises():
 
 
 def test_one_term_sums_are_canonical():
-    # an element built directly keeps its terms as given; a sum of it, even
-    # of one term with coefficient 1, sorts and reduces them
-    t, u = tree("(f _ _)"), tree("(f (g _) _)")
-    raw = FreeElement(F97, SIG, 2, ((u, 100), (t, 97), (t, 5)))
+    # an element built directly is made canonical, as one read from a
+    # payload: reduced, its zero terms dropped, sorted; a sum of it, even
+    # of one term with coefficient 1, keeps it so
+    t, u, v = tree("(f _ _)"), tree("(f (g _) _)"), tree("(f _ (b _))")
+    raw = FreeElement(F97, SIG, 2, ((t, 5), (u, 100), (v, 97)))
+    assert raw.terms == ((u, 3), (t, 5))
     for terms in ([(1, raw)], [(98, raw)], [(0, gen("f")), (1, raw)]):
         assert free_signed_sum(F97, SIG, 2, terms).terms == ((u, 3), (t, 5))
     with pytest.raises(DegreeMismatch):
         free_signed_sum(F97, SIG, 2, [(1, raw), (0, gen("h"))])
+
+
+def test_a_directly_built_element_refuses_what_a_payload_would():
+    # a repeated tree is refused, not merged, and a coefficient 0 or past p
+    # is made canonical, so the splice of a single composition, which takes
+    # its left operand's terms as they are, never sees either
+    t, u, v = tree("(f _ _)"), tree("(f (g _) _)"), tree("(f _ (b _))")
+    with pytest.raises(ShapeMismatch):
+        FreeElement(F97, SIG, 2, ((u, 100), (t, 97), (t, 5)))
+    x = FreeElement(F97, SIG, 2, ((u, 100), (t, 97), (v, 5)))
+    spliced = free_partial_compose(x, gen("g"), 1)
+    assert spliced.terms == ((tree("(f (g _) (g _))"), 3),
+                             (tree("(f _ (b (g _)))"), 5))
+    assert spliced == free_compose_sum(F97, SIG, 2, [(1, x, gen("g"), 1)])
+    with pytest.raises(DegreeMismatch):
+        FreeElement(F97, SIG, 3, ((t, 1),))
+    for c in (1.5, True, "7"):
+        with pytest.raises(ShapeMismatch):
+            FreeElement(F97, SIG, 2, ((t, c),))
 
 
 RINGS = [F97, CoefficientRing.integers()]
@@ -443,7 +464,7 @@ SCALES = st.integers(-2**70, 2**70).filter(lambda c: c % 97)
 
 def test_new_elements_behave_as_dataclass_built_ones():
     t, u = tree("(f _ _)"), tree("(f (g _) _)")
-    terms = ((t, 5), (u, 3))
+    terms = ((u, 3), (t, 5))  # canonical, so the constructor keeps them
     built = FreeElement(F97, SIG, 2, terms)
     new = _new_element(F97, SIG, 2, terms)
     assert type(new) is FreeElement

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -51,7 +52,8 @@ UNREACHED = object()
 
 QUICK = TrialConfig(backend="endo", prime=97, dim=1, trials=10, seed=0)
 
-# frozen canary run: known to fail with degrees f=4, g=4, h=2
+# frozen canary run: its first failing trial, trial 3, has degrees f=2,
+# g=4, h=2
 SHRINK_CFG = TrialConfig(backend="endo", prime=97, dim=2, trials=8, seed=2,
                          mutations=("b-relation-sign-drop",))
 
@@ -170,46 +172,45 @@ def test_run_law_deterministic_modulo_millis():
     assert first == second
 
 
-def test_trial_rng_deterministic():
-    a = laws._trial_rng("L08-main-theorem", 0, 4, 1)
-    b = laws._trial_rng("L08-main-theorem", 0, 4, 1)
-    assert list(a.integers(0, 97, 16)) == list(b.integers(0, 97, 16))
+def _drawn(law, cfg):
+    """(trial, attempt, degrees, tables, extra) of each non-vacuous trial of
+    law under cfg; a free or element-free trial draws no table."""
+    return [(trial, attempt, sample.degrees,
+             {name: m.table.tolist() for name, m in sample.elements.items()}
+             if sample.dense is not None else None, sample.extra)
+            for trial, attempt, sample in laws._draws(law, cfg)]
 
 
-def test_trial_rng_salted_by_law():
-    a = laws._trial_rng("L02-relation-left", 0, 0, 0)
-    b = laws._trial_rng("L03-relation-nested", 0, 0, 0)
-    assert list(a.integers(0, 97, 16)) != list(b.integers(0, 97, 16))
+@pytest.mark.parametrize("backend", ["endo", "free"])
+def test_draws_are_deterministic_and_prefix_stable(backend):
+    # L18 retries many vacuous attempts and L27 draws a word after its
+    # tables: a run of n trials draws the first n trials of a run of 3n
+    for law_id in ("L06-cup-product", "L18-lemma-first",
+                   "L25-envelope-partition", "L27-cross-backend"):
+        law = laws.get_law(law_id)
+        if backend not in law.backends:
+            continue
+        cfg = TrialConfig(backend, dim=2, trials=12, seed=4)
+        short = _drawn(law, cfg)
+        assert short == _drawn(law, cfg)
+        longer = _drawn(law, replace(cfg, trials=36))
+        assert longer[:len(short)] == short
+        assert all(trial >= 12 for trial, *_ in longer[len(short):])
 
 
-@pytest.mark.parametrize("law_id", [law.law_id for law in laws.list_laws()])
-def test_trial_rng_is_numpy_seeding_of_the_key_tuple(law_id):
-    # the seeding re-implements numpy's coercion of an int tuple, its
-    # SeedSequence and PCG64's seeding; a change in any of them must show
-    # here. Seeds past 2^32 and 2^64 take two and three entropy words
-    salt = laws._law_salt(law_id)
-    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5):
-        for trial in (0, 199):
-            for attempt in (0, 4):
-                got = laws._trial_rng(law_id, seed, trial, attempt)
-                want = np.random.default_rng((salt, seed, trial, attempt))
-                assert got.bit_generator.state == want.bit_generator.state
-                assert list(got.integers(0, 2**63, 4)) == list(
-                    want.integers(0, 2**63, 4))
-
-
-@pytest.mark.parametrize("law_id", [law.law_id for law in laws.list_laws()])
-def test_a_round_of_states_is_numpy_seeding_row_by_row(law_id):
-    # one round seeds trials of one, two and three entropy words together
-    salt = laws._law_salt(law_id)
-    trials = [0, 1, 198, 199, 2**32 - 1, 2**32, 2**32 + 7, 2**64 + 5]
-    for seed in (1, 2**33 + 1):
-        for attempt in range(laws._RETRIES):
-            states = laws._round_states(law_id, seed, trials, attempt)
-            assert sorted(states) == sorted(trials)
-            for trial in trials:
-                want = np.random.default_rng((salt, seed, trial, attempt))
-                assert states[trial] == want.bit_generator.state
+@pytest.mark.parametrize("backend", ["endo", "free"])
+def test_a_canary_witness_does_not_depend_on_the_trial_count(backend):
+    later = 0  # witnesses whose first failing trial is not trial 0
+    for seed in range(1, 7):
+        cfg = TrialConfig(backend, dim=2, trials=12, seed=seed,
+                          mutations=("b-relation-sign-drop",))
+        short = laws.run_law("L02-relation-left", cfg)
+        longer = laws.run_law("L02-relation-left", replace(cfg, trials=36))
+        assert longer.failed >= short.failed
+        if short.failures:
+            assert longer.failures == short.failures
+            later += short.failures[0]["seed"][1] > 0
+    assert later
 
 
 @pytest.mark.parametrize("degree_max", [1, 2])
@@ -276,7 +277,8 @@ def test_mutation_names_are_exported():
     ("g-range-off-by-one", "L13-getzler", "L05-unit-laws"),
 ])
 def test_canary_mutations_break_their_targets(mutation, broken, intact):
-    cfg = TrialConfig(dim=1, trials=10, seed=0, mutations=(mutation,))
+    # 19 trials are the fewest that catch each canary at every seed 0-19
+    cfg = TrialConfig(dim=1, trials=20, seed=0, mutations=(mutation,))
     assert laws.run_law(broken, cfg).status == "fail"
     assert laws.run_law(intact, cfg).status == "pass"
 
@@ -307,7 +309,8 @@ def test_replay_reproduces_failure_and_honors_mutations():
 
 def test_shrink_frozen_case():
     witness = laws.run_law("L02-relation-left", SHRINK_CFG).failures[0]
-    assert witness["degrees"] == {"f": 4, "g": 2, "h": 3}
+    assert witness["seed"] == [2, 3, 0]
+    assert witness["degrees"] == {"f": 2, "g": 4, "h": 2}
     small = laws.shrink(witness)
     before = sum(witness["degrees"].values())
     after = sum(small["degrees"].values())
@@ -346,7 +349,7 @@ def test_shrink_lowers_degrees_on_both_backends(backend):
 
 def test_a_multi_term_free_witness_keeps_its_degrees():
     witness = copy.deepcopy(
-        _golden_witnesses("l06_free_cup_sign_flip_seed7_trials12.json")[0])
+        _golden_witnesses("l06_free_cup_sign_flip_seed7_trials12.json")[1])
     assert witness["degrees"] == {"f": 3, "g": 2}
     # two trees that are not f's generator, both holding g's
     witness["elements"]["f"]["terms"] = [["(mu (g _ _) _)", 1],
@@ -379,12 +382,9 @@ def test_replay_of_hand_edited_free_witness_is_a_clean_error(text):
 def test_forced_degree_quota_on_even_trials():
     law = laws.get_law("L08-main-theorem")
     assert law.force_first == 3
-    cfg = TrialConfig(dim=1, trials=1)
+    cfg = TrialConfig(dim=1, trials=20)
     forced, unforced = [], []
-    for trial in range(20):
-        rng = laws._trial_rng(law.law_id, 0, trial, 0)
-        force = law.force_first if trial % 2 == 0 else None
-        sample = laws._sampler(law, cfg)(rng, force)
+    for trial, _, sample in laws._draws(law, cfg):
         (forced if trial % 2 == 0 else unforced).append(sample.degrees["h"])
     assert all(d >= 3 for d in forced)
     assert any(d < 3 for d in unforced)
@@ -524,15 +524,7 @@ def test_a_failing_run_checks_each_batch_once(backend):
     finally:
         object.__setattr__(law, "checker", checker)
     assert report.failed > 0
-    draw = laws._sampler(law, cfg)
-    keys = set()
-    for trial in range(cfg.trials):
-        for attempt in range(laws._RETRIES):
-            sample = draw(laws._trial_rng(law.law_id, cfg.seed, trial, attempt),
-                          laws._forced(law, trial))
-            if sample is not None:
-                keys.add(laws._batch_key(sample))
-                break
+    keys = {laws._batch_key(sample) for *_, sample in laws._draws(law, cfg)}
     assert len(calls) == len(keys) < cfg.trials - report.vacuous
     assert sum(calls) == cfg.trials - report.vacuous
 
@@ -540,16 +532,9 @@ def test_a_failing_run_checks_each_batch_once(backend):
 def _single_trial_verdicts(law, cfg):
     """(trial, attempt, degrees, detail) of each non-vacuous trial of law
     under cfg, its detail from checking its drawn inputs on their own."""
-    draw = laws._sampler(law, cfg)
-    for trial in range(cfg.trials):
-        force = law.force_first if (law.force_first and trial % 2 == 0) else None
-        for attempt in range(laws._RETRIES):
-            sample = draw(laws._trial_rng(law.law_id, cfg.seed, trial, attempt),
-                          force)
-            if sample is not None:
-                detail, = law.checker(laws._stack([sample]))
-                yield trial, attempt, sample.degrees, detail
-                break
+    for trial, attempt, sample in laws._draws(law, cfg):
+        detail, = law.checker(laws._stack([sample]))
+        yield trial, attempt, sample.degrees, detail
 
 
 @pytest.mark.parametrize("backend, prime", [
@@ -579,7 +564,7 @@ def test_batched_failures_are_those_of_single_trials_in_trial_order(backend, pri
 def _edited_word_witness(word):
     law = laws.get_law("L27-cross-backend")
     cfg = TrialConfig(dim=2, trials=1, seed=606)
-    sample = laws._sampler(law, cfg)(laws._trial_rng(law.law_id, 606, 0, 0), None)
+    (_, _, sample), = laws._draws(law, cfg)
     head = {"law_id": law.law_id, "seed": [606, 0, 0], "backend": "endo",
             "prime": 97, "dim": 2, "mutations": []}
     witness = laws._witness(head, laws._stack([sample]),
@@ -722,7 +707,8 @@ def test_l26_witnesses_with_or_without_elements_replay_clean():
 
 def test_free_generators_are_built_once_per_degree_tuple(monkeypatch):
     # a free trial draws its degrees only; the bare generators of its
-    # degree tuple are built once and shared by every trial that drew it
+    # generator tuple are built once and shared by every trial and every
+    # law that drew it
     built = []
     generator = FreeBackend.generator
 
@@ -731,64 +717,48 @@ def test_free_generators_are_built_once_per_degree_tuple(monkeypatch):
         return generator(self, name)
 
     monkeypatch.setattr(FreeBackend, "generator", counted)
+    laws._bare_generators.cache_clear()
+    cfg = TrialConfig("free", trials=30, seed=1)
+    used = 0  # distinct generator tuples of each law, summed over laws
     for law in laws.laws_for_backend("free"):
         if law.element_free:
             continue
-        built.clear()
-        report = laws.run_law(law.law_id, TrialConfig("free", trials=30, seed=1))
-        tuples = {sig for sig, _ in built}
-        assert sorted(built) == sorted((sig, name) for sig in tuples
-                                       for name, _ in sig), law.law_id
-        assert len(tuples) < report.trials - report.vacuous, law.law_id
+        report = laws.run_law(law.law_id, cfg)
+        sigs = {s.ctx.backend.signature.generators
+                for *_, s in laws._draws(law, cfg)}
+        assert len(sigs) < report.trials - report.vacuous, law.law_id
+        used += len(sigs)
+    tuples = {sig for sig, _ in built}
+    assert sorted(built) == sorted((sig, name) for sig in tuples
+                                   for name, _ in sig)
+    assert len(tuples) < used
 
 
 def test_a_vacuous_attempt_draws_no_table(monkeypatch):
     law = laws.get_law("L18-lemma-first")
     cfg = TrialConfig("endo", dim=2, trials=40, seed=1)
-    tables = {}  # (trial, attempt) -> tables drawn from its stream
-    keys = {}  # a seeded PCG64 state -> its (trial, attempt)
-    current = []
-    round_states = laws._round_states
-    sampler = laws._sampler
+    attempts = []  # [degrees, tables drawn] of each attempt, in draw order
+    sample_degrees = laws._sample_degrees
     random_maps = endo._random_maps
 
-    def keyed_round(law_id, seed, trials, attempt):
-        states = round_states(law_id, seed, trials, attempt)
-        keys.update({state["state"]["state"]: (trial, attempt)
-                     for trial, state in states.items()})
-        return states
-
-    def keyed_sampler(law, cfg):
-        draw = sampler(law, cfg)
-
-        def keyed_draw(rng, force_first):
-            current[:] = [keys[rng.bit_generator.state["state"]["state"]]]
-            tables[current[0]] = 0
-            return draw(rng, force_first)
-        return keyed_draw
+    def recorded(*args):
+        attempts.append([sample_degrees(*args), 0])
+        return attempts[-1][0]
 
     def counted(ring, dim, degrees, rng):
-        tables[current[0]] += len(degrees)
+        attempts[-1][1] += len(degrees)
         return random_maps(ring, dim, degrees, rng)
 
-    monkeypatch.setattr(laws, "_round_states", keyed_round)
-    monkeypatch.setattr(laws, "_sampler", keyed_sampler)
+    monkeypatch.setattr(laws, "_sample_degrees", recorded)
     monkeypatch.setattr(endo, "_random_maps", counted)
-    laws.run_law(law.law_id, cfg)
+    kept = list(laws._draws(law, cfg))
     monkeypatch.undo()
-    trial_rng = laws._trial_rng
-
-    def vacuous(trial, attempt):
-        force = law.force_first if trial % 2 == 0 else None
-        degrees = laws._sample_degrees(trial_rng(law.law_id, 1, trial, attempt),
-                                       law.slots, cfg, force)
-        return law.vacuous_when(degrees)
-
-    empty = [key for key in tables if vacuous(*key)]
+    empty = [n for degrees, n in attempts if law.vacuous_when(degrees)]
     assert len(empty) > 5
-    assert all(tables[key] == 0 for key in empty)
+    assert len(attempts) - len(empty) == len(kept)
+    assert not any(empty)
     # a kept attempt draws its four inputs and mu
-    assert all(n == 5 for key, n in tables.items() if key not in empty)
+    assert all(n == 5 for degrees, n in attempts if not law.vacuous_when(degrees))
 
 
 @pytest.mark.parametrize("law_id, mutation", [
