@@ -654,29 +654,33 @@ def random_map(ring: CoefficientRing, dim: int, degree: int, rng) -> Multilinear
     return _random_maps(ring, dim, (degree,), rng)[0]
 
 
-def _random_maps(ring: CoefficientRing, dim: int, degrees, rng) -> list:
-    """Uniform tables over F_p of each of degrees, in order, from a single
-    draw of rng: the tables, and the stream past them, of one random_map
-    call per degree in turn. Each table is a read-only, C-contiguous view
-    of the one drawn buffer."""
+def _random_maps(ring: CoefficientRing, dim: int, degrees, rng,
+                 rows: int = 1) -> list:
+    """Uniform tables over F_p of each of degrees, in order, with rows rows
+    each (a single table when rows is 1), from a single draw of rng: row r
+    of the tables is what the r-th of rows calls with rows = 1 gives, and
+    the stream is left where those calls leave it. One row is the tables
+    of one random_map call per degree in turn. Each table is read-only
+    and C-contiguous."""
     if not ring.is_field:
         raise UnsupportedRing("random tables need a finite field")
     for degree in degrees:
         if degree < 0:
             raise InvalidDegree(f"degree must be >= 0, got {degree}")
-        check_entries(dim, degree)
+        check_entries(dim, degree, rows)
     p = ring.modulus
     _limits(p, dim)
-    # drawn in [0, p) already: canonical as it comes. A flat draw fills
-    # the tables in C order, one after another: the stream of a draw of
-    # each table's shape in turn
+    # drawn in [0, p) already: canonical as it comes. A draw fills its
+    # rows in C order, one after another, and a row its tables
     sizes = [dim ** (degree + 1) for degree in degrees]
-    flat = rng.integers(0, p, size=sum(sizes), dtype=np.int64)
-    flat.setflags(write=False)
+    flat = rng.integers(0, p, size=(rows, sum(sizes)), dtype=np.int64)
+    lead = (rows,) if rows > 1 else ()
     maps = []
     end = 0
     for degree, size in zip(degrees, sizes):
-        table = flat[end:end + size].reshape((dim,) * (degree + 1))
+        table = np.ascontiguousarray(flat[:, end:end + size]).reshape(
+            lead + (dim,) * (degree + 1))
+        table.setflags(write=False)
         maps.append(_new_map(ring, dim, degree, table))
         end += size
     return maps

@@ -8,30 +8,31 @@ reports apart from the timing field. A witness can be replayed and shrunk.
 
 Stream: a law draws all its trials, in trial order, from one Generator,
 np.random.default_rng((salt, seed)) with the law's salt (_draws). A trial
+is its degree tuple, plus L27's word: no table is drawn from this stream,
+so the endo and free backends draw the same trials at every seed. A trial
 runs its vacuous retries inline, so a run of n trials draws exactly the
-first n trials of any longer run with the same settings. An endo trial
-draws its tables in one call (endo._random_maps), the same stream as one
-draw per table.
+first n trials of any longer run with the same settings.
 
 Batches: the trials of a law that drew the same degrees (and the same extra
-data) run as one check, law.checker(_stack(batch)). Endo tables are stacked
-into one sample with a leading row axis, and every row gets its own verdict.
-An element-free law draws degrees only. So does a free trial: its sample
+data) share a batch key, and run as one check on one sample with a row per
+trial (_builder). An element-free sample holds no element. A free sample
 holds the bare generators, a bare mu and a context built once per degree
-tuple. Sending each generator x to c_x * x, c_x nonzero, is an injective
+tuple: sending each generator x to c_x * x, c_x nonzero, is an injective
 morphism of the free pre-operad, so the bare generators stand for every
-trial of their degrees. An element-free or free batch is its one shared
-sample with a row per trial; a single tree sum is every row. Each batch
-is checked once, and the witness is cut from the failing row of the batch
-that holds the first failing trial: its inputs and the sides of its first
-failing claim. A replay and a shrink step are batches of one.
+trial of their degrees, and a single tree sum is every row. An endo key
+draws its tables from its own Generator, seeded from (law salt, seed, key
+salt), one endo._random_maps call per batch, row r for the r-th trial of
+the key; a batch of one holds single tables. Each batch is checked once,
+and the witness is cut from the failing row of the batch that holds the
+first failing trial: its inputs and the sides of its first failing claim.
+A replay and a shrink step are batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
-proves nothing. Such an attempt stops after its degrees, with no table
-drawn, and is retried from where the stream stands a few times; then the
-trial is counted vacuous in the report. A law with fewer than half
-of its trials non-vacuous is flagged underpowered, and so is every law over
-F_2, where -1 = 1 hides every sign.
+proves nothing. Such an attempt stops after its degrees and is retried
+from where the stream stands a few times; then the trial is counted
+vacuous in the report. A law with fewer than half of its trials
+non-vacuous is flagged underpowered, and so is every law over F_2, where
+-1 = 1 hides every sign.
 
 Canary mutations (documented harness hooks, see calculus.KNOWN_MUTATIONS):
 "cup-sign-flip" negates the cup product, "g-range-off-by-one" shifts the
@@ -151,18 +152,13 @@ class TrialConfig:
 
 @dataclass
 class TrialSample:
-    """Inputs of one trial, or of rows trials stacked row by row.
-
-    A drawn endo sample holds its inputs as bare tables, with no context
-    and their backend in dense, until it is checked: _stack wraps them as
-    elements, once per batch."""
+    """Inputs of one trial, or of rows trials stacked row by row."""
 
     ctx: PreOperadContext | None
     elements: dict
     degrees: dict
     extra: dict
     rows: int = 1
-    dense: EndoBackend | None = None
 
 
 @dataclass
@@ -297,8 +293,8 @@ SUITE_SCHEMA = {
 # ---------------------------------------------------------------------------
 # sampling
 
-def _law_salt(law_id: str) -> int:
-    return int.from_bytes(hashlib.sha256(law_id.encode()).digest()[:8], "big")
+def _salt(text: str) -> int:
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 def _sample_degrees(rng, slots, cfg: TrialConfig, force_first: int | None) -> dict:
@@ -316,12 +312,6 @@ def _sample_degrees(rng, slots, cfg: TrialConfig, force_first: int | None) -> di
     return degrees
 
 
-def _fixture_mu(ring: CoefficientRing, dim: int) -> endo.MultilinearMap:
-    if dim == 4:
-        return endo.matrix_algebra_product(ring)
-    return endo.componentwise_product(ring, dim)
-
-
 @lru_cache(maxsize=4096)
 def _bare_generators(prime: int, mutations: tuple, gens: tuple) -> tuple:
     """(context, bare generators by name) of the free pre-operad on gens,
@@ -334,50 +324,54 @@ def _bare_generators(prime: int, mutations: tuple, gens: tuple) -> tuple:
     return (PreOperadContext(be, bare["mu"]) if "mu" in bare else None), bare
 
 
-def _sampler(law: Law, cfg: TrialConfig):
-    """draw(rng, force_first), which draws one trial's TrialSample from rng,
-    or None when its degrees are vacuous: then nothing past the degrees is
-    drawn. The ring, the dense backend and a fixture product are built
-    once, here, and shared by every sample drawn. An endo sample's tables,
-    its inputs' in slot order and then mu's unless mu is the fixture, come
-    from one draw (endo._random_maps), which leaves rng where one draw per
-    table would (test_one_draw_of_several_tables_is_consecutive_random_map_calls);
-    L27's word is drawn after them. The tables stay bare: they become
-    elements, with a context, once per batch when they are checked
-    (_stack). A free sample draws its degrees only: its bare generators,
-    mu and context are those of its degree tuple (_bare_generators)."""
+def _batch_key(degrees: dict, extra: dict) -> str:
+    """Trials with equal keys, their degrees and extra data, run as one
+    batch."""
+    return repr((degrees, extra))
+
+
+def _builder(law: Law, cfg: TrialConfig):
+    """build(key, group), which yields (batch, sample) for group, the drawn
+    (trial, attempt, degrees, extra) of batch key key in trial order:
+    sample is the checked sample whose rows are batch's trials. Without
+    tables (element-free or free) the group is one batch. An endo group
+    draws from its own Generator, seeded from (law salt, seed, key salt),
+    in batches whose rows of the largest table the degree budget allows
+    stay under the entry cap: each batch its inputs' tables in slot order,
+    then mu's unless mu is the fixture, in one endo._random_maps call. So
+    the r-th trial of a key gets row r of the key's stream whatever the
+    trial count, and a split just continues the stream. The ring, the
+    dense backend and a fixture product are built once, here."""
     ring = CoefficientRing.prime_field(cfg.prime)
     muts = frozenset(cfg.mutations)
-    mutations = tuple(sorted(muts))  # a key of _bare_generators
     dense = EndoBackend(ring, cfg.dim, muts)
-    fixture = _fixture_mu(ring, cfg.dim) if law.fixture_mu else None
-    # the names whose tables an endo trial draws, and their degrees past
-    # the slots'
-    drawn, mu_degree = ((law.slots, []) if fixture is not None
-                        else ((*law.slots, "mu"), [2]))
-    # the backend of the bare tables an endo sample holds
-    tables = dense if not law.element_free and cfg.backend == "endo" else None
+    fixture = None
+    if law.fixture_mu:  # associative: componentwise, or 2x2 matrices at dim 4
+        fixture = _element(dense, endo.matrix_algebra_product(ring) if cfg.dim == 4
+                           else endo.componentwise_product(ring, cfg.dim))
+    drawn = law.slots if fixture is not None else (*law.slots, "mu")
+    most = max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
 
-    def draw(rng, force_first) -> TrialSample | None:
-        degrees = _sample_degrees(rng, law.slots, cfg, force_first)
-        if law.vacuous_when and law.vacuous_when(degrees):
-            return None
+    def build(key, group):
+        degrees, extra = group[0][2:]
         if law.element_free:
-            ctx, elements = None, {}
-        elif tables is not None:
-            maps = endo._random_maps(
-                ring, cfg.dim, [degrees[name] for name in law.slots] + mu_degree,
-                rng)
-            ctx, elements = None, dict(zip(drawn, maps))
-            if fixture is not None:
-                elements["mu"] = fixture
-        else:
-            ctx, elements = _bare_generators(cfg.prime, mutations, tuple(
+            yield group, TrialSample(None, {}, degrees, extra, len(group))
+        elif cfg.backend == "free":
+            ctx, bare = _bare_generators(cfg.prime, tuple(sorted(muts)), tuple(
                 (name, degrees[name]) for name in law.slots) + (("mu", 2),))
-        extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
-        return TrialSample(ctx, elements, degrees, extra, dense=tables)
+            yield group, TrialSample(ctx, bare, degrees, extra, len(group))
+        else:
+            rng = np.random.default_rng((_salt(law.law_id), cfg.seed, _salt(key)))
+            for lo in range(0, len(group), most):
+                batch = group[lo:lo + most]
+                maps = endo._random_maps(ring, cfg.dim, [  # mu has degree 2
+                    degrees.get(name, 2) for name in drawn], rng, len(batch))
+                elements = dict(zip(drawn, (_element(dense, m) for m in maps)))
+                elements.setdefault("mu", fixture)
+                yield batch, TrialSample(PreOperadContext(dense, elements["mu"]),
+                                         elements, degrees, extra, len(batch))
 
-    return draw
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +737,7 @@ def _check_degree_bookkeeping(s: TrialSample):
 def _word_sampler(rng, degrees, cfg):
     word = []
     current = degrees["a"]
-    for name in ("b", "c", "d")[: int(rng.integers(0, 4))]:
+    for name in ("b", "c", "d")[: int(rng.integers(1, 4))]:
         slot = int(rng.integers(0, current))
         word.append([name, slot])
         current += degrees[name] - 1
@@ -938,35 +932,6 @@ def _witness(head: dict, sample: TrialSample, detail: FailDetail, row=0) -> dict
     }
 
 
-def _batch_key(sample: TrialSample):
-    """Samples with equal keys, their degrees and extra data, run as one
-    batch."""
-    return repr((sample.degrees, sample.extra))
-
-
-def _stack(samples) -> TrialSample:
-    """The checked sample whose rows are samples, drawn ones in order that
-    share degrees and extra data: the one place a drawn sample becomes
-    elements. Element-free and free samples share one sample, returned with
-    a row per sample. Drawn endo ones have their tables wrapped as elements,
-    with a context, once for the batch. Each element's rows are its trials'
-    tables, in one C-contiguous copy, not checked again; a table every
-    sample shares (a fixture mu, any table of a lone sample) stays single."""
-    first = samples[0]
-    backend = first.dense
-    if backend is None:  # element-free or free
-        return first if len(samples) == 1 else replace(first, rows=len(samples))
-    elements = {}
-    for name, m in first.elements.items():
-        if any(s.elements[name] is not m for s in samples):
-            table = np.array([s.elements[name].table for s in samples])
-            table.setflags(write=False)
-            m = endo._new_map(backend.ring, backend.dim, m.degree, table)
-        elements[name] = _element(backend, m)
-    return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
-                       first.degrees, first.extra, len(samples))
-
-
 def _check_runnable(law: Law, cfg: TrialConfig):
     """Refuse a law that cannot run under cfg: another backend, or inputs
     that do not fit the degree budget."""
@@ -979,35 +944,39 @@ def _check_runnable(law: Law, cfg: TrialConfig):
 
 
 def _draws(law: Law, cfg: TrialConfig):
-    """(trial, attempt, sample) of each non-vacuous trial of law under cfg,
-    in trial order, all drawn from one Generator seeded once from (law salt,
-    seed). A trial tries up to _RETRIES attempts, each from where the
-    stream stands, and is vacuous when none is kept; an even trial draws
-    its first degree at least law.force_first."""
-    draw = _sampler(law, cfg)
-    rng = np.random.default_rng((_law_salt(law.law_id), cfg.seed))
+    """(trial, attempt, degrees, extra) of each non-vacuous trial of law
+    under cfg, in trial order, all drawn from one Generator seeded once
+    from (law salt, seed): the degrees, then the extra data (L27's word).
+    No table is drawn here, so every backend draws the same trials. A trial
+    tries up to _RETRIES attempts, each from where the stream stands, and
+    is vacuous when none is kept; an even trial draws its first degree at
+    least law.force_first."""
+    rng = np.random.default_rng((_salt(law.law_id), cfg.seed))
     for trial in range(cfg.trials):
         forced = law.force_first if trial % 2 == 0 else None
         for attempt in range(_RETRIES):
-            sample = draw(rng, forced)
-            if sample is not None:
-                yield trial, attempt, sample
-                break
+            degrees = _sample_degrees(rng, law.slots, cfg, forced)
+            if law.vacuous_when and law.vacuous_when(degrees):
+                continue
+            extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
+            yield trial, attempt, degrees, extra
+            break
 
 
 def run_law(law_id: str, cfg: TrialConfig) -> Report:
     """Run one law over cfg.trials seeded trials.
 
     The trials are drawn in trial order from the law's one stream
-    (_draws), and the non-vacuous ones are checked in batches of equal
-    batch key, each in trial order. A law that builds tables splits each
-    batch so that its rows of the largest table the degree budget allows
-    stay under the entry cap; other batches are never split. Each batch is checked once; a PreOperadError raised by
-    the check on these valid inputs fails every row, its text the identity.
-    The report counts the failing trials and holds one witness, cut from
-    the failing row of the batch that holds the first failing trial: on
-    free, the bare generators of its degree tuple. Only that batch and its
-    failing claim are kept past their check.
+    (_draws), as degrees and extra data only, and grouped by batch key.
+    Each group becomes checked samples, in trial order (_builder): one for
+    a group without tables, and for an endo one batches under the entry
+    cap, their tables drawn from the key's own stream. Each batch is
+    checked once; a PreOperadError raised by the check on these valid
+    inputs fails every row, its text the identity. The report counts the
+    failing trials and holds one witness, cut from the failing row of the
+    batch that holds the first failing trial: on free, the bare generators
+    of its degree tuple. Only that batch and its failing claim are kept
+    past their check.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
     can tell a sign from its flip (the cup-sign-flip canary passes).
@@ -1016,18 +985,14 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     cfg.validate()
     _check_runnable(law, cfg)
     start = time.perf_counter()
-    batches, vacuous = {}, cfg.trials
+    groups, vacuous = {}, cfg.trials
     for drawn in _draws(law, cfg):
-        batches.setdefault(_batch_key(drawn[2]), []).append(drawn)
+        groups.setdefault(_batch_key(*drawn[2:]), []).append(drawn)
         vacuous -= 1
-    tables = not law.element_free and cfg.backend == "endo"
-    most = (max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
-            if tables else cfg.trials)
+    build = _builder(law, cfg)
     failed, first = 0, None  # first: (trial, attempt, checked, detail, row)
-    for group in batches.values():
-        for lo in range(0, len(group), most):
-            batch = group[lo:lo + most]
-            checked = _stack([sample for *_, sample in batch])
+    for key, group in groups.items():
+        for batch, checked in build(key, group):
             try:
                 details = law.checker(checked)
             except PreOperadError as exc:  # a fault of the check: every row fails

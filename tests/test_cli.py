@@ -339,16 +339,19 @@ def test_a_refused_verify_leaves_a_new_report_path_absent(capsys, tmp_path,
                          ids=["new", "existing"])
 def test_a_verify_that_raises_mid_run_leaves_the_report_path_as_it_was(
         capsys, monkeypatch, tmp_path, existing):
-    # the engine raising outside a check (here while it stacks a batch) ends
-    # the run with exit 2 after the report was opened: a file the run
+    # the engine raising outside a check (here while it builds a batch)
+    # ends the run with exit 2 after the report was opened: a file the run
     # created is removed, an existing one is kept
-    def raising(samples):
-        raise IndexOutOfScope("slot 2 outside 0..1 for degree 2")
+    def raising(law, cfg):
+        def build(key, group):
+            raise IndexOutOfScope("slot 2 outside 0..1 for degree 2")
+            yield
+        return build
 
     report_path = tmp_path / "r.json"
     if existing is not None:
         report_path.write_bytes(existing)
-    monkeypatch.setattr(laws, "_stack", raising)
+    monkeypatch.setattr(laws, "_builder", raising)
     code, out, err = run(capsys, [
         "verify", "--law", "L05-unit-laws", "--trials", "3",
         "--report", str(report_path)])

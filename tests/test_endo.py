@@ -239,6 +239,27 @@ def test_one_draw_of_several_tables_is_consecutive_random_map_calls(p):
         assert one.integers(0, 2**62) == calls.integers(0, 2**62)
 
 
+@pytest.mark.parametrize("p", [2, 97, 1_000_003])
+def test_a_draw_of_rows_is_its_rows_drawn_one_after_another(p):
+    # row r holds the tables of the r-th of rows one-row draws, and the
+    # stream is left where they leave it, so rows can be drawn in parts
+    ring = CoefficientRing.prime_field(p)
+    for seed in range(30):
+        pick = np.random.default_rng(2000 + seed)
+        dim, rows = int(pick.integers(1, 4)), int(pick.integers(2, 5))
+        degrees = [int(d) for d in pick.integers(0, 5, size=pick.integers(1, 6))]
+        one, calls = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = endo._random_maps(ring, dim, degrees, one, rows)
+        want = [endo._random_maps(ring, dim, degrees, calls) for _ in range(rows)]
+        for k, g in enumerate(got):
+            assert g.batch == rows and g.degree == degrees[k]
+            assert g.table.flags.c_contiguous and not g.table.flags.writeable
+            for r in range(rows):
+                assert np.array_equal(g.table[r], want[r][k].table)
+        assert one.integers(0, 4) == calls.integers(0, 4)
+        assert one.integers(0, 2**62) == calls.integers(0, 2**62)
+
+
 def test_one_draw_of_several_tables_refuses_what_random_map_refuses():
     rng = np.random.default_rng(0)
     with pytest.raises(UnsupportedRing):
@@ -247,6 +268,8 @@ def test_one_draw_of_several_tables_refuses_what_random_map_refuses():
         endo._random_maps(F97, 2, [1, -1], rng)
     with pytest.raises(TableTooLarge):
         endo._random_maps(F97, 2, [1, 26], rng)
+    with pytest.raises(TableTooLarge):  # 2^13 rows of 2^14 entries
+        endo._random_maps(F97, 2, [1, 13], rng, 2**13)
 
 
 def vec(ring, entries):

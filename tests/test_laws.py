@@ -52,9 +52,10 @@ UNREACHED = object()
 
 QUICK = TrialConfig(backend="endo", prime=97, dim=1, trials=10, seed=0)
 
-# frozen canary run: its first failing trial, trial 3, has degrees f=2,
-# g=4, h=2
-SHRINK_CFG = TrialConfig(backend="endo", prime=97, dim=2, trials=8, seed=2,
+# frozen canary run: 23 trials are the fewest that catch the canary at
+# every seed 0-19; its first failing trial, trial 8, has degrees f=4, g=2,
+# h=2
+SHRINK_CFG = TrialConfig(backend="endo", prime=97, dim=2, trials=24, seed=2,
                          mutations=("b-relation-sign-drop",))
 
 
@@ -172,30 +173,132 @@ def test_run_law_deterministic_modulo_millis():
     assert first == second
 
 
-def _drawn(law, cfg):
-    """(trial, attempt, degrees, tables, extra) of each non-vacuous trial of
-    law under cfg; a free or element-free trial draws no table."""
-    return [(trial, attempt, sample.degrees,
-             {name: m.table.tolist() for name, m in sample.elements.items()}
-             if sample.dense is not None else None, sample.extra)
-            for trial, attempt, sample in laws._draws(law, cfg)]
-
-
 @pytest.mark.parametrize("backend", ["endo", "free"])
 def test_draws_are_deterministic_and_prefix_stable(backend):
     # L18 retries many vacuous attempts and L27 draws a word after its
-    # tables: a run of n trials draws the first n trials of a run of 3n
+    # degrees: a run of n trials draws the first n trials of a run of 3n
     for law_id in ("L06-cup-product", "L18-lemma-first",
                    "L25-envelope-partition", "L27-cross-backend"):
         law = laws.get_law(law_id)
         if backend not in law.backends:
             continue
         cfg = TrialConfig(backend, dim=2, trials=12, seed=4)
-        short = _drawn(law, cfg)
-        assert short == _drawn(law, cfg)
-        longer = _drawn(law, replace(cfg, trials=36))
+        short = list(laws._draws(law, cfg))
+        assert short == list(laws._draws(law, cfg))
+        longer = list(laws._draws(law, replace(cfg, trials=36)))
         assert longer[:len(short)] == short
         assert all(trial >= 12 for trial, *_ in longer[len(short):])
+
+
+def test_a_drawn_trial_is_its_degrees_and_extra_data():
+    # no table is drawn with the trials: each is its trial and attempt
+    # numbers, its degrees by slot and its extra data, which is plain JSON
+    for law in laws.list_laws():
+        cfg = TrialConfig(law.backends[0], dim=2, trials=8, seed=1)
+        for drawn in laws._draws(law, cfg):
+            trial, attempt, degrees, extra = drawn
+            assert type(trial) is int and type(attempt) is int
+            assert list(degrees) == list(law.slots)
+            assert all(type(d) is int for d in degrees.values())
+            assert json.loads(json.dumps(extra)) == extra
+
+
+def test_every_drawn_word_composes():
+    # a word composes 1 to 3 generators into a, never none
+    law = laws.get_law("L27-cross-backend")
+    for seed in (1, 606):
+        words = [extra["word"] for *_, extra in
+                 laws._draws(law, TrialConfig(dim=2, trials=200, seed=seed))]
+        assert len(words) == 200 and all(words)
+
+
+def test_endo_and_free_draw_the_same_trials():
+    # a trial is its degree tuple on both backends, so at each seed they
+    # draw the same trials and count the same vacuous ones
+    for law in laws.laws_for_backend("free"):
+        if "endo" not in law.backends:
+            continue
+        for seed in range(5):
+            cfg = TrialConfig("endo", dim=2, trials=24, seed=seed)
+            free_cfg = replace(cfg, backend="free")
+            assert list(laws._draws(law, cfg)) == list(laws._draws(law, free_cfg))
+            assert (laws.run_law(law.law_id, cfg).vacuous
+                    == laws.run_law(law.law_id, free_cfg).vacuous), law.law_id
+
+
+def _groups(law, cfg) -> dict:
+    """The drawn trials of law under cfg by batch key, as run_law groups
+    them."""
+    groups = {}
+    for drawn in laws._draws(law, cfg):
+        groups.setdefault(laws._batch_key(*drawn[2:]), []).append(drawn)
+    return groups
+
+
+def _endo_batches(law, cfg, count):
+    """The (batch, sample) pairs built from the first count trials of the
+    largest batch key of law under cfg."""
+    key, group = max(_groups(law, cfg).items(), key=lambda item: len(item[1]))
+    assert len(group) >= count
+    return list(laws._builder(law, cfg)(key, group[:count]))
+
+
+def _tables(sample):
+    """Each element's table of sample by name, with a leading row axis."""
+    return {name: el.payload.table.reshape(sample.rows, -1)
+            for name, el in sample.elements.items()}
+
+
+def test_a_key_gives_its_trials_the_same_rows_whatever_the_trial_count():
+    # row r of a key's stream is its r-th trial's tables: batches of n and
+    # of m < n rows share their first m rows
+    law = laws.get_law("L09-right-derivation")
+    cfg = TrialConfig(dim=2, trials=200, seed=3)
+    (_, wide), = _endo_batches(law, cfg, 6)
+    for count in (1, 2, 5):
+        (batch, narrow), = _endo_batches(law, cfg, count)
+        assert narrow.rows == len(batch) == count
+        for name, table in _tables(narrow).items():
+            assert np.array_equal(table, _tables(wide)[name][:count])
+
+
+def test_a_split_batch_draws_the_rows_of_the_unsplit_one(monkeypatch):
+    # the entry cap splits a key's trials into batches that continue the
+    # key's stream, and the report does not change
+    law = laws.get_law("L06-cup-product")
+    cfg = TrialConfig(dim=2, trials=60, seed=2, mutations=("cup-sign-flip",))
+    (batch, whole), = _endo_batches(law, cfg, 5)
+    report = laws.run_law(law.law_id, cfg).to_dict()
+    # two rows of the largest table the degree budget allows
+    monkeypatch.setattr(endo, "MAX_ENTRIES", 2 * 2 ** 13)
+    parts = _endo_batches(law, cfg, 5)
+    assert [len(b) for b, _ in parts] == [2, 2, 1]
+    assert [d for b, _ in parts for d in b] == batch
+    for name, table in _tables(whole).items():
+        assert np.array_equal(
+            np.concatenate([_tables(s)[name] for _, s in parts]), table)
+    split = laws.run_law(law.law_id, cfg).to_dict()
+    split.pop("millis")
+    report.pop("millis")
+    assert split == report
+
+
+def test_batched_tables_are_read_only_and_contiguous():
+    # a batch of one holds single maps; the fixture mu of L12 is single in
+    # every batch
+    for law_id in ("L06-cup-product", "L12-delta-squared"):
+        law = laws.get_law(law_id)
+        cfg = TrialConfig(dim=2, trials=200, seed=5)
+        for count in (1, 4):
+            (_, sample), = _endo_batches(law, cfg, count)
+            assert sample.rows == count
+            for name, el in sample.elements.items():
+                table = el.payload.table
+                assert table.flags.c_contiguous and not table.flags.writeable
+                single = count == 1 or (name == "mu" and law.fixture_mu)
+                assert el.payload.batch == (None if single else count)
+                assert table.ndim == el.degree + (1 if single else 2)
+            assert sample.ctx.mu is sample.elements["mu"]
 
 
 @pytest.mark.parametrize("backend", ["endo", "free"])
@@ -309,8 +412,8 @@ def test_replay_reproduces_failure_and_honors_mutations():
 
 def test_shrink_frozen_case():
     witness = laws.run_law("L02-relation-left", SHRINK_CFG).failures[0]
-    assert witness["seed"] == [2, 3, 0]
-    assert witness["degrees"] == {"f": 2, "g": 4, "h": 2}
+    assert witness["seed"] == [2, 8, 0]
+    assert witness["degrees"] == {"f": 4, "g": 2, "h": 2}
     small = laws.shrink(witness)
     before = sum(witness["degrees"].values())
     after = sum(small["degrees"].values())
@@ -384,8 +487,8 @@ def test_forced_degree_quota_on_even_trials():
     assert law.force_first == 3
     cfg = TrialConfig(dim=1, trials=20)
     forced, unforced = [], []
-    for trial, _, sample in laws._draws(law, cfg):
-        (forced if trial % 2 == 0 else unforced).append(sample.degrees["h"])
+    for trial, _, degrees, _ in laws._draws(law, cfg):
+        (forced if trial % 2 == 0 else unforced).append(degrees["h"])
     assert all(d >= 3 for d in forced)
     assert any(d < 3 for d in unforced)
 
@@ -524,17 +627,27 @@ def test_a_failing_run_checks_each_batch_once(backend):
     finally:
         object.__setattr__(law, "checker", checker)
     assert report.failed > 0
-    keys = {laws._batch_key(sample) for *_, sample in laws._draws(law, cfg)}
+    keys = _groups(law, cfg)
     assert len(calls) == len(keys) < cfg.trials - report.vacuous
     assert sum(calls) == cfg.trials - report.vacuous
 
 
+def _row(sample, r):
+    """Row r of a checked sample as a sample of one row."""
+    elements = {name: el.row(r) for name, el in sample.elements.items()}
+    ctx = sample.ctx and PreOperadContext(sample.ctx.backend, elements["mu"])
+    return laws.TrialSample(ctx, elements, sample.degrees, sample.extra)
+
+
 def _single_trial_verdicts(law, cfg):
     """(trial, attempt, degrees, detail) of each non-vacuous trial of law
-    under cfg, its detail from checking its drawn inputs on their own."""
-    for trial, attempt, sample in laws._draws(law, cfg):
-        detail, = law.checker(laws._stack([sample]))
-        yield trial, attempt, sample.degrees, detail
+    under cfg, in trial order, its detail from checking its own row of
+    its batch on its own."""
+    build = laws._builder(law, cfg)
+    return sorted((*drawn[:3], law.checker(_row(sample, r))[0])
+                  for key, group in _groups(law, cfg).items()
+                  for batch, sample in build(key, group)
+                  for r, drawn in enumerate(batch))
 
 
 @pytest.mark.parametrize("backend, prime", [
@@ -564,10 +677,11 @@ def test_batched_failures_are_those_of_single_trials_in_trial_order(backend, pri
 def _edited_word_witness(word):
     law = laws.get_law("L27-cross-backend")
     cfg = TrialConfig(dim=2, trials=1, seed=606)
-    (_, _, sample), = laws._draws(law, cfg)
+    drawn, = laws._draws(law, cfg)
+    (_, sample), = laws._builder(law, cfg)(laws._batch_key(*drawn[2:]), [drawn])
     head = {"law_id": law.law_id, "seed": [606, 0, 0], "backend": "endo",
             "prime": 97, "dim": 2, "mutations": []}
-    witness = laws._witness(head, laws._stack([sample]),
+    witness = laws._witness(head, sample,
                             laws.FailDetail("hand-edited", None, None, None))
     witness["extra"] = {"word": word}
     return witness
@@ -724,8 +838,8 @@ def test_free_generators_are_built_once_per_degree_tuple(monkeypatch):
         if law.element_free:
             continue
         report = laws.run_law(law.law_id, cfg)
-        sigs = {s.ctx.backend.signature.generators
-                for *_, s in laws._draws(law, cfg)}
+        sigs = {tuple(degrees.values())
+                for _, _, degrees, _ in laws._draws(law, cfg)}
         assert len(sigs) < report.trials - report.vacuous, law.law_id
         used += len(sigs)
     tuples = {sig for sig, _ in built}
@@ -735,30 +849,34 @@ def test_free_generators_are_built_once_per_degree_tuple(monkeypatch):
 
 
 def test_a_vacuous_attempt_draws_no_table(monkeypatch):
+    # a vacuous attempt stops at its degrees; a kept trial's four inputs
+    # and mu are drawn as one row of its batch's single draw
     law = laws.get_law("L18-lemma-first")
     cfg = TrialConfig("endo", dim=2, trials=40, seed=1)
-    attempts = []  # [degrees, tables drawn] of each attempt, in draw order
+    attempts = []  # the degrees of each attempt, in draw order
+    draws = []  # (degrees, rows) of each table draw
     sample_degrees = laws._sample_degrees
     random_maps = endo._random_maps
 
     def recorded(*args):
-        attempts.append([sample_degrees(*args), 0])
-        return attempts[-1][0]
+        attempts.append(sample_degrees(*args))
+        return attempts[-1]
 
-    def counted(ring, dim, degrees, rng):
-        attempts[-1][1] += len(degrees)
-        return random_maps(ring, dim, degrees, rng)
+    def counted(ring, dim, degrees, rng, rows):
+        draws.append((list(degrees), rows))
+        return random_maps(ring, dim, degrees, rng, rows)
 
     monkeypatch.setattr(laws, "_sample_degrees", recorded)
     monkeypatch.setattr(endo, "_random_maps", counted)
-    kept = list(laws._draws(law, cfg))
+    report = laws.run_law(law.law_id, cfg)
     monkeypatch.undo()
-    empty = [n for degrees, n in attempts if law.vacuous_when(degrees)]
-    assert len(empty) > 5
-    assert len(attempts) - len(empty) == len(kept)
-    assert not any(empty)
-    # a kept attempt draws its four inputs and mu
-    assert all(n == 5 for degrees, n in attempts if not law.vacuous_when(degrees))
+    kept = [d for d in attempts if not law.vacuous_when(d)]
+    assert len(attempts) - len(kept) > 5
+    assert len(kept) == cfg.trials - report.vacuous
+    assert sum(rows for _, rows in draws) == len(kept)
+    assert len(draws) == len({laws._batch_key(d, {}) for d in kept}) < len(kept)
+    assert sorted(degrees for degrees, rows in draws for _ in range(rows)) == \
+        sorted([*d.values(), 2] for d in kept)
 
 
 @pytest.mark.parametrize("law_id, mutation", [
