@@ -1,31 +1,32 @@
 """Registry of verifiable identities plus a deterministic trial engine.
 
-Every law is a named, seeded, replayable check: the engine draws degrees and
-then only what the check reads from the law's seeded stream, runs the law's
-checker, counts the failing trials and keeps one serialized witness, that
-of the first failing trial. Identical (law, config) pairs produce identical
-reports apart from the timing field. A witness can be replayed and shrunk.
+Every law is a named, seeded, replayable check: the engine draws degrees
+from the law's seeded stream, builds the inputs the check reads, runs the
+law's checker, counts the failing trials and keeps one serialized witness,
+that of the first failing trial. Identical (law, config) pairs produce
+identical reports apart from the timing field. A witness can be replayed
+and shrunk.
 
 Stream: a law draws all its trials, in trial order, from one Generator,
 np.random.default_rng((salt, seed)) with the law's salt (_draws). A trial
-is its degree tuple, plus L27's word: no table is drawn from this stream,
+is its degree tuple and nothing else: no table is drawn from this stream,
 so the endo and free backends draw the same trials at every seed. A trial
 runs its vacuous retries inline, so a run of n trials draws exactly the
 first n trials of any longer run with the same settings.
 
-Batches: the trials of a law that drew the same degrees (and the same extra
-data) share a batch key, and run as one check on one sample with a row per
+Batches: the trials of a law that drew the same degrees share a batch key,
+their degree tuple, and run as one check on one sample with a row per
 trial (_builder). An element-free sample holds no element. A free sample
 holds the bare generators, a bare mu and a context built once per degree
 tuple: sending each generator x to c_x * x, c_x nonzero, is an injective
 morphism of the free pre-operad, so the bare generators stand for every
 trial of their degrees, and a single tree sum is every row. An endo key
-draws its tables from its own Generator, seeded from (law salt, seed, key
-salt), one endo._random_maps call per batch, row r for the r-th trial of
-the key; a batch of one holds single tables. Each batch is checked once,
-and the witness is cut from the failing row of the batch that holds the
-first failing trial: its inputs and the sides of its first failing claim.
-A replay and a shrink step are batches of one.
+draws its tables from its own Generator, seeded from (law salt, seed,
+*degrees), one endo._random_maps call per batch, row r for the r-th trial
+of the key; a batch of one holds single tables. Each batch is checked
+once, and the witness is cut from the failing row of the batch that holds
+the first failing trial: its inputs and the sides of its first failing
+claim. A replay and a shrink step are batches of one.
 
 Vacuity: a trial whose index domains are empty on both sides of the identity
 proves nothing. Such an attempt stops after its degrees and is retried
@@ -157,7 +158,6 @@ class TrialSample:
     ctx: PreOperadContext | None
     elements: dict
     degrees: dict
-    extra: dict
     rows: int = 1
 
 
@@ -214,7 +214,6 @@ class Law:
     vacuous_when: object = None
     element_free: bool = False
     fixture_mu: bool = False
-    extra_sampler: object = None
     checker: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -269,7 +268,6 @@ REPORT_SCHEMA = {
                     "mutations": {"type": "array", "items": {"type": "string"}},
                     "degrees": {"type": "object"},
                     "elements": {"type": "object"},
-                    "extra": {"type": "object"},
                     "identity": {"type": "string"},
                     "domain_point": {"type": ["array", "null"]},
                     "lhs": {}, "rhs": {},
@@ -324,24 +322,20 @@ def _bare_generators(prime: int, mutations: tuple, gens: tuple) -> tuple:
     return (PreOperadContext(be, bare["mu"]) if "mu" in bare else None), bare
 
 
-def _batch_key(degrees: dict, extra: dict) -> str:
-    """Trials with equal keys, their degrees and extra data, run as one
-    batch."""
-    return repr((degrees, extra))
-
-
 def _builder(law: Law, cfg: TrialConfig):
     """build(key, group), which yields (batch, sample) for group, the drawn
-    (trial, attempt, degrees, extra) of batch key key in trial order:
-    sample is the checked sample whose rows are batch's trials. Without
-    tables (element-free or free) the group is one batch. An endo group
-    draws from its own Generator, seeded from (law salt, seed, key salt),
-    in batches whose rows of the largest table the degree budget allows
-    stay under the entry cap: each batch its inputs' tables in slot order,
-    then mu's unless mu is the fixture, in one endo._random_maps call. So
-    the r-th trial of a key gets row r of the key's stream whatever the
-    trial count, and a split just continues the stream. The ring, the
-    dense backend and a fixture product are built once, here."""
+    (trial, attempt, degrees) of batch key key, the degree tuple, in trial
+    order: sample is the checked sample whose rows are batch's trials.
+    Without tables (element-free or free) the group is one batch. An endo
+    group draws from its own Generator, seeded from (law salt, seed, *key)
+    as plain ints, in batches whose rows of the largest table the degree
+    budget allows stay under the entry cap: each batch its inputs' tables
+    in slot order, then mu's unless mu is the fixture, in one
+    endo._random_maps call. So the r-th trial of a key gets row r of the
+    key's stream whatever the trial count, and a split just continues the
+    stream. The law salt, the ring, the dense backend and a fixture
+    product are built once, here."""
+    salt = _salt(law.law_id)
     ring = CoefficientRing.prime_field(cfg.prime)
     muts = frozenset(cfg.mutations)
     dense = EndoBackend(ring, cfg.dim, muts)
@@ -353,15 +347,15 @@ def _builder(law: Law, cfg: TrialConfig):
     most = max(1, endo.MAX_ENTRIES // cfg.dim ** (cfg.degree_budget + 1))
 
     def build(key, group):
-        degrees, extra = group[0][2:]
+        degrees = group[0][2]
         if law.element_free:
-            yield group, TrialSample(None, {}, degrees, extra, len(group))
+            yield group, TrialSample(None, {}, degrees, len(group))
         elif cfg.backend == "free":
             ctx, bare = _bare_generators(cfg.prime, tuple(sorted(muts)), tuple(
                 (name, degrees[name]) for name in law.slots) + (("mu", 2),))
-            yield group, TrialSample(ctx, bare, degrees, extra, len(group))
+            yield group, TrialSample(ctx, bare, degrees, len(group))
         else:
-            rng = np.random.default_rng((_salt(law.law_id), cfg.seed, _salt(key)))
+            rng = np.random.default_rng((salt, cfg.seed, *key))
             for lo in range(0, len(group), most):
                 batch = group[lo:lo + most]
                 maps = endo._random_maps(ring, cfg.dim, [  # mu has degree 2
@@ -369,7 +363,7 @@ def _builder(law: Law, cfg: TrialConfig):
                 elements = dict(zip(drawn, (_element(dense, m) for m in maps)))
                 elements.setdefault("mu", fixture)
                 yield batch, TrialSample(PreOperadContext(dense, elements["mu"]),
-                                         elements, degrees, extra, len(batch))
+                                         elements, degrees, len(batch))
 
     return build
 
@@ -703,18 +697,26 @@ def _require_degree(term: int, degree: int):
 _DEGREES = _DegreeBackend()
 
 
+def _pair_operations(ctx, f, g):
+    """(operation, value, stated degree) for each derived operation on the
+    two inputs f, g over ctx, each value built when it is drawn."""
+    df, dg = f.degree, g.degree
+    yield "cup", cup(ctx, f, g), df + dg
+    yield "bullet", bullet(f, g), df + dg - 1
+    yield "bracket", bracket(f, g), df + dg - 1
+    yield "delta", delta(ctx, f), df + 1
+    yield "dev_bullet", dev_braces(ctx, f, g), df + dg
+
+
 def _bookkeeping(ctx, h, f, g, b) -> tuple:
     """(operation, degree it lands in, stated degree) for each derived
     operation on h, f, g, b over ctx."""
     dh, df, dg, db = h.degree, f.degree, g.degree, b.degree
     return (
-        ("cup", cup(ctx, f, g).degree, df + dg),
-        ("bullet", bullet(f, g).degree, df + dg - 1),
-        ("bracket", bracket(f, g).degree, df + dg - 1),
-        ("delta", delta(ctx, f).degree, df + 1),
+        *((name, value.degree, stated)
+          for name, value, stated in _pair_operations(ctx, f, g)),
         ("tribraces", braces(h, f, g).degree, dh + df + dg - 2),
         ("tetrabraces", braces(h, f, g, b).degree, dh + df + dg + db - 3),
-        ("dev_bullet", dev_braces(ctx, f, g).degree, df + dg),
         ("dev_tribraces", dev_braces(ctx, h, f, g).degree, dh + df + dg - 1),
         ("dev_tetrabraces", dev_braces(ctx, h, f, g, b).degree,
          dh + df + dg + db - 2),
@@ -734,32 +736,23 @@ def _check_degree_bookkeeping(s: TrialSample):
         yield f"{name} lands in the wrong degree", None, got, want
 
 
-def _word_sampler(rng, degrees, cfg):
-    word = []
-    current = degrees["a"]
-    for name in ("b", "c", "d")[: int(rng.integers(1, 4))]:
-        slot = int(rng.integers(0, current))
-        word.append([name, slot])
-        current += degrees[name] - 1
-    return {"word": word}
-
-
-def _check_cross_backend(s: TrialSample):
-    degrees = s.degrees
-    ring = s.ctx.backend.ring
-    dim = s.ctx.backend.dim
-    gens = tuple((name, degrees[name]) for name in ("a", "b", "c", "d"))
-    _, bare = _bare_generators(ring.modulus, (), gens)
-    symbolic = bare["a"]
-    concrete = s.elements["a"]
-    for name, slot in s.extra["word"]:
-        symbolic = symbolic.compose(bare[name], slot)
-        concrete = concrete.compose(s.elements[name], slot)
+def _check_conformance(s: TrialSample):
+    """L27: each operation of _pair_operations on the batch's tables equals
+    free.evaluate_hom of the same operation on bare generators, the tables
+    assigned to them. Both sides carry the backend's mutations, so a fault
+    of the calculus cancels and only the tables' own arithmetic is
+    checked."""
+    dense = s.ctx.backend
+    gens = (("f", s.degrees["f"]), ("g", s.degrees["g"]), ("mu", 2))
+    ctx, bare = _bare_generators(dense.ring.modulus,
+                                 tuple(sorted(dense.mutations)), gens)
     assignment = {name: s.elements[name].payload for name, _ in gens}
-    image = free.evaluate_hom(symbolic.payload, assignment, ring, dim)
-    yield ("table substitution commutes with the word",
-           tuple(tuple(w) for w in s.extra["word"]),
-           GradedElement(s.ctx.backend, image), concrete)
+    for (name, value, _), (_, word, _) in zip(
+            _pair_operations(s.ctx, s.elements["f"], s.elements["g"]),
+            _pair_operations(ctx, bare["f"], bare["g"])):
+        image = free.evaluate_hom(word.payload, assignment, dense.ring, dense.dim)
+        yield (f"{name} commutes with table evaluation", None,
+               value, _element(dense, image))
 
 
 def _vac_h_below(n):
@@ -886,10 +879,9 @@ _LAWS = [
         "Every derived operation lands in its stated degree.",
         ("h", "f", "g", "b"), _check_degree_bookkeeping, element_free=True),
     Law("L27-cross-backend",
-        "Random symbolic composition words map to the same dense table as "
-        "the word evaluated directly.",
-        ("a", "b", "c", "d"), _check_cross_backend, backends=("endo",),
-        extra_sampler=_word_sampler),
+        "Each operation of two inputs on dense tables equals the same "
+        "operation on free generators, evaluated on those tables.",
+        ("f", "g"), _check_conformance, backends=("endo",)),
 ]
 
 _REGISTRY = {law.law_id: law for law in _LAWS}
@@ -924,7 +916,6 @@ def _witness(head: dict, sample: TrialSample, detail: FailDetail, row=0) -> dict
         "degrees": dict(sorted(sample.degrees.items())),
         "elements": {name: el.row(row).serialize()
                      for name, el in sorted(sample.elements.items())},
-        "extra": sample.extra,
         "identity": detail.identity,
         "domain_point": list(detail.point) if detail.point is not None else None,
         "lhs": lhs,
@@ -944,13 +935,12 @@ def _check_runnable(law: Law, cfg: TrialConfig):
 
 
 def _draws(law: Law, cfg: TrialConfig):
-    """(trial, attempt, degrees, extra) of each non-vacuous trial of law
-    under cfg, in trial order, all drawn from one Generator seeded once
-    from (law salt, seed): the degrees, then the extra data (L27's word).
-    No table is drawn here, so every backend draws the same trials. A trial
-    tries up to _RETRIES attempts, each from where the stream stands, and
-    is vacuous when none is kept; an even trial draws its first degree at
-    least law.force_first."""
+    """(trial, attempt, degrees) of each non-vacuous trial of law under
+    cfg, in trial order, the degrees all drawn from one Generator seeded
+    once from (law salt, seed). Nothing else is drawn here, so every
+    backend draws the same trials. A trial tries up to _RETRIES attempts,
+    each from where the stream stands, and is vacuous when none is kept;
+    an even trial draws its first degree at least law.force_first."""
     rng = np.random.default_rng((_salt(law.law_id), cfg.seed))
     for trial in range(cfg.trials):
         forced = law.force_first if trial % 2 == 0 else None
@@ -958,8 +948,7 @@ def _draws(law: Law, cfg: TrialConfig):
             degrees = _sample_degrees(rng, law.slots, cfg, forced)
             if law.vacuous_when and law.vacuous_when(degrees):
                 continue
-            extra = law.extra_sampler(rng, degrees, cfg) if law.extra_sampler else {}
-            yield trial, attempt, degrees, extra
+            yield trial, attempt, degrees
             break
 
 
@@ -967,16 +956,16 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     """Run one law over cfg.trials seeded trials.
 
     The trials are drawn in trial order from the law's one stream
-    (_draws), as degrees and extra data only, and grouped by batch key.
-    Each group becomes checked samples, in trial order (_builder): one for
-    a group without tables, and for an endo one batches under the entry
-    cap, their tables drawn from the key's own stream. Each batch is
-    checked once; a PreOperadError raised by the check on these valid
-    inputs fails every row, its text the identity. The report counts the
-    failing trials and holds one witness, cut from the failing row of the
-    batch that holds the first failing trial: on free, the bare generators
-    of its degree tuple. Only that batch and its failing claim are kept
-    past their check.
+    (_draws), as degree tuples only, and grouped by degree tuple, the
+    batch key. Each group becomes checked samples, in trial order
+    (_builder): one for a group without tables, and for an endo one
+    batches under the entry cap, their tables drawn from the key's own
+    stream. Each batch is checked once; a PreOperadError raised by the
+    check on these valid inputs fails every row, its text the identity.
+    The report counts the failing trials and holds one witness, cut from
+    the failing row of the batch that holds the first failing trial: on
+    free, the bare generators of its degree tuple. Only that batch and its
+    failing claim are kept past their check.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
     can tell a sign from its flip (the cup-sign-flip canary passes).
@@ -987,7 +976,7 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     start = time.perf_counter()
     groups, vacuous = {}, cfg.trials
     for drawn in _draws(law, cfg):
-        groups.setdefault(_batch_key(*drawn[2:]), []).append(drawn)
+        groups.setdefault(tuple(drawn[2].values()), []).append(drawn)
         vacuous -= 1
     build = _builder(law, cfg)
     failed, first = 0, None  # first: (trial, attempt, checked, detail, row)
@@ -1080,7 +1069,7 @@ def _rebuild_sample(witness: dict) -> TrialSample:
     if total > cfg.degree_budget:
         raise BadConfig(f"input degrees add up to {total}, past the degree "
                         f"budget {cfg.degree_budget} of dim {cfg.dim}")
-    return TrialSample(ctx, elements, degrees, dict(witness.get("extra", {})))
+    return TrialSample(ctx, elements, degrees)
 
 
 def replay(witness: dict) -> FailDetail | None:
@@ -1093,10 +1082,9 @@ def replay(witness: dict) -> FailDetail | None:
 def _lowered(sample: TrialSample, name: str, steps: int) -> TrialSample | None:
     """sample with input name lowered by steps degrees, or None.
 
-    A table keeps its entries whose last steps inputs are 0. A tree sum is
-    lowered when it is c times the bare generator of name and no other
-    element's trees hold that generator: the generator's degree drops in a
-    new signature, and every element is re-signed over it.
+    A table keeps its entries whose last steps inputs are 0. Tree sums are
+    lowered when every element is its own bare generator: the lowered
+    sample is the bare generators of the lowered degrees.
     """
     el = sample.elements[name]
     payload = el.payload
@@ -1110,22 +1098,14 @@ def _lowered(sample: TrialSample, name: str, steps: int) -> TrialSample | None:
                                 payload.degree - steps, table.reshape(-1))
         return _replace_element(sample, name, GradedElement(el.backend, lowered))
     sig = payload.signature
-    if (not sig.has(name) or len(payload.terms) != 1
-            or payload.terms[0][0] != free.generator_tree(sig, name)):
+    if not all(sig.has(n) and x.payload.terms == ((free.generator_tree(sig, n), 1),)
+               for n, x in sample.elements.items()):
         return None
-    node = "(" + name
-    if any(node in tree for other, x in sample.elements.items()
-           if other != name for tree, _ in x.payload.terms):
-        return None
-    sig = free.Signature(tuple((n, d - steps if n == name else d)
-                               for n, d in sig.generators))
-    backend = FreeBackend(payload.ring, sig, el.backend.mutations)
-    elements = {n: GradedElement(backend, replace(x.payload, signature=sig))
-                for n, x in sample.elements.items()}
-    elements[name] = payload.terms[0][1] * backend.generator(name)
-    return TrialSample(PreOperadContext(backend, elements["mu"]), elements,
-                       {**sample.degrees, name: payload.degree - steps},
-                       dict(sample.extra))
+    ctx, bare = _bare_generators(
+        payload.ring.modulus, tuple(sorted(el.backend.mutations)),
+        tuple((n, d - steps if n == name else d) for n, d in sig.generators))
+    return TrialSample(ctx, {n: bare[n] for n in sample.elements},
+                       {**sample.degrees, name: payload.degree - steps})
 
 
 def _zeroed(el: GradedElement, flat_index: int) -> GradedElement | None:
@@ -1160,7 +1140,7 @@ def _replace_element(sample: TrialSample, name: str,
         ctx = PreOperadContext(ctx.backend, el)
     else:
         degrees[name] = el.degree
-    return TrialSample(ctx, elements, degrees, dict(sample.extra))
+    return TrialSample(ctx, elements, degrees)
 
 
 def _candidates(sample: TrialSample):

@@ -83,7 +83,7 @@ def test_quadruple_brace_deviation_theorem():
                       dim=dim, trials=200, seed=303)
             # redraw the engine's trials to count the forced quota
             big = sum(degrees["h"] >= 3
-                      for _, _, degrees, _ in laws._draws(law, cfg))
+                      for _, _, degrees in laws._draws(law, cfg))
             assert big >= 100, (prime, dim, big)
     assert time.perf_counter() - start < 120.0
 
@@ -127,17 +127,13 @@ def test_associative_fixture_products():
 
 
 def test_symbolic_words_map_to_tables():
-    """200 random symbolic composition words (at most four generator
-    vertices each) evaluate through the generator assignment to exactly the
-    dense table computed directly."""
+    """On 200 random pairs of tables f, g and a random product mu, each
+    operation of two inputs (cup, bullet, bracket, delta, dev_bullet)
+    built on symbolic generators evaluates through the generator
+    assignment to exactly the dense table computed directly."""
     start = time.perf_counter()
-    law = laws.get_law("L27-cross-backend")
-    cfg = TrialConfig(backend="endo", prime=97, dim=2, trials=200, seed=606)
     run_clean("L27-cross-backend", backend="endo", prime=97, dim=2,
               trials=200, seed=606)
-    # a word composes 1 to 3 generators into a; every length is drawn
-    lengths = {len(extra["word"]) for *_, extra in laws._draws(law, cfg)}
-    assert lengths == {1, 2, 3}
     assert time.perf_counter() - start < 60.0
 
 

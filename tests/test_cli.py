@@ -827,7 +827,7 @@ def _free_l06_witness(**degrees):
     be = FreeBackend(CoefficientRing.prime_field(97), sig)
     return {"law_id": "L06-cup-product", "seed": [1, 0, 0], "backend": "free",
             "prime": 97, "dim": 2, "mutations": ["cup-sign-flip"],
-            "degrees": degrees, "extra": {}, "identity": "hand-made",
+            "degrees": degrees, "identity": "hand-made",
             "domain_point": None, "lhs": None, "rhs": None,
             "elements": {n: be.generator(n).serialize() for n, _ in sig.generators}}
 
@@ -837,13 +837,12 @@ _REFUSED_WITNESSES = {
     "l01-degrees": ({
         "law_id": "L01-scope-partition", "seed": [1, 0, 0], "backend": "endo",
         "prime": 97, "dim": 2, "mutations": [],
-        "degrees": {"h": 3000, "f": 3000, "g": 2}, "elements": {}, "extra": {},
+        "degrees": {"h": 3000, "f": 3000, "g": 2}, "elements": {},
         "identity": "hand-made", "domain_point": None, "lhs": None,
         "rhs": None}, "degree budget"),
     "free-degrees": (_free_l06_witness(f=11, g=2), "degree budget"),
     # laws that do not run on free used to replay into an AttributeError
-    "l27-on-free": ({**_free_l06_witness(f=1, g=2), "law_id": "L27-cross-backend",
-                     "extra": {"word": [["b", 0]]}},
+    "l27-on-free": ({**_free_l06_witness(f=1, g=2), "law_id": "L27-cross-backend"},
                     "does not run on the free backend"),
     "l12-on-free": ({**_free_l06_witness(f=1, g=2), "law_id": "L12-delta-squared"},
                     "does not run on the free backend"),

@@ -365,7 +365,7 @@ def _stacked_sample(degrees, rows, seed):
         name: GradedElement(backend, stack_rows(
             [backend.random(d, rng).payload for _ in range(rows)]))
         for name, d in zip("hfgb", degrees)}
-    return laws.TrialSample(ctx, elements, dict(zip("hfgb", degrees)), {}, rows)
+    return laws.TrialSample(ctx, elements, dict(zip("hfgb", degrees)), rows)
 
 
 @pytest.mark.parametrize("law_id", ["L18-lemma-first", "L24-gamma-recap"])
