@@ -7,13 +7,16 @@ backend's combine_payload: element +, - and scalar * hand it their one or
 two terms as they are, and any other sum streams its terms through
 signed_sum. Every sum of compositions, c * (f comp_i g) over some (c, f,
 g, i), goes through compose_sum into the backend's compose_sum_payload,
-which adds the composites unreduced and reduces once; compose_payload
-serves single compositions. Over a lattice region there are two loop
-shapes: region_sum sums a composite over the region, composing each
-operand into the partial sum of the points that share its slot, and
-prefix_chains walks the region point by point, composing a chain prefix
-once for the consecutive points that share it. Backends also carry the
-opt-in mutation switches used by the law suite's canary checks.
+which adds the composites unreduced into one accumulator and reduces
+once; compose_payload serves single compositions. Over a lattice region there
+are two loop shapes: region_sum sums a composite over the region,
+composing each operand into the partial sum of the points that share its
+slot, and prefix_chains walks the region point by point, composing a
+chain prefix once for the consecutive points that share it. The top level
+of a region sum is a stream of terms of its own, _region_terms, so a
+caller can add a brace into a larger compose_sum without building it.
+Backends also carry the opt-in mutation switches used by the law suite's
+canary checks.
 """
 
 from __future__ import annotations
@@ -222,19 +225,31 @@ def _composite_payloads(backend, terms):
 
 def region_sum(base: GradedElement, operands, points) -> GradedElement:
     """Sum of base comp_i operands[0] comp_j operands[1] ... over the points
-    (i, j, ...) of a region.
+    (i, j, ...) of a region: one compose_sum of _region_terms."""
+    degree = base.degree + sum(x.degree - 1 for x in operands)
+    return compose_sum(base.backend, degree,
+                       _region_terms(1, base, operands, points))
+
+
+def _region_terms(c, base: GradedElement, operands, points):
+    """The compose_sum terms of c times region_sum(base, operands, points).
 
     Composition is bilinear, so the points that share their last slot k are
     summed before the last operand goes in, and that inner sum is factored
     the same way by its own last slot, down to the composites
-    base comp_i operands[0]. operands[t], for t >= 1, is composed once per
+    base comp_i operands[0]. The terms are the top level of that
+    factoring: (c, inner sum of the points ending in k, last operand, k)
+    for each distinct k, or (c, base, operands[0], i) for each point (i,)
+    of a one-operand region. operands[t], for t >= 1, is composed once per
     distinct tail (p_t, ..., p_n) of the points: the last operand once per
-    distinct k rather than once per point. Each level above the first is
-    one compose_sum over its slots. The composites base comp_i operands[0]
-    are built once per i and reused across tails. Any point set works; an
-    empty one sums to zero.
+    distinct k rather than once per point. Each inner level above the
+    first is one compose_sum over its slots. The composites
+    base comp_i operands[0] are built once per i and reused across tails.
+    Any point set works; an empty one has no terms.
     """
     head, *tail = operands
+    if not tail:
+        return ((c, base, head, i) for (i,) in points)
     degree = base.degree + sum(x.degree - 1 for x in operands)
     firsts = {}
 
@@ -243,7 +258,7 @@ def region_sum(base: GradedElement, operands, points) -> GradedElement:
             firsts[i] = base.compose(head, i)
         return firsts[i]
 
-    return _factored_sum(base.backend, first, degree, tail, points)
+    return _factored_terms(c, base.backend, first, degree, tail, points)
 
 
 def prefix_chains(base: GradedElement, operands, points):
@@ -283,11 +298,17 @@ def _factored_sum(backend, first, degree, tail, points):
         if len(points) == 1:  # a sum of one composite is that composite
             return first(points[0][0])
         return signed_sum(backend, degree, ((1, first(i)) for (i,) in points))
+    return compose_sum(backend, degree,
+                       _factored_terms(1, backend, first, degree, tail, points))
+
+
+def _factored_terms(c, backend, first, degree, tail, points):
+    """The terms c * (inner sum comp_k last) of a factored sum of degree,
+    one per distinct last slot k of points."""
     *heads, last = tail
     by_last = {}
     for point in points:
         by_last.setdefault(point[-1], []).append(point[:-1])
     inner = degree - last.degree + 1
-    return compose_sum(backend, degree, (
-        (1, _factored_sum(backend, first, inner, heads, group), last, k)
-        for k, group in by_last.items()))
+    return ((c, _factored_sum(backend, first, inner, heads, group), last, k)
+            for k, group in by_last.items())

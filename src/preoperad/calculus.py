@@ -16,6 +16,15 @@ are h{f, g} and h{f, g, b}. Its deviation from a derivation is
     dev_braces(h; f_1..f_n) = delta(h{f_1..f_n})
         - sum over t of (-1)^(|f_(t+1)| + ... + |f_n|) h{.., delta(f_t), ..}
         - (-1)^(|f_1| + ... + |f_n|) delta(h){f_1..f_n}.
+
+Every operation but cup is one compose_sum over its composites c * (f
+comp_i g), and each has a private terms function, the stream of those
+terms scaled by a coefficient c, so that a sum of operations (dev_braces
+here, a sum in a script) is one compose_sum too: one accumulator for all
+their composites, rather than one table per operation added once more
+into the sum. bullet, bracket and delta yield their slots; cup its one
+composite (mu comp_0 (+-f)) comp_deg(f) g, which cup itself composes as a
+single composition; and a brace the top level of its region sum.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .backends import GradedElement, compose_sum, region_sum, signed_sum
+from .backends import GradedElement, _region_terms, compose_sum, region_sum
 from .domains import ground_simplex
 from .endo import ksign
 from .errors import BackendMismatch, DegreeMismatch, InvalidDegree
@@ -55,14 +64,21 @@ class PreOperadContext:
         return self.backend.unit()
 
 
-def cup(ctx: PreOperadContext, f: GradedElement, g: GradedElement) -> GradedElement:
-    """Product of degree deg(f) + deg(g) induced by mu."""
+def _cup_terms(ctx: PreOperadContext, c, f: GradedElement, g: GradedElement):
+    """The one term of c * cup(f, g): (c, mu comp_0 (+-f), g, deg f)."""
     sign = ksign(f.degree)
     if MUTATION_CUP_SIGN in ctx.backend.mutations:
         sign = -sign
     # the sign rides on the small operand, not on the full-size result
     signed_f = f if sign > 0 else -f
-    return ctx.mu.compose(signed_f, 0).compose(g, f.degree)
+    return ((c, ctx.mu.compose(signed_f, 0), g, f.degree),)
+
+
+def cup(ctx: PreOperadContext, f: GradedElement, g: GradedElement) -> GradedElement:
+    """Product of degree deg(f) + deg(g) induced by mu: its one term,
+    composed as a single composition."""
+    (_, head, g, i), = _cup_terms(ctx, 1, f, g)
+    return head.compose(g, i)
 
 
 def _slots(c, f: GradedElement, g: GradedElement):
@@ -70,28 +86,40 @@ def _slots(c, f: GradedElement, g: GradedElement):
     return ((c, f, g, i) for i in range(f.degree))
 
 
-def bullet(f: GradedElement, g: GradedElement) -> GradedElement:
-    """Total composition: g inserted into every slot of f, signs included."""
+def _bullet_terms(c, f: GradedElement, g: GradedElement):
     if f.degree < 1:
         raise InvalidDegree("bullet needs a left operand of degree >= 1")
-    return compose_sum(f.backend, f.degree + g.degree - 1, _slots(1, f, g))
+    return _slots(c, f, g)
 
 
-def bracket(f: GradedElement, g: GradedElement) -> GradedElement:
+def bullet(f: GradedElement, g: GradedElement) -> GradedElement:
+    """Total composition: g inserted into every slot of f, signs included."""
+    return compose_sum(f.backend, f.degree + g.degree - 1,
+                       _bullet_terms(1, f, g))
+
+
+def _bracket_terms(c, f: GradedElement, g: GradedElement):
     if f.degree < 1 or g.degree < 1:
         raise InvalidDegree("bracket needs operands of degree >= 1")
     sign = ksign(f.shifted_degree * g.shifted_degree)
+    return chain(_slots(c, f, g), _slots(-sign * c, g, f))
+
+
+def bracket(f: GradedElement, g: GradedElement) -> GradedElement:
     return compose_sum(f.backend, f.degree + g.degree - 1,
-                       chain(_slots(1, f, g), _slots(-sign, g, f)))
+                       _bracket_terms(1, f, g))
+
+
+def _delta_terms(ctx: PreOperadContext, c, f: GradedElement):
+    if f.degree < 1:
+        raise InvalidDegree("delta needs degree >= 1")
+    return chain(_slots(ksign(f.shifted_degree) * c, ctx.mu, f),
+                 _slots(-c, f, ctx.mu))
 
 
 def delta(ctx: PreOperadContext, f: GradedElement) -> GradedElement:
     """Coboundary induced by mu; squares to zero exactly when mu is associative."""
-    if f.degree < 1:
-        raise InvalidDegree("delta needs degree >= 1")
-    return compose_sum(f.backend, f.degree + 1,
-                       chain(_slots(ksign(f.shifted_degree), ctx.mu, f),
-                             _slots(-1, f, ctx.mu)))
+    return compose_sum(f.backend, f.degree + 1, _delta_terms(ctx, 1, f))
 
 
 def associator(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedElement:
@@ -99,35 +127,55 @@ def associator(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedEl
     return bullet(bullet(h, f), g) - bullet(h, bullet(f, g))
 
 
-def braces(h: GradedElement, *fs: GradedElement) -> GradedElement:
-    """The brace h{f_1, ..., f_n}: (h comp_p1 f_1) ... comp_pn f_n summed
-    over the ground simplex; bullet(h, f_1) when n = 1."""
+def _brace_points(h: GradedElement, fs):
+    """The ground simplex points of h{f_1, ..., f_n}, or None when n = 1,
+    where the brace is bullet(h, f_1)."""
     if not fs:
         raise InvalidDegree("braces need at least one input")
     if min(x.degree for x in (h, *fs)) < 1:
         raise InvalidDegree("braces need degrees >= 1")
     if len(fs) == 1:
-        return bullet(h, fs[0])
+        return None
     points = ground_simplex(h.degree, [f.degree for f in fs])
     if len(fs) == 2 and MUTATION_RIGHT_RANGE in h.backend.mutations:
         # canary: shift the row start by one slot
         points = tuple((i, j) for (i, j) in points if j > i + fs[0].degree)
+    return points
+
+
+def _brace_terms(c, h: GradedElement, fs):
+    """The terms of c * h{f_1, ..., f_n}: the top level of its region sum,
+    or the slots of h for f_1 when n = 1."""
+    points = _brace_points(h, fs)
+    if points is None:
+        return _slots(c, h, fs[0])
+    return _region_terms(c, h, fs, points)
+
+
+def braces(h: GradedElement, *fs: GradedElement) -> GradedElement:
+    """The brace h{f_1, ..., f_n}: (h comp_p1 f_1) ... comp_pn f_n summed
+    over the ground simplex; bullet(h, f_1) when n = 1."""
+    points = _brace_points(h, fs)
+    if points is None:
+        return bullet(h, fs[0])
     return region_sum(h, fs, points)
 
 
 def dev_braces(ctx: PreOperadContext, h: GradedElement,
                *fs: GradedElement) -> GradedElement:
-    """How far delta is from a derivation of the brace h{f_1, ..., f_n}."""
+    """How far delta is from a derivation of the brace h{f_1, ..., f_n}:
+    one compose_sum over the composites of its n + 2 terms."""
     def terms():
-        yield 1, delta(ctx, braces(h, *fs))
+        yield from _delta_terms(ctx, 1, braces(h, *fs))
         sign = -1
         for t, f in reversed(tuple(enumerate(fs))):
-            yield sign, braces(h, *fs[:t], delta(ctx, f), *fs[t + 1:])
+            yield from _brace_terms(
+                sign, h, (*fs[:t], delta(ctx, f), *fs[t + 1:]))
             sign *= ksign(f.shifted_degree)
-        yield sign, braces(delta(ctx, h), *fs)
+        yield from _brace_terms(sign, delta(ctx, h), fs)
 
-    return signed_sum(h.backend, h.degree + sum(f.degree - 1 for f in fs) + 1,
-                      terms())
+    return compose_sum(h.backend, h.degree + sum(f.degree - 1 for f in fs) + 1,
+                       terms())
 
 
 def tribraces(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedElement:

@@ -1043,13 +1043,19 @@ def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
 
 def _rebuild_sample(witness: dict) -> TrialSample:
     """The checked sample of witness, a batch of one, once its settings pass
-    TrialConfig.validate, its law runs on its backend and its input degrees
-    fit the degree budget of its dim, as a drawn trial's do."""
+    TrialConfig.validate, its law runs on its backend, its inputs are the
+    law's slots (and mu, unless the law takes no elements) and its input
+    degrees fit the degree budget of its dim, as a drawn trial's do."""
     law = get_law(witness["law_id"])
     cfg = TrialConfig(witness["backend"], witness["prime"], witness["dim"],
                       mutations=witness.get("mutations", []))
     cfg.validate()
     _check_runnable(law, cfg)
+    names = witness["degrees"] if law.element_free else witness["elements"]
+    want = law.slots if law.element_free else (*law.slots, "mu")
+    if set(names) != set(want):
+        raise BadConfig(f"{law.law_id} takes the inputs {', '.join(want)}; "
+                        f"the witness has {', '.join(names) or 'none'}")
     if law.element_free:
         ctx, elements, degrees = None, {}, dict(witness["degrees"])
     else:

@@ -19,17 +19,33 @@ like any other name). Literals spell out a dense table row-major and only make
 sense on the table backend. Parsing reports line:col plus the expected token;
 checking reports degree clashes and out-of-range composition indices.
 Nesting too deep for the interpreter's stack is a syntax error, whether it
-is found while parsing, checking or evaluating.
+is found while parsing, checking or evaluating. The comp and call items
+of a sum are evaluated as one compose_sum over their composites (see
+eval_script).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import endo
-from .backends import EndoBackend, GradedElement, signed_sum
-from .calculus import PreOperadContext, bracket, bullet, cup, delta, tetrabraces, tribraces
+from .backends import EndoBackend, GradedElement, compose_sum, signed_sum
+from .calculus import (
+    PreOperadContext,
+    _brace_terms,
+    _bracket_terms,
+    _bullet_terms,
+    _cup_terms,
+    _delta_terms,
+    bracket,
+    bullet,
+    cup,
+    delta,
+    tetrabraces,
+    tribraces,
+)
 from .errors import (
     MissingAssignment,
     ScriptSyntaxError,
@@ -38,16 +54,24 @@ from .errors import (
 )
 
 # head -> (arity, result degree from the argument degrees, value from the
-# context and the arguments, calling the calculus by its module-level name);
-# comp takes an index too and has its own node
+# context and the arguments, calling the calculus by its module-level name,
+# and the operation's compose_sum terms scaled by c, from the context, c
+# and the arguments, which a call in a sum streams into the sum's one
+# accumulator); comp takes an index too and has its own node
 _CALLS = {
-    "comp": (2, None, None),
-    "cup": (2, lambda d: d[0] + d[1], lambda ctx, *a: cup(ctx, *a)),
-    "bul": (2, lambda d: d[0] + d[1] - 1, lambda ctx, *a: bullet(*a)),
-    "bracket": (2, lambda d: d[0] + d[1] - 1, lambda ctx, *a: bracket(*a)),
-    "delta": (1, lambda d: d[0] + 1, lambda ctx, *a: delta(ctx, *a)),
-    "tri": (3, lambda d: sum(d) - 2, lambda ctx, *a: tribraces(*a)),
-    "tetra": (4, lambda d: sum(d) - 3, lambda ctx, *a: tetrabraces(*a)),
+    "comp": (2, None, None, None),
+    "cup": (2, lambda d: d[0] + d[1], lambda ctx, *a: cup(ctx, *a),
+            _cup_terms),
+    "bul": (2, lambda d: d[0] + d[1] - 1, lambda ctx, *a: bullet(*a),
+            lambda ctx, c, *a: _bullet_terms(c, *a)),
+    "bracket": (2, lambda d: d[0] + d[1] - 1, lambda ctx, *a: bracket(*a),
+                lambda ctx, c, *a: _bracket_terms(c, *a)),
+    "delta": (1, lambda d: d[0] + 1, lambda ctx, *a: delta(ctx, *a),
+              _delta_terms),
+    "tri": (3, lambda d: sum(d) - 2, lambda ctx, *a: tribraces(*a),
+            lambda ctx, c, h, *fs: _brace_terms(c, h, fs)),
+    "tetra": (4, lambda d: sum(d) - 3, lambda ctx, *a: tetrabraces(*a),
+              lambda ctx, c, h, *fs: _brace_terms(c, h, fs)),
 }
 _RESERVED = (*_CALLS, "let", "deg", "I")
 
@@ -432,15 +456,28 @@ def _resolve(name: str, degree: int, decl: Decl | None, backend, bindings, rng):
     raise MissingAssignment(f"no value for {name!r} of degree {degree}")
 
 
+def _folded(c, node: Node):
+    """(c * k, item) for node = k * item, every scale of node folded into
+    c; (c, node) for any other node."""
+    while isinstance(node, Scale):
+        c *= node.coeff
+        node = node.item
+    return c, node
+
+
 def eval_script(script: Script | str, backend, bindings=None, rng=None):
     """Evaluate a script against a backend.
 
     Names resolve in order: explicit binding, table literal from the
     declaration, generator of the same name (free backend), random draw
     when an rng is supplied (endo backend). mu is implicitly declared
-    with degree 2 and resolves the same way. A sum is one streamed
-    signed_sum of its terms, a scaled term folded into its coefficient, so
-    only the running total and the term being added are alive at once.
+    with degree 2 and resolves the same way. The comp and call items of a
+    sum are one compose_sum: a comp is its one composite and a call streams
+    its operation's composites, each scaled by the item's sign and any
+    coefficient k of a k * item, so no such item is built as an element of
+    its own. The sum's other items, names, I and nested sums, are added to
+    that result in one streamed signed_sum, a scaled item folded into its
+    coefficient; a sum of them alone is that signed_sum.
     """
     if isinstance(script, str):
         script = parse_script(script)
@@ -456,6 +493,15 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
         env["mu"] = mu
     ctx = PreOperadContext(backend, mu)
 
+    def terms(c, node: Node):
+        """The compose_sum terms of c * node, a comp or a call, built as
+        they are drawn."""
+        if isinstance(node, Comp):
+            yield c, walk(node.inner), walk(node.outer), node.index
+        else:
+            yield from _CALLS[node.head][3](ctx, c,
+                                            *[walk(a) for a in node.args])
+
     def walk(node: Node):
         if isinstance(node, Name):
             if node.name not in env:
@@ -466,9 +512,19 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
         if isinstance(node, Scale):
             return node.coeff * walk(node.item)
         if isinstance(node, Sum):
-            return signed_sum(backend, sums[id(node)], (
-                (sign * item.coeff, walk(item.item)) if isinstance(item, Scale)
-                else (sign, walk(item)) for sign, item in node.items))
+            degree = sums[id(node)]
+            items = [_folded(sign, item) for sign, item in node.items]
+            fused = [(c, x) for c, x in items if isinstance(x, (Comp, Call))]
+            # a name, I or a nested sum (not flattened) is a whole element
+            rest = ((c, walk(x)) for c, x in items
+                    if not isinstance(x, (Comp, Call)))
+            if fused:
+                total = compose_sum(backend, degree, chain.from_iterable(
+                    terms(c, x) for c, x in fused))
+                if len(fused) == len(items):
+                    return total
+                rest = chain([(1, total)], rest)
+            return signed_sum(backend, degree, rest)
         if isinstance(node, Comp):
             return walk(node.inner).compose(walk(node.outer), node.index)
         if isinstance(node, Call):

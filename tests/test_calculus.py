@@ -4,15 +4,28 @@ import numpy as np
 import pytest
 
 from preoperad import backends
-from preoperad.backends import EndoBackend, FreeBackend, GradedElement, region_sum
+from preoperad.backends import (
+    EndoBackend,
+    FreeBackend,
+    GradedElement,
+    compose_sum,
+    region_sum,
+    signed_sum,
+)
 from preoperad.calculus import (
     PreOperadContext,
+    _brace_terms,
+    _bracket_terms,
+    _bullet_terms,
+    _cup_terms,
+    _delta_terms,
     associator,
     braces,
     bracket,
     bullet,
     cup,
     delta,
+    dev_braces,
     dev_bullet,
     dev_tetrabraces,
     dev_tribraces,
@@ -247,6 +260,114 @@ def test_streamed_derived_operations_equal_their_operator_expansions(
         - ksign(sb) * tetrabraces(h, f, d(g), b)
         - ksign(sb + sg) * tetrabraces(h, d(f), g, b)
         - ksign(sb + sg + sf) * tetrabraces(d(h), f, g, b))
+
+
+def _old_bullet(f, g):
+    return signed_sum(f.backend, f.degree + g.degree - 1,
+                      [(1, f.compose(g, i)) for i in range(f.degree)])
+
+
+def _old_braces(h, *fs):
+    """h{f_1..f_n} summed point by point, each point's chain composed in
+    full."""
+    want = h.backend.zero(h.degree + sum(f.degree - 1 for f in fs))
+    for point in ground_simplex(h.degree, [f.degree for f in fs]):
+        term = h
+        for f, p in zip(fs, point):
+            term = term.compose(f, p)
+        want = want + term
+    return want
+
+
+def _old_delta(ctx, f):
+    return (ksign(f.shifted_degree) * _old_bullet(ctx.mu, f)
+            - _old_bullet(f, ctx.mu))
+
+
+# (kind, ring, dim): endo tables at dims 2 and 3, and tree sums over F_97
+# and over Z, where their coefficients pass 2^64
+TERM_CASES = [("endo", F97, 2), ("endo", F97, 3), ("free", F97, None),
+              ("free", ZZ, None)]
+TERM_IDS = ["endo-d2", "endo-d3", "free-F97", "free-ZZ"]
+
+
+def _term_inputs(kind, ring, dim):
+    """A context and h, f, g, b of degrees 3, 2, 1, 2 on one backend."""
+    rng = np.random.default_rng(41)
+    degrees = {"h": 3, "f": 2, "g": 1, "b": 2, "mu": 2}
+    if kind == "endo":
+        backend = EndoBackend(ring, dim)
+        h, f, g, b, mu = (backend.random(d, rng) for d in degrees.values())
+    else:
+        backend = FreeBackend(ring, Signature(tuple(
+            (n + t, d) for n, d in degrees.items() for t in ("", "2"))))
+        big = 2**70 if ring.modulus is None else 1
+        h, f, g, b, mu = (
+            big * int(rng.integers(1, 97)) * backend.generator(n)
+            - int(rng.integers(1, 97)) * backend.generator(n + "2")
+            for n in degrees)
+    return PreOperadContext(backend, mu), h, f, g, b
+
+
+@pytest.mark.parametrize("case", TERM_CASES, ids=TERM_IDS)
+def test_each_operations_terms_sum_to_it_built_the_old_way(case):
+    ctx, h, f, g, b = _term_inputs(*case)
+    operations = [
+        (lambda c: _cup_terms(ctx, c, f, g), cup(ctx, f, g),
+         ksign(f.degree) * ctx.mu.compose(f, 0).compose(g, f.degree)),
+        (lambda c: _bullet_terms(c, f, g), bullet(f, g), _old_bullet(f, g)),
+        (lambda c: _bracket_terms(c, f, b), bracket(f, b),
+         _old_bullet(f, b)
+         - ksign(f.shifted_degree * b.shifted_degree) * _old_bullet(b, f)),
+        (lambda c: _delta_terms(ctx, c, h), delta(ctx, h), _old_delta(ctx, h)),
+        (lambda c: _brace_terms(c, h, (g,)), braces(h, g), _old_braces(h, g)),
+        (lambda c: _brace_terms(c, h, (f, g)), tribraces(h, f, g),
+         _old_braces(h, f, g)),
+        (lambda c: _brace_terms(c, h, (f, g, b)), tetrabraces(h, f, g, b),
+         _old_braces(h, f, g, b))]
+    for terms, value, old in operations:
+        assert value == old and not old.is_zero()
+        for c in (1, -3, 2**65):
+            assert compose_sum(ctx.backend, old.degree, terms(c)) == c * old
+    # one sum of every operation's terms, over the degree 2 inputs, is the
+    # sum of the operations
+    x = ctx.mu
+    assert compose_sum(ctx.backend, 3, [
+        *_cup_terms(ctx, 2, g, x), *_bullet_terms(-1, x, f),
+        *_bracket_terms(5, x, f), *_delta_terms(ctx, 1, f),
+        *_brace_terms(-2, x, (g, f)), *_brace_terms(7, f, (x,))]) == (
+            2 * cup(ctx, g, x) - bullet(x, f) + 5 * bracket(x, f)
+            + delta(ctx, f) - 2 * tribraces(x, g, f) + 7 * bullet(f, x))
+
+
+def _old_dev_braces(ctx, h, *fs):
+    """dev_braces as a signed sum of its n + 2 operations, each built as an
+    element of its own."""
+    def terms():
+        yield 1, delta(ctx, braces(h, *fs))
+        sign = -1
+        for t, f in reversed(tuple(enumerate(fs))):
+            yield sign, braces(h, *fs[:t], delta(ctx, f), *fs[t + 1:])
+            sign *= ksign(f.shifted_degree)
+        yield sign, braces(delta(ctx, h), *fs)
+
+    return signed_sum(h.backend, h.degree + sum(f.degree - 1 for f in fs) + 1,
+                      terms())
+
+
+@pytest.mark.parametrize("kind", ["endo", "free"])
+@pytest.mark.parametrize("mutations", [
+    frozenset(), frozenset({"cup-sign-flip"}), frozenset({"g-range-off-by-one"})],
+    ids=["clean", "cup-sign-flip", "g-range-off-by-one"])
+@pytest.mark.parametrize("degrees", [(3, 2, 1, 2), (4, 1, 2, 2)])
+def test_dev_braces_is_the_signed_sum_of_its_operations(kind, mutations,
+                                                        degrees):
+    _, (h, f, g, b, mu) = _brace_inputs(kind, degrees + (2,), mutations,
+                                        11 + sum(degrees))
+    ctx = PreOperadContext(mu.backend, mu)
+    for fs in ((f,), (f, g), (f, g, b)):
+        want = _old_dev_braces(ctx, h, *fs)
+        assert dev_braces(ctx, h, *fs) == want and not want.is_zero()
 
 
 def test_fused_sums_leave_every_table_read_only():

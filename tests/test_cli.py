@@ -832,6 +832,14 @@ def _free_l06_witness(**degrees):
             "elements": {n: be.generator(n).serialize() for n, _ in sig.generators}}
 
 
+def _relabelled(witness, old, new=None):
+    """witness with its element old renamed new, or dropped when new is
+    None."""
+    return {**witness, "elements": {
+        (new if n == old else n): x for n, x in witness["elements"].items()
+        if n != old or new is not None}}
+
+
 _REFUSED_WITNESSES = {
     # scope regions of these degrees used to exhaust memory
     "l01-degrees": ({
@@ -846,6 +854,12 @@ _REFUSED_WITNESSES = {
                     "does not run on the free backend"),
     "l12-on-free": ({**_free_l06_witness(f=1, g=2), "law_id": "L12-delta-squared"},
                     "does not run on the free backend"),
+    # inputs that are not the law's slots and mu used to replay into a
+    # KeyError, reported only as a malformed witness
+    "renamed-input": (_relabelled(_golden_witnesses(_REPLAY_GOLDENS[0])[0],
+                                  "f", "a"), "takes the inputs f, g, mu"),
+    "free-without-mu": (_relabelled(_free_l06_witness(f=1, g=2), "mu"),
+                        "takes the inputs f, g, mu"),
     # a string of mutations used to be read as a list of its letters
     "mutations-string": ({**_golden_witnesses(_REPLAY_GOLDENS[0])[0],
                           "mutations": "cup-sign-flip"},

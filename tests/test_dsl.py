@@ -247,9 +247,16 @@ def test_comp_maps_to_partial_composition():
     assert value == f.compose(g, 1)
 
 
-NINE_TERMS = [(1, "comp(f, g, 0)"), (-1, "comp(f, g, 1)"), (1, "cup(g, g)"),
-              (-1, "3 * bul(f, g)"), (1, "bracket(f, g)"), (-1, "delta(g)"),
-              (1, "f"), (-1, "2 * comp(mu, g, 1)"), (1, "comp(g, f, 0)")]
+# every kind of item a sum takes: a name, k * x, a nested sum, comp and
+# every call head, so the sum is a compose_sum of the comp and call items
+# added to the others; I, of degree 1, enters in the sums in the arguments,
+# one of which has no comp or call item
+SUM_TERMS = [(1, "comp(f, g, 0)"), (-1, "comp(f, g, 1)"), (1, "cup(g, g)"),
+             (-1, "3 * bul(f, g)"), (1, "bracket(f, g)"), (-1, "delta(g)"),
+             (1, "f"), (-1, "2 * comp(mu, g, 1)"), (1, "comp(g, f, 0)"),
+             (1, "tri(f, g, g)"), (-1, "tetra(f, g, g, g)"),
+             (1, "2 * (f - cup(g, I) + comp(f, I, 1))"),
+             (-1, "cup(g - 2 * I + 3 * (I + g), g)"), (-1, "4 * f")]
 
 
 def _backends():
@@ -266,11 +273,11 @@ def test_a_streamed_sum_equals_its_pairwise_expansion(backend):
     else:
         bindings = None
     decls = "let f: deg 2; let g: deg 1;\n"
-    body = NINE_TERMS[0][1] + "".join(
-        f" {'+' if c > 0 else '-'} {text}" for c, text in NINE_TERMS[1:])
+    body = SUM_TERMS[0][1] + "".join(
+        f" {'+' if c > 0 else '-'} {text}" for c, text in SUM_TERMS[1:])
     value = eval_script(decls + body, backend, bindings=bindings)
     total = None
-    for c, text in NINE_TERMS:
+    for c, text in SUM_TERMS:
         term = eval_script(decls + text, backend, bindings=bindings)
         total = term if total is None else (total + term if c > 0 else total - term)
     assert value.degree == 2 and not value.is_zero()
@@ -306,6 +313,29 @@ def test_a_streamed_sum_holds_one_term_beside_its_buffer():
         tracemalloc.stop()
     assert value.degree == 8
     assert peak - base < 2.5 * table_bytes
+
+
+def test_a_sum_of_compositions_adds_each_into_its_buffer():
+    # the same five terms are composites of one compose_sum: each product
+    # is added into the one buffer as it is made (block by block in
+    # float64), and no term is a table of its own; as signed_sum terms they
+    # peaked at 2.26 tables
+    backend = EndoBackend(F97, 4)
+    rng = np.random.default_rng(3)
+    bindings = {"f": backend.random(5, rng), "g": backend.random(4, rng),
+                "mu": backend.random(2, rng)}
+    script = parse_script("let f: deg 5; let g: deg 4;\n"
+                          "comp(f, g, 0) - comp(f, g, 1) + comp(f, g, 2) "
+                          "- comp(f, g, 3) + comp(f, g, 4)")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = eval_script(script, backend, bindings=bindings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.degree == 8
+    assert peak - base < 1.5 * 4**9 * 8
 
 
 def _nested_scales(depth):

@@ -486,6 +486,32 @@ def test_replay_of_hand_edited_free_witness_is_a_clean_error(text):
         laws.replay(witness)
 
 
+def _renamed(witness, field, old, new):
+    return {**witness, field: {(new if n == old else n): x
+                               for n, x in witness[field].items()}}
+
+
+def test_a_witness_whose_inputs_are_not_its_laws_is_refused_by_name():
+    endo_w = _golden_witnesses("l06_endo_cup_sign_flip_seed7.json")[0]
+    free_w = _golden_witnesses("l06_free_cup_sign_flip_seed7_trials12.json")[0]
+    l01 = {"law_id": "L01-scope-partition", "seed": [1, 0, 0],
+           "backend": "endo", "prime": 97, "dim": 2, "mutations": [],
+           "degrees": {"h": 2, "f": 1, "g": 1}, "elements": {},
+           "identity": "hand-made", "domain_point": None, "lhs": None,
+           "rhs": None}
+    assert laws.replay(l01) is None
+    extra = copy.deepcopy(endo_w)
+    extra["elements"]["b"] = extra["elements"]["g"]
+    for witness in (_renamed(endo_w, "elements", "f", "a"),
+                    _renamed(free_w, "elements", "mu", "nu"), extra):
+        for run in (laws.replay, laws.shrink):
+            with pytest.raises(BadConfig, match="takes the inputs f, g, mu;"):
+                run(witness)
+    # shrink hands an element-free witness back as it is
+    with pytest.raises(BadConfig, match="takes the inputs h, f, g;"):
+        laws.replay(_renamed(l01, "degrees", "g", "x"))
+
+
 def test_forced_degree_quota_on_even_trials():
     law = laws.get_law("L08-main-theorem")
     assert law.force_first == 3
