@@ -16,7 +16,7 @@ from preoperad import (
     componentwise_product,
     cup,
     delta,
-    dev_bullet,
+    dev_braces,
     ksign,
 )
 
@@ -60,8 +60,9 @@ def main():
         assert delta(assoc, delta(assoc, x)).is_zero()
     print("componentwise mu: bullet(mu, mu) = 0 and delta squares to zero")
 
-    # the coboundary deviation of bullet measures cup commutativity
-    dev = ksign(g.shifted_degree) * dev_bullet(ctx, f, g)
+    # the coboundary deviation of bullet, the one-input brace f{g},
+    # measures cup commutativity
+    dev = ksign(g.shifted_degree) * dev_braces(ctx, f, g)
     comm = cup(ctx, f, g) - ksign(f.degree * g.degree) * cup(ctx, g, f)
     assert dev == comm
     print("dev bullet(f, g) equals the cup commutator defect")

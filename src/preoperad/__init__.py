@@ -24,7 +24,6 @@ from .calculus import (
     cup,
     delta,
     dev_braces,
-    dev_bullet,
     dev_tetrabraces,
     dev_tribraces,
     tetrabraces,
@@ -99,7 +98,7 @@ __all__ = [
     "associator",
     "aux_gamma", "aux_gamma_shifted", "boundary_faces", "braces", "bracket",
     "bullet", "check_script", "componentwise_product", "cup", "delta",
-    "dev_braces", "dev_bullet", "dev_tetrabraces", "dev_tribraces",
+    "dev_braces", "dev_tetrabraces", "dev_tribraces",
     "envelope_domains", "eval_script",
     "evaluate", "evaluate_hom", "format_script", "full_scope", "gamma_domain",
     "get_law", "graft", "ground_tetrahedron", "ksign", "laws_for_backend",

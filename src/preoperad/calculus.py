@@ -10,17 +10,21 @@ Sign conventions, with |x| = deg(x) - 1:
 
 so that -delta(f) = bracket(f, mu). The brace h{f_1, ..., f_n} sums
 (h comp_p1 f_1) ... comp_pn f_n over the ground simplex from the domains
-module, at any arity n: h{f} = bullet(h, f), and tribraces and tetrabraces
-are h{f, g} and h{f, g, b}. Its deviation from a derivation is
+module, at any arity n. At n = 1 the simplex is the slots of h, so
+h{f} = bullet(h, f). tribraces and tetrabraces name h{f, g} and
+h{f, g, b}. The deviation of a brace from a derivation is
 
     dev_braces(h; f_1..f_n) = delta(h{f_1..f_n})
         - sum over t of (-1)^(|f_(t+1)| + ... + |f_n|) h{.., delta(f_t), ..}
-        - (-1)^(|f_1| + ... + |f_n|) delta(h){f_1..f_n}.
+        - (-1)^(|f_1| + ... + |f_n|) delta(h){f_1..f_n},
+
+and dev_tribraces and dev_tetrabraces name it at n = 2 and 3.
 
 Every operation but cup is one compose_sum over its composites c * (f
-comp_i g), and each has a private terms function, the stream of those
-terms scaled by a coefficient c, so that a sum of operations (dev_braces
-here, a sum in a script) is one compose_sum too: one accumulator for all
+comp_i g). Each has a private terms function, the stream of those terms
+scaled by a coefficient c. A sum of operations (dev_braces and the
+associator here, the deviation closed forms in the law suite, a sum or a
+call in a script) is then one compose_sum too: one accumulator for all
 their composites, rather than one table per operation added once more
 into the sum. bullet, bracket and delta yield their slots; cup its one
 composite (mu comp_0 (+-f)) comp_deg(f) g, which cup itself composes as a
@@ -123,19 +127,19 @@ def delta(ctx: PreOperadContext, f: GradedElement) -> GradedElement:
 
 
 def associator(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedElement:
-    """bullet(bullet(h, f), g) - bullet(h, bullet(f, g))."""
-    return bullet(bullet(h, f), g) - bullet(h, bullet(f, g))
+    """bullet(bullet(h, f), g) - bullet(h, bullet(f, g)): one compose_sum
+    over the slots of both outer bullets."""
+    return compose_sum(h.backend, h.degree + f.degree + g.degree - 2, chain(
+        _slots(1, bullet(h, f), g), _slots(-1, h, bullet(f, g))))
 
 
 def _brace_points(h: GradedElement, fs):
-    """The ground simplex points of h{f_1, ..., f_n}, or None when n = 1,
-    where the brace is bullet(h, f_1)."""
+    """The ground simplex points of h{f_1, ..., f_n}; at n = 1 they are
+    the slots of h, so h{f} = bullet(h, f)."""
     if not fs:
         raise InvalidDegree("braces need at least one input")
     if min(x.degree for x in (h, *fs)) < 1:
         raise InvalidDegree("braces need degrees >= 1")
-    if len(fs) == 1:
-        return None
     points = ground_simplex(h.degree, [f.degree for f in fs])
     if len(fs) == 2 and MUTATION_RIGHT_RANGE in h.backend.mutations:
         # canary: shift the row start by one slot
@@ -144,21 +148,14 @@ def _brace_points(h: GradedElement, fs):
 
 
 def _brace_terms(c, h: GradedElement, fs):
-    """The terms of c * h{f_1, ..., f_n}: the top level of its region sum,
-    or the slots of h for f_1 when n = 1."""
-    points = _brace_points(h, fs)
-    if points is None:
-        return _slots(c, h, fs[0])
-    return _region_terms(c, h, fs, points)
+    """The terms of c * h{f_1, ..., f_n}: the top level of its region sum."""
+    return _region_terms(c, h, fs, _brace_points(h, fs))
 
 
 def braces(h: GradedElement, *fs: GradedElement) -> GradedElement:
     """The brace h{f_1, ..., f_n}: (h comp_p1 f_1) ... comp_pn f_n summed
-    over the ground simplex; bullet(h, f_1) when n = 1."""
-    points = _brace_points(h, fs)
-    if points is None:
-        return bullet(h, fs[0])
-    return region_sum(h, fs, points)
+    over the ground simplex."""
+    return region_sum(h, fs, _brace_points(h, fs))
 
 
 def dev_braces(ctx: PreOperadContext, h: GradedElement,
@@ -185,11 +182,6 @@ def tribraces(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedEle
 def tetrabraces(h: GradedElement, f: GradedElement, g: GradedElement,
                 b: GradedElement) -> GradedElement:
     return braces(h, f, g, b)
-
-
-def dev_bullet(ctx: PreOperadContext, f: GradedElement,
-               g: GradedElement) -> GradedElement:
-    return dev_braces(ctx, f, g)
 
 
 def dev_tribraces(ctx: PreOperadContext, h: GradedElement, f: GradedElement,

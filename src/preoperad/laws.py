@@ -68,6 +68,10 @@ from .calculus import (
     KNOWN_MUTATIONS,
     MUTATION_LEFT_RELATION_SIGN,
     PreOperadContext,
+    _brace_terms,
+    _bracket_terms,
+    _cup_terms,
+    _delta_terms,
     associator,
     braces,
     bracket,
@@ -176,27 +180,33 @@ def _first_failure(claims, sample: TrialSample) -> list:
     claims that lhs is zero. A failing claim makes one FailDetail, shared by
     the rows that fail first there, whose element sides are kept as the
     check built them (_witness cuts a row). A side that is not an element
-    (a point set, a degree) is compared but not kept in the witness."""
+    (a point set, a degree) is compared but not kept in the witness.
+    A PreOperadError raised while claims are drawn or compared is a fault
+    of the check on valid inputs: every row fails, its text the identity."""
     details = [None] * sample.rows
     waiting = sample.rows
-    for identity, point, lhs, rhs in claims(sample):
-        bad = lhs.differs(rhs) if isinstance(lhs, GradedElement) else lhs != rhs
-        if type(bad) is bool:  # one verdict for every row
-            if not bad:
+    try:
+        for identity, point, lhs, rhs in claims(sample):
+            bad = lhs.differs(rhs) if isinstance(lhs, GradedElement) else lhs != rhs
+            if type(bad) is bool:  # one verdict for every row
+                if not bad:
+                    continue
+                failing = range(sample.rows)
+            elif np.any(bad):
+                failing = np.flatnonzero(np.broadcast_to(bad, sample.rows))
+            else:
                 continue
-            failing = range(sample.rows)
-        elif np.any(bad):
-            failing = np.flatnonzero(np.broadcast_to(bad, sample.rows))
-        else:
-            continue
-        detail = FailDetail(identity, point, *(
-            x if isinstance(x, GradedElement) else None for x in (lhs, rhs)))
-        for r in failing:
-            if details[r] is None:
-                details[r] = detail
-                waiting -= 1
-        if not waiting:
-            break
+            detail = FailDetail(identity, point, *(
+                x if isinstance(x, GradedElement) else None for x in (lhs, rhs)))
+            for r in failing:
+                if details[r] is None:
+                    details[r] = detail
+                    waiting -= 1
+            if not waiting:
+                break
+    except PreOperadError as exc:
+        return [FailDetail(f"check raised {type(exc).__name__}: {exc}",
+                           None, None, None)] * sample.rows
     return details
 
 
@@ -449,26 +459,31 @@ def _deviation(names, identity, inner):
     (-1)^|f_n| dev_braces(h; f_1..f_n) = h{f_1..f_(n-1)} cup f_n
       + (-1)^(|h| deg f_1 + |f_2| + ... + |f_(n-1)|) f_1 cup h{f_2..f_n}
       - sum over k of (-1)^(|f_(k+1)| + ... + |f_(n-1)|) h{.., f_k cup f_(k+1), ..},
-    the braces on the right being inner ("braces", or "bracket" at n = 2),
-    looked up by module-level name when the check runs."""
+    the braces on the right being inner ("braces", or "bracket" at n = 2).
+    The right side is one compose_sum of the terms of its n + 1
+    operations, each terms function looked up by module-level name when
+    the check runs."""
     def check(s: TrialSample):
         ctx = s.ctx
-        op = bracket if inner == "bracket" else braces
+        if inner == "bracket":
+            op, op_terms = bracket, lambda c, h, *fs: _bracket_terms(c, h, *fs)
+        else:
+            op, op_terms = braces, lambda c, h, *fs: _brace_terms(c, h, fs)
         h, *fs = (s.elements[name] for name in names)
         lhs = ksign(fs[-1].shifted_degree) * dev_braces(ctx, h, *fs)
 
         def terms():
-            yield 1, cup(ctx, op(h, *fs[:-1]), fs[-1])
+            yield from _cup_terms(ctx, 1, op(h, *fs[:-1]), fs[-1])
             sign = ksign(h.shifted_degree * fs[0].degree
                          + sum(f.shifted_degree for f in fs[1:-1]))
-            yield sign, cup(ctx, fs[0], op(h, *fs[1:]))
+            yield from _cup_terms(ctx, sign, fs[0], op(h, *fs[1:]))
             sign = -1
             for k in range(len(fs) - 1, 0, -1):
-                yield sign, op(h, *fs[:k - 1], cup(ctx, fs[k - 1], fs[k]),
-                               *fs[k + 1:])
+                yield from op_terms(sign, h, *fs[:k - 1],
+                                    cup(ctx, fs[k - 1], fs[k]), *fs[k + 1:])
                 sign *= ksign(fs[k - 1].shifted_degree)
 
-        yield identity, None, lhs, signed_sum(ctx.backend, lhs.degree, terms())
+        yield identity, None, lhs, compose_sum(ctx.backend, lhs.degree, terms())
     return check
 
 
@@ -544,14 +559,14 @@ def _check_lemma_first(s: TrialSample):
     chains = zip(prefix_chains(h, (f, g), [(i, j) for i, j, _ in points]),
                  prefix_chains(h, (df,), [(i,) for i, _, _ in points]))
     for (i, j, k), ((hf, hfg), (h_df,)) in zip(points, chains):
-        lhs = signed_sum(ctx.backend, hfg.degree + b.degree, (
-            (1, delta(ctx, hfg.compose(b, k))),
-            (-1, hfg.compose(db, k)),
+        lhs = compose_sum(ctx.backend, hfg.degree + b.degree, (
+            *_delta_terms(ctx, 1, hfg.compose(b, k)),
+            (-1, hfg, db, k),
             # hf comp dg and h_df comp g both end in comp_{k+1} b: summed
             # first, fused, and not kept past this point
             (-1, compose_sum(ctx.backend, hfg.degree + 1, (
                 (ksign(sb), hf, dg, j),
-                (ksign(sb + sg), h_df, g, j + 1))).compose(b, k + 1))))
+                (ksign(sb + sg), h_df, g, j + 1))), b, k + 1)))
         rhs = signed_sum(ctx.backend, lhs.degree,
                          ((1, next(values)) for values in totals))
         yield "pointwise coboundary telescoping", (i, j, k), lhs, rhs
@@ -960,12 +975,12 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     batch key. Each group becomes checked samples, in trial order
     (_builder): one for a group without tables, and for an endo one
     batches under the entry cap, their tables drawn from the key's own
-    stream. Each batch is checked once; a PreOperadError raised by the
-    check on these valid inputs fails every row, its text the identity.
-    The report counts the failing trials and holds one witness, cut from
-    the failing row of the batch that holds the first failing trial: on
-    free, the bare generators of its degree tuple. Only that batch and its
-    failing claim are kept past their check.
+    stream. Each batch is checked once (a check that raises fails every
+    row, see _first_failure). The report counts the failing trials and
+    holds one witness, cut from the failing row of the batch that holds
+    the first failing trial: on free, the bare generators of its degree
+    tuple. Only that batch and its failing claim are kept past their
+    check.
 
     Over F_2 the report is always underpowered: -1 = 1 there, so no check
     can tell a sign from its flip (the cup-sign-flip canary passes).
@@ -982,11 +997,7 @@ def run_law(law_id: str, cfg: TrialConfig) -> Report:
     failed, first = 0, None  # first: (trial, attempt, checked, detail, row)
     for key, group in groups.items():
         for batch, checked in build(key, group):
-            try:
-                details = law.checker(checked)
-            except PreOperadError as exc:  # a fault of the check: every row fails
-                details = [FailDetail(f"check raised {type(exc).__name__}: {exc}",
-                                      None, None, None)] * checked.rows
+            details = law.checker(checked)
             rows = [r for r, detail in enumerate(details) if detail is not None]
             failed += len(rows)
             # a batch is in trial order: its first failing row is its first failure
@@ -1130,13 +1141,6 @@ def _zeroed(el: GradedElement, flat_index: int) -> GradedElement | None:
     return GradedElement(el.backend, replace(payload, terms=terms))
 
 
-def _still_fails(law: Law, sample: TrialSample) -> FailDetail | None:
-    try:
-        return law.checker(sample)[0]
-    except PreOperadError:
-        return None
-
-
 def _replace_element(sample: TrialSample, name: str,
                      el: GradedElement) -> TrialSample:
     elements = {**sample.elements, name: el}
@@ -1184,12 +1188,12 @@ def shrink(witness: dict) -> dict:
     if law.element_free:
         return dict(witness)
     sample = _rebuild_sample(witness)
-    detail = _still_fails(law, sample)
+    detail = law.checker(sample)[0]
     if detail is None:
         return dict(witness)
     while True:
         for cand in _candidates(sample):
-            found = _still_fails(law, cand)
+            found = law.checker(cand)[0]
             if found is not None:
                 sample, detail = cand, found
                 break

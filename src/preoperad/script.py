@@ -19,8 +19,10 @@ like any other name). Literals spell out a dense table row-major and only make
 sense on the table backend. Parsing reports line:col plus the expected token;
 checking reports degree clashes and out-of-range composition indices.
 Nesting too deep for the interpreter's stack is a syntax error, whether it
-is found while parsing, checking or evaluating. The comp and call items
-of a sum are evaluated as one compose_sum over their composites (see
+is found while parsing, checking or evaluating. Each call is evaluated
+from its operation's private terms function in the calculus module, never
+through a public operation: the comp and call items of a sum, or a
+standalone comp or call, are one compose_sum over their composites (see
 eval_script).
 """
 
@@ -39,12 +41,6 @@ from .calculus import (
     _bullet_terms,
     _cup_terms,
     _delta_terms,
-    bracket,
-    bullet,
-    cup,
-    delta,
-    tetrabraces,
-    tribraces,
 )
 from .errors import (
     MissingAssignment,
@@ -53,24 +49,21 @@ from .errors import (
     UnsupportedRing,
 )
 
-# head -> (arity, result degree from the argument degrees, value from the
-# context and the arguments, calling the calculus by its module-level name,
-# and the operation's compose_sum terms scaled by c, from the context, c
-# and the arguments, which a call in a sum streams into the sum's one
-# accumulator); comp takes an index too and has its own node
+# head -> (arity, result degree from the argument degrees, and the
+# operation's compose_sum terms scaled by c, from the context, c and the
+# arguments, which a call streams into the one accumulator of the sum it
+# is an item of); comp takes an index too and has its own node
 _CALLS = {
-    "comp": (2, None, None, None),
-    "cup": (2, lambda d: d[0] + d[1], lambda ctx, *a: cup(ctx, *a),
-            _cup_terms),
-    "bul": (2, lambda d: d[0] + d[1] - 1, lambda ctx, *a: bullet(*a),
+    "comp": (2, None, None),
+    "cup": (2, lambda d: d[0] + d[1], _cup_terms),
+    "bul": (2, lambda d: d[0] + d[1] - 1,
             lambda ctx, c, *a: _bullet_terms(c, *a)),
-    "bracket": (2, lambda d: d[0] + d[1] - 1, lambda ctx, *a: bracket(*a),
+    "bracket": (2, lambda d: d[0] + d[1] - 1,
                 lambda ctx, c, *a: _bracket_terms(c, *a)),
-    "delta": (1, lambda d: d[0] + 1, lambda ctx, *a: delta(ctx, *a),
-              _delta_terms),
-    "tri": (3, lambda d: sum(d) - 2, lambda ctx, *a: tribraces(*a),
+    "delta": (1, lambda d: d[0] + 1, _delta_terms),
+    "tri": (3, lambda d: sum(d) - 2,
             lambda ctx, c, h, *fs: _brace_terms(c, h, fs)),
-    "tetra": (4, lambda d: sum(d) - 3, lambda ctx, *a: tetrabraces(*a),
+    "tetra": (4, lambda d: sum(d) - 3,
               lambda ctx, c, h, *fs: _brace_terms(c, h, fs)),
 }
 _RESERVED = (*_CALLS, "let", "deg", "I")
@@ -323,8 +316,9 @@ def parse_script(text: str) -> Script:
 # ---------------------------------------------------------------------------
 # degree checking
 
-def _check_node(node: Node, env: dict, sums: dict) -> int:
-    """Degree of node; sums maps id(Sum node) to its degree."""
+def _check_node(node: Node, env: dict, degrees: dict) -> int:
+    """Degree of node; degrees maps the id of each compound node (Scale,
+    Sum, Comp, Call) to its degree."""
     if isinstance(node, Name):
         if node.name not in env:
             raise ScriptTypeError(f"undeclared name {node.name!r}",
@@ -333,27 +327,30 @@ def _check_node(node: Node, env: dict, sums: dict) -> int:
     if isinstance(node, Unit):
         return 1
     if isinstance(node, Scale):
-        return _check_node(node.item, env, sums)
-    if isinstance(node, Sum):
-        first, *rest = [_check_node(item, env, sums) for _, item in node.items]
+        degree = _check_node(node.item, env, degrees)
+    elif isinstance(node, Sum):
+        degree, *rest = [_check_node(item, env, degrees)
+                         for _, item in node.items]
         for deg in rest:
-            if deg != first:
+            if deg != degree:
                 raise ScriptTypeError(
-                    f"cannot add degree {first} and degree {deg} terms",
+                    f"cannot add degree {degree} and degree {deg} terms",
                     *node.span)
-        sums[id(node)] = first
-        return first
-    if isinstance(node, Comp):
-        inner = _check_node(node.inner, env, sums)
-        outer = _check_node(node.outer, env, sums)
+    elif isinstance(node, Comp):
+        inner = _check_node(node.inner, env, degrees)
+        outer = _check_node(node.outer, env, degrees)
         if not 0 <= node.index <= inner - 1:
             raise ScriptTypeError(
                 f"composition index {node.index} outside 0..{inner - 1} "
                 f"for a degree {inner} element", *node.span)
-        return inner + outer - 1
-    if isinstance(node, Call):
-        return _CALLS[node.head][1]([_check_node(a, env, sums) for a in node.args])
-    raise ScriptTypeError(f"unknown node {type(node).__name__}")
+        degree = inner + outer - 1
+    elif isinstance(node, Call):
+        degree = _CALLS[node.head][1](
+            [_check_node(a, env, degrees) for a in node.args])
+    else:
+        raise ScriptTypeError(f"unknown node {type(node).__name__}")
+    degrees[id(node)] = degree
+    return degree
 
 
 def check_script(script: Script) -> int:
@@ -362,8 +359,8 @@ def check_script(script: Script) -> int:
 
 
 def _check(script: Script) -> tuple:
-    """The final expression's degree and the degree of each Sum node, by
-    id."""
+    """The final expression's degree and the degree of each compound
+    node, by id."""
     env = {"mu": 2}
     seen = set()
     for decl in script.decls:
@@ -373,9 +370,9 @@ def _check(script: Script) -> tuple:
             raise ScriptTypeError(f"{decl.name!r} declared twice", *decl.span)
         seen.add(decl.name)
         env[decl.name] = decl.degree
-    sums = {}
+    degrees = {}
     try:
-        return _check_node(script.body, env, sums), sums
+        return _check_node(script.body, env, degrees), degrees
     except RecursionError:
         raise ScriptSyntaxError(_TOO_DEEP, *script.span) from None
 
@@ -471,9 +468,12 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
     Names resolve in order: explicit binding, table literal from the
     declaration, generator of the same name (free backend), random draw
     when an rng is supplied (endo backend). mu is implicitly declared
-    with degree 2 and resolves the same way. The comp and call items of a
-    sum are one compose_sum: a comp is its one composite and a call streams
-    its operation's composites, each scaled by the item's sign and any
+    with degree 2 and resolves the same way.
+
+    Every node but a name and I is evaluated as a sum; a node that is not
+    a Sum is a sum of one item. Its comp and call items are one
+    compose_sum: a comp is its one composite and a call streams its
+    operation's composites, each scaled by the item's sign and any
     coefficient k of a k * item, so no such item is built as an element of
     its own. The sum's other items, names, I and nested sums, are added to
     that result in one streamed signed_sum, a scaled item folded into its
@@ -481,7 +481,7 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
     """
     if isinstance(script, str):
         script = parse_script(script)
-    _, sums = _check(script)
+    _, degrees = _check(script)
     decls = {d.name: d for d in script.decls}
     env = {}
     for decl in script.decls:
@@ -499,7 +499,7 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
         if isinstance(node, Comp):
             yield c, walk(node.inner), walk(node.outer), node.index
         else:
-            yield from _CALLS[node.head][3](ctx, c,
+            yield from _CALLS[node.head][2](ctx, c,
                                             *[walk(a) for a in node.args])
 
     def walk(node: Node):
@@ -509,27 +509,20 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
             return env[node.name]
         if isinstance(node, Unit):
             return ctx.unit
-        if isinstance(node, Scale):
-            return node.coeff * walk(node.item)
-        if isinstance(node, Sum):
-            degree = sums[id(node)]
-            items = [_folded(sign, item) for sign, item in node.items]
-            fused = [(c, x) for c, x in items if isinstance(x, (Comp, Call))]
-            # a name, I or a nested sum (not flattened) is a whole element
-            rest = ((c, walk(x)) for c, x in items
-                    if not isinstance(x, (Comp, Call)))
-            if fused:
-                total = compose_sum(backend, degree, chain.from_iterable(
-                    terms(c, x) for c, x in fused))
-                if len(fused) == len(items):
-                    return total
-                rest = chain([(1, total)], rest)
-            return signed_sum(backend, degree, rest)
-        if isinstance(node, Comp):
-            return walk(node.inner).compose(walk(node.outer), node.index)
-        if isinstance(node, Call):
-            return _CALLS[node.head][2](ctx, *[walk(a) for a in node.args])
-        raise ScriptTypeError(f"unknown node {type(node).__name__}")
+        degree = degrees[id(node)]
+        items = [_folded(sign, item) for sign, item in
+                 (node.items if isinstance(node, Sum) else ((1, node),))]
+        fused = [(c, x) for c, x in items if isinstance(x, (Comp, Call))]
+        # a name, I or a nested sum (not flattened) is a whole element
+        rest = ((c, walk(x)) for c, x in items
+                if not isinstance(x, (Comp, Call)))
+        if fused:
+            total = compose_sum(backend, degree, chain.from_iterable(
+                terms(c, x) for c, x in fused))
+            if len(fused) == len(items):
+                return total
+            rest = chain([(1, total)], rest)
+        return signed_sum(backend, degree, rest)
 
     try:
         return walk(script.body)

@@ -26,7 +26,6 @@ from preoperad.calculus import (
     cup,
     delta,
     dev_braces,
-    dev_bullet,
     dev_tetrabraces,
     dev_tribraces,
     tetrabraces,
@@ -246,7 +245,7 @@ def test_streamed_derived_operations_equal_their_operator_expansions(
     assert bracket(h, f) == bullet(h, f) - ksign(sh * sf) * bullet(f, h)
     assert bracket(g, b) == bullet(g, b) - ksign(sg * sb) * bullet(b, g)
     assert cup(ctx, f, g) == cup_sign * mu.compose(f, 0).compose(g, f.degree)
-    assert dev_bullet(ctx, f, g) == (d(bullet(f, g))
+    assert dev_braces(ctx, f, g) == (d(bullet(f, g))
                                      - bullet(f, d(g))
                                      - ksign(sg) * bullet(d(f), g))
     assert dev_tribraces(ctx, h, f, g) == (
@@ -453,7 +452,7 @@ def test_bullet_deviation_closed_form():
     for _ in range(10):
         f = ctx.backend.random(int(rng.integers(1, 4)), rng)
         g = ctx.backend.random(int(rng.integers(1, 4)), rng)
-        lhs = ksign(g.degree - 1) * dev_bullet(ctx, f, g)
+        lhs = ksign(g.degree - 1) * dev_braces(ctx, f, g)
         rhs = (cup(ctx, f, g)
                - ksign(f.degree * g.degree) * cup(ctx, g, f))
         assert lhs == rhs
@@ -505,7 +504,7 @@ def test_result_degrees():
     assert associator(h, f, g).degree == 5
     assert tribraces(h, f, g).degree == 5
     assert tetrabraces(h, f, g, b).degree == 5
-    assert dev_bullet(ctx, f, g).degree == 4
+    assert dev_braces(ctx, f, g).degree == 4
     assert dev_tribraces(ctx, h, f, g).degree == 6
     assert dev_tetrabraces(ctx, h, f, g, b).degree == 6
 

@@ -731,6 +731,25 @@ def test_replay_shrink_prints_a_smaller_witness_that_still_fails(
     assert code == 1 and json.loads(again) == shrunk
 
 
+def test_replay_of_a_witness_whose_check_raised_exits_1(capsys, tmp_path,
+                                                       monkeypatch):
+    def cup(ctx, f, g):
+        raise IndexOutOfScope("cup refused")
+
+    monkeypatch.setattr(laws, "cup", cup)
+    witness = laws.run_law("L06-cup-product", laws.TrialConfig(
+        "endo", dim=2, trials=2, seed=1)).failures[0]
+    assert witness["identity"] == "check raised IndexOutOfScope: cup refused"
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = run(capsys, ["replay", str(path)])
+    assert (code, err) == (1, "")
+    assert out == _indented(witness)
+    code, out, err = run(capsys, ["replay", str(path), "--shrink"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == laws.shrink(witness)
+
+
 @pytest.mark.parametrize("content, word", [
     (None, "No such file"),
     ("{bad", "witness.json"),

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from preoperad.backends import EndoBackend, FreeBackend
+from preoperad.calculus import (
+    PreOperadContext,
+    braces,
+    bracket,
+    bullet,
+    cup,
+    delta,
+)
 from preoperad.errors import (
     MissingAssignment,
     ScriptSyntaxError,
@@ -250,13 +258,25 @@ def test_comp_maps_to_partial_composition():
 # every kind of item a sum takes: a name, k * x, a nested sum, comp and
 # every call head, so the sum is a compose_sum of the comp and call items
 # added to the others; I, of degree 1, enters in the sums in the arguments,
-# one of which has no comp or call item
-SUM_TERMS = [(1, "comp(f, g, 0)"), (-1, "comp(f, g, 1)"), (1, "cup(g, g)"),
-             (-1, "3 * bul(f, g)"), (1, "bracket(f, g)"), (-1, "delta(g)"),
-             (1, "f"), (-1, "2 * comp(mu, g, 1)"), (1, "comp(g, f, 0)"),
-             (1, "tri(f, g, g)"), (-1, "tetra(f, g, g, g)"),
-             (1, "2 * (f - cup(g, I) + comp(f, I, 1))"),
-             (-1, "cup(g - 2 * I + 3 * (I + g), g)"), (-1, "4 * f")]
+# one of which has no comp or call item. Each item comes with its value
+# built from the public operations, f, g and mu, the context and its unit.
+SUM_TERMS = [
+    (1, "comp(f, g, 0)", lambda ctx, f, g, mu, I: f.compose(g, 0)),
+    (-1, "comp(f, g, 1)", lambda ctx, f, g, mu, I: f.compose(g, 1)),
+    (1, "cup(g, g)", lambda ctx, f, g, mu, I: cup(ctx, g, g)),
+    (-1, "3 * bul(f, g)", lambda ctx, f, g, mu, I: 3 * bullet(f, g)),
+    (1, "bracket(f, g)", lambda ctx, f, g, mu, I: bracket(f, g)),
+    (-1, "delta(g)", lambda ctx, f, g, mu, I: delta(ctx, g)),
+    (1, "f", lambda ctx, f, g, mu, I: f),
+    (-1, "2 * comp(mu, g, 1)", lambda ctx, f, g, mu, I: 2 * mu.compose(g, 1)),
+    (1, "comp(g, f, 0)", lambda ctx, f, g, mu, I: g.compose(f, 0)),
+    (1, "tri(f, g, g)", lambda ctx, f, g, mu, I: braces(f, g, g)),
+    (-1, "tetra(f, g, g, g)", lambda ctx, f, g, mu, I: braces(f, g, g, g)),
+    (1, "2 * (f - cup(g, I) + comp(f, I, 1))",
+     lambda ctx, f, g, mu, I: 2 * (f - cup(ctx, g, I) + f.compose(I, 1))),
+    (-1, "cup(g - 2 * I + 3 * (I + g), g)",
+     lambda ctx, f, g, mu, I: cup(ctx, g - 2 * I + 3 * (I + g), g)),
+    (-1, "4 * f", lambda ctx, f, g, mu, I: 4 * f)]
 
 
 def _backends():
@@ -270,15 +290,18 @@ def test_a_streamed_sum_equals_its_pairwise_expansion(backend):
     if backend.kind == "endo":
         bindings = {"f": backend.random(2, rng), "g": backend.random(1, rng),
                     "mu": backend.random(2, rng)}
+        f, g, mu = bindings["f"], bindings["g"], bindings["mu"]
     else:
         bindings = None
+        f, g, mu = (backend.generator(n) for n in ("f", "g", "mu"))
     decls = "let f: deg 2; let g: deg 1;\n"
     body = SUM_TERMS[0][1] + "".join(
-        f" {'+' if c > 0 else '-'} {text}" for c, text in SUM_TERMS[1:])
+        f" {'+' if c > 0 else '-'} {text}" for c, text, _ in SUM_TERMS[1:])
     value = eval_script(decls + body, backend, bindings=bindings)
+    ctx = PreOperadContext(backend, mu)
     total = None
-    for c, text in SUM_TERMS:
-        term = eval_script(decls + text, backend, bindings=bindings)
+    for c, _, build in SUM_TERMS:
+        term = build(ctx, f, g, mu, ctx.unit)
         total = term if total is None else (total + term if c > 0 else total - term)
     assert value.degree == 2 and not value.is_zero()
     assert value == total

@@ -475,6 +475,32 @@ def test_shrink_leaves_passing_witness_alone():
     assert laws.shrink(healed) == healed
 
 
+def _raising_cup(ctx, f, g):
+    raise DegreeMismatch("cup refused")
+
+
+@pytest.mark.parametrize("backend", ["endo", "free"])
+def test_a_witness_whose_check_raised_replays_and_shrinks_as_a_failure(
+        backend, monkeypatch):
+    # replay used to raise on such a witness, and shrink took each raising
+    # candidate for a pass, so the witness came back unshrunk
+    monkeypatch.setattr(laws, "cup", _raising_cup)
+    report = laws.run_law("L06-cup-product",
+                          TrialConfig(backend, dim=2, trials=4, seed=1))
+    witness, = report.failures
+    assert report.failed == 4
+    assert witness["identity"] == "check raised DegreeMismatch: cup refused"
+    assert max(witness["degrees"].values()) > 1
+    detail = laws.replay(witness)
+    assert (detail.identity, detail.lhs, detail.rhs) == (
+        witness["identity"], None, None)
+    shrunk = laws.shrink(witness)
+    assert shrunk["identity"] == witness["identity"]
+    assert set(shrunk["degrees"].values()) == {1}
+    assert laws.replay(shrunk).identity == witness["identity"]
+    assert laws.shrink(shrunk) == shrunk
+
+
 
 @pytest.mark.parametrize("text", ["", "(f _"])
 def test_replay_of_hand_edited_free_witness_is_a_clean_error(text):
@@ -802,7 +828,7 @@ def test_a_stated_sum_degree_off_by_one_raises_on_degrees_as_on_endo(monkeypatch
     rng = np.random.default_rng(0)
     ctx = PreOperadContext(be, be.random(2, rng))
     with pytest.raises(DegreeMismatch):
-        calculus.dev_bullet(ctx, be.random(1, rng), be.random(2, rng))
+        calculus.dev_braces(ctx, be.random(1, rng), be.random(2, rng))
 
 
 def _degree_witness(**fields):
@@ -995,17 +1021,27 @@ def test_the_brace_deviation_closed_form_holds_on_bare_generators(n):
 
 @pytest.mark.parametrize("term", range(5))
 def test_each_term_of_the_arity_4_closed_form_is_seen(term, monkeypatch):
-    # flipping the sign of any one of the five terms of the right-hand side
-    # fails every degree tuple with deg h = 3, the first at (3, 1, 1, 1, 1)
-    def flipped(backend, degree, terms):
-        return signed_sum(backend, degree, ((-c if t == term else c, x)
-                                            for t, (c, x) in enumerate(terms)))
+    # flipping the sign of any one of the five operations of the right-hand
+    # side (two cups, then three braces) fails every degree tuple with
+    # deg h = 3, the first at (3, 1, 1, 1, 1)
+    calls = []
 
-    monkeypatch.setattr(laws, "signed_sum", flipped)
+    def flipped(terms_of):
+        def terms(*args):
+            calls.append(terms_of)
+            if len(calls) - 1 == term:
+                return [(-c, *rest) for c, *rest in terms_of(*args)]
+            return terms_of(*args)
+        return terms
+
+    for name in ("_cup_terms", "_brace_terms"):
+        monkeypatch.setattr(laws, name, flipped(getattr(laws, name)))
     failing = []
     for degrees in itertools.product((3,), *[range(1, 4)] * 4):
         names, sample = _bare_sample(degrees)
         check = laws._deviation(names, "closed form", "braces")
+        calls.clear()
         if laws._first_failure(check, sample) != [None]:
             failing.append(degrees)
+        assert len(calls) == 5
     assert len(failing) == 81 and failing[0] == (3, 1, 1, 1, 1)
