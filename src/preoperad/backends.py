@@ -60,7 +60,7 @@ class EndoBackend:
         return endo.map_to_payload(payload)
 
     def deserialize(self, data) -> "GradedElement":
-        return GradedElement(self, endo.map_from_payload(data))
+        return _deserialized(self, data, "entries", endo.map_from_payload, "dim")
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,24 @@ class FreeBackend:
         return free.element_to_payload(payload)
 
     def deserialize(self, data) -> "GradedElement":
-        return GradedElement(self, free.element_from_payload(data))
+        return _deserialized(self, data, "terms", free.element_from_payload,
+                             "signature")
+
+
+def _deserialized(backend, data, key, parse, setting) -> "GradedElement":
+    """parse(data) as an element of backend, refused with BackendMismatch
+    unless data is one of backend's payloads (they all hold key) over
+    backend's ring and setting (its dim, or its signature)."""
+    if not isinstance(data, dict) or key not in data:
+        raise BackendMismatch(f"not a payload of the {backend.kind} backend")
+    payload = parse(data)
+    if payload.ring != backend.ring:
+        raise BackendMismatch(f"over {payload.ring.label()}, "
+                              f"not {backend.ring.label()}")
+    have, want = getattr(payload, setting), getattr(backend, setting)
+    if have != want:
+        raise BackendMismatch(f"with {setting} {have}, not {want}")
+    return GradedElement(backend, payload)
 
 
 @dataclass(frozen=True)

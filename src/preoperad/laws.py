@@ -7,6 +7,10 @@ that of the first failing trial. Identical (law, config) pairs produce
 identical reports apart from the timing field. A witness can be replayed
 and shrunk.
 
+Protocol: a law's claims(ctx, *inputs) yields (identity, point, lhs, rhs)
+claims. Its inputs come in the order of Law.slots: elements, or degrees
+with ctx None for an element-free law. No checker looks an input up by name.
+
 Stream: a law draws all its trials, in trial order, from one Generator,
 np.random.default_rng((salt, seed)) with the law's salt (_draws). A trial
 is its degree tuple and nothing else: no table is drawn from this stream,
@@ -91,6 +95,7 @@ from .domains import (
 )
 from .endo import ksign
 from .errors import (
+    BackendMismatch,
     BadConfig,
     DegreeMismatch,
     InvalidDegree,
@@ -173,20 +178,23 @@ class FailDetail:
     rhs: GradedElement | None
 
 
-def _first_failure(claims, sample: TrialSample) -> list:
+def _first_failure(claims, slots, sample: TrialSample) -> list:
     """For each row of sample, the first claim (identity, point, lhs, rhs)
-    drawn from claims(sample) whose sides differ in that row, or None.
-    Claims are drawn until every row has failed or none is left. rhs None
-    claims that lhs is zero. A failing claim makes one FailDetail, shared by
-    the rows that fail first there, whose element sides are kept as the
-    check built them (_witness cuts a row). A side that is not an element
-    (a point set, a degree) is compared but not kept in the witness.
-    A PreOperadError raised while claims are drawn or compared is a fault
-    of the check on valid inputs: every row fails, its text the identity."""
-    details = [None] * sample.rows
-    waiting = sample.rows
+    of claims(sample.ctx, *inputs) whose sides differ in that row, or None;
+    the inputs are the sample's elements named by slots, in slot order, or
+    their degrees if it holds none. Claims are drawn until every row has
+    failed or none is left. rhs None claims that lhs is zero. A failing
+    claim makes one FailDetail, shared by the rows that fail first there,
+    whose element sides are kept as the check built them (_witness cuts a
+    row). A side that is not an element (a point set, a degree) is compared
+    but not kept in the witness. A PreOperadError raised while claims are
+    drawn or compared is a fault of the check on valid inputs: every row
+    fails, its text the identity."""
+    details, waiting = [None] * sample.rows, sample.rows
+    inputs = sample.elements or sample.degrees
     try:
-        for identity, point, lhs, rhs in claims(sample):
+        for identity, point, lhs, rhs in claims(
+                sample.ctx, *(inputs[name] for name in slots)):
             bad = lhs.differs(rhs) if isinstance(lhs, GradedElement) else lhs != rhs
             if type(bad) is bool:  # one verdict for every row
                 if not bad:
@@ -212,8 +220,9 @@ def _first_failure(claims, sample: TrialSample) -> list:
 
 @dataclass(frozen=True)
 class Law:
-    """A named identity: checker(sample) lists, per row of sample, the first
-    of claims(sample) that fails there, or None (see _first_failure)."""
+    """A named identity of the inputs slots: claims(ctx, *inputs) yields its
+    claims (the module's protocol), and checker(sample) lists, per row of
+    sample, the first that fails there, or None (see _first_failure)."""
 
     law_id: str
     description: str
@@ -227,7 +236,8 @@ class Law:
     checker: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "checker", partial(_first_failure, self.claims))
+        object.__setattr__(self, "checker",
+                           partial(_first_failure, self.claims, self.slots))
 
 
 @dataclass
@@ -379,10 +389,9 @@ def _builder(law: Law, cfg: TrialConfig):
 
 
 # ---------------------------------------------------------------------------
-# checkers: each yields its claims (identity, point, lhs, rhs), see _first_failure
+# checkers: claims(ctx, *inputs) of each law, yielding (identity, point, lhs, rhs)
 
-def _check_scope_partition(s: TrialSample):
-    dh, df, dg = s.degrees["h"], s.degrees["f"], s.degrees["g"]
+def _check_scope_partition(_, dh, df, dg):
     left, nested, right = scope_regions(dh, df)
     ls, ns, rs = set(left.points), set(nested.points), set(right.points)
     yield "scope regions overlap", None, ls & ns | ls & rs | ns & rs, set()
@@ -396,8 +405,7 @@ def _check_scope_partition(s: TrialSample):
 
 def _relation(region, identity, rhs):
     """(h comp_i f) comp_j g against rhs(h, f, g, i, j) over one scope region."""
-    def check(s: TrialSample):
-        h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
+    def check(_, h, f, g):
         points = scope_regions(h.degree, f.degree)[region].points
         for (i, j), (_, hfg) in zip(points, prefix_chains(h, (f, g), points)):
             yield identity, (i, j), hfg, rhs(h, f, g, i, j)
@@ -420,18 +428,14 @@ def _right_rhs(h, f, g, i, j):
     return sign * h.compose(g, j - f.shifted_degree).compose(f, i)
 
 
-def _check_units(s: TrialSample):
-    f = s.elements["f"]
-    unit = s.ctx.unit
-    yield "unit absorbed from the left", None, unit.compose(f, 0), f
+def _check_units(ctx, f):
+    yield "unit absorbed from the left", None, ctx.unit.compose(f, 0), f
     for i in range(f.degree):
-        yield "unit absorbed from the right", (i,), f.compose(unit, i), f
-    yield "total composition with the unit", None, bullet(f, unit), f.degree * f
+        yield "unit absorbed from the right", (i,), f.compose(ctx.unit, i), f
+    yield "total composition with the unit", None, bullet(f, ctx.unit), f.degree * f
 
 
-def _check_cup_props(s: TrialSample):
-    ctx = s.ctx
-    f, g = s.elements["f"], s.elements["g"]
+def _check_cup_props(ctx, f, g):
     mu, unit = ctx.mu, ctx.unit
     yield ("cup against the first product slot", None,
            mu.compose(f, 0), ksign(f.degree) * cup(ctx, f, unit))
@@ -441,9 +445,7 @@ def _check_cup_props(s: TrialSample):
     yield "cup as a double composition", None, cup(ctx, f, g), rhs
 
 
-def _check_cup_compose(s: TrialSample):
-    ctx = s.ctx
-    f, g, h = s.elements["f"], s.elements["g"], s.elements["h"]
+def _check_cup_compose(ctx, f, g, h):
     fg = cup(ctx, f, g)
     for j in range(f.degree + g.degree - 1):
         lhs = fg.compose(h, j)
@@ -454,8 +456,8 @@ def _check_cup_compose(s: TrialSample):
         yield "composing into a cup product", (j,), lhs, rhs
 
 
-def _deviation(names, identity, inner):
-    """L08, L15 and L16, on the inputs names = (h, f_1, ..., f_n):
+def _deviation(identity, inner):
+    """L08, L15 and L16, on the inputs h, f_1, ..., f_n:
     (-1)^|f_n| dev_braces(h; f_1..f_n) = h{f_1..f_(n-1)} cup f_n
       + (-1)^(|h| deg f_1 + |f_2| + ... + |f_(n-1)|) f_1 cup h{f_2..f_n}
       - sum over k of (-1)^(|f_(k+1)| + ... + |f_(n-1)|) h{.., f_k cup f_(k+1), ..},
@@ -463,13 +465,11 @@ def _deviation(names, identity, inner):
     The right side is one compose_sum of the terms of its n + 1
     operations, each terms function looked up by module-level name when
     the check runs."""
-    def check(s: TrialSample):
-        ctx = s.ctx
+    def check(ctx, h, *fs):
         if inner == "bracket":
             op, op_terms = bracket, lambda c, h, *fs: _bracket_terms(c, h, *fs)
         else:
             op, op_terms = braces, lambda c, h, *fs: _brace_terms(c, h, fs)
-        h, *fs = (s.elements[name] for name in names)
         lhs = ksign(fs[-1].shifted_degree) * dev_braces(ctx, h, *fs)
 
         def terms():
@@ -487,58 +487,46 @@ def _deviation(names, identity, inner):
     return check
 
 
-def _check_right_derivation(s: TrialSample):
-    ctx = s.ctx
-    f, g, h = s.elements["f"], s.elements["g"], s.elements["h"]
+def _check_right_derivation(ctx, f, g, h):
     lhs = bullet(cup(ctx, f, g), h)
     rhs = (cup(ctx, f, bullet(g, h))
            + ksign(h.shifted_degree * g.degree) * cup(ctx, bullet(f, h), g))
     yield "total composition is a two-sided cup derivation", None, lhs, rhs
 
 
-def _check_delta_expansion(s: TrialSample):
-    ctx = s.ctx
-    f = s.elements["f"]
+def _check_delta_expansion(ctx, f):
     lhs = -1 * delta(ctx, f)
     rhs = (cup(ctx, f, ctx.unit) + bullet(f, ctx.mu)
            + ksign(f.shifted_degree) * cup(ctx, ctx.unit, f))
     yield "coboundary as cup and total composition", None, lhs, rhs
 
 
-def _check_bullet_deviation(s: TrialSample):
-    ctx = s.ctx
-    f, g = s.elements["f"], s.elements["g"]
+def _check_bullet_deviation(ctx, f, g):
     lhs = ksign(g.shifted_degree) * dev_braces(ctx, f, g)
     rhs = cup(ctx, f, g) - ksign(f.degree * g.degree) * cup(ctx, g, f)
     yield ("total composition deviation measures commutativity", None,
            lhs, rhs)
 
 
-def _check_delta_squared(s: TrialSample):
-    ctx = s.ctx
-    f = s.elements["f"]
+def _check_delta_squared(ctx, f):
     yield "fixture product is associative", None, bullet(ctx.mu, ctx.mu), None
     yield "coboundary squares to zero", None, delta(ctx, delta(ctx, f)), None
 
 
-def _check_getzler(s: TrialSample):
-    h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
+def _check_getzler(_, h, f, g):
     lhs = associator(h, f, g)
     rhs = (braces(h, f, g)
            + ksign(f.shifted_degree * g.shifted_degree) * braces(h, g, f))
     yield "associator splits into brace sums", None, lhs, rhs
 
 
-def _check_gerstenhaber(s: TrialSample):
-    h, f, g = s.elements["h"], s.elements["f"], s.elements["g"]
+def _check_gerstenhaber(_, h, f, g):
     lhs = associator(h, f, g)
     rhs = ksign(f.shifted_degree * g.shifted_degree) * associator(h, g, f)
     yield "associator symmetry in the last two slots", None, lhs, rhs
 
 
-def _check_bracket(s: TrialSample):
-    ctx = s.ctx
-    f, g = s.elements["f"], s.elements["g"]
+def _check_bracket(ctx, f, g):
     anti = (bracket(f, g)
             + ksign(f.shifted_degree * g.shifted_degree) * bracket(g, f))
     yield "bracket antisymmetry", None, anti, None
@@ -546,9 +534,7 @@ def _check_bracket(s: TrialSample):
            bracket(f, ctx.mu), -1 * delta(ctx, f))
 
 
-def _check_lemma_first(s: TrialSample):
-    ctx = s.ctx
-    h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
+def _check_lemma_first(ctx, h, f, g, b):
     sg, sb = g.shifted_degree, b.shifted_degree
     db, dg, df = (delta(ctx, x) for x in (b, g, f))
     points = ground_tetrahedron(h.degree, f.degree, g.degree).points
@@ -572,9 +558,7 @@ def _check_lemma_first(s: TrialSample):
         yield "pointwise coboundary telescoping", (i, j, k), lhs, rhs
 
 
-def _check_lemma_second(s: TrialSample):
-    ctx = s.ctx
-    h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
+def _check_lemma_second(ctx, h, f, g, b):
     sf, sg, sb = f.shifted_degree, g.shifted_degree, b.shifted_degree
     dh = delta(ctx, h)
     points = ground_tetrahedron(dh.degree, f.degree, g.degree).points
@@ -618,9 +602,7 @@ def _face_values(ctx, kind, h, f, g, b, points):
 
 
 def _face_checker(kind):
-    def check(s: TrialSample):
-        ctx = s.ctx
-        h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
+    def check(ctx, h, f, g, b):
         points = boundary_faces(h.degree, f.degree, g.degree)[kind]
         values = GammaFamilies(ctx, h, f, g, b).totals(kind, points)
         closed = _face_values(ctx, kind, h, f, g, b, points)
@@ -629,9 +611,7 @@ def _face_checker(kind):
     return check
 
 
-def _check_recap_vs_shifted(s: TrialSample):
-    ctx = s.ctx
-    h, f, g, b = (s.elements[n] for n in ("h", "f", "g", "b"))
+def _check_recap_vs_shifted(ctx, h, f, g, b):
     points = ground_tetrahedron(h.degree, f.degree, g.degree).points
     families = GammaFamilies(ctx, h, f, g, b)
     raw = families.shifted(points)
@@ -644,8 +624,7 @@ def _check_recap_vs_shifted(s: TrialSample):
                    next(raw), next(totals[kind]))
 
 
-def _check_envelope_partition(s: TrialSample):
-    dh, df, dg, db = (s.degrees[n] for n in ("h", "f", "g", "b"))
+def _check_envelope_partition(_, dh, df, dg, db):
     interior, env, trunc, bound = envelope_domains(dh, df, dg, db)
     faces = boundary_faces(dh, df, dg)
     face_sets = [set(faces[k]) for k in GAMMA_KINDS]
@@ -738,33 +717,31 @@ def _bookkeeping(ctx, h, f, g, b) -> tuple:
     )
 
 
-def _check_degree_bookkeeping(s: TrialSample):
+def _check_degree_bookkeeping(_, dh, df, dg, db):
     """L26 on the degree-only backend. Each operation still runs its own
     code path (its region shapes, slot ranges and stated sum degrees) but
     builds no table or tree. What this no longer covers is the backends'
     own degree arithmetic; every element law covers that, since differs
     is true between elements of different degrees on both backends."""
-    h, f, g, b = (GradedElement(_DEGREES, _Degree(s.degrees[n]))
-                  for n in ("h", "f", "g", "b"))
-    ctx = PreOperadContext(_DEGREES, GradedElement(_DEGREES, _Degree(2)))
-    for name, got, want in _bookkeeping(ctx, h, f, g, b):
+    h, f, g, b, mu = (GradedElement(_DEGREES, _Degree(d)) for d in (dh, df, dg, db, 2))
+    for name, got, want in _bookkeeping(PreOperadContext(_DEGREES, mu), h, f, g, b):
         yield f"{name} lands in the wrong degree", None, got, want
 
 
-def _check_conformance(s: TrialSample):
+def _check_conformance(ctx, f, g):
     """L27: each operation of _pair_operations on the batch's tables equals
     free.evaluate_hom of the same operation on bare generators, the tables
     assigned to them. Both sides carry the backend's mutations, so a fault
     of the calculus cancels and only the tables' own arithmetic is
     checked."""
-    dense = s.ctx.backend
-    gens = (("f", s.degrees["f"]), ("g", s.degrees["g"]), ("mu", 2))
-    ctx, bare = _bare_generators(dense.ring.modulus,
-                                 tuple(sorted(dense.mutations)), gens)
-    assignment = {name: s.elements[name].payload for name, _ in gens}
+    dense = ctx.backend
+    inputs = {"f": f, "g": g, "mu": ctx.mu}
+    words, bare = _bare_generators(dense.ring.modulus, tuple(sorted(
+        dense.mutations)), tuple((name, x.degree) for name, x in inputs.items()))
+    assignment = {name: x.payload for name, x in inputs.items()}
     for (name, value, _), (_, word, _) in zip(
-            _pair_operations(s.ctx, s.elements["f"], s.elements["g"]),
-            _pair_operations(ctx, bare["f"], bare["g"])):
+            _pair_operations(ctx, f, g),
+            _pair_operations(words, bare["f"], bare["g"])):
         image = free.evaluate_hom(word.payload, assignment, dense.ring, dense.dim)
         yield (f"{name} commutes with table evaluation", None,
                value, _element(dense, image))
@@ -811,8 +788,8 @@ _LAWS = [
         "The coboundary deviation of the quadruple brace sum collapses to "
         "four cup and brace terms.",
         ("h", "f", "g", "b"),
-        _deviation(("h", "f", "g", "b"), "quadruple brace deviation closed form",
-                   "braces"), force_first=3,
+        _deviation("quadruple brace deviation closed form", "braces"),
+        force_first=3,
         vacuous_when=_vac_h_below(2)),
     Law("L09-right-derivation",
         "Total composition by a fixed element is a derivation of the cup "
@@ -841,14 +818,12 @@ _LAWS = [
         "The coboundary deviation of the triple brace sum collapses to three "
         "cup terms.",
         ("h", "f", "g"),
-        _deviation(("h", "f", "g"), "triple brace deviation closed form",
-                   "braces")),
+        _deviation("triple brace deviation closed form", "braces")),
     Law("L16-tri-deviation-bracket",
         "The triple brace deviation rewrites with brackets in place of total "
         "compositions.",
         ("h", "f", "g"),
-        _deviation(("h", "f", "g"), "triple brace deviation via brackets",
-                   "bracket")),
+        _deviation("triple brace deviation via brackets", "bracket")),
     Law("L17-bracket-laws",
         "The bracket is graded antisymmetric and bracketing with the product "
         "gives minus the coboundary.",
@@ -1055,8 +1030,10 @@ def run_suite(cfg: TrialConfig, law_ids=None) -> dict:
 def _rebuild_sample(witness: dict) -> TrialSample:
     """The checked sample of witness, a batch of one, once its settings pass
     TrialConfig.validate, its law runs on its backend, its inputs are the
-    law's slots (and mu, unless the law takes no elements) and its input
-    degrees fit the degree budget of its dim, as a drawn trial's do."""
+    law's slots (and mu, unless the law takes no elements), each a payload
+    of its backend over its ring and dim (on free, over mu's signature),
+    and its input degrees fit the degree budget of its dim, as a drawn
+    trial's do."""
     law = get_law(witness["law_id"])
     cfg = TrialConfig(witness["backend"], witness["prime"], witness["dim"],
                       mutations=witness.get("mutations", []))
@@ -1070,16 +1047,19 @@ def _rebuild_sample(witness: dict) -> TrialSample:
     if law.element_free:
         ctx, elements, degrees = None, {}, dict(witness["degrees"])
     else:
-        ring = CoefficientRing.prime_field(cfg.prime)
-        muts = frozenset(cfg.mutations)
+        ring, muts = CoefficientRing.prime_field(cfg.prime), frozenset(cfg.mutations)
         if cfg.backend == "endo":
             backend = EndoBackend(ring, cfg.dim, muts)
-        else:
+        else:  # mu's signature; mu is refused first if it has none
             sig = free.Signature(tuple(
-                (n, d) for n, d in witness["elements"]["mu"]["signature"]))
+                (n, d) for n, d in witness["elements"]["mu"].get("signature", ())))
             backend = FreeBackend(ring, sig, muts)
-        elements = {name: backend.deserialize(data)
-                    for name, data in witness["elements"].items()}
+        elements = {}
+        for name in ("mu", *law.slots):
+            try:
+                elements[name] = backend.deserialize(witness["elements"][name])
+            except BackendMismatch as exc:
+                raise BadConfig(f"witness input {name}: {exc}") from None
         ctx = PreOperadContext(backend, elements["mu"])
         degrees = {name: el.degree for name, el in elements.items() if name != "mu"}
     total = sum(degrees.values())

@@ -14,7 +14,7 @@ import pytest
 from preoperad import cli, endo, laws
 from preoperad.backends import FreeBackend
 from preoperad.calculus import KNOWN_MUTATIONS
-from preoperad.errors import IndexOutOfScope
+from preoperad.errors import IndexOutOfScope, PreOperadError
 from preoperad.free import Signature
 from preoperad.laws import SUITE_SCHEMA
 from preoperad.rings import CoefficientRing
@@ -859,7 +859,48 @@ def _relabelled(witness, old, new=None):
         if n != old or new is not None}}
 
 
+def _with_input(witness, name, **changes):
+    """witness with changes written over the payload of its element name."""
+    return {**witness, "elements": {
+        **witness["elements"], name: {**witness["elements"][name], **changes}}}
+
+
+_ENDO_W = _golden_witnesses(_REPLAY_GOLDENS[0])[0]
+_FREE_W = _free_l06_witness(f=1, g=2)
+
+# elements that disagree with their witness's own settings used to replay
+# as a failing check ("check raised RingMismatch ..."), or, as a payload of
+# the other backend, into a KeyError
+_RELABELLED_WITNESSES = {
+    "endo-prime": ({**_ENDO_W, "prime": 101}, "F_101"),
+    "endo-dim": ({**_ENDO_W, "dim": 3}, "witness input mu: with dim 2, not 3"),
+    "endo-table-over-z": (_with_input(_ENDO_W, "f", ring={"kind": "integers"}),
+                          "witness input f: over Z, not F_97"),
+    "free-prime": ({**_FREE_W, "prime": 101}, "F_101"),
+    "free-signature": (
+        _with_input(_FREE_W, "f", signature=[["f", 1], ["g", 2], ["mu", 2], ["x", 1]]),
+        "witness input f: with signature"),
+    "endo-payload-on-free": (
+        {**_FREE_W, "elements": {**_FREE_W["elements"],
+                                 "mu": _ENDO_W["elements"]["mu"]}},
+        "witness input mu: not a payload of the free backend"),
+    "free-payload-on-endo": (
+        {**_ENDO_W, "elements": {**_ENDO_W["elements"],
+                                 "g": _FREE_W["elements"]["g"]}},
+        "witness input g: not a payload of the endo backend"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RELABELLED_WITNESSES))
+def test_the_library_refuses_a_witness_its_settings_disagree_with(case):
+    witness, word = _RELABELLED_WITNESSES[case]
+    for run in (laws.replay, laws.shrink):
+        with pytest.raises(PreOperadError, match=word):
+            run(witness)
+
+
 _REFUSED_WITNESSES = {
+    **_RELABELLED_WITNESSES,
     # scope regions of these degrees used to exhaust memory
     "l01-degrees": ({
         "law_id": "L01-scope-partition", "seed": [1, 0, 0], "backend": "endo",

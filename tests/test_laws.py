@@ -76,6 +76,13 @@ def test_registry_metadata_nonempty():
         assert callable(law.checker)
 
 
+def test_every_checker_takes_its_laws_slots():
+    # a law's claims get (ctx, *inputs) in slot order, so a checker whose
+    # parameters disagree with its slots fails here, not at its first run
+    for law in laws.list_laws():
+        inspect.signature(law.claims).bind(None, *law.slots)
+
+
 def test_get_law_unknown():
     with pytest.raises(UnknownLaw):
         laws.get_law("L99-perpetual-motion")
@@ -594,7 +601,9 @@ def test_suite_rejects_backend_mismatched_subset():
      [("degrees", [2], None, None)] * 3),
 ])
 def test_first_failing_claim_is_the_witness(claims, want):
-    def stream(sample):
+    def stream(ctx, f):
+        # an element-free sample: no context, and its slot's degree
+        assert (ctx, f) == (None, 1)
         for claim in claims:
             if claim is UNREACHED:
                 raise AssertionError("a claim after the failure was drawn")
@@ -901,7 +910,8 @@ def test_l27_and_l26_name_the_same_pair_operations():
     cfg = TrialConfig(dim=2, trials=1, seed=1)
     drawn, = laws._draws(law, cfg)
     (_, sample), = laws._builder(law, cfg)(tuple(drawn[2].values()), [drawn])
-    identities = [identity for identity, *_ in laws._check_conformance(sample)]
+    identities = [identity for identity, *_ in laws._check_conformance(
+        sample.ctx, sample.elements["f"], sample.elements["g"])]
     degrees = GradedElement(laws._DEGREES, laws._Degree(2))
     ctx = PreOperadContext(laws._DEGREES, degrees)
     names = [name for name, *_ in laws._bookkeeping(ctx, *[degrees] * 4)]
@@ -1015,8 +1025,8 @@ def test_the_brace_deviation_closed_form_holds_on_bare_generators(n):
     # deg h in [1, 4], inputs in [1, 3]: 36, 108 and 324 degree tuples
     for degrees in itertools.product(range(1, 5), *[range(1, 4)] * n):
         names, sample = _bare_sample(degrees)
-        check = laws._deviation(names, "closed form", "braces")
-        assert laws._first_failure(check, sample) == [None], degrees
+        check = laws._deviation("closed form", "braces")
+        assert laws._first_failure(check, names, sample) == [None], degrees
 
 
 @pytest.mark.parametrize("term", range(5))
@@ -1039,9 +1049,9 @@ def test_each_term_of_the_arity_4_closed_form_is_seen(term, monkeypatch):
     failing = []
     for degrees in itertools.product((3,), *[range(1, 4)] * 4):
         names, sample = _bare_sample(degrees)
-        check = laws._deviation(names, "closed form", "braces")
+        check = laws._deviation("closed form", "braces")
         calls.clear()
-        if laws._first_failure(check, sample) != [None]:
+        if laws._first_failure(check, names, sample) != [None]:
             failing.append(degrees)
         assert len(calls) == 5
     assert len(failing) == 81 and failing[0] == (3, 1, 1, 1, 1)
