@@ -13,9 +13,10 @@ deg(f) - 1; it drives every sign below.
 Over F_p a table is int64 with entries in [0, p), and every composition and
 signed sum reduces its raw int64 result in place. A sum of compositions,
 compose_sum, reduces once: each composite is added unreduced into one int64
-buffer (delayed modular reduction, Dumas, Giorgi and Pernet 2008), which is
-reduced at the end and whenever the bound on its entries would reach 2^63,
-so every table handed out is still canonical. A single composition takes
+buffer (delayed modular reduction, Dumas, Giorgi and Pernet 2008; int32 on
+the narrow float path below), which is reduced at the end and whenever the
+bound on its entries would reach 2^63 (2^31), so every table handed out is
+still canonical. A single composition takes
 the steps of a compose_sum of one term. A signed sum whose only nonzero
 term has coefficient 1 and a small read-only table is that term. Tables of
 more than _REDUCE_GATE entries go through _reduce, as x - p * floor(x / p) in
@@ -40,15 +41,23 @@ numpy has no BLAS for integers, so a composition over F_p whose result has
 more than _REDUCE_GATE entries multiplies in float64 (as FFLAS-FFPACK does,
 Dumas, Giorgi and Pernet 2008). That is exact while d (p - 1)^2 < 2^53:
 every product and partial sum of the contraction is then an integer below
-2^53 in magnitude. It runs one output block of at most _BLOCK entries at a
-time (cast the block's operands, multiply, and add or cast the product
-into the sum's int64 buffer), so every float64 temporary stays within
-_BLOCK entries and it allocates little beyond the result. A block is one
-GEMM over its rows of f, whose product is cast transposed into the result,
-or, when the slot has inputs after it and the block is wide (_ROW_GEMM),
-one GEMM per row of f whose product is already in the result's layout;
-like _REDUCE_GATE, the choice follows from the block's shape. Z, primes
-past that bound, smaller results and a stacked g keep the int64 matmul.
+2^53 in magnitude. Where even (p // 2) d (p - 1)^2 < 2^24 (_limits), as at
+p = 97 and every dim up to 37, it takes the narrowest exact types instead:
+it multiplies in float32, exact for every coefficient in (-p/2, p/2], and
+a compose_sum whose first product takes this path sums in int32, reduced
+early against 2^31 (at least 128 worst-case terms apart). That int32 sum
+is the first half of an int64 buffer of the result's size, into which
+_finish widens it in place, back to front, so no second result-size table
+is allocated and every table handed out is int64. The product runs one
+output block of at most _BLOCK entries at a time (cast the block's
+operands, multiply, and add or cast the product into the sum's buffer),
+so every float temporary stays within _BLOCK entries and it allocates
+little beyond the result. A block is one GEMM over its rows of f, whose
+product is cast transposed into the result, or, when the slot has inputs
+after it and the block is wide (_ROW_GEMM), one GEMM per row of f whose
+product is already in the result's layout; like _REDUCE_GATE, the choice
+follows from the block's shape. Z, primes past the float64 bound, smaller
+results and a stacked g keep the int64 matmul.
 
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
@@ -61,6 +70,7 @@ absorbed with sign +1 from either side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -78,16 +88,18 @@ from .errors import (
     TableTooLarge,
     UnsupportedRing,
 )
-from .rings import CoefficientRing, require_integer
+from .rings import CoefficientRing, require_field, require_integer
 
 _INT64 = 2**63
+_INT32 = 2**31
 MAX_ENTRIES = 2**26  # 512 MB of int64: the largest table ever allocated
 # tables above this many entries are reduced by chunked floor division;
 # at or below it one np.remainder call costs less
 _REDUCE_GATE = 2**10
 _REDUCE_CHUNK = 2**16
-# float64 holds every integer below 2^53 exactly
+# float64 holds every integer below 2^53 exactly, float32 below 2^24
 _FLOAT_EXACT = 2**53
+_FLOAT32_EXACT = 2**24
 # outputs of one float64 block of a composition
 _BLOCK = 2**16
 # a float64 block with B > 1 result entries after the slot runs one GEMM per
@@ -185,28 +197,32 @@ def check_int64(ring: CoefficientRing, dim: int):
 
 @lru_cache(maxsize=256)
 def _limits(p: int | None, dim: int) -> tuple:
-    """(exact, step, cap) for F_p tables over R^dim, worked out once per
-    (p, dim), two ints: whether step = d (p - 1)^2, the bound on the
-    entries of one unscaled composite, is below 2^53, so that the float64
-    product is exact, and cap, the bound a scaled composite must stay
-    below (2^53 when exact, 2^63 - p otherwise). Over Z (p None) nothing
-    is bounded. Refuses what int64 cannot hold; a refusal is not cached,
-    so it is raised on every call."""
+    """(exact, narrow, step, cap) for F_p tables over R^dim, worked out
+    once per (p, dim), two ints. step = d (p - 1)^2 bounds the entries of
+    one unscaled composite. exact says whether step < 2^53, so that the
+    float64 product is exact, and cap is the bound a scaled composite must
+    stay below (2^53 when exact, 2^63 - p otherwise). narrow says whether
+    (p // 2) step < 2^24: a product scaled by any coefficient in (-p/2,
+    p/2] is then exact in float32, and at least 128 of them fit in int32.
+    Over Z (p None) nothing is bounded. Refuses what int64 cannot hold; a
+    refusal is not cached, so it is raised on every call."""
     if p is None:
-        return False, 0, None
+        return False, False, 0, None
     if dim * p ** 2 >= _INT64:
         raise UnsupportedRing(
             f"F_{p} tables of dimension {dim} overflow int64 "
             f"(need dim * p^2 < 2^63)")
     step = dim * (p - 1) ** 2
     exact = step < _FLOAT_EXACT
-    return exact, step, _FLOAT_EXACT if exact else _INT64 - p
+    return (exact, (p // 2) * step < _FLOAT32_EXACT, step,
+            _FLOAT_EXACT if exact else _INT64 - p)
 
 
 class _Plan(NamedTuple):
     """A composition's _limits and the shapes of its product."""
 
     exact: bool
+    narrow: bool
     step: int
     cap: int | None
     g_shape: tuple  # g's table as (d, d^n)
@@ -236,20 +252,21 @@ def check_entries(dim: int, degree: int, rows: int = 1):
 
 
 def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
-    """arr, a writable int64 array, reduced into [0, p) in place.
+    """arr, a writable int64 (or int32) array, reduced into [0, p) in
+    place.
 
     Above _REDUCE_GATE entries the flat table is reduced in chunks of
     _REDUCE_CHUNK through one scratch quotient, as x - p * floor(x / p):
     numpy's scalar integer floor division rounds toward -inf and runs at
     memory speed, two to three times faster than np.remainder, and the
     wrap-around of p * floor(x / p) cancels in the subtraction because the
-    true result fits. Exact for every int64 entry.
+    true result fits. Exact for every entry.
     """
     if arr.size <= _REDUCE_GATE or not arr.flags.c_contiguous:
         np.remainder(arr, p, out=arr)
         return arr
     flat = arr.reshape(-1)
-    scratch = np.empty(min(flat.size, _REDUCE_CHUNK), dtype=np.int64)
+    scratch = np.empty(min(flat.size, _REDUCE_CHUNK), dtype=arr.dtype)
     for lo in range(0, flat.size, _REDUCE_CHUNK):
         part = flat[lo:lo + _REDUCE_CHUNK]
         q = scratch[:part.size]
@@ -257,6 +274,39 @@ def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
         q *= p
         part -= q
     return arr
+
+
+def _narrow_table(shape: tuple) -> np.ndarray:
+    """An uninitialized int32 table of shape, laid in the first half of an
+    int64 buffer of as many entries, so that _widen needs no second one."""
+    return np.ndarray(shape, np.int32, np.empty(math.prod(shape), np.int64))
+
+
+def _widen(acc: np.ndarray, p: int) -> np.ndarray:
+    """The int32 sum acc reduced into [0, p) and widened to int64.
+
+    When acc is a _narrow_table the int64 buffer under it is the result,
+    filled in place back to front in chunks of _REDUCE_CHUNK entries: a
+    chunk [lo, hi) is read from bytes [4 lo, 4 hi) and written to bytes
+    [8 lo, 8 hi), so it never overlaps its own source while lo >= ceil(hi
+    / 2), and the entries below lo, read later, lie below what it writes.
+    The last chunk, [0, hi) with hi <= _REDUCE_CHUNK, overlaps itself, so
+    it is copied out first (a casting assignment does not check for
+    overlap). Any other int32 table (a narrow sum that a stacked term
+    broadcast) is copied into a new one.
+    """
+    _reduce(acc, p)
+    wide = acc.base
+    if wide is None or wide.dtype != np.int64 or wide.size != acc.size:
+        return acc.astype(np.int64)
+    narrow = acc.reshape(-1)
+    hi = narrow.size
+    while hi > _REDUCE_CHUNK:
+        lo = max((hi + 1) // 2, hi - _REDUCE_CHUNK)
+        wide[lo:hi] = narrow[lo:hi]
+        hi = lo
+    wide[:hi] = narrow[:hi].copy()
+    return wide.reshape(acc.shape)
 
 
 def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
@@ -373,14 +423,15 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
     already the result's axis order. Stacked operands keep their row axis
     in front and pair row with row. With exact_in_float, a single g and a
     result above _REDUCE_GATE entries, _float_product computes it block by
-    block in float64, c folded into g, adding into acc when acc has the
-    result's shape. Otherwise it is one int64 matmul: a new table is
+    block in float64, or in float32 when narrow, c folded into g, adding
+    into acc when acc has the result's shape; a new narrow table is int32,
+    a _narrow_table. Otherwise it is one int64 matmul: a new table is
     scaled by c in place, and a product added into acc is added or
     subtracted when c is +-1, through _add_into, which also takes a
     product of another shape than acc. The caller keeps |c| d (p - 1)^2
     within int64, and within 2^53 when exact_in_float.
     """
-    exact_in_float, _, _, g_shape, f_shape, shape, size = plan
+    exact_in_float, narrow, _, _, g_shape, f_shape, shape, size = plan
     ft, gt = f.table, g.table
     single_f = ft.ndim == f.degree + 1
     if gt.ndim == g.degree + 1:
@@ -393,9 +444,9 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
             if (acc is not None and acc.shape == shape
                     and acc.flags.c_contiguous):
                 _float_product(f3, g2, c,
-                               acc.reshape(len(f3), g_shape[1], -1))
+                               acc.reshape(len(f3), g_shape[1], -1), narrow)
                 return acc
-            raw = _float_product(f3, g2, c).reshape(shape)
+            raw = _float_product(f3, g2, c, None, narrow).reshape(shape)
             return raw if acc is None else _add_into(acc, 1, raw)
         g_t = g2.T
     else:  # one G^T per row, broadcast over f's outputs
@@ -416,15 +467,19 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
 
 
 def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None,
+                   narrow: bool = False) -> np.ndarray:
     """The product out[a, x, b] = sum_k c * g2[k, x] * f3[a, k, b], computed
-    in float64 one output block at a time: a new int64 array of shape
+    in floating point one output block at a time: a new table of shape
     (A, X, B), or, when out is given, added into out.
 
-    Exact when d * |c| (p - 1)^2 < 2^53: every product and partial sum is
-    then an integer below 2^53 in magnitude. Each block casts its operands,
-    with c in g's, multiplies them and casts the product into the int64
-    result in one ufunc pass. The block's shape picks one of two layouts:
+    It multiplies in float64, exact when d * |c| (p - 1)^2 < 2^53, or, when
+    narrow, in float32, exact when that bound is below 2^24: every product
+    and partial sum is then an integer below the bound in magnitude. A new
+    table is int64, or int32 when narrow (a _narrow_table). Each block
+    casts its operands, with c in g's, multiplies them and casts the
+    product into the integer result in one ufunc pass. The block's shape
+    picks one of two layouts:
 
     - transposed: one (rows * B, d) @ (d, w) GEMM over the block's rows of
       f, its product cast transposed into the result. Taken when B is 1,
@@ -434,45 +489,67 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
       already in the result's (a, x, b) order. Taken otherwise.
 
     A block holds whole rows a of the result, or, when one row or g's
-    float64 copy would pass _BLOCK entries, w of g's X columns of one row.
-    So every float64 temporary, the copies of f's rows and of g's w columns
-    and the product, stays within _BLOCK entries, unless one of f's rows
-    (B * d entries) alone is larger; one GEMM per row instead of per block
-    is several times slower when B is 1.
+    float copy would pass _BLOCK entries, w of g's X columns of one row.
+    When g's whole float copy (d X entries) is within _BLOCK, it is cast
+    once and each block of f's rows once, its column blocks inside; a
+    larger g is cast one column block at a time, f's rows inside. So every
+    float temporary, the copies of f's rows and of g's columns and the
+    product, stays within _BLOCK entries, unless one of f's rows (B * d
+    entries) alone is larger; one GEMM per row instead of per block is
+    several times slower when B is 1.
     """
     A, d, B = f3.shape
     X = g2.shape[1]
+    real = np.float32 if narrow else np.float64
     add = out is not None
     if not add:
-        out = np.empty((A, X, B), dtype=np.int64)
+        out = (_narrow_table((A, X, B)) if narrow
+               else np.empty((A, X, B), dtype=np.int64))
     by_row = B > 1 and max(B, X) >= _ROW_GEMM
     w = min(X, max(1, _BLOCK // max(B, d)))
     rows = min(A, max(1, _BLOCK // (B * max(X, d)))) if w == X else 1
-    buf = np.empty(rows * B * w)  # the product of one block
-    for x0 in range(0, X, w):
-        g_cols = g2[:, x0:x0 + w]
-        cols = g_cols.shape[1]
-        # (w, d) row by row, (d, w) otherwise
-        gf = (g_cols.T if by_row else g_cols).astype(np.float64, order="C")
+    buf = np.empty(rows * B * w, dtype=real)  # the product of one block
+
+    def g_block(x0):  # (w, d) row by row, (d, w) otherwise
+        cols = g2[:, x0:x0 + w]
+        gf = (cols.T if by_row else cols).astype(real, order="C")
         if c != 1:
             gf *= c
+        return gf
+
+    def f_block(a0):  # (r, d, B) row by row, (r, B, d) otherwise
+        fb = f3[a0:a0 + rows]
+        return fb.astype(real) if by_row else fb.swapaxes(1, 2).astype(
+            real, order="C")
+
+    def mul_into(a0, x0, fb, gf):
+        block = out[a0:a0 + rows, x0:x0 + w]  # C-contiguous
+        r, cols = block.shape[:2]
+        if by_row:  # (w, d) @ (r, d, B): r GEMMs, in the result's order
+            prod = np.matmul(gf, fb,
+                             out=buf[:r * cols * B].reshape(r, cols, B))
+        else:
+            prod = np.matmul(fb.reshape(-1, d), gf,
+                             out=buf[:r * B * cols].reshape(-1, cols))
+            prod = prod.reshape(r, B, cols).swapaxes(1, 2)
+        if add:  # cast on the fly: exact below the float bound
+            np.add(block, prod, out=block, dtype=block.dtype,
+                   casting="unsafe")
+        else:
+            block[...] = prod
+
+    col_starts = range(0, X, w)
+    if d * X <= _BLOCK:
+        gfs = [g_block(x0) for x0 in col_starts]
         for a0 in range(0, A, rows):
-            block = out[a0:a0 + rows, x0:x0 + w]  # C-contiguous
-            r = len(block)
-            if by_row:  # (w, d) @ (r, d, B): r GEMMs, in the result's order
-                prod = np.matmul(gf, f3[a0:a0 + rows].astype(np.float64),
-                                 out=buf[:r * cols * B].reshape(r, cols, B))
-            else:
-                fb = f3[a0:a0 + rows].swapaxes(1, 2).astype(np.float64,
-                                                            order="C")
-                prod = np.matmul(fb.reshape(-1, d), gf,
-                                 out=buf[:r * B * cols].reshape(-1, cols))
-                prod = prod.reshape(r, B, cols).swapaxes(1, 2)
-            if add:  # cast to int64 on the fly: exact below 2^53
-                np.add(block, prod, out=block, dtype=np.int64,
-                       casting="unsafe")
-            else:
-                block[...] = prod
+            fb = f_block(a0)
+            for x0, gf in zip(col_starts, gfs):
+                mul_into(a0, x0, fb, gf)
+    else:
+        for x0 in col_starts:
+            gf = g_block(x0)
+            for a0 in range(0, A, rows):
+                mul_into(a0, x0, f_block(a0), gf)
     return out
 
 
@@ -505,12 +582,13 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
     terms, also when its coefficient is 0. Its product, with the Koszul
     sign and c folded in, is added unreduced into one buffer (delayed
     modular reduction, as FFLAS-FFPACK does, Dumas, Giorgi and Pernet
-    2008): the first product is the buffer, and a float64 product adds
+    2008): the first product is the buffer, and a float product adds
     into it block by block. Over F_p coefficients are taken in (-p/2,
     p/2]; the buffer is reduced at the end, and earlier whenever the bound
-    on its entries would reach 2^63. A coefficient that would take a
-    product past that bound, or past 2^53 when the float64 product is
-    exact, scales the reduced product instead.
+    on its entries would reach 2^63, or 2^31 when it is int32: a narrow
+    first float product (_limits) makes it int32, which _finish widens. A
+    coefficient that would take a product past the bound, or past 2^53
+    when the float64 product is exact, scales the reduced product instead.
     No term's product is kept, and no input table is written.
     """
     p = ring.modulus
@@ -534,7 +612,8 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
             if step >= plan.cap:
                 reduced = True
                 step = abs(c) * (p - 1)
-            if acc is not None and bound + step >= _INT64:
+            if acc is not None and bound + step >= (
+                    _INT32 if acc.itemsize == 4 else _INT64):
                 _reduce(acc, p)
                 bound = p - 1
             bound += step
@@ -549,11 +628,13 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
 
 def _finish(ring: CoefficientRing, dim: int, degree: int,
             acc) -> MultilinearMap:
-    """The sum held in acc, reduced in place and read-only; zero when acc
-    is None."""
+    """The sum held in acc, reduced in place and read-only, an int32 sum
+    widened to int64 by _widen; zero when acc is None."""
     if acc is None:
         return zero_map(ring, dim, degree)
-    if ring.modulus is not None:
+    if acc.itemsize == 4:  # an int32 sum of narrow float products
+        acc = _widen(acc, ring.modulus)
+    elif ring.modulus is not None:
         _reduce(acc, ring.modulus)
     acc.setflags(write=False)
     return _new_map(ring, dim, degree, acc)
@@ -718,8 +799,12 @@ def map_to_payload(f: MultilinearMap) -> dict:
 
 
 def map_from_payload(payload: dict) -> MultilinearMap:
-    ring = CoefficientRing.from_payload(payload["ring"])
-    return make_map(ring, payload["dim"], payload["degree"], payload["entries"])
+    """The single map of a payload; a missing field is refused with
+    BadConfig."""
+    ring, dim, degree, entries = (
+        require_field(payload, key, "malformed table payload")
+        for key in ("ring", "dim", "degree", "entries"))
+    return make_map(CoefficientRing.from_payload(ring), dim, degree, entries)
 
 
 def componentwise_product(ring: CoefficientRing, dim: int) -> MultilinearMap:

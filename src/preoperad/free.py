@@ -39,7 +39,7 @@ from .errors import (
 )
 from . import endo
 from .endo import MultilinearMap
-from .rings import CoefficientRing, require_integer
+from .rings import CoefficientRing, require_field, require_integer
 
 LEAF = "_"
 
@@ -365,11 +365,16 @@ def _tree_from_sexpr(text: str, sig: Signature):
 
 
 def element_from_payload(payload: dict) -> FreeElement:
-    ring = CoefficientRing.from_payload(payload["ring"])
-    sig = Signature(tuple((n, d) for n, d in payload["signature"]))
+    """The tree sum of a payload; a missing field is refused with
+    BadConfig."""
+    ring, signature, degree, terms = (
+        require_field(payload, key, "malformed tree sum payload")
+        for key in ("ring", "signature", "degree", "terms"))
+    sig = Signature(tuple((n, d) for n, d in signature))
     return FreeElement(
-        ring, sig, require_integer(payload["degree"], "degree", ShapeMismatch),
-        tuple((_tree_from_sexpr(sexpr, sig), c) for sexpr, c in payload["terms"]))
+        CoefficientRing.from_payload(ring), sig,
+        require_integer(degree, "degree", ShapeMismatch),
+        tuple((_tree_from_sexpr(sexpr, sig), c) for sexpr, c in terms))
 
 
 def _eval_tree(tree, assignment: dict, ring: CoefficientRing, dim: int) -> MultilinearMap:

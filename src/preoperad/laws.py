@@ -103,7 +103,7 @@ from .errors import (
     UnknownLaw,
 )
 from .gamma import GAMMA_KINDS, GammaFamilies
-from .rings import CoefficientRing, require_integer
+from .rings import CoefficientRing, require_field, require_integer
 
 _RETRIES = 5
 _SHRINK_ZERO_CAP = 2048
@@ -1033,32 +1033,37 @@ def _rebuild_sample(witness: dict) -> TrialSample:
     law's slots (and mu, unless the law takes no elements), each a payload
     of its backend over its ring and dim (on free, over mu's signature),
     and its input degrees fit the degree budget of its dim, as a drawn
-    trial's do."""
-    law = get_law(witness["law_id"])
-    cfg = TrialConfig(witness["backend"], witness["prime"], witness["dim"],
+    trial's do. A field it reads that the witness, or one of its payloads,
+    lacks is refused with BadConfig naming the field and the input."""
+    law = _law_of(witness)
+    backend, prime, dim = (require_field(witness, key, "malformed witness")
+                           for key in ("backend", "prime", "dim"))
+    cfg = TrialConfig(backend, prime, dim,
                       mutations=witness.get("mutations", []))
     cfg.validate()
     _check_runnable(law, cfg)
-    names = witness["degrees"] if law.element_free else witness["elements"]
+    names = require_field(witness, "degrees" if law.element_free
+                          else "elements", "malformed witness")
     want = law.slots if law.element_free else (*law.slots, "mu")
     if set(names) != set(want):
         raise BadConfig(f"{law.law_id} takes the inputs {', '.join(want)}; "
                         f"the witness has {', '.join(names) or 'none'}")
     if law.element_free:
-        ctx, elements, degrees = None, {}, dict(witness["degrees"])
+        ctx, elements, degrees = None, {}, dict(names)
     else:
         ring, muts = CoefficientRing.prime_field(cfg.prime), frozenset(cfg.mutations)
         if cfg.backend == "endo":
             backend = EndoBackend(ring, cfg.dim, muts)
         else:  # mu's signature; mu is refused first if it has none
-            sig = free.Signature(tuple(
-                (n, d) for n, d in witness["elements"]["mu"].get("signature", ())))
+            mu = names["mu"]
+            sig = free.Signature(tuple((n, d) for n, d in (
+                mu.get("signature", ()) if isinstance(mu, dict) else ())))
             backend = FreeBackend(ring, sig, muts)
         elements = {}
         for name in ("mu", *law.slots):
             try:
-                elements[name] = backend.deserialize(witness["elements"][name])
-            except BackendMismatch as exc:
+                elements[name] = backend.deserialize(names[name])
+            except (BackendMismatch, BadConfig) as exc:
                 raise BadConfig(f"witness input {name}: {exc}") from None
         ctx = PreOperadContext(backend, elements["mu"])
         degrees = {name: el.degree for name, el in elements.items() if name != "mu"}
@@ -1069,9 +1074,13 @@ def _rebuild_sample(witness: dict) -> TrialSample:
     return TrialSample(ctx, elements, degrees)
 
 
+def _law_of(witness: dict) -> Law:
+    return get_law(require_field(witness, "law_id", "malformed witness"))
+
+
 def replay(witness: dict) -> FailDetail | None:
     """Re-run the failed check on the stored elements: row 0 of a batch of one."""
-    law = get_law(witness["law_id"])
+    law = _law_of(witness)
     sample = _rebuild_sample(witness)
     return law.checker(sample)[0]
 
@@ -1164,7 +1173,7 @@ def shrink(witness: dict) -> dict:
 
     The result still fails and running shrink on it again is a no-op.
     """
-    law = get_law(witness["law_id"])
+    law = _law_of(witness)
     if law.element_free:
         return dict(witness)
     sample = _rebuild_sample(witness)

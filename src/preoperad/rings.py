@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
-from .errors import UnsupportedRing
+from .errors import BadConfig, UnsupportedRing
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -51,6 +51,14 @@ def require_integer(value, what: str, error: type) -> int:
     return value
 
 
+def require_field(data, key: str, what: str):
+    """data[key]; refused with BadConfig naming key and what when data is
+    not a dict that holds key."""
+    if not isinstance(data, dict) or key not in data:
+        raise BadConfig(f'{what}: no field "{key}"')
+    return data[key]
+
+
 @dataclass(frozen=True)
 class CoefficientRing:
     """F_p when modulus is a prime, the integers when modulus is None."""
@@ -88,9 +96,11 @@ class CoefficientRing:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CoefficientRing":
-        if payload.get("kind") == "integers":
+        kind = require_field(payload, "kind", "malformed ring payload")
+        if kind == "integers":
             return cls.integers()
-        if payload.get("kind") == "prime_field":
-            return cls.prime_field(
-                require_integer(payload["p"], "a ring's p", UnsupportedRing))
+        if kind == "prime_field":
+            return cls.prime_field(require_integer(
+                require_field(payload, "p", "malformed ring payload"),
+                "a ring's p", UnsupportedRing))
         raise UnsupportedRing(f"unknown ring payload {payload!r}")

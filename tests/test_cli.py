@@ -14,7 +14,7 @@ import pytest
 from preoperad import cli, endo, laws
 from preoperad.backends import FreeBackend
 from preoperad.calculus import KNOWN_MUTATIONS
-from preoperad.errors import IndexOutOfScope, PreOperadError
+from preoperad.errors import BadConfig, IndexOutOfScope, PreOperadError
 from preoperad.free import Signature
 from preoperad.laws import SUITE_SCHEMA
 from preoperad.rings import CoefficientRing
@@ -899,8 +899,34 @@ def test_the_library_refuses_a_witness_its_settings_disagree_with(case):
             run(witness)
 
 
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+# a witness lacking one of its own fields used to raise a bare KeyError
+# from the library, turned into exit 2 only by the CLI's catch-all
+_INCOMPLETE_WITNESSES = {
+    "endo-without-prime": (_without(_ENDO_W, "prime"),
+                           'malformed witness: no field "prime"'),
+    "endo-f-without-degree": (
+        {**_ENDO_W, "elements": {**_ENDO_W["elements"],
+                                 "f": _without(_ENDO_W["elements"]["f"],
+                                               "degree")}},
+        'witness input f: malformed table payload: no field "degree"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INCOMPLETE_WITNESSES))
+def test_the_library_refuses_a_witness_that_lacks_a_field(case):
+    witness, word = _INCOMPLETE_WITNESSES[case]
+    for run in (laws.replay, laws.shrink):
+        with pytest.raises(BadConfig, match=word):
+            run(witness)
+
+
 _REFUSED_WITNESSES = {
     **_RELABELLED_WITNESSES,
+    **_INCOMPLETE_WITNESSES,
     # scope regions of these degrees used to exhaust memory
     "l01-degrees": ({
         "law_id": "L01-scope-partition", "seed": [1, 0, 0], "backend": "endo",
@@ -948,10 +974,10 @@ def test_eval_of_the_quadruple_brace_closed_form_is_zero(capsys, monkeypatch):
     layouts = set()
     product = endo._float_product
 
-    def recorded(f3, g2, c, out=None):
+    def recorded(f3, g2, c, out=None, narrow=False):
         C, X = f3.shape[2], g2.shape[1]
         layouts.add(C > 1 and max(C, X) >= endo._ROW_GEMM)
-        return product(f3, g2, c, out)
+        return product(f3, g2, c, out, narrow)
 
     monkeypatch.setattr(endo, "_float_product", recorded)
     code, out, err = run(capsys, [

@@ -466,6 +466,50 @@ def test_float_products_are_exact_at_the_largest_prime_below_the_bound(
     assert len(calls) == 4 * m  # every one of them on the float64 path
 
 
+# (dim, p, narrow): at each dim the largest prime whose worst-case scaled
+# product (p // 2) d (p - 1)^2 is below 2^24, which multiplies in float32
+# and sums in int32, and the next prime, which keeps float64 and int64
+_NARROW_BOUND = [(3, 223, True), (3, 227, False), (4, 199, True),
+                 (4, 211, False)]
+
+
+@pytest.mark.parametrize("d, p, narrow", _NARROW_BOUND,
+                         ids=lambda v: str(v))
+def test_compose_sums_are_exact_at_the_float32_bound(d, p, narrow,
+                                                     monkeypatch):
+    step = (p // 2) * d * (p - 1) ** 2
+    assert (step < 2**24) == narrow
+    m, n = _BOUND_SHAPES[d]
+    assert endo._limits(p, d)[:2] == (True, narrow)
+    assert {endo._plan(p, d, m, n, i).narrow for i in range(m)} == {narrow}
+    ring = CoefficientRing.prime_field(p)
+    f = make_map(ring, d, m, np.full(d ** (m + 1), p - 1))
+    g = make_map(ring, d, n, np.full(d ** (n + 1), p - 1))
+    # every term scales its composite by p // 2 once its Koszul sign is
+    # folded in, so the sum's entries grow by step a term: one term more
+    # than int32 holds forces an early reduction
+    count = 2**31 // step + 1
+    terms = [((p // 2) * ksign(i * (n - 1)), f, g, i)
+             for i in (t % m for t in range(count))]
+    reductions = []
+    reduce = endo._reduce
+
+    def recorded(arr, *args):
+        reductions.append(arr.dtype)
+        return reduce(arr, *args)
+
+    monkeypatch.setattr(endo, "_reduce", recorded)
+    calls = _count_float_products(monkeypatch)
+    got = endo.compose_sum(ring, d, m + n - 1, terms)
+    assert len(calls) == count  # every product on the float path
+    # early reductions, then the final one
+    assert reductions == ([np.int32] * 2 if narrow else [np.int64])
+    want = sum(sum(1 for _, _, _, i in terms if i == slot)
+               * _exact_compose(f, g, slot, 1) for slot in range(m))
+    assert got.table.dtype == np.int64
+    assert got.table.tolist() == (want * (p // 2) % p).tolist()
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_compositions_stay_exact_at_the_smallest_prime_above_the_bound(
         d, monkeypatch):
@@ -566,6 +610,42 @@ def test_a_large_composition_allocates_little_beyond_its_result(m, n, i):
         tracemalloc.stop()
     assert got.table.nbytes == table_bytes
     assert peak - base <= 1.35 * table_bytes
+
+
+@pytest.mark.parametrize("size", [
+    1, 2, 3, 1025, endo._REDUCE_CHUNK, endo._REDUCE_CHUNK + 1,
+    2 * endo._REDUCE_CHUNK + 3, 5 * endo._REDUCE_CHUNK - 7])
+def test_widening_a_narrow_table_reduces_and_keeps_every_entry(size):
+    # chunk seams, and a last chunk that overlaps its own source, which a
+    # casting assignment does not copy out by itself
+    rng = np.random.default_rng(size)
+    entries = rng.integers(-2**31 + 1, 2**31, size, dtype=np.int64)
+    narrow = endo._narrow_table((size,))
+    narrow[...] = entries
+    wide = endo._widen(narrow, 97)
+    assert wide.dtype == np.int64 and np.shares_memory(wide, narrow)
+    assert np.array_equal(wide, entries % 97)
+
+
+def test_a_narrow_compose_sum_widens_its_result_in_place():
+    # an int32 sum over F_97 at dim 4 is widened into the int64 buffer it
+    # lies in (1.09 result tables at peak); an int64 copy of it measured 2.0
+    rng = np.random.default_rng(9)
+    f = random_map(F97, 4, 8, rng)
+    g = random_map(F97, 4, 2, rng)
+    assert endo._plan(97, 4, 8, 2, 0).narrow
+    terms = [(c, f, g, i) for c, i in ((1, 0), (-3, 4), (48, 7), (1, 2))]
+    table_bytes = 4**10 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = endo.compose_sum(F97, 4, 9, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.table.dtype == np.int64 and got.table.nbytes == table_bytes
+    assert peak - base < 1.4 * table_bytes
+    assert got.table.tolist() == _exact_sum(terms, 97).tolist()
 
 
 def test_substitute_checks_its_operands():
@@ -1007,9 +1087,9 @@ def test_compose_sums_add_row_by_row_float_products_into_their_buffer(
     blocks = []
     product = endo._float_product
 
-    def recorded(f3, g2, c, out=None):
+    def recorded(f3, g2, c, out=None, narrow=False):
         blocks.append((f3.shape[2], g2.shape[1], out is not None))
-        return product(f3, g2, c, out)
+        return product(f3, g2, c, out, narrow)
 
     monkeypatch.setattr(endo, "_float_product", recorded)
     got = endo.compose_sum(ring, 3, 6, terms)
