@@ -10,13 +10,16 @@ batch. Composition and signed sums work row by row, and a single map serves
 every row of a stacked one. Throughout, |f| denotes the shifted degree
 deg(f) - 1; it drives every sign below.
 
-Over F_p a table is int64 with entries in [0, p), and every composition and
-signed sum reduces its raw int64 result in place. A sum of compositions,
-compose_sum, reduces once: each composite is added unreduced into one int64
-buffer (delayed modular reduction, Dumas, Giorgi and Pernet 2008; int32 on
-the narrow float path below), which is reduced at the end and whenever the
-bound on its entries would reach 2^63 (2^31), so every table handed out is
-still canonical. A single composition takes
+Over F_p a table is int32 when (p // 2) d (p - 1)^2 < 2^24 (_limits: p = 97
+up to dim 37, p <= 223 at dim 3, p <= 199 at dim 4) and int64 otherwise, with
+entries in [0, p); over Z it holds exact Python ints (object). Each (p, d)
+has that one table dtype (_dtype), and every composition and signed sum
+reduces its raw result in place, in the dtype of its operands. A sum of
+compositions, compose_sum, reduces once: each composite is added unreduced
+into one buffer (delayed modular reduction, Dumas, Giorgi and Pernet 2008),
+which is reduced at the end and whenever the bound on its entries would
+reach 2^31 or 2^63, as its itemsize says, so every table handed out is
+canonical. A single composition takes
 the steps of a compose_sum of one term. A signed sum whose only nonzero
 term has coefficient 1 and a small read-only table is that term. Tables of
 more than _REDUCE_GATE entries go through _reduce, as x - p * floor(x / p) in
@@ -41,14 +44,10 @@ numpy has no BLAS for integers, so a composition over F_p whose result has
 more than _REDUCE_GATE entries multiplies in float64 (as FFLAS-FFPACK does,
 Dumas, Giorgi and Pernet 2008). That is exact while d (p - 1)^2 < 2^53:
 every product and partial sum of the contraction is then an integer below
-2^53 in magnitude. Where even (p // 2) d (p - 1)^2 < 2^24 (_limits), as at
-p = 97 and every dim up to 37, it takes the narrowest exact types instead:
-it multiplies in float32, exact for every coefficient in (-p/2, p/2], and
-a compose_sum whose first product takes this path sums in int32, reduced
-early against 2^31 (at least 128 worst-case terms apart). That int32 sum
-is the first half of an int64 buffer of the result's size, into which
-_finish widens it in place, back to front, so no second result-size table
-is allocated and every table handed out is int64. The product runs one
+2^53 in magnitude. Where even (p // 2) d (p - 1)^2 < 2^24, the tables
+are int32 and it multiplies in float32, exact for every coefficient in
+(-p/2, p/2], and sums in int32, reduced early against 2^31 (at least 128
+worst-case terms apart). The product runs one
 output block of at most _BLOCK entries at a time (cast the block's
 operands, multiply, and add or cast the product into the sum's buffer),
 so every float temporary stays within _BLOCK entries and it allocates
@@ -57,7 +56,7 @@ product is cast transposed into the result, or, when the slot has inputs
 after it and the block is wide (_ROW_GEMM), one GEMM per row of f whose
 product is already in the result's layout; like _REDUCE_GATE, the choice
 follows from the block's shape. Z, primes past the float64 bound, smaller
-results and a stacked g keep the int64 matmul.
+results and a stacked g keep the integer matmul.
 
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
@@ -70,7 +69,6 @@ absorbed with sign +1 from either side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -92,7 +90,8 @@ from .rings import CoefficientRing, require_field, require_integer
 
 _INT64 = 2**63
 _INT32 = 2**31
-MAX_ENTRIES = 2**26  # 512 MB of int64: the largest table ever allocated
+# the largest table ever allocated: 512 MB of int64, 256 MB of int32
+MAX_ENTRIES = 2**26
 # tables above this many entries are reduced by chunked floor division;
 # at or below it one np.remainder call costs less
 _REDUCE_GATE = 2**10
@@ -190,7 +189,9 @@ def check_int64(ring: CoefficientRing, dim: int):
     """Refuse F_p tables of dimension dim that int64 cannot hold exactly.
 
     A contraction sums dim products below p^2, so dim * p^2 < 2^63 keeps it
-    exact; signed_sum reduces early to stay inside the same range.
+    exact. Tables the narrow bound of _limits admits are int32, whose
+    contractions stay below 2^24; signed_sum and compose_sum reduce early
+    against the width of their buffer, 2^31 or 2^63.
     """
     _limits(ring.modulus, dim)
 
@@ -203,7 +204,8 @@ def _limits(p: int | None, dim: int) -> tuple:
     float64 product is exact, and cap is the bound a scaled composite must
     stay below (2^53 when exact, 2^63 - p otherwise). narrow says whether
     (p // 2) step < 2^24: a product scaled by any coefficient in (-p/2,
-    p/2] is then exact in float32, and at least 128 of them fit in int32.
+    p/2] is then exact in float32, at least 128 of them fit in int32, and
+    the tables are int32 (_dtype).
     Over Z (p None) nothing is bounded. Refuses what int64 cannot hold; a
     refusal is not cached, so it is raised on every call."""
     if p is None:
@@ -216,6 +218,15 @@ def _limits(p: int | None, dim: int) -> tuple:
     exact = step < _FLOAT_EXACT
     return (exact, (p // 2) * step < _FLOAT32_EXACT, step,
             _FLOAT_EXACT if exact else _INT64 - p)
+
+
+def _dtype(ring: CoefficientRing, dim: int):
+    """The dtype of every table over ring and R^dim: int32 when _limits
+    says narrow, int64 for the other primes it admits, object (exact
+    Python ints) over Z."""
+    if not ring.is_field:
+        return object
+    return np.int32 if _limits(ring.modulus, dim)[1] else np.int64
 
 
 class _Plan(NamedTuple):
@@ -276,49 +287,18 @@ def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
     return arr
 
 
-def _narrow_table(shape: tuple) -> np.ndarray:
-    """An uninitialized int32 table of shape, laid in the first half of an
-    int64 buffer of as many entries, so that _widen needs no second one."""
-    return np.ndarray(shape, np.int32, np.empty(math.prod(shape), np.int64))
-
-
-def _widen(acc: np.ndarray, p: int) -> np.ndarray:
-    """The int32 sum acc reduced into [0, p) and widened to int64.
-
-    When acc is a _narrow_table the int64 buffer under it is the result,
-    filled in place back to front in chunks of _REDUCE_CHUNK entries: a
-    chunk [lo, hi) is read from bytes [4 lo, 4 hi) and written to bytes
-    [8 lo, 8 hi), so it never overlaps its own source while lo >= ceil(hi
-    / 2), and the entries below lo, read later, lie below what it writes.
-    The last chunk, [0, hi) with hi <= _REDUCE_CHUNK, overlaps itself, so
-    it is copied out first (a casting assignment does not check for
-    overlap). Any other int32 table (a narrow sum that a stacked term
-    broadcast) is copied into a new one.
-    """
-    _reduce(acc, p)
-    wide = acc.base
-    if wide is None or wide.dtype != np.int64 or wide.size != acc.size:
-        return acc.astype(np.int64)
-    narrow = acc.reshape(-1)
-    hi = narrow.size
-    while hi > _REDUCE_CHUNK:
-        lo = max((hi + 1) // 2, hi - _REDUCE_CHUNK)
-        wide[lo:hi] = narrow[lo:hi]
-        hi = lo
-    wide[:hi] = narrow[:hi].copy()
-    return wide.reshape(acc.shape)
-
-
 def _canonical_table(ring: CoefficientRing, arr: np.ndarray) -> np.ndarray:
-    """A read-only canonical copy of arr; the caller's array is never
-    written."""
-    if ring.is_field:
-        check_int64(ring, arr.shape[0])
-        if arr.dtype == object:
-            arr = arr % ring.modulus  # exact on Python ints of any size
-        arr = _reduce(np.array(arr, dtype=np.int64, order="C"), ring.modulus)
-    else:
+    """A read-only canonical copy of arr in the ring's table dtype (_dtype);
+    the caller's array is never written. Entries a cast to that dtype could
+    wrap (object, int64 into int32, uint64) are reduced before the cast."""
+    dtype = _dtype(ring, arr.shape[0])
+    if dtype is object:
         arr = np.asarray(arr, dtype=object)
+    elif arr.dtype == object or not np.can_cast(arr.dtype, dtype):
+        # exact on Python ints of any size
+        arr = np.array(arr % ring.modulus, dtype=dtype, order="C")
+    else:
+        arr = _reduce(np.array(arr, dtype=dtype, order="C"), ring.modulus)
     arr.setflags(write=False)
     return arr
 
@@ -363,7 +343,8 @@ def zero_map(ring: CoefficientRing, dim: int, degree: int) -> MultilinearMap:
     if degree < 0:
         raise InvalidDegree(f"degree must be >= 0, got {degree}")
     check_entries(dim, degree)
-    table = _canonical_table(ring, np.zeros((dim,) * (degree + 1), dtype=np.int64))
+    table = np.zeros((dim,) * (degree + 1), dtype=_dtype(ring, dim))
+    table.setflags(write=False)
     return MultilinearMap(ring, dim, degree, table)
 
 
@@ -424,12 +405,13 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
     in front and pair row with row. With exact_in_float, a single g and a
     result above _REDUCE_GATE entries, _float_product computes it block by
     block in float64, or in float32 when narrow, c folded into g, adding
-    into acc when acc has the result's shape; a new narrow table is int32,
-    a _narrow_table. Otherwise it is one int64 matmul: a new table is
+    into acc when acc has the result's shape. Otherwise it is one integer
+    matmul in the operands' dtype: a new table is
     scaled by c in place, and a product added into acc is added or
     subtracted when c is +-1, through _add_into, which also takes a
     product of another shape than acc. The caller keeps |c| d (p - 1)^2
-    within int64, and within 2^53 when exact_in_float.
+    within int64, within 2^53 when exact_in_float and within 2^24 when
+    narrow.
     """
     exact_in_float, narrow, _, _, g_shape, f_shape, shape, size = plan
     ft, gt = f.table, g.table
@@ -476,7 +458,7 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
     It multiplies in float64, exact when d * |c| (p - 1)^2 < 2^53, or, when
     narrow, in float32, exact when that bound is below 2^24: every product
     and partial sum is then an integer below the bound in magnitude. A new
-    table is int64, or int32 when narrow (a _narrow_table). Each block
+    table is int64, or int32 when narrow. Each block
     casts its operands, with c in g's, multiplies them and casts the
     product into the integer result in one ufunc pass. The block's shape
     picks one of two layouts:
@@ -503,8 +485,7 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
     real = np.float32 if narrow else np.float64
     add = out is not None
     if not add:
-        out = (_narrow_table((A, X, B)) if narrow
-               else np.empty((A, X, B), dtype=np.int64))
+        out = np.empty((A, X, B), dtype=np.int32 if narrow else np.int64)
     by_row = B > 1 and max(B, X) >= _ROW_GEMM
     w = min(X, max(1, _BLOCK // max(B, d)))
     rows = min(A, max(1, _BLOCK // (B * max(X, d)))) if w == X else 1
@@ -585,10 +566,10 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
     2008): the first product is the buffer, and a float product adds
     into it block by block. Over F_p coefficients are taken in (-p/2,
     p/2]; the buffer is reduced at the end, and earlier whenever the bound
-    on its entries would reach 2^63, or 2^31 when it is int32: a narrow
-    first float product (_limits) makes it int32, which _finish widens. A
-    coefficient that would take a product past the bound, or past 2^53
-    when the float64 product is exact, scales the reduced product instead.
+    on its entries would reach 2^63, or 2^31 when it is int32, as the
+    tables of a narrow ring (_limits) are. A coefficient that would take a
+    product past the bound, or past 2^53 when the float64 product is
+    exact, scales the reduced product instead.
     No term's product is kept, and no input table is written.
     """
     p = ring.modulus
@@ -628,13 +609,11 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
 
 def _finish(ring: CoefficientRing, dim: int, degree: int,
             acc) -> MultilinearMap:
-    """The sum held in acc, reduced in place and read-only, an int32 sum
-    widened to int64 by _widen; zero when acc is None."""
+    """The sum held in acc, reduced in place and read-only; zero when acc
+    is None."""
     if acc is None:
         return zero_map(ring, dim, degree)
-    if acc.itemsize == 4:  # an int32 sum of narrow float products
-        acc = _widen(acc, ring.modulus)
-    elif ring.modulus is not None:
+    if ring.modulus is not None:
         _reduce(acc, ring.modulus)
     acc.setflags(write=False)
     return _new_map(ring, dim, degree, acc)
@@ -651,7 +630,8 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
     entries is that term, returned as it is. The buffer takes rows when a
     stacked term arrives, and a single term adds to every row. Over F_p
     coefficients are taken in (-p/2, p/2], the buffer is reduced once at
-    the end, and earlier whenever the bound on its entries would reach 2^63.
+    the end, and earlier whenever the bound on its entries would reach 2^63,
+    or 2^31 when it is int32.
     """
     p = ring.modulus
     acc = None
@@ -667,7 +647,8 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
             if c > p // 2:
                 c -= p
             step = abs(c) * (p - 1)
-            if acc is not None and bound + step >= _INT64:
+            if acc is not None and bound + step >= (
+                    _INT32 if acc.itemsize == 4 else _INT64):
                 _reduce(acc, p)
                 bound = p - 1
             bound += step
@@ -741,8 +722,9 @@ def _random_maps(ring: CoefficientRing, dim: int, degrees, rng,
     each (a single table when rows is 1), from a single draw of rng: row r
     of the tables is what the r-th of rows calls with rows = 1 gives, and
     the stream is left where those calls leave it. One row is the tables
-    of one random_map call per degree in turn. Each table is read-only
-    and C-contiguous."""
+    of one random_map call per degree in turn. The draw is int64, so the
+    values and the stream do not depend on the ring's table dtype, to
+    which each table is cast. Each table is read-only and C-contiguous."""
     if not ring.is_field:
         raise UnsupportedRing("random tables need a finite field")
     for degree in degrees:
@@ -750,7 +732,7 @@ def _random_maps(ring: CoefficientRing, dim: int, degrees, rng,
             raise InvalidDegree(f"degree must be >= 0, got {degree}")
         check_entries(dim, degree, rows)
     p = ring.modulus
-    _limits(p, dim)
+    dtype = _dtype(ring, dim)
     # drawn in [0, p) already: canonical as it comes. A draw fills its
     # rows in C order, one after another, and a row its tables
     sizes = [dim ** (degree + 1) for degree in degrees]
@@ -759,7 +741,7 @@ def _random_maps(ring: CoefficientRing, dim: int, degrees, rng,
     maps = []
     end = 0
     for degree, size in zip(degrees, sizes):
-        table = np.ascontiguousarray(flat[:, end:end + size]).reshape(
+        table = np.ascontiguousarray(flat[:, end:end + size], dtype).reshape(
             lead + (dim,) * (degree + 1))
         table.setflags(write=False)
         maps.append(_new_map(ring, dim, degree, table))

@@ -571,7 +571,7 @@ def test_delta_of_a_large_map_holds_little_beyond_its_result():
     rng = np.random.default_rng(8)
     f = backend.random(8, rng)
     ctx = PreOperadContext(backend, backend.random(2, rng))
-    table_bytes = 4**10 * 8
+    table_bytes = 4**10 * f.payload.table.itemsize
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

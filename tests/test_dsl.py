@@ -326,7 +326,7 @@ def test_a_streamed_sum_holds_one_term_beside_its_buffer():
     script = parse_script("let f: deg 5; let g: deg 4;\n"
                           "comp(f, g, 0) - comp(f, g, 1) + comp(f, g, 2) "
                           "- comp(f, g, 3) + comp(f, g, 4)")
-    table_bytes = 4**9 * 8
+    table_bytes = 4**9 * bindings["f"].payload.table.itemsize
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -194,7 +194,7 @@ def test_random_map_is_the_generators_draw_read_only():
         got = random_map(F97, 3, degree, np.random.default_rng(7))
         want = np.random.default_rng(7).integers(
             0, 97, size=(3,) * (degree + 1), dtype=np.int64)
-        assert got.table.dtype == np.int64
+        assert got.table.dtype == endo._dtype(F97, 3) == np.int32
         assert np.array_equal(got.table, want)
         assert not got.table.flags.writeable
         assert got == make_map(F97, 3, degree, want.reshape(-1))
@@ -467,8 +467,9 @@ def test_float_products_are_exact_at_the_largest_prime_below_the_bound(
 
 
 # (dim, p, narrow): at each dim the largest prime whose worst-case scaled
-# product (p // 2) d (p - 1)^2 is below 2^24, which multiplies in float32
-# and sums in int32, and the next prime, which keeps float64 and int64
+# product (p // 2) d (p - 1)^2 is below 2^24, whose tables are int32 and
+# which multiplies in float32, and the next prime, which keeps float64 and
+# int64
 _NARROW_BOUND = [(3, 223, True), (3, 227, False), (4, 199, True),
                  (4, 211, False)]
 
@@ -506,8 +507,41 @@ def test_compose_sums_are_exact_at_the_float32_bound(d, p, narrow,
     assert reductions == ([np.int32] * 2 if narrow else [np.int64])
     want = sum(sum(1 for _, _, _, i in terms if i == slot)
                * _exact_compose(f, g, slot, 1) for slot in range(m))
-    assert got.table.dtype == np.int64
+    assert got.table.dtype == (np.int32 if narrow else np.int64)
     assert got.table.tolist() == (want * (p // 2) % p).tolist()
+
+
+@pytest.mark.parametrize("d, p, narrow", _NARROW_BOUND,
+                         ids=lambda v: str(v))
+def test_every_table_of_a_ring_has_the_one_dtype_its_limits_pick(d, p,
+                                                                 narrow):
+    # int32 exactly where the float32 bound holds, int64 past it, whichever
+    # function builds the table
+    ring = CoefficientRing.prime_field(p)
+    dtype = np.int32 if narrow else np.int64
+    assert endo._dtype(ring, d) == dtype
+    m, n = _BOUND_SHAPES[d]
+    rng = np.random.default_rng(p)
+    f = make_map(ring, d, m, np.full(d ** (m + 1), p - 1))
+    g = make_map(ring, d, n, np.full(d ** (n + 1), p - 1))
+    v = random_map(ring, d, 0, rng)
+    # worst case: top entries, every coefficient p // 2 once signed
+    terms = [((p // 2) * ksign(i * (n - 1)), f, g, i) for i in range(m)]
+    worst = endo.compose_sum(ring, d, m + n - 1, terms)
+    tables = {
+        "make_map": f,
+        "random_map": random_map(ring, d, n, rng),
+        "zero_map": zero_map(ring, d, 2),
+        "unit_map": unit_map(ring, d),
+        "partial_compose, float path": partial_compose(f, g, 0),
+        "partial_compose, integer matmul": partial_compose(g, g, 0),
+        "compose_sum": worst,
+        "signed_sum": signed_sum(ring, d, m, [(2, f), (p // 2, f)]),
+        "evaluate": evaluate(g, [v] * n),
+    }
+    for name, x in tables.items():
+        assert x.table.dtype == dtype, name
+    assert worst.table.tolist() == _exact_sum(terms, p).tolist()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -600,7 +634,7 @@ def test_a_large_composition_allocates_little_beyond_its_result(m, n, i):
     rng = np.random.default_rng(m * 10 + n)
     f = random_map(F97, 4, m, rng)
     g = random_map(F97, 4, n, rng)
-    table_bytes = 4**10 * 8
+    table_bytes = 4**10 * f.table.itemsize
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -612,30 +646,15 @@ def test_a_large_composition_allocates_little_beyond_its_result(m, n, i):
     assert peak - base <= 1.35 * table_bytes
 
 
-@pytest.mark.parametrize("size", [
-    1, 2, 3, 1025, endo._REDUCE_CHUNK, endo._REDUCE_CHUNK + 1,
-    2 * endo._REDUCE_CHUNK + 3, 5 * endo._REDUCE_CHUNK - 7])
-def test_widening_a_narrow_table_reduces_and_keeps_every_entry(size):
-    # chunk seams, and a last chunk that overlaps its own source, which a
-    # casting assignment does not copy out by itself
-    rng = np.random.default_rng(size)
-    entries = rng.integers(-2**31 + 1, 2**31, size, dtype=np.int64)
-    narrow = endo._narrow_table((size,))
-    narrow[...] = entries
-    wide = endo._widen(narrow, 97)
-    assert wide.dtype == np.int64 and np.shares_memory(wide, narrow)
-    assert np.array_equal(wide, entries % 97)
-
-
-def test_a_narrow_compose_sum_widens_its_result_in_place():
-    # an int32 sum over F_97 at dim 4 is widened into the int64 buffer it
-    # lies in (1.09 result tables at peak); an int64 copy of it measured 2.0
+def test_a_narrow_compose_sum_is_int32_and_allocates_little_beyond_it():
+    # an int32 sum over F_97 at dim 4 is reduced in place and handed out as
+    # it is: neither a widened copy nor an int64 buffer fits the bound
     rng = np.random.default_rng(9)
     f = random_map(F97, 4, 8, rng)
     g = random_map(F97, 4, 2, rng)
     assert endo._plan(97, 4, 8, 2, 0).narrow
     terms = [(c, f, g, i) for c, i in ((1, 0), (-3, 4), (48, 7), (1, 2))]
-    table_bytes = 4**10 * 8
+    table_bytes = 4**10 * 4
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -643,7 +662,7 @@ def test_a_narrow_compose_sum_widens_its_result_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.table.dtype == np.int64 and got.table.nbytes == table_bytes
+    assert got.table.dtype == np.int32 and got.table.nbytes == table_bytes
     assert peak - base < 1.4 * table_bytes
     assert got.table.tolist() == _exact_sum(terms, 97).tolist()
 
@@ -764,6 +783,30 @@ def test_signed_sum_streams_and_reduces_exactly_at_the_int64_bound():
         assert not fast.table.flags.writeable
 
 
+def test_signed_sum_reduces_early_at_the_int32_bound(monkeypatch):
+    # at p = 223, dim 3 tables are int32; each term adds 111 * 222 = 24,642
+    # to every entry, so 87,148 terms pass 2^31 and force one early
+    # reduction before the final one
+    p = 223
+    ring = CoefficientRing.prime_field(p)
+    f = make_map(ring, 3, 0, [p - 1] * 3)
+    assert f.table.dtype == np.int32
+    count = 90_000
+    assert 87_147 * 111 * (p - 1) < 2**31 < 87_148 * 111 * (p - 1)
+    reductions = []
+    reduce = endo._reduce
+
+    def recorded(arr, *args):
+        reductions.append(arr.dtype)
+        return reduce(arr, *args)
+
+    monkeypatch.setattr(endo, "_reduce", recorded)
+    got = signed_sum(ring, 3, 0, ((111, f) for _ in range(count)))
+    assert reductions == [np.int32] * 2
+    assert got.table.dtype == np.int32
+    assert got.table.tolist() == [count * 111 * (p - 1) % p] * 3
+
+
 def test_signed_sum_of_no_terms_is_zero_and_inputs_stay_unwritten():
     assert signed_sum(F97, 2, 3, iter(())) == zero_map(F97, 2, 3)
     f = make_map(F97, 2, 1, [1, 2, 3, 4])
@@ -837,6 +880,24 @@ def test_uint64_entries_past_int64_reduce_exactly():
     entries = np.array([2**64 - 1, 2**63, 2**63 - 1, 5], dtype=np.uint64)
     f = make_map(F97, 2, 1, entries)
     assert [int(v) for v in f.table.flat] == [int(v) % 97 for v in entries]
+
+
+@pytest.mark.parametrize("entries", [
+    np.array([2**62 - 1, -2**62, 2**62 + 12_345, -2**62 - 7], dtype=np.int64),
+    np.array([2**64 - 1, 2**63, 2**63 + 2**40, 5], dtype=np.uint64),
+    [2**64 + 3, -2**70 - 1, 2**100, -2**64],
+], ids=["int64", "uint64", "python-int"])
+def test_entries_are_reduced_before_an_int32_table_holds_them(entries):
+    # a cast to int32 first would wrap every one of these
+    want = [int(v) % 97 for v in entries]
+    assert endo._dtype(F97, 2) == np.int32
+    f = make_map(F97, 2, 1, entries)
+    assert f.table.dtype == np.int32
+    assert f.table.reshape(-1).tolist() == want
+    if isinstance(entries, np.ndarray):  # the caller's dtype, unconverted
+        table = endo._canonical_table(F97, entries.reshape(2, 2))
+        assert table.dtype == np.int32
+        assert table.reshape(-1).tolist() == want
 
 
 @pytest.mark.parametrize("size", [1, endo._REDUCE_GATE, endo._REDUCE_GATE + 1,
