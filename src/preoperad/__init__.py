@@ -82,7 +82,7 @@ from .laws import (
     shrink,
 )
 from .rings import CoefficientRing
-from .script import check_script, eval_script, format_script, parse_script
+from .script import eval_script, parse_script
 
 __version__ = "1.0.0"
 
@@ -97,10 +97,10 @@ __all__ = [
     "TrialConfig", "UnknownGenerator", "UnknownLaw", "UnsupportedRing",
     "associator",
     "aux_gamma", "aux_gamma_shifted", "boundary_faces", "braces", "bracket",
-    "bullet", "check_script", "componentwise_product", "cup", "delta",
+    "bullet", "componentwise_product", "cup", "delta",
     "dev_braces", "dev_tetrabraces", "dev_tribraces",
     "envelope_domains", "eval_script",
-    "evaluate", "evaluate_hom", "format_script", "full_scope", "gamma_domain",
+    "evaluate", "evaluate_hom", "full_scope", "gamma_domain",
     "get_law", "graft", "ground_tetrahedron", "ksign", "laws_for_backend",
     "list_laws", "make_map", "matrix_algebra_product", "parse_script",
     "random_map", "removed_edges", "replay", "run_law", "run_suite",

@@ -140,9 +140,6 @@ class MultilinearMap:
             return self
         return MultilinearMap(self.ring, self.dim, self.degree, self.table[r])
 
-    def entry(self, out_index: int, *in_indices: int) -> int:
-        return int(self.table[(out_index, *in_indices)])
-
     def __eq__(self, other) -> bool:
         """Equal in every row, as differs sees it: a single map equals a
         stacked one whose rows all equal it."""
@@ -230,10 +227,10 @@ def _dtype(ring: CoefficientRing, dim: int):
 
 
 class _Plan(NamedTuple):
-    """A composition's _limits and the shapes of its product."""
+    """A composition's _limits, but narrow, which its tables' dtype
+    states, and the shapes of its product."""
 
     exact: bool
-    narrow: bool
     step: int
     cap: int | None
     g_shape: tuple  # g's table as (d, d^n)
@@ -246,7 +243,8 @@ class _Plan(NamedTuple):
 def _plan(p: int | None, d: int, m: int, n: int, i: int) -> _Plan:
     """The _Plan of a degree-n table in slot i of a degree-m one over F_p
     (Z when p is None) and R^d, worked out once per five ints."""
-    return _Plan(*_limits(p, d), (d, d ** n),
+    exact, _, step, cap = _limits(p, d)
+    return _Plan(exact, step, cap, (d, d ** n),
                  (d ** (i + 1), d, d ** (m - 1 - i)), (d,) * (m + n),
                  d ** (m + n))
 
@@ -404,16 +402,16 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
     already the result's axis order. Stacked operands keep their row axis
     in front and pair row with row. With exact_in_float, a single g and a
     result above _REDUCE_GATE entries, _float_product computes it block by
-    block in float64, or in float32 when narrow, c folded into g, adding
+    block in float64, or in float32 on int32 tables, c folded into g, adding
     into acc when acc has the result's shape. Otherwise it is one integer
     matmul in the operands' dtype: a new table is
     scaled by c in place, and a product added into acc is added or
     subtracted when c is +-1, through _add_into, which also takes a
     product of another shape than acc. The caller keeps |c| d (p - 1)^2
-    within int64, within 2^53 when exact_in_float and within 2^24 when
-    narrow.
+    within int64, within 2^53 when exact_in_float and within 2^24 on
+    int32 tables.
     """
-    exact_in_float, narrow, _, _, g_shape, f_shape, shape, size = plan
+    exact_in_float, _, _, g_shape, f_shape, shape, size = plan
     ft, gt = f.table, g.table
     single_f = ft.ndim == f.degree + 1
     if gt.ndim == g.degree + 1:
@@ -426,9 +424,9 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
             if (acc is not None and acc.shape == shape
                     and acc.flags.c_contiguous):
                 _float_product(f3, g2, c,
-                               acc.reshape(len(f3), g_shape[1], -1), narrow)
+                               acc.reshape(len(f3), g_shape[1], -1))
                 return acc
-            raw = _float_product(f3, g2, c, None, narrow).reshape(shape)
+            raw = _float_product(f3, g2, c).reshape(shape)
             return raw if acc is None else _add_into(acc, 1, raw)
         g_t = g2.T
     else:  # one G^T per row, broadcast over f's outputs
@@ -449,16 +447,16 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
 
 
 def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
-                   out: np.ndarray | None = None,
-                   narrow: bool = False) -> np.ndarray:
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The product out[a, x, b] = sum_k c * g2[k, x] * f3[a, k, b], computed
     in floating point one output block at a time: a new table of shape
     (A, X, B), or, when out is given, added into out.
 
     It multiplies in float64, exact when d * |c| (p - 1)^2 < 2^53, or, when
-    narrow, in float32, exact when that bound is below 2^24: every product
-    and partial sum is then an integer below the bound in magnitude. A new
-    table is int64, or int32 when narrow. Each block
+    f3 is int32, as the tables of a narrow ring (_limits) are, in float32,
+    exact when that bound is below 2^24: every product and partial sum is
+    then an integer below the bound in magnitude. A new table has f3's
+    dtype, as g2 and out do. Each block
     casts its operands, with c in g's, multiplies them and casts the
     product into the integer result in one ufunc pass. The block's shape
     picks one of two layouts:
@@ -482,10 +480,10 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
     """
     A, d, B = f3.shape
     X = g2.shape[1]
-    real = np.float32 if narrow else np.float64
+    real = np.float32 if f3.dtype == np.int32 else np.float64
     add = out is not None
     if not add:
-        out = np.empty((A, X, B), dtype=np.int32 if narrow else np.int64)
+        out = np.empty((A, X, B), dtype=f3.dtype)
     by_row = B > 1 and max(B, X) >= _ROW_GEMM
     w = min(X, max(1, _BLOCK // max(B, d)))
     rows = min(A, max(1, _BLOCK // (B * max(X, d)))) if w == X else 1
@@ -534,11 +532,10 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
     return out
 
 
-def substitute(f: MultilinearMap, g: MultilinearMap, i: int,
-               sign: int = 1) -> MultilinearMap:
-    """g plugged into input slot i of f, times sign; unsigned by default:
-    a one-term compose_sum whose coefficient cancels the Koszul sign."""
-    c = -sign if i * (g.degree - 1) % 2 else sign
+def substitute(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
+    """g plugged into input slot i of f, unsigned: a one-term compose_sum
+    whose coefficient cancels the Koszul sign."""
+    c = -1 if i * (g.degree - 1) % 2 else 1
     return compose_sum(f.ring, f.dim, f.degree + g.degree - 1, ((c, f, g, i),))
 
 

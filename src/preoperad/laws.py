@@ -699,7 +699,7 @@ def _pair_operations(ctx, f, g):
     yield "bullet", bullet(f, g), df + dg - 1
     yield "bracket", bracket(f, g), df + dg - 1
     yield "delta", delta(ctx, f), df + 1
-    yield "dev_bullet", dev_braces(ctx, f, g), df + dg
+    yield "dev_braces", dev_braces(ctx, f, g), df + dg
 
 
 def _bookkeeping(ctx, h, f, g, b) -> tuple:
@@ -1032,9 +1032,10 @@ def _rebuild_sample(witness: dict) -> TrialSample:
     TrialConfig.validate, its law runs on its backend, its inputs are the
     law's slots (and mu, unless the law takes no elements), each a payload
     of its backend over its ring and dim (on free, over mu's signature),
-    and its input degrees fit the degree budget of its dim, as a drawn
-    trial's do. A field it reads that the witness, or one of its payloads,
-    lacks is refused with BadConfig naming the field and the input."""
+    and its input degrees are ints >= 1 that fit the degree budget of its
+    dim, as a drawn trial's do. A field it reads that the witness, or one
+    of its payloads, lacks is refused with BadConfig naming the field and
+    the input."""
     law = _law_of(witness)
     backend, prime, dim = (require_field(witness, key, "malformed witness")
                            for key in ("backend", "prime", "dim"))
@@ -1067,6 +1068,10 @@ def _rebuild_sample(witness: dict) -> TrialSample:
                 raise BadConfig(f"witness input {name}: {exc}") from None
         ctx = PreOperadContext(backend, elements["mu"])
         degrees = {name: el.degree for name, el in elements.items() if name != "mu"}
+    for name in law.slots:
+        what = f"witness input {name}: its degree"
+        if require_integer(degrees[name], what, BadConfig) < 1:
+            raise BadConfig(f"{what} must be >= 1, got {degrees[name]}")
     total = sum(degrees.values())
     if total > cfg.degree_budget:
         raise BadConfig(f"input degrees add up to {total}, past the degree "
@@ -1174,9 +1179,9 @@ def shrink(witness: dict) -> dict:
     The result still fails and running shrink on it again is a no-op.
     """
     law = _law_of(witness)
+    sample = _rebuild_sample(witness)
     if law.element_free:
         return dict(witness)
-    sample = _rebuild_sample(witness)
     detail = law.checker(sample)[0]
     if detail is None:
         return dict(witness)

@@ -353,11 +353,6 @@ def _check_node(node: Node, env: dict, degrees: dict) -> int:
     return degree
 
 
-def check_script(script: Script) -> int:
-    """Degree of the final expression; raises on clashes or bad indices."""
-    return _check(script)[0]
-
-
 def _check(script: Script) -> tuple:
     """The final expression's degree and the degree of each compound
     node, by id."""
@@ -375,53 +370,6 @@ def _check(script: Script) -> tuple:
         return _check_node(script.body, env, degrees), degrees
     except RecursionError:
         raise ScriptSyntaxError(_TOO_DEEP, *script.span) from None
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-def _format_node(node: Node) -> str:
-    if isinstance(node, Name):
-        return node.name
-    if isinstance(node, Unit):
-        return "I"
-    if isinstance(node, Scale):
-        inner = _format_node(node.item)
-        if isinstance(node.item, (Sum, Scale)):
-            inner = f"({inner})"
-        return f"{node.coeff} * {inner}"
-    if isinstance(node, Sum):
-        if node.items[0][0] != 1:
-            raise ScriptTypeError("a sum cannot start with a subtraction")
-        parts = [_format_term(node.items[0][1])]
-        for sign, item in node.items[1:]:
-            parts.append("+" if sign == 1 else "-")
-            parts.append(_format_term(item))
-        return " ".join(parts)
-    if isinstance(node, Comp):
-        return (f"comp({_format_node(node.inner)}, "
-                f"{_format_node(node.outer)}, {node.index})")
-    if isinstance(node, Call):
-        return f"{node.head}({', '.join(_format_node(a) for a in node.args)})"
-    raise ScriptTypeError(f"unknown node {type(node).__name__}")
-
-
-def _format_term(node: Node) -> str:
-    text = _format_node(node)
-    if isinstance(node, Sum):
-        return f"({text})"
-    return text
-
-
-def format_script(script: Script) -> str:
-    lines = []
-    for decl in script.decls:
-        head = f"let {decl.name} : deg {decl.degree}"
-        if decl.literal is not None:
-            head += " = [" + ", ".join(str(e) for e in decl.literal) + "]"
-        lines.append(head + ";")
-    lines.append(_format_node(script.body))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_associative_fixture_products():
 
 def test_symbolic_words_map_to_tables():
     """On 200 random pairs of tables f, g and a random product mu, each
-    operation of two inputs (cup, bullet, bracket, delta, dev_bullet)
+    operation of two inputs (cup, bullet, bracket, delta, dev_braces)
     built on symbolic generators evaluates through the generator
     assignment to exactly the dense table computed directly."""
     start = time.perf_counter()

@@ -903,6 +903,13 @@ def _without(data, key):
     return {k: v for k, v in data.items() if k != key}
 
 
+def _element_free_witness(law_id, **degrees):
+    return {"law_id": law_id, "seed": [1, 0, 0], "backend": "endo",
+            "prime": 97, "dim": 2, "mutations": [], "degrees": degrees,
+            "elements": {}, "identity": "hand-made", "domain_point": None,
+            "lhs": None, "rhs": None}
+
+
 # a witness lacking one of its own fields used to raise a bare KeyError
 # from the library, turned into exit 2 only by the CLI's catch-all
 _INCOMPLETE_WITNESSES = {
@@ -928,12 +935,9 @@ _REFUSED_WITNESSES = {
     **_RELABELLED_WITNESSES,
     **_INCOMPLETE_WITNESSES,
     # scope regions of these degrees used to exhaust memory
-    "l01-degrees": ({
-        "law_id": "L01-scope-partition", "seed": [1, 0, 0], "backend": "endo",
-        "prime": 97, "dim": 2, "mutations": [],
-        "degrees": {"h": 3000, "f": 3000, "g": 2}, "elements": {},
-        "identity": "hand-made", "domain_point": None, "lhs": None,
-        "rhs": None}, "degree budget"),
+    "l01-degrees": (_element_free_witness("L01-scope-partition",
+                                          h=3000, f=3000, g=2),
+                    "degree budget"),
     "free-degrees": (_free_l06_witness(f=11, g=2), "degree budget"),
     # laws that do not run on free used to replay into an AttributeError
     "l27-on-free": ({**_free_l06_witness(f=1, g=2), "law_id": "L27-cross-backend"},
@@ -968,16 +972,67 @@ def test_replay_refuses_a_witness_no_run_could_write(tmp_path, case):
         assert proc.stderr.count("\n") == 1
 
 
+def _l05_witness(f_degree):
+    """An endo L05 witness whose f is the zero table of degree f_degree."""
+    return {**_element_free_witness("L05-unit-laws", f=f_degree), "elements": {
+        "f": {"degree": f_degree, "dim": 2, "entries": [0] * 2 ** (f_degree + 1),
+              "ring": {"kind": "prime_field", "p": 97}},
+        "mu": _ENDO_W["elements"]["mu"]}}
+
+
+# input degrees verify never draws used to replay as a failing law (exit 1),
+# as a passing one (exit 0, a bool read as 1), or into a TypeError that only
+# the CLI's catch-all turned into exit 2
+_OUT_OF_RANGE_DEGREES = {
+    "l01-h-0": (_element_free_witness("L01-scope-partition", h=0, f=2, g=2),
+                "witness input h: its degree must be >= 1, got 0"),
+    "l01-h-negative": (_element_free_witness("L01-scope-partition",
+                                             h=-3, f=2, g=2),
+                       "witness input h: its degree must be >= 1, got -3"),
+    "l01-f-0": (_element_free_witness("L01-scope-partition", h=3, f=0, g=2),
+                "witness input f: its degree must be >= 1, got 0"),
+    "l01-h-bool": (_element_free_witness("L01-scope-partition",
+                                         h=True, f=2, g=2),
+                   "witness input h: its degree must be an integer, got True"),
+    "l01-h-float": (_element_free_witness("L01-scope-partition",
+                                          h=2.5, f=2, g=2),
+                    "witness input h: its degree must be an integer, got 2.5"),
+    "l25-h-0": (_element_free_witness("L25-envelope-partition",
+                                      h=0, f=1, g=1, b=1),
+                "witness input h: its degree must be >= 1, got 0"),
+    "l26-h-negative": (_element_free_witness("L26-degree-bookkeeping",
+                                             h=-3, f=1, g=1, b=1),
+                       "witness input h: its degree must be >= 1, got -3"),
+    "l05-f-0": (_l05_witness(0),
+                "witness input f: its degree must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE_DEGREES))
+def test_replay_refuses_an_input_degree_below_1(capsys, tmp_path, case):
+    witness, message = _OUT_OF_RANGE_DEGREES[case]
+    for run_library in (laws.replay, laws.shrink):
+        with pytest.raises(BadConfig) as info:
+            run_library(witness)
+        assert str(info.value) == message
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    for argv in (["replay", str(path)], ["replay", "--shrink", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
 def test_eval_of_the_quadruple_brace_closed_form_is_zero(capsys, monkeypatch):
     # degree 9 at dim 3: 3^10 entries, so the compositions run in float64,
     # in both block layouts
     layouts = set()
     product = endo._float_product
 
-    def recorded(f3, g2, c, out=None, narrow=False):
+    def recorded(f3, g2, c, out=None):
         C, X = f3.shape[2], g2.shape[1]
         layouts.add(C > 1 and max(C, X) >= endo._ROW_GEMM)
-        return product(f3, g2, c, out, narrow)
+        return product(f3, g2, c, out)
 
     monkeypatch.setattr(endo, "_float_product", recorded)
     code, out, err = run(capsys, [

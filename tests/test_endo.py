@@ -69,7 +69,7 @@ def test_make_map_shape_check():
 
 def test_make_map_canonicalizes_entries():
     m = make_map(F97, 1, 1, [-1])
-    assert m.entry(0, 0) == 96
+    assert int(m.table[0, 0]) == 96
 
 
 def test_unit_map_is_identity_table():
@@ -88,11 +88,11 @@ def test_compose_scalar_examples():
     # dim 1: composition multiplies scalars and applies the twist
     f = scalar(F97, 3, 2)
     g = scalar(F97, 2, 3)
-    assert partial_compose(f, g, 2).entry(*(0,) * 5) == 6
+    assert int(partial_compose(f, g, 2).table[(0,) * 5]) == 6
 
     f = scalar(F97, 2, 3)
     g = scalar(F97, 2, 5)
-    assert partial_compose(f, g, 1).entry(*(0,) * 4) == 82
+    assert int(partial_compose(f, g, 1).table[(0,) * 4]) == 82
 
 
 def test_compose_dim1_closed_form_200_triples():
@@ -106,7 +106,7 @@ def test_compose_dim1_closed_form_200_triples():
         i = int(rng.integers(0, m))
         got = partial_compose(scalar(F97, m, a), scalar(F97, n, b), i)
         want = ksign(i * (n - 1)) * a * b % 97
-        assert got.entry(*(0,) * (m + n)) == want
+        assert int(got.table[(0,) * (m + n)]) == want
         assert got.degree == m + n - 1
 
 
@@ -121,7 +121,8 @@ def _slow_insert(f, g, i):
         for middle in range(d):
             f_args = args[:i] + (middle,) + args[i + n:]
             g_args = args[i:i + n]
-            total += f.entry(out_idx, *f_args) * g.entry(middle, *g_args)
+            total += (int(f.table[(out_idx, *f_args)])
+                      * int(g.table[(middle, *g_args)]))
         out[idx] = total % 97
     return out * ksign(i * (n - 1)) % 97
 
@@ -176,7 +177,7 @@ def test_linear_combine():
     assert linear_combine([1, -1], [f, f]).is_zero()
     combo = linear_combine([2, 3], [f, g])
     e = (1, 0, 1)
-    assert combo.entry(*e) == (2 * f.entry(*e) + 3 * g.entry(*e)) % 97
+    assert int(combo.table[e]) == (2 * int(f.table[e]) + 3 * int(g.table[e])) % 97
     with pytest.raises(DegreeMismatch):
         linear_combine([1, 1], [f, random_map(F97, 2, 1, rng)])
 
@@ -299,7 +300,7 @@ def test_matrix_algebra_product_matches_matmul():
 def test_integer_ring_tables():
     f = make_map(ZZ, 1, 2, [12])
     g = make_map(ZZ, 1, 1, [-5])
-    assert partial_compose(f, g, 1).entry(0, 0, 0) == -60
+    assert int(partial_compose(f, g, 1).table[0, 0, 0]) == -60
 
 
 def test_no_overflow_at_large_prime():
@@ -461,8 +462,8 @@ def test_float_products_are_exact_at_the_largest_prime_below_the_bound(
             sign = ksign(i * (n - 1))
             want = _exact_compose(f, g, i, sign)
             assert partial_compose(f, g, i).table.tolist() == want.tolist(), i
-            assert substitute(f, g, i, -sign).table.tolist() == (
-                -want % p).tolist(), i
+            negated = endo.compose_sum(ring, d, m + n - 1, [(-1, f, g, i)])
+            assert negated.table.tolist() == (-want % p).tolist(), i
     assert len(calls) == 4 * m  # every one of them on the float64 path
 
 
@@ -482,10 +483,12 @@ def test_compose_sums_are_exact_at_the_float32_bound(d, p, narrow,
     assert (step < 2**24) == narrow
     m, n = _BOUND_SHAPES[d]
     assert endo._limits(p, d)[:2] == (True, narrow)
-    assert {endo._plan(p, d, m, n, i).narrow for i in range(m)} == {narrow}
     ring = CoefficientRing.prime_field(p)
     f = make_map(ring, d, m, np.full(d ** (m + 1), p - 1))
     g = make_map(ring, d, n, np.full(d ** (n + 1), p - 1))
+    # _float_product multiplies in float32 exactly when its f is int32
+    dtype = np.int32 if narrow else np.int64
+    assert f.table.dtype == g.table.dtype == dtype
     # every term scales its composite by p // 2 once its Koszul sign is
     # folded in, so the sum's entries grow by step a term: one term more
     # than int32 holds forces an early reduction
@@ -507,7 +510,7 @@ def test_compose_sums_are_exact_at_the_float32_bound(d, p, narrow,
     assert reductions == ([np.int32] * 2 if narrow else [np.int64])
     want = sum(sum(1 for _, _, _, i in terms if i == slot)
                * _exact_compose(f, g, slot, 1) for slot in range(m))
-    assert got.table.dtype == (np.int32 if narrow else np.int64)
+    assert got.table.dtype == dtype
     assert got.table.tolist() == (want * (p // 2) % p).tolist()
 
 
@@ -584,10 +587,11 @@ def test_float_products_match_the_einsum_reference_across_block_shapes(
     rng = np.random.default_rng(d * 100 + m * 10 + n)
     f = random_map(F97, d, m, rng)
     g = random_map(F97, d, n, rng)
-    want = _einsum_compose(np.asarray(f.table), np.asarray(g.table), i, 1) % 97
-    for sign in (1, -1):
-        got = substitute(f, g, i, sign)
-        assert np.array_equal(got.table, sign * want % 97), sign
+    want = _einsum_compose(np.asarray(f.table), np.asarray(g.table), i,
+                           ksign(i * (n - 1))) % 97
+    for c in (1, -1):
+        got = endo.compose_sum(F97, d, m + n - 1, [(c, f, g, i)])
+        assert np.array_equal(got.table, c * want % 97), c
     assert len(calls) == 2
 
 
@@ -619,8 +623,8 @@ def test_float_products_leave_their_operands_unwritten():
     f = MultilinearMap(F97, 4, 4, f_table.copy())
     g = MultilinearMap(F97, 4, 2, g_table.copy())
     for i in range(4):
-        for sign in (1, -1):
-            got = substitute(f, g, i, sign)
+        for c in (1, -1):
+            got = endo.compose_sum(F97, 4, 5, [(c, f, g, i)])
             assert got.table.size > endo._REDUCE_GATE
             assert not got.table.flags.writeable
             assert np.array_equal(f.table, f_table)
@@ -652,7 +656,7 @@ def test_a_narrow_compose_sum_is_int32_and_allocates_little_beyond_it():
     rng = np.random.default_rng(9)
     f = random_map(F97, 4, 8, rng)
     g = random_map(F97, 4, 2, rng)
-    assert endo._plan(97, 4, 8, 2, 0).narrow
+    assert f.table.dtype == g.table.dtype == np.int32
     terms = [(c, f, g, i) for c, i in ((1, 0), (-3, 4), (48, 7), (1, 2))]
     table_bytes = 4**10 * 4
     tracemalloc.start()
@@ -1148,9 +1152,9 @@ def test_compose_sums_add_row_by_row_float_products_into_their_buffer(
     blocks = []
     product = endo._float_product
 
-    def recorded(f3, g2, c, out=None, narrow=False):
+    def recorded(f3, g2, c, out=None):
         blocks.append((f3.shape[2], g2.shape[1], out is not None))
-        return product(f3, g2, c, out, narrow)
+        return product(f3, g2, c, out)
 
     monkeypatch.setattr(endo, "_float_product", recorded)
     got = endo.compose_sum(ring, 3, 6, terms)
@@ -1265,8 +1269,7 @@ def test_compose_sums_raise_what_compose_then_signed_sum_raised():
         # a single composition refuses what its one-term sum refuses
         alone = _raised(lambda: endo.compose_sum(F97, 2, 4, [(1, a, b, i)]))
         assert _raised(lambda: partial_compose(a, b, i)) == alone, what
-        for sign in (1, -1):
-            assert _raised(lambda: substitute(a, b, i, sign)) == alone, what
+        assert _raised(lambda: substitute(a, b, i)) == alone, what
 
 
 def test_one_term_sums_return_their_term_only_when_it_is_small_and_read_only():

@@ -876,8 +876,8 @@ _KERNEL_FAULTS = {
                          "if i * (n - 1) % 2 and acc is None:"),
     # substitution, unsigned by definition, keeps the twist
     "substitute-keeps-twist": (
-        endo, "substitute", "c = -sign if i * (g.degree - 1) % 2 else sign",
-        "c = sign"),
+        endo, "substitute", "c = -1 if i * (g.degree - 1) % 2 else 1",
+        "c = 1"),
     # evaluation advances the slot past one input of a child, not its degree
     "eval-slot-by-one": (free, "_eval_tree", "slot + sub.degree", "slot + 1"),
 }
@@ -917,7 +917,7 @@ def test_l27_and_l26_name_the_same_pair_operations():
     names = [name for name, *_ in laws._bookkeeping(ctx, *[degrees] * 4)]
     assert identities == [f"{name} commutes with table evaluation"
                           for name in names[:5]]
-    assert names[:5] == ["cup", "bullet", "bracket", "delta", "dev_bullet"]
+    assert names[:5] == ["cup", "bullet", "bracket", "delta", "dev_braces"]
 
 
 def test_free_generators_are_built_once_per_degree_tuple(monkeypatch):
