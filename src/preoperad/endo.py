@@ -47,16 +47,13 @@ every product and partial sum of the contraction is then an integer below
 2^53 in magnitude. Where even (p // 2) d (p - 1)^2 < 2^24, the tables
 are int32 and it multiplies in float32, exact for every coefficient in
 (-p/2, p/2], and sums in int32, reduced early against 2^31 (at least 128
-worst-case terms apart). The product runs one
-output block of at most _BLOCK entries at a time (cast the block's
-operands, multiply, and add or cast the product into the sum's buffer),
-so every float temporary stays within _BLOCK entries and it allocates
-little beyond the result. A block is one GEMM over its rows of f, whose
-product is cast transposed into the result, or, when the slot has inputs
-after it and the block is wide (_ROW_GEMM), one GEMM per row of f whose
-product is already in the result's layout; like _REDUCE_GATE, the choice
-follows from the block's shape. Z, primes past the float64 bound, smaller
-results and a stacked g keep the integer matmul.
+worst-case terms apart). The product runs one output block of at most
+_BLOCK entries at a time (cast the block's operands, multiply, and add or
+cast the product into the sum's buffer), so every float temporary stays
+within _BLOCK entries and it allocates little beyond the result. It is
+one loop nest, whose layout B > 1 alone picks, B the result's entries
+after the slot (_float_product). Z, primes past the float64 bound,
+smaller results and a stacked g keep the integer matmul.
 
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
@@ -99,11 +96,8 @@ _REDUCE_CHUNK = 2**16
 # float64 holds every integer below 2^53 exactly, float32 below 2^24
 _FLOAT_EXACT = 2**53
 _FLOAT32_EXACT = 2**24
-# outputs of one float64 block of a composition
+# outputs of one float block of a composition
 _BLOCK = 2**16
-# a float64 block with B > 1 result entries after the slot runs one GEMM per
-# row of f, in the result's layout, once B or g's width reaches this
-_ROW_GEMM = 16
 # a signed sum holds a first term of at most this many entries uncopied
 # until a second one comes; a larger one is copied at once, so a streamed
 # sum of large fresh terms never holds two of them beside its buffer
@@ -403,7 +397,8 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
     in front and pair row with row. With exact_in_float, a single g and a
     result above _REDUCE_GATE entries, _float_product computes it block by
     block in float64, or in float32 on int32 tables, c folded into g, adding
-    into acc when acc has the result's shape. Otherwise it is one integer
+    into acc when acc has the result's shape; B = d^(|f|-i) > 1 alone
+    picks its layout. Otherwise it is one integer
     matmul in the operands' dtype: a new table is
     scaled by c in place, and a product added into acc is added or
     subtracted when c is +-1, through _add_into, which also takes a
@@ -456,27 +451,18 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
     f3 is int32, as the tables of a narrow ring (_limits) are, in float32,
     exact when that bound is below 2^24: every product and partial sum is
     then an integer below the bound in magnitude. A new table has f3's
-    dtype, as g2 and out do. Each block
-    casts its operands, with c in g's, multiplies them and casts the
-    product into the integer result in one ufunc pass. The block's shape
-    picks one of two layouts:
+    dtype, as g2 and out do.
 
-    - transposed: one (rows * B, d) @ (d, w) GEMM over the block's rows of
-      f, its product cast transposed into the result. Taken when B is 1,
-      where the transpose is free, and when B and g's width X are both
-      below _ROW_GEMM, where per-row GEMMs would be too small.
-    - row by row: one (w, d) @ (d, B) GEMM per row a of f, whose product is
-      already in the result's (a, x, b) order. Taken otherwise.
-
-    A block holds whole rows a of the result, or, when one row or g's
-    float copy would pass _BLOCK entries, w of g's X columns of one row.
-    When g's whole float copy (d X entries) is within _BLOCK, it is cast
-    once and each block of f's rows once, its column blocks inside; a
-    larger g is cast one column block at a time, f's rows inside. So every
-    float temporary, the copies of f's rows and of g's columns and the
-    product, stays within _BLOCK entries, unless one of f's rows (B * d
-    entries) alone is larger; one GEMM per row instead of per block is
-    several times slower when B is 1.
+    B alone picks the layout. When B is 1, a block is one (rows, d) @ (d, w)
+    GEMM over its rows of f, already in the result's (a, x) order; when
+    B > 1, it is one (w, d) @ (d, B) GEMM per row a of f, already in the
+    result's (a, x, b) order. There is one block order: the outer loop runs
+    over w of g's X columns at a time, each cast once with c folded in, and
+    the inner loop over f's rows, rows at a time (one row when w < X), each
+    cast, multiplied and its product cast or added into the integer result
+    in one ufunc pass. So every float temporary, the copies of f's rows and
+    of g's columns and the product, stays within _BLOCK entries, unless one
+    of f's rows (B * d entries) alone is larger.
     """
     A, d, B = f3.shape
     X = g2.shape[1]
@@ -484,51 +470,28 @@ def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
     add = out is not None
     if not add:
         out = np.empty((A, X, B), dtype=f3.dtype)
-    by_row = B > 1 and max(B, X) >= _ROW_GEMM
     w = min(X, max(1, _BLOCK // max(B, d)))
     rows = min(A, max(1, _BLOCK // (B * max(X, d)))) if w == X else 1
     buf = np.empty(rows * B * w, dtype=real)  # the product of one block
-
-    def g_block(x0):  # (w, d) row by row, (d, w) otherwise
-        cols = g2[:, x0:x0 + w]
-        gf = (cols.T if by_row else cols).astype(real, order="C")
+    for x0 in range(0, X, w):
+        cols = g2[:, x0:x0 + w]  # (d, w) when B is 1, (w, d) otherwise
+        gf = (cols if B == 1 else cols.T).astype(real, order="C")
         if c != 1:
             gf *= c
-        return gf
-
-    def f_block(a0):  # (r, d, B) row by row, (r, B, d) otherwise
-        fb = f3[a0:a0 + rows]
-        return fb.astype(real) if by_row else fb.swapaxes(1, 2).astype(
-            real, order="C")
-
-    def mul_into(a0, x0, fb, gf):
-        block = out[a0:a0 + rows, x0:x0 + w]  # C-contiguous
-        r, cols = block.shape[:2]
-        if by_row:  # (w, d) @ (r, d, B): r GEMMs, in the result's order
-            prod = np.matmul(gf, fb,
-                             out=buf[:r * cols * B].reshape(r, cols, B))
-        else:
-            prod = np.matmul(fb.reshape(-1, d), gf,
-                             out=buf[:r * B * cols].reshape(-1, cols))
-            prod = prod.reshape(r, B, cols).swapaxes(1, 2)
-        if add:  # cast on the fly: exact below the float bound
-            np.add(block, prod, out=block, dtype=block.dtype,
-                   casting="unsafe")
-        else:
-            block[...] = prod
-
-    col_starts = range(0, X, w)
-    if d * X <= _BLOCK:
-        gfs = [g_block(x0) for x0 in col_starts]
         for a0 in range(0, A, rows):
-            fb = f_block(a0)
-            for x0, gf in zip(col_starts, gfs):
-                mul_into(a0, x0, fb, gf)
-    else:
-        for x0 in col_starts:
-            gf = g_block(x0)
-            for a0 in range(0, A, rows):
-                mul_into(a0, x0, f_block(a0), gf)
+            block = out[a0:a0 + rows, x0:x0 + w]  # C-contiguous
+            r, n = block.shape[:2]
+            fb = f3[a0:a0 + rows].astype(real)
+            prod = buf[:r * n * B].reshape(r, n, B)
+            if B == 1:
+                np.matmul(fb.reshape(r, d), gf, out=prod.reshape(r, n))
+            else:
+                np.matmul(gf, fb, out=prod)
+            if add:  # cast on the fly: exact below the float bound
+                np.add(block, prod, out=block, dtype=block.dtype,
+                       casting="unsafe")
+            else:
+                block[...] = prod
     return out
 
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -152,12 +152,7 @@ class TrialConfig:
         endo.check_entries(self.dim, self.degree_budget)
 
     def describe(self) -> dict:
-        return {
-            "backend": self.backend, "prime": self.prime, "dim": self.dim,
-            "trials": self.trials, "seed": self.seed,
-            "degree_min": self.degree_min, "degree_max": self.degree_max,
-            "mutations": sorted(self.mutations),
-        }
+        return {**asdict(self), "mutations": sorted(self.mutations)}
 
 
 @dataclass
@@ -252,12 +247,7 @@ class Report:
     millis: int
 
     def to_dict(self) -> dict:
-        return {
-            "law_id": self.law_id, "status": self.status,
-            "trials": self.trials, "vacuous": self.vacuous,
-            "underpowered": self.underpowered, "failed": self.failed,
-            "failures": self.failures, "millis": self.millis,
-        }
+        return asdict(self)
 
 
 REPORT_SCHEMA = {
@@ -1034,8 +1024,9 @@ def _rebuild_sample(witness: dict) -> TrialSample:
     of its backend over its ring and dim (on free, over mu's signature),
     and its input degrees are ints >= 1 that fit the degree budget of its
     dim, as a drawn trial's do. A field it reads that the witness, or one
-    of its payloads, lacks is refused with BadConfig naming the field and
-    the input."""
+    of its payloads, lacks, and a degrees or elements field that is not a
+    JSON object, is refused with BadConfig naming the field and the
+    input."""
     law = _law_of(witness)
     backend, prime, dim = (require_field(witness, key, "malformed witness")
                            for key in ("backend", "prime", "dim"))
@@ -1043,8 +1034,11 @@ def _rebuild_sample(witness: dict) -> TrialSample:
                       mutations=witness.get("mutations", []))
     cfg.validate()
     _check_runnable(law, cfg)
-    names = require_field(witness, "degrees" if law.element_free
-                          else "elements", "malformed witness")
+    key = "degrees" if law.element_free else "elements"
+    names = require_field(witness, key, "malformed witness")
+    if not isinstance(names, dict):
+        raise BadConfig(f'malformed witness: field "{key}" must be a JSON '
+                        f"object, got {type(names).__name__}")
     want = law.slots if law.element_free else (*law.slots, "mu")
     if set(names) != set(want):
         raise BadConfig(f"{law.law_id} takes the inputs {', '.join(want)}; "

@@ -1023,15 +1023,48 @@ def test_replay_refuses_an_input_degree_below_1(capsys, tmp_path, case):
         assert err == f"error: {message}\n"
 
 
+_DEGREES_NOT_AN_OBJECT = 'malformed witness: field "degrees" must be a JSON object'
+_ELEMENTS_NOT_AN_OBJECT = 'malformed witness: field "elements" must be a JSON object'
+# inputs that are not a JSON object used to replay into a bare TypeError or
+# ValueError, or to be read as the letters of a string
+_NOT_AN_OBJECT = {
+    "l01-degrees-list": (
+        {**_element_free_witness("L01-scope-partition"), "degrees": [1, 2, 3]},
+        f"{_DEGREES_NOT_AN_OBJECT}, got list"),
+    "l01-degrees-string": (
+        {**_element_free_witness("L01-scope-partition"), "degrees": "hfg"},
+        f"{_DEGREES_NOT_AN_OBJECT}, got str"),
+    "l05-elements-list": ({**_l05_witness(1), "elements": [1]},
+                          f"{_ELEMENTS_NOT_AN_OBJECT}, got list"),
+    "l05-elements-string": ({**_l05_witness(1), "elements": "f"},
+                            f"{_ELEMENTS_NOT_AN_OBJECT}, got str"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_AN_OBJECT))
+def test_replay_refuses_inputs_that_are_not_a_json_object(capsys, tmp_path,
+                                                          case):
+    witness, message = _NOT_AN_OBJECT[case]
+    for run_library in (laws.replay, laws.shrink):
+        with pytest.raises(BadConfig) as info:
+            run_library(witness)
+        assert str(info.value) == message
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    for argv in (["replay", str(path)], ["replay", "--shrink", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
 def test_eval_of_the_quadruple_brace_closed_form_is_zero(capsys, monkeypatch):
-    # degree 9 at dim 3: 3^10 entries, so the compositions run in float64,
-    # in both block layouts
+    # degree 9 at dim 3: 3^10 entries, so the compositions run in float32
+    # on int32 tables, in both block layouts
     layouts = set()
     product = endo._float_product
 
     def recorded(f3, g2, c, out=None):
-        C, X = f3.shape[2], g2.shape[1]
-        layouts.add(C > 1 and max(C, X) >= endo._ROW_GEMM)
+        layouts.add(f3.shape[2] > 1)
         return product(f3, g2, c, out)
 
     monkeypatch.setattr(endo, "_float_product", recorded)

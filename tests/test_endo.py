@@ -440,8 +440,8 @@ def _exact_compose(f, g, i, sign):
 # results above _REDUCE_GATE entries, g of even degree so that the sign
 # (-1)^(i * |g|) alternates over the slots; at d = 53 the largest prime p
 # has d p^2 >= 2^53, so a bound on p in place of p - 1 would refuse it.
-# At each dim the early slots have inputs after them and a wide block, so
-# they take the row-by-row float64 layout, and the last slot the other one
+# At each dim the early slots have inputs after them, so they take the
+# row-by-row float64 layout, and the last slot the other one
 _BOUND_SHAPES = {2: (7, 4), 3: (5, 2), 4: (4, 2), 53: (2, 1)}
 
 
@@ -566,33 +566,83 @@ def test_compositions_stay_exact_at_the_smallest_prime_above_the_bound(
     assert calls == []
 
 
-@pytest.mark.parametrize("d, m, n, i", [
-    (3, 1, 11, 0),   # C == 1, g past one block: g's columns in blocks
-    (4, 2, 8, 1),    # the same over dim 4
-    (3, 8, 4, 0),    # X * C above the block size, a partial last block
-    (4, 8, 2, 0),
-    (3, 9, 2, 8),    # C == 1, rows of f in blocks, a partial last block
-    (3, 9, 2, 6),    # C > 1, the same
-    (4, 3, 3, 0),    # slot 0: no inputs before the slot
-    (3, 7, 0, 2),    # g a vector: one column
-    # one GEMM per row of f in the result's layout:
-    (3, 4, 8, 0),    # C = 27, g's columns in three blocks, the last partial
-    (4, 4, 2, 2),    # C = 4, X = 16
-    (4, 3, 3, 1),    # C = 4, X = 64
-    (3, 8, 3, 4),    # C = 27, rows of f in three blocks, the last partial
-], ids=lambda v: str(v))
+def _float_path(f3, g2, out):
+    """The path a _float_product call takes: its layout, its blocks, new
+    or add, and its float width."""
+    A, d, B = f3.shape
+    X = g2.shape[1]
+    if X * max(B, d) > endo._BLOCK:
+        blocks = "column blocks"
+    elif A * B * max(X, d) > endo._BLOCK:
+        blocks = "row blocks"
+    else:
+        blocks = "one block"
+    return ("B > 1" if B > 1 else "B == 1", blocks,
+            "new" if out is None else "add",
+            "float32" if f3.dtype == np.int32 else "float64")
+
+
+# (d, m, n, i): g in slot i of a degree-m f, and the layout and blocks of
+# its product, where A = d^(i+1) rows of f, B = d^(m-i-1) result entries
+# after the slot and X = d^n columns of g
+_BLOCK_SHAPES = {
+    (3, 1, 11, 0): ("B == 1", "column blocks"),  # a partial last block
+    (4, 2, 8, 1): ("B == 1", "column blocks"),
+    (3, 8, 4, 0): ("B > 1", "column blocks"),  # X * B above the block size
+    (4, 8, 2, 0): ("B > 1", "column blocks"),
+    (3, 9, 2, 8): ("B == 1", "row blocks"),  # a partial last block
+    (3, 9, 2, 6): ("B > 1", "row blocks"),
+    (4, 3, 3, 0): ("B > 1", "one block"),  # no inputs before the slot
+    (3, 7, 0, 2): ("B > 1", "one block"),  # g a vector: one column
+    (3, 4, 8, 0): ("B > 1", "column blocks"),  # three, the last partial
+    (4, 4, 2, 2): ("B > 1", "one block"),
+    (4, 3, 3, 1): ("B > 1", "one block"),
+    (3, 8, 3, 4): ("B > 1", "row blocks"),  # three, the last partial
+    (4, 3, 3, 2): ("B == 1", "one block"),
+}
+# per dim, a prime past the int32 table bound, so its tables are int64 and
+# its products float64; F_97's are int32 and float32 at dims 3 and 4
+_WIDE_PRIMES = {3: 10007, 4: 211}
+
+
+def test_the_block_shapes_reach_every_layout_and_block_count():
+    assert set(_BLOCK_SHAPES.values()) == {
+        (layout, blocks) for layout in ("B == 1", "B > 1")
+        for blocks in ("one block", "row blocks", "column blocks")}
+
+
+@pytest.mark.parametrize("d, m, n, i", list(_BLOCK_SHAPES),
+                         ids=lambda v: str(v))
 def test_float_products_match_the_einsum_reference_across_block_shapes(
         d, m, n, i, monkeypatch):
-    calls = _count_float_products(monkeypatch)
+    # each shape as a new table (one term) and added into one (two terms),
+    # at both signs of c and both float widths: with the coverage test
+    # above, every one of the 24 paths is reached and checked
+    paths = set()
+    product = endo._float_product
+
+    def recorded(f3, g2, c, out=None):
+        paths.add(_float_path(f3, g2, out))
+        return product(f3, g2, c, out)
+
+    monkeypatch.setattr(endo, "_float_product", recorded)
     rng = np.random.default_rng(d * 100 + m * 10 + n)
-    f = random_map(F97, d, m, rng)
-    g = random_map(F97, d, n, rng)
-    want = _einsum_compose(np.asarray(f.table), np.asarray(g.table), i,
-                           ksign(i * (n - 1))) % 97
-    for c in (1, -1):
-        got = endo.compose_sum(F97, d, m + n - 1, [(c, f, g, i)])
-        assert np.array_equal(got.table, c * want % 97), c
-    assert len(calls) == 2
+    for p in (97, _WIDE_PRIMES[d]):
+        ring = CoefficientRing.prime_field(p)
+        f = random_map(ring, d, m, rng)
+        gs = [random_map(ring, d, n, rng) for _ in range(2)]
+        wants = [_einsum_compose(np.asarray(f.table, dtype=np.int64),
+                                 np.asarray(g.table, dtype=np.int64), i,
+                                 ksign(i * (n - 1))) for g in gs]
+        for c in (1, -1):
+            got = endo.compose_sum(ring, d, m + n - 1, [(c, f, gs[0], i)])
+            assert np.array_equal(got.table, c * wants[0] % p), (p, c)
+            got = endo.compose_sum(ring, d, m + n - 1,
+                                   [(c, f, g, i) for g in gs])
+            assert np.array_equal(got.table, c * sum(wants) % p), (p, c)
+    assert paths == {(*_BLOCK_SHAPES[d, m, n, i], mode, width)
+                     for mode in ("new", "add")
+                     for width in ("float32", "float64")}
 
 
 @pytest.mark.parametrize("dim, m, rows, on_float_path", [
@@ -1137,9 +1187,11 @@ def test_compose_sums_are_exact_at_the_smallest_prime_above_the_float_bound(
                          ids=["p97", "largest-below-the-float-bound"])
 def test_compose_sums_add_row_by_row_float_products_into_their_buffer(
         p, monkeypatch):
-    # every term has inputs after its slot and a wide g, so each product is
-    # one GEMM per row of f; all but the first (and, at the largest prime,
-    # those whose coefficient scales the reduced product) add into the sum
+    # every term but the last two has inputs after its slot (B > 1), so
+    # each of their products is one GEMM per row of f, and the last two, at
+    # the last slot, one GEMM over f's rows; all but the first product
+    # (and, at the largest prime, those whose coefficient scales the
+    # reduced product) add into the sum
     ring = CoefficientRing.prime_field(p)
     rng = np.random.default_rng(p % 1000)
     f, f2 = (make_map(ring, 3, m, rng.integers(p - 8, p, 3 ** (m + 1)))
@@ -1148,7 +1200,7 @@ def test_compose_sums_add_row_by_row_float_products_into_their_buffer(
              for n in (3, 4))
     terms = [(1, f, g, 0), (-1, f2, g2, 1), (1, f, g, 1), (2, f, g, 2),
              (-1, f2, g2, 0), (1, f, g, 2), (-(p // 2), f, g, 0),
-             (-1, f, g, 1)]
+             (-1, f, g, 1), (1, f, g, 3), (-1, f2, g2, 2)]
     blocks = []
     product = endo._float_product
 
@@ -1159,9 +1211,9 @@ def test_compose_sums_add_row_by_row_float_products_into_their_buffer(
     monkeypatch.setattr(endo, "_float_product", recorded)
     got = endo.compose_sum(ring, 3, 6, terms)
     assert len(blocks) == len(terms)
-    assert all(C > 1 and max(C, X) >= endo._ROW_GEMM for C, X, _ in blocks)
+    assert [C > 1 for C, _, _ in blocks] == [True] * 8 + [False] * 2
     adds = sum(add for _, _, add in blocks)
-    assert adds == (len(terms) - 1 if p == 97 else 5)
+    assert adds == (len(terms) - 1 if p == 97 else 7)
     assert got.table.tolist() == _exact_sum(terms, p).tolist()
 
 
