@@ -8,23 +8,27 @@ two terms as they are, and any other sum streams its terms through
 signed_sum. Every sum of compositions, c * (f comp_i g) over some (c, f,
 g, i), goes through compose_sum into the backend's compose_sum_payload,
 which adds the composites unreduced into one accumulator and reduces
-once; compose_payload serves single compositions. Over a lattice region there
-are two loop shapes: region_sum sums a composite over the region,
-composing each operand into the partial sum of the points that share its
-slot, and prefix_chains walks the region point by point, composing a
-chain prefix once for the consecutive points that share it. The top level
-of a region sum is a stream of terms of its own, _region_terms, so a
-caller can add a brace into a larger compose_sum without building it.
-Backends also carry the opt-in mutation switches used by the law suite's
-canary checks.
+once; compose_payload serves single compositions. Over lattice regions
+there are two loop shapes. joint_sum sums the composites of a list of
+regions (c, base, operands, points): composition is bilinear, so the
+points of two or more operands, across all of them, are grouped by last
+operand and slot, and each operand is composed once into the sum of the
+points that share its slot, across every region of the sum; a first
+composite base comp_p0 operands[0] that several points share is built
+once per sum, and a one-operand region's points are terms as they are.
+region_sum is the joint_sum of one region. prefix_chains walks one
+region point by point, composing a chain prefix once for the consecutive
+points that share it. Backends also carry the opt-in mutation switches
+used by the law suite's canary checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import endo, free
-from .errors import BackendMismatch, UnsupportedRing
+from .errors import BackendMismatch, ShapeMismatch, UnsupportedRing
 from .rings import CoefficientRing
 
 
@@ -242,40 +246,150 @@ def _composite_payloads(backend, terms):
 
 def region_sum(base: GradedElement, operands, points) -> GradedElement:
     """Sum of base comp_i operands[0] comp_j operands[1] ... over the points
-    (i, j, ...) of a region: one compose_sum of _region_terms."""
+    (i, j, ...) of a region: the joint_sum of that one region."""
     degree = base.degree + sum(x.degree - 1 for x in operands)
-    return compose_sum(base.backend, degree,
-                       _region_terms(1, base, operands, points))
+    return joint_sum(base.backend, degree, ((1, base, operands, points),))
 
 
-def _region_terms(c, base: GradedElement, operands, points):
-    """The compose_sum terms of c times region_sum(base, operands, points).
+def joint_sum(backend, degree: int, regions) -> GradedElement:
+    """Sum of c * region_sum(base, operands, points) over the regions
+    (c, base, operands, points) drawn from regions, each of degree degree.
 
-    Composition is bilinear, so the points that share their last slot k are
-    summed before the last operand goes in, and that inner sum is factored
-    the same way by its own last slot, down to the composites
-    base comp_i operands[0]. The terms are the top level of that
-    factoring: (c, inner sum of the points ending in k, last operand, k)
-    for each distinct k, or (c, base, operands[0], i) for each point (i,)
-    of a one-operand region. operands[t], for t >= 1, is composed once per
-    distinct tail (p_t, ..., p_n) of the points: the last operand once per
-    distinct k rather than once per point. Each inner level above the
-    first is one compose_sum over its slots. The composites
-    base comp_i operands[0] are built once per i and reused across tails.
-    Any point set works; an empty one has no terms.
+    Composition is bilinear. So the points of two or more operands, across
+    all the regions, are grouped by their last operand (compared by
+    identity) and slot, and each group's inner sum is composed with that
+    operand once; the points of a one-operand region are terms as they
+    are, composed as the region is drawn. The top level is one
+    compose_sum, and each inner sum is grouped the same way, one
+    compose_sum per level across every region that reaches it, down to one
+    operand. There a first composite base comp_p0 operands[0] that several
+    points start with is built once and let go after its last use, and one
+    that a single point starts with is a term of its level. So a sum of
+    one region composes operands[0] once per slot, and a point alone in
+    its group is composed link by link. Inner sums are built one at a
+    time, as compose_sum draws them. Every point has one slot per operand
+    (ShapeMismatch otherwise); any point set works, and an empty one adds
+    nothing.
     """
-    head, *tail = operands
-    if not tail:
-        return ((c, base, head, i) for (i,) in points)
-    degree = base.degree + sum(x.degree - 1 for x in operands)
-    firsts = {}
+    return compose_sum(backend, degree, _terms(backend, degree, regions))
 
-    def first(i):
-        if i not in firsts:
-            firsts[i] = base.compose(head, i)
-        return firsts[i]
 
-    return _factored_terms(c, base.backend, first, degree, tail, points)
+def _terms(backend, degree: int, regions):
+    """The compose_sum terms of a joint sum of regions: the points of each
+    one-operand region as it is drawn, then one for each group of the
+    other points. Points that start with the same first composite share
+    its cell [number of points to come, composite]."""
+    groups, cells = {}, {}
+    for c, base, operands, points in regions:
+        r = len(operands)
+        if r == 1:
+            y = operands[0]
+            try:
+                for point in points:
+                    k, = point
+                    yield c, base, y, k
+            except ValueError:
+                _refuse(point, 1)
+            continue
+        if not r:
+            raise ShapeMismatch("a region needs at least one operand")
+        start, head, last = id(base), id(operands[0]), id(operands[-1])
+        for point in points:
+            if len(point) != r:
+                _refuse(point, r)
+            key = start, head, point[0]
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = [0, None]
+            cell[0] += 1
+            groups.setdefault((last, point[-1]), []).append(
+                (c, base, operands, point, r - 1, cell))
+    if groups:
+        cells = base = operands = y = None  # kept no longer than needed
+        yield from _group_terms(backend, degree, groups)
+
+
+def _refuse(point, n: int):
+    """Refuse a point that has not one slot for each of n operands."""
+    def count(k, noun):
+        return f"{k} {noun}{'' if k == 1 else 's'}"
+    raise ShapeMismatch(f"point {tuple(point)} has {count(len(point), 'slot')} "
+                        f"for {count(n, 'operand')}")
+
+
+def _group_terms(backend, degree: int, groups: dict):
+    """The compose_sum terms (m, inner sum, y, k) of a sum of degree over
+    groups of chains (c, base, operands, point, r, cell) keyed by the
+    identity of y = operands[r] and k = point[r], the inner sum that of
+    c * base comp_p0 operands[0] ... comp_p(r-1) operands[r-1]. Each group
+    is let go as it is composed."""
+    for key in list(groups):
+        group = groups.pop(key)
+        c, base, operands, point, r, cell = group[0]
+        y, k = operands[r], point[r]
+        if len(group) == 1:  # a chain alone: its links composed in turn
+            yield c, _prefix(base, operands, point, r, cell), y, k
+        else:
+            yield (*_inner_sum(backend, degree - y.degree + 1, group), y, k)
+
+
+def _inner_sum(backend, degree: int, group: list):
+    """(m, z), m * z the inner sum of degree of a group of chains (c, base,
+    operands, point, r, cell), each without its group's operand: the bases
+    and shared first composites it reaches, added to one compose_sum of
+    its other first composites and the groups of its longer chains."""
+    elements, terms, groups = [], [], {}
+    for c, base, operands, point, r, cell in group:
+        if r > 1:
+            groups.setdefault((id(operands[r - 1]), point[r - 1]), []).append(
+                (c, base, operands, point, r - 1, cell))
+        elif not r:
+            elements.append((c, base))
+        else:
+            first = _first(cell, base, operands[0], point[0])
+            if first is None:
+                terms.append((c, base, operands[0], point[0]))
+            else:
+                elements.append((c, first))
+    if groups or len(terms) > 1:
+        fused = chain(terms, _group_terms(backend, degree, groups))
+        del terms, groups
+        z = compose_sum(backend, degree, fused)
+        if not elements:
+            return 1, z
+        elements.append((1, z))
+    elif terms:  # a sum of one composite is that composite
+        (c, f, g, i), = terms
+        elements.append((c, f.compose(g, i)))
+    if len(elements) == 1:  # a sum of one element is that element
+        return elements[0]
+    return 1, signed_sum(backend, degree, elements)
+
+
+def _prefix(base: GradedElement, operands, point, r: int, cell: list):
+    """base comp_p0 operands[0] ... comp_p(r-1) operands[r-1] of one chain,
+    composed link by link, its first link taken from its cell if shared."""
+    if not r:
+        return base
+    x = _first(cell, base, operands[0], point[0])
+    if x is None:
+        x = base.compose(operands[0], point[0])
+    for t in range(1, r):
+        x = x.compose(operands[t], point[t])
+    return x
+
+
+def _first(cell: list, base: GradedElement, head: GradedElement, i: int):
+    """base comp_i head for one of the points that start with it, from
+    their cell [points to come, composite]: built for the first of
+    several and let go after the last; None for the only one."""
+    cell[0] -= 1
+    first = cell[1]
+    if not cell[0]:
+        cell[1] = None
+    elif first is None:
+        first = cell[1] = base.compose(head, i)
+    return first
 
 
 def prefix_chains(base: GradedElement, operands, points):
@@ -288,13 +402,19 @@ def prefix_chains(base: GradedElement, operands, points):
     list is handed out, the walk keeps only the prefixes the next point
     shares, and it empties the list when it resumes, so at most one prefix
     per level is alive; a caller that keeps no prefix of its own holds
-    nothing past its point. Any point order works.
+    nothing past its point. Any point order works; every point has one
+    slot per operand (ShapeMismatch otherwise).
     """
+    n = len(operands)
     points = iter(points)
     point = next(points, None)
+    if point is not None and len(point) != n:
+        _refuse(point, n)
     kept = []
     while point is not None:
         upcoming = next(points, None)
+        if upcoming is not None and len(upcoming) != n:
+            _refuse(upcoming, n)
         chain = kept
         for y, slot in zip(operands[len(chain):], point[len(chain):]):
             chain.append((chain[-1] if chain else base).compose(y, slot))
@@ -306,26 +426,3 @@ def prefix_chains(base: GradedElement, operands, points):
         yield chain
         chain.clear()
         point = upcoming
-
-
-def _factored_sum(backend, first, degree, tail, points):
-    # module level: a recursive closure would be a reference cycle that
-    # keeps the first composites alive until the garbage collector runs
-    if not tail:
-        if len(points) == 1:  # a sum of one composite is that composite
-            return first(points[0][0])
-        return signed_sum(backend, degree, ((1, first(i)) for (i,) in points))
-    return compose_sum(backend, degree,
-                       _factored_terms(1, backend, first, degree, tail, points))
-
-
-def _factored_terms(c, backend, first, degree, tail, points):
-    """The terms c * (inner sum comp_k last) of a factored sum of degree,
-    one per distinct last slot k of points."""
-    *heads, last = tail
-    by_last = {}
-    for point in points:
-        by_last.setdefault(point[-1], []).append(point[:-1])
-    inner = degree - last.degree + 1
-    return ((c, _factored_sum(backend, first, inner, heads, group), last, k)
-            for k, group in by_last.items())

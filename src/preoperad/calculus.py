@@ -20,24 +20,25 @@ h{f, g, b}. The deviation of a brace from a derivation is
 
 and dev_tribraces and dev_tetrabraces name it at n = 2 and 3.
 
-Every operation but cup is one compose_sum over its composites c * (f
-comp_i g). Each has a private terms function, the stream of those terms
-scaled by a coefficient c. A sum of operations (dev_braces and the
+Every operation but cup is one joint sum (backends.joint_sum) of its
+regions (c, base, operands, points), c * base comp_p0 operands[0] comp_p1
+... summed over the points. Each has a private regions function, its
+regions scaled by a coefficient c. A sum of operations (dev_braces and the
 associator here, the deviation closed forms in the law suite, a sum or a
-call in a script) is then one compose_sum too: one accumulator for all
-their composites, rather than one table per operation added once more
-into the sum. bullet, bracket and delta yield their slots; cup its one
-composite (mu comp_0 (+-f)) comp_deg(f) g, which cup itself composes as a
-single composition; and a brace the top level of its region sum.
+call in a script) is then one joint sum of all their regions: one
+accumulator, and each (last operand, slot) that several of their points
+of two or more operands share composed once. bullet, bracket and delta
+give one-operand regions over
+their slots; a brace its ground simplex; cup the one point (0, deg f) of
+mu, +-f and g, which cup itself composes as two single compositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
-from .backends import GradedElement, _region_terms, compose_sum, region_sum
+from .backends import GradedElement, joint_sum, region_sum
 from .domains import ground_simplex
 from .endo import ksign
 from .errors import BackendMismatch, DegreeMismatch, InvalidDegree
@@ -68,68 +69,69 @@ class PreOperadContext:
         return self.backend.unit()
 
 
-def _cup_terms(ctx: PreOperadContext, c, f: GradedElement, g: GradedElement):
-    """The one term of c * cup(f, g): (c, mu comp_0 (+-f), g, deg f)."""
+def _cup_regions(ctx: PreOperadContext, c, f: GradedElement, g: GradedElement):
+    """The one region of c * cup(f, g): mu, then +-f in slot 0 and g in
+    slot deg f."""
     sign = ksign(f.degree)
     if MUTATION_CUP_SIGN in ctx.backend.mutations:
         sign = -sign
     # the sign rides on the small operand, not on the full-size result
     signed_f = f if sign > 0 else -f
-    return ((c, ctx.mu.compose(signed_f, 0), g, f.degree),)
+    return ((c, ctx.mu, (signed_f, g), ((0, f.degree),)),)
 
 
 def cup(ctx: PreOperadContext, f: GradedElement, g: GradedElement) -> GradedElement:
-    """Product of degree deg(f) + deg(g) induced by mu: its one term,
-    composed as a single composition."""
-    (_, head, g, i), = _cup_terms(ctx, 1, f, g)
-    return head.compose(g, i)
+    """Product of degree deg(f) + deg(g) induced by mu: the one point of
+    its region, composed as two single compositions."""
+    (_, mu, (f, g), ((i, k),)), = _cup_regions(ctx, 1, f, g)
+    return mu.compose(f, i).compose(g, k)
 
 
 def _slots(c, f: GradedElement, g: GradedElement):
-    """The terms c * (f comp_i g) of a compose_sum, one per slot i of f."""
-    return ((c, f, g, i) for i in range(f.degree))
+    """The region c * (f comp_i g) over every slot i of f."""
+    return c, f, (g,), tuple(zip(range(f.degree)))
 
 
-def _bullet_terms(c, f: GradedElement, g: GradedElement):
+def _bullet_regions(c, f: GradedElement, g: GradedElement):
     if f.degree < 1:
         raise InvalidDegree("bullet needs a left operand of degree >= 1")
-    return _slots(c, f, g)
+    return (_slots(c, f, g),)
 
 
 def bullet(f: GradedElement, g: GradedElement) -> GradedElement:
     """Total composition: g inserted into every slot of f, signs included."""
-    return compose_sum(f.backend, f.degree + g.degree - 1,
-                       _bullet_terms(1, f, g))
+    return joint_sum(f.backend, f.degree + g.degree - 1,
+                     _bullet_regions(1, f, g))
 
 
-def _bracket_terms(c, f: GradedElement, g: GradedElement):
+def _bracket_regions(c, f: GradedElement, g: GradedElement):
     if f.degree < 1 or g.degree < 1:
         raise InvalidDegree("bracket needs operands of degree >= 1")
     sign = ksign(f.shifted_degree * g.shifted_degree)
-    return chain(_slots(c, f, g), _slots(-sign * c, g, f))
+    return _slots(c, f, g), _slots(-sign * c, g, f)
 
 
 def bracket(f: GradedElement, g: GradedElement) -> GradedElement:
-    return compose_sum(f.backend, f.degree + g.degree - 1,
-                       _bracket_terms(1, f, g))
+    return joint_sum(f.backend, f.degree + g.degree - 1,
+                     _bracket_regions(1, f, g))
 
 
-def _delta_terms(ctx: PreOperadContext, c, f: GradedElement):
+def _delta_regions(ctx: PreOperadContext, c, f: GradedElement):
     if f.degree < 1:
         raise InvalidDegree("delta needs degree >= 1")
-    return chain(_slots(ksign(f.shifted_degree) * c, ctx.mu, f),
-                 _slots(-c, f, ctx.mu))
+    return (_slots(ksign(f.shifted_degree) * c, ctx.mu, f),
+            _slots(-c, f, ctx.mu))
 
 
 def delta(ctx: PreOperadContext, f: GradedElement) -> GradedElement:
     """Coboundary induced by mu; squares to zero exactly when mu is associative."""
-    return compose_sum(f.backend, f.degree + 1, _delta_terms(ctx, 1, f))
+    return joint_sum(f.backend, f.degree + 1, _delta_regions(ctx, 1, f))
 
 
 def associator(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedElement:
-    """bullet(bullet(h, f), g) - bullet(h, bullet(f, g)): one compose_sum
+    """bullet(bullet(h, f), g) - bullet(h, bullet(f, g)): one joint sum
     over the slots of both outer bullets."""
-    return compose_sum(h.backend, h.degree + f.degree + g.degree - 2, chain(
+    return joint_sum(h.backend, h.degree + f.degree + g.degree - 2, (
         _slots(1, bullet(h, f), g), _slots(-1, h, bullet(f, g))))
 
 
@@ -147,9 +149,9 @@ def _brace_points(h: GradedElement, fs):
     return points
 
 
-def _brace_terms(c, h: GradedElement, fs):
-    """The terms of c * h{f_1, ..., f_n}: the top level of its region sum."""
-    return _region_terms(c, h, fs, _brace_points(h, fs))
+def _brace_regions(c, h: GradedElement, fs):
+    """The one region of c * h{f_1, ..., f_n}: its ground simplex."""
+    return ((c, h, fs, _brace_points(h, fs)),)
 
 
 def braces(h: GradedElement, *fs: GradedElement) -> GradedElement:
@@ -161,18 +163,18 @@ def braces(h: GradedElement, *fs: GradedElement) -> GradedElement:
 def dev_braces(ctx: PreOperadContext, h: GradedElement,
                *fs: GradedElement) -> GradedElement:
     """How far delta is from a derivation of the brace h{f_1, ..., f_n}:
-    one compose_sum over the composites of its n + 2 terms."""
-    def terms():
-        yield from _delta_terms(ctx, 1, braces(h, *fs))
+    one joint sum of the regions of its n + 2 terms."""
+    def regions():
+        yield from _delta_regions(ctx, 1, braces(h, *fs))
         sign = -1
         for t, f in reversed(tuple(enumerate(fs))):
-            yield from _brace_terms(
+            yield from _brace_regions(
                 sign, h, (*fs[:t], delta(ctx, f), *fs[t + 1:]))
             sign *= ksign(f.shifted_degree)
-        yield from _brace_terms(sign, delta(ctx, h), fs)
+        yield from _brace_regions(sign, delta(ctx, h), fs)
 
-    return compose_sum(h.backend, h.degree + sum(f.degree - 1 for f in fs) + 1,
-                       terms())
+    return joint_sum(h.backend, h.degree + sum(f.degree - 1 for f in fs) + 1,
+                     regions())
 
 
 def tribraces(h: GradedElement, f: GradedElement, g: GradedElement) -> GradedElement:

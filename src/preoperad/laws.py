@@ -65,6 +65,7 @@ from .backends import (
     GradedElement,
     _element,
     compose_sum,
+    joint_sum,
     prefix_chains,
     signed_sum,
 )
@@ -72,10 +73,10 @@ from .calculus import (
     KNOWN_MUTATIONS,
     MUTATION_LEFT_RELATION_SIGN,
     PreOperadContext,
-    _brace_terms,
-    _bracket_terms,
-    _cup_terms,
-    _delta_terms,
+    _brace_regions,
+    _bracket_regions,
+    _cup_regions,
+    _delta_regions,
     associator,
     braces,
     bracket,
@@ -452,28 +453,28 @@ def _deviation(identity, inner):
       + (-1)^(|h| deg f_1 + |f_2| + ... + |f_(n-1)|) f_1 cup h{f_2..f_n}
       - sum over k of (-1)^(|f_(k+1)| + ... + |f_(n-1)|) h{.., f_k cup f_(k+1), ..},
     the braces on the right being inner ("braces", or "bracket" at n = 2).
-    The right side is one compose_sum of the terms of its n + 1
-    operations, each terms function looked up by module-level name when
+    The right side is one joint sum of the regions of its n + 1
+    operations, each regions function looked up by module-level name when
     the check runs."""
     def check(ctx, h, *fs):
         if inner == "bracket":
-            op, op_terms = bracket, lambda c, h, *fs: _bracket_terms(c, h, *fs)
+            op, op_regions = bracket, lambda c, h, *fs: _bracket_regions(c, h, *fs)
         else:
-            op, op_terms = braces, lambda c, h, *fs: _brace_terms(c, h, fs)
+            op, op_regions = braces, lambda c, h, *fs: _brace_regions(c, h, fs)
         lhs = ksign(fs[-1].shifted_degree) * dev_braces(ctx, h, *fs)
 
-        def terms():
-            yield from _cup_terms(ctx, 1, op(h, *fs[:-1]), fs[-1])
+        def regions():
+            yield from _cup_regions(ctx, 1, op(h, *fs[:-1]), fs[-1])
             sign = ksign(h.shifted_degree * fs[0].degree
                          + sum(f.shifted_degree for f in fs[1:-1]))
-            yield from _cup_terms(ctx, sign, fs[0], op(h, *fs[1:]))
+            yield from _cup_regions(ctx, sign, fs[0], op(h, *fs[1:]))
             sign = -1
             for k in range(len(fs) - 1, 0, -1):
-                yield from op_terms(sign, h, *fs[:k - 1],
-                                    cup(ctx, fs[k - 1], fs[k]), *fs[k + 1:])
+                yield from op_regions(sign, h, *fs[:k - 1],
+                                      cup(ctx, fs[k - 1], fs[k]), *fs[k + 1:])
                 sign *= ksign(fs[k - 1].shifted_degree)
 
-        yield identity, None, lhs, compose_sum(ctx.backend, lhs.degree, terms())
+        yield identity, None, lhs, joint_sum(ctx.backend, lhs.degree, regions())
     return check
 
 
@@ -535,14 +536,14 @@ def _check_lemma_first(ctx, h, f, g, b):
     chains = zip(prefix_chains(h, (f, g), [(i, j) for i, j, _ in points]),
                  prefix_chains(h, (df,), [(i,) for i, _, _ in points]))
     for (i, j, k), ((hf, hfg), (h_df,)) in zip(points, chains):
-        lhs = compose_sum(ctx.backend, hfg.degree + b.degree, (
-            *_delta_terms(ctx, 1, hfg.compose(b, k)),
-            (-1, hfg, db, k),
+        lhs = joint_sum(ctx.backend, hfg.degree + b.degree, (
+            *_delta_regions(ctx, 1, hfg.compose(b, k)),
+            (-1, hfg, (db,), ((k,),)),
             # hf comp dg and h_df comp g both end in comp_{k+1} b: summed
             # first, fused, and not kept past this point
             (-1, compose_sum(ctx.backend, hfg.degree + 1, (
                 (ksign(sb), hf, dg, j),
-                (ksign(sb + sg), h_df, g, j + 1))), b, k + 1)))
+                (ksign(sb + sg), h_df, g, j + 1))), (b,), ((k + 1,),))))
         rhs = signed_sum(ctx.backend, lhs.degree,
                          ((1, next(values)) for values in totals))
         yield "pointwise coboundary telescoping", (i, j, k), lhs, rhs

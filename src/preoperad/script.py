@@ -20,10 +20,11 @@ sense on the table backend. Parsing reports line:col plus the expected token;
 checking reports degree clashes and out-of-range composition indices.
 Nesting too deep for the interpreter's stack is a syntax error, whether it
 is found while parsing, checking or evaluating. Each call is evaluated
-from its operation's private terms function in the calculus module, never
-through a public operation: the comp and call items of a sum, or a
-standalone comp or call, are one compose_sum over their composites (see
-eval_script).
+from its operation's private regions function in the calculus module,
+never through a public operation: the comp and call items of a sum, or a
+standalone comp or call, are one joint sum of their regions, which
+composes each (last operand, slot) that their points of two or more
+operands share once (see eval_script).
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from . import endo
-from .backends import EndoBackend, GradedElement, compose_sum, signed_sum
+from .backends import EndoBackend, GradedElement, joint_sum, signed_sum
 from .calculus import (
     PreOperadContext,
-    _brace_terms,
-    _bracket_terms,
-    _bullet_terms,
-    _cup_terms,
-    _delta_terms,
+    _brace_regions,
+    _bracket_regions,
+    _bullet_regions,
+    _cup_regions,
+    _delta_regions,
 )
 from .errors import (
     MissingAssignment,
@@ -50,21 +51,21 @@ from .errors import (
 )
 
 # head -> (arity, result degree from the argument degrees, and the
-# operation's compose_sum terms scaled by c, from the context, c and the
-# arguments, which a call streams into the one accumulator of the sum it
-# is an item of); comp takes an index too and has its own node
+# operation's regions scaled by c, from the context, c and the arguments,
+# which a call adds to the one joint sum of the sum it is an item of);
+# comp takes an index too and has its own node
 _CALLS = {
     "comp": (2, None, None),
-    "cup": (2, lambda d: d[0] + d[1], _cup_terms),
+    "cup": (2, lambda d: d[0] + d[1], _cup_regions),
     "bul": (2, lambda d: d[0] + d[1] - 1,
-            lambda ctx, c, *a: _bullet_terms(c, *a)),
+            lambda ctx, c, *a: _bullet_regions(c, *a)),
     "bracket": (2, lambda d: d[0] + d[1] - 1,
-                lambda ctx, c, *a: _bracket_terms(c, *a)),
-    "delta": (1, lambda d: d[0] + 1, _delta_terms),
+                lambda ctx, c, *a: _bracket_regions(c, *a)),
+    "delta": (1, lambda d: d[0] + 1, _delta_regions),
     "tri": (3, lambda d: sum(d) - 2,
-            lambda ctx, c, h, *fs: _brace_terms(c, h, fs)),
+            lambda ctx, c, h, *fs: _brace_regions(c, h, fs)),
     "tetra": (4, lambda d: sum(d) - 3,
-              lambda ctx, c, h, *fs: _brace_terms(c, h, fs)),
+              lambda ctx, c, h, *fs: _brace_regions(c, h, fs)),
 }
 _RESERVED = (*_CALLS, "let", "deg", "I")
 
@@ -419,13 +420,16 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
     with degree 2 and resolves the same way.
 
     Every node but a name and I is evaluated as a sum; a node that is not
-    a Sum is a sum of one item. Its comp and call items are one
-    compose_sum: a comp is its one composite and a call streams its
-    operation's composites, each scaled by the item's sign and any
-    coefficient k of a k * item, so no such item is built as an element of
-    its own. The sum's other items, names, I and nested sums, are added to
-    that result in one streamed signed_sum, a scaled item folded into its
-    coefficient; a sum of them alone is that signed_sum.
+    a Sum is a sum of one item. Its comp and call items are one joint sum
+    of regions (backends.joint_sum): a comp is a region of one point and a
+    call gives its operation's regions, each scaled by the item's sign and
+    any coefficient k of a k * item, so no such item is built as an
+    element of its own, and the points of two or more operands (those of
+    cup, tri and tetra calls) that end in the same operand (a name, mu or
+    I) and slot share its composition. The sum's other items, names,
+    I and nested sums, are added to that result in one streamed
+    signed_sum, a scaled item folded into its coefficient; a sum of them
+    alone is that signed_sum.
     """
     if isinstance(script, str):
         script = parse_script(script)
@@ -441,14 +445,13 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
         env["mu"] = mu
     ctx = PreOperadContext(backend, mu)
 
-    def terms(c, node: Node):
-        """The compose_sum terms of c * node, a comp or a call, built as
-        they are drawn."""
+    def regions(c, node: Node):
+        """The regions of c * node, a comp or a call, its arguments built
+        as they are drawn."""
         if isinstance(node, Comp):
-            yield c, walk(node.inner), walk(node.outer), node.index
-        else:
-            yield from _CALLS[node.head][2](ctx, c,
-                                            *[walk(a) for a in node.args])
+            return ((c, walk(node.inner), (walk(node.outer),),
+                     ((node.index,),)),)
+        return _CALLS[node.head][2](ctx, c, *[walk(a) for a in node.args])
 
     def walk(node: Node):
         if isinstance(node, Name):
@@ -465,8 +468,8 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
         rest = ((c, walk(x)) for c, x in items
                 if not isinstance(x, (Comp, Call)))
         if fused:
-            total = compose_sum(backend, degree, chain.from_iterable(
-                terms(c, x) for c, x in fused))
+            total = joint_sum(backend, degree, chain.from_iterable(
+                regions(c, x) for c, x in fused))
             if len(fused) == len(items):
                 return total
             rest = chain([(1, total)], rest)

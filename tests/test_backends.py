@@ -6,6 +6,7 @@ summing, and a region sum adds no composite it has no other to add to. A
 prefix walk hands out each point's chain of compositions, composes a prefix
 once per run of points that share it, and keeps no other prefix alive."""
 
+import re
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -18,6 +19,7 @@ from preoperad.backends import (
     FreeBackend,
     GradedElement,
     compose_sum,
+    joint_sum,
     prefix_chains,
     region_sum,
     signed_sum,
@@ -158,6 +160,30 @@ def test_a_region_sum_of_one_point_per_last_slot_sums_no_composite(
     got = region_sum(base, [x, y], points)
     assert calls == []
     assert got.degree == 4 and not got.differs(want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_point_without_one_slot_per_operand_is_refused_naming_it(kind):
+    # with two operands, (0, 1, 2) was summed as (0, 2), (0,) raised a bare
+    # IndexError and (0, 1) beside (1,) a bare ValueError; a chain walk
+    # handed out one link for (0,) and dropped the third slot of (0, 1, 2)
+    backend, x, y = _pair(kind, False)
+    base = 2 * y - x
+    for points, bad in (([(0, 1, 2)], (0, 1, 2)), ([(0,)], (0,)),
+                        ([(0, 1), (1,)], (1,)), ([(1,), (0, 1)], (1,))):
+        slots = "1 slot" if len(bad) == 1 else f"{len(bad)} slots"
+        message = re.escape(f"point {bad} has {slots} for 2 operands")
+        with pytest.raises(ShapeMismatch, match=message):
+            region_sum(base, (x, y), points)
+        with pytest.raises(ShapeMismatch, match=message):
+            list(prefix_chains(base, (x, y), points))
+    # a one-operand region, alone or beside a longer one with its operand
+    for regions in ([(1, base, (x,), [(0,), (1, 0)])],
+                    [(1, base, (y,), [(0, 1)]), (1, x, (x, y), [(0, 1)])]):
+        with pytest.raises(ShapeMismatch, match=r"has 2 slots for 1 operand$"):
+            joint_sum(backend, 3, regions)
+    with pytest.raises(ShapeMismatch, match="at least one operand"):
+        joint_sum(backend, 2, [(1, base, (), [()])])
 
 
 @PAIRS

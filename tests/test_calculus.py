@@ -9,16 +9,17 @@ from preoperad.backends import (
     FreeBackend,
     GradedElement,
     compose_sum,
+    joint_sum,
     region_sum,
     signed_sum,
 )
 from preoperad.calculus import (
     PreOperadContext,
-    _brace_terms,
-    _bracket_terms,
-    _bullet_terms,
-    _cup_terms,
-    _delta_terms,
+    _brace_regions,
+    _bracket_regions,
+    _bullet_regions,
+    _cup_regions,
+    _delta_regions,
     associator,
     braces,
     bracket,
@@ -312,29 +313,29 @@ def _term_inputs(kind, ring, dim):
 def test_each_operations_terms_sum_to_it_built_the_old_way(case):
     ctx, h, f, g, b = _term_inputs(*case)
     operations = [
-        (lambda c: _cup_terms(ctx, c, f, g), cup(ctx, f, g),
+        (lambda c: _cup_regions(ctx, c, f, g), cup(ctx, f, g),
          ksign(f.degree) * ctx.mu.compose(f, 0).compose(g, f.degree)),
-        (lambda c: _bullet_terms(c, f, g), bullet(f, g), _old_bullet(f, g)),
-        (lambda c: _bracket_terms(c, f, b), bracket(f, b),
+        (lambda c: _bullet_regions(c, f, g), bullet(f, g), _old_bullet(f, g)),
+        (lambda c: _bracket_regions(c, f, b), bracket(f, b),
          _old_bullet(f, b)
          - ksign(f.shifted_degree * b.shifted_degree) * _old_bullet(b, f)),
-        (lambda c: _delta_terms(ctx, c, h), delta(ctx, h), _old_delta(ctx, h)),
-        (lambda c: _brace_terms(c, h, (g,)), braces(h, g), _old_braces(h, g)),
-        (lambda c: _brace_terms(c, h, (f, g)), tribraces(h, f, g),
+        (lambda c: _delta_regions(ctx, c, h), delta(ctx, h), _old_delta(ctx, h)),
+        (lambda c: _brace_regions(c, h, (g,)), braces(h, g), _old_braces(h, g)),
+        (lambda c: _brace_regions(c, h, (f, g)), tribraces(h, f, g),
          _old_braces(h, f, g)),
-        (lambda c: _brace_terms(c, h, (f, g, b)), tetrabraces(h, f, g, b),
+        (lambda c: _brace_regions(c, h, (f, g, b)), tetrabraces(h, f, g, b),
          _old_braces(h, f, g, b))]
-    for terms, value, old in operations:
+    for regions, value, old in operations:
         assert value == old and not old.is_zero()
         for c in (1, -3, 2**65):
-            assert compose_sum(ctx.backend, old.degree, terms(c)) == c * old
-    # one sum of every operation's terms, over the degree 2 inputs, is the
-    # sum of the operations
+            assert joint_sum(ctx.backend, old.degree, regions(c)) == c * old
+    # one joint sum of every operation's regions, over the degree 2 inputs,
+    # is the sum of the operations
     x = ctx.mu
-    assert compose_sum(ctx.backend, 3, [
-        *_cup_terms(ctx, 2, g, x), *_bullet_terms(-1, x, f),
-        *_bracket_terms(5, x, f), *_delta_terms(ctx, 1, f),
-        *_brace_terms(-2, x, (g, f)), *_brace_terms(7, f, (x,))]) == (
+    assert joint_sum(ctx.backend, 3, [
+        *_cup_regions(ctx, 2, g, x), *_bullet_regions(-1, x, f),
+        *_bracket_regions(5, x, f), *_delta_regions(ctx, 1, f),
+        *_brace_regions(-2, x, (g, f)), *_brace_regions(7, f, (x,))]) == (
             2 * cup(ctx, g, x) - bullet(x, f) + 5 * bracket(x, f)
             + delta(ctx, f) - 2 * tribraces(x, g, f) + 7 * bullet(f, x))
 

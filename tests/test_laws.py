@@ -15,6 +15,7 @@ from preoperad.backends import (
     FreeBackend,
     GradedElement,
     compose_sum,
+    joint_sum,
     signed_sum,
 )
 from preoperad.calculus import KNOWN_MUTATIONS, PreOperadContext
@@ -822,7 +823,7 @@ def test_the_degree_backend_refuses_bad_slots_and_term_degrees():
 
 def test_a_stated_sum_degree_off_by_one_raises_on_degrees_as_on_endo(monkeypatch):
     def delta(ctx, f):  # the coboundary, stated one degree too high
-        return compose_sum(f.backend, f.degree + 2, itertools.chain(
+        return joint_sum(f.backend, f.degree + 2, (
             calculus._slots(ksign(f.shifted_degree), ctx.mu, f),
             calculus._slots(-1, f, ctx.mu)))
 
@@ -1036,15 +1037,15 @@ def test_each_term_of_the_arity_4_closed_form_is_seen(term, monkeypatch):
     # deg h = 3, the first at (3, 1, 1, 1, 1)
     calls = []
 
-    def flipped(terms_of):
-        def terms(*args):
-            calls.append(terms_of)
+    def flipped(regions_of):
+        def regions(*args):
+            calls.append(regions_of)
             if len(calls) - 1 == term:
-                return [(-c, *rest) for c, *rest in terms_of(*args)]
-            return terms_of(*args)
-        return terms
+                return [(-c, *rest) for c, *rest in regions_of(*args)]
+            return regions_of(*args)
+        return regions
 
-    for name in ("_cup_terms", "_brace_terms"):
+    for name in ("_cup_regions", "_brace_regions"):
         monkeypatch.setattr(laws, name, flipped(getattr(laws, name)))
     failing = []
     for degrees in itertools.product((3,), *[range(1, 4)] * 4):
