@@ -13,19 +13,18 @@ there are two loop shapes. joint_sum sums the composites of a list of
 regions (c, base, operands, points): composition is bilinear, so the
 points of two or more operands, across all of them, are grouped by last
 operand and slot, and each operand is composed once into the sum of the
-points that share its slot, across every region of the sum; a first
-composite base comp_p0 operands[0] that several points share is built
-once per sum, and a one-operand region's points are terms as they are.
-region_sum is the joint_sum of one region. prefix_chains walks one
-region point by point, composing a chain prefix once for the consecutive
-points that share it. Backends also carry the opt-in mutation switches
-used by the law suite's canary checks.
+points that share its slot, across every region of the sum; a one-link
+chain base comp_p0 operands[0] is a term as it comes, a chain alone in
+its group is composed link by link, and a one-operand region's points
+are terms as they are. region_sum is the joint_sum of one region.
+prefix_chains walks one region point by point, composing a chain prefix
+once for the consecutive points that share it. Backends also carry the
+opt-in mutation switches used by the law suite's canary checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from . import endo, free
 from .errors import BackendMismatch, ShapeMismatch, UnsupportedRing
@@ -260,14 +259,13 @@ def joint_sum(backend, degree: int, regions) -> GradedElement:
     identity) and slot, and each group's inner sum is composed with that
     operand once; the points of a one-operand region are terms as they
     are, composed as the region is drawn. The top level is one
-    compose_sum, and each inner sum is grouped the same way, one
-    compose_sum per level across every region that reaches it, down to one
-    operand. There a first composite base comp_p0 operands[0] that several
-    points start with is built once and let go after its last use, and one
-    that a single point starts with is a term of its level. So a sum of
-    one region composes operands[0] once per slot, and a point alone in
-    its group is composed link by link. Inner sums are built one at a
-    time, as compose_sum draws them. Every point has one slot per operand
+    compose_sum. A chain alone in its group is composed link by link; a
+    larger group's inner sum is one compose_sum of its one-link chains as
+    they come and one term per subgroup of the others, grouped the same
+    way by their next operand and slot. So a sum of one region composes
+    operands[0] once per point and each later operand once per distinct
+    suffix of slots that starts at it. Inner sums are built one at a time,
+    as compose_sum draws them. Every point has one slot per operand
     (ShapeMismatch otherwise); any point set works, and an empty one adds
     nothing.
     """
@@ -277,9 +275,8 @@ def joint_sum(backend, degree: int, regions) -> GradedElement:
 def _terms(backend, degree: int, regions):
     """The compose_sum terms of a joint sum of regions: the points of each
     one-operand region as it is drawn, then one for each group of the
-    other points. Points that start with the same first composite share
-    its cell [number of points to come, composite]."""
-    groups, cells = {}, {}
+    other points."""
+    groups = {}
     for c, base, operands, points in regions:
         r = len(operands)
         if r == 1:
@@ -293,19 +290,14 @@ def _terms(backend, degree: int, regions):
             continue
         if not r:
             raise ShapeMismatch("a region needs at least one operand")
-        start, head, last = id(base), id(operands[0]), id(operands[-1])
+        last = id(operands[-1])
         for point in points:
             if len(point) != r:
                 _refuse(point, r)
-            key = start, head, point[0]
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = [0, None]
-            cell[0] += 1
             groups.setdefault((last, point[-1]), []).append(
-                (c, base, operands, point, r - 1, cell))
+                (c, base, operands, point, r - 1))
     if groups:
-        cells = base = operands = y = None  # kept no longer than needed
+        base = operands = y = None  # kept no longer than needed
         yield from _group_terms(backend, degree, groups)
 
 
@@ -319,77 +311,37 @@ def _refuse(point, n: int):
 
 def _group_terms(backend, degree: int, groups: dict):
     """The compose_sum terms (m, inner sum, y, k) of a sum of degree over
-    groups of chains (c, base, operands, point, r, cell) keyed by the
-    identity of y = operands[r] and k = point[r], the inner sum that of
+    groups of chains (c, base, operands, point, r) keyed by the identity
+    of y = operands[r] and k = point[r], the inner sum that of
     c * base comp_p0 operands[0] ... comp_p(r-1) operands[r-1]. Each group
     is let go as it is composed."""
     for key in list(groups):
         group = groups.pop(key)
-        c, base, operands, point, r, cell = group[0]
+        c, base, operands, point, r = group[0]
         y, k = operands[r], point[r]
         if len(group) == 1:  # a chain alone: its links composed in turn
-            yield c, _prefix(base, operands, point, r, cell), y, k
+            for t in range(r):
+                base = base.compose(operands[t], point[t])
+            yield c, base, y, k
         else:
-            yield (*_inner_sum(backend, degree - y.degree + 1, group), y, k)
+            inner = degree - y.degree + 1
+            yield 1, compose_sum(backend, inner,
+                                 _inner_terms(backend, inner, group)), y, k
 
 
-def _inner_sum(backend, degree: int, group: list):
-    """(m, z), m * z the inner sum of degree of a group of chains (c, base,
-    operands, point, r, cell), each without its group's operand: the bases
-    and shared first composites it reaches, added to one compose_sum of
-    its other first composites and the groups of its longer chains."""
-    elements, terms, groups = [], [], {}
-    for c, base, operands, point, r, cell in group:
-        if r > 1:
+def _inner_terms(backend, degree: int, group: list):
+    """The compose_sum terms of the inner sum of degree of a group of
+    chains (c, base, operands, point, r), each without its group's
+    operand: its one-link chains as they come, then one per subgroup of
+    the others, keyed by their next operand and slot."""
+    groups = {}
+    for c, base, operands, point, r in group:
+        if r == 1:
+            yield c, base, operands[0], point[0]
+        else:
             groups.setdefault((id(operands[r - 1]), point[r - 1]), []).append(
-                (c, base, operands, point, r - 1, cell))
-        elif not r:
-            elements.append((c, base))
-        else:
-            first = _first(cell, base, operands[0], point[0])
-            if first is None:
-                terms.append((c, base, operands[0], point[0]))
-            else:
-                elements.append((c, first))
-    if groups or len(terms) > 1:
-        fused = chain(terms, _group_terms(backend, degree, groups))
-        del terms, groups
-        z = compose_sum(backend, degree, fused)
-        if not elements:
-            return 1, z
-        elements.append((1, z))
-    elif terms:  # a sum of one composite is that composite
-        (c, f, g, i), = terms
-        elements.append((c, f.compose(g, i)))
-    if len(elements) == 1:  # a sum of one element is that element
-        return elements[0]
-    return 1, signed_sum(backend, degree, elements)
-
-
-def _prefix(base: GradedElement, operands, point, r: int, cell: list):
-    """base comp_p0 operands[0] ... comp_p(r-1) operands[r-1] of one chain,
-    composed link by link, its first link taken from its cell if shared."""
-    if not r:
-        return base
-    x = _first(cell, base, operands[0], point[0])
-    if x is None:
-        x = base.compose(operands[0], point[0])
-    for t in range(1, r):
-        x = x.compose(operands[t], point[t])
-    return x
-
-
-def _first(cell: list, base: GradedElement, head: GradedElement, i: int):
-    """base comp_i head for one of the points that start with it, from
-    their cell [points to come, composite]: built for the first of
-    several and let go after the last; None for the only one."""
-    cell[0] -= 1
-    first = cell[1]
-    if not cell[0]:
-        cell[1] = None
-    elif first is None:
-        first = cell[1] = base.compose(head, i)
-    return first
+                (c, base, operands, point, r - 1))
+    yield from _group_terms(backend, degree, groups)
 
 
 def prefix_chains(base: GradedElement, operands, points):

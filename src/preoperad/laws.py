@@ -654,10 +654,7 @@ class _DegreeBackend:
     mutations = frozenset()
 
     def compose_payload(self, f, g, i):
-        if not 0 <= i < f.degree:
-            raise InvalidDegree(f"slot {i} outside 0..{f.degree - 1} "
-                                f"for degree {f.degree}")
-        return _Degree(f.degree + g.degree - 1)
+        return self.compose_sum_payload(f.degree + g.degree - 1, ((1, f, g, i),))
 
     def combine_payload(self, degree, terms):
         for _, x in terms:

@@ -66,8 +66,13 @@ class CoefficientRing:
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.modulus is not None and not _is_prime(self.modulus):
-            raise UnsupportedRing(f"modulus {self.modulus} is not prime")
+        """Refuse a modulus that is not a prime integer; keep a numpy
+        integer as the plain int every value here is."""
+        if self.modulus is not None:
+            p = int(require_integer(self.modulus, "a modulus", UnsupportedRing))
+            if not _is_prime(p):
+                raise UnsupportedRing(f"modulus {p} is not prime")
+            object.__setattr__(self, "modulus", p)
 
     @classmethod
     def prime_field(cls, p: int) -> "CoefficientRing":
@@ -100,7 +105,6 @@ class CoefficientRing:
         if kind == "integers":
             return cls.integers()
         if kind == "prime_field":
-            return cls.prime_field(require_integer(
-                require_field(payload, "p", "malformed ring payload"),
-                "a ring's p", UnsupportedRing))
+            return cls.prime_field(
+                require_field(payload, "p", "malformed ring payload"))
         raise UnsupportedRing(f"unknown ring payload {payload!r}")

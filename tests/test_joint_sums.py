@@ -2,8 +2,8 @@
 composed one composite at a time and summed, on both backends: for the
 quadruple brace closed forms, the brace deviations, the right sides of the
 deviation laws, empty and repeated point sets and stacked tables. It
-composes each shared (last operand, slot) and each shared first composite
-once per sum, and it holds one inner sum at a time beside its buffer."""
+composes each shared (last operand, slot) once per sum, and it holds one
+inner sum at a time beside its buffer."""
 
 import tracemalloc
 
@@ -217,53 +217,6 @@ def test_a_shared_last_operand_and_slot_is_composed_once_per_sum(monkeypatch):
         assert script.eval_script(_closed_form(degrees), backend,
                                   bindings).is_zero()
     assert counts == [22, 19, 19, 19]
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_joint_sum_composes_each_first_composite_once(kind, monkeypatch):
-    # the first two braces share h comp_i f, and the points of each share
-    # it with its other points of slot i: it is built once per sum and
-    # slot, and b once per last slot, though more composites than one
-    # end in each
-    ctx, (h, f, g, b, g2) = _inputs(kind, (4, 2, 2, 2, 2), 3)
-    regions = [(1, h, (f, g, b), calculus._brace_points(h, (f, g, b))),
-               (-1, h, (f, g2, b), calculus._brace_points(h, (f, g2, b))),
-               (2, h, (g, f, b), calculus._brace_points(h, (g, f, b)))]
-    inputs = {id(x.payload) for x in (h, f, g, b, g2)}
-    seen, repeats = {}, []
-
-    def note(f, g, i):
-        key = id(f), id(g), i
-        if key in seen and id(f) in inputs:
-            repeats.append(key)
-        seen[key] = f, g  # kept, so that no id is reused
-
-    backend = type(ctx.backend)
-    single, fused = backend.compose_payload, backend.compose_sum_payload
-
-    def compose_payload(self, f, g, i):
-        note(f, g, i)
-        return single(self, f, g, i)
-
-    def compose_sum_payload(self, degree, terms):
-        def noted():
-            for term in terms:
-                note(*term[1:])
-                yield term
-        return fused(self, degree, noted())
-
-    with monkeypatch.context() as m:
-        m.setattr(backend, "compose_payload", compose_payload)
-        m.setattr(backend, "compose_sum_payload", compose_sum_payload)
-        got = joint_sum(ctx.backend, 7, regions)
-    assert not repeats
-    points = [point for _, _, _, points in regions for point in points]
-    assert len(points) == 12
-    assert sum(x is h.payload and y is f.payload
-               for x, y in seen.values()) == 2  # slots 0 and 1
-    assert sum(y is b.payload for _, y in seen.values()) == 2  # 4 and 5
-    assert not got.is_zero()
-    assert not got.differs(_term_by_term(ctx.backend, 7, regions))
 
 
 def _peak(build):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,21 @@ def test_valid_primes_accepted(modulus):
     ring = CoefficientRing.prime_field(modulus)
     assert ring.is_field
     assert ring.modulus == modulus
+
+
+@pytest.mark.parametrize("modulus", [3.0, 97.0, "97", True])
+def test_a_modulus_that_is_not_an_integer_is_refused(modulus):
+    with pytest.raises(UnsupportedRing, match="must be an integer"):
+        CoefficientRing(modulus)
+    with pytest.raises(UnsupportedRing, match="must be an integer"):
+        CoefficientRing.from_payload({"kind": "prime_field", "p": modulus})
+
+
+@pytest.mark.parametrize("modulus", [np.int64(97), np.int32(5)])
+def test_a_numpy_integer_modulus_is_kept_as_an_int(modulus):
+    ring = CoefficientRing(modulus)
+    assert ring == CoefficientRing(int(modulus))
+    assert type(ring.modulus) is int and ring.reduce(-1) == int(modulus) - 1
 
 
 @pytest.mark.parametrize("modulus", [
