@@ -41,7 +41,6 @@ from .domains import (
 from .endo import (
     MultilinearMap,
     componentwise_product,
-    evaluate,
     ksign,
     make_map,
     matrix_algebra_product,
@@ -50,7 +49,6 @@ from .endo import (
     zero_map,
 )
 from .errors import (
-    ArityMismatch,
     BackendMismatch,
     BadConfig,
     DegreeMismatch,
@@ -68,7 +66,7 @@ from .errors import (
     UnknownLaw,
     UnsupportedRing,
 )
-from .free import FreeElement, Signature, evaluate_hom, graft, tree_degree, tree_to_sexpr
+from .free import FreeElement, Signature, evaluate_hom, tree_degree, tree_to_sexpr
 from .gamma import GAMMA_KINDS, aux_gamma, aux_gamma_shifted, gamma_domain
 from .laws import (
     Report,
@@ -87,23 +85,21 @@ from .script import eval_script, parse_script
 __version__ = "1.0.0"
 
 __all__ = [
-    "ArityMismatch", "BackendMismatch", "BadConfig",
-    "CoefficientRing", "DegreeMismatch", "EndoBackend", "FreeBackend",
-    "FreeElement", "GAMMA_KINDS", "GradedElement", "IndexOutOfDomain",
-    "IndexOutOfScope", "InvalidDegree", "KNOWN_MUTATIONS",
-    "MissingAssignment", "MultilinearMap", "PreOperadContext",
-    "PreOperadError", "Report", "RingMismatch", "ScriptSyntaxError",
-    "ScriptTypeError", "ShapeMismatch", "Signature", "TableTooLarge",
-    "TrialConfig", "UnknownGenerator", "UnknownLaw", "UnsupportedRing",
-    "associator",
-    "aux_gamma", "aux_gamma_shifted", "boundary_faces", "braces", "bracket",
-    "bullet", "componentwise_product", "cup", "delta",
-    "dev_braces", "dev_tetrabraces", "dev_tribraces",
-    "envelope_domains", "eval_script",
-    "evaluate", "evaluate_hom", "full_scope", "gamma_domain",
-    "get_law", "graft", "ground_tetrahedron", "ksign", "laws_for_backend",
-    "list_laws", "make_map", "matrix_algebra_product", "parse_script",
-    "random_map", "removed_edges", "replay", "run_law", "run_suite",
-    "scope_regions", "shifted_tetrahedron", "shrink", "tetrabraces",
-    "tree_degree", "tree_to_sexpr", "tribraces", "unit_map", "zero_map",
+    "BackendMismatch", "BadConfig", "CoefficientRing", "DegreeMismatch",
+    "EndoBackend", "FreeBackend", "FreeElement", "GAMMA_KINDS",
+    "GradedElement", "IndexOutOfDomain", "IndexOutOfScope", "InvalidDegree",
+    "KNOWN_MUTATIONS", "MissingAssignment", "MultilinearMap",
+    "PreOperadContext", "PreOperadError", "Report", "RingMismatch",
+    "ScriptSyntaxError", "ScriptTypeError", "ShapeMismatch", "Signature",
+    "TableTooLarge", "TrialConfig", "UnknownGenerator", "UnknownLaw",
+    "UnsupportedRing", "associator", "aux_gamma", "aux_gamma_shifted",
+    "boundary_faces", "braces", "bracket", "bullet",
+    "componentwise_product", "cup", "delta", "dev_braces",
+    "dev_tetrabraces", "dev_tribraces", "envelope_domains", "eval_script",
+    "evaluate_hom", "full_scope", "gamma_domain", "get_law",
+    "ground_tetrahedron", "ksign", "laws_for_backend", "list_laws",
+    "make_map", "matrix_algebra_product", "parse_script", "random_map",
+    "removed_edges", "replay", "run_law", "run_suite", "scope_regions",
+    "shifted_tetrahedron", "shrink", "tetrabraces", "tree_degree",
+    "tree_to_sexpr", "tribraces", "unit_map", "zero_map",
 ]

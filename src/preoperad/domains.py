@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import InvalidDegree
+from .errors import InvalidDegree, TableTooLarge
+
+# the most points of one staircase level: about 100 MB of pairs
+MAX_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -24,12 +27,6 @@ class LatticeDomain:
     params: tuple[int, ...]
     points: tuple[tuple[int, ...], ...]
 
-    def __contains__(self, point) -> bool:
-        return tuple(point) in self.points
-
-    def __iter__(self):
-        return iter(self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -37,11 +34,15 @@ class LatticeDomain:
 @lru_cache(maxsize=4096)  # a law suite asks for some 400 staircases, each many times
 def _staircase(first: int, gaps: tuple, tops: tuple) -> tuple:
     """The points (p_1, ..., p_n), in lexicographic order, with first <= p_1,
-    p_t + gaps[t-1] <= p_(t+1) and p_t <= tops[t-1]; n = len(tops)."""
+    p_t + gaps[t-1] <= p_(t+1) and p_t <= tops[t-1]; n = len(tops). A
+    level past MAX_POINTS points is refused before it is built."""
     points = [()]
     for t, top in enumerate(tops):
-        points = [p + (q,) for p in points
-                  for q in range(p[-1] + gaps[t - 1] if t else first, top + 1)]
+        starts = [p[-1] + gaps[t - 1] for p in points] if t else [first]
+        if (size := sum(top + 1 - s for s in starts if s <= top)) > MAX_POINTS:
+            raise TableTooLarge(f"a region of {size} points, past {MAX_POINTS}")
+        points = [p + (q,) for p, s in zip(points, starts)
+                  for q in range(s, top + 1)]
     return tuple(points)
 
 

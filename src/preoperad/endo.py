@@ -36,9 +36,9 @@ under those ints (_plan), never under the frozen ring, whose hash is slow.
 partial_compose runs the checks, the product and the finish of a one-term
 compose_sum without its loop; one _product serves both. A product added
 into a sum with coefficient +-1 is added or subtracted as it is, with no
-negated copy. _composable checks the entry cap only for a result that
-could pass it, and results are built by _new_map without the frozen
-dataclass __init__.
+negated copy. _composable checks the caps on entries and on numpy's axes
+only for a result that could pass one, and results are built by _new_map
+without the frozen dataclass __init__.
 
 numpy has no BLAS for integers, so a composition over F_p whose result has
 more than _REDUCE_GATE entries multiplies in float64 (as FFLAS-FFPACK does,
@@ -73,7 +73,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ArityMismatch,
     BackendMismatch,
     DegreeMismatch,
     IndexOutOfScope,
@@ -89,6 +88,8 @@ _INT64 = 2**63
 _INT32 = 2**31
 # the largest table ever allocated: 512 MB of int64, 256 MB of int32
 MAX_ENTRIES = 2**26
+# numpy's most axes: a table has degree + 1, a stacked one degree + 2
+MAX_AXES = 64
 # tables above this many entries are reduced by chunked floor division;
 # at or below it one np.remainder call costs less
 _REDUCE_GATE = 2**10
@@ -118,10 +119,6 @@ class MultilinearMap:
     dim: int
     degree: int
     table: np.ndarray
-
-    @property
-    def shifted_degree(self) -> int:
-        return self.degree - 1
 
     @property
     def batch(self) -> int | None:
@@ -231,6 +228,7 @@ class _Plan(NamedTuple):
     f_shape: tuple  # f's as (d^(i+1), d, d^(|f|-i))
     shape: tuple  # the result's, (d,) * (m + n)
     size: int  # the result's entries
+    large: bool  # whether the result, single or stacked, may pass a cap
 
 
 @lru_cache(maxsize=1024)
@@ -240,15 +238,21 @@ def _plan(p: int | None, d: int, m: int, n: int, i: int) -> _Plan:
     exact, _, step, cap = _limits(p, d)
     return _Plan(exact, step, cap, (d, d ** n),
                  (d ** (i + 1), d, d ** (m - 1 - i)), (d,) * (m + n),
-                 d ** (m + n))
+                 d ** (m + n), d ** (m + n) > MAX_ENTRIES
+                 or m + n >= MAX_AXES)
 
 
-def check_entries(dim: int, degree: int, rows: int = 1):
-    """Refuse rows stacked degree-n tables over R^dim, before allocating
-    them, when their rows * dim^(n + 1) entries exceed MAX_ENTRIES."""
-    if rows * dim ** (degree + 1) > MAX_ENTRIES:
+def check_entries(dim: int, degree: int, rows: int | None = None):
+    """Refuse a degree-n table over R^dim (rows stacked ones, with one more
+    axis, unless rows is None) before allocating it, when its axes pass
+    MAX_AXES or its rows * dim^(n + 1) entries pass MAX_ENTRIES."""
+    axes = degree + (1 if rows is None else 2)
+    if axes > MAX_AXES:
+        raise TableTooLarge(f"a {'' if rows is None else 'stacked '}degree "
+                            f"{degree} table has {axes} axes, past {MAX_AXES}")
+    if (rows or 1) * dim ** (degree + 1) > MAX_ENTRIES:
         what = (f"{rows} stacked degree {degree} tables over dimension {dim} "
-                f"have {rows} * " if rows > 1 else
+                f"have {rows} * " if rows else
                 f"a degree {degree} table over dimension {dim} has ")
         raise TableTooLarge(
             f"{what}{dim}^{degree + 1} entries, more than the cap of 2^26")
@@ -357,8 +361,8 @@ def _check_pair(f: MultilinearMap, g: MultilinearMap):
 def _composable(f: MultilinearMap, g: MultilinearMap, i: int) -> _Plan:
     """Refuse g in slot i of f unless they share ring and dimension, deg f
     >= 1, 0 <= i < deg f, int64 holds the ring's tables, the result stays
-    within the entry cap (tested only when it may pass it) and stacked
-    operands have matching rows; return their _plan."""
+    within the caps on entries and axes (tested only when it may pass
+    one) and stacked operands have matching rows; return their _plan."""
     ring, d = f.ring, f.dim
     if g.ring is not ring or g.dim != d:
         _check_pair(f, g)
@@ -370,14 +374,14 @@ def _composable(f: MultilinearMap, g: MultilinearMap, i: int) -> _Plan:
     plan = _plan(ring.modulus, d, m, n, i)
     ft, gt = f.table, g.table
     if ft.ndim == m + 1 and gt.ndim == n + 1:  # two single maps
-        if plan.size > MAX_ENTRIES:
+        if plan.large:
             check_entries(d, m + n - 1)
         return plan
     # a single map, or a stack of one, serves every row of the other
     f_rows = ft.shape[0] if ft.ndim > m + 1 else 1
     g_rows = gt.shape[0] if gt.ndim > n + 1 else 1
     rows = max(f_rows, g_rows)
-    if rows * plan.size > MAX_ENTRIES:
+    if plan.large or rows * plan.size > MAX_ENTRIES:
         check_entries(d, m + n - 1, rows)
     if f_rows != g_rows and f_rows > 1 and g_rows > 1:
         raise ShapeMismatch(f"stacked maps of {f_rows} and {g_rows} rows")
@@ -406,7 +410,7 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
     within int64, within 2^53 when exact_in_float and within 2^24 on
     int32 tables.
     """
-    exact_in_float, _, _, g_shape, f_shape, shape, size = plan
+    exact_in_float, _, _, g_shape, f_shape, shape, size, _ = plan
     ft, gt = f.table, g.table
     single_f = ft.ndim == f.degree + 1
     if gt.ndim == g.degree + 1:
@@ -690,7 +694,7 @@ def _random_maps(ring: CoefficientRing, dim: int, degrees, rng,
     for degree in degrees:
         if degree < 0:
             raise InvalidDegree(f"degree must be >= 0, got {degree}")
-        check_entries(dim, degree, rows)
+        check_entries(dim, degree, rows if rows > 1 else None)
     p = ring.modulus
     dtype = _dtype(ring, dim)
     # drawn in [0, p) already: canonical as it comes. A draw fills its
@@ -707,25 +711,6 @@ def _random_maps(ring: CoefficientRing, dim: int, degrees, rng,
         maps.append(_new_map(ring, dim, degree, table))
         end += size
     return maps
-
-
-def evaluate(f: MultilinearMap, inputs) -> MultilinearMap:
-    """Apply f to degree-0 vectors; the result is a degree-0 vector."""
-    inputs = list(inputs)
-    if f.batch is not None or any(v.batch is not None for v in inputs):
-        raise ShapeMismatch("evaluate a stacked map row by row")
-    if len(inputs) != f.degree:
-        raise ArityMismatch(f"degree {f.degree} map applied to {len(inputs)} inputs")
-    acc = np.asarray(f.table)
-    for t in reversed(range(f.degree)):
-        v = inputs[t]
-        if v.degree != 0:
-            raise DegreeMismatch("evaluation inputs must have degree 0")
-        _check_pair(f, v)
-        acc = np.tensordot(acc, v.table, axes=(t + 1, 0))
-        if f.ring.is_field:
-            acc = _reduce(acc, f.ring.modulus)
-    return MultilinearMap(f.ring, f.dim, 0, _canonical_table(f.ring, acc))
 
 
 def map_to_payload(f: MultilinearMap) -> dict:

@@ -18,15 +18,11 @@ class ShapeMismatch(PreOperadError):
 
 
 class TableTooLarge(PreOperadError):
-    """Coefficient table with more entries than the dense backend allows."""
+    """A table, tree sum or region larger than the package allows."""
 
 
 class DegreeMismatch(PreOperadError):
     """Elements of different degrees where equal degrees are required."""
-
-
-class ArityMismatch(PreOperadError):
-    """Wrong number of inputs supplied to a multilinear map."""
 
 
 class IndexOutOfScope(PreOperadError):

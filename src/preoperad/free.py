@@ -35,6 +35,7 @@ from .errors import (
     MissingAssignment,
     RingMismatch,
     ShapeMismatch,
+    TableTooLarge,
     UnknownGenerator,
 )
 from . import endo
@@ -42,28 +43,13 @@ from .endo import MultilinearMap
 from .rings import CoefficientRing, require_field, require_integer
 
 LEAF = "_"
+# the most leaves (trees times degree) of one tree sum: some 270 MB of tokens
+MAX_LEAVES = 2**25
 
 
 def tree_degree(tree) -> int:
     """Leaf count."""
     return tree.count(LEAF)
-
-
-def graft(tree, i: int, sub):
-    """Replace the i-th leaf (left to right, 0-based) of tree by sub."""
-    degree = tree_degree(tree)
-    if not 0 <= i < degree:
-        raise IndexOutOfScope(f"leaf index {i} outside tree of degree {degree}")
-    pos = _leaf(tree, i)
-    return tree[:pos] + sub + tree[pos + 1:]
-
-
-def _leaf(tree, i: int) -> int:
-    """The position of the i-th leaf of tree."""
-    pos = -1
-    for _ in range(i + 1):
-        pos = tree.index(LEAF, pos + 1)
-    return pos
 
 
 def tree_to_sexpr(tree) -> str:
@@ -89,6 +75,8 @@ class Signature:
                 raise UnknownGenerator(f"{name!r} cannot name a generator")
             if require_integer(deg, f"the degree of {name!r}", InvalidDegree) < 1:
                 raise InvalidDegree(f"generator {name!r} needs degree >= 1, got {deg}")
+            if deg > MAX_LEAVES:
+                raise TableTooLarge(f"generator {name!r} has {deg} leaves, past {MAX_LEAVES}")
             seen.add(name)
 
     def degree_of(self, name: str) -> int:
@@ -126,10 +114,6 @@ class FreeElement:
             raw[tree] = int(require_integer(c, "a coefficient", ShapeMismatch))
         object.__setattr__(self, "terms", _element(
             self.ring, self.signature, self.degree, raw).terms)
-
-    @property
-    def shifted_degree(self) -> int:
-        return self.degree - 1
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -229,7 +213,8 @@ def free_partial_compose(x: FreeElement, y: FreeElement, i: int) -> FreeElement:
     ring, sig, xd = x.ring, x.signature, x.degree
     x_terms, y_terms = x.terms, y.terms
     if (len(y_terms) != 1 or not x_terms or y.ring is not ring
-            or y.signature is not sig or xd < 1):
+            or y.signature is not sig or xd < 1
+            or len(x_terms) * (xd + y.degree - 1) > MAX_LEAVES):
         return free_compose_sum(ring, sig, xd + y.degree - 1, ((1, x, y, i),))
     if not 0 <= i <= xd - 1:
         raise IndexOutOfScope(f"slot {i} outside 0..{xd - 1} for degree {xd}")
@@ -256,7 +241,8 @@ def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
     terms: every graft of every term gathered into one raw dict and made
     canonical once. Each term is checked as a composition, then against
     the sum's ring, signature and degree, also when c is 0; operands that
-    share the sum's ring and signature objects skip the equality checks."""
+    share the sum's ring and signature objects skip the equality checks.
+    A term that could take the sum past MAX_LEAVES is refused ungrafted."""
     p = ring.modulus
     raw: dict = {}
     get = raw.get
@@ -278,8 +264,10 @@ def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
             c = -c
         if p is not None:
             c %= p
-        y_terms = y.terms
-        for t, a in x.terms:
+        x_terms, y_terms = x.terms, y.terms
+        if (len(raw) + len(x_terms) * len(y_terms)) * degree > MAX_LEAVES:
+            _refuse_sum(len(raw) + len(x_terms) * len(y_terms), degree)
+        for t, a in x_terms:
             pos = t.index(LEAF)  # the i-th leaf, once for every tree of y
             for _ in range(i):
                 pos = t.index(LEAF, pos + 1)
@@ -293,17 +281,25 @@ def free_compose_sum(ring: CoefficientRing, sig: Signature, degree: int,
 def free_signed_sum(ring: CoefficientRing, sig: Signature, degree: int,
                     terms) -> FreeElement:
     """Sum of c * x over (c, x) pairs taken one at a time from terms, all
-    gathered into one raw dict and made canonical once."""
+    gathered into one raw dict and made canonical once; a term that could
+    take the sum past MAX_LEAVES is refused."""
     raw: dict = {}
     get = raw.get
     for c, x in terms:
         if x.ring is not ring or x.signature is not sig or x.degree != degree:
             _check_term(ring, sig, degree, x, x.degree)
+        if (len(raw) + len(x.terms)) * degree > MAX_LEAVES:
+            _refuse_sum(len(raw) + len(x.terms), degree)
         if type(c) is not int:
             c = int(require_integer(c, "a coefficient", ShapeMismatch))
         for tree, a in x.terms:
             raw[tree] = get(tree, 0) + c * a
     return _new_element(ring, sig, degree, _canonical_terms(ring, raw))
+
+
+def _refuse_sum(trees: int, degree: int):
+    raise TableTooLarge(f"a tree sum of {trees} trees of degree {degree} "
+                        f"passes the cap of {MAX_LEAVES} leaves")
 
 
 def _check_term(ring: CoefficientRing, sig: Signature, degree: int,

@@ -116,7 +116,8 @@ class GammaFamilies:
     def _head(self, lo: int, hi: int, side: str | None = None):
         """-tail * sum of h comp_s mu over lo <= s <= hi, plus the total
         form's cup term: outer * cup(unit, h) for side "left", -tail *
-        cup(h, unit) for side "right"; None for an empty sum."""
+        cup(h, unit) for side "right"; None for an empty sum, which no
+        total form meets (gamma1 and gamma2 domains keep lo <= hi)."""
         if lo > hi:
             lo, hi = 0, -1
             if side is None:
@@ -161,12 +162,7 @@ class GammaFamilies:
             plans.append((head, slots))
         for _, run in groupby(plans, key=lambda plan: id(plan[0])):
             run = list(run)
-            head = run[0][0]
-            if head is None:
-                for _ in run:
-                    yield self.h.backend.zero(self.degree)
-                continue
-            walk = prefix_chains(head, (self.f,), [slots[:1] for _, slots in run])
+            walk = prefix_chains(run[0][0], (self.f,), [slots[:1] for _, slots in run])
             for chain, (_, (_, c, e)) in zip(walk, run):
                 # popped: a suspended run names no head comp f that the walk
                 # has not kept for the next point

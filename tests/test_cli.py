@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from preoperad import cli, endo, laws
+from preoperad import cli, endo, free, laws
 from preoperad.backends import FreeBackend
 from preoperad.calculus import KNOWN_MUTATIONS
 from preoperad.errors import BadConfig, IndexOutOfScope, PreOperadError
@@ -545,6 +545,68 @@ def test_eval_refuses_a_declared_table_above_the_cap(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "2^63 entries" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "let f: deg 64;\nf\n", "let f: deg 40;\nlet g: deg 30;\ncomp(f, g, 0)\n"])
+def test_eval_refuses_a_table_past_numpy_axes_at_dim_1(capsys, tmp_path, text):
+    path = tmp_path / "axes.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["eval", "--script", str(path), "--dim", "1",
+                                  "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "axes" in err
+
+
+def test_eval_of_a_degree_63_table_at_dim_1(capsys, tmp_path):
+    path = tmp_path / "deg63.txt"
+    path.write_text("let f: deg 63;\nf\n")
+    code, out, err = run(capsys, ["eval", "--script", str(path), "--dim", "1",
+                                  "--seed", "1"])
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["degree"] == 63 and len(data["payload"]) == 1
+
+
+BRACE_SCRIPT = "let h: deg {};\nlet f: deg 1;\nlet g: deg 1;\ntri(h, f, g)\n"
+
+
+def test_eval_free_refuses_a_brace_past_the_leaf_cap(capsys, tmp_path,
+                                                     monkeypatch):
+    # h{f, g} at deg h 30 is 435 trees of degree 30, at deg h 5 10 of
+    # degree 5
+    monkeypatch.setattr(free, "MAX_LEAVES", 1000)
+    path = tmp_path / "brace.txt"
+    path.write_text(BRACE_SCRIPT.format(5))
+    code, out, err = run(capsys, ["eval", "--script", str(path),
+                                  "--backend", "free"])
+    assert code == 0, err
+    assert len(json.loads(out)["payload"]) == 10
+    path.write_text(BRACE_SCRIPT.format(30))
+    code, out, err = run(capsys, ["eval", "--script", str(path),
+                                  "--backend", "free"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap of 1000 leaves" in err
+    # a generator past the cap is refused where it is declared
+    path.write_text("let h: deg 1001;\nh\n")
+    code, out, err = run(capsys, ["eval", "--script", str(path),
+                                  "--backend", "free"])
+    assert code == 2 and err.startswith("error:") and "past 1000" in err
+
+
+@pytest.mark.parametrize("deg_h", [3000, 30000])
+def test_eval_free_refuses_a_brace_whose_region_passes_the_cap(tmp_path, deg_h):
+    # both ran out of memory once: at 3000 in the tree sum, at 30000 in
+    # the region; now the region, of 4,498,500 or 449,985,000 points, is
+    # refused before it is built
+    path = tmp_path / "brace.txt"
+    path.write_text(BRACE_SCRIPT.format(deg_h))
+    start = time.perf_counter()
+    proc = run_capped(["eval", "--script", str(path), "--backend", "free"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 30
 
 
 def test_verify_unknown_law_is_usage_error(capsys):

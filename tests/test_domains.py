@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from preoperad import domains
 from preoperad.domains import (
     LatticeDomain,
     _envelope_points,
@@ -15,6 +17,7 @@ from preoperad.domains import (
     scope_regions,
     shifted_tetrahedron,
 )
+from preoperad.errors import TableTooLarge
 from preoperad.gamma import gamma_domain
 
 
@@ -92,9 +95,7 @@ def test_boundary_faces_partition_the_boundary(degs):
 
 def test_lattice_domain_protocol():
     dom = ground_tetrahedron(3, 1, 1)
-    assert (0, 1, 2) in dom
-    assert (0, 0, 0) not in dom
-    assert list(iter(dom)) == list(dom.points)
+    assert dom.points == ((0, 1, 2),)
     assert len(dom) == 1
     assert isinstance(dom, LatticeDomain)
 
@@ -181,3 +182,28 @@ def test_scope_right_is_its_inequalities():
         right = scope_regions(deg_h, deg_f)[2].points
         assert right == _filtered((sh, sf + sh), lambda i, j: (
             (i <= sh - 1) & (i + deg_f <= j))), (deg_h, deg_f)
+
+
+def test_a_region_past_the_point_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(domains, "MAX_POINTS", 10)
+    domains._staircase.cache_clear()  # a cached region skips the count
+    # 0 <= p_1 < p_2 <= deg_h - 1: C(deg_h, 2) points, 10 at deg h 5
+    assert len(ground_simplex(5, (1, 1))) == 10
+    with pytest.raises(TableTooLarge, match="15 points, past 10"):
+        ground_simplex(6, (1, 1))
+    with pytest.raises(TableTooLarge, match="11 points"):
+        domains._staircase(0, (), (10,))
+
+
+def test_a_region_past_the_point_cap_is_refused_before_it_is_built():
+    # h{f, g} at deg h 30000 has 449,985,000 points; only its first level,
+    # 29,999 of them, is built before the count refuses the second
+    assert domains.MAX_POINTS == 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooLarge, match="449985000 points"):
+            ground_simplex(30000, (1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20

@@ -17,7 +17,6 @@ from preoperad.endo import (
     MultilinearMap,
     check_entries,
     componentwise_product,
-    evaluate,
     ksign,
     linear_combine,
     make_map,
@@ -273,28 +272,15 @@ def test_one_draw_of_several_tables_refuses_what_random_map_refuses():
         endo._random_maps(F97, 2, [1, 13], rng, 2**13)
 
 
-def vec(ring, entries):
-    return make_map(ring, len(entries), 0, entries)
-
-
-def test_evaluate_componentwise():
-    mu = componentwise_product(F97, 3)
-    x = vec(F97, [1, 2, 3])
-    y = vec(F97, [4, 5, 6])
-    out = evaluate(mu, [x, y])
-    assert list(np.asarray(out.table)) == [4, 10, 18]
-
-
 def test_matrix_algebra_product_matches_matmul():
     mu = matrix_algebra_product(F97)
     rng = np.random.default_rng(8)
     # vectors encode 2x2 matrices row-major
     a = rng.integers(0, 97, size=4)
     b = rng.integers(0, 97, size=4)
-    out = evaluate(mu, [vec(F97, a), vec(F97, b)])
-    got = np.asarray(out.table).reshape(2, 2)
+    got = np.einsum("kij,i,j->k", mu.table.astype(np.int64), a, b) % 97
     want = (a.reshape(2, 2) @ b.reshape(2, 2)) % 97
-    assert np.array_equal(got % 97, want)
+    assert np.array_equal(got.reshape(2, 2), want)
 
 
 def test_integer_ring_tables():
@@ -527,7 +513,6 @@ def test_every_table_of_a_ring_has_the_one_dtype_its_limits_pick(d, p,
     rng = np.random.default_rng(p)
     f = make_map(ring, d, m, np.full(d ** (m + 1), p - 1))
     g = make_map(ring, d, n, np.full(d ** (n + 1), p - 1))
-    v = random_map(ring, d, 0, rng)
     # worst case: top entries, every coefficient p // 2 once signed
     terms = [((p // 2) * ksign(i * (n - 1)), f, g, i) for i in range(m)]
     worst = endo.compose_sum(ring, d, m + n - 1, terms)
@@ -540,7 +525,6 @@ def test_every_table_of_a_ring_has_the_one_dtype_its_limits_pick(d, p,
         "partial_compose, integer matmul": partial_compose(g, g, 0),
         "compose_sum": worst,
         "signed_sum": signed_sum(ring, d, m, [(2, f), (p // 2, f)]),
-        "evaluate": evaluate(g, [v] * n),
     }
     for name, x in tables.items():
         assert x.table.dtype == dtype, name
@@ -816,6 +800,38 @@ def test_tables_above_the_entry_cap_are_refused_before_allocation():
         partial_compose(f, g, 0)
 
 
+def test_tables_past_numpy_axes_are_refused_at_dim_1():
+    # at dim 1 every table has one entry, so only the axis cap binds: a
+    # map has degree + 1 axes, a stacked one degree + 2
+    assert endo.MAX_AXES == 64
+    check_entries(1, 63)
+    check_entries(1, 62, 2)
+    with pytest.raises(TableTooLarge, match="degree 64 table has 65 axes"):
+        check_entries(1, 64)
+    with pytest.raises(TableTooLarge, match="stacked degree 63 table has 65"):
+        check_entries(1, 63, 2)
+    with pytest.raises(TableTooLarge):
+        make_map(F97, 1, 64, [1])
+    with pytest.raises(TableTooLarge):
+        zero_map(F97, 1, 64)
+    with pytest.raises(TableTooLarge):
+        random_map(F97, 1, 64, np.random.default_rng(0))
+    f, g = make_map(F97, 1, 40, [3]), make_map(F97, 1, 30, [5])
+    with pytest.raises(TableTooLarge, match="degree 69 table has 70 axes"):
+        partial_compose(f, g, 0)
+    with pytest.raises(TableTooLarge):
+        endo.compose_sum(F97, 1, 69, [(1, f, g, 0)])
+    # the largest results: a degree-63 map, with the sign (-1)^(1 * 1),
+    # and a stacked degree-62 one
+    top = partial_compose(make_map(F97, 1, 62, [3]), make_map(F97, 1, 2, [5]), 1)
+    assert top.degree == 63 and top.table.reshape(-1).tolist() == [-15 % 97]
+    rows = stack_rows([make_map(F97, 1, 61, [c]) for c in (1, 2)])
+    top = partial_compose(rows, make_map(F97, 1, 2, [5]), 0)
+    assert top.table.ndim == 64 and top.table.reshape(-1).tolist() == [5, 10]
+    with pytest.raises(TableTooLarge, match="stacked degree 63"):
+        partial_compose(rows, make_map(F97, 1, 3, [5]), 0)
+
+
 def test_signed_sum_streams_and_reduces_exactly_at_the_int64_bound():
     # the largest prime with 2 p^2 < 2^63, so a reduced table plus one
     # product still fits but a third product may not
@@ -1037,11 +1053,6 @@ def test_stacked_maps_compare_row_by_row():
     assert stack_rows([fs[0]] * 4) is fs[0]
     with pytest.raises(ShapeMismatch):
         map_to_payload(f)
-    vector = random_map(F97, 2, 0, rng)
-    with pytest.raises(ShapeMismatch):
-        evaluate(f, [vector, vector])
-    with pytest.raises(ShapeMismatch):
-        evaluate(fs[0], [vector, stack_rows([vector, random_map(F97, 2, 0, rng)])])
 
 
 def test_equality_of_stacked_maps_agrees_with_differs():
@@ -1123,7 +1134,7 @@ def test_degree_arithmetic_property(m, n, i, seed):
     g = random_map(F97, 2, n, rng)
     out = partial_compose(f, g, i)
     assert out.degree == m + n - 1
-    assert out.shifted_degree == f.shifted_degree + g.shifted_degree
+    assert out.degree - 1 == (f.degree - 1) + (g.degree - 1)
 
 
 def _composed_then_summed(ring, dim, degree, terms):

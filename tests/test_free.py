@@ -21,8 +21,10 @@ from preoperad.errors import (
     InvalidDegree,
     MissingAssignment,
     ShapeMismatch,
+    TableTooLarge,
     UnknownGenerator,
 )
+from preoperad import free
 from preoperad.free import (
     LEAF,
     FreeElement,
@@ -39,7 +41,6 @@ from preoperad.free import (
     free_signed_sum,
     generator_element,
     generator_tree,
-    graft,
     tree_degree,
     tree_to_sexpr,
     unit_element,
@@ -66,12 +67,6 @@ def test_tree_degree_counts_leaves():
     assert tree_degree(tree(LEAF)) == 1
     assert tree_degree(tree("(f _ _)")) == 2
     assert tree_degree(tree("(h _ (f _ _) _)")) == 4
-
-
-def test_graft_replaces_one_leaf():
-    sub = tree("(g _)")
-    assert graft(tree("(f _ _)"), 0, sub) == tree("(f (g _) _)")
-    assert graft(tree("(f _ _)"), 1, sub) == tree("(f _ (g _))")
 
 
 def test_sexpr_format():
@@ -527,6 +522,15 @@ COEFFS = st.one_of(st.integers(-3, 3), st.sampled_from([97, -97, 194, 2**70]),
                    st.integers(-2**70, 2**70))
 
 
+def graft(tree, i: int, sub):
+    """tree with its i-th leaf (left to right, from 0) replaced by sub,
+    found by counting leaves: the oracle the composition kernels, which
+    find that leaf inline, are checked against."""
+    leaves = [pos for pos, tok in enumerate(tree) if tok == LEAF]
+    pos = leaves[i]
+    return tree[:pos] + sub + tree[pos + 1:]
+
+
 @st.composite
 def _tree_sums(draw, ring, degree):
     """A sum of one to three trees of the given degree over SIG: the unit
@@ -680,3 +684,25 @@ def test_calculus_on_scaled_generators_is_the_scaled_bare_value(
 
     for got, want in zip(values(*drawn), values(*bare), strict=True):
         assert got.payload == scaled(want.payload, scales)
+
+
+def test_tree_sums_past_the_leaf_cap_are_refused(monkeypatch):
+    # h comp_i f is one tree of degree 4: two of them hold 8 leaves
+    monkeypatch.setattr(free, "MAX_LEAVES", 8)
+    h, f = gen("h"), gen("f")
+    terms = [(1, h, f, i) for i in range(3)]
+    assert len(free_compose_sum(F97, SIG, 4, terms[:2]).terms) == 2
+    with pytest.raises(TableTooLarge, match="3 trees of degree 4 passes the cap of 8"):
+        free_compose_sum(F97, SIG, 4, terms)
+    parts = [(1, free_partial_compose(h, f, i)) for i in range(3)]
+    two = free_signed_sum(F97, SIG, 4, parts[:2])
+    assert len(two.terms) == 2
+    with pytest.raises(TableTooLarge, match="3 trees of degree 4"):
+        free_signed_sum(F97, SIG, 4, parts)
+    # one tree spliced into each of two: 2 trees of degree 5
+    with pytest.raises(TableTooLarge, match="2 trees of degree 5"):
+        free_partial_compose(two, f, 0)
+    # a generator is one tree of its degree
+    assert Signature((("k", 8),)).degree_of("k") == 8
+    with pytest.raises(TableTooLarge, match="generator 'k' has 9 leaves"):
+        Signature((("k", 9),))

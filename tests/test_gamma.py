@@ -47,16 +47,6 @@ def test_gamma_domain_shapes():
             assert i <= j <= k
 
 
-def test_domain_membership_matches_enumeration():
-    for kind in GAMMA_KINDS:
-        dom = gamma_domain(kind, 4, 2, 1, 2)
-        pts = set(dom.points)
-        for i in range(-1, 8):
-            for j in range(-1, 9):
-                for k in range(-1, 10):
-                    assert ((i, j, k) in dom) == ((i, j, k) in pts)
-
-
 def test_gamma_domain_rejects_bad_input():
     with pytest.raises(IndexOutOfDomain):
         gamma_domain("gamma9", 3, 1, 1, 1)
@@ -76,7 +66,7 @@ def test_shifted_interior_lies_in_every_family_domain():
         interior = shifted_tetrahedron(*degs[:3]).points
         for kind in GAMMA_KINDS:
             dom = gamma_domain(kind, *degs)
-            assert all(p in dom for p in interior)
+            assert set(interior) <= set(dom.points)
 
 
 @pytest.mark.parametrize("degs", [(3, 1, 1, 1), (4, 1, 1, 1), (4, 2, 1, 1)])
@@ -249,11 +239,11 @@ def test_families_equal_their_per_s_expansion(kind, mutations, degrees):
     ctx, h, f, g, b = _inputs(kind, degrees, mutations, 3 + sum(degrees))
     counts = set()
     for family in GAMMA_KINDS:
-        for (i, j, k) in gamma_domain(family, *degrees):
+        for (i, j, k) in gamma_domain(family, *degrees).points:
             want, r = _aux_gamma_per_s(ctx, family, h, f, g, b, i, j, k)
             assert aux_gamma(ctx, family, h, f, g, b, i, j, k) == want
             counts.add(r)
-        for (i, j, k) in ground_tetrahedron(*degrees[:3]):
+        for (i, j, k) in ground_tetrahedron(*degrees[:3]).points:
             want, r = _aux_gamma_shifted_per_s(ctx, family, h, f, g, b, i, j, k)
             assert aux_gamma_shifted(ctx, family, h, f, g, b, i, j, k) == want
             counts.add(r)
@@ -288,7 +278,7 @@ def test_a_family_with_r_values_of_s_composes_r_plus_3_times(monkeypatch):
     cups = {"gamma": 2, "gamma1": 0, "gamma2": 0, "gamma3": 2}
     seen = set()
     for family in GAMMA_KINDS:
-        for (i, j, k) in gamma_domain(family, 5, 1, 1, 1):
+        for (i, j, k) in gamma_domain(family, 5, 1, 1, 1).points:
             calls.clear()
             _, r = _aux_gamma_per_s(ctx, family, h, f, g, b, i, j, k)
             assert len(calls) == (cups[family] + 3 if cups[family] else 0) + 4 * r
