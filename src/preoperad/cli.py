@@ -220,9 +220,9 @@ def _cmd_eval(args) -> int:
     if backend_kind == "endo":
         backend = EndoBackend(ring, cfg.dim)
     else:
-        gens = tuple((d.name, d.degree) for d in parsed.decls)
-        if "mu" not in {d.name for d in parsed.decls}:
-            gens += (("mu", 2),)
+        # every name but the unit I is a generator
+        gens = tuple((name, d.degree) for name, d in
+                     script_mod.declarations(parsed).items() if name != "I")
         backend = FreeBackend(ring, Signature(gens))
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     value = script_mod.eval_script(parsed, backend, rng=rng)

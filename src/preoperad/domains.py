@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InvalidDegree, TableTooLarge
+from .rings import require_integer
 
 # the most points of one staircase level: about 100 MB of pairs
 MAX_POINTS = 2**20
@@ -46,6 +47,13 @@ def _staircase(first: int, gaps: tuple, tops: tuple) -> tuple:
     return tuple(points)
 
 
+def _require_degrees(*degrees) -> None:
+    """Refuse a degree that is not an integer (2.5, "3", True) with
+    InvalidDegree, as make_map does."""
+    for d in degrees:
+        require_integer(d, "a degree", InvalidDegree)
+
+
 def ground_simplex(deg_h: int, degrees) -> tuple:
     """The slots (p_1, ..., p_n) of the brace h{f_1, ..., f_n}, where
     deg f_t = degrees[t-1]: 0 <= p_1, p_t + deg f_t <= p_(t+1) and
@@ -63,6 +71,7 @@ def ground_simplex(deg_h: int, degrees) -> tuple:
 
 def full_scope(deg_h: int, deg_f: int) -> tuple:
     """All pairs (i, j) with 0 <= i <= |h| and 0 <= j <= |f| + |h|."""
+    _require_degrees(deg_h, deg_f)
     if deg_h < 1:
         raise InvalidDegree("outer degree must be >= 1")
     sh, sf = deg_h - 1, deg_f - 1
@@ -76,6 +85,7 @@ def scope_regions(deg_h: int, deg_f: int):
     nested: 0 <= i <= |h|, i <= j <= i + |f|    (g lands inside f)
     right:  0 <= i <= |h| - 1, i + deg_f <= j <= |f| + |h|   (g lands right)
     """
+    _require_degrees(deg_h, deg_f)
     if deg_h < 1:
         raise InvalidDegree("outer degree must be >= 1")
     sh, sf = deg_h - 1, deg_f - 1
@@ -94,6 +104,7 @@ def scope_regions(deg_h: int, deg_f: int):
 def ground_tetrahedron(deg_h: int, deg_f: int, deg_g: int) -> LatticeDomain:
     """Points 0 <= i <= j - deg_f <= k - deg_f - deg_g <= deg_h - 3: the ground
     simplex of h{f, g, b}, whose deg b bounds nothing; empty when a degree is < 1."""
+    _require_degrees(deg_h, deg_f, deg_g)
     return LatticeDomain("ground-tetra", (deg_h, deg_f, deg_g),
                          ground_simplex(deg_h, (deg_f, deg_g, 1)))
 
@@ -101,6 +112,7 @@ def ground_tetrahedron(deg_h: int, deg_f: int, deg_g: int) -> LatticeDomain:
 def shifted_tetrahedron(deg_h: int, deg_f: int, deg_g: int) -> LatticeDomain:
     """The ground tetrahedron moved by (+1, +1, +1):
     1 <= i <= j - deg_f <= k - deg_f - deg_g <= deg_h - 2."""
+    _require_degrees(deg_h, deg_f, deg_g)
     params = (deg_h, deg_f, deg_g)
     if min(params) < 1:
         return LatticeDomain("shifted-tetra", params, ())
@@ -134,6 +146,7 @@ def removed_edges(deg_h: int, deg_f: int, deg_g: int) -> tuple:
     walls, listed here explicitly so tests can compare this reading with the
     wall-counting one.
     """
+    _require_degrees(deg_h, deg_f, deg_g)
     sh, sf, sg = deg_h - 1, deg_f - 1, deg_g - 1
     env = set(_envelope_points(deg_h, deg_f, deg_g))
     kmax = sh + deg_f + deg_g
@@ -159,6 +172,7 @@ def boundary_faces(deg_h: int, deg_f: int, deg_g: int) -> dict:
     gamma2: k = j + |g|,      1 <= i <= j - deg_f <= |h|
     gamma3: k = |h| + deg_f + deg_g, 1 <= i <= j - deg_f <= |h|
     """
+    _require_degrees(deg_h, deg_f, deg_g)
     sh, sf, sg = deg_h - 1, deg_f - 1, deg_g - 1
     kmax = sh + deg_f + deg_g
     gamma = _staircase(0, (deg_f, deg_g), (0, sh + sf, sh + sf + deg_g))
@@ -180,7 +194,7 @@ def envelope_domains(deg_h: int, deg_f: int, deg_g: int, deg_b: int):
     union of the four faces.
     """
     for d in (deg_h, deg_f, deg_g, deg_b):
-        if d < 1:
+        if require_integer(d, "a degree", InvalidDegree) < 1:
             raise InvalidDegree("all four degrees must be >= 1")
     params = (deg_h, deg_f, deg_g, deg_b)
     interior = shifted_tetrahedron(deg_h, deg_f, deg_g)

@@ -34,6 +34,7 @@ from .calculus import PreOperadContext, cup
 from .domains import LatticeDomain, _staircase, ground_tetrahedron
 from .endo import ksign
 from .errors import IndexOutOfDomain, InvalidDegree
+from .rings import require_integer
 
 GAMMA_KINDS = ("gamma", "gamma1", "gamma2", "gamma3")
 
@@ -46,7 +47,7 @@ def gamma_domain(kind: str, deg_h: int, deg_f: int, deg_g: int,
     if kind not in GAMMA_KINDS:
         raise IndexOutOfDomain(f"unknown auxiliary family {kind!r}")
     for d in (deg_h, deg_f, deg_g, deg_b):
-        if d < 1:
+        if require_integer(d, "a degree", InvalidDegree) < 1:
             raise InvalidDegree("all four degrees must be >= 1")
     sh, sf, sg = deg_h - 1, deg_f - 1, deg_g - 1
     first, gaps, tops = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
-from .errors import BadConfig, UnsupportedRing
+from .errors import BadConfig, ShapeMismatch, UnsupportedRing
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -45,8 +45,10 @@ def _is_prime(n: int) -> bool:
 
 def require_integer(value, what: str, error: type) -> int:
     """value itself when it is an integer; anything else, a bool or a float
-    that would round included, is refused with error rather than cast."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    that would round included, is refused with error rather than cast.
+    A plain int skips the slow abstract-class test."""
+    if type(value) is not int and (isinstance(value, bool) or
+                                   not isinstance(value, numbers.Integral)):
         raise error(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -87,8 +89,9 @@ class CoefficientRing:
         return self.modulus is not None
 
     def reduce(self, v: int) -> int:
-        """Canonical representative of v."""
-        v = int(v)
+        """Canonical representative of v; a value that is not an integer
+        is refused, as a coefficient of a sum is."""
+        v = int(require_integer(v, "a value", ShapeMismatch))
         return v % self.modulus if self.modulus is not None else v
 
     def label(self) -> str:

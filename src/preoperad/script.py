@@ -14,17 +14,17 @@ Grammar (indices are 0-based, `#` starts a comment that runs to end of line):
              | "tri" "(" expr "," expr "," expr ")"
              | "tetra" "(" expr "," expr "," expr "," expr ")"
 
-`I` is the composition unit, `mu` the structure product (degree 2, declarable
-like any other name). Literals spell out a dense table row-major and only make
-sense on the table backend. Parsing reports line:col plus the expected token;
-checking reports degree clashes and out-of-range composition indices.
-Nesting too deep for the interpreter's stack is a syntax error, whether it
-is found while parsing, checking or evaluating. Each call is evaluated
-from its operation's private regions function in the calculus module,
-never through a public operation: the comp and call items of a sum, or a
-standalone comp or call, are one joint sum of their regions, which
-composes each (last operand, slot) that their points of two or more
-operands share once (see eval_script).
+Every script implicitly declares `mu`, the structure product of degree 2,
+which it may declare too, and the reserved `I`, the composition unit of
+degree 1 (see declarations). Literals spell out a dense table row-major and
+only make sense on the table backend. Parsing reports line:col plus the
+expected token; checking reports degree clashes and out-of-range
+composition indices. Nesting too deep for the interpreter's stack is a
+syntax error, whether it is found while parsing, checking or evaluating.
+The tree's five node kinds are Name (`I` too), Sum, Call, Decl and Script;
+a Sum item is an (integer coefficient, node) pair. Each call is evaluated
+from its operation's private regions function in the calculus module: the
+call items of a sum are one joint sum of their regions (see eval_script).
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ from .errors import (
 # head -> (arity, result degree from the argument degrees, and the
 # operation's regions scaled by c, from the context, c and the arguments,
 # which a call adds to the one joint sum of the sum it is an item of);
-# comp takes an index too and has its own node
+# comp's third argument is its slot, an int
 _CALLS = {
-    "comp": (2, None, None),
+    "comp": (3, lambda d: d[0] + d[1] - 1,
+             lambda ctx, c, f, g, i: ((c, f, (g,), ((i,),)),)),
     "cup": (2, lambda d: d[0] + d[1], _cup_regions),
     "bul": (2, lambda d: d[0] + d[1] - 1,
             lambda ctx, c, *a: _bullet_regions(c, *a)),
@@ -124,27 +125,10 @@ class Name(Node):
 
 
 @dataclass(frozen=True)
-class Unit(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class Scale(Node):
-    coeff: int = 1
-    item: Node = None
-
-
-@dataclass(frozen=True)
 class Sum(Node):
-    # (sign, node) pairs; the first sign is always +1 in parsed scripts
+    # (integer coefficient, node) items: k * x is (k, x), and - k * x is
+    # (-k, x); in a parsed script no item is itself a one-item Sum
     items: tuple = ()
-
-
-@dataclass(frozen=True)
-class Comp(Node):
-    inner: Node = None
-    outer: Node = None
-    index: int = 0
 
 
 @dataclass(frozen=True)
@@ -242,10 +226,10 @@ class _Parser:
 
     def parse_expr(self) -> Node:
         first = self.parse_term()
-        items = [(1, first)]
+        items = [_item(1, first)]
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            items.append((1 if op.kind == "+" else -1, self.parse_term()))
+            items.append(_item(1 if op.kind == "+" else -1, self.parse_term()))
         if len(items) == 1:
             return first
         return Sum(span=first.span, items=tuple(items))
@@ -254,9 +238,8 @@ class _Parser:
         if self.peek().kind == "int":
             coeff_tok = self.advance()
             self.expect("*", "'*' after a coefficient")
-            item = self.parse_atom()
-            return Scale(span=(coeff_tok.line, coeff_tok.col),
-                         coeff=int(coeff_tok.text), item=item)
+            item = _item(int(coeff_tok.text), self.parse_atom())
+            return Sum(span=(coeff_tok.line, coeff_tok.col), items=(item,))
         return self.parse_atom()
 
     def parse_atom(self) -> Node:
@@ -271,8 +254,6 @@ class _Parser:
         if tok.text in _CALLS and self.tokens[self.pos + 1].kind == "(":
             return self.parse_call()
         self.advance()
-        if tok.text == "I":
-            return Unit(span=(tok.line, tok.col))
         if tok.text in ("let", "deg"):
             raise ScriptSyntaxError(f"{tok.text!r} is reserved",
                                     tok.line, tok.col)
@@ -285,21 +266,27 @@ class _Parser:
         while self.peek().kind == ",":
             self.advance()
             if head.text == "comp" and len(args) == 2:
-                idx_tok = self.expect("int", "a composition index")
-                self.expect(")", "')'")
-                return Comp(span=(head.line, head.col), inner=args[0],
-                            outer=args[1], index=int(idx_tok.text))
+                args.append(int(self.expect("int", "a composition index").text))
+                break
             args.append(self.parse_expr())
         self.expect(")", "')'")
-        if head.text == "comp":
-            self.fail("a composition index as the third argument")
         arity = _CALLS[head.text][0]
+        if head.text == "comp" and len(args) != arity:
+            self.fail("a composition index as the third argument")
         if len(args) != arity:
             raise ScriptSyntaxError(
                 f"{head.text} takes {arity} arguments, "
                 f"got {len(args)}", head.line, head.col)
         return Call(span=(head.line, head.col), head=head.text,
                     args=tuple(args))
+
+
+def _item(c: int, node: Node) -> tuple:
+    """The sum item c * node; a one-item Sum (k, x) folds into (c * k, x)."""
+    if isinstance(node, Sum) and len(node.items) == 1:
+        (k, node), = node.items
+        return c * k, node
+    return c, node
 
 
 _TOO_DEEP = "expression nested too deeply"
@@ -317,19 +304,33 @@ def parse_script(text: str) -> Script:
 # ---------------------------------------------------------------------------
 # degree checking
 
+_IMPLICIT = {"mu": Decl(name="mu", degree=2), "I": Decl(name="I", degree=1)}
+
+
+def declarations(script: Script) -> dict:
+    """name -> Decl of every name script may use: its declarations in
+    order, then the implicit mu and I (a reserved name) unless it declares
+    them. A name declared twice, or mu of another degree, is refused."""
+    decls = {}
+    for decl in script.decls:
+        implicit = _IMPLICIT.get(decl.name, decl)
+        if decl.degree != implicit.degree:
+            raise ScriptTypeError(f"{decl.name} must have degree "
+                                  f"{implicit.degree}", *decl.span)
+        if decl.name in decls:
+            raise ScriptTypeError(f"{decl.name!r} declared twice", *decl.span)
+        decls[decl.name] = decl
+    return decls | {n: d for n, d in _IMPLICIT.items() if n not in decls}
+
+
 def _check_node(node: Node, env: dict, degrees: dict) -> int:
-    """Degree of node; degrees maps the id of each compound node (Scale,
-    Sum, Comp, Call) to its degree."""
+    """Degree of node; degrees[id(x)] is the degree of each Sum and Call x."""
     if isinstance(node, Name):
         if node.name not in env:
             raise ScriptTypeError(f"undeclared name {node.name!r}",
                                   *node.span)
         return env[node.name]
-    if isinstance(node, Unit):
-        return 1
-    if isinstance(node, Scale):
-        degree = _check_node(node.item, env, degrees)
-    elif isinstance(node, Sum):
+    if isinstance(node, Sum):
         degree, *rest = [_check_node(item, env, degrees)
                          for _, item in node.items]
         for deg in rest:
@@ -337,17 +338,14 @@ def _check_node(node: Node, env: dict, degrees: dict) -> int:
                 raise ScriptTypeError(
                     f"cannot add degree {degree} and degree {deg} terms",
                     *node.span)
-    elif isinstance(node, Comp):
-        inner = _check_node(node.inner, env, degrees)
-        outer = _check_node(node.outer, env, degrees)
-        if not 0 <= node.index <= inner - 1:
-            raise ScriptTypeError(
-                f"composition index {node.index} outside 0..{inner - 1} "
-                f"for a degree {inner} element", *node.span)
-        degree = inner + outer - 1
     elif isinstance(node, Call):
-        degree = _CALLS[node.head][1](
-            [_check_node(a, env, degrees) for a in node.args])
+        args = [a if isinstance(a, int) else _check_node(a, env, degrees)
+                for a in node.args]
+        if node.head == "comp" and not 0 <= args[2] < args[0]:
+            raise ScriptTypeError(
+                f"composition index {args[2]} outside 0..{args[0] - 1} "
+                f"for a degree {args[0]} element", *node.span)
+        degree = _CALLS[node.head][1](args)
     else:
         raise ScriptTypeError(f"unknown node {type(node).__name__}")
     degrees[id(node)] = degree
@@ -355,17 +353,9 @@ def _check_node(node: Node, env: dict, degrees: dict) -> int:
 
 
 def _check(script: Script) -> tuple:
-    """The final expression's degree and the degree of each compound
-    node, by id."""
-    env = {"mu": 2}
-    seen = set()
-    for decl in script.decls:
-        if decl.name == "mu" and decl.degree != 2:
-            raise ScriptTypeError("mu must have degree 2", *decl.span)
-        if decl.name in seen:
-            raise ScriptTypeError(f"{decl.name!r} declared twice", *decl.span)
-        seen.add(decl.name)
-        env[decl.name] = decl.degree
+    """The final expression's degree and the degree of each Sum and Call,
+    by id."""
+    env = {name: d.degree for name, d in declarations(script).items()}
     degrees = {}
     try:
         return _check_node(script.body, env, degrees), degrees
@@ -376,7 +366,8 @@ def _check(script: Script) -> tuple:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _resolve(name: str, degree: int, decl: Decl | None, backend, bindings, rng):
+def _resolve(decl: Decl, backend, bindings, rng):
+    name, degree = decl.name, decl.degree
     if bindings and name in bindings:
         el = bindings[name]
         if el.degree != degree:
@@ -384,7 +375,7 @@ def _resolve(name: str, degree: int, decl: Decl | None, backend, bindings, rng):
                 f"binding for {name!r} has degree {el.degree}, "
                 f"declared {degree}")
         return el
-    if decl is not None and decl.literal is not None:
+    if decl.literal is not None:
         if not isinstance(backend, EndoBackend):
             raise UnsupportedRing(
                 "table literals only make sense on the endo backend")
@@ -402,71 +393,44 @@ def _resolve(name: str, degree: int, decl: Decl | None, backend, bindings, rng):
     raise MissingAssignment(f"no value for {name!r} of degree {degree}")
 
 
-def _folded(c, node: Node):
-    """(c * k, item) for node = k * item, every scale of node folded into
-    c; (c, node) for any other node."""
-    while isinstance(node, Scale):
-        c *= node.coeff
-        node = node.item
-    return c, node
-
-
 def eval_script(script: Script | str, backend, bindings=None, rng=None):
     """Evaluate a script against a backend.
 
-    Names resolve in order: explicit binding, table literal from the
-    declaration, generator of the same name (free backend), random draw
-    when an rng is supplied (endo backend). mu is implicitly declared
-    with degree 2 and resolves the same way.
+    Each declared name, and the implicit mu, resolves in order: explicit
+    binding, table literal from the declaration, generator of the same
+    name (free backend), random draw when an rng is supplied (endo
+    backend). The implicit I is the context's unit.
 
-    Every node but a name and I is evaluated as a sum; a node that is not
-    a Sum is a sum of one item. Its comp and call items are one joint sum
-    of regions (backends.joint_sum): a comp is a region of one point and a
-    call gives its operation's regions, each scaled by the item's sign and
-    any coefficient k of a k * item, so no such item is built as an
-    element of its own, and the points of two or more operands (those of
-    cup, tri and tetra calls) that end in the same operand (a name, mu or
-    I) and slot share its composition. The sum's other items, names,
-    I and nested sums, are added to that result in one streamed
-    signed_sum, a scaled item folded into its coefficient; a sum of them
-    alone is that signed_sum.
+    Every node but a Name is evaluated as a sum, a Call as a sum of one
+    item. Its call items are one joint sum of regions (backends.joint_sum),
+    each region scaled by its item's coefficient, so no call item is built
+    as an element of its own, and the points of two or more operands (those
+    of cup, tri and tetra calls) that end in the same operand and slot
+    share its composition. The other items, names and nested sums, are
+    added to that result in one streamed signed_sum; a sum of them alone is
+    that signed_sum.
     """
     if isinstance(script, str):
         script = parse_script(script)
     _, degrees = _check(script)
-    decls = {d.name: d for d in script.decls}
-    env = {}
-    for decl in script.decls:
-        env[decl.name] = _resolve(decl.name, decl.degree, decl, backend,
-                                  bindings, rng)
-    mu = env.get("mu")
-    if mu is None:
-        mu = _resolve("mu", 2, decls.get("mu"), backend, bindings, rng)
-        env["mu"] = mu
-    ctx = PreOperadContext(backend, mu)
+    env = {name: _resolve(d, backend, bindings, rng)
+           for name, d in declarations(script).items() if name != "I"}
+    ctx = PreOperadContext(backend, env["mu"])
+    env["I"] = ctx.unit
 
-    def regions(c, node: Node):
-        """The regions of c * node, a comp or a call, its arguments built
-        as they are drawn."""
-        if isinstance(node, Comp):
-            return ((c, walk(node.inner), (walk(node.outer),),
-                     ((node.index,),)),)
-        return _CALLS[node.head][2](ctx, c, *[walk(a) for a in node.args])
+    def regions(c, node: Call):
+        """The regions of c * node, its arguments built as they are drawn."""
+        return _CALLS[node.head][2](ctx, c, *[
+            a if isinstance(a, int) else walk(a) for a in node.args])
 
     def walk(node: Node):
         if isinstance(node, Name):
-            if node.name not in env:
-                raise MissingAssignment(f"no value for {node.name!r}")
             return env[node.name]
-        if isinstance(node, Unit):
-            return ctx.unit
         degree = degrees[id(node)]
-        items = [_folded(sign, item) for sign, item in
-                 (node.items if isinstance(node, Sum) else ((1, node),))]
-        fused = [(c, x) for c, x in items if isinstance(x, (Comp, Call))]
-        # a name, I or a nested sum (not flattened) is a whole element
-        rest = ((c, walk(x)) for c, x in items
-                if not isinstance(x, (Comp, Call)))
+        items = node.items if isinstance(node, Sum) else ((1, node),)
+        fused = [(c, x) for c, x in items if isinstance(x, Call)]
+        # a name or a nested sum (not flattened) is a whole element
+        rest = ((c, walk(x)) for c, x in items if not isinstance(x, Call))
         if fused:
             total = joint_sum(backend, degree, chain.from_iterable(
                 regions(c, x) for c, x in fused))

@@ -17,8 +17,34 @@ from preoperad.domains import (
     scope_regions,
     shifted_tetrahedron,
 )
-from preoperad.errors import TableTooLarge
+from preoperad.errors import InvalidDegree, TableTooLarge
 from preoperad.gamma import gamma_domain
+
+
+# each public domain builder with the degrees it takes, all 2
+BUILDERS = {
+    "scope_regions": (scope_regions, 2),
+    "full_scope": (full_scope, 2),
+    "ground_tetrahedron": (ground_tetrahedron, 3),
+    "shifted_tetrahedron": (shifted_tetrahedron, 3),
+    "envelope_domains": (envelope_domains, 4),
+    "boundary_faces": (boundary_faces, 3),
+    "removed_edges": (removed_edges, 3),
+    "gamma_domain": (lambda *d: gamma_domain("gamma", *d), 4),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None, True])
+def test_a_degree_that_is_not_an_integer_is_refused(name, bad):
+    # a bare TypeError from range or -, or a silent 2.0 or True, before
+    builder, arity = BUILDERS[name]
+    builder(*[2] * arity)
+    for t in range(arity):
+        degrees = [2] * arity
+        degrees[t] = bad
+        with pytest.raises(InvalidDegree, match="must be an integer"):
+            builder(*degrees)
 
 
 def test_full_scope_size():

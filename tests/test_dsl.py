@@ -22,10 +22,8 @@ from preoperad.free import Signature, tree_to_sexpr
 from preoperad.rings import CoefficientRing
 from preoperad.script import (
     Call,
-    Comp,
     Decl,
     Name,
-    Scale,
     Script,
     Sum,
     _check,
@@ -53,6 +51,10 @@ ROUND_TRIP_CORPUS = [
     "let f : deg 2;\nbracket(f, mu) + bul(f, mu) - bul(mu, f)",
     "let f : deg 1;\ncup(I, f) + cup(f, I)",
     "let h : deg 2;\nlet f : deg 1;\ntri(h, f, f) + comp(comp(h, f, 0), f, 1)",
+    "let f : deg 1;\ncup(f, 3 * I) - 2 * cup(I, f)",
+    "let h : deg 2;\nlet f : deg 1;\nh - 4 * comp(h, f, 1)",
+    "let f : deg 2;\n3 * (f + bul(f, I)) - (2 * f)",
+    "let f : deg 1;\n2 * (3 * (5 * delta(f))) + 0 * cup(I, f)",
 ]
 
 
@@ -164,6 +166,27 @@ def test_format_parse_round_trip(text):
     value = eval_script(script, EndoBackend(F97, 2),
                         rng=np.random.default_rng(3))
     assert value.degree == check_script(script)
+
+
+@pytest.mark.parametrize("backend", [
+    EndoBackend(F97, 2),
+    FreeBackend(F97, Signature((("h", 3), ("f", 1), ("g", 1), ("mu", 2)))),
+], ids=["endo", "free"])
+def test_five_node_kinds(backend):
+    decls = "let h: deg 3; let f: deg 1; let g: deg 1; "
+    nested = parse_script(decls + "2 * (3 * tri(h, f, g))")
+    flat = parse_script(decls + "6 * tri(h, f, g)")
+    assert nested == flat
+    assert flat.body == Sum(items=((6, Call(head="tri", args=(
+        Name(name="h"), Name(name="f"), Name(name="g")))),))
+    assert (eval_script(nested, backend, rng=np.random.default_rng(4))
+            == eval_script(flat, backend, rng=np.random.default_rng(4)))
+    zero = eval_script("3 * I - I - I - I", backend,
+                       rng=np.random.default_rng(4))
+    assert zero.degree == 1 and zero.is_zero()
+    assert parse_script("I").body == Name(name="I")
+    assert parse_script("let f: deg 2; comp(f, mu, 1)").body == Call(
+        head="comp", args=(Name(name="f"), Name(name="mu"), 1))
 
 
 def test_eval_cup_table_oracle():
@@ -360,7 +383,7 @@ def test_a_sum_of_compositions_adds_each_into_its_buffer():
 def _nested_scales(depth):
     node = Name(name="f")
     for _ in range(depth):
-        node = Scale(coeff=1, item=node)
+        node = Sum(items=((1, node),))
     return node
 
 

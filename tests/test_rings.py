@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preoperad.errors import UnsupportedRing
+from preoperad.errors import ShapeMismatch, UnsupportedRing
 from preoperad.rings import CoefficientRing
 
 F7 = CoefficientRing.prime_field(7)
@@ -18,6 +18,20 @@ def test_prime_field_arithmetic_examples():
 
 def test_integer_ring_arithmetic():
     assert ZZ.reduce(123456789123456789) == 123456789123456789
+
+
+@pytest.mark.parametrize("ring", [F97, ZZ], ids=["F_97", "Z"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "5", None])
+def test_reduce_refuses_a_value_that_is_not_an_integer(ring, value):
+    # F_97 read 2.5 as 2, True as 1 and "5" as 5
+    with pytest.raises(ShapeMismatch, match="must be an integer"):
+        ring.reduce(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(-1), np.int32(195), np.uint8(3)])
+def test_reduce_takes_a_numpy_integer_to_a_plain_int(value):
+    assert F97.reduce(value) == int(value) % 97
+    assert type(F97.reduce(value)) is int and type(ZZ.reduce(value)) is int
 
 
 @pytest.mark.parametrize("modulus", [0, 1, -5, 6, 91, 2**10])
