@@ -19,8 +19,13 @@ compositions, compose_sum, reduces once: each composite is added unreduced
 into one buffer (delayed modular reduction, Dumas, Giorgi and Pernet 2008),
 which is reduced at the end and whenever the bound on its entries would
 reach 2^31 or 2^63, as its itemsize says, so every table handed out is
-canonical. A single composition takes
-the steps of a compose_sum of one term. A signed sum whose only nonzero
+canonical. A sum whose first product takes the float path below keeps
+its buffer in float32 on int32 tables, float64 on int64 ones, until the
+bound would reach the float type's exact range, 2^24 or 2^53; the buffer
+is then cast in place to the table dtype, exactly and unreduced
+(_as_table), and the sum goes on in integers, reduced as above. _finish
+casts a buffer still in float the same way, once. A single composition
+takes the steps of a compose_sum of one term. A signed sum whose only nonzero
 term has coefficient 1 and a small read-only table is that term. Tables of
 more than _REDUCE_GATE entries go through _reduce, as x - p * floor(x / p) in
 fixed-size chunks through one small scratch quotient, since numpy's scalar
@@ -46,14 +51,16 @@ Dumas, Giorgi and Pernet 2008). That is exact while d (p - 1)^2 < 2^53:
 every product and partial sum of the contraction is then an integer below
 2^53 in magnitude. Where even (p // 2) d (p - 1)^2 < 2^24, the tables
 are int32 and it multiplies in float32, exact for every coefficient in
-(-p/2, p/2], and sums in int32, reduced early against 2^31 (at least 128
-worst-case terms apart). The product runs one output block of at most
-_BLOCK entries at a time (cast the block's operands, multiply, and add or
-cast the product into the sum's buffer), so every float temporary stays
-within _BLOCK entries and it allocates little beyond the result. It is
-one loop nest, whose layout B > 1 alone picks, B the result's entries
-after the slot (_float_product). Z, primes past the float64 bound,
-smaller results and a stacked g keep the integer matmul.
+(-p/2, p/2]. A product runs one output block of at most _BLOCK entries
+at a time: cast the block's operands, then multiply straight into a new
+float table, or into a block's scratch that is added into the sum's
+buffer, with a plain add when the buffer is float and a casting one when
+it is integer. So every float temporary stays within _BLOCK entries and
+it allocates little beyond the result. It is one loop nest, whose layout
+B > 1 alone picks, B the result's entries after the slot; when B > 1, g's
+block is cast once as it is stored and multiplied as a transposed view
+(_float_product). Z, primes past the float64 bound, smaller results and a
+stacked g keep the integer matmul.
 
 Composition convention: plugging g into input slot i of f costs the sign
 (-1)^(i * |g|), so
@@ -99,6 +106,11 @@ _FLOAT_EXACT = 2**53
 _FLOAT32_EXACT = 2**24
 # outputs of one float block of a composition
 _BLOCK = 2**16
+# the bound below which a sum's buffer holds every integer exactly, by its
+# dtype: a float buffer's is its float type's, an integer buffer's its width
+_RANGE = {np.dtype(np.float32): _FLOAT32_EXACT,
+          np.dtype(np.float64): _FLOAT_EXACT,
+          np.dtype(np.int32): _INT32, np.dtype(np.int64): _INT64}
 # a signed sum holds a first term of at most this many entries uncopied
 # until a second one comes; a larger one is copied at once, so a streamed
 # sum of large fresh terms never holds two of them beside its buffer
@@ -400,15 +412,17 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
     already the result's axis order. Stacked operands keep their row axis
     in front and pair row with row. With exact_in_float, a single g and a
     result above _REDUCE_GATE entries, _float_product computes it block by
-    block in float64, or in float32 on int32 tables, c folded into g, adding
-    into acc when acc has the result's shape; B = d^(|f|-i) > 1 alone
-    picks its layout. Otherwise it is one integer
-    matmul in the operands' dtype: a new table is
-    scaled by c in place, and a product added into acc is added or
-    subtracted when c is +-1, through _add_into, which also takes a
-    product of another shape than acc. The caller keeps |c| d (p - 1)^2
-    within int64, within 2^53 when exact_in_float and within 2^24 on
-    int32 tables.
+    block in float64, or in float32 on int32 tables, c folded into g: a new
+    float table when acc is None, added into acc, float or integer, when
+    acc has the result's shape, and otherwise added through _add_into, cast
+    to acc's integer dtype first (_as_table) when acc is not float;
+    B = d^(|f|-i) > 1 alone picks its layout. Otherwise it is one integer
+    matmul in the operands' dtype: a new table is scaled by c in place, and
+    a product added into acc, float or integer, is added or subtracted when
+    c is +-1, through _add_into, which also takes a product of another
+    shape than acc. The caller keeps |c| d (p - 1)^2 within int64, within
+    2^53 when exact_in_float and within 2^24 on int32 tables, and acc's
+    entries within its range (_RANGE).
     """
     exact_in_float, _, _, g_shape, f_shape, shape, size, _ = plan
     ft, gt = f.table, g.table
@@ -426,7 +440,10 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
                                acc.reshape(len(f3), g_shape[1], -1))
                 return acc
             raw = _float_product(f3, g2, c).reshape(shape)
-            return raw if acc is None else _add_into(acc, 1, raw)
+            if acc is None:
+                return raw
+            return _add_into(acc, 1, raw if acc.dtype.kind == "f"
+                             else _as_table(raw))
         g_t = g2.T
     else:  # one G^T per row, broadcast over f's outputs
         g_t = gt.reshape(len(gt), 1, *g_shape).swapaxes(-1, -2)
@@ -448,55 +465,78 @@ def _product(acc, c: int, f: MultilinearMap, g: MultilinearMap,
 def _float_product(f3: np.ndarray, g2: np.ndarray, c: int,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The product out[a, x, b] = sum_k c * g2[k, x] * f3[a, k, b], computed
-    in floating point one output block at a time: a new table of shape
-    (A, X, B), or, when out is given, added into out.
+    in floating point one output block at a time: a new float table of
+    shape (A, X, B), or, when out is given, added into out.
 
     It multiplies in float64, exact when d * |c| (p - 1)^2 < 2^53, or, when
     f3 is int32, as the tables of a narrow ring (_limits) are, in float32,
     exact when that bound is below 2^24: every product and partial sum is
-    then an integer below the bound in magnitude. A new table has f3's
-    dtype, as g2 and out do.
+    then an integer below the bound in magnitude. A new table is in that
+    float type, each block's GEMM written straight into it. A product adds
+    into a float out, in the same float type, with a plain add, and into an
+    integer out, of f3's dtype, with a casting add, exact below the bound.
 
     B alone picks the layout. When B is 1, a block is one (rows, d) @ (d, w)
     GEMM over its rows of f, already in the result's (a, x) order; when
     B > 1, it is one (w, d) @ (d, B) GEMM per row a of f, already in the
-    result's (a, x, b) order. There is one block order: the outer loop runs
-    over w of g's X columns at a time, each cast once with c folded in, and
-    the inner loop over f's rows, rows at a time (one row when w < X), each
-    cast, multiplied and its product cast or added into the integer result
-    in one ufunc pass. So every float temporary, the copies of f's rows and
-    of g's columns and the product, stays within _BLOCK entries, unless one
-    of f's rows (B * d entries) alone is larger.
+    result's (a, x, b) order, its (w, d) operand the transposed view of g's
+    block. There is one block order: the outer loop runs over w of g's X
+    columns at a time, each cast once in its stored (d, w) order with c
+    folded in, and the inner loop over f's rows, rows at a time (one row
+    when w < X), each cast and multiplied. So every float temporary, the
+    copies of f's rows and of g's columns and the product of a block added
+    into out, stays within _BLOCK entries, unless one of f's rows (B * d
+    entries) alone is larger.
     """
     A, d, B = f3.shape
     X = g2.shape[1]
     real = np.float32 if f3.dtype == np.int32 else np.float64
-    add = out is not None
-    if not add:
-        out = np.empty((A, X, B), dtype=f3.dtype)
+    new = out is None
+    if new:
+        out = np.empty((A, X, B), dtype=real)
     w = min(X, max(1, _BLOCK // max(B, d)))
     rows = min(A, max(1, _BLOCK // (B * max(X, d)))) if w == X else 1
-    buf = np.empty(rows * B * w, dtype=real)  # the product of one block
+    # the product of one block added into out
+    buf = None if new else np.empty(rows * B * w, dtype=real)
     for x0 in range(0, X, w):
-        cols = g2[:, x0:x0 + w]  # (d, w) when B is 1, (w, d) otherwise
-        gf = (cols if B == 1 else cols.T).astype(real, order="C")
+        gf = g2[:, x0:x0 + w].astype(real)  # (d, w), C-contiguous
         if c != 1:
             gf *= c
+        if B > 1:
+            gf = gf.T  # (w, d), which BLAS takes transposed as it is
         for a0 in range(0, A, rows):
             block = out[a0:a0 + rows, x0:x0 + w]  # C-contiguous
             r, n = block.shape[:2]
             fb = f3[a0:a0 + rows].astype(real)
-            prod = buf[:r * n * B].reshape(r, n, B)
+            prod = block if new else buf[:r * n * B].reshape(r, n, B)
             if B == 1:
                 np.matmul(fb.reshape(r, d), gf, out=prod.reshape(r, n))
             else:
                 np.matmul(gf, fb, out=prod)
-            if add:  # cast on the fly: exact below the float bound
+            if new:
+                continue
+            if out.dtype == real:
+                block += prod
+            else:  # cast on the fly: exact below the float bound
                 np.add(block, prod, out=block, dtype=block.dtype,
                        casting="unsafe")
-            else:
-                block[...] = prod
     return out
+
+
+def _as_table(buf: np.ndarray) -> np.ndarray:
+    """buf in the dtype of the ring's tables: a float buffer, float32 or
+    float64, is cast in place to int32 or int64, the integer dtype of its
+    itemsize, through a view of its C-contiguous memory, _REDUCE_CHUNK
+    entries at a time, so no full-size table is added. Exact, as its
+    entries are integers within its range; nothing is reduced. An integer
+    or object buffer is returned as it is."""
+    if buf.dtype.kind != "f":
+        return buf
+    table = buf.view(np.int32 if buf.itemsize == 4 else np.int64)
+    src, dst = buf.reshape(-1), table.reshape(-1)
+    for lo in range(0, src.size, _REDUCE_CHUNK):
+        dst[lo:lo + _REDUCE_CHUNK] = src[lo:lo + _REDUCE_CHUNK]
+    return table
 
 
 def substitute(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
@@ -528,12 +568,19 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
     sign and c folded in, is added unreduced into one buffer (delayed
     modular reduction, as FFLAS-FFPACK does, Dumas, Giorgi and Pernet
     2008): the first product is the buffer, and a float product adds
-    into it block by block. Over F_p coefficients are taken in (-p/2,
-    p/2]; the buffer is reduced at the end, and earlier whenever the bound
-    on its entries would reach 2^63, or 2^31 when it is int32, as the
-    tables of a narrow ring (_limits) are. A coefficient that would take a
-    product past the bound, or past 2^53 when the float64 product is
-    exact, scales the reduced product instead.
+    into it block by block. A first product on the float path makes a
+    float buffer, float32 on int32 tables and float64 on int64 ones, of
+    the tables' itemsize, and later products, float or integer, add into
+    it in that type. Each buffer has the exact range of its dtype
+    (_RANGE): 2^24 for float32, 2^53 for float64, 2^31 for int32 and 2^63
+    for int64. Over F_p coefficients are taken in (-p/2, p/2], and the
+    sum keeps a bound on its buffer's entries. When that bound would reach
+    a float buffer's range, the buffer is cast in place to the table dtype
+    (_as_table), exactly and unreduced, and the sum goes on in integers.
+    The integer buffer is reduced whenever the bound would reach its range,
+    and at the end, where _finish casts a float buffer the same way, once.
+    A coefficient that would take a product past the bound, or past 2^53
+    when the float64 product is exact, scales the reduced product instead.
     No term's product is kept, and no input table is written.
     """
     p = ring.modulus
@@ -557,13 +604,15 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
             if step >= plan.cap:
                 reduced = True
                 step = abs(c) * (p - 1)
-            if acc is not None and bound + step >= (
-                    _INT32 if acc.itemsize == 4 else _INT64):
-                _reduce(acc, p)
-                bound = p - 1
+            if acc is not None and bound + step >= _RANGE[acc.dtype]:
+                # a float buffer first goes over to the integer schedule
+                acc = _as_table(acc)
+                if bound + step >= _RANGE[acc.dtype]:
+                    _reduce(acc, p)
+                    bound = p - 1
             bound += step
         if reduced:
-            raw = _reduce(_product(None, 1, f, g, plan), p)
+            raw = _reduce(_as_table(_product(None, 1, f, g, plan)), p)
             acc = _add_into(acc, c, raw)
         elif c:
             acc = _product(acc, c, f, g, plan)
@@ -573,12 +622,13 @@ def compose_sum(ring: CoefficientRing, dim: int, degree: int,
 
 def _finish(ring: CoefficientRing, dim: int, degree: int,
             acc) -> MultilinearMap:
-    """The sum held in acc, reduced in place and read-only; zero when acc
-    is None."""
+    """The sum held in acc, a float buffer cast once to the ring's table
+    dtype (_as_table), reduced in place and read-only; zero when acc is
+    None."""
     if acc is None:
         return zero_map(ring, dim, degree)
     if ring.modulus is not None:
-        _reduce(acc, ring.modulus)
+        acc = _reduce(_as_table(acc), ring.modulus)
     acc.setflags(write=False)
     return _new_map(ring, dim, degree, acc)
 
@@ -611,8 +661,7 @@ def signed_sum(ring: CoefficientRing, dim: int, degree: int,
             if c > p // 2:
                 c -= p
             step = abs(c) * (p - 1)
-            if acc is not None and bound + step >= (
-                    _INT32 if acc.itemsize == 4 else _INT64):
+            if acc is not None and bound + step >= _RANGE[acc.dtype]:
                 _reduce(acc, p)
                 bound = p - 1
             bound += step
@@ -641,7 +690,9 @@ def _check_term(ring: CoefficientRing, dim: int, degree: int,
 
 def _add_into(acc, c: int, table: np.ndarray) -> np.ndarray:
     """acc + c * table, added in place into acc; a new buffer for the first
-    term (acc None) and when a stacked table brings rows."""
+    term (acc None) and when a stacked table brings rows. A float acc
+    (compose_sum's) takes an integer table or one of its own dtype; an
+    integer acc takes an integer table."""
     if acc is None:
         if c == 1:
             return table.copy()

@@ -69,6 +69,8 @@ _CALLS = {
               lambda ctx, c, h, *fs: _brace_regions(c, h, fs)),
 }
 _RESERVED = (*_CALLS, "let", "deg", "I")
+# the heads whose regions compose the context's mu
+_READS_MU = ("cup", "delta")
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r\n]+|\#[^\n]*)
@@ -323,15 +325,17 @@ def declarations(script: Script) -> dict:
     return decls | {n: d for n, d in _IMPLICIT.items() if n not in decls}
 
 
-def _check_node(node: Node, env: dict, degrees: dict) -> int:
-    """Degree of node; degrees[id(x)] is the degree of each Sum and Call x."""
+def _check_node(node: Node, env: dict, degrees: dict, used: set) -> int:
+    """Degree of node; degrees[id(x)] is the degree of each Sum and Call x,
+    and used gains each name node reads, mu for each cup or delta call."""
     if isinstance(node, Name):
         if node.name not in env:
             raise ScriptTypeError(f"undeclared name {node.name!r}",
                                   *node.span)
+        used.add(node.name)
         return env[node.name]
     if isinstance(node, Sum):
-        degree, *rest = [_check_node(item, env, degrees)
+        degree, *rest = [_check_node(item, env, degrees, used)
                          for _, item in node.items]
         for deg in rest:
             if deg != degree:
@@ -339,13 +343,15 @@ def _check_node(node: Node, env: dict, degrees: dict) -> int:
                     f"cannot add degree {degree} and degree {deg} terms",
                     *node.span)
     elif isinstance(node, Call):
-        args = [a if isinstance(a, int) else _check_node(a, env, degrees)
-                for a in node.args]
+        args = [a if isinstance(a, int)
+                else _check_node(a, env, degrees, used) for a in node.args]
         if node.head == "comp" and not 0 <= args[2] < args[0]:
             raise ScriptTypeError(
                 f"composition index {args[2]} outside 0..{args[0] - 1} "
                 f"for a degree {args[0]} element", *node.span)
         degree = _CALLS[node.head][1](args)
+        if node.head in _READS_MU:
+            used.add("mu")
     else:
         raise ScriptTypeError(f"unknown node {type(node).__name__}")
     degrees[id(node)] = degree
@@ -353,12 +359,13 @@ def _check_node(node: Node, env: dict, degrees: dict) -> int:
 
 
 def _check(script: Script) -> tuple:
-    """The final expression's degree and the degree of each Sum and Call,
-    by id."""
+    """The final expression's degree, the degree of each Sum and Call, by
+    id, and the set of names the body reads (mu when it calls cup or
+    delta)."""
     env = {name: d.degree for name, d in declarations(script).items()}
-    degrees = {}
+    degrees, used = {}, set()
     try:
-        return _check_node(script.body, env, degrees), degrees
+        return _check_node(script.body, env, degrees, used), degrees, used
     except RecursionError:
         raise ScriptSyntaxError(_TOO_DEEP, *script.span) from None
 
@@ -396,10 +403,13 @@ def _resolve(decl: Decl, backend, bindings, rng):
 def eval_script(script: Script | str, backend, bindings=None, rng=None):
     """Evaluate a script against a backend.
 
-    Each declared name, and the implicit mu, resolves in order: explicit
-    binding, table literal from the declaration, generator of the same
-    name (free backend), random draw when an rng is supplied (endo
-    backend). The implicit I is the context's unit.
+    Each declared name, and the implicit mu, that the body reads (mu when
+    it names mu or calls cup or delta) resolves, in the order of
+    declarations, to: explicit binding, table literal from the
+    declaration, generator of the same name (free backend), random draw
+    when an rng is supplied (endo backend). A name the body does not read
+    is not resolved, so it needs no value and draws nothing. The implicit
+    I is the backend's unit.
 
     Every node but a Name is evaluated as a sum, a Call as a sum of one
     item. Its call items are one joint sum of regions (backends.joint_sum),
@@ -412,11 +422,12 @@ def eval_script(script: Script | str, backend, bindings=None, rng=None):
     """
     if isinstance(script, str):
         script = parse_script(script)
-    _, degrees = _check(script)
-    env = {name: _resolve(d, backend, bindings, rng)
-           for name, d in declarations(script).items() if name != "I"}
-    ctx = PreOperadContext(backend, env["mu"])
-    env["I"] = ctx.unit
+    _, degrees, used = _check(script)
+    env = {name: backend.unit() if name == "I"
+           else _resolve(d, backend, bindings, rng)
+           for name, d in declarations(script).items() if name in used}
+    # only cup and delta regions read the context, which holds mu
+    ctx = PreOperadContext(backend, env["mu"]) if "mu" in env else None
 
     def regions(c, node: Call):
         """The regions of c * node, its arguments built as they are drawn."""

@@ -1185,6 +1185,25 @@ def test_eval_stdin(capsys, monkeypatch):
     assert json.loads(out)["payload"] == [91]
 
 
+def test_eval_reads_only_the_names_its_expression_uses(capsys,
+                                                       monkeypatch):
+    # a literal and no seed: mu is never read, so it needs no value
+    monkeypatch.setattr("sys.stdin", io.StringIO("let f: deg 1 = [2];\nf\n"))
+    code, out, err = run(capsys, ["eval", "--script", "-", "--dim", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"] == [2]
+    # an unused degree-25 name at dim 2 would be a 2^26-entry draw; it
+    # draws nothing, so f is what the seed gives it without g
+    outs = []
+    for text in ("let g: deg 25;\nlet f: deg 1;\nf\n", "let f: deg 1;\nf\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, ["eval", "--script", "-", "--dim", "2",
+                                      "--seed", "1"])
+        assert (code, err) == (0, "")
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+
+
 def test_eval_missing_script_file(capsys, tmp_path):
     code, _, err = run(capsys, [
         "eval", "--script", str(tmp_path / "nope.txt")])

@@ -257,6 +257,56 @@ def test_eval_without_rng_or_binding_raises():
         eval_script("let f: deg 1; f", endo1())
 
 
+def test_eval_resolves_only_the_names_the_body_reads():
+    backend = EndoBackend(F97, 2)
+    rng = np.random.default_rng(7)
+    f, g = backend.random(2, rng), backend.random(2, rng)
+    # no mu and no value for the unused h: comp reads neither
+    value = eval_script("let h: deg 3; let f: deg 2; let g: deg 2; "
+                        "comp(f, g, 1)", backend, bindings={"f": f, "g": g})
+    assert value == f.compose(g, 1)
+    # a binding of another degree for an unused name is not looked at
+    assert eval_script("let h: deg 3; let f: deg 2; f", backend,
+                       bindings={"f": f, "h": g}) == f
+    # mu is read when it is named or a cup or delta is called
+    for body in ("mu", "cup(f, f)", "delta(g)", "bul(f, mu)",
+                 "g + 0 * delta(f)"):
+        with pytest.raises(MissingAssignment, match="'mu'"):
+            eval_script(f"let f: deg 1; let g: deg 2; {body}", backend,
+                        bindings={"f": backend.random(1, rng), "g": g})
+    # I is the backend's unit, with or without mu
+    assert eval_script("let f: deg 2; comp(f, I, 0) - f", backend,
+                       bindings={"f": f}).is_zero()
+
+
+def test_unused_names_draw_nothing_and_shift_no_draw():
+    # drawn in the order of declaration, each name the body reads; an
+    # unused g before or between them would be a draw
+    backend = EndoBackend(F97, 2)
+    bare = eval_script("let f: deg 2; let b: deg 1; cup(f, b)", backend,
+                       rng=np.random.default_rng(3))
+    for decls in ("let g: deg 3; let f: deg 2; let b: deg 1;",
+                  "let f: deg 2; let g: deg 7; let b: deg 1;"):
+        got = eval_script(decls + " cup(f, b)", backend,
+                          rng=np.random.default_rng(3))
+        assert got == bare, decls
+    # a declared mu that cup reads is drawn where it is declared
+    first = eval_script("let mu: deg 2; let f: deg 2; let b: deg 1; "
+                        "cup(f, b)", backend, rng=np.random.default_rng(3))
+    assert first != bare
+    # the unused degree-25 name would be 2^26 entries, 512 MB as drawn
+    tracemalloc.start()
+    try:
+        got = eval_script("let g: deg 25; let f: deg 1; f", backend,
+                          rng=np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == eval_script("let f: deg 1; f", backend,
+                              rng=np.random.default_rng(3))
+
+
 def test_eval_checks_types_first():
     with pytest.raises(ScriptTypeError):
         eval_script("let f: deg 1; let g: deg 2; f + g", endo1(),

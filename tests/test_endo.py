@@ -552,7 +552,7 @@ def test_compositions_stay_exact_at_the_smallest_prime_above_the_bound(
 
 def _float_path(f3, g2, out):
     """The path a _float_product call takes: its layout, its blocks, new
-    or add, and its float width."""
+    or added into a float or an integer buffer, and its float width."""
     A, d, B = f3.shape
     X = g2.shape[1]
     if X * max(B, d) > endo._BLOCK:
@@ -562,7 +562,8 @@ def _float_path(f3, g2, out):
     else:
         blocks = "one block"
     return ("B > 1" if B > 1 else "B == 1", blocks,
-            "new" if out is None else "add",
+            "new" if out is None else
+            "add float" if out.dtype.kind == "f" else "add int",
             "float32" if f3.dtype == np.int32 else "float64")
 
 
@@ -589,6 +590,37 @@ _BLOCK_SHAPES = {
 _WIDE_PRIMES = {3: 10007, 4: 211}
 
 
+def _crossing_primes(d):
+    """Per float width at dim d, the prime at its bound: the largest
+    narrow one (int32 tables, float32) and the largest below 2^53 (int64,
+    float64). A sum of two products of coefficient +-(p // 2) or +-1, as
+    _sum_coefficient gives, passes the float range at the second."""
+    narrow = next(p for dd, p, is_narrow in _NARROW_BOUND
+                  if dd == d and is_narrow)
+    return narrow, _float_bound_primes(d)[0]
+
+
+def _sum_coefficient(p, d):
+    """p // 2 on a narrow ring, whose float32 products it keeps exact, and
+    1 otherwise."""
+    return p // 2 if endo._limits(p, d)[1] else 1
+
+
+class _MatmulOperands:
+    """numpy as endo sees it, with each matmul's first operand recorded as
+    (F-contiguous, owns its data)."""
+
+    def __init__(self):
+        self.first = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.first.append((a.flags.f_contiguous, a.flags.owndata))
+        return np.matmul(a, b, **kwargs)
+
+
 def test_the_block_shapes_reach_every_layout_and_block_count():
     assert set(_BLOCK_SHAPES.values()) == {
         (layout, blocks) for layout in ("B == 1", "B > 1")
@@ -599,34 +631,63 @@ def test_the_block_shapes_reach_every_layout_and_block_count():
                          ids=lambda v: str(v))
 def test_float_products_match_the_einsum_reference_across_block_shapes(
         d, m, n, i, monkeypatch):
-    # each shape as a new table (one term) and added into one (two terms),
-    # at both signs of c and both float widths: with the coverage test
-    # above, every one of the 24 paths is reached and checked
-    paths = set()
+    # each shape as a new table (one term), added into a float buffer (two
+    # terms) and into an integer one (two terms at a prime of _crossing_
+    # primes, whose buffer is cast at the second), at both signs of c and
+    # both float widths: with the coverage test above, every one of the 36
+    # paths is reached and checked
+    paths, layouts = set(), []
     product = endo._float_product
 
     def recorded(f3, g2, c, out=None):
         paths.add(_float_path(f3, g2, out))
+        layouts.append(f3.shape[2] > 1)
         return product(f3, g2, c, out)
 
+    finished = []
+    finish = endo._finish
+
+    def canonical(ring, dim, degree, acc):
+        got = finish(ring, dim, degree, acc)
+        finished.append(got.table)
+        return got
+
     monkeypatch.setattr(endo, "_float_product", recorded)
+    monkeypatch.setattr(endo, "_finish", canonical)
+    operands = _MatmulOperands()
+    monkeypatch.setattr(endo, "np", operands)
     rng = np.random.default_rng(d * 100 + m * 10 + n)
-    for p in (97, _WIDE_PRIMES[d]):
+    for p in (97, _WIDE_PRIMES[d], *_crossing_primes(d)):
         ring = CoefficientRing.prime_field(p)
+        k = _sum_coefficient(p, d)
         f = random_map(ring, d, m, rng)
         gs = [random_map(ring, d, n, rng) for _ in range(2)]
         wants = [_einsum_compose(np.asarray(f.table, dtype=np.int64),
                                  np.asarray(g.table, dtype=np.int64), i,
                                  ksign(i * (n - 1))) for g in gs]
-        for c in (1, -1):
+        for c in (k, -k):
             got = endo.compose_sum(ring, d, m + n - 1, [(c, f, gs[0], i)])
             assert np.array_equal(got.table, c * wants[0] % p), (p, c)
             got = endo.compose_sum(ring, d, m + n - 1,
                                    [(c, f, g, i) for g in gs])
             assert np.array_equal(got.table, c * sum(wants) % p), (p, c)
+        for table in finished:
+            assert table.dtype == endo._dtype(ring, d), p
+            assert table.flags.c_contiguous and not table.flags.writeable
+            assert 0 <= table.min() and table.max() < p
+        assert len(finished) == 4
+        finished.clear()
     assert paths == {(*_BLOCK_SHAPES[d, m, n, i], mode, width)
-                     for mode in ("new", "add")
+                     for mode in ("new", "add float", "add int")
                      for width in ("float32", "float64")}
+    # every GEMM of B > 1 takes g's block as the transposed view of its
+    # one cast, not as a copy of its own
+    layout = _BLOCK_SHAPES[d, m, n, i][0]
+    assert set(layouts) == {layout == "B > 1"}
+    if layout == "B > 1":
+        assert operands.first
+        assert all(f_order and not owned
+                   for f_order, owned in operands.first), set(operands.first)
 
 
 @pytest.mark.parametrize("dim, m, rows, on_float_path", [
@@ -1226,6 +1287,77 @@ def test_compose_sums_add_row_by_row_float_products_into_their_buffer(
     adds = sum(add for _, _, add in blocks)
     assert adds == (len(terms) - 1 if p == 97 else 7)
     assert got.table.tolist() == _exact_sum(terms, p).tolist()
+
+
+# at dim 3, f and g of degree 4 give 3^8 entries, on the float path for a
+# single g; "F" and "G" are them stacked in two rows, and a stacked G takes
+# the integer matmul. Each sum's second term adds into the buffer the first
+# made, as the event says: a float product added by _float_product into an
+# integer buffer, or _add_into with (buffer, table) dtype kinds and
+# whether their shapes match
+_MIXED_ADDS = {
+    "integer product into a float buffer": (
+        [(1, "F", "g", 0), (-1, "F", "G", 1)], ("f", "i", True)),
+    "float product into an integer buffer": (
+        [(1, "F", "G", 0), (2, "F", "g", 1)], ("float product into", "i")),
+    "float product into a stacked integer buffer": (
+        [(1, "F", "G", 0), (-1, "f", "g", 3)], ("i", "i", False)),
+    "float product broadcast over a stacked float buffer": (
+        [(1, "F", "g", 0), (-1, "f", "g", 2)], ("f", "f", False)),
+    "stacked integer product over a single float buffer": (
+        [(3, "f", "g", 1), (1, "F", "G", 0)], ("f", "i", False)),
+    # past 2^20 a coefficient near p / 2 takes the product past 2^53, so
+    # it scales the reduced product, which adds into the float64 buffer
+    "reduced product scaled into a float buffer": (
+        [(1, "f", "g", 0), ("p // 2", "f", "g", 1)], ("f", "i", True)),
+}
+
+
+@pytest.mark.parametrize("case", list(_MIXED_ADDS))
+def test_compose_sums_mix_float_and_integer_buffers(case, monkeypatch):
+    spec, event = _MIXED_ADDS[case]
+    p = 1048573 if case.startswith("reduced") else 97
+    assert _is_prime(p)
+    ring = CoefficientRing.prime_field(p)
+    rng = np.random.default_rng(62)
+    fs, big_f = _stacked(ring, 3, 4, 2, rng)
+    gs, big_g = _stacked(ring, 3, 4, 2, rng)
+    maps = {"f": fs[0], "g": gs[0], "F": big_f, "G": big_g}
+    terms = [(p // 2 if c == "p // 2" else c, maps[f], maps[g], i)
+             for c, f, g, i in spec]
+    events, reductions = [], []
+    product, add_into = endo._float_product, endo._add_into
+    reduce = endo._reduce
+
+    def recorded_product(f3, g2, c, out=None):
+        if out is not None:
+            events.append(("float product into", out.dtype.kind))
+        return product(f3, g2, c, out)
+
+    def recorded_add(acc, c, table):
+        if acc is not None:
+            events.append((acc.dtype.kind, table.dtype.kind,
+                           acc.shape == table.shape))
+        return add_into(acc, c, table)
+
+    def recorded_reduce(arr, *args):
+        reductions.append(arr.dtype.kind)
+        return reduce(arr, *args)
+
+    monkeypatch.setattr(endo, "_float_product", recorded_product)
+    monkeypatch.setattr(endo, "_add_into", recorded_add)
+    monkeypatch.setattr(endo, "_reduce", recorded_reduce)
+    got = endo.compose_sum(ring, 3, 7, terms)
+    assert events == [event]
+    # the final reduction, after the reduced product's own
+    assert reductions == ["i"] * (2 if p > 97 else 1)
+    assert got.table.dtype == endo._dtype(ring, 3)
+    assert got.table.flags.c_contiguous and not got.table.flags.writeable
+    stacked = any(m.batch for _, f, g, _ in terms for m in (f, g))
+    assert got.batch == (2 if stacked else None)
+    for r in range(2 if stacked else 1):
+        rows = [(c, f.row(r), g.row(r), i) for c, f, g, i in terms]
+        assert got.row(r).table.tolist() == _exact_sum(rows, p).tolist(), r
 
 
 def test_compose_sums_reduce_early_near_the_int64_limit(monkeypatch):

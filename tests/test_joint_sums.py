@@ -15,6 +15,7 @@ from preoperad.backends import (
     EndoBackend,
     FreeBackend,
     GradedElement,
+    compose_sum,
     joint_sum,
     region_sum,
     signed_sum,
@@ -233,10 +234,11 @@ def _peak(build):
 def test_a_joint_sum_holds_one_inner_sum_beside_its_buffer():
     # three dim-4 braces end in the same b: each of its slots takes one
     # inner sum of all three, built as compose_sum draws it and let go
-    # before the next. One composition of the full size (its result and
-    # the product's scratch) is the yardstick: the sum holds one inner sum
-    # of a quarter of its size beyond it, and the smaller sums inside that.
-    # Summing the three braces' own terms held about 5.6 inner sums beyond.
+    # before the next. A sum of two compositions of the full size (its
+    # buffer and the scratch of the product added into it) is the
+    # yardstick: the sum holds one inner sum of a quarter of its size
+    # beyond it, and the smaller sums inside that. Summing the three
+    # braces' own terms held about 5.6 inner sums beyond.
     backend = EndoBackend(F97, 4)
     rng = np.random.default_rng(4)
     h, h2, f, g, b = (backend.random(d, rng) for d in (4, 4, 2, 2, 2))
@@ -244,7 +246,8 @@ def test_a_joint_sum_holds_one_inner_sum_beside_its_buffer():
                (-1, h2, (f, g, b), calculus._brace_points(h2, (f, g, b))),
                (2, h, (g, f, b), calculus._brace_points(h, (g, f, b)))]
     inner_bytes = 4**7 * h.payload.table.itemsize
-    one, _ = _peak(lambda: h.compose(f, 0).compose(g, 1).compose(b, 2))
+    one, _ = _peak(lambda: compose_sum(backend, 7, (
+        (c, h.compose(f, 0).compose(g, 1), b, 2) for c in (1, 2))))
     peak, got = _peak(lambda: joint_sum(backend, 7, regions))
     assert got.payload.table.nbytes == 4 * inner_bytes and not got.is_zero()
     assert peak < one + inner_bytes
